@@ -292,16 +292,9 @@ fn bench_million(bench: &mut Bench) {
     let n = 1_000_000usize;
     bench_scale(bench, n, true);
 
-    let line = generators::line(n);
-    let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 11 });
-    let a = algorithm::find("graph_to_wreath").expect("registered algorithm");
-    let config = RunConfig::default();
-    bench.measure_cold(&format!("algorithm/graph_to_wreath n={n}"), || {
-        let outcome = a.run(&line, &uids, &config).expect("clean run");
-        assert!(outcome.rounds > 0);
-    });
-    drop(line);
+    bench_wreath_cold(bench, n);
 
+    let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 11 });
     let rounds = 8usize;
     let g = {
         let mut g = Graph::new(n);
@@ -327,6 +320,23 @@ fn bench_million(bench: &mut Bench) {
     );
 }
 
+/// One cold `graph_to_wreath` execution on an `n`-node line, annotated
+/// with its round count: the rows where Θ(n) against O(log² n) rounds
+/// shows.
+fn bench_wreath_cold(bench: &mut Bench, n: usize) {
+    let line = generators::line(n);
+    let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 11 });
+    let a = algorithm::find("graph_to_wreath").expect("registered algorithm");
+    let mut rounds = 0usize;
+    bench.measure_cold(&format!("algorithm/graph_to_wreath n={n}"), || {
+        rounds = a
+            .run(&line, &uids, &RunConfig::default())
+            .expect("clean run")
+            .rounds;
+    });
+    bench.annotate("rounds", rounds as u128);
+}
+
 fn bench_algorithms(bench: &mut Bench, quick: bool) {
     let n = if quick { 128 } else { 512 };
     let cases: &[(&str, Graph)] = &[
@@ -346,17 +356,21 @@ fn bench_algorithms(bench: &mut Bench, quick: bool) {
             assert!(outcome.rounds > 0);
         });
     }
+    if !quick {
+        bench_wreath_cold(bench, 65536);
+    }
 }
 
 /// Builds a mid-merge committee forest: `committees` surviving slots over
 /// `n` nodes, members distributed round-robin (every committee keeps its
 /// smallest slot as leader — the shape a few merge phases produce).
 fn mid_merge_forest(n: usize, committees: usize) -> CommitteeForest {
+    use adn_core::committee::CommitteeId;
     let mut forest = CommitteeForest::singletons(n);
-    for i in committees..n {
-        let into = adn_core::committee::CommitteeId(i % committees);
-        forest.absorb(adn_core::committee::CommitteeId(i), into);
-    }
+    let merges: Vec<(CommitteeId, CommitteeId)> = (committees..n)
+        .map(|i| (CommitteeId(i), CommitteeId(i % committees)))
+        .collect();
+    forest.absorb_batch(&merges);
     forest
 }
 
@@ -420,9 +434,9 @@ fn bench_committee(bench: &mut Bench, quick: bool) {
         let mut forest = CommitteeForest::singletons(n);
         while forest.live_count() > 1 {
             let adj = forest.committee_adjacency(&g);
-            let live = forest.live_ids().to_vec();
             let mut merged = vec![false; forest.slot_count()];
-            for &cid in &live {
+            let mut merges = Vec::new();
+            for &cid in forest.live_ids() {
                 if merged[cid.index()] {
                     continue;
                 }
@@ -432,13 +446,14 @@ fn bench_committee(bench: &mut Bench, quick: bool) {
                     .neighbors(cid)
                     .iter()
                     .map(|r| r.other)
-                    .find(|o| forest.is_alive(*o) && !merged[o.index()] && *o != cid);
+                    .find(|o| !merged[o.index()] && *o != cid);
                 if let Some(t) = target {
                     merged[cid.index()] = true;
                     merged[t.index()] = true;
-                    forest.absorb(cid, t);
+                    merges.push((cid, t));
                 }
             }
+            forest.absorb_batch(&merges);
         }
         assert_eq!(forest.live_count(), 1);
     });

@@ -135,12 +135,12 @@ impl CommitteeForest {
         self.leader[self.committee_of[u.index()].index()]
     }
 
-    fn remove_live(&mut self, c: CommitteeId) {
-        let pos = self
-            .live
-            .binary_search(&c)
-            .expect("committee is alive exactly once");
-        self.live.remove(pos);
+    /// Drops the slots marked dead from `live` in one ascending pass, so a
+    /// phase's whole batch of merges costs one O(live) pass instead of one
+    /// per dead slot.
+    fn drop_dead_from_live(&mut self) {
+        let alive = &self.alive;
+        self.live.retain(|c| alive[c.index()]);
     }
 
     /// Merges committee `dying` into `absorbing`: the dying members are
@@ -160,19 +160,32 @@ impl CommitteeForest {
     ///
     /// Panics if either slot is dead or the two are the same.
     pub fn absorb(&mut self, dying: CommitteeId, absorbing: CommitteeId) {
-        assert_ne!(dying, absorbing, "a committee cannot absorb itself");
-        assert!(self.alive[dying.index()], "dying committee must be alive");
-        assert!(
-            self.alive[absorbing.index()],
-            "absorbing committee must be alive"
-        );
-        let incoming = std::mem::take(&mut self.members[dying.index()]);
-        for &u in &incoming {
-            self.committee_of[u.index()] = absorbing;
+        self.absorb_batch(&[(dying, absorbing)]);
+    }
+
+    /// [`CommitteeForest::absorb`] for every `(dying, absorbing)` pair, in
+    /// order, with the dead slots leaving the live list in one pass at the
+    /// end.
+    ///
+    /// # Panics
+    ///
+    /// As [`CommitteeForest::absorb`], for the first offending pair.
+    pub fn absorb_batch(&mut self, merges: &[(CommitteeId, CommitteeId)]) {
+        for &(dying, absorbing) in merges {
+            assert_ne!(dying, absorbing, "a committee cannot absorb itself");
+            assert!(self.alive[dying.index()], "dying committee must be alive");
+            assert!(
+                self.alive[absorbing.index()],
+                "absorbing committee must be alive"
+            );
+            let incoming = std::mem::take(&mut self.members[dying.index()]);
+            for &u in &incoming {
+                self.committee_of[u.index()] = absorbing;
+            }
+            self.members[absorbing.index()].extend(incoming);
+            self.alive[dying.index()] = false;
         }
-        self.members[absorbing.index()].extend(incoming);
-        self.alive[dying.index()] = false;
-        self.remove_live(dying);
+        self.drop_dead_from_live();
     }
 
     /// Replaces the member list of committee `c` wholesale (the wreath
@@ -200,10 +213,22 @@ impl CommitteeForest {
     ///
     /// Panics if `c` is already dead.
     pub fn retire(&mut self, c: CommitteeId) {
-        assert!(self.alive[c.index()], "committee retired twice");
-        self.alive[c.index()] = false;
-        self.members[c.index()].clear();
-        self.remove_live(c);
+        self.retire_batch(&[c]);
+    }
+
+    /// [`CommitteeForest::retire`] for every slot of `dead`, with the dead
+    /// slots leaving the live list in one pass at the end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot is already dead or listed twice.
+    pub fn retire_batch(&mut self, dead: &[CommitteeId]) {
+        for &c in dead {
+            assert!(self.alive[c.index()], "committee retired twice");
+            self.alive[c.index()] = false;
+            self.members[c.index()].clear();
+        }
+        self.drop_dead_from_live();
     }
 
     /// Builds the committee adjacency of the current `graph`: for each

@@ -397,9 +397,7 @@ impl State {
         // ------------------------------------------------------------------
         // 3. Apply merges to the committee structure.
         // ------------------------------------------------------------------
-        for &(dying, absorbing) in &merges {
-            self.forest.absorb(dying, absorbing);
-        }
+        self.forest.absorb_batch(&merges);
 
         // ------------------------------------------------------------------
         // 4. Mode transitions for the next phase.

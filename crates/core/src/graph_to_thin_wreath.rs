@@ -13,10 +13,11 @@
 //! [`crate::graph_to_wreath`] with the polylogarithmic arity — and thereby
 //! runs on the shared committee layer of [`crate::committee`] (arena
 //! forest, delta-driven incremental committee adjacency, selection
-//! forest) and the engine's batched ring splices (successor-pointer
-//! rings, one materialization pass per merge, shared line-to-tree
-//! scratch); this covers the selection / ring-merging / tree-merging /
-//! termination pipeline of Section 5. The matchmaker/matched refinement of Appendix C (pair
+//! forest), the engine's batched ring splices (successor-pointer rings,
+//! one materialization pass per merge) and its lockstep tree rebuilds
+//! (every merged ring of a phase in one line-to-tree batch, so a phase
+//! costs its slowest rebuild); this covers the selection / ring-merging /
+//! tree-merging / termination pipeline of Section 5. The matchmaker/matched refinement of Appendix C (pair
 //! matching of leaf committees performed by their common parent) is an
 //! optimisation of the same pipeline that reduces the constant in front of
 //! the bound; it is not modelled separately — the quantity our experiments

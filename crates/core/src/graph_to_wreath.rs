@@ -11,24 +11,26 @@
 //! (ii) discarding the old tree edges and (iii) rebuilding a complete
 //! binary tree over the merged ring with the (asynchronous)
 //! `LineToCompleteBinaryTree` subroutine, keeping the ring edges protected
-//! so the result is again a wreath. When a single committee remains, the
+//! so the result is again a wreath. As in Appendix B, the rebuilds of all
+//! roots of a phase run in parallel: the merged rings form one lockstep
+//! batch of the subroutine, so a phase costs the slowest rebuild's rounds,
+//! not the sum over its roots. When a single committee remains, the
 //! termination phase deletes everything except the tree, solving
 //! Depth-`log n` Tree with the elected leader `u_max` at the root.
 //!
 //! Complexity (Theorem 4.2): `O(log² n)` rounds, `O(n log² n)` total edge
 //! activations, `O(n)` active edges per round and `O(1)` maximum activated
 //! degree (the total degree is bounded by a constant plus the initial
-//! degree). All of these are verified by the tests and regenerated by the
-//! benchmark harness (experiment T2).
+//! degree). All of these are verified by the tests — rounds against
+//! `3·⌈log₂ n⌉²` up to n = 4096 — and regenerated by the experiment
+//! report (T1).
 //!
 //! The same engine, instantiated with a polylogarithmic tree arity, yields
 //! [`crate::graph_to_thin_wreath`] (Section 5).
 
 use crate::algorithm::RunConfig;
 use crate::committee::{CommitteeForest, CommitteeId, IncrementalAdjacency, SelectionForest};
-use crate::subroutines::async_line_to_tree::{
-    run_async_line_to_tree_with_scratch, AsyncLineConfig,
-};
+use crate::subroutines::async_line_to_tree::run_lockstep;
 use crate::subroutines::LineScratch;
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::edgeset::SortedEdgeSet;
@@ -208,7 +210,7 @@ fn run_phases(
     // with per-node (epoch, root) marks for clean membership checks, a
     // per-slot ring length, and per-slot buffers for the materialized
     // rings. The line-to-tree scratch memoises jump schedules and
-    // recycles the subroutine's positional state across merges.
+    // recycles the lockstep batch's columns across phases.
     let mut ring_succ: Vec<NodeId> = (0..n).map(NodeId).collect();
     let mut ring_mark: Vec<(u64, CommitteeId)> = vec![(0, CommitteeId(0)); n];
     let mut ring_len: Vec<usize> = vec![0usize; n];
@@ -565,54 +567,43 @@ fn run_phases(
         // ------------------------------------------------------------------
         // Tree merging: rebuild a complete `arity`-ary tree over every
         // merged ring with the asynchronous LineToCompleteBinaryTree,
-        // keeping the ring edges protected. The wake-up schedule models the
-        // activation message propagating from the ex-leaders (Appendix B):
-        // a node wakes after at most the depth of its former committee.
+        // keeping the ring edges protected. Appendix B runs the rebuilds in
+        // parallel, and so does this engine: all merged rings (rotated to
+        // start at their leaders) form one lockstep batch, so a phase pays
+        // the slowest rebuild's rounds, not their sum. The wake-up schedule
+        // models the activation message propagating from the ex-leaders: a
+        // node wakes after the depth of its former committee's tree, read
+        // off the pre-merge forest. The phase's ring-edge set is every
+        // line's protected set: the rings are node-disjoint, so an edge
+        // between two nodes of one ring is in it exactly when it is an edge
+        // of that ring. Untouched committees are carried over unchanged.
         // ------------------------------------------------------------------
+        line_scratch.clear_lines();
         for &root in sel.roots() {
-            if !sel.has_children(root) {
-                // Untouched committee: carried over unchanged (the slot
-                // simply survives in the arena).
-                continue;
+            if sel.has_children(root) {
+                let line = &merged_line[root.index()];
+                line_scratch.push_line(
+                    line,
+                    line.iter()
+                        .map(|u| 1 + forest.committee_of(*u).map_or(0, |c| tree_depth[c.index()])),
+                );
             }
-            // The materialized merged ring, already rotated to start at
-            // the root's leader. Taken out of the per-slot buffer so
-            // `replace_members` below can own it without a copy.
+        }
+        run_lockstep(network, config.tree_arity, &ring_edges, &mut line_scratch)?;
+        let merged_roots = sel.roots().iter().filter(|&&root| sel.has_children(root));
+        for (k, &root) in merged_roots.enumerate() {
             let line = std::mem::take(&mut merged_line[root.index()]);
-            let m = line.len();
-            let protected = SortedEdgeSet::ring_edges(&line);
-            // Wake-up times read the *pre-merge* partition: each node wakes
-            // after the depth of its former committee's tree. The forest
-            // still holds the old membership of every node on this root's
-            // ring (roots are disjoint, and this root's `replace_members`
-            // below is the only thing that re-homes them).
-            let wake: Vec<usize> = line
-                .iter()
-                .map(|u| {
-                    1 + forest
-                        .committee_of(*u)
-                        .map(|c| tree_depth[c.index()])
-                        .unwrap_or(0)
-                })
-                .collect();
-            let async_config = AsyncLineConfig {
-                arity: config.tree_arity,
-                protected_edges: protected,
-                wake_round: wake,
-            };
-            let (tree, _rounds) = run_async_line_to_tree_with_scratch(
-                network,
-                &line,
-                &async_config,
-                &mut line_scratch,
-            )?;
-            tree_edges[root.index()] = (1..m)
-                .map(|pos| {
-                    let parent_pos = tree.parent(NodeId(pos)).expect("non-root has parent");
-                    Edge::new(line[pos], line[parent_pos.index()])
-                })
-                .collect();
-            tree_depth[root.index()] = tree.depth();
+            let edges = &mut tree_edges[root.index()];
+            edges.clear();
+            edges.extend(
+                line_scratch
+                    .line_parents(k)
+                    .iter()
+                    .enumerate()
+                    .skip(1)
+                    .map(|(pos, &parent)| Edge::new(line[pos], line[parent])),
+            );
+            tree_depth[root.index()] = line_scratch.line_depth(k);
             forest.replace_members(root, line);
         }
 
@@ -624,8 +615,8 @@ fn run_phases(
             .copied()
             .filter(|c| selected[c.index()].is_some())
             .collect();
+        forest.retire_batch(&dead);
         for c in dead {
-            forest.retire(c);
             tree_edges[c.index()].clear();
             tree_depth[c.index()] = 0;
         }
@@ -760,22 +751,57 @@ mod tests {
     }
 
     #[test]
-    fn time_is_polylogarithmic() {
-        for &n in &[32usize, 128, 256] {
-            let g = generators::line(n);
-            let (_, outcome) = run(&g, UidAssignment::RandomPermutation { seed: 2 });
-            let log = ceil_log2(n).max(1);
-            // Theorem 4.2: O(log² n) rounds (generous constant 20).
-            assert!(
-                outcome.rounds <= 20 * log * log + 40,
-                "n={n}: rounds {} not O(log² n)",
-                outcome.rounds
-            );
-            assert!(
-                outcome.phases <= 6 * log + 6,
-                "n={n}: {} phases",
-                outcome.phases
-            );
+    fn rounds_meet_the_polylogarithmic_upper_bounds() {
+        // Theorem 4.2 (GraphToWreath) and Theorem 5.1 (GraphToThinWreath):
+        // O(log² n) rounds, with the constant pinned at 3. Each phase
+        // rebuilds all merged committees' trees in lockstep; rebuilding
+        // them one after another made the rounds add up to Θ(n), which
+        // breaks this bound from n = 256 on. The thin variant's shallower
+        // trees must also make it no slower than the binary one on lines.
+        let cases = [
+            (GraphFamily::Line, 256usize),
+            (GraphFamily::Line, 1024),
+            (GraphFamily::Line, 4096),
+            (GraphFamily::Ring, 256),
+            (GraphFamily::Ring, 1024),
+            (GraphFamily::Grid, 256),
+            (GraphFamily::Grid, 1024),
+            (GraphFamily::RandomTree, 256),
+            (GraphFamily::RandomTree, 1024),
+        ];
+        for (family, size) in cases {
+            let g = family.generate(size, 2);
+            let n = g.node_count();
+            let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 2 });
+            let log = ceil_log2(n);
+            let mut rounds = Vec::new();
+            for config in [WreathConfig::binary(), WreathConfig::polylog(n)] {
+                let mut network = Network::new(g.clone());
+                let outcome = execute(&mut network, &uids, &config, &RunConfig::default())
+                    .expect("wreath run must succeed");
+                assert!(
+                    outcome.rounds <= 3 * log * log,
+                    "{} on {family} n={n}: {} rounds > 3·⌈log₂ n⌉² = {}",
+                    config.name,
+                    outcome.rounds,
+                    3 * log * log
+                );
+                assert!(
+                    outcome.phases <= 6 * log + 6,
+                    "{} on {family} n={n}: {} phases",
+                    config.name,
+                    outcome.phases
+                );
+                rounds.push(outcome.rounds);
+            }
+            if family == GraphFamily::Line && n >= 1024 {
+                assert!(
+                    rounds[1] <= rounds[0],
+                    "line n={n}: thin wreath took {} rounds, wreath {}",
+                    rounds[1],
+                    rounds[0]
+                );
+            }
         }
     }
 

@@ -22,10 +22,23 @@
 //! These are precisely the constraints the `EA`/`DEA` counters encode; the
 //! result is bit-for-bit the synchronous tree, which the tests assert for
 //! arbitrary wake-up schedules.
+//!
+//! One implementation runs a whole *batch* of node-disjoint lines in
+//! lockstep, because the wreath algorithms rebuild the trees of all
+//! committees merged in a phase at once (Appendix B runs these rebuilds
+//! in parallel). Each round, every unfinished line is marked against its
+//! own wake-up schedule and round limit, all lines' jumps are staged as
+//! one wave in batch order and committed together, and an idle round is
+//! charged only when no line moved. The lines share no node and a line's
+//! witness checks read only its own edges, so every line performs exactly
+//! the jump sequence of a run on its own: a batch takes the *maximum* of
+//! its lines' round counts rather than their sum. The single-line entry
+//! points are one-line batches.
 
 use crate::subroutines::LineScratch;
 use crate::CoreError;
 use adn_graph::edgeset::SortedEdgeSet;
+use adn_graph::properties::ceil_log2;
 use adn_graph::{Edge, NodeId, RootedTree};
 use adn_sim::Network;
 
@@ -136,10 +149,10 @@ pub fn run_async_line_to_tree(
 
 /// [`run_async_line_to_tree`] with caller-owned scratch state: the
 /// synchronous jump schedule is memoised per (length, arity) and the
-/// positional vectors are recycled, so a caller performing many merges
-/// (the wreath engine: one tree rebuild per root per phase) pays the
-/// planning and allocation cost once per distinct ring size instead of
-/// once per merge. Behaviourally identical to the plain entry point.
+/// positional columns are recycled, so a caller running the subroutine
+/// many times pays the planning and allocation cost once per distinct
+/// line length instead of once per run. Behaviourally identical to the
+/// plain entry point.
 ///
 /// # Errors
 ///
@@ -150,30 +163,44 @@ pub fn run_async_line_to_tree_with_scratch(
     config: &AsyncLineConfig,
     scratch: &mut LineScratch,
 ) -> Result<(RootedTree, usize), CoreError> {
-    let n = line.len();
-    if n == 0 {
-        return Err(CoreError::InvalidInput {
-            reason: "line must contain at least one node".into(),
-        });
-    }
-    if config.arity == 0 {
-        return Err(CoreError::InvalidInput {
-            reason: "arity must be at least 1".into(),
-        });
-    }
-    if config.wake_round.len() != n {
+    if config.wake_round.len() != line.len() {
         return Err(CoreError::InvalidInput {
             reason: format!(
                 "wake_round has {} entries for a line of {} nodes",
                 config.wake_round.len(),
-                n
+                line.len()
             ),
         });
     }
-    scratch.seen.clear();
-    scratch.seen.extend_from_slice(line);
-    scratch.seen.sort_unstable();
-    for w in scratch.seen.windows(2) {
+    scratch.clear_lines();
+    scratch.push_line(line, config.wake_round.iter().copied());
+    let rounds = run_lockstep(network, config.arity, &config.protected_edges, scratch)?;
+    let parents: Vec<Option<NodeId>> = scratch
+        .line_parents(0)
+        .iter()
+        .enumerate()
+        .map(|(pos, &parent)| (pos > 0).then_some(NodeId(parent)))
+        .collect();
+    let tree = RootedTree::from_parents(NodeId(0), parents).expect("valid tree by construction");
+    Ok((tree, rounds))
+}
+
+/// Rejects an empty line, a line repeating a node, and a line whose
+/// consecutive nodes are not adjacent in the current graph.
+fn validate_line(
+    network: &Network,
+    line: &[NodeId],
+    seen: &mut Vec<NodeId>,
+) -> Result<(), CoreError> {
+    if line.is_empty() {
+        return Err(CoreError::InvalidInput {
+            reason: "line must contain at least one node".into(),
+        });
+    }
+    seen.clear();
+    seen.extend_from_slice(line);
+    seen.sort_unstable();
+    for w in seen.windows(2) {
         if w[0] == w[1] {
             return Err(CoreError::InvalidInput {
                 reason: format!("node {} appears twice in the line", w[0]),
@@ -190,94 +217,135 @@ pub fn run_async_line_to_tree_with_scratch(
             });
         }
     }
-    if n == 1 {
-        let tree = RootedTree::from_parents(NodeId(0), vec![None]).expect("trivial tree");
-        return Ok((tree, 0));
-    }
+    Ok(())
+}
 
+/// The lockstep core: turns every line of `scratch`'s batch (see
+/// [`LineScratch::push_line`]) into an `arity`-ary tree, all lines in the
+/// same rounds, and returns the number of rounds the batch took — the
+/// maximum over its lines. The lines must be node-disjoint; an edge in
+/// `protected_edges` is never deactivated. Afterwards
+/// [`LineScratch::line_parents`] holds each line's tree in position space.
+///
+/// # Errors
+///
+/// * [`CoreError::InvalidInput`] for zero arity or a malformed line, the
+///   first in batch order; checked before the first round.
+/// * [`CoreError::DidNotConverge`] when an unfinished line runs past its
+///   round limit (the first such line in batch order), and
+///   [`CoreError::Sim`] when staging fails — both only under faults or on
+///   implementation bugs.
+pub(crate) fn run_lockstep(
+    network: &mut Network,
+    arity: usize,
+    protected_edges: &SortedEdgeSet,
+    scratch: &mut LineScratch,
+) -> Result<usize, CoreError> {
+    if arity == 0 {
+        return Err(CoreError::InvalidInput {
+            reason: "arity must be at least 1".into(),
+        });
+    }
+    let lines = scratch.line_count();
     let LineScratch {
         schedules,
+        schedule_of,
+        line_start,
+        line_schedule,
+        line_remaining,
+        line_limit,
+        nodes,
+        wake,
         parent_pos,
-        children,
         jumps_done,
-        will_jump,
+        blocked,
         movers,
+        seen,
         wave_acts,
         wave_drops,
         ..
     } = scratch;
-    let schedule: &[Vec<usize>] = schedules
-        .entry((n, config.arity))
-        .or_insert_with(|| plan_sync_schedule(n, config.arity));
+
+    // Every position starts as the child of its predecessor on the line.
+    let total = nodes.len();
     parent_pos.clear();
-    parent_pos.extend((0..n).map(|i| i.saturating_sub(1)));
-    if children.len() < n {
-        children.resize_with(n, Vec::new);
-    }
-    for list in children[..n].iter_mut() {
-        list.clear();
-    }
-    for (i, list) in children[..n.saturating_sub(1)].iter_mut().enumerate() {
-        list.push(i + 1);
-    }
     jumps_done.clear();
-    jumps_done.resize(n, 0);
+    jumps_done.resize(total, 0);
+    blocked.clear();
+    blocked.resize(total, false);
+    line_schedule.clear();
+    line_remaining.clear();
+    line_limit.clear();
+    let mut unfinished = 0usize;
+    for k in 0..lines {
+        let (base, end) = (line_start[k], line_start[k + 1]);
+        validate_line(network, &nodes[base..end], seen)?;
+        let n = end - base;
+        parent_pos.extend((0..n).map(|i| i.saturating_sub(1)));
+        let id = *schedule_of.entry((n, arity)).or_insert_with(|| {
+            schedules.push(plan_sync_schedule(n, arity));
+            schedules.len() - 1
+        });
+        let remaining: usize = schedules[id].iter().map(Vec::len).sum();
+        let max_wake = wake[base..end].iter().copied().max().unwrap_or(1);
+        line_schedule.push(id);
+        line_remaining.push(remaining);
+        line_limit.push(max_wake + 8 * ceil_log2(n.max(2)) + 32);
+        unfinished += usize::from(remaining > 0);
+    }
 
-    let is_done = |jumps_done: &[usize], pos: usize| jumps_done[pos] >= schedule[pos].len();
-
-    let max_wake = config.wake_round.iter().copied().max().unwrap_or(1);
-    let round_limit = max_wake + 8 * adn_graph::properties::ceil_log2(n.max(2)) + 32;
     let mut rounds = 0usize;
-
-    while !(1..n).all(|pos| is_done(jumps_done, pos)) {
+    while unfinished > 0 {
         rounds += 1;
-        if rounds > round_limit {
-            return Err(CoreError::DidNotConverge {
-                algorithm: "AsyncLineToTree",
-                phase_limit: round_limit,
-            });
-        }
-        let awake = |pos: usize| rounds >= config.wake_round[pos];
-
-        // Fixpoint marking of the jumps performed this round: a node may
-        // jump if its children either finished, are already ahead, or jump
-        // simultaneously (the synchronous-simultaneity case).
-        will_jump.clear();
-        will_jump.resize(n, false);
-        loop {
-            let mut changed = false;
+        movers.clear();
+        for k in 0..lines {
+            if line_remaining[k] == 0 {
+                continue;
+            }
+            if rounds > line_limit[k] {
+                return Err(CoreError::DidNotConverge {
+                    algorithm: "AsyncLineToTree",
+                    phase_limit: line_limit[k],
+                });
+            }
+            let base = line_start[k];
+            let n = line_start[k + 1] - base;
+            let schedule = &schedules[line_schedule[k]];
+            let first_mover = movers.len();
+            // Marking of the jumps performed this round: a node may jump
+            // if its children either finished, are already ahead, or jump
+            // simultaneously (the synchronous-simultaneity case). Children
+            // sit at higher positions than their parents, so one
+            // descending pass settles every child before its parent: a
+            // child that stays behind marks its parent `blocked`, and the
+            // parent reads (and resets) the mark when the pass reaches it.
             for pos in (1..n).rev() {
-                if will_jump[pos] || is_done(jumps_done, pos) || !awake(pos) {
+                let f = base + pos;
+                let held_back = std::mem::take(&mut blocked[f]);
+                let done = jumps_done[f];
+                if done >= schedule[pos].len() {
                     continue;
                 }
-                let cp = parent_pos[pos];
-                let gp = schedule[pos][jumps_done[pos]];
-                if !awake(cp) || !awake(gp) {
-                    continue;
-                }
+                let cp = parent_pos[f];
+                let gp = schedule[pos][done];
                 // Distance-2 witness: the supporting edge (cp, gp) must be
                 // active at the beginning of this round.
-                if !network.graph().has_edge(line[cp], line[gp]) {
-                    continue;
+                let jumps = !held_back
+                    && rounds >= wake[f]
+                    && rounds >= wake[base + cp]
+                    && rounds >= wake[base + gp]
+                    && network.graph().has_edge(nodes[base + cp], nodes[base + gp]);
+                if jumps {
+                    movers.push((k, pos));
+                } else if done <= jumps_done[base + cp] {
+                    // Still needs the (pos, cp) edge its parent would drop.
+                    blocked[base + cp] = true;
                 }
-                // Children that still need the (pos, cp) edge must move in
-                // the same round.
-                let children_ok = children[pos].iter().all(|&c| {
-                    is_done(jumps_done, c) || jumps_done[c] > jumps_done[pos] || will_jump[c]
-                });
-                if !children_ok {
-                    continue;
-                }
-                will_jump[pos] = true;
-                changed = true;
             }
-            if !changed {
-                break;
-            }
+            // Stage in ascending position order: under faults the first
+            // failing operation decides the error a run reports.
+            movers[first_mover..].reverse();
         }
-
-        movers.clear();
-        movers.extend((1..n).filter(|&p| will_jump[p]));
         if movers.is_empty() {
             network.advance_idle_rounds(1);
             continue;
@@ -287,44 +355,34 @@ pub fn run_async_line_to_tree_with_scratch(
         // witness and staging is probe-only.
         wave_acts.clear();
         wave_drops.clear();
-        for &pos in movers.iter() {
-            let cp = parent_pos[pos];
-            let gp = schedule[pos][jumps_done[pos]];
+        for &(k, pos) in movers.iter() {
+            let base = line_start[k];
+            let f = base + pos;
+            let cp = parent_pos[f];
+            let gp = schedules[line_schedule[k]][pos][jumps_done[f]];
             wave_acts.push(adn_sim::WaveActivation {
-                initiator: line[pos],
-                target: line[gp],
-                witness: line[cp],
+                initiator: nodes[f],
+                target: nodes[base + gp],
+                witness: nodes[base + cp],
             });
-            let old_edge = Edge::new(line[pos], line[cp]);
-            if !config.protected_edges.contains(&old_edge) {
+            let old_edge = Edge::new(nodes[f], nodes[base + cp]);
+            if !protected_edges.contains(&old_edge) {
                 wave_drops.push(old_edge);
             }
         }
         network.stage_jump_wave(wave_acts, wave_drops)?;
         network.commit_round();
-        for &pos in movers.iter() {
-            let cp = parent_pos[pos];
-            let gp = schedule[pos][jumps_done[pos]];
-            parent_pos[pos] = gp;
-            if let Some(at) = children[cp].iter().position(|&c| c == pos) {
-                children[cp].swap_remove(at);
+        for &(k, pos) in movers.iter() {
+            let f = line_start[k] + pos;
+            parent_pos[f] = schedules[line_schedule[k]][pos][jumps_done[f]];
+            jumps_done[f] += 1;
+            line_remaining[k] -= 1;
+            if line_remaining[k] == 0 {
+                unfinished -= 1;
             }
-            children[gp].push(pos);
-            jumps_done[pos] += 1;
         }
     }
-
-    let parents: Vec<Option<NodeId>> = (0..n)
-        .map(|pos| {
-            if pos == 0 {
-                None
-            } else {
-                Some(NodeId(parent_pos[pos]))
-            }
-        })
-        .collect();
-    let tree = RootedTree::from_parents(NodeId(0), parents).expect("valid tree by construction");
-    Ok((tree, rounds))
+    Ok(rounds)
 }
 
 #[cfg(test)]
@@ -474,6 +532,110 @@ mod tests {
             ),
             Err(CoreError::InvalidInput { .. })
         ));
+    }
+
+    #[test]
+    fn lockstep_batch_matches_independent_single_line_runs() {
+        // Node-disjoint lines (ids shuffled, so the lines interleave in id
+        // space) on one network, each with a random wake-up schedule. The
+        // batch must give every line the tree of its run on its own, take
+        // the maximum of those runs' rounds, and perform their activations
+        // in sum.
+        let mut rng = DetRng::seed_from_u64(0x10c5);
+        for trial in 0..8 {
+            let lens: Vec<usize> = (0..1 + rng.gen_range(0, 6))
+                .map(|_| 1 + rng.gen_range(0, 70))
+                .collect();
+            let total: usize = lens.iter().sum();
+            let mut ids: Vec<NodeId> = (0..total).map(NodeId).collect();
+            rng.shuffle(&mut ids);
+            let mut lines: Vec<&[NodeId]> = Vec::new();
+            let mut rest = &ids[..];
+            for &len in &lens {
+                let (line, tail) = rest.split_at(len);
+                lines.push(line);
+                rest = tail;
+            }
+            let mut g = adn_graph::Graph::new(total);
+            for line in &lines {
+                for w in line.windows(2) {
+                    g.add_edge(w[0], w[1]).unwrap();
+                }
+            }
+            let wakes: Vec<Vec<usize>> = lines
+                .iter()
+                .map(|line| {
+                    let max_delay = ceil_log2(line.len().max(2)) + 3;
+                    (0..line.len())
+                        .map(|_| 1 + rng.gen_range(0, max_delay))
+                        .collect()
+                })
+                .collect();
+            // Odd trials protect the line edges, as the wreath engine
+            // protects its rings.
+            let protect = |line: &[NodeId]| -> SortedEdgeSet {
+                if trial % 2 == 1 {
+                    line.windows(2).map(|w| Edge::new(w[0], w[1])).collect()
+                } else {
+                    SortedEdgeSet::new()
+                }
+            };
+            for arity in [2, ceil_log2(total.max(2)).max(2)] {
+                let mut max_rounds = 0;
+                let mut sum_activations = 0;
+                // Per-round activations summed over the solo runs: each
+                // line must also keep its own timing inside the batch.
+                let mut sum_per_round: Vec<usize> = Vec::new();
+                let mut solo_parents: Vec<Vec<Option<NodeId>>> = Vec::new();
+                for (line, wake) in lines.iter().zip(&wakes) {
+                    let mut net = Network::new(g.clone());
+                    let config = AsyncLineConfig {
+                        arity,
+                        protected_edges: protect(line),
+                        wake_round: wake.clone(),
+                    };
+                    let (tree, rounds) = run_async_line_to_tree(&mut net, line, &config).unwrap();
+                    assert_eq!(tree, sync_tree(line.len(), arity), "Lemma B.4");
+                    max_rounds = max_rounds.max(rounds);
+                    sum_activations += net.metrics().total_activations;
+                    let per_round = &net.metrics().activations_per_round;
+                    if sum_per_round.len() < per_round.len() {
+                        sum_per_round.resize(per_round.len(), 0);
+                    }
+                    for (sum, &a) in sum_per_round.iter_mut().zip(per_round) {
+                        *sum += a;
+                    }
+                    solo_parents.push((0..line.len()).map(|p| tree.parent(NodeId(p))).collect());
+                }
+
+                let mut net = Network::new(g.clone());
+                let protected: SortedEdgeSet =
+                    lines.iter().flat_map(|line| protect(line)).collect();
+                let mut scratch = LineScratch::new();
+                scratch.clear_lines();
+                for (line, wake) in lines.iter().zip(&wakes) {
+                    scratch.push_line(line, wake.iter().copied());
+                }
+                let rounds = run_lockstep(&mut net, arity, &protected, &mut scratch).unwrap();
+                let label = format!("trial {trial}, arity {arity}, lines {lens:?}");
+                for (k, solo) in solo_parents.iter().enumerate() {
+                    let batch: Vec<Option<NodeId>> = scratch
+                        .line_parents(k)
+                        .iter()
+                        .enumerate()
+                        .map(|(pos, &p)| (pos > 0).then_some(NodeId(p)))
+                        .collect();
+                    assert_eq!(&batch, solo, "{label}: line {k}");
+                }
+                assert_eq!(rounds, max_rounds, "{label}");
+                assert_eq!(net.metrics().total_activations, sum_activations, "{label}");
+                assert_eq!(
+                    net.metrics().activations_per_round,
+                    sum_per_round,
+                    "{label}"
+                );
+            }
+        }
     }
 
     #[test]

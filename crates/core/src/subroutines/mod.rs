@@ -32,36 +32,59 @@ pub use runtime_line_to_tree::{
 };
 pub use tree_to_star::run_tree_to_star;
 
+use adn_graph::NodeId;
 use std::collections::BTreeMap;
 
 /// Reusable scratch state for repeated line-to-tree runs.
 ///
-/// The wreath engine rebuilds a tree over every merged ring, once per
-/// selection-tree root per phase; before this scratch existed, every such
-/// rebuild re-planned the synchronous jump schedule from nothing and
-/// allocated fresh positional state. One `LineScratch` threaded through a
-/// whole execution memoises the schedules — they are pure functions of
-/// `(line length, arity)`, and early phases merge many same-sized rings —
-/// and recycles the positional vectors across merges.
+/// The asynchronous subroutine runs a *batch* of node-disjoint lines in
+/// lockstep (the wreath engine: one line per merged ring of a phase, all
+/// rebuilt in the same rounds). Every piece of per-line state lives in
+/// flat columns here — per-line columns indexed by line, per-position
+/// columns holding the lines back to back — so a batch costs no
+/// allocation per line once the columns have grown to the largest batch
+/// seen. The synchronous jump schedules are memoised: they are pure
+/// functions of `(line length, arity)`, and early phases merge many
+/// same-sized rings.
 ///
 /// Purely an allocation/memoisation cache: runs with and without a shared
 /// scratch are behaviourally identical.
 #[derive(Debug, Default)]
 pub struct LineScratch {
-    /// Memoised synchronous jump schedules, keyed by (line length, arity).
-    pub(crate) schedules: BTreeMap<(usize, usize), Vec<Vec<usize>>>,
-    /// Current parent of every position.
+    /// Memoised synchronous jump schedules (see
+    /// [`async_line_to_tree::plan_sync_schedule`]), one per distinct
+    /// (line length, arity) in `schedule_of`.
+    pub(crate) schedules: Vec<Vec<Vec<usize>>>,
+    /// Index into `schedules` by (line length, arity).
+    pub(crate) schedule_of: BTreeMap<(usize, usize), usize>,
+    /// Per line: `line_start[k]..line_start[k + 1]` is line `k`'s range in
+    /// the per-position columns (one more entry than there are lines).
+    pub(crate) line_start: Vec<usize>,
+    /// Per line: index of its jump schedule in `schedules`.
+    pub(crate) line_schedule: Vec<usize>,
+    /// Per line: schedule jumps not yet performed (0 = finished).
+    pub(crate) line_remaining: Vec<usize>,
+    /// Per line: the round by which it must have finished.
+    pub(crate) line_limit: Vec<usize>,
+    /// Per position: the line's node.
+    pub(crate) nodes: Vec<NodeId>,
+    /// Per position: wake-up round (asynchronous variant).
+    pub(crate) wake: Vec<usize>,
+    /// Per position: current parent, as a position within the same line.
     pub(crate) parent_pos: Vec<usize>,
-    /// Children of every position (order-insensitive membership lists).
-    pub(crate) children: Vec<Vec<usize>>,
-    /// Number of schedule jumps each position has performed.
+    /// Per position: number of schedule jumps performed.
     pub(crate) jumps_done: Vec<usize>,
-    /// Per-round jump marks (async fixpoint pass).
-    pub(crate) will_jump: Vec<bool>,
-    /// Per-round mover list (async commit pass).
-    pub(crate) movers: Vec<usize>,
+    /// Per position: a child stays behind this round and still needs the
+    /// edge to this position (asynchronous marking pass).
+    pub(crate) blocked: Vec<bool>,
+    /// Per position: depth in the finished tree (see
+    /// [`LineScratch::line_depth`]).
+    pub(crate) depth: Vec<usize>,
+    /// Per-round movers of every line, as (line, position), in ascending
+    /// line then position order.
+    pub(crate) movers: Vec<(usize, usize)>,
     /// Line-validation scratch (duplicate detection by sort).
-    pub(crate) seen: Vec<adn_graph::NodeId>,
+    pub(crate) seen: Vec<NodeId>,
     /// Child counts (synchronous variant).
     pub(crate) child_count: Vec<usize>,
     /// Termination flags (synchronous variant).
@@ -76,5 +99,52 @@ impl LineScratch {
     /// A fresh, empty scratch.
     pub fn new() -> Self {
         LineScratch::default()
+    }
+
+    /// Empties the batch of lines for the asynchronous subroutine.
+    pub(crate) fn clear_lines(&mut self) {
+        self.line_start.clear();
+        self.nodes.clear();
+        self.wake.clear();
+    }
+
+    /// Appends one line, with the wake-up round of each of its positions,
+    /// to the batch.
+    pub(crate) fn push_line(&mut self, line: &[NodeId], wake: impl IntoIterator<Item = usize>) {
+        if self.line_start.is_empty() {
+            self.line_start.push(0);
+        }
+        self.nodes.extend_from_slice(line);
+        self.wake.extend(wake);
+        self.line_start.push(self.nodes.len());
+    }
+
+    /// Number of lines in the batch.
+    pub(crate) fn line_count(&self) -> usize {
+        self.line_start.len().saturating_sub(1)
+    }
+
+    fn line_range(&self, k: usize) -> std::ops::Range<usize> {
+        self.line_start[k]..self.line_start[k + 1]
+    }
+
+    /// Parent position of every position of line `k` after a run (the
+    /// root, position 0, is its own entry 0).
+    pub(crate) fn line_parents(&self, k: usize) -> &[usize] {
+        &self.parent_pos[self.line_range(k)]
+    }
+
+    /// Depth of line `k`'s tree after a run. Parents always sit at lower
+    /// positions than their children, so one ascending pass suffices.
+    pub(crate) fn line_depth(&mut self, k: usize) -> usize {
+        let range = self.line_range(k);
+        let parents = &self.parent_pos[range];
+        self.depth.clear();
+        self.depth.push(0);
+        for &parent in parents.iter().skip(1) {
+            let d = self.depth[parent] + 1;
+            self.depth.push(d);
+        }
+        self.depth.iter().copied().max().unwrap_or(0)
     }
 }

@@ -581,9 +581,7 @@ impl<'a> StarDriver<'a> {
             }
         }
 
-        for &(dying, absorbing) in &merges {
-            self.forest.absorb(dying, absorbing);
-        }
+        self.forest.absorb_batch(&merges);
 
         for (cid, new_attach) in climbs {
             let attach_cid = self.forest.committee_of(new_attach).ok_or_else(|| {
@@ -1153,8 +1151,8 @@ impl<'a> WreathDriver<'a> {
             .copied()
             .filter(|c| self.selected[c.index()].is_some())
             .collect();
+        self.forest.retire_batch(&dead);
         for c in dead {
-            self.forest.retire(c);
             self.tree_edges[c.index()].clear();
             self.tree_depth[c.index()] = 0;
         }
