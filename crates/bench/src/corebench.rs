@@ -218,10 +218,10 @@ fn scale_wave(n: usize, k: usize, seed: u64) -> (Vec<WaveActivation>, Vec<Edge>)
 
 /// The scaling rows the ROADMAP's million-node item commits to: arena
 /// batch build plus a full adjacency sweep (`graph/scale`), and a staged
-/// jump wave committed on the serial vs the sharded path
-/// (`network/commit_round_sharded`), each annotated with a
-/// `bytes_per_node` footprint stat. The n = 10^6 points run in the
-/// separate one-shot cold group (full mode only) so `--quick` stays fast.
+/// jump wave committed and dropped again (`network/commit_round_wave`),
+/// each annotated with a `bytes_per_node` footprint stat. The n = 10^6
+/// points run in the separate one-shot cold group (full mode only) so
+/// `--quick` stays fast.
 fn bench_scale(bench: &mut Bench, n: usize, cold: bool) {
     let m = 2 * n;
     let edges = scale_edges(n, m, 0x5CA1E);
@@ -252,35 +252,27 @@ fn bench_scale(bench: &mut Bench, n: usize, cold: bool) {
     drop(g);
 
     // One wave of k activations committed, then dropped — back to the
-    // initial star each iteration. threads=1 is the serial batch path;
-    // threads=4 the sharded worker pool (the label pins the count so the
-    // row is machine-independent).
+    // initial star each iteration.
     let k = (n / 4).max(1024);
     let (wave, drops) = scale_wave(n, k, 0xC0557);
-    for threads in [1usize, 4] {
-        let mut net = Network::new(generators::star(n));
-        net.set_commit_threads(threads);
-        let commit_cycle = |net: &mut Network| {
-            net.stage_jump_wave(&wave, &[]).expect("hub-witnessed wave");
-            net.commit_round();
-            net.stage_jump_wave(&[], &drops).expect("edges are active");
-            net.commit_round();
-            assert_eq!(net.activated_edge_count(), 0);
-        };
-        let label = format!("network/commit_round_sharded star n={n} wave={k} threads={threads}");
-        if cold {
-            bench.measure_cold(&label, || commit_cycle(&mut net));
-        } else {
-            bench.measure(&label, || commit_cycle(&mut net));
-        }
-        bench.annotate(
-            "bytes_per_node",
-            (net.graph().memory_footprint_bytes() / n) as u128,
-        );
-        if threads > 1 {
-            bench.annotate("cores", resolve_threads(0) as u128);
-        }
+    let mut net = Network::new(generators::star(n));
+    let commit_cycle = |net: &mut Network| {
+        net.stage_jump_wave(&wave, &[]).expect("hub-witnessed wave");
+        net.commit_round();
+        net.stage_jump_wave(&[], &drops).expect("edges are active");
+        net.commit_round();
+        assert_eq!(net.activated_edge_count(), 0);
+    };
+    let label = format!("network/commit_round_wave star n={n} wave={k}");
+    if cold {
+        bench.measure_cold(&label, || commit_cycle(&mut net));
+    } else {
+        bench.measure(&label, || commit_cycle(&mut net));
     }
+    bench.annotate(
+        "bytes_per_node",
+        (net.graph().memory_footprint_bytes() / n) as u128,
+    );
 }
 
 /// The full-mode-only n = 10^6 group: the scaling rows plus one complete
@@ -339,17 +331,19 @@ fn bench_wreath_cold(bench: &mut Bench, n: usize) {
 
 fn bench_algorithms(bench: &mut Bench, quick: bool) {
     let n = if quick { 128 } else { 512 };
+    // Clique formation stays at n = 128 in both modes: its Θ(n²) edge
+    // growth makes one n = 512 run take seconds.
     let cases: &[(&str, Graph)] = &[
         ("graph_to_star", generators::line(n)),
         ("graph_to_wreath", generators::line(n)),
         ("flooding", generators::ring(n)),
+        ("centralized_general", generators::line(n)),
+        ("clique_formation", generators::ring(128)),
     ];
     for (id, graph) in cases {
         let a = algorithm::find(id).expect("registered algorithm");
-        let uids = UidMap::new(
-            graph.node_count(),
-            UidAssignment::RandomPermutation { seed: 11 },
-        );
+        let n = graph.node_count();
+        let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 11 });
         let config = RunConfig::default();
         bench.measure(&format!("algorithm/{id} n={n}"), || {
             let outcome = a.run(graph, &uids, &config).expect("clean run");
@@ -1290,10 +1284,7 @@ mod tests {
     #[test]
     fn pinned_threads_parses_labels() {
         assert_eq!(pinned_threads("sweep/threads=4 cases=96"), Some(4));
-        assert_eq!(
-            pinned_threads("network/commit_round_sharded star n=65536 wave=16384 threads=4"),
-            Some(4)
-        );
+        assert_eq!(pinned_threads("runtime/star_free n=256 threads=4"), Some(4));
         assert_eq!(
             pinned_threads("runtime/flood_free n=4096 threads=2"),
             Some(2)

@@ -1,12 +1,13 @@
 //! Minimal, dependency-free wall-clock benchmark harness.
 //!
-//! Each bench target is a plain binary (`harness = false`): it builds its
-//! workloads, calls [`Bench::measure`] per case and prints one table. The
-//! harness runs a warm-up iteration, then a fixed number of timed
-//! iterations, and reports min / median / mean wall-clock times — enough
-//! to compare the algorithms' scaling, which is what the paper's
-//! experiments are about (statistical rigor at the nanosecond level is
-//! not; use an external profiler for that).
+//! A caller builds its workloads, calls [`Bench::measure`] per case and
+//! either prints one table or harvests the rows with
+//! [`Bench::take_samples`] (as `corebench` does). The harness runs a
+//! warm-up iteration, then a fixed number of timed iterations, and
+//! reports min / median / mean wall-clock times — enough to compare the
+//! algorithms' scaling, which is what the paper's experiments are about
+//! (statistical rigor at the nanosecond level is not; use an external
+//! profiler for that).
 
 use std::time::{Duration, Instant};
 

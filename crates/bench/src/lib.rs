@@ -1,12 +1,11 @@
 //! # adn-bench
 //!
-//! Wall-clock benchmarks (one per algorithm family, driven by the
-//! algorithm registry through the dependency-free [`harness`]) and the
-//! `report` binary that regenerates every model-level table and figure of
-//! the reproduction (rounds, activations, degrees — the quantities the
-//! paper's theorems are about, which are independent of wall-clock time).
+//! The wall-clock CPU baseline ([`corebench`], timed through the
+//! dependency-free [`harness`]) and the `report` binary that regenerates
+//! every model-level table and figure of the reproduction (rounds,
+//! activations, degrees — the quantities the paper's theorems are about,
+//! which are independent of wall-clock time).
 //!
-//! * `cargo bench -p adn-bench` — wall-clock benchmarks.
 //! * `cargo run -p adn-bench --release --bin report` — full experiment
 //!   report (all tables/figures, as captured in EXPERIMENTS.md).
 //! * `cargo run -p adn-bench --release --bin report -- t1` — a single

@@ -51,9 +51,6 @@ impl TraceLevel {
 }
 
 /// What the general centralized strategy (Theorem 6.3) leaves behind.
-///
-/// Replaces the old `prune_to_tree: bool` parameter of
-/// `run_centralized_general` with a named, extensible choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CentralizedConfig {
     /// Stop after `CutInHalf` over the Euler tour: the network keeps all

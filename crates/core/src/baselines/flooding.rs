@@ -16,15 +16,6 @@ use adn_runtime::{FreeScheduler, SeededScheduler};
 use adn_sim::engine::{run_programs, EngineConfig, NodeDecision, NodeProgram, NodeView};
 use adn_sim::Network;
 
-/// The old name of the flooding result. Flooding now reports through the
-/// shared outcome type; token counts live in
-/// [`TransformationOutcome::tokens_per_node`].
-#[deprecated(
-    since = "0.2.0",
-    note = "folded into TransformationOutcome (see the tokens_per_node field)"
-)]
-pub type FloodingOutcome = TransformationOutcome;
-
 struct FloodNode {
     /// Known tokens, kept sorted and duplicate-free — inbound messages
     /// are themselves sorted (clones of a sender's `known`), so absorbing
@@ -103,15 +94,6 @@ impl NodeProgram for FloodNode {
 ///
 /// Returns [`CoreError::InvalidInput`] for disconnected graphs (flooding
 /// would never complete) and propagates simulator errors.
-#[deprecated(
-    since = "0.2.0",
-    note = "use adn_core::algorithm::Flooding (ReconfigurationAlgorithm) or the Experiment builder"
-)]
-pub fn run_flooding(graph: &Graph, uids: &UidMap) -> Result<TransformationOutcome, CoreError> {
-    flood(graph, uids)
-}
-
-/// Non-deprecated internal entry used by the task layer.
 pub(crate) fn flood(graph: &Graph, uids: &UidMap) -> Result<TransformationOutcome, CoreError> {
     let mut network = Network::new(graph.clone());
     execute(&mut network, uids, &RunConfig::default())

@@ -11,8 +11,4 @@
 pub mod clique;
 pub mod flooding;
 
-#[allow(deprecated)]
-pub use clique::run_clique_formation;
 pub use clique::run_clique_then_prune;
-#[allow(deprecated)]
-pub use flooding::{run_flooding, FloodingOutcome};

@@ -4,15 +4,15 @@
 //! controller deciding every node's actions. They serve two roles in the
 //! paper and in this reproduction:
 //!
-//! 1. [`run_cut_in_half_on_line`] is the `CutInHalf` algorithm: on a
-//!    spanning line it reaches diameter `O(log n)` in `log n` rounds with
-//!    only `Θ(n)` total edge activations — establishing that the
-//!    centralized optimum for total activations is linear (tight against
-//!    Lemma 6.2 / D.3).
-//! 2. [`run_centralized_general`] is the strategy of Theorem 6.3 / D.5 for
-//!    arbitrary connected graphs: compute a spanning tree, walk an Euler
-//!    tour to obtain a *virtual ring* of at most `2n` positions, and run
-//!    `CutInHalf` on it. It shows the `Θ(n)`-activation bound holds for
+//! 1. [`crate::algorithm::CentralizedCutInHalf`] is the `CutInHalf`
+//!    algorithm: on a spanning line it reaches diameter `O(log n)` in
+//!    `log n` rounds with only `Θ(n)` total edge activations —
+//!    establishing that the centralized optimum for total activations is
+//!    linear (tight against Lemma 6.2 / D.3).
+//! 2. [`crate::algorithm::CentralizedGeneral`] is the strategy of
+//!    Theorem 6.3 / D.5 for arbitrary connected graphs: compute a
+//!    spanning tree, walk an Euler tour to obtain a *virtual ring* of at
+//!    most `2n` positions, and run `CutInHalf` on it. It shows the `Θ(n)`-activation bound holds for
 //!    every initial network, which is the baseline our distributed
 //!    algorithms are compared against in experiment F6/F7 (they must pay
 //!    an extra `Θ(log n)` factor — Theorem 6.4).
@@ -22,41 +22,6 @@ use crate::{CoreError, TransformationOutcome};
 use adn_graph::traversal::{bfs_spanning_tree, euler_tour};
 use adn_graph::{Graph, NodeId, UidMap};
 use adn_sim::Network;
-
-/// Runs `CutInHalf` on a network whose initial graph is a spanning line
-/// given by `line` (consecutive entries adjacent). In round `i` it
-/// activates the edges `(u_j, u_{j + 2^i})` for every `j` that is a
-/// multiple of `2^i`, doubling the reachable distance each round.
-///
-/// Returns the outcome with the line's first node as root/leader.
-///
-/// # Errors
-///
-/// [`CoreError::InvalidInput`] if `line` is not a path of the network.
-#[deprecated(
-    since = "0.2.0",
-    note = "use adn_core::algorithm::CentralizedCutInHalf (ReconfigurationAlgorithm) or the Experiment builder"
-)]
-pub fn run_cut_in_half_on_line(
-    initial: &Graph,
-    line: &[NodeId],
-) -> Result<TransformationOutcome, CoreError> {
-    if line.is_empty() {
-        return Err(CoreError::InvalidInput {
-            reason: "line must be non-empty".into(),
-        });
-    }
-    for w in line.windows(2) {
-        if !initial.has_edge(w[0], w[1]) {
-            return Err(CoreError::InvalidInput {
-                reason: format!("line nodes {} and {} are not adjacent", w[0], w[1]),
-            });
-        }
-    }
-    let mut network = Network::new(initial.clone());
-    cut_in_half(&mut network, line, &RunConfig::default())?;
-    Ok(TransformationOutcome::from_network(line[0], &mut network))
-}
 
 /// Executes `CutInHalf` on `network`, whose current snapshot must be a
 /// spanning line; the line order is recovered by walking from an endpoint
@@ -158,34 +123,11 @@ fn cut_in_half(
     Ok(())
 }
 
-/// The general centralized strategy of Theorem 6.3: spanning tree → Euler
-/// tour → virtual ring → `CutInHalf`, followed (optionally) by a single
-/// clean-up round that prunes the graph down to a BFS tree rooted at
-/// `root`, yielding a Depth-`O(log n)` tree.
-///
-/// # Errors
-///
-/// [`CoreError::InvalidInput`] for disconnected graphs.
-#[deprecated(
-    since = "0.2.0",
-    note = "use adn_core::algorithm::CentralizedGeneral with RunConfig::with_centralized(CentralizedConfig)"
-)]
-pub fn run_centralized_general(
-    initial: &Graph,
-    uids: &UidMap,
-    prune_to_tree: bool,
-) -> Result<TransformationOutcome, CoreError> {
-    let target = if prune_to_tree {
-        CentralizedConfig::PruneToTree
-    } else {
-        CentralizedConfig::LowDiameter
-    };
-    let mut network = Network::new(initial.clone());
-    execute_general(&mut network, uids, target, &RunConfig::default())
-}
-
-/// Executes the general centralized strategy on `network` (trait entry
-/// point; see [`crate::algorithm::CentralizedGeneral`]).
+/// Executes the general centralized strategy of Theorem 6.3 on `network`:
+/// spanning tree → Euler tour → virtual ring → `CutInHalf`, followed under
+/// [`CentralizedConfig::PruneToTree`] by one clean-up round that prunes
+/// the graph down to a BFS tree rooted at the maximum-UID node (trait
+/// entry point; see [`crate::algorithm::CentralizedGeneral`]).
 pub(crate) fn execute_general(
     network: &mut Network,
     uids: &UidMap,
@@ -298,20 +240,6 @@ mod tests {
             run_cut(&Graph::new(0), &empty),
             Err(CoreError::InvalidInput { .. })
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_work() {
-        let g = generators::line(32);
-        let line: Vec<NodeId> = (0..32).map(NodeId).collect();
-        let cut = run_cut_in_half_on_line(&g, &line).unwrap();
-        assert!(cut.metrics.total_activations <= 32);
-        let uids = UidMap::new(32, UidAssignment::Sequential);
-        let pruned = run_centralized_general(&g, &uids, true).unwrap();
-        assert!(adn_graph::properties::is_tree(&pruned.final_graph));
-        let loose = run_centralized_general(&g, &uids, false).unwrap();
-        assert!(loose.final_graph.edge_count() >= pruned.final_graph.edge_count());
     }
 
     #[test]

@@ -65,26 +65,6 @@ struct Selection {
     bridge_y: NodeId,
 }
 
-/// Runs GraphToStar on `initial` with the given UID assignment.
-///
-/// # Errors
-///
-/// * [`CoreError::InvalidInput`] for empty or disconnected initial
-///   networks.
-/// * [`CoreError::DidNotConverge`] / [`CoreError::Sim`] on implementation
-///   bugs (the algorithm is deterministic and proven to terminate).
-#[deprecated(
-    since = "0.2.0",
-    note = "use adn_core::algorithm::GraphToStar (ReconfigurationAlgorithm) or the Experiment builder"
-)]
-pub fn run_graph_to_star(
-    initial: &Graph,
-    uids: &UidMap,
-) -> Result<TransformationOutcome, CoreError> {
-    let mut network = Network::new(initial.clone());
-    execute(&mut network, uids, &RunConfig::traced())
-}
-
 /// Executes GraphToStar on `network` (trait entry point; see
 /// [`crate::algorithm::GraphToStar`]).
 pub(crate) fn execute(
@@ -547,43 +527,66 @@ mod tests {
         }
     }
 
-    #[test]
-    fn time_is_logarithmic() {
-        for &n in &[16usize, 64, 256] {
-            let g = generators::line(n);
-            let (_, outcome) = run(&g, UidAssignment::RandomPermutation { seed: 2 });
-            // Theorem 3.8: O(log n) rounds. Generous constant: 12.
-            assert!(
-                outcome.rounds <= 12 * ceil_log2(n) + 12,
-                "n={n}: rounds {} not O(log n)",
-                outcome.rounds
-            );
-            // Phases are O(log n) too.
-            assert!(outcome.phases <= 8 * ceil_log2(n) + 8);
+    /// Runs GraphToStar on the Theorem 3.8 bound inputs — line, ring,
+    /// grid and random tree at n = 1024, 4096 and 16384 (generator and
+    /// UID seed 2) — handing each outcome to `check` with its label and
+    /// `(n, ⌈log₂ n⌉)`.
+    fn for_each_bound_input(check: impl Fn(&str, usize, usize, &TransformationOutcome)) {
+        let families = [
+            GraphFamily::Line,
+            GraphFamily::Ring,
+            GraphFamily::Grid,
+            GraphFamily::RandomTree,
+        ];
+        for family in families {
+            for size in [1024usize, 4096, 16384] {
+                let g = family.generate(size, 2);
+                let n = g.node_count();
+                let (_, outcome) = run(&g, UidAssignment::RandomPermutation { seed: 2 });
+                check(&format!("{family} n={n}"), n, ceil_log2(n), &outcome);
+            }
         }
     }
 
     #[test]
-    fn edge_complexity_matches_theorem_3_8() {
-        for &n in &[32usize, 64, 128, 256] {
-            let g = generators::line(n);
-            let (_, outcome) = run(&g, UidAssignment::RandomPermutation { seed: 3 });
-            let m = &outcome.metrics;
-            // O(n log n) total activations, generous constant 4.
+    fn time_is_logarithmic() {
+        // Theorem 3.8: O(log n) rounds, with the constant pinned at 4.
+        for_each_bound_input(|label, _, log, outcome| {
             assert!(
-                m.total_activations <= 4 * n * ceil_log2(n).max(1),
-                "n={n}: {} activations",
-                m.total_activations
+                outcome.rounds <= 4 * log,
+                "{label}: {} rounds > 4·⌈log₂ n⌉ = {}",
+                outcome.rounds,
+                4 * log
+            );
+            // Phases are O(log n) too.
+            assert!(
+                outcome.phases <= 8 * log + 8,
+                "{label}: {} phases",
+                outcome.phases
+            );
+        });
+    }
+
+    #[test]
+    fn edge_complexity_matches_theorem_3_8() {
+        for_each_bound_input(|label, n, log, outcome| {
+            let m = &outcome.metrics;
+            // O(n log n) total activations, with the constant pinned at 1.
+            assert!(
+                m.total_activations <= n * log,
+                "{label}: {} activations > n·⌈log₂ n⌉ = {}",
+                m.total_activations,
+                n * log
             );
             // At most 2n activated (non-initial) edges alive at any time.
             assert!(
                 m.max_activated_edges <= 2 * n,
-                "n={n}: {} active activated edges",
+                "{label}: {} active activated edges",
                 m.max_activated_edges
             );
             // Each node activates at most one edge per round.
-            assert!(m.max_node_activations_in_round <= 1);
-        }
+            assert!(m.max_node_activations_in_round <= 1, "{label}");
+        });
     }
 
     #[test]
@@ -629,17 +632,6 @@ mod tests {
             run_on(&generators::line(6), &uids),
             Err(CoreError::InvalidInput { .. })
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrapper_still_works() {
-        let g = generators::ring(12);
-        let uids = UidMap::new(12, UidAssignment::Sequential);
-        let outcome = run_graph_to_star(&g, &uids).unwrap();
-        check_outcome(&g, &uids, &outcome);
-        // The wrapper preserves the old always-traced behaviour.
-        assert!(!outcome.trace.is_empty());
     }
 
     #[test]

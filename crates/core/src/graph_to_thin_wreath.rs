@@ -25,35 +25,14 @@
 //! `log² n` growth) is produced by the arity change, which the T3
 //! experiment demonstrates. This simplification is recorded in DESIGN.md.
 
-use crate::algorithm::RunConfig;
-use crate::graph_to_wreath::{self, WreathConfig};
-use crate::{CoreError, TransformationOutcome};
-use adn_graph::{Graph, UidMap};
-use adn_sim::Network;
-
-/// Runs GraphToThinWreath on `initial`.
-///
-/// # Errors
-///
-/// As [`crate::graph_to_wreath::run_graph_to_wreath`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use adn_core::algorithm::GraphToThinWreath (ReconfigurationAlgorithm) or the Experiment builder"
-)]
-pub fn run_graph_to_thin_wreath(
-    initial: &Graph,
-    uids: &UidMap,
-) -> Result<TransformationOutcome, CoreError> {
-    let config = WreathConfig::polylog(initial.node_count());
-    let mut network = Network::new(initial.clone());
-    graph_to_wreath::execute(&mut network, uids, &config, &RunConfig::default())
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::algorithm::RunConfig;
+    use crate::graph_to_wreath::{self, WreathConfig};
+    use crate::{CoreError, TransformationOutcome};
     use adn_graph::properties::{ceil_log2, is_tree};
-    use adn_graph::{generators, RootedTree, UidAssignment};
+    use adn_graph::{generators, Graph, RootedTree, UidAssignment, UidMap};
+    use adn_sim::Network;
 
     fn run_thin(initial: &Graph, uids: &UidMap) -> Result<TransformationOutcome, CoreError> {
         let mut network = Network::new(initial.clone());

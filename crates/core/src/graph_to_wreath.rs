@@ -95,47 +95,6 @@ fn invariant_error(algorithm: &'static str, detail: String) -> CoreError {
     CoreError::BrokenInvariant { algorithm, detail }
 }
 
-/// Runs GraphToWreath on `initial`.
-///
-/// # Errors
-///
-/// * [`CoreError::InvalidInput`] for empty/disconnected inputs.
-/// * [`CoreError::DidNotConverge`] / [`CoreError::Sim`] on bugs.
-#[deprecated(
-    since = "0.2.0",
-    note = "use adn_core::algorithm::GraphToWreath (ReconfigurationAlgorithm) or the Experiment builder"
-)]
-pub fn run_graph_to_wreath(
-    initial: &Graph,
-    uids: &UidMap,
-) -> Result<TransformationOutcome, CoreError> {
-    let mut network = Network::new(initial.clone());
-    execute(
-        &mut network,
-        uids,
-        &WreathConfig::binary(),
-        &RunConfig::default(),
-    )
-}
-
-/// Runs the shared wreath engine with an explicit configuration.
-///
-/// # Errors
-///
-/// As [`run_graph_to_wreath`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use adn_core::algorithm::{GraphToWreath, GraphToThinWreath} with RunConfig::with_wreath"
-)]
-pub fn run_wreath_family(
-    initial: &Graph,
-    uids: &UidMap,
-    config: &WreathConfig,
-) -> Result<TransformationOutcome, CoreError> {
-    let mut network = Network::new(initial.clone());
-    execute(&mut network, uids, config, &RunConfig::default())
-}
-
 /// Executes the shared wreath engine on `network` (trait entry point used
 /// by both [`crate::algorithm::GraphToWreath`] and
 /// [`crate::algorithm::GraphToThinWreath`]).

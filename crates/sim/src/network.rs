@@ -142,9 +142,6 @@ pub struct Network {
     /// per-round [`RoundStats`] trace, and the degree histogram behind
     /// the traced `max_degree`.
     ledger: RoundLedger,
-    /// Worker-pool width for [`Network::commit_round`]'s sharded merge
-    /// (1 = serial; see [`Network::set_commit_threads`]).
-    commit_threads: usize,
     /// Optional deterministic-simulation-testing state (adversary +
     /// invariant checker), ticked at every round boundary.
     dst: Option<Box<DstState>>,
@@ -215,26 +212,8 @@ impl Network {
             commit_grew: Vec::new(),
             bus: EventBus::default(),
             ledger,
-            commit_threads: 1,
             dst: None,
         }
-    }
-
-    /// Sets the worker-pool width for the sharded `commit_round` merge.
-    /// With `threads >= 2`, rounds whose staged columns are large enough
-    /// to shard profitably apply their adjacency merges on a scoped
-    /// worker pool (one disjoint arena region each); everything
-    /// observable — snapshot, metrics, deltas, summaries — is
-    /// byte-identical to the serial path for every thread count. Values
-    /// `0` and `1` select the serial path; small rounds fall back to it
-    /// automatically.
-    pub fn set_commit_threads(&mut self, threads: usize) {
-        self.commit_threads = threads.max(1);
-    }
-
-    /// The configured worker-pool width for `commit_round` (1 = serial).
-    pub fn commit_threads(&self) -> usize {
-        self.commit_threads
     }
 
     /// Enables or disables the edge-delta hook (either transition clears
@@ -677,61 +656,17 @@ impl Network {
                 bus: &mut self.bus,
                 ledger: &mut self.ledger,
             };
-            // Sharded fast path: the serial batch entry points filter to
-            // fresh adds / present removals themselves; here the filters
-            // run up front (valid pre-mutation because the conflict pass
-            // left the two columns disjoint, so neither batch changes the
-            // other's membership) and the per-node block merges run on a
-            // worker pool over disjoint arena regions. The sink then
-            // fires from the filtered columns in exactly the serial order
-            // — adds first, then removals, each ascending — so every
-            // observable (snapshot, events, counters, metrics) is
-            // byte-identical to the serial path. `apply_batches_sharded`
-            // declines small or irregular batches; those take the serial
-            // path below, as does the default `commit_threads == 1`.
-            let mut sharded = false;
-            if self.commit_threads >= 2 {
-                let fresh: Vec<Edge> = staged_activations
-                    .iter()
-                    .copied()
-                    .filter(|e| !self.current.has_edge(e.a, e.b))
-                    .collect();
-                let present: Vec<Edge> = staged_deactivations
-                    .iter()
-                    .copied()
-                    .filter(|e| self.current.has_edge(e.a, e.b))
-                    .collect();
-                if self
-                    .current
-                    .apply_batches_sharded(&fresh, &present, self.commit_threads)
-                {
-                    sharded = true;
-                    for &e in &fresh {
-                        grew.push(e.a);
-                        grew.push(e.b);
-                        if sink.edge(e, true) {
-                            touched.push(e.a);
-                            touched.push(e.b);
-                        }
-                    }
-                    for &e in &present {
-                        sink.edge(e, false);
-                    }
+            self.current.add_edges_batch(&staged_activations, |e| {
+                grew.push(e.a);
+                grew.push(e.b);
+                if sink.edge(e, true) {
+                    touched.push(e.a);
+                    touched.push(e.b);
                 }
-            }
-            if !sharded {
-                self.current.add_edges_batch(&staged_activations, |e| {
-                    grew.push(e.a);
-                    grew.push(e.b);
-                    if sink.edge(e, true) {
-                        touched.push(e.a);
-                        touched.push(e.b);
-                    }
-                });
-                self.current.remove_edges_batch(&staged_deactivations, |e| {
-                    sink.edge(e, false);
-                });
-            }
+            });
+            self.current.remove_edges_batch(&staged_deactivations, |e| {
+                sink.edge(e, false);
+            });
         }
         for &u in &touched {
             self.ledger.metrics.max_activated_degree = self
@@ -1455,57 +1390,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(staged, 0);
-    }
-
-    #[test]
-    fn sharded_commit_matches_serial_on_large_waves() {
-        // A star is the worst case for the hub block and the best test of
-        // the relocation path: stage a large wave of leaf-leaf edges.
-        let n = 2048usize;
-        let mut serial = Network::new(generators::star(n));
-        let mut sharded = Network::new(generators::star(n));
-        sharded.set_commit_threads(4);
-        assert_eq!(sharded.commit_threads(), 4);
-        serial.set_edge_delta_tracking(true);
-        sharded.set_edge_delta_tracking(true);
-        let acts: Vec<WaveActivation> = (1..n - 1)
-            .map(|i| WaveActivation {
-                initiator: nid(i),
-                target: nid(i + 1),
-                witness: nid(0),
-            })
-            .collect();
-        serial.stage_jump_wave(&acts, &[]).unwrap();
-        sharded.stage_jump_wave(&acts, &[]).unwrap();
-        assert_eq!(serial.commit_round(), sharded.commit_round());
-        assert_eq!(serial.graph(), sharded.graph());
-        assert_eq!(serial.metrics(), sharded.metrics());
-        assert_eq!(serial.take_edge_deltas(), sharded.take_edge_deltas());
-        // Second round mixes removals in; both paths agree again.
-        let deacts: Vec<Edge> = (1..n / 2).map(|i| Edge::new(nid(i), nid(i + 1))).collect();
-        let acts2: Vec<WaveActivation> = (1..n / 2)
-            .map(|i| WaveActivation {
-                initiator: nid(i),
-                target: nid(i + 2),
-                witness: nid(i + 1),
-            })
-            .collect();
-        serial.stage_jump_wave(&acts2, &deacts).unwrap();
-        sharded.stage_jump_wave(&acts2, &deacts).unwrap();
-        assert_eq!(serial.commit_round(), sharded.commit_round());
-        assert_eq!(serial.graph(), sharded.graph());
-        assert_eq!(serial.metrics(), sharded.metrics());
-        assert_eq!(serial.take_edge_deltas(), sharded.take_edge_deltas());
-    }
-
-    #[test]
-    fn sharded_commit_falls_back_on_small_rounds() {
-        let mut net = Network::new(generators::line(4));
-        net.set_commit_threads(8);
-        net.stage_activation(nid(0), nid(2)).unwrap();
-        let s = net.commit_round();
-        assert_eq!(s.activations, 1);
-        assert!(net.graph().has_edge(nid(0), nid(2)));
     }
 
     #[test]

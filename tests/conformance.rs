@@ -21,6 +21,18 @@ const SIZE: usize = 30;
 fn every_algorithm_on_every_family_meets_its_spec() {
     for algorithm in registry() {
         let spec = algorithm.spec();
+        // A disconnected input is outside every algorithm's model: the
+        // builder rejects it cleanly.
+        let mut split = generators::line(6);
+        split.remove_edge(NodeId(2), NodeId(3)).unwrap();
+        assert!(
+            matches!(
+                Experiment::on(split).algorithm(spec.id).run(),
+                Err(CoreError::InvalidInput { .. })
+            ),
+            "{} must reject a disconnected input",
+            spec.id
+        );
         for family in GraphFamily::ALL {
             for seed in SEEDS {
                 let graph = family.generate(SIZE, seed);

@@ -300,10 +300,10 @@ fn incremental_and_from_scratch_reports_agree_across_scenarios() {
 
 #[test]
 fn per_round_verdicts_agree_under_interleaved_batches() {
-    // Probability-1 mixed faulting, and the from-scratch twin commits on
-    // the sharded path — one lockstep run differentiates the incremental
-    // engine against the from-scratch checker *and* the serial against
-    // the sharded commit, round for round rather than report for report.
+    // Probability-1 mixed faulting under interleaved activation,
+    // deactivation and idle rounds — one lockstep run differentiates the
+    // incremental engine against the from-scratch checker round for
+    // round rather than report for report.
     let scenario = Scenario {
         fault_budget: 24,
         per_round_probability: 1.0,
@@ -311,7 +311,6 @@ fn per_round_verdicts_agree_under_interleaved_batches() {
     };
     for seed in [3u64, 11] {
         let (mut incremental, mut scratch) = armed_pair(&scenario, seed, 20);
-        scratch.set_commit_threads(4);
         for r in 0..48 {
             match r % 3 {
                 0 => {

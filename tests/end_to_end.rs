@@ -106,45 +106,3 @@ fn clique_baseline_is_edge_inefficient_but_fast() {
     assert!(clique.metrics.total_activations > 3 * star.metrics.total_activations);
     assert_eq!(clique.metrics.max_total_degree, n - 1);
 }
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_run_functions_remain_working() {
-    // The acceptance criterion for the 0.2 API redesign: old entry points
-    // keep working (with deprecation warnings) on top of the trait impls.
-    let n = 48;
-    let graph = generators::line(n);
-    let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 4 });
-
-    let star = run_graph_to_star(&graph, &uids).unwrap();
-    assert!(properties::is_star(&star.final_graph));
-
-    let wreath = run_graph_to_wreath(&graph, &uids).unwrap();
-    assert!(properties::is_tree(&wreath.final_graph));
-
-    let thin = run_graph_to_thin_wreath(&graph, &uids).unwrap();
-    assert!(properties::is_tree(&thin.final_graph));
-
-    let clique = run_clique_formation(&graph, &uids).unwrap();
-    assert_eq!(clique.final_graph.edge_count(), n * (n - 1) / 2);
-
-    let flood = run_flooding(&graph, &uids).unwrap();
-    assert!(flood.tokens_per_node.iter().all(|&t| t == n));
-
-    let central = run_centralized_general(&graph, &uids, true).unwrap();
-    assert!(properties::is_tree(&central.final_graph));
-
-    let order: Vec<NodeId> = (0..n).map(NodeId).collect();
-    let cut = run_cut_in_half_on_line(&graph, &order).unwrap();
-    assert!(cut.metrics.total_activations <= n);
-
-    // All of the old outcomes agree with the new entry points.
-    let via_trait = GraphToStar
-        .run(&graph, &uids, &RunConfig::traced())
-        .unwrap();
-    assert_eq!(via_trait.rounds, star.rounds);
-    assert_eq!(
-        via_trait.metrics.total_activations,
-        star.metrics.total_activations
-    );
-}

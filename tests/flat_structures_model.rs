@@ -484,101 +484,17 @@ fn arena_relocation_and_compaction_match_model_under_churn() {
     }
 }
 
-/// Sharded-vs-serial `commit_round` equivalence under mixed fault
-/// schedules: same seeded waves, same crash/join faults, every observable
-/// compared per round for several worker counts.
-#[test]
-fn sharded_commit_matches_serial_under_mixed_faults() {
-    for seed in 0u64..6 {
-        for threads in [2usize, 3, 8] {
-            let mut rng = DetRng::seed_from_u64(0xD15C0 ^ seed.wrapping_mul(1299709));
-            let n = 600 + rng.gen_range(0, 200);
-            let initial = generators::star(n);
-            let mut serial = Network::new(initial.clone());
-            let mut sharded = Network::new(initial);
-            sharded.set_commit_threads(threads);
-            serial.set_edge_delta_tracking(true);
-            sharded.set_edge_delta_tracking(true);
-            for round in 0..12 {
-                // Large leaf-to-leaf waves through the hub witness keep the
-                // batch above the sharding threshold most rounds.
-                let wave: Vec<WaveActivation> = (0..rng.gen_range(300, 900))
-                    .map(|_| {
-                        let u = 1 + rng.gen_range(0, n - 1);
-                        let v = 1 + rng.gen_range(0, n - 1);
-                        (u, v)
-                    })
-                    .filter(|&(u, v)| u != v)
-                    .map(|(u, v)| WaveActivation {
-                        initiator: NodeId(u),
-                        target: NodeId(v),
-                        witness: NodeId(0),
-                    })
-                    .collect();
-                let drops: Vec<Edge> = (0..rng.gen_range(0, 120))
-                    .map(|_| {
-                        let u = 1 + rng.gen_range(0, n - 1);
-                        let v = 1 + rng.gen_range(0, n - 1);
-                        (u, v)
-                    })
-                    .filter(|&(u, v)| u != v)
-                    .map(|(u, v)| Edge::new(NodeId(u), NodeId(v)))
-                    .collect();
-                let a = serial.stage_jump_wave(&wave, &drops);
-                let b = sharded.stage_jump_wave(&wave, &drops);
-                assert_eq!(
-                    a.is_ok(),
-                    b.is_ok(),
-                    "seed {seed} threads {threads} round {round}: staging"
-                );
-                // Mixed fault schedule: mid-round crashes (dropping staged
-                // edges of the crashed endpoint at commit) and churn joins.
-                if rng.gen_bool(0.4) {
-                    let victim = NodeId(rng.gen_range(0, n));
-                    assert_eq!(
-                        serial.inject_crash(victim),
-                        sharded.inject_crash(victim),
-                        "seed {seed} threads {threads} round {round}: crash"
-                    );
-                }
-                if rng.gen_bool(0.25) {
-                    assert_eq!(serial.inject_join(), sharded.inject_join());
-                }
-                assert_eq!(
-                    serial.commit_round(),
-                    sharded.commit_round(),
-                    "seed {seed} threads {threads} round {round}: summary"
-                );
-                assert_eq!(
-                    serial.graph(),
-                    sharded.graph(),
-                    "seed {seed} threads {threads} round {round}: snapshot"
-                );
-                assert_eq!(
-                    serial.take_edge_deltas(),
-                    sharded.take_edge_deltas(),
-                    "seed {seed} threads {threads} round {round}: deltas"
-                );
-            }
-            assert_eq!(serial.metrics(), sharded.metrics());
-            assert!(sharded.graph().check_invariants());
-        }
-    }
-}
-
 /// Regression (seeded): a crash severing a hub right at the compaction
 /// threshold, with the next committed wave triggering the compaction
 /// mid-schedule. The old per-node `Vec` representation had no compaction
-/// to get wrong; the arena must relocate and compact without panicking,
-/// on the serial and the sharded path alike, with identical results.
+/// to get wrong; the arena must relocate and compact without panicking
+/// and keep its layout invariants.
 #[test]
 fn crash_landing_at_compaction_boundary_stays_sound() {
     for seed in 0u64..4 {
         let mut rng = DetRng::seed_from_u64(0xDEAD ^ seed.wrapping_mul(7919));
         let n = 1024usize;
-        let mut serial = Network::new(generators::star(n));
-        let mut sharded = Network::new(generators::star(n));
-        sharded.set_commit_threads(4);
+        let mut net = Network::new(generators::star(n));
         for round in 0..6 {
             let wave: Vec<WaveActivation> = (0..700)
                 .map(|_| {
@@ -595,34 +511,21 @@ fn crash_landing_at_compaction_boundary_stays_sound() {
                 .collect();
             // Before the crash every activation is witnessed by the hub and
             // staging succeeds. After it, the hub is edgeless, so staging may
-            // stop at a pair with no surviving common neighbour — the two
-            // networks must fail at the same entry and keep the identical
-            // partially-staged wave, which the commit below still applies.
-            let staged_serial = serial.stage_jump_wave(&wave, &[]);
-            let staged_sharded = sharded.stage_jump_wave(&wave, &[]);
-            assert_eq!(
-                staged_serial, staged_sharded,
-                "seed {seed} round {round}: staging outcome"
-            );
+            // stop at a pair with no surviving common neighbour; the commit
+            // below still applies the partially-staged wave.
+            let staged = net.stage_jump_wave(&wave, &[]);
             if round < 3 {
-                staged_serial.expect("pre-crash staging is hub-witnessed");
+                staged.expect("pre-crash staging is hub-witnessed");
             }
             if round == 2 {
                 // Crash the hub: its (huge) block empties in place, which
                 // puts the arena deep into dead-slot territory; the next
                 // committed wave's relocations must compact safely while
                 // the schedule is mid-flight.
-                assert_eq!(
-                    serial.inject_crash(NodeId(0)),
-                    sharded.inject_crash(NodeId(0))
-                );
+                net.inject_crash(NodeId(0)).expect("hub is in range");
             }
-            assert_eq!(serial.commit_round(), sharded.commit_round());
-            assert_eq!(serial.graph(), sharded.graph());
-            assert!(
-                serial.graph().check_invariants(),
-                "seed {seed} round {round}"
-            );
+            net.commit_round();
+            assert!(net.graph().check_invariants(), "seed {seed} round {round}");
         }
     }
 }

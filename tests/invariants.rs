@@ -102,7 +102,7 @@ fn simulator_never_creates_multi_edges_or_breaks_vertex_set() {
 fn centralized_strategy_is_linear_in_activations() {
     for (label, graph, seed) in instances(24) {
         let n = graph.node_count();
-        let outcome = Experiment::on(graph)
+        let outcome = Experiment::on(graph.clone())
             .uids(UidAssignment::RandomPermutation { seed })
             .algorithm("centralized_general")
             .run()
@@ -110,5 +110,20 @@ fn centralized_strategy_is_linear_in_activations() {
         assert!(outcome.metrics.total_activations <= 2 * n, "{label}");
         assert!(properties::is_tree(&outcome.final_graph), "{label}");
         assert!(outcome.rounds <= ceil_log2(2 * n) + 3, "{label}");
+        // The low-diameter target skips only the prune round, so it keeps
+        // every edge of the pruned tree.
+        let loose = Experiment::on(graph)
+            .uids(UidAssignment::RandomPermutation { seed })
+            .algorithm("centralized_general")
+            .centralized(CentralizedConfig::LowDiameter)
+            .run()
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert!(
+            outcome
+                .final_graph
+                .edges()
+                .all(|e| loose.final_graph.has_edge(e.a, e.b)),
+            "{label}"
+        );
     }
 }

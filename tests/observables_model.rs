@@ -16,14 +16,12 @@
 //!   that round boundary — in release builds too, where the histogram's
 //!   `debug_assert` oracle is compiled out;
 //! * the elapsed-round accounting (`EdgeMetrics::rounds`,
-//!   `activations_per_round`) matches the boundary events;
-//! * the serial and sharded commit paths emit byte-identical streams
-//!   across worker-thread counts.
+//!   `activations_per_round`) matches the boundary events.
 
 use actively_dynamic_networks::graph::rng::DetRng;
 use actively_dynamic_networks::graph::{generators, Edge, Graph, NodeId};
 use actively_dynamic_networks::sim::dst::{Adversary, InvariantPolicy, Scenario};
-use actively_dynamic_networks::sim::{DstState, Network, RoundEvent, WaveActivation};
+use actively_dynamic_networks::sim::{DstState, Network, RoundEvent};
 
 /// Replays one event into the from-scratch mirror graph.
 fn apply_to_mirror(mirror: &mut Graph, event: &RoundEvent) {
@@ -211,69 +209,6 @@ fn recorded_stream_replays_to_snapshot_under_faults() {
             assert_eq!(metrics.total_activations, committed_total);
         }
     }
-}
-
-#[test]
-fn stream_is_identical_across_commit_paths_and_thread_counts() {
-    // Large star waves so `apply_batches_sharded` actually shards; the
-    // serial network is the reference. Trace and recorder are both armed
-    // to pin the whole observable surface, not just the snapshot.
-    let n = 2048usize;
-    let wave: Vec<WaveActivation> = (1..n - 1)
-        .map(|i| WaveActivation {
-            initiator: NodeId(i),
-            target: NodeId(i + 1),
-            witness: NodeId(0),
-        })
-        .collect();
-    let deacts: Vec<Edge> = (1..n / 2)
-        .map(|i| Edge::new(NodeId(i), NodeId(i + 1)))
-        .collect();
-    let run = |threads: usize| {
-        let mut net = Network::new(generators::star(n));
-        net.set_commit_threads(threads);
-        net.set_event_recording(true);
-        net.set_trace_enabled(true);
-        net.stage_jump_wave(&wave, &[]).unwrap();
-        net.commit_round();
-        net.stage_jump_wave(&[], &deacts).unwrap();
-        net.commit_round();
-        net.advance_idle_rounds(1);
-        (
-            net.take_events(),
-            net.take_trace(),
-            net.metrics().clone(),
-            net.graph().clone(),
-        )
-    };
-    let reference = run(1);
-    for threads in [2usize, 4, 8] {
-        let sharded = run(threads);
-        assert_eq!(
-            reference.0, sharded.0,
-            "threads={threads}: event stream diverged from serial"
-        );
-        assert_eq!(reference.1, sharded.1, "threads={threads}: trace diverged");
-        assert_eq!(
-            reference.2, sharded.2,
-            "threads={threads}: metrics diverged"
-        );
-        assert_eq!(
-            reference.3, sharded.3,
-            "threads={threads}: snapshot diverged"
-        );
-    }
-    // The serial reference saw real events: a full wave of adds, then the
-    // removals, each closed by its boundary, then the idle charge.
-    assert!(matches!(reference.0.last(), Some(RoundEvent::IdleRound)));
-    assert_eq!(
-        reference
-            .0
-            .iter()
-            .filter(|e| matches!(e, RoundEvent::RoundCommitted { .. }))
-            .count(),
-        2
-    );
 }
 
 #[test]
