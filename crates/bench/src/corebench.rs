@@ -1174,7 +1174,7 @@ pub fn run(cfg: &CoreBenchConfig) -> (String, String) {
     let threads = resolve_threads(cfg.threads);
     let iterations = if cfg.quick { 3 } else { 9 };
     let started = Instant::now();
-    let mut bench = Bench::new("core CPU baseline", iterations);
+    let mut bench = Bench::new(iterations);
     bench_graph_ops(&mut bench, cfg.quick);
     bench_commit_round(&mut bench, cfg.quick);
     bench_scale(&mut bench, 4096, false);
@@ -1190,7 +1190,7 @@ pub fn run(cfg: &CoreBenchConfig) -> (String, String) {
     bench_traced_rounds(&mut bench);
     let mut samples = bench.take_samples();
     if !cfg.quick {
-        let mut cold = Bench::new("core CPU scaling (n=10^6, one-shot)", 1);
+        let mut cold = Bench::new(1);
         bench_million(&mut cold);
         samples.extend(cold.take_samples());
     }
@@ -1362,7 +1362,7 @@ mod tests {
 
     #[test]
     fn committee_and_engine_benches_run() {
-        let mut bench = Bench::new("smoke", 1);
+        let mut bench = Bench::new(1);
         bench_committee(&mut bench, true);
         bench_engine(&mut bench, true);
         let samples = bench.take_samples();
@@ -1384,7 +1384,7 @@ mod tests {
 
     #[test]
     fn runtime_benches_run() {
-        let mut bench = Bench::new("smoke", 1);
+        let mut bench = Bench::new(1);
         bench_runtime(&mut bench, true);
         let samples = bench.take_samples();
         let labels: Vec<&str> = samples.iter().map(|s| s.label.as_str()).collect();

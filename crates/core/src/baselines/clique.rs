@@ -122,7 +122,7 @@ pub fn run_clique_then_prune(
 mod tests {
     use super::*;
     use adn_graph::properties::ceil_log2;
-    use adn_graph::{generators, UidAssignment};
+    use adn_graph::{generators, traversal, GraphFamily, UidAssignment};
 
     fn run_clique(initial: &Graph, uids: &UidMap) -> Result<TransformationOutcome, CoreError> {
         let mut network = Network::new(initial.clone());
@@ -131,22 +131,43 @@ mod tests {
 
     #[test]
     fn forms_a_clique_in_log_rounds() {
-        for &n in &[4usize, 8, 16, 32, 50] {
-            let g = generators::line(n);
-            let uids = UidMap::new(n, UidAssignment::Sequential);
-            let outcome = run_clique(&g, &uids).unwrap();
-            // Final graph is the complete graph.
-            assert_eq!(outcome.final_graph.edge_count(), n * (n - 1) / 2, "n={n}");
-            // Rounds are logarithmic: the neighbourhood at least doubles.
-            assert!(
-                outcome.rounds <= ceil_log2(n) + 2,
-                "n={n}: rounds {}",
-                outcome.rounds
-            );
-            // Edge complexity is quadratic — the whole point of the paper.
-            assert!(outcome.metrics.total_activations >= n * (n - 1) / 2 - g.edge_count());
-            assert_eq!(outcome.metrics.max_total_degree, n - 1);
-            assert_eq!(outcome.leader, NodeId(n - 1));
+        let mut inputs: Vec<(String, Graph, UidMap)> = [4usize, 8, 16, 32, 50]
+            .iter()
+            .map(|&n| {
+                let uids = UidMap::new(n, UidAssignment::Sequential);
+                (format!("line {n}"), generators::line(n), uids)
+            })
+            .collect();
+        for family in [
+            GraphFamily::Line,
+            GraphFamily::Ring,
+            GraphFamily::Grid,
+            GraphFamily::RandomTree,
+        ] {
+            for n in [64usize, 128] {
+                let g = family.generate(n, 2);
+                let uids =
+                    UidMap::new(g.node_count(), UidAssignment::RandomPermutation { seed: 2 });
+                inputs.push((format!("{} {n}", family.name()), g, uids));
+            }
+        }
+        for (label, g, uids) in &inputs {
+            let n = g.node_count();
+            let diameter = traversal::diameter(g).unwrap();
+            let outcome = run_clique(g, uids).unwrap();
+            // Every round squares the graph, halving all distances; one
+            // empty round then detects termination.
+            assert_eq!(outcome.rounds, ceil_log2(diameter) + 1, "{label}");
+            // Edge complexity is quadratic — the whole point of the paper:
+            // every missing edge is activated exactly once and never
+            // deactivated, so all of them are active at the end.
+            let activations = n * (n - 1) / 2 - g.edge_count();
+            let metrics = &outcome.metrics;
+            assert_eq!(metrics.total_activations, activations, "{label}");
+            assert_eq!(metrics.max_activated_edges, activations, "{label}");
+            assert_eq!(metrics.total_deactivations, 0, "{label}");
+            assert_eq!(outcome.final_graph, generators::complete(n), "{label}");
+            assert_eq!(Some(outcome.leader), uids.max_uid_node(), "{label}");
         }
     }
 

@@ -618,69 +618,60 @@ impl Graph {
     /// `w != u`. Returned sorted ascending, the same order the old
     /// `BTreeSet` form iterated in.
     ///
-    /// Computed as a flat union of the (sorted) neighbour lists of
-    /// `N_1(u)`: iterated two-pointer merges while the degree is small
-    /// (the common case — bounded `O(deg(u) · D)` with a tiny constant),
-    /// switching to gather + sort + dedup on hub nodes (bounded
-    /// `O(D log D)` for `D = Σ deg(v)`, immune to the quadratic re-merge
-    /// blowup of long pairwise-union chains), then one subtraction pass.
-    /// No per-element tree inserts anywhere.
+    /// Linear in the candidate count `D = Σ_{v ∈ N_1(u)} deg(v)`. A node
+    /// adjacent to every other node has none. When the `n / 64` words of a
+    /// vertex bitmap cost no more than the candidates (`64·D ≥ n`) and
+    /// there are at least two lists to union, the lists are OR-ed into the
+    /// bitmap, `{u} ∪ N_1(u)` is cleared, and the set bits are read off in
+    /// ascending order. Otherwise (sparse neighbourhoods, or one list that
+    /// has no duplicates) the lists are gathered, sorted and deduplicated
+    /// if there is more than one, and `{u} ∪ N_1(u)` is subtracted in one
+    /// forward pass.
     pub fn potential_neighbors(&self, u: NodeId) -> Vec<NodeId> {
-        // Above this degree, long pairwise-union chains re-copy the accumulated
-        // union too often; sorting the gathered candidates is bounded.
-        const MERGE_MAX_DEGREE: usize = 64;
         let n1 = self.block(u.index());
-        let mut out: Vec<NodeId> = Vec::new();
-        if n1.len() <= MERGE_MAX_DEGREE {
-            let mut scratch: Vec<NodeId> = Vec::new();
+        if n1.len() + 1 == self.n {
+            return Vec::new();
+        }
+        let candidates: usize = n1.iter().map(|v| self.len[v.index()]).sum();
+        let out = if n1.len() >= 2 && 64 * candidates >= self.n {
+            let mut bits = vec![0u64; self.n.div_ceil(64)];
             for &v in n1 {
-                let list = self.block(v.index());
-                if out.is_empty() {
-                    out.extend_from_slice(list);
-                    continue;
+                for &w in self.block(v.index()) {
+                    bits[w.index() / 64] |= 1 << (w.index() % 64);
                 }
-                // Two-pointer union of `out` and `list` into `scratch`.
-                scratch.clear();
-                scratch.reserve(out.len() + list.len());
-                let (mut i, mut j) = (0usize, 0usize);
-                while i < out.len() && j < list.len() {
-                    match out[i].cmp(&list[j]) {
-                        std::cmp::Ordering::Less => {
-                            scratch.push(out[i]);
-                            i += 1;
-                        }
-                        std::cmp::Ordering::Greater => {
-                            scratch.push(list[j]);
-                            j += 1;
-                        }
-                        std::cmp::Ordering::Equal => {
-                            scratch.push(out[i]);
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                scratch.extend_from_slice(&out[i..]);
-                scratch.extend_from_slice(&list[j..]);
-                std::mem::swap(&mut out, &mut scratch);
             }
+            for &w in n1.iter().chain([&u]) {
+                bits[w.index() / 64] &= !(1 << (w.index() % 64));
+            }
+            let count = bits.iter().map(|b| b.count_ones() as usize).sum();
+            let mut out = Vec::with_capacity(count);
+            for (i, &word) in bits.iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    out.push(NodeId(i * 64 + word.trailing_zeros() as usize));
+                    word &= word - 1;
+                }
+            }
+            out
         } else {
-            let total: usize = n1.iter().map(|v| self.len[v.index()]).sum();
-            out.reserve(total);
+            let mut out = Vec::with_capacity(candidates);
             for &v in n1 {
                 out.extend_from_slice(self.block(v.index()));
             }
-            out.sort_unstable();
-            out.dedup();
-        }
-        // Subtract `{u} ∪ N_1(u)` in one forward pass (both sides sorted).
-        let mut j = 0usize;
-        out.retain(|&w| {
-            while j < n1.len() && n1[j] < w {
-                j += 1;
+            if n1.len() > 1 {
+                out.sort_unstable();
+                out.dedup();
             }
-            w != u && !(j < n1.len() && n1[j] == w)
-        });
+            // Subtract `{u} ∪ N_1(u)` in one forward pass (both sides sorted).
+            let mut j = 0usize;
+            out.retain(|&w| {
+                while j < n1.len() && n1[j] < w {
+                    j += 1;
+                }
+                w != u && !(j < n1.len() && n1[j] == w)
+            });
+            out
+        };
 
         // Differential check against the old BTreeSet-based semantics.
         #[cfg(debug_assertions)]
@@ -695,7 +686,7 @@ impl Graph {
             }
             debug_assert!(
                 out.iter().copied().eq(reference.iter().copied()),
-                "merge-based potential_neighbors diverged from reference for {u}: \
+                "potential_neighbors diverged from reference for {u}: \
                  {out:?} vs {reference:?}"
             );
         }
@@ -924,24 +915,50 @@ mod tests {
     }
 
     #[test]
-    fn potential_neighbors_merge_matches_scan_on_dense_graphs() {
-        // A lollipop-ish graph exercises overlapping neighbour lists: the
-        // union has many duplicates and the subtraction removes a block.
-        let mut g = Graph::new(8);
-        for u in 0..4usize {
-            for v in (u + 1)..4 {
-                g.add_edge(nid(u), nid(v)).unwrap();
+    fn potential_neighbors_match_the_distance_two_definition_on_every_branch() {
+        // Checked against `at_distance_two` directly, so release builds
+        // (where the debug oracle inside `potential_neighbors` is compiled
+        // out) test the same thing.
+        use crate::generators;
+        let mut cases: Vec<(String, Graph)> = vec![
+            // Overlapping lists: many duplicates, a block subtracted.
+            ("lollipop".into(), generators::lollipop(4, 4)),
+            // Empty centre (degree n - 1) and single-list leaves.
+            ("star 200".into(), generators::star(200)),
+            // Sparse gather branch.
+            ("line 4096".into(), generators::line(4096)),
+            ("grid 4096".into(), generators::grid(64, 64)),
+            // Bitmap branch.
+            (
+                "dense_random 128".into(),
+                crate::GraphFamily::DenseRandom.generate(128, 7),
+            ),
+            ("hypercube 128".into(), generators::hypercube(7)),
+            ("isolated 1".into(), Graph::new(1)),
+            ("isolated 2".into(), Graph::new(2)),
+            ("edge 2".into(), generators::line(2)),
+        ];
+        // Empty short-circuit, and bitmaps that end exactly on, one past
+        // and one short of a word boundary.
+        for n in [63usize, 64, 65, 129] {
+            let complete = generators::complete(n);
+            let mut unmatched = complete.clone();
+            for i in (0..n - 1).step_by(2) {
+                unmatched.remove_edge(nid(i), nid(i + 1)).unwrap();
             }
+            cases.push((format!("K_{n}"), complete));
+            cases.push((format!("K_{n} minus a matching"), unmatched));
         }
-        for i in 3..7usize {
-            g.add_edge(nid(i), nid(i + 1)).unwrap();
-        }
-        for u in g.nodes().collect::<Vec<_>>() {
-            let got = g.potential_neighbors(u);
-            let mut expect: Vec<NodeId> = g.nodes().filter(|&w| g.at_distance_two(u, w)).collect();
-            expect.sort_unstable();
-            assert_eq!(got, expect, "node {u}");
-            assert!(got.windows(2).all(|w| w[0] < w[1]), "sorted, no dups");
+        for (label, g) in &cases {
+            for u in g.nodes() {
+                let got = g.potential_neighbors(u);
+                let expect: Vec<NodeId> = g.nodes().filter(|&w| g.at_distance_two(u, w)).collect();
+                assert_eq!(got, expect, "{label}: node {u}");
+                assert!(
+                    got.windows(2).all(|w| w[0] < w[1]),
+                    "{label}: sorted, no dups"
+                );
+            }
         }
     }
 
