@@ -21,6 +21,9 @@
 //! * `... report -- --runtime [cases] [--threads N]` — run the
 //!   asynchronous-runtime seed sweep (seeded scheduler, async scenarios)
 //!   and verify byte-identical replay on a subset;
+//! * `... report -- --dump-runtime-renders [cases] [--threads N]` — render
+//!   every case of the runtime sweep (default 96) into one dump, whose md5
+//!   pins seeded-runtime behaviour across commits;
 //! * `... report -- --dump-renders-traced [cases]` — render a slice of
 //!   the stress sweep with per-round tracing enabled (byte-identical to
 //!   the untraced dump; exercises the traced `max_degree` path);
@@ -171,6 +174,18 @@ fn main() {
             };
             let threads = adn_bench::corebench::resolve_threads(threads.unwrap_or(0));
             print!("{}", adn_bench::dump_renders(cases, threads));
+        }
+        Some("--dump-runtime-renders") => {
+            reject_unused("--dump-runtime-renders", None, quick, true);
+            reject_check("--dump-runtime-renders", &check);
+            let cases: usize = match args.get(1) {
+                Some(raw) => raw.parse().unwrap_or_else(|_| {
+                    panic!("usage: report --dump-runtime-renders [case count], got `{raw}`")
+                }),
+                None => 96,
+            };
+            let threads = adn_bench::corebench::resolve_threads(threads.unwrap_or(0));
+            print!("{}", adn_bench::dump_runtime_renders(cases, threads));
         }
         Some("--dump-renders-traced") => {
             reject_unused("--dump-renders-traced", threads, quick, false);

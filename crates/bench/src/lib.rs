@@ -23,6 +23,10 @@
 //! * `cargo run -p adn-bench --release --bin report -- --runtime [cases]
 //!   [--threads N]` — the asynchronous-runtime seed sweep with replay
 //!   verification (the CI `runtime-smoke` gate).
+//! * `cargo run -p adn-bench --release --bin report -- --dump-runtime-renders
+//!   [cases] [--threads N]` — every runtime case's render in one dump; CI
+//!   pins the md5 of the 48-case dump
+//!   (`tests/expectations/runtime_renders.md5`).
 //! * `cargo run -p adn-bench --release --bin report -- --bench [--quick]
 //!   [--threads N] [--check <baseline.json>]` — the CPU-performance
 //!   baseline of the hot data path; writes `BENCH_core.json` and, with
@@ -58,7 +62,7 @@ pub fn dst_suite(cases: usize, threads: usize) -> (String, String, usize) {
 /// every thread count, like the sweep summary itself.
 pub fn dump_renders(cases: usize, threads: usize) -> String {
     let summary = adn_analysis::stress::sweep_with_threads(DST_MASTER_SEED, cases, threads);
-    render_reports(&summary.reports)
+    join_renders(summary.reports.iter().map(|r| r.render()))
 }
 
 /// Like [`dump_renders`], but every case runs with per-round tracing
@@ -69,13 +73,13 @@ pub fn dump_renders(cases: usize, threads: usize) -> String {
 /// from-scratch oracle) runs under real adversarial schedules.
 pub fn dump_renders_traced(cases: usize) -> String {
     let summary = adn_analysis::stress::sweep_traced(DST_MASTER_SEED, cases);
-    render_reports(&summary.reports)
+    join_renders(summary.reports.iter().map(|r| r.render()))
 }
 
-fn render_reports(reports: &[adn_analysis::stress::StressReport]) -> String {
+fn join_renders(renders: impl Iterator<Item = String>) -> String {
     let mut out = String::new();
-    for report in reports {
-        out.push_str(&report.render());
+    for render in renders {
+        out.push_str(&render);
         out.push_str("----\n");
     }
     out
@@ -84,6 +88,17 @@ fn render_reports(reports: &[adn_analysis::stress::StressReport]) -> String {
 /// Master seed of the asynchronous-runtime sweep (fixed for comparable
 /// CI artifacts, like [`DST_MASTER_SEED`]).
 pub const RUNTIME_MASTER_SEED: u64 = 0xA5_15EED;
+
+/// Renders every per-case report of the asynchronous-runtime sweep into
+/// one string (`report -- --dump-runtime-renders [cases]`) — the runtime
+/// counterpart of [`dump_renders`]. Every case runs on the seeded
+/// scheduler, so the dump is byte-identical across reruns and thread
+/// counts, and its md5 pins runtime behaviour across commits.
+pub fn dump_runtime_renders(cases: usize, threads: usize) -> String {
+    let summary =
+        adn_analysis::runtime_sweep::sweep_with_threads(RUNTIME_MASTER_SEED, cases, threads);
+    join_renders(summary.reports.iter().map(|r| r.render()))
+}
 
 /// Runs the asynchronous-runtime seed sweep on `threads` worker threads
 /// and verifies byte-identical replay on a subset of its cases. Returns
@@ -220,5 +235,8 @@ mod tests {
         // The artifact is thread-count invariant.
         let (serial, _) = runtime_suite(6, 1);
         assert_eq!(summary, serial);
+        let dump = dump_runtime_renders(6, 2);
+        assert_eq!(dump.matches("----\n").count(), 6, "{dump}");
+        assert_eq!(dump, dump_runtime_renders(6, 1));
     }
 }

@@ -7,72 +7,49 @@
 //! which on the paper's worst-case inputs (spanning lines) is `Θ(n)`.
 //! This is the "strategies that do not modify the input network" baseline
 //! of Section 1.2, used by experiment T8.
+//!
+//! A node's known tokens are an [`adn_runtime::flood::TokenSet`]: one bit
+//! per origin node index, with a running count. Each round a node sends
+//! one shared snapshot of its set's words to all of its neighbours, and
+//! absorbs each received snapshot by word OR. The whole set is resent
+//! every round, not only last round's news: after a fault rewires an edge
+//! or a node joins, a new neighbour still receives every token, which is
+//! what lets flooding heal under the stress suite's faults.
 
 use crate::algorithm::{EngineMode, RunConfig};
 use crate::{CoreError, TransformationOutcome};
-use adn_graph::{Graph, NodeId, Uid, UidMap};
-use adn_runtime::flood::flood_actors;
+use adn_graph::{Graph, NodeId, UidMap};
+use adn_runtime::flood::{flood_actors, TokenSet};
 use adn_runtime::{FreeScheduler, SeededScheduler};
 use adn_sim::engine::{run_programs, EngineConfig, NodeDecision, NodeProgram, NodeView};
 use adn_sim::Network;
+use std::rc::Rc;
 
 struct FloodNode {
-    /// Known tokens, kept sorted and duplicate-free — inbound messages
-    /// are themselves sorted (clones of a sender's `known`), so absorbing
-    /// one is a two-pointer union instead of per-token tree inserts. The
-    /// contents and order are identical to the old `BTreeSet` form.
-    known: Vec<Uid>,
-    scratch: Vec<Uid>,
+    /// Known tokens: one bit per origin node index, with a running count.
+    known: TokenSet,
     /// A node terminates when it has seen `n` tokens (it knows `n` here,
     /// as in the paper's ThinWreath assumption) — `n` is read from the
     /// view.
     done: bool,
 }
 
-impl FloodNode {
-    /// Merges the sorted `tokens` into the sorted `known` set.
-    fn absorb(&mut self, tokens: &[Uid]) {
-        debug_assert!(tokens.windows(2).all(|w| w[0] < w[1]));
-        self.scratch.clear();
-        self.scratch.reserve(self.known.len() + tokens.len());
-        let (a, b) = (&self.known, tokens);
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    self.scratch.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    self.scratch.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    self.scratch.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        self.scratch.extend_from_slice(&a[i..]);
-        self.scratch.extend_from_slice(&b[j..]);
-        std::mem::swap(&mut self.known, &mut self.scratch);
-    }
-}
-
 impl NodeProgram for FloodNode {
-    type Message = Vec<Uid>;
+    type Message = Rc<[u64]>;
+
+    const READS_POTENTIAL_NEIGHBORS: bool = false;
 
     fn send(&mut self, view: &NodeView) -> Vec<(NodeId, Self::Message)> {
+        let snapshot: Rc<[u64]> = Rc::from(self.known.words());
         view.neighbors
             .iter()
-            .map(|&v| (v, self.known.clone()))
+            .map(|&v| (v, Rc::clone(&snapshot)))
             .collect()
     }
 
     fn step(&mut self, view: &NodeView, inbox: &[(NodeId, Self::Message)]) -> NodeDecision {
-        for (_, tokens) in inbox {
-            self.absorb(tokens);
+        for (_, words) in inbox {
+            self.known.union_words(words);
         }
         if self.known.len() >= view.n {
             self.done = true;
@@ -123,8 +100,7 @@ pub(crate) fn execute(
     network.set_trace_enabled(config.trace.is_per_round());
     let mut programs: Vec<FloodNode> = (0..n)
         .map(|i| FloodNode {
-            known: vec![uids.uid(NodeId(i))],
-            scratch: Vec::new(),
+            known: TokenSet::singleton(n, NodeId(i)),
             done: n == 1,
         })
         .collect();
@@ -154,7 +130,7 @@ fn execute_async(
     uids: &UidMap,
     config: &RunConfig,
 ) -> Result<TransformationOutcome, CoreError> {
-    let mut actors = flood_actors(network.graph(), uids);
+    let mut actors = flood_actors(network.graph());
     let report = match config.engine {
         EngineMode::Seeded { seed } => SeededScheduler::new(seed)
             .with_knobs(config.async_knobs())

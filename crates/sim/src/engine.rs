@@ -27,6 +27,8 @@ pub struct NodeView {
     /// Current neighbours (`N_1`), ascending.
     pub neighbors: Vec<NodeId>,
     /// Potential neighbours (`N_2`, nodes at distance exactly 2), ascending.
+    /// Empty for programs that declare they never read it
+    /// ([`NodeProgram::READS_POTENTIAL_NEIGHBORS`]).
     pub potential_neighbors: Vec<NodeId>,
 }
 
@@ -56,6 +58,10 @@ impl NodeDecision {
 pub trait NodeProgram {
     /// The message type exchanged between neighbours.
     type Message: Clone + std::fmt::Debug;
+
+    /// Whether the program reads [`NodeView::potential_neighbors`]. When
+    /// false, the engine never computes `N_2` and leaves that field empty.
+    const READS_POTENTIAL_NEIGHBORS: bool = true;
 
     /// Compose the messages to send this round, addressed to current
     /// neighbours. Messages addressed to non-neighbours are a programming
@@ -91,7 +97,7 @@ impl Default for EngineConfig {
     }
 }
 
-fn build_view(network: &Network, uids: &UidMap, id: NodeId) -> NodeView {
+fn build_view(network: &Network, uids: &UidMap, id: NodeId, with_n2: bool) -> NodeView {
     let graph = network.graph();
     NodeView {
         id,
@@ -99,7 +105,11 @@ fn build_view(network: &Network, uids: &UidMap, id: NodeId) -> NodeView {
         round: network.round(),
         n: network.node_count(),
         neighbors: graph.neighbors_slice(id).to_vec(),
-        potential_neighbors: graph.potential_neighbors(id),
+        potential_neighbors: if with_n2 {
+            graph.potential_neighbors(id)
+        } else {
+            Vec::new()
+        },
     }
 }
 
@@ -117,26 +127,33 @@ fn build_view(network: &Network, uids: &UidMap, id: NodeId) -> NodeView {
 /// if an edge within distance one of it changed — so the affected set is
 /// the changed endpoints plus their current neighbours.
 ///
+/// A cache built without `N_2` (for programs that never read it) leaves
+/// every `potential_neighbors` empty and refreshes only the changed
+/// endpoints, whose `N_1` is all that can have moved.
+///
 /// The per-view `round`/`n` scalars are refreshed for everyone each round
 /// by [`ViewCache::begin_round`] (two word writes per node), so the cached
 /// views are field-for-field identical to freshly built ones — the
 /// differential suite pins this under random committed rounds and
-/// adversarial faults.
+/// adversarial faults, with and without `N_2`.
 #[derive(Debug)]
 pub struct ViewCache {
     views: Vec<NodeView>,
+    /// Whether the views carry `N_2`.
+    with_n2: bool,
     /// Scratch mask for the affected set (reused across rounds).
     affected: Vec<bool>,
 }
 
 impl ViewCache {
     /// Builds the initial views of nodes `0..count` from the network's
-    /// current snapshot.
-    pub fn new(network: &Network, uids: &UidMap, count: usize) -> Self {
+    /// current snapshot, computing `N_2` only when `with_n2` is set.
+    pub fn new(network: &Network, uids: &UidMap, count: usize, with_n2: bool) -> Self {
         ViewCache {
             views: (0..count)
-                .map(|i| build_view(network, uids, NodeId(i)))
+                .map(|i| build_view(network, uids, NodeId(i), with_n2))
                 .collect(),
+            with_n2,
             affected: Vec::new(),
         }
     }
@@ -159,10 +176,10 @@ impl ViewCache {
 
     /// Recomputes the views invalidated by the drained change set
     /// `changed` (sorted endpoints of every edge mutation since the last
-    /// drain): the endpoints themselves and their *current* neighbours. A
-    /// former neighbour severed this round is itself an endpoint of the
-    /// severed edge, so the union covers every node whose `N_1` or `N_2`
-    /// can have changed.
+    /// drain): the endpoints themselves and, when the views carry `N_2`,
+    /// their *current* neighbours. A former neighbour severed this round is
+    /// itself an endpoint of the severed edge, so the union covers every
+    /// node whose `N_1` or `N_2` can have changed.
     pub fn refresh_changed(&mut self, network: &Network, uids: &UidMap, changed: &[NodeId]) {
         if changed.is_empty() {
             return;
@@ -175,6 +192,9 @@ impl ViewCache {
             if u.index() < count {
                 self.affected[u.index()] = true;
             }
+            if !self.with_n2 {
+                continue;
+            }
             for &v in graph.neighbors_slice(u) {
                 if v.index() < count {
                     self.affected[v.index()] = true;
@@ -183,7 +203,7 @@ impl ViewCache {
         }
         for i in 0..count {
             if self.affected[i] {
-                self.views[i] = build_view(network, uids, NodeId(i));
+                self.views[i] = build_view(network, uids, NodeId(i), self.with_n2);
             }
         }
     }
@@ -246,6 +266,7 @@ fn run_rounds<P: NodeProgram>(
 ) -> Result<(), SimError> {
     let programs_len = programs.len();
     let mut view_cache: Option<ViewCache> = None;
+    let mut inboxes: Vec<Vec<(NodeId, P::Message)>> = Vec::new();
     let mut rounds_executed = 0usize;
 
     while !programs.iter().all(|p| p.has_terminated()) {
@@ -260,14 +281,20 @@ fn run_rounds<P: NodeProgram>(
         // the network can grow mid-run; joined nodes have no program (they
         // are passive), but they can receive messages and appear in
         // neighbourhoods, so the inboxes must cover the full current
-        // vertex set.
+        // vertex set. The inboxes are kept across rounds and cleared, not
+        // reallocated.
         let n_now = network.node_count();
-        let cache = view_cache.get_or_insert_with(|| ViewCache::new(network, uids, programs_len));
+        let cache = view_cache.get_or_insert_with(|| {
+            ViewCache::new(network, uids, programs_len, P::READS_POTENTIAL_NEIGHBORS)
+        });
         cache.begin_round(network);
         let views = cache.views();
+        inboxes.resize_with(n_now, Vec::new);
+        for inbox in &mut inboxes {
+            inbox.clear();
+        }
 
         // Send phase.
-        let mut inboxes: Vec<Vec<(NodeId, P::Message)>> = vec![Vec::new(); n_now];
         for i in 0..programs_len {
             let outbox = programs[i].send(&views[i]);
             for (to, msg) in outbox {

@@ -434,7 +434,9 @@ fn incremental_adjacency_matches_rebuild_under_fault_sequences() {
 /// Drives a DST-armed network with random staged operations and
 /// adversarial faults, maintaining one incremental [`ViewCache`] across
 /// rounds and comparing it, field for field, against a from-scratch
-/// rebuild every round — the engine's old behaviour.
+/// rebuild every round — the engine's old behaviour. Both cache kinds
+/// run on every input: with `N_2`, and without it (the cache of programs
+/// that never read `N_2`).
 #[test]
 fn incremental_views_match_full_rebuild_under_faults() {
     let scenarios = [
@@ -450,7 +452,7 @@ fn incremental_views_match_full_rebuild_under_faults() {
         },
     ];
     for (which, scenario) in scenarios.into_iter().enumerate() {
-        for seed in 0u64..6 {
+        for (seed, with_n2) in (0u64..6).flat_map(|seed| [(seed, true), (seed, false)]) {
             let mut rng = DetRng::seed_from_u64(0x71E3 ^ seed.wrapping_mul(97) ^ (which as u64));
             let n = 8 + rng.gen_range(0, 17);
             let initial = generators::random_line_with_chords(n, n / 2, seed);
@@ -462,7 +464,7 @@ fn incremental_views_match_full_rebuild_under_faults() {
                 (1..=n as u64).collect(),
             ));
             net.set_change_tracking(true);
-            let mut cache = ViewCache::new(&net, &uids, n);
+            let mut cache = ViewCache::new(&net, &uids, n, with_n2);
             for round in 0..50 {
                 for _ in 0..rng.gen_range(0, 6) {
                     let n_now = net.node_count();
@@ -481,12 +483,12 @@ fn incremental_views_match_full_rebuild_under_faults() {
                 let changed = net.take_changed_nodes();
                 cache.refresh_changed(&net, &uids, &changed);
                 cache.begin_round(&net);
-                let mut fresh = ViewCache::new(&net, &uids, n);
+                let mut fresh = ViewCache::new(&net, &uids, n, with_n2);
                 fresh.begin_round(&net);
                 assert_eq!(
                     cache.views(),
                     fresh.views(),
-                    "scenario {} seed {seed} round {round}: incremental views diverged",
+                    "scenario {} seed {seed} N_2 {with_n2} round {round}: incremental views diverged",
                     scenario.name
                 );
             }

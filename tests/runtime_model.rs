@@ -277,13 +277,12 @@ fn ds_accounting_stays_sound_when_actors_crash_mid_phase() {
     // `DidNotQuiesce` failure instead of a test timeout.
     let n = 20;
     let graph = generators::ring(n);
-    let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 13 });
     for sched_seed in 0..64u64 {
         let crash_node = NodeId((sched_seed as usize * 7) % n);
         let crash_step = 5 + (sched_seed as usize * 11) % 60;
         let plan = FaultPlan::new().crash_at(crash_step, crash_node);
         let mut network = Network::new(graph.clone());
-        let mut actors = flood_actors(&graph, &uids);
+        let mut actors = flood_actors(&graph);
         let report = SeededScheduler::new(sched_seed)
             .with_knobs(ADVERSARIAL)
             .with_max_steps(500_000)
@@ -372,10 +371,9 @@ fn termination_detection_never_fires_with_messages_in_flight() {
     // detector is neither unsound nor trivially late.
     let n = 20;
     let graph = generators::ring(n);
-    let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 13 });
     for sched_seed in 0..64u64 {
         let mut network = Network::new(graph.clone());
-        let mut actors = flood_actors(&graph, &uids);
+        let mut actors = flood_actors(&graph);
         let report = SeededScheduler::new(sched_seed)
             .with_knobs(ADVERSARIAL)
             .run(&mut network, &mut actors)
