@@ -574,7 +574,9 @@ fn bench_engine(bench: &mut Bench, quick: bool) {
 /// The seeded cases exercise the adversarial knobs (reorder window,
 /// per-link delay, asymmetric latency); the free cases pin the thread
 /// count so the label — and therefore the regression gate — is
-/// machine-independent.
+/// machine-independent. The pin is 2, the core count of the machine the
+/// committed baselines come from, so the rows time the scheduler rather
+/// than oversubscription.
 fn bench_runtime(bench: &mut Bench, quick: bool) {
     let n = if quick { 128 } else { 512 };
     let knobs = AsyncKnobs {
@@ -582,7 +584,7 @@ fn bench_runtime(bench: &mut Bench, quick: bool) {
         max_link_delay: 2,
         asymmetric_delay: true,
     };
-    let free_threads = 4;
+    let free_threads = 2;
 
     let ring = generators::ring(n);
     bench.measure(&format!("runtime/flood_seeded n={n}"), || {

@@ -1,11 +1,13 @@
 //! The deterministic single-threaded scheduler.
 //!
-//! Delivery is a discrete-event loop over a priority queue keyed by
-//! `(ready_at, sequence)`. Every source of nondeterminism — reordering
-//! within the window, per-message delay jitter, per-link base latency —
-//! is drawn from one [`DetRng`] seeded with a single `u64`, so a run is
-//! a pure function of `(network, programs, seed, knobs)` and replays
-//! byte-identically.
+//! Delivery is a discrete-event loop over a timeline of FIFO buckets, one
+//! per `ready_at` time: a front-to-back walk visits in-flight envelopes in
+//! `(ready_at, send order)`, and each step removes one of the first
+//! `reorder_window` entries in place, so a step costs O(window). Every
+//! source of nondeterminism — reordering within the window, per-message
+//! delay jitter, per-link base latency — is drawn from one [`DetRng`]
+//! seeded with a single `u64`, so a run is a pure function of
+//! `(network, programs, seed, knobs)` and replays byte-identically.
 
 use crate::actor::{AsyncProgram, Context, Envelope};
 use crate::fault::{FaultKind, FaultPlan};
@@ -14,34 +16,78 @@ use crate::{AsyncKnobs, RuntimeError, RuntimeReport};
 use adn_graph::rng::DetRng;
 use adn_graph::NodeId;
 use adn_sim::network::Network;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// Delivery-step budget before a seeded run is declared non-quiescent.
 pub const DEFAULT_MAX_STEPS: usize = 50_000_000;
 
-/// An in-flight envelope. Ordered by `(ready_at, seq)` **inverted**, so
-/// the std max-heap pops the earliest-ready, lowest-sequence entry first.
-struct InFlight<M> {
-    ready_at: usize,
-    seq: usize,
-    to: NodeId,
-    env: Envelope<M>,
+/// In-flight entries in delivery order: one FIFO bucket per `ready_at`
+/// time, the front bucket holding time `front`. A push appends to its
+/// bucket, so a front-to-back walk visits entries in `(ready_at, push
+/// order)` — the pop order of a priority queue keyed by `(ready_at,
+/// sequence)`. Removing the `k`-th entry walks `k` entries plus any
+/// empty buckets between them.
+struct Timeline<T> {
+    front: usize,
+    buckets: VecDeque<VecDeque<T>>,
+    len: usize,
 }
 
-impl<M> PartialEq for InFlight<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.ready_at == other.ready_at && self.seq == other.seq
+impl<T> Timeline<T> {
+    fn new() -> Self {
+        Timeline {
+            front: 0,
+            buckets: VecDeque::new(),
+            len: 0,
+        }
     }
-}
-impl<M> Eq for InFlight<M> {}
-impl<M> PartialOrd for InFlight<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    fn len(&self) -> usize {
+        self.len
     }
-}
-impl<M> Ord for InFlight<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.ready_at, other.seq).cmp(&(self.ready_at, self.seq))
+
+    /// Appends `item` to the bucket of time `ready_at`, prepending empty
+    /// buckets when that time lies before the front one.
+    fn push(&mut self, ready_at: usize, item: T) {
+        if self.buckets.is_empty() {
+            self.front = ready_at;
+        }
+        while ready_at < self.front {
+            self.buckets.push_front(VecDeque::new());
+            self.front -= 1;
+        }
+        let slot = ready_at - self.front;
+        if slot >= self.buckets.len() {
+            self.buckets.resize_with(slot + 1, VecDeque::new);
+        }
+        self.buckets[slot].push_back(item);
+        self.len += 1;
+    }
+
+    /// Removes the `k`-th entry in delivery order and returns it with its
+    /// `ready_at`, or `None` when at most `k` entries are queued. Buckets
+    /// emptied at the front are dropped, not kept for reuse.
+    fn remove_nth(&mut self, mut k: usize) -> Option<(usize, T)> {
+        if k >= self.len {
+            return None;
+        }
+        let mut slot = 0;
+        while k >= self.buckets[slot].len() {
+            k -= self.buckets[slot].len();
+            slot += 1;
+        }
+        let item = self.buckets[slot].remove(k)?;
+        let ready_at = self.front + slot;
+        self.len -= 1;
+        while self.buckets.front().is_some_and(VecDeque::is_empty) {
+            self.buckets.pop_front();
+            self.front += 1;
+        }
+        Some((ready_at, item))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.buckets.iter().flatten()
     }
 }
 
@@ -168,11 +214,11 @@ impl SeededScheduler {
         }
         let mut rng = DetRng::seed_from_u64(self.seed);
         let window = self.knobs.reorder_window.max(1);
-        let mut heap: BinaryHeap<InFlight<P::Message>> = BinaryHeap::new();
-        let mut seq = 0usize;
+        let mut timeline: Timeline<(NodeId, Envelope<P::Message>)> = Timeline::new();
         let mut now = 0usize;
         let mut ds: Vec<DsState> = vec![DsState::default(); n];
         let mut crashed = vec![false; n];
+        let mut started = vec![false; n];
         let mut fault_idx = 0usize;
         let mut report = RuntimeReport {
             scheduler: "seeded",
@@ -189,9 +235,8 @@ impl SeededScheduler {
         };
         let mut ctx: Context<P::Message> = Context::new(NodeId(0));
 
-        let enqueue = |heap: &mut BinaryHeap<InFlight<P::Message>>,
+        let enqueue = |timeline: &mut Timeline<(NodeId, Envelope<P::Message>)>,
                        rng: &mut DetRng,
-                       seq: &mut usize,
                        now: usize,
                        from: Option<NodeId>,
                        to: NodeId,
@@ -202,28 +247,20 @@ impl SeededScheduler {
                 0
             };
             let base = from.map_or(0, |f| self.link_base(f, to));
-            heap.push(InFlight {
-                ready_at: now + 1 + base + jitter,
-                seq: *seq,
-                to,
-                env,
-            });
-            *seq += 1;
+            timeline.push(now + 1 + base + jitter, (to, env));
         };
 
-        let mut window_buf: Vec<InFlight<P::Message>> = Vec::with_capacity(window);
         let mut phase = 0usize;
         loop {
             if !driver(network, programs, phase)? {
                 break;
             }
-            let mut started = vec![false; n];
+            started.fill(false);
             let mut root_deficit = 0usize;
             for (i, _) in crashed.iter().enumerate().take(n).filter(|(_, c)| !**c) {
                 enqueue(
-                    &mut heap,
+                    &mut timeline,
                     &mut rng,
-                    &mut seq,
                     now,
                     None,
                     NodeId(i),
@@ -254,15 +291,9 @@ impl SeededScheduler {
                             crashed[c.index()] = true;
                             match ds[c.index()].crash() {
                                 Some(DsParent::Root) => root_deficit -= 1,
-                                Some(DsParent::Node(p)) => enqueue(
-                                    &mut heap,
-                                    &mut rng,
-                                    &mut seq,
-                                    now,
-                                    Some(c),
-                                    p,
-                                    Envelope::Ack,
-                                ),
+                                Some(DsParent::Node(p)) => {
+                                    enqueue(&mut timeline, &mut rng, now, Some(c), p, Envelope::Ack)
+                                }
                                 None => {}
                             }
                         }
@@ -271,48 +302,36 @@ impl SeededScheduler {
                         }
                     }
                 }
-                // Pull up to `window` candidates in readiness order and pick
-                // one uniformly; with window 1 no RNG is consumed, so the
-                // default knobs add zero draws to the stream.
-                window_buf.clear();
-                for _ in 0..window {
-                    match heap.pop() {
-                        Some(item) => window_buf.push(item),
-                        None => break,
-                    }
-                }
-                if window_buf.is_empty() {
+                // Deliver one of the first `window` entries in readiness
+                // order, picked uniformly; with window 1 no RNG is consumed,
+                // so the default knobs add zero draws to the stream.
+                let candidates = window.min(timeline.len());
+                let pick = if candidates > 1 {
+                    rng.gen_range(0, candidates)
+                } else {
+                    0
+                };
+                let Some((ready_at, (node, env))) = timeline.remove_nth(pick) else {
                     // Unreachable by the Dijkstra–Scholten invariant (an
                     // engaged node with zero deficit disengages at its last
                     // delivery), kept as a loud failure rather than a hang.
                     return Err(E::from(RuntimeError::DidNotQuiesce {
                         steps: report.steps,
                     }));
-                }
-                let pick = if window_buf.len() > 1 {
-                    rng.gen_range(0, window_buf.len())
-                } else {
-                    0
                 };
-                let delivery = window_buf.swap_remove(pick);
-                for leftover in window_buf.drain(..) {
-                    heap.push(leftover);
-                }
-                now = now.max(delivery.ready_at);
+                now = now.max(ready_at);
                 report.steps += 1;
-                let node = delivery.to;
 
                 if crashed[node.index()] {
                     // The scheduler answers a crashed node's mail: starts
                     // release their root obligation, application messages
                     // are acked so the sender's deficit drains, acks are
                     // dropped (the deficit they would pay was forgiven).
-                    match delivery.env {
+                    match env {
                         Envelope::Start => root_deficit -= 1,
                         Envelope::App { from, .. } => enqueue(
-                            &mut heap,
+                            &mut timeline,
                             &mut rng,
-                            &mut seq,
                             now,
                             Some(node),
                             from,
@@ -326,7 +345,7 @@ impl SeededScheduler {
                 ctx.reset(node);
                 let mut immediate_root_ack = false;
                 let mut ack_sender: Option<NodeId> = None;
-                match delivery.env {
+                match env {
                     Envelope::Start => {
                         let engaged_now = ds[node.index()].on_receive(DsParent::Root);
                         if !engaged_now {
@@ -372,12 +391,10 @@ impl SeededScheduler {
                 }
                 if !ctx.outbox.is_empty() {
                     ds[node.index()].on_sent(ctx.outbox.len());
-                    let outbox: Vec<(NodeId, P::Message)> = ctx.outbox.drain(..).collect();
-                    for (to, msg) in outbox {
+                    for (to, msg) in ctx.outbox.drain(..) {
                         enqueue(
-                            &mut heap,
+                            &mut timeline,
                             &mut rng,
-                            &mut seq,
                             now,
                             Some(node),
                             to,
@@ -387,9 +404,8 @@ impl SeededScheduler {
                 }
                 if let Some(sender) = ack_sender {
                     enqueue(
-                        &mut heap,
+                        &mut timeline,
                         &mut rng,
-                        &mut seq,
                         now,
                         Some(node),
                         sender,
@@ -402,9 +418,8 @@ impl SeededScheduler {
                 match ds[node.index()].try_disengage() {
                     Some(DsParent::Root) => root_deficit -= 1,
                     Some(DsParent::Node(parent)) => enqueue(
-                        &mut heap,
+                        &mut timeline,
                         &mut rng,
-                        &mut seq,
                         now,
                         Some(node),
                         parent,
@@ -417,9 +432,9 @@ impl SeededScheduler {
         }
         // Leftovers can only be acks destined to crashed nodes; everything
         // aimed at a live node holds up a deficit somewhere.
-        report.in_flight_at_detection = heap
+        report.in_flight_at_detection = timeline
             .iter()
-            .filter(|d| !crashed.get(d.to.index()).copied().unwrap_or(true))
+            .filter(|(to, _)| !crashed.get(to.index()).copied().unwrap_or(true))
             .count();
         Ok(report)
     }
@@ -526,5 +541,54 @@ mod tests {
             .run(&mut network, &mut programs)
             .unwrap_err();
         assert!(matches!(err, RuntimeError::DidNotQuiesce { steps: 50 }));
+    }
+
+    /// A sorted `Vec` of `(ready_at, seq)` is the reference for the
+    /// timeline. One seeded sequence shaped like a scheduler run (pushes at
+    /// `now + 1 + delay`, removals among the first four entries, `now`
+    /// following each removal) must remove identical entries from both,
+    /// including pushes that land before the front bucket and entries
+    /// left behind `now`.
+    #[test]
+    fn timeline_matches_sorted_reference() {
+        let mut rng = DetRng::seed_from_u64(17);
+        let mut timeline: Timeline<usize> = Timeline::new();
+        let mut reference: Vec<(usize, usize)> = Vec::new();
+        let (mut now, mut seq) = (0usize, 0usize);
+        let (mut before_front, mut behind_now) = (0usize, 0usize);
+        for _ in 0..20_000 {
+            if rng.gen_bool(0.5) {
+                let ready_at = now + 1 + rng.gen_range(0, 7);
+                if reference
+                    .first()
+                    .is_some_and(|&(front, _)| ready_at < front)
+                {
+                    before_front += 1;
+                }
+                let at = reference.partition_point(|&entry| entry < (ready_at, seq));
+                reference.insert(at, (ready_at, seq));
+                timeline.push(ready_at, seq);
+                seq += 1;
+            } else {
+                let k = rng.gen_range(0, 4);
+                let expected = (k < reference.len()).then(|| reference.remove(k));
+                assert_eq!(timeline.remove_nth(k), expected);
+                if let Some((ready_at, _)) = expected {
+                    now = now.max(ready_at);
+                }
+            }
+            if reference.first().is_some_and(|&(front, _)| front < now) {
+                behind_now += 1;
+            }
+            assert_eq!(timeline.len(), reference.len());
+        }
+        assert!(timeline
+            .iter()
+            .copied()
+            .eq(reference.iter().map(|&(_, s)| s)));
+        assert!(
+            before_front > 0 && behind_now > 0,
+            "{before_front} early pushes, {behind_now} steps with entries behind now"
+        );
     }
 }
