@@ -84,7 +84,6 @@ const PAD: NodeId = NodeId(usize::MAX);
 /// sequence, so layout management is deterministic; layout itself is never
 /// observable (equality, iteration and lookups all go through the block
 /// slices).
-#[derive(Debug, Clone)]
 pub struct Graph {
     n: usize,
     /// Per-node block offset into `arena`.
@@ -99,6 +98,155 @@ pub struct Graph {
     /// Slots abandoned by block relocations, reclaimed at compaction.
     dead: usize,
     edge_count: usize,
+    /// Grouping scratch of the batch edits, allocated on the first batch
+    /// and boxed, so a graph that never batches pays one pointer for it.
+    /// Not part of the graph's value: equality and `Debug` ignore it and
+    /// a clone starts without one.
+    batch: Option<Box<BatchScratch>>,
+}
+
+/// Hand-written so a clone starts without the batch scratch.
+impl Clone for Graph {
+    fn clone(&self) -> Self {
+        Graph {
+            n: self.n,
+            start: self.start.clone(),
+            len: self.len.clone(),
+            cap: self.cap.clone(),
+            arena: self.arena.clone(),
+            dead: self.dead,
+            edge_count: self.edge_count,
+            batch: None,
+        }
+    }
+}
+
+/// Hand-written so the batch scratch stays out of the output, which is
+/// otherwise exactly the derived form.
+impl std::fmt::Debug for Graph {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Graph")
+            .field("n", &self.n)
+            .field("start", &self.start)
+            .field("len", &self.len)
+            .field("cap", &self.cap)
+            .field("arena", &self.arena)
+            .field("dead", &self.dead)
+            .field("edge_count", &self.edge_count)
+            .finish()
+    }
+}
+
+/// The scratch that groups a batch's directed entries by endpoint in
+/// linear time (see [`BatchScratch::group`]). Between batches `count` and
+/// both bitmap levels are all zero; the other columns hold stale values
+/// that are only read after `group` rewrites them.
+#[derive(Default)]
+struct BatchScratch {
+    /// Per-node entry count of the batch being grouped.
+    count: Vec<u32>,
+    /// Per-node end offset of the node's bucket in `grouped`.
+    end: Vec<u32>,
+    /// Touched-node bitmap, one bit per node.
+    words: Vec<u64>,
+    /// One bit per word of `words`, set when the word is nonzero.
+    summary: Vec<u64>,
+    /// The touched nodes, ascending.
+    touched: Vec<NodeId>,
+    /// Every endpoint's batch neighbours, bucketed by endpoint in input
+    /// order.
+    by_input: Vec<NodeId>,
+    /// The same buckets, each in ascending neighbour order.
+    grouped: Vec<NodeId>,
+}
+
+impl BatchScratch {
+    /// Groups the directed entries `(a, b)` and `(b, a)` of every edge by
+    /// their first node, in two stable counting scatters that share one
+    /// count: the first buckets each endpoint's batch neighbours in input
+    /// order, the second walks those buckets in ascending endpoint order
+    /// and scatters again, which leaves every bucket ascending. Touched
+    /// nodes are read off a two-level bitmap (one summary bit per 64-bit
+    /// word), so the cost is O(batch + n/4096), with no n/64-word scan.
+    ///
+    /// Afterwards the bucket of `x = touched[i]` is `grouped[lo..end[x]]`,
+    /// where `lo` is the previous touched node's `end` (0 for the first),
+    /// and `count` is all zero again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is out of range.
+    fn group(&mut self, n: usize, edges: &[Edge]) {
+        assert!(
+            2 * edges.len() <= u32::MAX as usize,
+            "batch of {} edges exceeds the grouping offsets",
+            edges.len()
+        );
+        if self.count.len() < n {
+            self.count.resize(n, 0);
+            self.end.resize(n, 0);
+            self.words.resize(n.div_ceil(64), 0);
+            self.summary.resize(n.div_ceil(64 * 64), 0);
+        }
+        for e in edges {
+            assert!(
+                e.a.index() < n && e.b.index() < n,
+                "edge {{{}, {}}} out of range (n = {n})",
+                e.a,
+                e.b
+            );
+            for x in [e.a.index(), e.b.index()] {
+                self.count[x] += 1;
+                self.words[x / 64] |= 1 << (x % 64);
+                self.summary[x / 4096] |= 1 << (x / 64 % 64);
+            }
+        }
+        // Prefix offsets in ascending node order, clearing both bitmap
+        // levels on the way. `end[x]` starts as the bucket's first slot
+        // and is the write cursor of the first scatter.
+        self.touched.clear();
+        let mut offset = 0u32;
+        for (si, summary) in self.summary.iter_mut().enumerate() {
+            let mut s = std::mem::take(summary);
+            while s != 0 {
+                let wi = si * 64 + s.trailing_zeros() as usize;
+                s &= s - 1;
+                let mut w = std::mem::take(&mut self.words[wi]);
+                while w != 0 {
+                    let x = wi * 64 + w.trailing_zeros() as usize;
+                    w &= w - 1;
+                    self.touched.push(NodeId(x));
+                    self.end[x] = offset;
+                    offset += self.count[x];
+                }
+            }
+        }
+        let total = offset as usize;
+        self.by_input.clear();
+        self.by_input.resize(total, PAD);
+        for e in edges {
+            for (x, y) in [(e.a, e.b), (e.b, e.a)] {
+                let slot = &mut self.end[x.index()];
+                self.by_input[*slot as usize] = y;
+                *slot += 1;
+            }
+        }
+        // `end` now holds bucket ends. Walking the endpoints `x` in
+        // ascending order and filling bucket `y` front to back (its next
+        // slot is `end[y] - count[y]`) writes every bucket ascending.
+        self.grouped.clear();
+        self.grouped.resize(total, PAD);
+        let mut lo = 0usize;
+        for &x in &self.touched {
+            let hi = self.end[x.index()] as usize;
+            for &y in &self.by_input[lo..hi] {
+                let left = &mut self.count[y.index()];
+                self.grouped[(self.end[y.index()] - *left) as usize] = x;
+                *left -= 1;
+            }
+            lo = hi;
+        }
+    }
 }
 
 /// Structural equality: same vertex set, same edge set. Arena layout
@@ -134,6 +282,7 @@ impl Graph {
             arena: Vec::new(),
             dead: 0,
             edge_count: 0,
+            batch: None,
         }
     }
 
@@ -247,80 +396,100 @@ impl Graph {
         self.len[u] = l - 1;
     }
 
-    /// Merges `add` (sorted ascending, duplicate-free, disjoint from the
-    /// block) into `u`'s sorted block: one backward in-place pass while
-    /// the block has room, otherwise a relocation that interleaves the
-    /// merge with the copy to the tail.
-    fn merge_block_additions(&mut self, u: usize, add: &[NodeId]) {
-        if add.is_empty() {
-            return;
-        }
+    /// Merges the entries of `add` (sorted ascending; any repeated entry
+    /// already in the block) that `u`'s sorted block lacks, and overwrites
+    /// the others in `add` with `PAD`. One backward in-place pass while the
+    /// block has room for all of `add`, otherwise a relocation that
+    /// interleaves the merge with the copy to the tail.
+    fn merge_block_additions(&mut self, u: usize, add: &mut [NodeId]) {
         let s = self.start[u];
         let l = self.len[u];
         let need = l + add.len();
         if need <= self.cap[u] {
             let block = &mut self.arena[s..s + need];
-            let mut i = l;
-            let mut j = add.len();
-            let mut w = need;
+            let (mut i, mut j, mut w) = (l, add.len(), need);
             while j > 0 {
-                if i > 0 && block[i - 1] > add[j - 1] {
+                let v = add[j - 1];
+                if i > 0 && block[i - 1] >= v {
+                    if block[i - 1] == v {
+                        add[j - 1] = PAD;
+                        j -= 1;
+                        continue;
+                    }
                     block[w - 1] = block[i - 1];
                     i -= 1;
                 } else {
-                    block[w - 1] = add[j - 1];
+                    block[w - 1] = v;
                     j -= 1;
                 }
                 w -= 1;
             }
-            self.len[u] = need;
+            // Entries already present leave `w - i` free slots between
+            // the untouched prefix and the merged tail.
+            if w > i {
+                block.copy_within(w..need, i);
+            }
+            self.len[u] = need - (w - i);
         } else {
             let new_cap = grow_cap(self.cap[u], need);
             let new_start = self.arena.len();
             self.arena.reserve(new_cap);
-            let mut i = 0usize;
-            let mut j = 0usize;
+            let (mut i, mut j) = (0usize, 0usize);
             while i < l && j < add.len() {
                 let x = self.arena[s + i];
                 if x < add[j] {
                     self.arena.push(x);
                     i += 1;
                 } else {
-                    self.arena.push(add[j]);
+                    if x == add[j] {
+                        add[j] = PAD;
+                    } else {
+                        self.arena.push(add[j]);
+                    }
                     j += 1;
                 }
             }
             self.arena.extend_from_within(s + i..s + l);
             self.arena.extend_from_slice(&add[j..]);
+            let merged = self.arena.len() - new_start;
             self.arena.resize(new_start + new_cap, PAD);
             self.dead += self.cap[u];
             self.start[u] = new_start;
-            self.len[u] = need;
+            self.len[u] = merged;
             self.cap[u] = new_cap;
             self.maybe_compact();
         }
     }
 
-    /// Removes every element of `del` (sorted ascending, duplicate-free,
-    /// all present) from `u`'s sorted block in one forward pass.
-    fn remove_block_elements(&mut self, u: usize, del: &[NodeId]) {
-        if del.is_empty() {
-            return;
-        }
+    /// Removes the entries of `del` (sorted ascending; any repeated entry
+    /// absent from the block) that `u`'s sorted block holds, in one forward
+    /// pass from the first of them, and overwrites the others in `del`
+    /// with `PAD`.
+    fn remove_block_elements(&mut self, u: usize, del: &mut [NodeId]) {
         let s = self.start[u];
         let l = self.len[u];
-        let mut j = 0usize;
-        let mut w = 0usize;
-        for r in 0..l {
+        let mut r = self.block(u).partition_point(|&v| v < del[0]);
+        let (mut j, mut w) = (0usize, r);
+        while r < l && j < del.len() {
             let v = self.arena[s + r];
-            if j < del.len() && del[j] == v {
+            if del[j] < v {
+                del[j] = PAD;
+                j += 1;
+                continue;
+            }
+            if del[j] == v {
                 j += 1;
             } else {
                 self.arena[s + w] = v;
                 w += 1;
             }
+            r += 1;
         }
-        self.len[u] = w;
+        if w < r {
+            self.arena.copy_within(s + r..s + l, s + w);
+        }
+        del[j..].fill(PAD);
+        self.len[u] = w + (l - r);
     }
 
     /// Compacts the arena if relocations have abandoned enough slots.
@@ -359,12 +528,21 @@ impl Graph {
         self.arena.len()
     }
 
-    /// Bytes of adjacency storage currently held: the neighbour arena plus
-    /// the three SoA columns, at allocated (not just used) size.
+    /// Bytes of adjacency storage currently held: the neighbour arena, the
+    /// three SoA columns and the batch edits' grouping scratch (empty
+    /// until the first batch), at allocated (not just used) size.
     pub fn memory_footprint_bytes(&self) -> usize {
+        let scratch = self.batch.as_deref().map_or(0, |b| {
+            std::mem::size_of::<BatchScratch>()
+                + (b.touched.capacity() + b.by_input.capacity() + b.grouped.capacity())
+                    * std::mem::size_of::<NodeId>()
+                + (b.count.capacity() + b.end.capacity()) * std::mem::size_of::<u32>()
+                + (b.words.capacity() + b.summary.capacity()) * std::mem::size_of::<u64>()
+        });
         self.arena.capacity() * std::mem::size_of::<NodeId>()
             + (self.start.capacity() + self.len.capacity() + self.cap.capacity())
                 * std::mem::size_of::<usize>()
+            + scratch
     }
 
     /// Adds the undirected edge `{u, v}`. Returns `true` if the edge was
@@ -422,122 +600,104 @@ impl Graph {
         }
     }
 
-    /// Inserts a batch of canonical edges in one merge pass per touched
-    /// node and calls `on_insert` for every edge that was newly inserted
-    /// (in the order of `edges`). Returns the number of new edges.
+    /// Inserts a batch of canonical edges, in any order, with one merge
+    /// pass per touched node, and calls `on_insert` for every edge that
+    /// was newly inserted, in ascending canonical order whatever the order
+    /// of `edges`. Returns the number of new edges.
     ///
-    /// Amortized cost is `O(degree + batch)` per touched node, versus one
-    /// `O(degree)` memmove per edge for repeated [`Graph::add_edge`].
+    /// Costs O(batch + n/4096) to group the batch by endpoint, with no
+    /// sort, plus one merge per touched node, amortized O(degree +
+    /// entries), versus one O(degree) memmove per edge for repeated
+    /// [`Graph::add_edge`]. The grouping scratch is allocated on the
+    /// first batch and reused after.
     ///
     /// # Panics
     ///
-    /// Panics if an endpoint is out of range or `edges` contains
-    /// duplicate not-yet-present edges — the case that would corrupt the
-    /// adjacency (callers stage through set-semantics vectors, so a
-    /// duplicate is a logic error, not data). Duplicates of already
-    /// present edges are harmlessly skipped by the freshness pre-filter.
-    pub fn add_edges_batch<F: FnMut(Edge)>(&mut self, edges: &[Edge], mut on_insert: F) -> usize {
-        if edges.is_empty() {
-            return 0;
-        }
-        let mut fresh: Vec<Edge> = Vec::with_capacity(edges.len());
-        for &e in edges {
-            assert!(
-                e.a.index() < self.n && e.b.index() < self.n,
-                "edge {{{}, {}}} out of range (n = {})",
-                e.a,
-                e.b,
-                self.n
-            );
-            if !self.has_edge(e.a, e.b) {
-                fresh.push(e);
-            }
-        }
-        // One directed entry per endpoint, grouped by source node.
-        let mut directed: Vec<(NodeId, NodeId)> = Vec::with_capacity(2 * fresh.len());
-        for &e in &fresh {
-            directed.push((e.a, e.b));
-            directed.push((e.b, e.a));
-        }
-        directed.sort_unstable();
-        assert!(
-            directed.windows(2).all(|w| w[0] != w[1]),
-            "duplicate edges in batch"
-        );
-        let mut i = 0;
-        let mut add: Vec<NodeId> = Vec::new();
-        while i < directed.len() {
-            let u = directed[i].0;
-            add.clear();
-            while i < directed.len() && directed[i].0 == u {
-                add.push(directed[i].1);
-                i += 1;
-            }
-            self.merge_block_additions(u.index(), &add);
-        }
-        self.edge_count += fresh.len();
-        for &e in &fresh {
-            on_insert(e);
-        }
-        fresh.len()
+    /// Panics, before anything is mutated, if an endpoint is out of range
+    /// or `edges` contains duplicate not-yet-present edges — the case that
+    /// would corrupt the adjacency (callers stage through set-semantics
+    /// vectors, so a duplicate is a logic error, not data). Duplicates of
+    /// already present edges are skipped with them.
+    pub fn add_edges_batch<F: FnMut(Edge)>(&mut self, edges: &[Edge], on_insert: F) -> usize {
+        self.apply_batch(edges, true, on_insert)
     }
 
-    /// Removes a batch of canonical edges in one merge pass per touched
-    /// node and calls `on_remove` for every edge that was present (in the
-    /// order of `edges`). Returns the number of edges removed.
+    /// Removes a batch of canonical edges, in any order, with one merge
+    /// pass per touched node, and calls `on_remove` for every edge that
+    /// was present, in ascending canonical order whatever the order of
+    /// `edges`. Returns the number of edges removed. Costs the same as
+    /// [`Graph::add_edges_batch`].
     ///
     /// # Panics
     ///
-    /// Panics if an endpoint is out of range or `edges` contains
-    /// duplicate present edges — the case that would corrupt the
-    /// adjacency; duplicates of absent edges are harmlessly skipped.
-    pub fn remove_edges_batch<F: FnMut(Edge)>(
+    /// Panics, before anything is mutated, if an endpoint is out of range
+    /// or `edges` contains duplicate present edges — the case that would
+    /// corrupt the adjacency; duplicates of absent edges are skipped with
+    /// them.
+    pub fn remove_edges_batch<F: FnMut(Edge)>(&mut self, edges: &[Edge], on_remove: F) -> usize {
+        self.apply_batch(edges, false, on_remove)
+    }
+
+    /// The body of both batch edits. Groups `edges` by endpoint and
+    /// rejects repeated entries that would change the graph (absent ones
+    /// when `insert`, present ones otherwise) before the first mutation.
+    /// Then each touched node, ascending, gets one merge pass that also
+    /// drops the entries that change nothing, and reports the changed
+    /// edges it is the smaller endpoint of: ascending canonical order.
+    fn apply_batch(
         &mut self,
         edges: &[Edge],
-        mut on_remove: F,
+        insert: bool,
+        mut on_edge: impl FnMut(Edge),
     ) -> usize {
         if edges.is_empty() {
             return 0;
         }
-        let mut present: Vec<Edge> = Vec::with_capacity(edges.len());
-        for &e in edges {
-            assert!(
-                e.a.index() < self.n && e.b.index() < self.n,
-                "edge {{{}, {}}} out of range (n = {})",
-                e.a,
-                e.b,
-                self.n
-            );
-            if self.has_edge(e.a, e.b) {
-                present.push(e);
+        // Taken out for the batch, so a panic drops it and the next batch
+        // starts from a zeroed one.
+        let mut scratch = self.batch.take().unwrap_or_default();
+        scratch.group(self.n, edges);
+        let BatchScratch {
+            end,
+            touched,
+            grouped,
+            ..
+        } = &mut *scratch;
+        // A repeated entry sits next to its twin in its ascending bucket.
+        let mut lo = 0usize;
+        for &x in touched.iter() {
+            let hi = end[x.index()] as usize;
+            for pair in grouped[lo..hi].windows(2) {
+                if pair[0] == pair[1] {
+                    let present = self.block(x.index()).binary_search(&pair[0]).is_ok();
+                    assert!(present == insert, "duplicate edges in batch");
+                }
             }
+            lo = hi;
         }
-        let mut directed: Vec<(NodeId, NodeId)> = Vec::with_capacity(2 * present.len());
-        for &e in &present {
-            directed.push((e.a, e.b));
-            directed.push((e.b, e.a));
-        }
-        directed.sort_unstable();
-        assert!(
-            directed.windows(2).all(|w| w[0] != w[1]),
-            "duplicate edges in batch"
-        );
-        let mut i = 0;
-        let mut del: Vec<NodeId> = Vec::new();
-        while i < directed.len() {
-            let u = directed[i].0;
-            del.clear();
-            while i < directed.len() && directed[i].0 == u {
-                del.push(directed[i].1);
-                i += 1;
+        let mut changed = 0usize;
+        lo = 0;
+        for &x in touched.iter() {
+            let hi = end[x.index()] as usize;
+            let entries = &mut grouped[lo..hi];
+            if insert {
+                self.merge_block_additions(x.index(), entries);
+            } else {
+                self.remove_block_elements(x.index(), entries);
             }
-            self.remove_block_elements(u.index(), &del);
+            for &v in entries.iter().filter(|&&v| v > x && v != PAD) {
+                on_edge(Edge { a: x, b: v });
+                changed += 1;
+            }
+            lo = hi;
         }
-        self.edge_count -= present.len();
-        for &e in &present {
-            on_remove(e);
+        if insert {
+            self.edge_count += changed;
+        } else {
+            self.edge_count -= changed;
         }
-        present.len()
+        self.batch = Some(scratch);
+        changed
     }
 
     /// Severs every edge incident to `u` in one pass (one in-block removal
@@ -848,6 +1008,8 @@ mod tests {
         NodeId(i)
     }
 
+    use crate::generators;
+
     #[test]
     fn edge_is_canonical() {
         let e1 = Edge::new(nid(3), nid(1));
@@ -919,7 +1081,6 @@ mod tests {
         // Checked against `at_distance_two` directly, so release builds
         // (where the debug oracle inside `potential_neighbors` is compiled
         // out) test the same thing.
-        use crate::generators;
         let mut cases: Vec<(String, Graph)> = vec![
             // Overlapping lists: many duplicates, a block subtracted.
             ("lollipop".into(), generators::lollipop(4, 4)),
@@ -988,18 +1149,20 @@ mod tests {
         let mut inserted = Vec::new();
         let fresh = batched.add_edges_batch(&edges, |e| inserted.push(e));
         assert_eq!(fresh, 5);
-        assert_eq!(inserted, edges);
+        let mut ascending = edges.clone();
+        ascending.sort_unstable();
+        assert_eq!(inserted, ascending, "canonical order, not input order");
         assert_eq!(batched, singles);
         assert!(batched.check_invariants());
 
         // Batch-inserting again finds nothing fresh.
         assert_eq!(batched.add_edges_batch(&edges, |_| panic!("no fresh")), 0);
 
-        // Remove a sub-batch plus one absent edge.
+        // Remove a sub-batch plus one absent edge, out of order.
         let removals = vec![
-            Edge::new(nid(0), nid(2)),
-            Edge::new(nid(3), nid(4)), // absent: skipped
             Edge::new(nid(3), nid(5)),
+            Edge::new(nid(3), nid(4)), // absent: skipped
+            Edge::new(nid(0), nid(2)),
         ];
         let mut removed = Vec::new();
         let gone = batched.remove_edges_batch(&removals, |e| removed.push(e));
@@ -1012,6 +1175,54 @@ mod tests {
         singles.remove_edge(nid(3), nid(5)).unwrap();
         assert_eq!(batched, singles);
         assert!(batched.check_invariants());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate edges in batch")]
+    fn add_batch_rejects_a_fresh_edge_given_twice() {
+        let mut g = Graph::new(4);
+        let e = |u, v| Edge::new(nid(u), nid(v));
+        g.add_edges_batch(&[e(0, 1), e(2, 3), e(0, 1)], |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate edges in batch")]
+    fn remove_batch_rejects_a_present_edge_given_twice() {
+        let mut g = generators::line(4);
+        let e = |u, v| Edge::new(nid(u), nid(v));
+        g.remove_edges_batch(&[e(1, 2), e(0, 1), e(1, 2)], |_| {});
+    }
+
+    #[test]
+    fn batch_duplicates_that_change_nothing_are_skipped() {
+        let mut g = generators::line(4);
+        let e = |u, v| Edge::new(nid(u), nid(v));
+        let mut seen = Vec::new();
+        // {0, 1} is present: both copies are skipped, {0, 2} is inserted.
+        let added = g.add_edges_batch(&[e(0, 1), e(0, 2), e(0, 1)], |x| seen.push(x));
+        assert_eq!((added, &seen[..]), (1, &[e(0, 2)][..]));
+        // {1, 3} is absent: both copies are skipped, {2, 3} is removed.
+        seen.clear();
+        let removed = g.remove_edges_batch(&[e(1, 3), e(2, 3), e(1, 3)], |x| seen.push(x));
+        assert_eq!((removed, &seen[..]), (1, &[e(2, 3)][..]));
+        assert_eq!(g.edge_vec(), vec![e(0, 1), e(0, 2), e(1, 2)]);
+        assert!(g.check_invariants());
+    }
+
+    #[test]
+    fn a_rejected_batch_mutates_nothing() {
+        let mut g = generators::line(5);
+        let before = g.clone();
+        let e = |u, v| Edge::new(nid(u), nid(v));
+        let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            g.add_edges_batch(&[e(0, 2), e(2, 4), e(0, 2)], |_| {})
+        }));
+        assert!(rejected.is_err());
+        assert_eq!(g, before);
+        assert!(g.check_invariants());
+        // The next batch starts from a fresh scratch and applies cleanly.
+        assert_eq!(g.add_edges_batch(&[e(2, 4), e(0, 2)], |_| {}), 2);
+        assert!(g.check_invariants());
     }
 
     #[test]

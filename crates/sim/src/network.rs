@@ -101,13 +101,13 @@ pub struct Network {
     current: Graph,
     round: usize,
     /// Columnar round staging: the staged activation edges in stage
-    /// order, duplicate-free (set semantics via the hash guards below),
-    /// with the *initiator* of every successful stage in a parallel
-    /// column — per-node activation counts are reduced from it at commit
-    /// time. The columns are sorted once at commit instead of kept sorted
-    /// per stage: a round staging `k` edges pays one `k log k` sort
-    /// rather than `k` shifting inserts into a sorted vector.
+    /// order, duplicate-free (set semantics via the hash guards below).
+    /// Nothing sorts them: the batch edits at commit group them by node
+    /// and report the applied edges in canonical order.
     staged_activations: Vec<Edge>,
+    /// Successful activation stages per initiator this round (zero
+    /// outside `staged_initiators`, whose nodes are listed once each).
+    initiator_stages: Vec<usize>,
     staged_initiators: Vec<NodeId>,
     /// Staged deactivations, in stage order, duplicate-free.
     staged_deactivations: Vec<Edge>,
@@ -147,46 +147,6 @@ pub struct Network {
     dst: Option<Box<DstState>>,
 }
 
-/// Removes the elements common to both sorted, duplicate-free vectors
-/// from each, in one two-pointer pass (in-place compaction).
-fn drop_common_sorted(a: &mut Vec<Edge>, b: &mut Vec<Edge>) {
-    if a.is_empty() || b.is_empty() {
-        return;
-    }
-    let (mut i, mut j) = (0usize, 0usize);
-    let (mut wa, mut wb) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                a[wa] = a[i];
-                wa += 1;
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                b[wb] = b[j];
-                wb += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    while i < a.len() {
-        a[wa] = a[i];
-        wa += 1;
-        i += 1;
-    }
-    while j < b.len() {
-        b[wb] = b[j];
-        wb += 1;
-        j += 1;
-    }
-    a.truncate(wa);
-    b.truncate(wb);
-}
-
 impl Network {
     /// Creates a network whose initial snapshot `D(1)` is `initial`.
     pub fn new(initial: Graph) -> Self {
@@ -200,6 +160,7 @@ impl Network {
             current,
             round: 1,
             staged_activations: Vec::new(),
+            initiator_stages: vec![0; n],
             staged_initiators: Vec::new(),
             staged_deactivations: Vec::new(),
             staged_activation_set: StagedEdgeSet::default(),
@@ -484,14 +445,22 @@ impl Network {
                 round: self.round,
             });
         }
-        let e = Edge::new(u, v);
-        if self.staged_activation_set.insert(e) {
-            self.staged_activations.push(e);
-            self.staged_initiators.push(u);
-            Ok(true)
-        } else {
-            Ok(false)
+        Ok(self.push_activation(Edge::new(u, v), u))
+    }
+
+    /// Stages the validated activation `e` by `initiator` unless it is
+    /// already staged. Returns whether it was newly staged.
+    fn push_activation(&mut self, e: Edge, initiator: NodeId) -> bool {
+        if !self.staged_activation_set.insert(e) {
+            return false;
         }
+        self.staged_activations.push(e);
+        let stages = &mut self.initiator_stages[initiator.index()];
+        if *stages == 0 {
+            self.staged_initiators.push(initiator);
+        }
+        *stages += 1;
+        true
     }
 
     /// Stages the deactivation of edge `{u, v}` for the current round.
@@ -568,10 +537,7 @@ impl Network {
                     round: self.round,
                 });
             }
-            let e = Edge::new(u, v);
-            if self.staged_activation_set.insert(e) {
-                self.staged_activations.push(e);
-                self.staged_initiators.push(u);
+            if self.push_activation(Edge::new(u, v), u) {
                 staged += 1;
             }
         }
@@ -605,18 +571,37 @@ impl Network {
     /// Per the paper's conflict rule, an edge staged for both activation
     /// and deactivation in the same round is left untouched ("their actions
     /// have no effect"); with the staging preconditions above this can only
-    /// arise from racy higher-level logic and is resolved conservatively.
+    /// arise when a fault changes the snapshot between the two stages, and
+    /// is resolved conservatively.
+    ///
+    /// The bus receives the applied activations in ascending canonical
+    /// order, then the applied deactivations likewise, whatever order they
+    /// were staged in. The commit sorts nothing: it costs O(k) for the
+    /// round's `k` staged operations plus the two batch edits (linear in
+    /// the batch and the touched nodes' degrees, see
+    /// [`Graph::add_edges_batch`]).
     pub fn commit_round(&mut self) -> RoundSummary {
-        // The columns were filled in stage order (duplicate-free by the
-        // hash guards); one sort each restores the canonical order every
-        // downstream pass relies on.
-        self.staged_activations.sort_unstable();
-        self.staged_deactivations.sort_unstable();
+        // Conflict rule: the shorter column probes the other's staging
+        // guard; only a hit pays for filtering both.
+        let (activating, deactivating) =
+            (&self.staged_activation_set, &self.staged_deactivation_set);
+        let conflict = if self.staged_activations.len() <= self.staged_deactivations.len() {
+            self.staged_activations
+                .iter()
+                .any(|e| deactivating.contains(e))
+        } else {
+            self.staged_deactivations
+                .iter()
+                .any(|e| activating.contains(e))
+        };
+        if conflict {
+            self.staged_activations
+                .retain(|e| !deactivating.contains(e));
+            self.staged_deactivations
+                .retain(|e| !activating.contains(e));
+        }
         self.staged_activation_set.clear();
         self.staged_deactivation_set.clear();
-        // Conflict rule: both columns are sorted, so dropping the common
-        // edges is one two-pointer pass over each.
-        drop_common_sorted(&mut self.staged_activations, &mut self.staged_deactivations);
 
         // Validate staged edges against crashed endpoints in one pass: a
         // node crash-stopped mid-round performs no further edge
@@ -639,8 +624,6 @@ impl Network {
         // after both batches are applied, so a node activated and
         // deactivated in the same round is credited with its end-of-round
         // degree, exactly like the old whole-graph scan.
-        let staged_activations = std::mem::take(&mut self.staged_activations);
-        let staged_deactivations = std::mem::take(&mut self.staged_deactivations);
         let mut touched = std::mem::take(&mut self.commit_touched);
         let mut grew = std::mem::take(&mut self.commit_grew);
         touched.clear();
@@ -656,7 +639,7 @@ impl Network {
                 bus: &mut self.bus,
                 ledger: &mut self.ledger,
             };
-            self.current.add_edges_batch(&staged_activations, |e| {
+            self.current.add_edges_batch(&self.staged_activations, |e| {
                 grew.push(e.a);
                 grew.push(e.b);
                 if sink.edge(e, true) {
@@ -664,10 +647,13 @@ impl Network {
                     touched.push(e.b);
                 }
             });
-            self.current.remove_edges_batch(&staged_deactivations, |e| {
-                sink.edge(e, false);
-            });
+            self.current
+                .remove_edges_batch(&self.staged_deactivations, |e| {
+                    sink.edge(e, false);
+                });
         }
+        self.staged_activations.clear();
+        self.staged_deactivations.clear();
         for &u in &touched {
             self.ledger.metrics.max_activated_degree = self
                 .ledger
@@ -676,32 +662,22 @@ impl Network {
                 .max(self.activated_degree[u.index()]);
         }
 
-        // Metrics bookkeeping. The initiator column records one entry per
+        // Metrics bookkeeping. The per-initiator counters count every
         // successful stage (including edges later dropped by the conflict
-        // rule, matching the old per-stage map), so the per-node maximum
-        // is a sort + run-length scan. Initiators that crash-stopped this
-        // round are excluded — a crashed node performs no edge
-        // operations, consistent with its staged edges being dropped.
+        // rule, matching the old per-stage map); reading them resets them.
+        // Initiators that crash-stopped this round are excluded — a
+        // crashed node performs no edge operations, consistent with its
+        // staged edges being dropped.
         self.ledger.metrics.rounds += 1;
         self.ledger.metrics.total_activations += activations;
         self.ledger.metrics.total_deactivations += deactivations;
         self.ledger.metrics.push_round_activations(activations);
-        let mut initiators = std::mem::take(&mut self.staged_initiators);
-        initiators.sort_unstable();
         let mut max_per_node = 0usize;
-        let mut run = 0usize;
-        let mut prev: Option<NodeId> = None;
-        for u in initiators {
-            if self.crashed[u.index()] {
-                continue;
+        for u in self.staged_initiators.drain(..) {
+            let stages = std::mem::take(&mut self.initiator_stages[u.index()]);
+            if !self.crashed[u.index()] {
+                max_per_node = max_per_node.max(stages);
             }
-            if prev == Some(u) {
-                run += 1;
-            } else {
-                run = 1;
-                prev = Some(u);
-            }
-            max_per_node = max_per_node.max(run);
         }
         self.ledger.metrics.max_node_activations_in_round = self
             .ledger
@@ -918,6 +894,7 @@ impl Network {
     pub(crate) fn fault_add_node(&mut self) -> NodeId {
         let node = self.current.add_node();
         self.activated_degree.push(0);
+        self.initiator_stages.push(0);
         self.crashed.push(false);
         self.ledger.on_join();
         // Ordering contract: the join precedes any attach edge insertion.
@@ -1030,21 +1007,31 @@ mod tests {
 
     #[test]
     fn conflicting_activation_and_deactivation_cancel() {
-        // Build a triangle-free situation where an edge can end up in both
-        // sets: activate (0,2) then in the *same* round deactivate it is
-        // impossible through the public API (deactivation checks E(i)), so
-        // we simulate the conflict rule by staging deactivation of an
-        // existing edge and an activation of the same edge: also impossible
-        // (activation checks E(i)). The conflict path is therefore only
-        // reachable when higher-level logic races; here we just verify that
-        // a normal activate-then-commit followed by deactivate-then-commit
-        // behaves sequentially.
+        // Staging validates against E(i), so an edge reaches both columns
+        // only when a fault changes the snapshot between the two stages:
+        // stage the activation of {0, 2}, let a fault insert it, then stage
+        // its deactivation. The commit must leave it alone.
         let mut net = Network::new(generators::line(3));
-        net.stage_activation(nid(0), nid(2)).unwrap();
-        net.commit_round();
-        net.stage_deactivation(nid(0), nid(2)).unwrap();
-        net.commit_round();
-        assert!(!net.graph().has_edge(nid(0), nid(2)));
+        assert!(net.stage_activation(nid(0), nid(2)).unwrap());
+        assert!(net.fault_insert_edge(nid(0), nid(2)));
+        let activated = net.activated_edge_count();
+        net.set_event_recording(true);
+        assert!(net.stage_deactivation(nid(0), nid(2)).unwrap());
+        let s = net.commit_round();
+        assert_eq!((s.activations, s.deactivations), (0, 0));
+        assert!(net.graph().has_edge(nid(0), nid(2)));
+        assert_eq!(net.activated_edge_count(), activated);
+        assert_eq!(
+            net.take_events(),
+            vec![RoundEvent::RoundCommitted {
+                round: 1,
+                activations: 0,
+                deactivations: 0,
+            }],
+            "no commit edge event for the cancelled pair"
+        );
+        assert_eq!(net.metrics().total_activations, 0);
+        assert_eq!(net.metrics().total_deactivations, 0);
     }
 
     #[test]

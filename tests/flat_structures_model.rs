@@ -1,12 +1,12 @@
 //! Differential property suite for the flat data path.
 //!
 //! The graph core stores adjacency as per-node sorted `Vec<NodeId>` and
-//! the network stages rounds as sorted edge columns. These tests pin both
-//! against straightforward `BTreeSet`-based reference models — the
-//! representation the seed used — under seeded random operation
-//! sequences (add_edge / remove_edge / add_node / stage / commit), so any
-//! divergence in contents, iteration order, counters or round summaries
-//! is caught with the seed that reproduces it.
+//! the network stages rounds as edge columns in stage order. These
+//! tests pin both against straightforward `BTreeSet`-based reference
+//! models — the representation the seed used — under seeded random
+//! operation sequences (add_edge / remove_edge / add_node / stage /
+//! commit), so any divergence in contents, iteration order, counters or
+//! round summaries is caught with the seed that reproduces it.
 
 use actively_dynamic_networks::graph::rng::DetRng;
 use actively_dynamic_networks::graph::{generators, Edge, Graph, NodeId};
@@ -167,7 +167,9 @@ fn graph_batch_ops_match_single_edge_model() {
         let mut batched = Graph::new(n);
         let mut singles = Graph::new(n);
         for _round in 0..40 {
-            // Draw a set-semantics batch (sorted, deduplicated).
+            // Draw a set-semantics batch (deduplicated), shuffled about
+            // half the time: the callbacks must come in ascending
+            // canonical order either way.
             let mut batch: BTreeSet<Edge> = BTreeSet::new();
             for _ in 0..rng.gen_range(0, 9) {
                 let u = rng.gen_range(0, n);
@@ -177,28 +179,29 @@ fn graph_batch_ops_match_single_edge_model() {
                 }
                 batch.insert(Edge::new(NodeId(u), NodeId(v)));
             }
-            let batch: Vec<Edge> = batch.into_iter().collect();
+            let mut batch: Vec<Edge> = batch.into_iter().collect();
+            if rng.gen_bool(0.5) {
+                rng.shuffle(&mut batch);
+            }
+            let mut from_batch = Vec::new();
+            let mut from_singles = Vec::new();
             if rng.gen_bool(0.6) {
-                let mut from_batch = Vec::new();
                 batched.add_edges_batch(&batch, |e| from_batch.push(e));
-                let mut from_singles = Vec::new();
                 for e in &batch {
                     if singles.add_edge(e.a, e.b).unwrap() {
                         from_singles.push(*e);
                     }
                 }
-                assert_eq!(from_batch, from_singles, "seed {seed}: fresh edges");
             } else {
-                let mut from_batch = Vec::new();
                 batched.remove_edges_batch(&batch, |e| from_batch.push(e));
-                let mut from_singles = Vec::new();
                 for e in &batch {
                     if singles.remove_edge(e.a, e.b).unwrap() {
                         from_singles.push(*e);
                     }
                 }
-                assert_eq!(from_batch, from_singles, "seed {seed}: removed edges");
             }
+            from_singles.sort_unstable();
+            assert_eq!(from_batch, from_singles, "seed {seed}: changed edges");
             assert_eq!(batched, singles, "seed {seed}: state diverged");
             assert!(batched.check_invariants());
         }

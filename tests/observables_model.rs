@@ -150,7 +150,7 @@ fn recorded_stream_replays_to_snapshot_under_faults() {
                 // Replay into the mirror; sample it at every boundary for
                 // the traced max_degree cross-check.
                 let mut window_activations = Vec::new();
-                for event in &events {
+                for (i, event) in events.iter().enumerate() {
                     apply_to_mirror(&mut mirror, event);
                     match *event {
                         RoundEvent::RoundCommitted {
@@ -158,6 +158,32 @@ fn recorded_stream_replays_to_snapshot_under_faults() {
                             deactivations,
                             ..
                         } => {
+                            // The commit's own edge events close in on its
+                            // boundary: the adds, strictly ascending, then
+                            // the removes, strictly ascending.
+                            let (adds, removes) =
+                                events[i - activations - deactivations..i].split_at(activations);
+                            for (run, added) in [(adds, true), (removes, false)] {
+                                let edges: Vec<Edge> = run
+                                    .iter()
+                                    .map(|e| match *e {
+                                        RoundEvent::Edge { edge, added: a, .. } if a == added => {
+                                            edge
+                                        }
+                                        _ => panic!(
+                                            "scenario {} seed {seed} round {round}: {e:?} \
+                                             out of place in a commit run",
+                                            scenario.name
+                                        ),
+                                    })
+                                    .collect();
+                                assert!(
+                                    edges.windows(2).all(|w| w[0] < w[1]),
+                                    "scenario {} seed {seed} round {round}: commit run \
+                                     not strictly ascending: {edges:?}",
+                                    scenario.name
+                                );
+                            }
                             boundaries += 1;
                             window_activations.push(activations);
                             traced_max_degrees.push(mirror.max_degree());
