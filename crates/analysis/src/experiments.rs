@@ -4,7 +4,7 @@
 //! Each function returns a self-contained markdown fragment; the
 //! `adn-bench` crate exposes them through the `report` binary
 //! (`cargo run -p adn-bench --release --bin report -- <experiment id>`),
-//! and EXPERIMENTS.md records a captured run.
+//! and `tests/expectations/report.txt` pins the full report's output.
 
 use crate::fit::best_fit;
 use crate::record::{markdown_table, Algorithm, RunRecord};
@@ -14,7 +14,7 @@ use adn_core::algorithm::{
 };
 use adn_core::lower_bounds;
 use adn_core::subroutines::{
-    run_async_line_to_tree, run_line_to_tree, run_tree_to_star, AsyncLineConfig, LineToTreeConfig,
+    run_async_line_to_tree, run_line_to_tree, run_tree_to_star, LineToTreeConfig,
 };
 use adn_core::tasks::{disseminate_after_transformation, disseminate_by_flooding_only};
 use adn_graph::properties::ceil_log2;
@@ -161,12 +161,9 @@ pub fn f3_async_equivalence(sizes: &[usize]) -> String {
             ),
         ] {
             let mut net = Network::new(generators::line(n));
-            let config = AsyncLineConfig {
-                arity: 2,
-                protected_edges: Default::default(),
-                wake_round: wake,
-            };
-            let (tree, rounds) = run_async_line_to_tree(&mut net, &line, &config).unwrap();
+            let (tree, rounds) =
+                run_async_line_to_tree(&mut net, &line, &LineToTreeConfig::binary(), &wake)
+                    .unwrap();
             out.push_str(&format!(
                 "| {n} | {label} | {} | {rounds} | {} |\n",
                 if tree == sync.0 { "yes" } else { "NO" },
@@ -327,7 +324,7 @@ pub fn flooding_rounds_on_line(n: usize) -> usize {
 
 /// Runs every experiment with the default (fast) parameter sets and
 /// concatenates the fragments. This is what the `report` binary prints and
-/// what EXPERIMENTS.md captures.
+/// what `tests/expectations/report.txt` pins.
 pub fn run_all_default() -> String {
     let mut out = String::from("# Regenerated experiment report\n\n");
     out.push_str(&t1_contribution_table(&[64, 128, 256, 512], 256));

@@ -3,8 +3,8 @@
 //! Runs the algorithms of `adn-core` over parameter sweeps, collects the
 //! paper's edge-complexity measures into [`RunRecord`]s, fits the observed
 //! growth against candidate complexity shapes, and formats the tables and
-//! series that regenerate every claim of the paper (see DESIGN.md §5 and
-//! EXPERIMENTS.md).
+//! series that regenerate every claim of the paper (the full report is
+//! pinned in `tests/expectations/report.txt`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,7 +5,8 @@
 //!
 //! * `cargo run -p adn-bench --release --bin report [-- <experiment-id>]`
 //!   where `<experiment-id>` is one of t1, t4, f1, f3, f4, f5, t6, f7,
-//!   t8, f9 (no id = the full report, as captured in EXPERIMENTS.md);
+//!   t8, f9 (no id = the full report, pinned in
+//!   `tests/expectations/report.txt`);
 //! * `... report -- --dst [cases] [--threads N]` — run the DST stress
 //!   sweep (default 1344 cases) on `N` worker threads (default: available
 //!   cores; the artifact is byte-identical for every `N`) and write

@@ -7,7 +7,7 @@
 //! which are independent of wall-clock time).
 //!
 //! * `cargo run -p adn-bench --release --bin report` — full experiment
-//!   report (all tables/figures, as captured in EXPERIMENTS.md).
+//!   report (all tables/figures, pinned in `tests/expectations/report.txt`).
 //! * `cargo run -p adn-bench --release --bin report -- t1` — a single
 //!   experiment (ids: t1, t4, f1, f3, f4, f5, t6, f7, t8, f9).
 //! * `cargo run -p adn-bench --release --bin report -- --dst [cases]

@@ -32,51 +32,27 @@
 //! charged only when no line moved. The lines share no node and a line's
 //! witness checks read only its own edges, so every line performs exactly
 //! the jump sequence of a run on its own: a batch takes the *maximum* of
-//! its lines' round counts rather than their sum. The single-line entry
-//! points are one-line batches.
+//! its lines' round counts rather than their sum. [`run_async_line_to_tree`]
+//! is a one-line batch, and the synchronous
+//! [`run_line_to_tree`](crate::subroutines::run_line_to_tree) is that
+//! batch with every node awake from round 1 (Lemma B.4).
+//!
+//! `plan_sync_schedule` is the only code that decides Proposition 2.2's
+//! jumps; the lockstep batch here and the actors of
+//! [`crate::subroutines::runtime_line_to_tree`] only carry its plan out.
 
-use crate::subroutines::LineScratch;
+use crate::subroutines::{LineScratch, LineToTreeConfig};
 use crate::CoreError;
 use adn_graph::edgeset::SortedEdgeSet;
 use adn_graph::properties::ceil_log2;
 use adn_graph::{Edge, NodeId, RootedTree};
 use adn_sim::Network;
 
-/// Configuration for [`run_async_line_to_tree`].
-#[derive(Debug, Clone)]
-pub struct AsyncLineConfig {
-    /// Maximum number of children per node in the constructed tree.
-    pub arity: usize,
-    /// Edges that must never be deactivated (ring edges in the wreath
-    /// algorithms). A flat sorted set: built once per committee merge,
-    /// probed per jump.
-    pub protected_edges: SortedEdgeSet,
-    /// Wake-up round (1-based, relative to the start of the subroutine)
-    /// for each position of the line. Position `i` refers to `line[i]`.
-    pub wake_round: Vec<usize>,
-}
-
-impl AsyncLineConfig {
-    /// Synchronous special case: every node awake from round 1.
-    pub fn all_awake(n: usize, arity: usize) -> Self {
-        AsyncLineConfig {
-            arity,
-            protected_edges: SortedEdgeSet::new(),
-            wake_round: vec![1; n],
-        }
-    }
-
-    /// Builder-style setter for the protected edge set.
-    pub fn with_protected_edges<I: IntoIterator<Item = Edge>>(mut self, edges: I) -> Self {
-        self.protected_edges = edges.into_iter().collect();
-        self
-    }
-}
-
 /// The synchronous jump schedule: for every position, the ordered list of
-/// grandparent positions it hops to. Computed by replaying the synchronous
-/// subroutine purely on positions (no network). Shared with the actor
-/// implementation in [`crate::subroutines::runtime_line_to_tree`].
+/// grandparent positions it hops to. Computed by running the synchronous
+/// subroutine purely on positions (no network); this is the one
+/// implementation of Proposition 2.2's rule, which [`run_lockstep`] and
+/// the actors of [`crate::subroutines::runtime_line_to_tree`] carry out.
 pub(crate) fn plan_sync_schedule(n: usize, arity: usize) -> Vec<Vec<usize>> {
     let mut schedule: Vec<Vec<usize>> = vec![Vec::new(); n];
     if n <= 1 {
@@ -111,10 +87,14 @@ pub(crate) fn plan_sync_schedule(n: usize, arity: usize) -> Vec<Vec<usize>> {
             jumps.push((pos, p, gp));
         }
         if jumps.is_empty() {
-            if terminated.iter().all(|&t| t) {
-                break;
-            }
-            continue;
+            // A position skips a pass without terminating only when
+            // another jump onto the same grandparent was planned in it,
+            // so a pass that plans no jump has terminated everyone.
+            debug_assert!(
+                terminated.iter().all(|&t| t),
+                "a pass planned no jump but left positions unterminated"
+            );
+            break;
         }
         for (pos, p, gp) in jumps {
             schedule[pos].push(gp);
@@ -126,55 +106,52 @@ pub(crate) fn plan_sync_schedule(n: usize, arity: usize) -> Vec<Vec<usize>> {
     schedule
 }
 
+/// The tree the synchronous schedule builds, in position space: each
+/// position's parent is its last jump target, or its line predecessor if
+/// it never jumps. The executors' tests compare against it.
+#[cfg(test)]
+pub(crate) fn planned_tree(n: usize, arity: usize) -> RootedTree {
+    let parents = plan_sync_schedule(n, arity)
+        .iter()
+        .enumerate()
+        .map(|(pos, jumps)| (pos > 0).then(|| NodeId(jumps.last().copied().unwrap_or(pos - 1))))
+        .collect();
+    RootedTree::from_parents(NodeId(0), parents).expect("the plan builds a tree")
+}
+
 /// Runs the asynchronous line-to-tree subroutine.
 ///
-/// Arguments are as in
-/// [`run_line_to_tree`](crate::subroutines::run_line_to_tree); the
-/// returned tree is again in position space (vertex `i` is `line[i]`).
+/// `line` and `config` are as in
+/// [`run_line_to_tree`](crate::subroutines::run_line_to_tree);
+/// `wake_round[i]` is the wake-up round (1-based, relative to the start
+/// of the subroutine) of `line[i]`. The returned tree is again in
+/// position space (vertex `i` is `line[i]`).
 ///
 /// # Errors
 ///
-/// * [`CoreError::InvalidInput`] on malformed lines, zero arity, or a
-///   `wake_round` vector of the wrong length.
+/// * [`CoreError::InvalidInput`] on the inputs
+///   [`run_line_to_tree`](crate::subroutines::run_line_to_tree) rejects,
+///   or a `wake_round` slice of the wrong length.
 /// * [`CoreError::DidNotConverge`] / [`CoreError::Sim`] on implementation
 ///   bugs.
 pub fn run_async_line_to_tree(
     network: &mut Network,
     line: &[NodeId],
-    config: &AsyncLineConfig,
+    config: &LineToTreeConfig,
+    wake_round: &[usize],
 ) -> Result<(RootedTree, usize), CoreError> {
-    let mut scratch = LineScratch::new();
-    run_async_line_to_tree_with_scratch(network, line, config, &mut scratch)
-}
-
-/// [`run_async_line_to_tree`] with caller-owned scratch state: the
-/// synchronous jump schedule is memoised per (length, arity) and the
-/// positional columns are recycled, so a caller running the subroutine
-/// many times pays the planning and allocation cost once per distinct
-/// line length instead of once per run. Behaviourally identical to the
-/// plain entry point.
-///
-/// # Errors
-///
-/// As [`run_async_line_to_tree`].
-pub fn run_async_line_to_tree_with_scratch(
-    network: &mut Network,
-    line: &[NodeId],
-    config: &AsyncLineConfig,
-    scratch: &mut LineScratch,
-) -> Result<(RootedTree, usize), CoreError> {
-    if config.wake_round.len() != line.len() {
+    if wake_round.len() != line.len() {
         return Err(CoreError::InvalidInput {
             reason: format!(
                 "wake_round has {} entries for a line of {} nodes",
-                config.wake_round.len(),
+                wake_round.len(),
                 line.len()
             ),
         });
     }
-    scratch.clear_lines();
-    scratch.push_line(line, config.wake_round.iter().copied());
-    let rounds = run_lockstep(network, config.arity, &config.protected_edges, scratch)?;
+    let mut scratch = LineScratch::new();
+    scratch.push_line(line, wake_round.iter().copied());
+    let rounds = run_lockstep(network, config.arity, &config.protected_edges, &mut scratch)?;
     let parents: Vec<Option<NodeId>> = scratch
         .line_parents(0)
         .iter()
@@ -185,16 +162,25 @@ pub fn run_async_line_to_tree_with_scratch(
     Ok((tree, rounds))
 }
 
-/// Rejects an empty line, a line repeating a node, and a line whose
-/// consecutive nodes are not adjacent in the current graph.
-fn validate_line(
+/// Rejects, in this order, an empty line, zero arity, a line repeating a
+/// node, a line naming a node outside the network, and a line whose
+/// consecutive nodes are not adjacent in the current graph. `seen` is
+/// scratch for the duplicate check. Every line-to-tree entry point
+/// validates through here.
+pub(crate) fn validate_line(
     network: &Network,
     line: &[NodeId],
+    arity: usize,
     seen: &mut Vec<NodeId>,
 ) -> Result<(), CoreError> {
     if line.is_empty() {
         return Err(CoreError::InvalidInput {
             reason: "line must contain at least one node".into(),
+        });
+    }
+    if arity == 0 {
+        return Err(CoreError::InvalidInput {
+            reason: "arity must be at least 1".into(),
         });
     }
     seen.clear();
@@ -206,6 +192,11 @@ fn validate_line(
                 reason: format!("node {} appears twice in the line", w[0]),
             });
         }
+    }
+    if line.iter().any(|u| u.index() >= network.node_count()) {
+        return Err(CoreError::InvalidInput {
+            reason: "line refers to nodes outside the network".into(),
+        });
     }
     for w in line.windows(2) {
         if !network.graph().has_edge(w[0], w[1]) {
@@ -279,7 +270,7 @@ pub(crate) fn run_lockstep(
     let mut unfinished = 0usize;
     for k in 0..lines {
         let (base, end) = (line_start[k], line_start[k + 1]);
-        validate_line(network, &nodes[base..end], seen)?;
+        validate_line(network, &nodes[base..end], arity, seen)?;
         let n = end - base;
         parent_pos.extend((0..n).map(|i| i.saturating_sub(1)));
         let id = *schedule_of.entry((n, arity)).or_insert_with(|| {
@@ -388,8 +379,6 @@ pub(crate) fn run_lockstep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subroutines::line_to_tree::{run_line_to_tree, LineToTreeConfig};
-    use adn_graph::properties::ceil_log2;
     use adn_graph::rng::DetRng;
     use adn_graph::{generators, NodeId};
 
@@ -397,16 +386,11 @@ mod tests {
         (0..n).map(NodeId).collect()
     }
 
-    fn sync_tree(n: usize, arity: usize) -> RootedTree {
-        let g = generators::line(n);
-        let mut net = Network::new(g);
-        let config = LineToTreeConfig {
+    fn config(arity: usize) -> LineToTreeConfig {
+        LineToTreeConfig {
             arity,
             protected_edges: SortedEdgeSet::new(),
-        };
-        run_line_to_tree(&mut net, &identity_line(n), &config)
-            .unwrap()
-            .0
+        }
     }
 
     #[test]
@@ -414,10 +398,10 @@ mod tests {
         for &n in &[2usize, 5, 8, 16, 33, 64] {
             let g = generators::line(n);
             let mut net = Network::new(g);
-            let config = AsyncLineConfig::all_awake(n, 2);
             let (tree, rounds) =
-                run_async_line_to_tree(&mut net, &identity_line(n), &config).unwrap();
-            assert_eq!(tree, sync_tree(n, 2), "n={n}");
+                run_async_line_to_tree(&mut net, &identity_line(n), &config(2), &vec![1; n])
+                    .unwrap();
+            assert_eq!(tree, planned_tree(n, 2), "n={n}");
             assert!(rounds <= ceil_log2(n) + 2);
         }
     }
@@ -428,14 +412,10 @@ mod tests {
             let n = 48;
             let g = generators::line(n);
             let mut net = Network::new(g);
-            let config = AsyncLineConfig {
-                arity: 2,
-                protected_edges: SortedEdgeSet::new(),
-                wake_round: vec![delay; n],
-            };
             let (tree, rounds) =
-                run_async_line_to_tree(&mut net, &identity_line(n), &config).unwrap();
-            assert_eq!(tree, sync_tree(n, 2));
+                run_async_line_to_tree(&mut net, &identity_line(n), &config(2), &vec![delay; n])
+                    .unwrap();
+            assert_eq!(tree, planned_tree(n, 2));
             assert!(rounds >= delay);
             assert!(rounds <= delay + ceil_log2(n) + 2);
         }
@@ -449,15 +429,10 @@ mod tests {
             let wake: Vec<usize> = (0..n).map(|i| 1 + (i % (ceil_log2(n).max(1)))).collect();
             let g = generators::line(n);
             let mut net = Network::new(g);
-            let config = AsyncLineConfig {
-                arity: 2,
-                protected_edges: SortedEdgeSet::new(),
-                wake_round: wake,
-            };
             let (tree, rounds) =
-                run_async_line_to_tree(&mut net, &identity_line(n), &config).unwrap();
+                run_async_line_to_tree(&mut net, &identity_line(n), &config(2), &wake).unwrap();
             // Lemma B.4: identical final tree.
-            assert_eq!(tree, sync_tree(n, 2), "n={n}");
+            assert_eq!(tree, planned_tree(n, 2), "n={n}");
             // Corollary B.5: O(log n + k) rounds.
             assert!(rounds <= 4 * ceil_log2(n) + 8, "n={n}: rounds {rounds}");
             assert!(net.metrics().max_total_degree <= 4);
@@ -473,15 +448,10 @@ mod tests {
                 let wake: Vec<usize> = (0..n).map(|_| 1 + rng.gen_range(0, max_delay)).collect();
                 let g = generators::line(n);
                 let mut net = Network::new(g);
-                let config = AsyncLineConfig {
-                    arity: 2,
-                    protected_edges: SortedEdgeSet::new(),
-                    wake_round: wake.clone(),
-                };
                 let (tree, rounds) =
-                    run_async_line_to_tree(&mut net, &identity_line(n), &config).unwrap();
+                    run_async_line_to_tree(&mut net, &identity_line(n), &config(2), &wake).unwrap();
                 // Lemma B.4: identical to the synchronous execution.
-                assert_eq!(tree, sync_tree(n, 2), "n={n}, wake={wake:?}");
+                assert_eq!(tree, planned_tree(n, 2), "n={n}, wake={wake:?}");
                 // Corollary B.5: O(log n + k).
                 assert!(rounds <= 4 * ceil_log2(n) + 2 * max_delay + 8);
                 assert!(net.metrics().max_total_degree <= 4, "n={n}, wake={wake:?}");
@@ -496,13 +466,9 @@ mod tests {
         let wake: Vec<usize> = (0..n).map(|i| 1 + i % 5).collect();
         let g = generators::line(n);
         let mut net = Network::new(g);
-        let config = AsyncLineConfig {
-            arity,
-            protected_edges: SortedEdgeSet::new(),
-            wake_round: wake,
-        };
-        let (tree, _) = run_async_line_to_tree(&mut net, &identity_line(n), &config).unwrap();
-        assert_eq!(tree, sync_tree(n, arity));
+        let (tree, _) =
+            run_async_line_to_tree(&mut net, &identity_line(n), &config(arity), &wake).unwrap();
+        assert_eq!(tree, planned_tree(n, arity));
         for u in (0..n).map(NodeId) {
             assert!(tree.child_count(u) <= arity);
         }
@@ -513,23 +479,25 @@ mod tests {
         let g = generators::line(4);
         let mut net = Network::new(g);
         assert!(matches!(
-            run_async_line_to_tree(&mut net, &[], &AsyncLineConfig::all_awake(0, 2)),
+            run_async_line_to_tree(&mut net, &[], &config(2), &[]),
             Err(CoreError::InvalidInput { .. })
         ));
         assert!(matches!(
             run_async_line_to_tree(
                 &mut net,
                 &identity_line(4),
-                &AsyncLineConfig::all_awake(3, 2) // wrong wake length
+                &config(2),
+                &[1; 3] // wrong wake length
             ),
             Err(CoreError::InvalidInput { .. })
         ));
         assert!(matches!(
-            run_async_line_to_tree(
-                &mut net,
-                &identity_line(4),
-                &AsyncLineConfig::all_awake(4, 0)
-            ),
+            run_async_line_to_tree(&mut net, &identity_line(4), &config(0), &[1; 4]),
+            Err(CoreError::InvalidInput { .. })
+        ));
+        // A node outside the network.
+        assert!(matches!(
+            run_async_line_to_tree(&mut net, &[NodeId(99)], &config(2), &[1]),
             Err(CoreError::InvalidInput { .. })
         ));
     }
@@ -589,13 +557,13 @@ mod tests {
                 let mut solo_parents: Vec<Vec<Option<NodeId>>> = Vec::new();
                 for (line, wake) in lines.iter().zip(&wakes) {
                     let mut net = Network::new(g.clone());
-                    let config = AsyncLineConfig {
+                    let config = LineToTreeConfig {
                         arity,
                         protected_edges: protect(line),
-                        wake_round: wake.clone(),
                     };
-                    let (tree, rounds) = run_async_line_to_tree(&mut net, line, &config).unwrap();
-                    assert_eq!(tree, sync_tree(line.len(), arity), "Lemma B.4");
+                    let (tree, rounds) =
+                        run_async_line_to_tree(&mut net, line, &config, wake).unwrap();
+                    assert_eq!(tree, planned_tree(line.len(), arity), "Lemma B.4");
                     max_rounds = max_rounds.max(rounds);
                     sum_activations += net.metrics().total_activations;
                     let per_round = &net.metrics().activations_per_round;
@@ -644,12 +612,12 @@ mod tests {
         let g = generators::line(n);
         let protected: SortedEdgeSet = g.edges().collect();
         let mut net = Network::new(g.clone());
-        let config = AsyncLineConfig {
+        let config = LineToTreeConfig {
             arity: 2,
             protected_edges: protected,
-            wake_round: (0..n).map(|i| 1 + i % 3).collect(),
         };
-        let _ = run_async_line_to_tree(&mut net, &identity_line(n), &config).unwrap();
+        let wake: Vec<usize> = (0..n).map(|i| 1 + i % 3).collect();
+        let _ = run_async_line_to_tree(&mut net, &identity_line(n), &config, &wake).unwrap();
         for e in g.edges() {
             assert!(net.graph().has_edge(e.a, e.b));
         }

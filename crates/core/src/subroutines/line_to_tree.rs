@@ -15,14 +15,22 @@
 //! grandparent in one round and exceed its capacity: the lowest-position
 //! candidates are admitted first and the rest simply retry in the next
 //! round. On a line with `k = 2` the rule never triggers.
+//!
+//! The rule is written once, in `async_line_to_tree`'s jump planner.
+//! Lemma B.4 says the wake-up variant of Appendix B performs exactly the
+//! synchronous run's activations and deactivations, so the synchronous
+//! subroutine here is that variant's lockstep batch with every node awake
+//! from round 1.
 
-use crate::subroutines::LineScratch;
+use crate::subroutines::run_async_line_to_tree;
 use crate::CoreError;
 use adn_graph::edgeset::SortedEdgeSet;
 use adn_graph::{Edge, NodeId, RootedTree};
 use adn_sim::Network;
 
-/// Configuration for [`run_line_to_tree`].
+/// Configuration for [`run_line_to_tree`], its wake-up variant
+/// [`run_async_line_to_tree`] and the actor runs of
+/// [`runtime_line_to_tree`](crate::subroutines::runtime_line_to_tree).
 #[derive(Debug, Clone)]
 pub struct LineToTreeConfig {
     /// Maximum number of children per node in the constructed tree
@@ -59,7 +67,8 @@ impl LineToTreeConfig {
     }
 }
 
-/// Runs the synchronous line-to-tree subroutine on `network`.
+/// Runs the synchronous line-to-tree subroutine on `network`: the
+/// wake-up variant with every node awake from round 1.
 ///
 /// `line` lists the nodes in order; `line[0]` is the root and consecutive
 /// entries must be adjacent in the network's current graph.
@@ -73,8 +82,9 @@ impl LineToTreeConfig {
 ///
 /// # Errors
 ///
-/// * [`CoreError::InvalidInput`] if `line` is empty, repeats nodes, has
-///   non-adjacent consecutive entries, or `config.arity < 1`.
+/// * [`CoreError::InvalidInput`] if `line` is empty, repeats nodes, names
+///   a node outside the network, has non-adjacent consecutive entries, or
+///   `config.arity < 1`.
 /// * [`CoreError::Sim`] on model violations (implementation bugs).
 /// * [`CoreError::DidNotConverge`] if the internal round budget is
 ///   exhausted (implementation bugs).
@@ -83,187 +93,7 @@ pub fn run_line_to_tree(
     line: &[NodeId],
     config: &LineToTreeConfig,
 ) -> Result<(RootedTree, usize), CoreError> {
-    let mut scratch = LineScratch::new();
-    run_line_to_tree_with_scratch(network, line, config, &mut scratch)
-}
-
-/// [`run_line_to_tree`] with caller-owned scratch state: the positional
-/// vectors are recycled across calls, so a caller running the subroutine
-/// once per committee merge allocates them once. Behaviourally identical
-/// to the plain entry point.
-///
-/// # Errors
-///
-/// As [`run_line_to_tree`].
-pub fn run_line_to_tree_with_scratch(
-    network: &mut Network,
-    line: &[NodeId],
-    config: &LineToTreeConfig,
-    scratch: &mut LineScratch,
-) -> Result<(RootedTree, usize), CoreError> {
-    validate_line(network, line, config)?;
-    let n = line.len();
-    if n == 1 {
-        let tree = RootedTree::from_parents(NodeId(0), vec![None]).expect("trivial tree");
-        // Re-map to the actual node id.
-        let tree = remap_tree(&tree, line);
-        return Ok((tree, 0));
-    }
-
-    // All state is positional: position 0 is the root.
-    let LineScratch {
-        parent_pos,
-        child_count,
-        terminated,
-        wave_acts,
-        wave_drops,
-        ..
-    } = scratch;
-    parent_pos.clear();
-    parent_pos.extend((0..n).map(|i| i.saturating_sub(1)));
-    child_count.clear();
-    child_count.extend((0..n).map(|i| usize::from(i + 1 < n)));
-    terminated.clear();
-    terminated.resize(n, false);
-    terminated[0] = true; // the root never moves
-
-    let mut rounds = 0usize;
-    let round_limit = 4 * adn_graph::properties::ceil_log2(n.max(2)) + 8;
-
-    loop {
-        let begin_child_count = child_count.clone();
-        let mut planned_new: Vec<usize> = vec![0; n];
-        // (position, old parent position, grandparent position)
-        let mut jumps: Vec<(usize, usize, usize)> = Vec::new();
-        for pos in 1..n {
-            if terminated[pos] {
-                continue;
-            }
-            let p = parent_pos[pos];
-            if p == 0 {
-                terminated[pos] = true;
-                continue;
-            }
-            let gp = parent_pos[p];
-            if begin_child_count[gp] >= config.arity {
-                // The paper's stop rule: grandparent already has k children.
-                terminated[pos] = true;
-                continue;
-            }
-            if begin_child_count[gp] + planned_new[gp] >= config.arity {
-                // Admission rule: too many simultaneous candidates; retry
-                // next round.
-                continue;
-            }
-            planned_new[gp] += 1;
-            jumps.push((pos, p, gp));
-        }
-
-        if jumps.is_empty() {
-            if terminated.iter().all(|&t| t) {
-                break;
-            }
-            // No jump was planned but some node is still unterminated:
-            // only possible transiently; loop again to mark terminations.
-            // Guard against a livelock just in case.
-            rounds += 1;
-            if rounds >= round_limit {
-                return Err(CoreError::DidNotConverge {
-                    algorithm: "LineToTree",
-                    phase_limit: round_limit,
-                });
-            }
-            continue;
-        }
-        if rounds >= round_limit {
-            return Err(CoreError::DidNotConverge {
-                algorithm: "LineToTree",
-                phase_limit: round_limit,
-            });
-        }
-
-        // One batched wave per round: the jumper's current parent is
-        // adjacent to both endpoints of every new edge, so it is the
-        // distance-2 witness and the staging pass is probe-only.
-        wave_acts.clear();
-        wave_drops.clear();
-        for &(pos, p, gp) in &jumps {
-            wave_acts.push(adn_sim::WaveActivation {
-                initiator: line[pos],
-                target: line[gp],
-                witness: line[p],
-            });
-            let old_edge = Edge::new(line[pos], line[p]);
-            if !config.protected_edges.contains(&old_edge) {
-                wave_drops.push(old_edge);
-            }
-        }
-        network.stage_jump_wave(wave_acts, wave_drops)?;
-        network.commit_round();
-        rounds += 1;
-
-        for (pos, p, gp) in jumps {
-            parent_pos[pos] = gp;
-            child_count[p] -= 1;
-            child_count[gp] += 1;
-        }
-    }
-
-    // Build the resulting rooted tree in node-id space.
-    let mut parent_by_position: Vec<Option<usize>> = vec![None; n];
-    for pos in 1..n {
-        parent_by_position[pos] = Some(parent_pos[pos]);
-    }
-    let positional_tree = RootedTree::from_parents(
-        NodeId(0),
-        parent_by_position.iter().map(|p| p.map(NodeId)).collect(),
-    )
-    .expect("construction yields a valid tree");
-    Ok((remap_tree(&positional_tree, line), rounds))
-}
-
-fn validate_line(
-    network: &Network,
-    line: &[NodeId],
-    config: &LineToTreeConfig,
-) -> Result<(), CoreError> {
-    if line.is_empty() {
-        return Err(CoreError::InvalidInput {
-            reason: "line must contain at least one node".into(),
-        });
-    }
-    if config.arity == 0 {
-        return Err(CoreError::InvalidInput {
-            reason: "arity must be at least 1".into(),
-        });
-    }
-    let mut seen = std::collections::BTreeSet::new();
-    for &u in line {
-        if !seen.insert(u) {
-            return Err(CoreError::InvalidInput {
-                reason: format!("node {u} appears twice in the line"),
-            });
-        }
-    }
-    for w in line.windows(2) {
-        if !network.graph().has_edge(w[0], w[1]) {
-            return Err(CoreError::InvalidInput {
-                reason: format!(
-                    "consecutive line nodes {} and {} are not adjacent",
-                    w[0], w[1]
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// The returned tree lives in position space because [`RootedTree`] is
-/// defined over a dense vertex set `0..n` while the line nodes are
-/// arbitrary ids within a larger network.
-fn remap_tree(positional: &RootedTree, line: &[NodeId]) -> RootedTree {
-    let _ = line;
-    positional.clone()
+    run_async_line_to_tree(network, line, config, &vec![1; line.len()])
 }
 
 /// Translates the positional tree returned by [`run_line_to_tree`] into
@@ -280,7 +110,8 @@ pub fn positional_parents_to_node_ids(tree: &RootedTree, line: &[NodeId]) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adn_graph::properties::ceil_log2;
+    use crate::subroutines::async_line_to_tree::planned_tree;
+    use adn_graph::properties::{ceil_log2, is_bounded_arity_tree};
     use adn_graph::{generators, NodeId};
 
     fn identity_line(n: usize) -> Vec<NodeId> {
@@ -289,36 +120,40 @@ mod tests {
 
     #[test]
     fn line_becomes_binary_tree_with_log_depth() {
-        for &n in &[2usize, 3, 4, 7, 8, 16, 31, 32, 64, 100, 128] {
-            let g = generators::line(n);
-            let mut net = Network::new(g);
-            let (tree, rounds) =
-                run_line_to_tree(&mut net, &identity_line(n), &LineToTreeConfig::binary()).unwrap();
-            assert_eq!(tree.node_count(), n);
-            assert_eq!(tree.root(), NodeId(0));
-            // Depth is logarithmic (⌈log n⌉, plus 1 of slack for odd sizes).
-            assert!(
-                tree.depth() <= ceil_log2(n) + 1,
-                "n={n}: depth {} too large",
-                tree.depth()
-            );
-            // Every node has at most 2 children, so tree degree <= 3.
-            for u in (0..n).map(NodeId) {
-                assert!(
-                    tree.child_count(u) <= 2,
-                    "n={n}: node {u} has too many children"
+        // Proposition 2.2 over an (n, arity) ladder: the planned tree, of
+        // logarithmic depth, in at most ⌈log n⌉ rounds, with every node's
+        // degree within the tree's bound and one activation per node per
+        // round. With arity 1 nobody jumps and the line stays a line.
+        let mut sizes: Vec<usize> = (1..=300).collect();
+        sizes.extend([511, 512, 513, 1024]);
+        for &n in &sizes {
+            for arity in [1usize, 2, 3, 4, 8, 12] {
+                let line = identity_line(n);
+                let mut net = Network::new(generators::line(n));
+                let config = LineToTreeConfig {
+                    arity,
+                    protected_edges: SortedEdgeSet::new(),
+                };
+                let (tree, rounds) = run_line_to_tree(&mut net, &line, &config).unwrap();
+                let label = format!("n={n} arity={arity}");
+                assert_eq!(tree, planned_tree(n, arity), "{label}");
+                assert_eq!(
+                    RootedTree::from_tree_graph(net.graph(), line[0]).as_ref(),
+                    Ok(&tree),
+                    "{label}: the final graph is the tree"
                 );
+                let max_depth = if arity >= 2 { ceil_log2(n) + 1 } else { n - 1 };
+                assert!(
+                    is_bounded_arity_tree(net.graph(), line[0], arity, max_depth),
+                    "{label}: depth {}",
+                    tree.depth()
+                );
+                assert!(rounds <= ceil_log2(n), "{label}: rounds {rounds}");
+                let metrics = net.metrics();
+                assert!(metrics.max_total_degree <= arity + 1, "{label}");
+                assert!(metrics.max_node_activations_in_round <= 1, "{label}");
+                assert!(metrics.max_active_edges_total <= 2 * n, "{label}");
             }
-            assert!(tree.max_degree() <= 3);
-            // Proposition 2.2: ⌈log d⌉ rounds (+1 slack for the final
-            // termination-detection sweep).
-            assert!(rounds <= ceil_log2(n) + 2, "n={n}: rounds {rounds}");
-            // Degree during execution stays at most 4.
-            assert!(net.metrics().max_total_degree <= 4, "n={n}");
-            // Active edges per round at most 2n - 3.
-            assert!(net.metrics().max_active_edges_total <= 2 * n);
-            // Each node activates at most 1 edge per round.
-            assert!(net.metrics().max_node_activations_in_round <= 1);
         }
     }
 
@@ -426,6 +261,11 @@ mod tests {
                     protected_edges: SortedEdgeSet::new()
                 }
             ),
+            Err(CoreError::InvalidInput { .. })
+        ));
+        // A node outside the network.
+        assert!(matches!(
+            run_line_to_tree(&mut net, &[NodeId(99)], &LineToTreeConfig::binary()),
             Err(CoreError::InvalidInput { .. })
         ));
     }

@@ -8,8 +8,13 @@
 //!   `LineToCompletePolylogarithmicTree` used by `GraphToThinWreath`.
 //! * [`async_line_to_tree`] — the asynchronous wake-up variant
 //!   (Appendix B), which the wreath algorithms run after merging rings.
-//! * [`runtime_line_to_tree`] — the same subroutine as message-driven
-//!   actors on the `adn-runtime` schedulers (no round loop at all).
+//!   It holds the one copy of Proposition 2.2's jump rule, a planner over
+//!   line positions, and the lockstep batch that carries the plan out on
+//!   a [`Network`](adn_sim::Network); the synchronous subroutine is that
+//!   batch with every node awake from round 1.
+//! * [`runtime_line_to_tree`] — the same plan carried out by
+//!   message-driven actors on the `adn-runtime` schedulers (no round loop
+//!   at all).
 //! * [`runtime_committee`] — the committee algorithms (`GraphToStar`, the
 //!   wreath family) as message-driven actors on the same schedulers, with
 //!   armed fault plans.
@@ -20,10 +25,8 @@ pub mod runtime_committee;
 pub mod runtime_line_to_tree;
 pub mod tree_to_star;
 
-pub use async_line_to_tree::{
-    run_async_line_to_tree, run_async_line_to_tree_with_scratch, AsyncLineConfig,
-};
-pub use line_to_tree::{run_line_to_tree, run_line_to_tree_with_scratch, LineToTreeConfig};
+pub use async_line_to_tree::run_async_line_to_tree;
+pub use line_to_tree::{run_line_to_tree, LineToTreeConfig};
 pub use runtime_committee::{
     run_runtime_star, run_runtime_star_faulted, run_runtime_wreath, run_runtime_wreath_faulted,
 };
@@ -37,20 +40,19 @@ use std::collections::BTreeMap;
 
 /// Reusable scratch state for repeated line-to-tree runs.
 ///
-/// The asynchronous subroutine runs a *batch* of node-disjoint lines in
-/// lockstep (the wreath engine: one line per merged ring of a phase, all
-/// rebuilt in the same rounds). Every piece of per-line state lives in
-/// flat columns here — per-line columns indexed by line, per-position
-/// columns holding the lines back to back — so a batch costs no
-/// allocation per line once the columns have grown to the largest batch
-/// seen. The synchronous jump schedules are memoised: they are pure
-/// functions of `(line length, arity)`, and early phases merge many
-/// same-sized rings.
+/// The lockstep core runs a *batch* of node-disjoint lines (the wreath
+/// engine: one line per merged ring of a phase, all rebuilt in the same
+/// rounds). Every piece of per-line state lives in flat columns here —
+/// per-line columns indexed by line, per-position columns holding the
+/// lines back to back — so a batch costs no allocation per line once the
+/// columns have grown to the largest batch seen. The synchronous jump
+/// schedules are memoised: they are pure functions of `(line length,
+/// arity)`, and early phases merge many same-sized rings.
 ///
 /// Purely an allocation/memoisation cache: runs with and without a shared
 /// scratch are behaviourally identical.
 #[derive(Debug, Default)]
-pub struct LineScratch {
+pub(crate) struct LineScratch {
     /// Memoised synchronous jump schedules (see
     /// [`async_line_to_tree::plan_sync_schedule`]), one per distinct
     /// (line length, arity) in `schedule_of`.
@@ -85,10 +87,6 @@ pub struct LineScratch {
     pub(crate) movers: Vec<(usize, usize)>,
     /// Line-validation scratch (duplicate detection by sort).
     pub(crate) seen: Vec<NodeId>,
-    /// Child counts (synchronous variant).
-    pub(crate) child_count: Vec<usize>,
-    /// Termination flags (synchronous variant).
-    pub(crate) terminated: Vec<bool>,
     /// Per-round wave column: witnessed activations for `stage_jump_wave`.
     pub(crate) wave_acts: Vec<adn_sim::WaveActivation>,
     /// Per-round wave column: deactivations for `stage_jump_wave`.
@@ -97,7 +95,7 @@ pub struct LineScratch {
 
 impl LineScratch {
     /// A fresh, empty scratch.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LineScratch::default()
     }
 

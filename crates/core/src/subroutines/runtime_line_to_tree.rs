@@ -1,10 +1,11 @@
 //! `LineToTree` on the asynchronous actor runtime.
 //!
-//! The wake-up variant in [`super::async_line_to_tree`] is still driven
-//! by a global round loop; this module removes the loop entirely. Every
-//! line position is an [`AsyncProgram`] actor that follows the same
-//! per-position jump schedule as the synchronous subroutine
-//! ([`super::async_line_to_tree::plan_sync_schedule`]) but learns about
+//! The lockstep batch in [`super::async_line_to_tree`], which also runs
+//! the synchronous subroutine, is driven by a global round loop; this
+//! module removes the loop entirely. Every line position is an
+//! [`AsyncProgram`] actor that follows the per-position jump schedule of
+//! the one planner of Proposition 2.2's rule
+//! (`async_line_to_tree::plan_sync_schedule`) but learns about
 //! the world exclusively through messages:
 //!
 //! * `Attach`/`Detach` maintain each node's child set (with a tombstone
@@ -33,12 +34,12 @@
 //! validated network (one atomic commit), so the distance-2 rule is
 //! enforced exactly as in the round-based implementations. Because every
 //! node follows the same fixed target sequence, the final tree equals
-//! the synchronous tree under **any** delivery order — the tests pin
-//! this across seeds, reorder windows and asymmetric delays, and the
+//! the planned tree under **any** delivery order — the tests pin this
+//! across seeds, reorder windows and asymmetric delays, and the
 //! differential suite (`tests/runtime_model.rs`) rechecks it against the
-//! synchronous subroutine.
+//! synchronous subroutine on the round engine.
 
-use crate::subroutines::async_line_to_tree::plan_sync_schedule;
+use crate::subroutines::async_line_to_tree::{plan_sync_schedule, validate_line};
 use crate::subroutines::LineToTreeConfig;
 use crate::CoreError;
 use adn_graph::{Edge, NodeId, RootedTree};
@@ -291,44 +292,6 @@ impl AsyncProgram for TreeActor {
     }
 }
 
-fn validate_line(network: &Network, line: &[NodeId], arity: usize) -> Result<(), CoreError> {
-    if line.is_empty() {
-        return Err(CoreError::InvalidInput {
-            reason: "line must contain at least one node".into(),
-        });
-    }
-    if arity == 0 {
-        return Err(CoreError::InvalidInput {
-            reason: "arity must be at least 1".into(),
-        });
-    }
-    let mut seen = line.to_vec();
-    seen.sort_unstable();
-    for w in seen.windows(2) {
-        if w[0] == w[1] {
-            return Err(CoreError::InvalidInput {
-                reason: format!("node {} appears twice in the line", w[0]),
-            });
-        }
-    }
-    if line.iter().any(|u| u.index() >= network.node_count()) {
-        return Err(CoreError::InvalidInput {
-            reason: "line refers to nodes outside the network".into(),
-        });
-    }
-    for w in line.windows(2) {
-        if !network.graph().has_edge(w[0], w[1]) {
-            return Err(CoreError::InvalidInput {
-                reason: format!(
-                    "consecutive line nodes {} and {} are not adjacent",
-                    w[0], w[1]
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Builds one actor per network node; nodes off the line are inert.
 fn build_actors(network: &Network, line: &[NodeId], config: &LineToTreeConfig) -> Vec<TreeActor> {
     let n = line.len();
@@ -408,7 +371,7 @@ pub fn run_runtime_line_to_tree_seeded(
     seed: u64,
     knobs: AsyncKnobs,
 ) -> Result<(RootedTree, RuntimeReport), CoreError> {
-    validate_line(network, line, config.arity)?;
+    validate_line(network, line, config.arity, &mut Vec::new())?;
     let mut actors = build_actors(network, line, config);
     let report = SeededScheduler::new(seed)
         .with_knobs(knobs)
@@ -429,7 +392,7 @@ pub fn run_runtime_line_to_tree_free(
     config: &LineToTreeConfig,
     threads: usize,
 ) -> Result<(RootedTree, RuntimeReport), CoreError> {
-    validate_line(network, line, config.arity)?;
+    validate_line(network, line, config.arity, &mut Vec::new())?;
     let mut actors = build_actors(network, line, config);
     let report = FreeScheduler::new(threads)
         .run(network, &mut actors)
@@ -440,23 +403,12 @@ pub fn run_runtime_line_to_tree_free(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subroutines::line_to_tree::run_line_to_tree;
+    use crate::subroutines::async_line_to_tree::planned_tree;
     use adn_graph::edgeset::SortedEdgeSet;
     use adn_graph::generators;
 
     fn identity_line(n: usize) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()
-    }
-
-    fn sync_tree(n: usize, arity: usize) -> RootedTree {
-        let mut net = Network::new(generators::line(n));
-        let config = LineToTreeConfig {
-            arity,
-            protected_edges: SortedEdgeSet::new(),
-        };
-        run_line_to_tree(&mut net, &identity_line(n), &config)
-            .unwrap()
-            .0
     }
 
     #[test]
@@ -466,7 +418,7 @@ mod tests {
                 arity: 2,
                 protected_edges: SortedEdgeSet::new(),
             };
-            let expected = sync_tree(n, 2);
+            let expected = planned_tree(n, 2);
             for seed in [0u64, 7, 1234] {
                 let mut net = Network::new(generators::line(n));
                 let (tree, report) = run_runtime_line_to_tree_seeded(
@@ -503,7 +455,7 @@ mod tests {
             },
         ];
         for &n in &[16usize, 40, 64] {
-            let expected = sync_tree(n, 2);
+            let expected = planned_tree(n, 2);
             let config = LineToTreeConfig {
                 arity: 2,
                 protected_edges: SortedEdgeSet::new(),
@@ -528,7 +480,7 @@ mod tests {
     #[test]
     fn free_actors_build_the_synchronous_tree() {
         let n = 48;
-        let expected = sync_tree(n, 2);
+        let expected = planned_tree(n, 2);
         let config = LineToTreeConfig {
             arity: 2,
             protected_edges: SortedEdgeSet::new(),
@@ -551,7 +503,7 @@ mod tests {
         // The arity-gated schedule makes jump counts drift apart only at
         // larger n, which is why n=48 never caught it.
         let n = 128;
-        let expected = sync_tree(n, 2);
+        let expected = planned_tree(n, 2);
         let config = LineToTreeConfig {
             arity: 2,
             protected_edges: SortedEdgeSet::new(),
@@ -589,7 +541,7 @@ mod tests {
             arity,
             protected_edges: SortedEdgeSet::new(),
         };
-        let expected = sync_tree(n, arity);
+        let expected = planned_tree(n, arity);
         let mut net = Network::new(generators::line(n));
         let (tree, _) = run_runtime_line_to_tree_seeded(
             &mut net,
@@ -661,6 +613,16 @@ mod tests {
             run_runtime_line_to_tree_seeded(
                 &mut net,
                 &duplicated,
+                &config,
+                0,
+                AsyncKnobs::default()
+            ),
+            Err(CoreError::InvalidInput { .. })
+        ));
+        assert!(matches!(
+            run_runtime_line_to_tree_seeded(
+                &mut net,
+                &[NodeId(99)],
                 &config,
                 0,
                 AsyncKnobs::default()
