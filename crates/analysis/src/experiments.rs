@@ -1,5 +1,6 @@
 //! The experiment drivers that regenerate every table and figure of the
-//! reproduction (see DESIGN.md §5 for the experiment index).
+//! reproduction (experiment ids t1, t4, f1, f3, f4, f5, t6, f7, t8 and
+//! f9).
 //!
 //! Each function returns a self-contained markdown fragment; the
 //! `adn-bench` crate exposes them through the `report` binary

@@ -10,7 +10,10 @@
 //! `BTreeMap<NodeId, Committee>` / nested-`BTreeMap` adjacency maps; now
 //! the partition lives in one arena — the [`CommitteeForest`] — with dense
 //! [`CommitteeId`] slots, flat membership columns, and a sort-based
-//! [`CommitteeAdjacency`] builder shared by every algorithm.
+//! [`CommitteeAdjacency`] builder shared by every algorithm. The pieces
+//! of a phase that every committee engine — round-based or actor-based —
+//! shares live here too: the input checks, the largest-UID selection fold
+//! and the phase record with its convergence limit.
 //!
 //! Determinism contract: every accessor iterates in ascending slot order,
 //! and committee leaders never migrate between slots (an absorbing
@@ -20,8 +23,10 @@
 //! byte-identically across the representations, which the stress replay
 //! gate (`report -- --replay <seed>`) checks end to end.
 
+use crate::algorithm::RunConfig;
+use crate::{CoreError, TransformationOutcome};
 use adn_graph::{Graph, NodeId, Uid, UidMap};
-use adn_sim::EdgeDelta;
+use adn_sim::{EdgeDelta, Network};
 
 /// Dense index of a committee slot in a [`CommitteeForest`] arena.
 ///
@@ -118,6 +123,12 @@ impl CommitteeForest {
     /// The ordered member list of committee `c`.
     pub fn members(&self, c: CommitteeId) -> &[NodeId] {
         &self.members[c.index()]
+    }
+
+    /// The leader of the first alive committee: the elected leader once a
+    /// single committee is left.
+    pub(crate) fn first_leader(&self) -> NodeId {
+        self.leader(self.live[0])
     }
 
     /// The committee of node `u`, or `None` when `u` is beyond the tracked
@@ -319,9 +330,11 @@ impl CommitteeAdjacency {
     /// The selection rule every committee algorithm shares: among the
     /// neighbouring committees whose leader UID is **strictly larger**
     /// than `c`'s and that satisfy `eligible`, pick the one with the
-    /// largest leader UID and return it with its bridge. UIDs are unique,
-    /// so the maximum is unambiguous; with no strictly-larger eligible
-    /// neighbour, `c` is a root this phase and `None` is returned.
+    /// largest leader UID and return it with its bridge (the fold of
+    /// `select_largest_uid` over `c`'s rows, each holding its smallest
+    /// bridge). UIDs are unique, so the maximum is unambiguous; with no
+    /// strictly-larger eligible neighbour, `c` is a root this phase and
+    /// `None` is returned.
     pub fn select_largest_uid_neighbor<F>(
         &self,
         c: CommitteeId,
@@ -332,18 +345,15 @@ impl CommitteeAdjacency {
     where
         F: FnMut(CommitteeId) -> bool,
     {
-        let my_uid = uids.uid(forest.leader(c));
-        let mut best: Option<(Uid, CommitteeId, NodeId, NodeId)> = None;
-        for row in self.neighbors(c) {
-            let other_uid = uids.uid(forest.leader(row.other));
-            if other_uid > my_uid
-                && eligible(row.other)
-                && best.as_ref().is_none_or(|&(b, _, _, _)| other_uid > b)
-            {
-                best = Some((other_uid, row.other, row.bridge_local, row.bridge_remote));
-            }
-        }
-        best.map(|(_, target, x, y)| (target, x, y))
+        let candidates = self
+            .neighbors(c)
+            .iter()
+            .filter(|row| eligible(row.other))
+            .map(|row| {
+                let uid = uids.uid(forest.leader(row.other));
+                (uid, row.other, row.bridge_local, row.bridge_remote)
+            });
+        select_largest_uid(uids.uid(forest.leader(c)), candidates)
     }
 }
 
@@ -725,6 +735,130 @@ impl SelectionForest {
     }
 }
 
+/// The input checks every committee engine runs before anything else, in
+/// this order: a non-empty network, one UID per node, and a connected
+/// graph (the error names `algorithm`).
+pub(crate) fn validate_input(
+    graph: &Graph,
+    uids: &UidMap,
+    algorithm: &str,
+) -> Result<(), CoreError> {
+    let n = graph.node_count();
+    if n == 0 {
+        return Err(CoreError::InvalidInput {
+            reason: "the initial network must contain at least one node".into(),
+        });
+    }
+    if uids.len() != n {
+        return Err(CoreError::InvalidInput {
+            reason: "one UID per node is required".into(),
+        });
+    }
+    if !adn_graph::traversal::is_connected(graph) {
+        return Err(CoreError::InvalidInput {
+            reason: format!("{algorithm} requires a connected initial network"),
+        });
+    }
+    Ok(())
+}
+
+/// The selection fold every committee algorithm shares: among candidate
+/// neighbouring committees `(leader UID, committee, x, y)` — `x` a bridge
+/// endpoint in the selecting committee, `y` its neighbour in the
+/// candidate — whose leader UID is **strictly larger** than `my_uid`,
+/// pick the largest UID and, among that committee's bridges, the
+/// lexicographically smallest `(x, y)`. UIDs are unique, so the result is
+/// unambiguous; with no strictly larger candidate the selecting committee
+/// is a root this phase and `None` is returned. Every clause is
+/// order-independent, so a leader folding its members' reports in any
+/// arrival order decides as the round engine does over its adjacency
+/// rows.
+pub(crate) fn select_largest_uid<T>(
+    my_uid: Uid,
+    candidates: impl IntoIterator<Item = (Uid, T, NodeId, NodeId)>,
+) -> Option<(T, NodeId, NodeId)> {
+    let mut best: Option<(Uid, T, NodeId, NodeId)> = None;
+    for candidate in candidates {
+        let (uid, _, x, y) = candidate;
+        if uid > my_uid
+            && best
+                .as_ref()
+                .is_none_or(|&(b, _, bx, by)| uid > b || (uid == b && (x, y) < (bx, by)))
+        {
+            best = Some(candidate);
+        }
+    }
+    best.map(|(_, target, x, y)| (target, x, y))
+}
+
+/// Phase accounting every committee engine shares: the phase counter, the
+/// committee census of every phase, and the phase limit past which a run
+/// has not converged.
+#[derive(Debug)]
+pub(crate) struct PhaseLog {
+    /// The algorithm named by the errors.
+    pub(crate) algorithm: &'static str,
+    limit: usize,
+    /// Phases opened so far, the termination phase included.
+    pub(crate) phases: usize,
+    committees_per_phase: Vec<usize>,
+}
+
+impl PhaseLog {
+    /// An empty record for `algorithm`, which fails past `limit` phases.
+    pub(crate) fn new(algorithm: &'static str, limit: usize) -> Self {
+        PhaseLog {
+            algorithm,
+            limit,
+            phases: 0,
+            committees_per_phase: Vec::new(),
+        }
+    }
+
+    /// Opens a phase that starts with `live` committees: counts it, checks
+    /// the round budget, and fails with [`CoreError::DidNotConverge`] past
+    /// the phase limit.
+    pub(crate) fn begin(
+        &mut self,
+        run: &RunConfig,
+        network: &Network,
+        live: usize,
+    ) -> Result<(), CoreError> {
+        self.phases += 1;
+        run.check_round_budget(network)?;
+        if self.phases > self.limit {
+            return Err(CoreError::DidNotConverge {
+                algorithm: self.algorithm,
+                phase_limit: self.limit,
+            });
+        }
+        self.committees_per_phase.push(live);
+        Ok(())
+    }
+
+    /// Opens the termination phase (one committee left), after checking
+    /// the round budget.
+    pub(crate) fn terminate(
+        &mut self,
+        run: &RunConfig,
+        network: &Network,
+    ) -> Result<(), CoreError> {
+        run.check_round_budget(network)?;
+        self.phases += 1;
+        self.committees_per_phase.push(1);
+        Ok(())
+    }
+
+    /// The outcome of the run on `network`, elected `leader`, with this
+    /// phase record.
+    pub(crate) fn outcome(self, leader: NodeId, network: &mut Network) -> TransformationOutcome {
+        let mut outcome = TransformationOutcome::from_network(leader, network);
+        outcome.phases = self.phases;
+        outcome.committees_per_phase = self.committees_per_phase;
+        outcome
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -877,6 +1011,32 @@ mod tests {
         assert_eq!(sel.root_of(cid(3)), cid(3));
         assert_eq!(sel.parent(cid(5)), Some(cid(4)));
         assert_eq!(sel.parent(cid(0)), None);
+    }
+
+    #[test]
+    fn selection_fold_is_strict_and_order_independent() {
+        // Reports as a leader with UID 5 receives them: two bridges into
+        // the UID-9 committee led by v7, one into UID 8, one into our own
+        // committee (UID 5) and one into a smaller one (UID 3).
+        let reports = [
+            (Uid(8), NodeId(6), NodeId(1), NodeId(6)),
+            (Uid(9), NodeId(7), NodeId(2), NodeId(9)),
+            (Uid(5), NodeId(0), NodeId(1), NodeId(4)),
+            (Uid(9), NodeId(7), NodeId(1), NodeId(8)),
+            (Uid(3), NodeId(3), NodeId(0), NodeId(3)),
+        ];
+        let expected = Some((NodeId(7), NodeId(1), NodeId(8)));
+        // Every rotation and its reverse pick the same target and the
+        // smallest bridge into it.
+        for k in 0..reports.len() {
+            let mut order = reports.to_vec();
+            order.rotate_left(k);
+            assert_eq!(select_largest_uid(Uid(5), order.iter().copied()), expected);
+            order.reverse();
+            assert_eq!(select_largest_uid(Uid(5), order), expected);
+        }
+        // Strictly larger only: the largest leader selects nothing.
+        assert_eq!(select_largest_uid(Uid(9), reports), None);
     }
 
     #[test]

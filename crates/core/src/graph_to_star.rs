@@ -11,20 +11,30 @@
 //! `u_max`, and one final phase deactivates every remaining edge except the
 //! star edges, solving Depth-1 Tree.
 //!
+//! The phase rules — `Mode`, the climb target, the merge list and the
+//! absorb + mode-transition step of `StarCommittees` — are written once
+//! here. This module's round engine feeds them what it reads off the
+//! graph; the asynchronous runtime's committee actors
+//! (`subroutines::runtime_committee`) feed them their leaders' decisions.
+//!
 //! Complexity (Theorem 3.8), all verified by the tests and the benchmark
 //! harness: `O(log n)` rounds, at most `2n` active edges per round, an
 //! optimal `O(n log n)` total edge activations, and (necessarily) a linear
 //! maximum degree at the star centre.
 
 use crate::algorithm::RunConfig;
-use crate::committee::{CommitteeForest, CommitteeId, IncrementalAdjacency};
+use crate::committee::{
+    validate_input, CommitteeForest, CommitteeId, IncrementalAdjacency, PhaseLog,
+};
 use crate::{CoreError, TransformationOutcome};
+use adn_graph::properties::ceil_log2;
 use adn_graph::{Edge, Graph, NodeId, UidMap};
-use adn_sim::Network;
+use adn_sim::{Network, WaveActivation};
 
-/// The mode a committee executes in during a phase (Section 3).
+/// The mode a committee executes in during a phase (Section 3). The
+/// runtime's committee actors gossip it as is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
+pub(crate) enum Mode {
     /// Looking for a larger neighbouring committee to join.
     Selection,
     /// Merging into the committee led by the given node in this phase.
@@ -39,8 +49,35 @@ enum Mode {
     Waiting,
 }
 
-/// A pending round-B hop: `(selector leader, target leader, helper edge)`.
-type PendingHop = (NodeId, NodeId, Option<(NodeId, NodeId)>);
+impl Mode {
+    /// Waiting or back in selection: the committee is the root of its
+    /// selection tree, not committed to a merge or a climb. Only roots
+    /// are selectable targets, and a climber that reaches a root's leader
+    /// merges into it next phase.
+    pub(crate) fn is_root(self) -> bool {
+        matches!(self, Mode::Selection | Mode::Waiting)
+    }
+}
+
+/// The climb target of a pulling committee attached to `attach`, whose
+/// committee is led by `attach_leader` and started the phase in
+/// `attach_mode`: the next node up the selection tree as it stood at the
+/// beginning of the phase. That is the attach node's leader if we are
+/// attached to an ordinary member, otherwise whatever our attach leader
+/// itself points upwards to (its merge target or its own attach node).
+/// A root attach committee keeps us where we are: we merge into it next
+/// phase.
+pub(crate) fn climb_target(attach: NodeId, attach_leader: NodeId, attach_mode: Mode) -> NodeId {
+    if attach != attach_leader {
+        // Hop from an ex-leader member to its current leader.
+        return attach_leader;
+    }
+    match attach_mode {
+        Mode::Merging { into } => into,
+        Mode::Pulling { attach: up } => up,
+        _ => attach,
+    }
+}
 
 /// A structural committee invariant did not hold (a merge target or
 /// attach node fell outside the tracked vertex set). Unreachable in the
@@ -54,348 +91,102 @@ fn invariant_error(detail: String) -> CoreError {
     }
 }
 
-/// Result of the selection step of a phase.
-#[derive(Debug, Clone)]
-struct Selection {
-    selector: CommitteeId,
-    target: CommitteeId,
-    /// Bridge nodes: `x` in the selector committee adjacent to `y` in the
-    /// target committee.
-    bridge_x: NodeId,
-    bridge_y: NodeId,
-}
-
-/// Executes GraphToStar on `network` (trait entry point; see
-/// [`crate::algorithm::GraphToStar`]).
-pub(crate) fn execute(
-    network: &mut Network,
-    uids: &UidMap,
-    config: &RunConfig,
-) -> Result<TransformationOutcome, CoreError> {
-    let initial = network.graph().clone();
-    let n = initial.node_count();
-    if n == 0 {
-        return Err(CoreError::InvalidInput {
-            reason: "the initial network must contain at least one node".into(),
-        });
-    }
-    if uids.len() != n {
-        return Err(CoreError::InvalidInput {
-            reason: "one UID per node is required".into(),
-        });
-    }
-    if !adn_graph::traversal::is_connected(&initial) {
-        return Err(CoreError::InvalidInput {
-            reason: "GraphToStar requires a connected initial network".into(),
-        });
-    }
-    if !config.engine.is_synchronous() {
-        return crate::subroutines::runtime_committee::run_runtime_star(network, uids, config);
-    }
-
-    network.set_trace_enabled(config.trace.is_per_round());
-    // The incremental adjacency consumes the committee tap of the
-    // network's round-event bus (and the forest's merges) instead of
-    // rebuilding from the edge set every phase. The tap is armed before
-    // the first operation so no delta is missed, and disarmed on *every*
-    // exit path — error returns included — so a caller's network is
-    // never left accumulating deltas.
-    network.set_edge_delta_tracking(true);
-    let result = run_phases(network, uids, config, &initial, n);
-    network.set_edge_delta_tracking(false);
-    result
-}
-
-/// The phase loop of [`execute`], split out so the edge-delta hook is
-/// disarmed on every exit path (the engine's `run_rounds` discipline).
-fn run_phases(
-    network: &mut Network,
-    uids: &UidMap,
-    config: &RunConfig,
-    initial: &Graph,
-    n: usize,
-) -> Result<TransformationOutcome, CoreError> {
-    let mut state = State::new(initial);
-    let mut committees_per_phase = Vec::new();
-    let mut phases = 0usize;
-    let phase_limit = 40 * adn_graph::properties::ceil_log2(n.max(2)) + 80;
-
-    while state.forest.live_count() > 1 {
-        phases += 1;
-        config.check_round_budget(network)?;
-        if phases > phase_limit {
-            return Err(CoreError::DidNotConverge {
-                algorithm: "GraphToStar",
-                phase_limit,
-            });
-        }
-        committees_per_phase.push(state.forest.live_count());
-        network.note_groups_alive(state.forest.live_count());
-        state.run_phase(network, uids)?;
-    }
-
-    // Termination phase: keep only the star edges.
-    let leader = state.forest.leader(state.forest.live_ids()[0]);
-    if n > 1 {
-        config.check_round_budget(network)?;
-        network.note_groups_alive(1);
-        let graph = network.graph().clone();
-        for e in graph.edges() {
-            if e.a != leader && e.b != leader {
-                network.stage_deactivation(e.a, e.b)?;
-            }
-        }
-        network.commit_round();
-        // The paper charges 2 rounds for the termination phase (detection +
-        // clean-up); charge the detection round explicitly.
-        network.advance_idle_rounds(1);
-        phases += 1;
-        committees_per_phase.push(1);
-    }
-
-    config.check_round_budget(network)?;
-    debug_assert_eq!(Some(leader), uids.max_uid_node());
-    let mut outcome = TransformationOutcome::from_network(leader, network);
-    outcome.phases = phases;
-    outcome.committees_per_phase = committees_per_phase;
-    Ok(outcome)
-}
-
-struct State {
-    /// The arena-backed committee partition. Leaders never migrate between
-    /// slots in this algorithm (an absorbing committee keeps its leader),
-    /// so ascending slot order is ascending leader order — the iteration
-    /// order the old `BTreeMap<NodeId, Committee>` provided.
-    forest: CommitteeForest,
-    /// Delta-driven committee adjacency, synced at every phase start from
-    /// the network's edge deltas and the forest's merges.
-    adjacency: IncrementalAdjacency,
+/// The GraphToStar committees: the arena-backed partition, the per-slot
+/// mode column and the phase record. Both engines evolve it with the
+/// rules below and differ only in how they observe a phase's selections
+/// and climbs.
+///
+/// Leaders never migrate between slots in this algorithm (an absorbing
+/// committee keeps its leader), so ascending slot order is ascending
+/// leader order — the iteration order the old `BTreeMap<NodeId,
+/// Committee>` provided.
+pub(crate) struct StarCommittees {
+    /// The committee partition.
+    pub(crate) forest: CommitteeForest,
     /// Per-slot mode column, parallel to the forest arena.
-    mode: Vec<Mode>,
-    /// Edges of the initial network (never deactivated before termination).
-    initial_edges: Graph,
+    pub(crate) mode: Vec<Mode>,
+    /// Phase counter, committee census and phase limit.
+    pub(crate) log: PhaseLog,
 }
 
-impl State {
-    fn new(initial: &Graph) -> Self {
-        let n = initial.node_count();
-        let forest = CommitteeForest::singletons(n);
-        let adjacency = IncrementalAdjacency::new(&forest, initial);
-        State {
-            forest,
-            adjacency,
+impl StarCommittees {
+    /// `n` singleton committees, all in selection mode.
+    pub(crate) fn new(n: usize) -> Self {
+        StarCommittees {
+            forest: CommitteeForest::singletons(n),
             mode: vec![Mode::Selection; n],
-            initial_edges: initial.clone(),
+            log: PhaseLog::new("GraphToStar", 40 * ceil_log2(n.max(2)) + 80),
         }
     }
 
-    fn run_phase(&mut self, network: &mut Network, uids: &UidMap) -> Result<(), CoreError> {
-        let deltas = network.take_edge_deltas();
-        let adjacency = self
-            .adjacency
-            .refresh(&self.forest, network.graph(), &deltas);
-        let start_mode: Vec<Mode> = self.mode.clone();
-        let slots = self.forest.slot_count();
+    /// The live committees in merging mode, ascending, each with the node
+    /// it merges into.
+    pub(crate) fn merging(&self) -> impl Iterator<Item = (CommitteeId, NodeId)> + '_ {
+        self.forest
+            .live_ids()
+            .iter()
+            .filter_map(|&cid| match self.mode[cid.index()] {
+                Mode::Merging { into } => Some((cid, into)),
+                _ => None,
+            })
+    }
 
-        // ------------------------------------------------------------------
-        // 1. Selection decisions (no edge operations yet).
-        // ------------------------------------------------------------------
-        let mut selections: Vec<Selection> = Vec::new();
-        let mut did_select = vec![false; slots];
-        let mut selected_by = vec![false; slots];
-        for &cid in self.forest.live_ids() {
-            if self.mode[cid.index()] != Mode::Selection {
-                continue;
-            }
-            // Only committees not already committed to a merge or climb
-            // are selectable targets.
-            let candidate = adjacency.select_largest_uid_neighbor(cid, &self.forest, uids, |o| {
-                !matches!(
-                    start_mode[o.index()],
-                    Mode::Pulling { .. } | Mode::Merging { .. }
-                )
-            });
-            if let Some((target, x, y)) = candidate {
-                did_select[cid.index()] = true;
-                selected_by[target.index()] = true;
-                selections.push(Selection {
-                    selector: cid,
-                    target,
-                    bridge_x: x,
-                    bridge_y: y,
-                });
-            }
-        }
+    /// The live committees in pulling mode, ascending, each with its
+    /// attach node.
+    pub(crate) fn pulling(&self) -> impl Iterator<Item = (CommitteeId, NodeId)> + '_ {
+        self.forest
+            .live_ids()
+            .iter()
+            .filter_map(|&cid| match self.mode[cid.index()] {
+                Mode::Pulling { attach } => Some((cid, attach)),
+                _ => None,
+            })
+    }
 
-        // ------------------------------------------------------------------
-        // 2. Edge operations: round A then round B.
-        // ------------------------------------------------------------------
-        // Selection round A: the selector's leader connects towards the
-        // target committee (helper edge e1, or directly the leader-leader
-        // edge when it is already at distance <= 2). `pending_b` collects
-        // the round-B second hops.
-        let mut pending_b: Vec<PendingHop> = Vec::new();
-        let mut wave_acts: Vec<adn_sim::WaveActivation> = Vec::new();
-        let mut wave_drops: Vec<Edge> = Vec::new();
-        for sel in &selections {
-            let u = self.forest.leader(sel.selector);
-            let v = self.forest.leader(sel.target);
-            let x = sel.bridge_x;
-            let y = sel.bridge_y;
-            if network.graph().has_edge(u, v) {
-                // Already adjacent (for example both singletons joined by an
-                // initial edge): nothing to activate.
-                continue;
-            }
-            if u == x || y == v {
-                // The leader-leader edge is one hop away: witness y (if the
-                // selector's leader is the bridge) or witness x (if the
-                // bridge lands on the target leader).
-                wave_acts.push(adn_sim::WaveActivation {
-                    initiator: u,
-                    target: v,
-                    witness: if u == x { y } else { x },
-                });
-                continue;
-            }
-            // General case: helper edge e1 = (u, y) via witness x now, then
-            // the leader-leader edge via witness y in round B.
-            wave_acts.push(adn_sim::WaveActivation {
-                initiator: u,
-                target: y,
-                witness: x,
-            });
-            pending_b.push((u, v, Some((u, y))));
-        }
-
-        // Merging committees: every member joins the target leader's star.
-        let mut merges: Vec<(CommitteeId, CommitteeId)> = Vec::new(); // (dying, absorbing)
-        for &cid in self.forest.live_ids() {
-            if let Mode::Merging { into } = self.mode[cid.index()] {
-                let leader = self.forest.leader(cid);
+    /// The phase's merge list: `(dying, absorbing)` for every merging
+    /// committee, ascending by the dying one.
+    pub(crate) fn merge_list(&self) -> Result<Vec<(CommitteeId, CommitteeId)>, CoreError> {
+        self.merging()
+            .map(|(cid, into)| {
                 let into_cid = self
                     .forest
                     .committee_of(into)
                     .ok_or_else(|| invariant_error(format!("merge target {into} is untracked")))?;
-                merges.push((cid, into_cid));
-                for &x in self.forest.members(cid) {
-                    if x == leader {
-                        continue;
-                    }
-                    // The dying committee's leader sits on both the star
-                    // edge (x, leader) and the leader-leader edge
-                    // (leader, into) from the selection phase.
-                    wave_acts.push(adn_sim::WaveActivation {
-                        initiator: x,
-                        target: into,
-                        witness: leader,
-                    });
-                    if !self.initial_edges.has_edge(x, leader) {
-                        wave_drops.push(Edge::new(x, leader));
-                    }
-                }
-            }
+                Ok((cid, into_cid))
+            })
+            .collect()
+    }
+
+    /// Steps 3 and 4 of a phase: applies the `merges` to the committee
+    /// structure, then moves every committee to its next mode from the
+    /// phase's `selections` (`(selector, target)`) and `climbs` (`(pulling
+    /// committee, new attach node)`).
+    pub(crate) fn finish_phase(
+        &mut self,
+        selections: &[(CommitteeId, CommitteeId)],
+        merges: &[(CommitteeId, CommitteeId)],
+        climbs: &[(CommitteeId, NodeId)],
+    ) -> Result<(), CoreError> {
+        let slots = self.forest.slot_count();
+        let mut did_select = vec![false; slots];
+        let mut selected_by = vec![false; slots];
+        for &(selector, target) in selections {
+            did_select[selector.index()] = true;
+            selected_by[target.index()] = true;
         }
 
-        // Pulling committees: climb one level of the committee tree
-        // (TreeToStar applied to committees). The climb target is the next
-        // node up the selection tree as it stood at the beginning of the
-        // phase: the attach node's committee leader if we are attached to
-        // an ordinary member, otherwise whatever our attach leader itself
-        // points upwards to (its merge target or its own attach node).
-        let mut climbs: Vec<(CommitteeId, NodeId)> = Vec::new(); // (committee, new attach node)
-        for &cid in self.forest.live_ids() {
-            if let Mode::Pulling { attach } = self.mode[cid.index()] {
-                let leader = self.forest.leader(cid);
-                let attach_cid = self
-                    .forest
-                    .committee_of(attach)
-                    .ok_or_else(|| invariant_error(format!("attach node {attach} is untracked")))?;
-                let attach_leader = self.forest.leader(attach_cid);
-                let target = if attach != attach_leader {
-                    // Hop from an ex-leader member to its current leader.
-                    attach_leader
-                } else {
-                    match start_mode[attach_cid.index()] {
-                        Mode::Merging { into } => into,
-                        Mode::Pulling { attach: up } => up,
-                        // The attach committee is a root (waiting or back in
-                        // selection): stay put, we merge into it next phase.
-                        _ => attach,
-                    }
-                };
-                if target != attach {
-                    // The attach node supports both the old (leader,
-                    // attach) edge and the upward (attach, target) edge.
-                    wave_acts.push(adn_sim::WaveActivation {
-                        initiator: leader,
-                        target,
-                        witness: attach,
-                    });
-                    if !self.initial_edges.has_edge(leader, attach) {
-                        wave_drops.push(Edge::new(leader, attach));
-                    }
-                }
-                climbs.push((cid, target));
-            }
-        }
+        self.forest.absorb_batch(merges);
 
-        network.stage_jump_wave(&wave_acts, &wave_drops)?;
-        let summary_a = network.commit_round();
-
-        // Round B: second selection hop, witnessed by the round-A helper
-        // endpoint `y` (adjacent to `u` via the helper edge and to `v`
-        // inside the target committee).
-        wave_acts.clear();
-        wave_drops.clear();
-        let mut any_b = false;
-        for (u, v, helper) in &pending_b {
-            let witness = helper.map_or(*u, |(_, y)| y);
-            wave_acts.push(adn_sim::WaveActivation {
-                initiator: *u,
-                target: *v,
-                witness,
-            });
-            if let Some((a, b)) = helper {
-                if !self.initial_edges.has_edge(*a, *b) {
-                    wave_drops.push(Edge::new(*a, *b));
-                }
-            }
-            any_b = true;
-        }
-        network.stage_jump_wave(&wave_acts, &wave_drops)?;
-        if any_b || !selections.is_empty() {
-            // A selection phase always costs 2 rounds (Lemma 3.7), even if
-            // the second hop happened to be unnecessary for some selectors.
-            network.commit_round();
-        } else if summary_a.activations == 0 && summary_a.deactivations == 0 {
-            // A phase with no edge operations at all (pure mode
-            // transitions) still costs a round of communication.
-            network.advance_idle_rounds(1);
-        }
-
-        // ------------------------------------------------------------------
-        // 3. Apply merges to the committee structure.
-        // ------------------------------------------------------------------
-        self.forest.absorb_batch(&merges);
-
-        // ------------------------------------------------------------------
-        // 4. Mode transitions for the next phase.
-        // ------------------------------------------------------------------
-        // Pulling committees first (their new attach nodes were computed
-        // above). If the attach node is now the leader of a root committee
-        // (waiting / back in selection), we merge into it next phase;
+        // Pulling committees first. If the new attach node is now the
+        // leader of a root committee, we merge into it next phase;
         // otherwise we keep pulling.
-        for (cid, new_attach) in climbs {
+        for &(cid, new_attach) in climbs {
             let attach_cid = self
                 .forest
                 .committee_of(new_attach)
                 .ok_or_else(|| invariant_error(format!("attach node {new_attach} is untracked")))?;
             let attach_is_root_leader = new_attach == self.forest.leader(attach_cid)
-                && matches!(
-                    self.mode[attach_cid.index()],
-                    Mode::Waiting | Mode::Selection
-                );
+                && self.mode[attach_cid.index()].is_root();
             self.mode[cid.index()] = if attach_is_root_leader {
                 Mode::Merging { into: new_attach }
             } else {
@@ -403,11 +194,11 @@ impl State {
             };
         }
 
-        // Selector committees.
-        for sel in &selections {
-            let target_selected = did_select[sel.target.index()];
-            let target_leader = self.forest.leader(sel.target);
-            self.mode[sel.selector.index()] = if target_selected {
+        // Selector committees: pull towards a target that selected too,
+        // otherwise merge into it.
+        for &(selector, target) in selections {
+            let target_leader = self.forest.leader(target);
+            self.mode[selector.index()] = if did_select[target.index()] {
                 Mode::Pulling {
                     attach: target_leader,
                 }
@@ -435,20 +226,241 @@ impl State {
             }
         }
         for &cid in self.forest.live_ids() {
-            match self.mode[cid.index()] {
-                Mode::Merging { .. } | Mode::Pulling { .. } => {}
-                Mode::Selection | Mode::Waiting => {
-                    self.mode[cid.index()] =
-                        if selected_by[cid.index()] || has_children[cid.index()] {
-                            Mode::Waiting
-                        } else {
-                            Mode::Selection
-                        };
+            if self.mode[cid.index()].is_root() {
+                self.mode[cid.index()] = if selected_by[cid.index()] || has_children[cid.index()] {
+                    Mode::Waiting
+                } else {
+                    Mode::Selection
+                };
+            }
+        }
+        Ok(())
+    }
+
+    /// The termination phase's deactivations: every edge not incident to
+    /// the elected leader, so only the star stays.
+    pub(crate) fn termination_drops(&self, graph: &Graph) -> Vec<Edge> {
+        let leader = self.forest.first_leader();
+        graph
+            .edges()
+            .filter(|e| e.a != leader && e.b != leader)
+            .collect()
+    }
+}
+
+/// Executes GraphToStar on `network` (trait entry point; see
+/// [`crate::algorithm::GraphToStar`]).
+pub(crate) fn execute(
+    network: &mut Network,
+    uids: &UidMap,
+    config: &RunConfig,
+) -> Result<TransformationOutcome, CoreError> {
+    if !config.engine.is_synchronous() {
+        return crate::subroutines::runtime_committee::run_runtime_star(network, uids, config);
+    }
+    validate_input(network.graph(), uids, "GraphToStar")?;
+
+    network.set_trace_enabled(config.trace.is_per_round());
+    // The incremental adjacency consumes the committee tap of the
+    // network's round-event bus (and the forest's merges) instead of
+    // rebuilding from the edge set every phase. The tap is armed before
+    // the first operation so no delta is missed, and disarmed on *every*
+    // exit path — error returns included — so a caller's network is
+    // never left accumulating deltas.
+    network.set_edge_delta_tracking(true);
+    let result = run_phases(network, uids, config);
+    network.set_edge_delta_tracking(false);
+    result
+}
+
+/// The phase loop of [`execute`], split out so the edge-delta hook is
+/// disarmed on every exit path (the engine's `run_rounds` discipline).
+fn run_phases(
+    network: &mut Network,
+    uids: &UidMap,
+    config: &RunConfig,
+) -> Result<TransformationOutcome, CoreError> {
+    let initial = network.graph().clone();
+    let n = initial.node_count();
+    let mut state = State::new(initial);
+
+    while state.committees.forest.live_count() > 1 {
+        let live = state.committees.forest.live_count();
+        state.committees.log.begin(config, network, live)?;
+        network.note_groups_alive(live);
+        state.run_phase(network, uids)?;
+    }
+
+    // Termination phase: keep only the star edges.
+    let leader = state.committees.forest.first_leader();
+    if n > 1 {
+        state.committees.log.terminate(config, network)?;
+        network.note_groups_alive(1);
+        for e in state.committees.termination_drops(network.graph()) {
+            network.stage_deactivation(e.a, e.b)?;
+        }
+        network.commit_round();
+        // The paper charges 2 rounds for the termination phase (detection +
+        // clean-up); charge the detection round explicitly.
+        network.advance_idle_rounds(1);
+    }
+
+    config.check_round_budget(network)?;
+    debug_assert_eq!(Some(leader), uids.max_uid_node());
+    Ok(state.committees.log.outcome(leader, network))
+}
+
+struct State {
+    committees: StarCommittees,
+    /// Delta-driven committee adjacency, synced at every phase start from
+    /// the network's edge deltas and the forest's merges.
+    adjacency: IncrementalAdjacency,
+    /// Edges of the initial network (never deactivated before termination).
+    initial_edges: Graph,
+}
+
+impl State {
+    fn new(initial: Graph) -> Self {
+        let committees = StarCommittees::new(initial.node_count());
+        let adjacency = IncrementalAdjacency::new(&committees.forest, &initial);
+        State {
+            committees,
+            adjacency,
+            initial_edges: initial,
+        }
+    }
+
+    /// One phase: the selections, round A (selection helpers, merges and
+    /// climbs), round B (the second selection hops), then the shared
+    /// merge and mode-transition step.
+    fn run_phase(&mut self, network: &mut Network, uids: &UidMap) -> Result<(), CoreError> {
+        let deltas = network.take_edge_deltas();
+        let committees = &self.committees;
+        let (forest, mode) = (&committees.forest, &committees.mode);
+        let adjacency = self.adjacency.refresh(forest, network.graph(), &deltas);
+
+        // Selection: a committee in selection mode picks its target among
+        // the root committees (those not already committed to a merge or
+        // climb), and its leader connects towards the target in round A —
+        // the helper edge (u, y) via witness x, or directly the
+        // leader-leader edge when it is already at distance <= 2. The
+        // round-B second hops `(u, v, y)` are collected in `pending_b`.
+        let mut selections: Vec<(CommitteeId, CommitteeId)> = Vec::new();
+        let mut pending_b: Vec<(NodeId, NodeId, NodeId)> = Vec::new();
+        let mut wave_acts: Vec<WaveActivation> = Vec::new();
+        let mut wave_drops: Vec<Edge> = Vec::new();
+        for &cid in forest.live_ids() {
+            if mode[cid.index()] != Mode::Selection {
+                continue;
+            }
+            let Some((target, x, y)) =
+                adjacency
+                    .select_largest_uid_neighbor(cid, forest, uids, |o| mode[o.index()].is_root())
+            else {
+                continue;
+            };
+            selections.push((cid, target));
+            let u = forest.leader(cid);
+            let v = forest.leader(target);
+            if network.graph().has_edge(u, v) {
+                // Already adjacent (for example both singletons joined by an
+                // initial edge): nothing to activate.
+                continue;
+            }
+            if u == x || y == v {
+                // The leader-leader edge is one hop away: witness y (if the
+                // selector's leader is the bridge) or witness x (if the
+                // bridge lands on the target leader).
+                wave_acts.push(WaveActivation {
+                    initiator: u,
+                    target: v,
+                    witness: if u == x { y } else { x },
+                });
+                continue;
+            }
+            wave_acts.push(WaveActivation {
+                initiator: u,
+                target: y,
+                witness: x,
+            });
+            pending_b.push((u, v, y));
+        }
+
+        // Merging committees: every member joins the target leader's star.
+        let merges = committees.merge_list()?;
+        for (cid, into) in committees.merging() {
+            let leader = forest.leader(cid);
+            for &x in forest.members(cid) {
+                if x == leader {
+                    continue;
+                }
+                // The dying committee's leader sits on both the star
+                // edge (x, leader) and the leader-leader edge
+                // (leader, into) from the selection phase.
+                wave_acts.push(WaveActivation {
+                    initiator: x,
+                    target: into,
+                    witness: leader,
+                });
+                if !self.initial_edges.has_edge(x, leader) {
+                    wave_drops.push(Edge::new(x, leader));
                 }
             }
         }
 
-        Ok(())
+        // Pulling committees: climb one level of the committee tree.
+        let mut climbs: Vec<(CommitteeId, NodeId)> = Vec::new();
+        for (cid, attach) in committees.pulling() {
+            let leader = forest.leader(cid);
+            let attach_cid = forest
+                .committee_of(attach)
+                .ok_or_else(|| invariant_error(format!("attach node {attach} is untracked")))?;
+            let target = climb_target(attach, forest.leader(attach_cid), mode[attach_cid.index()]);
+            if target != attach {
+                // The attach node supports both the old (leader,
+                // attach) edge and the upward (attach, target) edge.
+                wave_acts.push(WaveActivation {
+                    initiator: leader,
+                    target,
+                    witness: attach,
+                });
+                if !self.initial_edges.has_edge(leader, attach) {
+                    wave_drops.push(Edge::new(leader, attach));
+                }
+            }
+            climbs.push((cid, target));
+        }
+
+        network.stage_jump_wave(&wave_acts, &wave_drops)?;
+        let summary_a = network.commit_round();
+
+        // Round B: second selection hop, witnessed by the round-A helper
+        // endpoint `y` (adjacent to `u` via the helper edge and to `v`
+        // inside the target committee); the helper edge is dropped.
+        wave_acts.clear();
+        wave_drops.clear();
+        for &(u, v, y) in &pending_b {
+            wave_acts.push(WaveActivation {
+                initiator: u,
+                target: v,
+                witness: y,
+            });
+            if !self.initial_edges.has_edge(u, y) {
+                wave_drops.push(Edge::new(u, y));
+            }
+        }
+        network.stage_jump_wave(&wave_acts, &wave_drops)?;
+        if !selections.is_empty() {
+            // A selection phase always costs 2 rounds (Lemma 3.7), even if
+            // the second hop happened to be unnecessary for some selectors.
+            network.commit_round();
+        } else if summary_a.activations == 0 && summary_a.deactivations == 0 {
+            // A phase with no edge operations at all (pure mode
+            // transitions) still costs a round of communication.
+            network.advance_idle_rounds(1);
+        }
+
+        self.committees.finish_phase(&selections, &merges, &climbs)
     }
 }
 

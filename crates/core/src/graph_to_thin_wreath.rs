@@ -17,13 +17,17 @@
 //! one materialization pass per merge) and its lockstep tree rebuilds
 //! (every merged ring of a phase in one line-to-tree batch, so a phase
 //! costs its slowest rebuild); this covers the selection / ring-merging /
-//! tree-merging / termination pipeline of Section 5. The matchmaker/matched refinement of Appendix C (pair
-//! matching of leaf committees performed by their common parent) is an
-//! optimisation of the same pipeline that reduces the constant in front of
-//! the bound; it is not modelled separately — the quantity our experiments
-//! compare (rounds as a function of `n`, against GraphToWreath's
-//! `log² n` growth) is produced by the arity change, which the T3
-//! experiment demonstrates. This simplification is recorded in DESIGN.md.
+//! tree-merging / termination pipeline of Section 5.
+//!
+//! **Simplification.** The matchmaker/matched refinement of Appendix C
+//! (pair matching of leaf committees performed by their common parent) is
+//! an optimisation of the same pipeline that reduces the constant in front
+//! of the bound; it is not modelled separately. The quantity our
+//! experiments compare (rounds as a function of `n`, against
+//! GraphToWreath's `log² n` growth) is produced by the arity change, which
+//! the T1 and F9 tables of the experiment report show (`report -- t1`,
+//! `report -- f9`; the full report is pinned in
+//! `tests/expectations/report.txt`).
 
 #[cfg(test)]
 mod tests {

@@ -18,25 +18,38 @@
 //! termination phase deletes everything except the tree, solving
 //! Depth-`log n` Tree with the elected leader `u_max` at the root.
 //!
+//! The phase rules — selection set-up, each splice level's plan and its
+//! round-B guards, ring materialization, the clean-up list, tree install
+//! and retire, and the termination keep-set — are methods of one
+//! `WreathState`, written once here. This module's round engine runs
+//! them with its own round accounting (communication charges, the
+//! lockstep rebuild batch); the asynchronous runtime's committee actors
+//! (`subroutines::runtime_committee`) run them between their barriers.
+//!
 //! Complexity (Theorem 4.2): `O(log² n)` rounds, `O(n log² n)` total edge
 //! activations, `O(n)` active edges per round and `O(1)` maximum activated
 //! degree (the total degree is bounded by a constant plus the initial
-//! degree). All of these are verified by the tests — rounds against
-//! `3·⌈log₂ n⌉²` up to n = 4096 — and regenerated by the experiment
-//! report (T1).
+//! degree). The tests check all of these, and the experiment report (T1)
+//! regenerates them. The round bound `3·⌈log₂ n⌉²` is pinned up to
+//! n = 4096 on random UID permutations only: with monotone UIDs
+//! (sequential or reversed) along a line the selection tree is a path,
+//! splicing runs one BFS level per two rounds, and a run takes Θ(n)
+//! rounds (521, 2059 and 8205 at n = 256, 1024 and 4096).
 //!
 //! The same engine, instantiated with a polylogarithmic tree arity, yields
 //! [`crate::graph_to_thin_wreath`] (Section 5).
 
 use crate::algorithm::RunConfig;
-use crate::committee::{CommitteeForest, CommitteeId, IncrementalAdjacency, SelectionForest};
+use crate::committee::{
+    validate_input, CommitteeForest, CommitteeId, IncrementalAdjacency, PhaseLog, SelectionForest,
+};
 use crate::subroutines::async_line_to_tree::run_lockstep;
 use crate::subroutines::LineScratch;
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::edgeset::SortedEdgeSet;
 use adn_graph::properties::ceil_log2;
 use adn_graph::{Edge, Graph, NodeId, UidMap};
-use adn_sim::Network;
+use adn_sim::{Network, WaveActivation};
 
 /// Parameters distinguishing the wreath-family algorithms.
 #[derive(Debug, Clone)]
@@ -75,24 +88,441 @@ impl WreathConfig {
     }
 }
 
-/// The predecessor (counter-clockwise neighbour) of position `i` on a
-/// committee ring.
-fn ccw(ring: &[NodeId], i: usize) -> NodeId {
-    let n = ring.len();
-    ring[(i + n - 1) % n]
+/// A committee's selection: `(target committee, bridge node x in the
+/// selecting committee, attach node y in the target)`.
+pub(crate) type Choice = (CommitteeId, NodeId, NodeId);
+
+/// A planned splice edge `(a, b, w)`: `a` activates `b` over the
+/// distance-2 witness `w`.
+type Hop = (NodeId, NodeId, NodeId);
+
+/// The wreath committees and the merge of the current phase: the state
+/// both engines evolve with the rules below.
+///
+/// The arena-backed committee partition carries the per-slot wreath
+/// payload (spanning-tree edges and depth) as parallel columns. Member
+/// lists hold the committee ring order, starting at the leader; leaders
+/// never migrate between slots, so ascending slot order is ascending
+/// leader order (the old `BTreeMap` iteration order).
+///
+/// A phase's merge is set up from the selections ([`WreathState::select`]),
+/// spliced level by level ([`WreathState::plan_level`]), materialized,
+/// cleaned up, and closed by installing the rebuilt trees and retiring
+/// the committees that merged away. The rings under construction are
+/// successor pointers (rings are node-disjoint, so one column serves every
+/// root at once) with per-node `(epoch, root)` marks for clean membership
+/// checks, a per-slot ring length and per-slot buffers for the
+/// materialized rings, all allocated once and reused across phases.
+pub(crate) struct WreathState {
+    /// The committee partition.
+    pub(crate) forest: CommitteeForest,
+    /// Phase counter, committee census and phase limit.
+    pub(crate) log: PhaseLog,
+    tree_edges: Vec<Vec<Edge>>,
+    tree_depth: Vec<usize>,
+    /// Per slot: the committee's selection this phase (empty between
+    /// phases, like `sel`).
+    selected: Vec<Option<Choice>>,
+    /// The phase's selection forest.
+    sel: SelectionForest,
+    /// The selection-forest level whose children splice next.
+    frontier: Vec<CommitteeId>,
+    /// Old tree edges of every committee taking part in a merge.
+    stale_tree_edges: Vec<Edge>,
+    ring_succ: Vec<NodeId>,
+    ring_mark: Vec<(u64, CommitteeId)>,
+    ring_len: Vec<usize>,
+    merged_line: Vec<Vec<NodeId>>,
+    epoch: u64,
 }
 
-/// Position of `u` on a committee ring, if present.
-fn position_of(ring: &[NodeId], u: NodeId) -> Option<usize> {
-    ring.iter().position(|&x| x == u)
+/// One splice level's edge operations, as planned by
+/// [`WreathState::plan_level`]; the guards below pick the operations each
+/// round actually performs.
+#[derive(Debug, Default)]
+pub(crate) struct SpliceLevel {
+    round_a: Vec<Hop>,
+    helpers: Vec<Hop>,
+    round_b: Vec<Hop>,
+    /// Ring edges `(a, b)` the splices replace: `a` drops its edge to `b`.
+    deactivate: Vec<(NodeId, NodeId)>,
 }
 
-/// A structural committee/ring invariant did not hold. Unreachable in the
-/// fault-free model; surfaced as a clean error (instead of the `expect`
-/// panics this engine used to carry) so adversarial stress runs record a
-/// `Failed` outcome rather than a `Panicked` one.
-fn invariant_error(algorithm: &'static str, detail: String) -> CoreError {
-    CoreError::BrokenInvariant { algorithm, detail }
+/// The hops whose edge is still missing from `graph`, as a wave.
+fn missing<'a>(graph: &Graph, hops: impl IntoIterator<Item = &'a Hop>) -> Vec<WaveActivation> {
+    hops.into_iter()
+        .filter(|&&(a, b, _)| a != b && !graph.has_edge(a, b))
+        .map(|&(a, b, w)| WaveActivation {
+            initiator: a,
+            target: b,
+            witness: w,
+        })
+        .collect()
+}
+
+impl SpliceLevel {
+    /// Round A, on the pre-level snapshot: the helper edges and the
+    /// singleton roots' closing edges that are not present yet.
+    pub(crate) fn round_a(&self, graph: &Graph) -> Vec<WaveActivation> {
+        missing(graph, self.round_a.iter().chain(&self.helpers))
+    }
+
+    /// Round B's activations, on the post-round-A snapshot: the final
+    /// splice edges that are not present yet.
+    pub(crate) fn round_b(&self, graph: &Graph) -> Vec<WaveActivation> {
+        missing(graph, &self.round_b)
+    }
+
+    /// Round B's clean-up, on the post-round-A snapshot: helper edges that
+    /// are not initial edges are dropped again (those that coincided with
+    /// an existing bridge stay), and so are the replaced ring edges.
+    /// `(a, b)`: `a` drops its edge to `b`.
+    pub(crate) fn round_b_drops(&self, graph: &Graph, initial: &Graph) -> Vec<(NodeId, NodeId)> {
+        let helpers = self
+            .helpers
+            .iter()
+            .map(|&(a, b, _)| (a, b))
+            .filter(|&(a, b)| !initial.has_edge(a, b) && graph.has_edge(a, b));
+        let replaced = self
+            .deactivate
+            .iter()
+            .copied()
+            .filter(|&(a, b)| !initial.has_edge(a, b));
+        helpers.chain(replaced).collect()
+    }
+}
+
+/// The selection forest of no committees: the merge state between
+/// phases, holding no memory.
+fn no_selection() -> SelectionForest {
+    SelectionForest::new(&CommitteeForest::singletons(0), &[])
+}
+
+impl WreathState {
+    /// `n` singleton committees of the algorithm `name`.
+    pub(crate) fn new(n: usize, name: &'static str) -> Self {
+        WreathState {
+            forest: CommitteeForest::singletons(n),
+            log: PhaseLog::new(name, 20 * ceil_log2(n.max(2)) + 40),
+            tree_edges: vec![Vec::new(); n],
+            tree_depth: vec![0; n],
+            selected: Vec::new(),
+            sel: no_selection(),
+            frontier: Vec::new(),
+            stale_tree_edges: Vec::new(),
+            ring_succ: (0..n).map(NodeId).collect(),
+            ring_mark: vec![(0, CommitteeId(0)); n],
+            ring_len: vec![0; n],
+            merged_line: vec![Vec::new(); n],
+            epoch: 0,
+        }
+    }
+
+    /// A structural committee/ring invariant did not hold. Unreachable in
+    /// the fault-free model; surfaced as a clean error (instead of the
+    /// `expect` panics this engine used to carry) so adversarial stress
+    /// runs record a `Failed` outcome rather than a `Panicked` one.
+    fn invariant(&self, detail: String) -> CoreError {
+        CoreError::BrokenInvariant {
+            algorithm: self.log.algorithm,
+            detail,
+        }
+    }
+
+    /// The depth of the deepest live committee tree.
+    pub(crate) fn max_tree_depth(&self) -> usize {
+        self.forest
+            .live_ids()
+            .iter()
+            .map(|c| self.tree_depth[c.index()])
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Sets up the phase's merge from every committee's selection
+    /// (indexed by slot): the selection forest, whose edges point from
+    /// each selecting committee to its target, and the ring of every root
+    /// that others merge into. Returns `false`, setting up nothing, when
+    /// no committee selected.
+    pub(crate) fn select(&mut self, selected: Vec<Option<Choice>>) -> bool {
+        let sel_edges: Vec<(CommitteeId, CommitteeId)> = self
+            .forest
+            .live_ids()
+            .iter()
+            .filter_map(|&c| selected[c.index()].map(|(target, _, _)| (c, target)))
+            .collect();
+        if sel_edges.is_empty() {
+            return false;
+        }
+        self.selected = selected;
+        self.sel = SelectionForest::new(&self.forest, &sel_edges);
+        self.epoch += 1;
+        for &r in self.sel.roots() {
+            if !self.sel.has_children(r) {
+                continue;
+            }
+            let members = self.forest.members(r);
+            for w in members.windows(2) {
+                self.ring_succ[w[0].index()] = w[1];
+            }
+            self.ring_succ[members[members.len() - 1].index()] = members[0];
+            for &u in members {
+                self.ring_mark[u.index()] = (self.epoch, r);
+            }
+            self.ring_len[r.index()] = members.len();
+        }
+        self.stale_tree_edges.clear();
+        self.frontier = self.sel.roots().to_vec();
+        true
+    }
+
+    /// The roots others merge into this phase, ascending (untouched
+    /// committees are never spliced and never rebuilt).
+    pub(crate) fn merged_roots(&self) -> impl Iterator<Item = CommitteeId> + '_ {
+        self.sel
+            .roots()
+            .iter()
+            .copied()
+            .filter(|&r| self.sel.has_children(r))
+    }
+
+    /// Plans the next splice level, or `None` once every selection tree
+    /// is spliced into its root's ring.
+    ///
+    /// Children are spliced level by level (BFS order from the roots);
+    /// the splices of one level execute in the same pair of rounds, as in
+    /// the appendix's chained construction, and splices sharing an attach
+    /// node are chained behind each other. A group splice links the child
+    /// segments between the attach node and its successor in O(segment)
+    /// pointer writes; each merged ring is materialized once after the
+    /// last level.
+    pub(crate) fn plan_level(&mut self) -> Result<Option<SpliceLevel>, CoreError> {
+        // Children of the current frontier: (root, child, x, y).
+        let mut level: Vec<(CommitteeId, CommitteeId, NodeId, NodeId)> = Vec::new();
+        for &p in &self.frontier {
+            for &c in self.sel.children(p) {
+                let (_, x, y) = self.selected[c.index()].ok_or_else(|| {
+                    self.invariant(format!(
+                        "committee {c} has a parent but no recorded selection"
+                    ))
+                })?;
+                level.push((self.sel.root_of(p), c, x, y));
+            }
+        }
+        if level.is_empty() {
+            return Ok(None);
+        }
+
+        // Group by (root, y) and chain the members of a group one after
+        // the other. The stable sort preserves the in-level order within
+        // every group, and groups come out ascending by (root, y) — the
+        // old `BTreeMap` group order.
+        let mut grouped = level.clone();
+        grouped.sort_by_key(|&(root, _, _, y)| (root, y));
+        let mut plan = SpliceLevel::default();
+        let mut g = 0usize;
+        while g < grouped.len() {
+            let (root, _, _, y) = grouped[g];
+            let mut g_end = g + 1;
+            while g_end < grouped.len() && grouped[g_end].0 == root && grouped[g_end].3 == y {
+                g_end += 1;
+            }
+            let group = &grouped[g..g_end];
+            g = g_end;
+            // The attach node was spliced into this root's ring at an
+            // earlier level (or belongs to the root itself).
+            if self.ring_mark[y.index()] != (self.epoch, root) {
+                return Err(self.invariant(format!(
+                    "attach node {y} is not on the merged ring of {root}"
+                )));
+            }
+            let succ_after_y = self.ring_succ[y.index()];
+            let len_before = self.ring_len[root.index()];
+            // Link in the rings of all children of this group, each
+            // starting at its bridge node x, chained one after the other
+            // between y and y's old successor.
+            let mut prev_end: NodeId = y;
+            // Bridge node of the previously spliced child: `prev_end` is
+            // the last node of that child's rotated ring, so its bridge is
+            // adjacent to both `prev_end` (ring edge, not yet cut) and `y`
+            // (initial bridge edge) — the witness for every chained helper
+            // edge.
+            let mut prev_x: NodeId = y;
+            let mut segment_len = 0usize;
+            for &(_, child, x, _) in group {
+                let child_ring = self.forest.members(child);
+                let x_pos = child_ring.iter().position(|&u| u == x).ok_or_else(|| {
+                    self.invariant(format!(
+                        "bridge node {x} is not on the ring of committee {child}"
+                    ))
+                })?;
+                let m = child_ring.len();
+                // New ring edge (prev_end, x). From y it is the bridge
+                // edge, already active (an initial edge); between
+                // consecutive children it is a 2-hop pattern via the
+                // shared attach node y: the helper is witnessed by the
+                // previous child's bridge, the final edge by y itself.
+                if prev_end != y {
+                    plan.helpers.push((prev_end, y, prev_x));
+                    plan.round_b.push((prev_end, x, y));
+                }
+                // Cut the child's closing ring edge (x, ccw(x)) for rings
+                // of size >= 3.
+                if m >= 3 {
+                    plan.deactivate.push((x, child_ring[(x_pos + m - 1) % m]));
+                }
+                self.stale_tree_edges
+                    .extend(self.tree_edges[child.index()].iter().copied());
+                // Link the child's rotated ring into the segment.
+                let mut cursor = prev_end;
+                for k in 0..m {
+                    let node = child_ring[(x_pos + k) % m];
+                    self.ring_succ[cursor.index()] = node;
+                    self.ring_mark[node.index()] = (self.epoch, root);
+                    cursor = node;
+                }
+                prev_end = cursor;
+                prev_x = x;
+                segment_len += m;
+            }
+            if len_before >= 2 {
+                // Closing edge back into the root ring; the insertion edge
+                // (y, succ_after_y) is replaced.
+                plan.helpers.push((prev_end, y, prev_x));
+                plan.round_b.push((prev_end, succ_after_y, y));
+                plan.deactivate.push((y, succ_after_y));
+            } else {
+                // Singleton root: close the cycle straight back to y.
+                plan.round_a.push((prev_end, y, prev_x));
+            }
+            // Close the spliced segment back into the ring.
+            self.ring_succ[prev_end.index()] = succ_after_y;
+            self.ring_len[root.index()] = len_before + segment_len;
+        }
+        self.frontier = level.iter().map(|&(_, c, _, _)| c).collect();
+        Ok(Some(plan))
+    }
+
+    /// Materializes every merged ring in one amortized pass: walks the
+    /// successor map from the root's leader (the rotation the tree rebuild
+    /// starts from; ring edge *sets* are rotation-invariant).
+    pub(crate) fn materialize_rings(&mut self) -> Result<(), CoreError> {
+        for &root in self.sel.roots() {
+            if !self.sel.has_children(root) {
+                continue;
+            }
+            let leader = self.forest.leader(root);
+            if self.ring_mark[leader.index()] != (self.epoch, root) {
+                return Err(self.invariant(format!(
+                    "leader {leader} is not on the merged ring of {root}"
+                )));
+            }
+            let m = self.ring_len[root.index()];
+            let line = &mut self.merged_line[root.index()];
+            line.clear();
+            let mut cur = leader;
+            for _ in 0..m {
+                line.push(cur);
+                cur = self.ring_succ[cur.index()];
+            }
+            if cur != leader {
+                return Err(
+                    self.invariant(format!("merged ring of {root} did not close at its leader"))
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// The merged ring of `root`, starting at its leader.
+    pub(crate) fn merged_line(&self, root: CommitteeId) -> &[NodeId] {
+        &self.merged_line[root.index()]
+    }
+
+    /// The clean-up after the splices, and the phase's ring-edge set.
+    /// The old tree edges of every committee that took part in a merge —
+    /// the roots' included — are dropped, since their trees are rebuilt
+    /// over the merged rings; those that coincide with a ring edge, an
+    /// initial edge or an edge already gone stay.
+    pub(crate) fn cleanup(&mut self, graph: &Graph, initial: &Graph) -> (Vec<Edge>, SortedEdgeSet) {
+        for &root in self.sel.roots() {
+            if self.sel.has_children(root) {
+                self.stale_tree_edges
+                    .extend(self.tree_edges[root.index()].iter().copied());
+            }
+        }
+        let mut ring_edge_vec: Vec<Edge> = Vec::new();
+        for &root in self.sel.roots() {
+            let ring: &[NodeId] = if self.sel.has_children(root) {
+                &self.merged_line[root.index()]
+            } else {
+                self.forest.members(root)
+            };
+            for w in ring.windows(2) {
+                ring_edge_vec.push(Edge::new(w[0], w[1]));
+            }
+            if ring.len() >= 3 {
+                ring_edge_vec.push(Edge::new(ring[ring.len() - 1], ring[0]));
+            }
+        }
+        let ring_edges = SortedEdgeSet::from_vec(ring_edge_vec);
+        let drops = self
+            .stale_tree_edges
+            .iter()
+            .copied()
+            .filter(|e| {
+                !initial.has_edge(e.a, e.b) && !ring_edges.contains(e) && graph.has_edge(e.a, e.b)
+            })
+            .collect();
+        (drops, ring_edges)
+    }
+
+    /// Installs the tree rebuilt over `root`'s merged ring — `parents[pos]`
+    /// is the ring position of position `pos`'s parent (entry 0, the
+    /// root's, is ignored) and `depth` its depth — and makes the ring the
+    /// committee's member list.
+    pub(crate) fn install_tree(&mut self, root: CommitteeId, parents: &[usize], depth: usize) {
+        let line = std::mem::take(&mut self.merged_line[root.index()]);
+        let edges = &mut self.tree_edges[root.index()];
+        edges.clear();
+        edges.extend(
+            parents
+                .iter()
+                .enumerate()
+                .skip(1)
+                .map(|(pos, &parent)| Edge::new(line[pos], line[parent])),
+        );
+        self.tree_depth[root.index()] = depth;
+        self.forest.replace_members(root, line);
+    }
+
+    /// Retires every committee that merged away this phase (its members
+    /// were re-homed by [`WreathState::install_tree`] on its root) and
+    /// frees the phase's selections.
+    pub(crate) fn retire_merged(&mut self) {
+        let selected = std::mem::take(&mut self.selected);
+        self.sel = no_selection();
+        let dead: Vec<CommitteeId> = self
+            .forest
+            .live_ids()
+            .iter()
+            .copied()
+            .filter(|c| selected[c.index()].is_some())
+            .collect();
+        self.forest.retire_batch(&dead);
+        for c in dead {
+            self.tree_edges[c.index()].clear();
+            self.tree_depth[c.index()] = 0;
+        }
+    }
+
+    /// The termination phase's deactivations: every edge outside the
+    /// final committee's spanning tree.
+    pub(crate) fn termination_drops(&self, graph: &Graph) -> Vec<Edge> {
+        let final_committee = self.forest.live_ids()[0];
+        let keep = SortedEdgeSet::from_vec(self.tree_edges[final_committee.index()].clone());
+        graph.edges().filter(|e| !keep.contains(e)).collect()
+    }
 }
 
 /// Executes the shared wreath engine on `network` (trait entry point used
@@ -104,29 +534,12 @@ pub(crate) fn execute(
     config: &WreathConfig,
     run: &RunConfig,
 ) -> Result<TransformationOutcome, CoreError> {
-    let initial = network.graph().clone();
-    let initial = &initial;
-    let n = initial.node_count();
-    if n == 0 {
-        return Err(CoreError::InvalidInput {
-            reason: "the initial network must contain at least one node".into(),
-        });
-    }
-    if uids.len() != n {
-        return Err(CoreError::InvalidInput {
-            reason: "one UID per node is required".into(),
-        });
-    }
-    if !adn_graph::traversal::is_connected(initial) {
-        return Err(CoreError::InvalidInput {
-            reason: format!("{} requires a connected initial network", config.name),
-        });
-    }
     if !run.engine.is_synchronous() {
         return crate::subroutines::runtime_committee::run_runtime_wreath(
             network, uids, config, run,
         );
     }
+    validate_input(network.graph(), uids, config.name)?;
 
     network.set_trace_enabled(run.trace.is_per_round());
     // The delta-driven committee adjacency consumes the committee tap
@@ -135,7 +548,7 @@ pub(crate) fn execute(
     // exit path — error returns included — so a caller's network is
     // never left accumulating deltas.
     network.set_edge_delta_tracking(true);
-    let result = run_phases(network, uids, config, run, initial, n);
+    let result = run_phases(network, uids, config, run);
     network.set_edge_delta_tracking(false);
     result
 }
@@ -147,69 +560,32 @@ fn run_phases(
     uids: &UidMap,
     config: &WreathConfig,
     run: &RunConfig,
-    initial: &Graph,
-    n: usize,
 ) -> Result<TransformationOutcome, CoreError> {
-    // The arena-backed committee partition: forest membership plus the
-    // per-slot wreath payload (spanning-tree edges and depth) as parallel
-    // columns. Member lists hold the committee ring order, starting at the
-    // leader; leaders never migrate between slots, so ascending slot order
-    // is ascending leader order (the old `BTreeMap` iteration order).
-    let mut forest = CommitteeForest::singletons(n);
-    let mut adjacency_tracker = IncrementalAdjacency::new(&forest, initial);
-    let mut tree_edges: Vec<Vec<Edge>> = vec![Vec::new(); n];
-    let mut tree_depth: Vec<usize> = vec![0usize; n];
-    let mut committees_per_phase = Vec::new();
-    let mut phases = 0usize;
-    let phase_limit = 20 * ceil_log2(n.max(2)) + 40;
-
-    // Linked-ring splice state, allocated once and reused across phases:
-    // rings under construction live as successor pointers (rings are
-    // node-disjoint, so one column serves every root simultaneously),
-    // with per-node (epoch, root) marks for clean membership checks, a
-    // per-slot ring length, and per-slot buffers for the materialized
-    // rings. The line-to-tree scratch memoises jump schedules and
-    // recycles the lockstep batch's columns across phases.
-    let mut ring_succ: Vec<NodeId> = (0..n).map(NodeId).collect();
-    let mut ring_mark: Vec<(u64, CommitteeId)> = vec![(0, CommitteeId(0)); n];
-    let mut ring_len: Vec<usize> = vec![0usize; n];
-    let mut merged_line: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    let mut epoch: u64 = 0;
+    let initial = network.graph().clone();
+    let n = initial.node_count();
+    let mut state = WreathState::new(n, config.name);
+    let mut adjacency_tracker = IncrementalAdjacency::new(&state.forest, &initial);
+    // Memoises jump schedules and recycles the lockstep batch's columns
+    // across phases.
     let mut line_scratch = LineScratch::new();
 
-    while forest.live_count() > 1 {
-        phases += 1;
-        run.check_round_budget(network)?;
-        if phases > phase_limit {
-            return Err(CoreError::DidNotConverge {
-                algorithm: config.name,
-                phase_limit,
-            });
-        }
-        committees_per_phase.push(forest.live_count());
-        network.note_groups_alive(forest.live_count());
+    while state.forest.live_count() > 1 {
+        let live = state.forest.live_count();
+        state.log.begin(run, network, live)?;
+        network.note_groups_alive(live);
 
         // ------------------------------------------------------------------
         // Selection: every committee picks its largest-UID strictly-larger
-        // neighbour over the shared committee-adjacency (flat rows, same
-        // smallest-bridge semantics as the old nested maps). The selection
+        // neighbour over the shared committee-adjacency. The selection
         // edges form a forest whose roots are the locally-maximal
         // committees.
         // ------------------------------------------------------------------
         let deltas = network.take_edge_deltas();
-        let adjacency = adjacency_tracker.refresh(&forest, network.graph(), &deltas);
-
-        // selected[c] = (target committee, bridge x in c, bridge y in target)
-        let slots = forest.slot_count();
-        let mut selected: Vec<Option<(CommitteeId, NodeId, NodeId)>> = vec![None; slots];
-        let mut sel_edges: Vec<(CommitteeId, CommitteeId)> = Vec::new();
-        for &cid in forest.live_ids() {
-            if let Some(choice) =
-                adjacency.select_largest_uid_neighbor(cid, &forest, uids, |_| true)
-            {
-                selected[cid.index()] = Some(choice);
-                sel_edges.push((cid, choice.0));
-            }
+        let adjacency = adjacency_tracker.refresh(&state.forest, network.graph(), &deltas);
+        let mut selected: Vec<Option<Choice>> = vec![None; state.forest.slot_count()];
+        for &cid in state.forest.live_ids() {
+            selected[cid.index()] =
+                adjacency.select_largest_uid_neighbor(cid, &state.forest, uids, |_| true);
         }
 
         // Communication charge: the selection requires each committee to
@@ -218,16 +594,10 @@ fn run_phases(
         // by 4·log n). We charge 2·(max tree depth involved) + 2 idle
         // rounds for the whole phase.
         if config.charge_communication {
-            let max_depth = forest
-                .live_ids()
-                .iter()
-                .map(|c| tree_depth[c.index()])
-                .max()
-                .unwrap_or(0);
-            network.advance_idle_rounds(2 * max_depth + 2);
+            network.advance_idle_rounds(2 * state.max_tree_depth() + 2);
         }
 
-        if sel_edges.is_empty() {
+        if !state.select(selected) {
             // No committee found a larger neighbour other than through
             // committees currently unavailable; with a connected network
             // this cannot persist, but charge a round and retry.
@@ -235,291 +605,44 @@ fn run_phases(
             continue;
         }
 
-        // The selection forest: children lists, roots and the root of
-        // every tree, resolved once (incremental root maintenance instead
-        // of per-query pointer chasing).
-        let sel = SelectionForest::new(&forest, &sel_edges);
-
         // ------------------------------------------------------------------
-        // Ring merging: every selection tree merges into its root. Children
-        // are spliced level by level (BFS order from the root); splices of
-        // the same level execute in the same pair of rounds, exactly as in
-        // the appendix's chained construction. Conflicting splices (sharing
-        // an insertion edge) are chained behind each other.
-        //
-        // The rings under construction are successor maps, not vectors: a
-        // group splice links the child segments between the attach node
-        // and its successor in O(segment) pointer writes — batching every
-        // splice level of the phase into one deferred ring rebuild — and
-        // each merged ring is materialized once after the last level. The
-        // edge-operation schedule is untouched by the representation
-        // (verified byte-identical on the full stress sweep).
+        // Ring merging: every selection tree merges into its root, one
+        // splice level per pair of rounds — round A (helpers and
+        // distance-2 edges), round B (final edges + clean-up), each
+        // batched into one wave.
         // ------------------------------------------------------------------
-        epoch += 1;
-        for &r in sel.roots() {
-            if !sel.has_children(r) {
-                // Untouched committee: never spliced, never rebuilt.
-                continue;
-            }
-            let members = forest.members(r);
-            for w in members.windows(2) {
-                ring_succ[w[0].index()] = w[1];
-            }
-            ring_succ[members[members.len() - 1].index()] = members[0];
-            for &u in members {
-                ring_mark[u.index()] = (epoch, r);
-            }
-            ring_len[r.index()] = members.len();
-        }
-        // Old tree edges of every committee that participates in a merge
-        // (they are deactivated and rebuilt).
-        let mut stale_tree_edges: Vec<Edge> = Vec::new();
-        let mut merged_any = false;
-
-        // BFS levels over each selection tree.
-        let mut frontier: Vec<CommitteeId> = sel.roots().to_vec();
-        while !frontier.is_empty() {
-            // Children of the current frontier, grouped by (root, attach node y).
-            let mut level: Vec<(CommitteeId, CommitteeId, NodeId, NodeId)> = Vec::new(); // (root, child, x, y)
-            for &p in &frontier {
-                for &c in sel.children(p) {
-                    let (_, x, y) = selected[c.index()].ok_or_else(|| {
-                        invariant_error(
-                            config.name,
-                            format!("committee {c} has a parent but no recorded selection"),
-                        )
-                    })?;
-                    level.push((sel.root_of(p), c, x, y));
-                }
-            }
-            if level.is_empty() {
-                break;
-            }
-            merged_any = true;
-
-            // Plan the splices of this level: group by (root, y) and chain
-            // the members of a group one after the other. The stable sort
-            // preserves the in-level order within every group, and groups
-            // come out ascending by (root, y) — the old `BTreeMap` group
-            // order.
-            let mut grouped = level.clone();
-            grouped.sort_by_key(|&(root, _, _, y)| (root, y));
-
-            // Planned edges carry their distance-2 witness (third field)
-            // so the execution rounds can stage them as probe-only waves.
-            let mut round_a: Vec<(NodeId, NodeId, NodeId)> = Vec::new();
-            let mut round_b: Vec<(NodeId, NodeId, NodeId)> = Vec::new();
-            let mut helpers: Vec<(NodeId, NodeId, NodeId)> = Vec::new();
-            let mut deactivate: Vec<(NodeId, NodeId)> = Vec::new();
-
-            let mut g = 0usize;
-            while g < grouped.len() {
-                let (root, _, _, y) = grouped[g];
-                let mut g_end = g + 1;
-                while g_end < grouped.len() && grouped[g_end].0 == root && grouped[g_end].3 == y {
-                    g_end += 1;
-                }
-                let group = &grouped[g..g_end];
-                g = g_end;
-                // The attach node was spliced into this root's ring at an
-                // earlier level (or belongs to the root itself).
-                if ring_mark[y.index()] != (epoch, root) {
-                    return Err(invariant_error(
-                        config.name,
-                        format!("attach node {y} is not on the merged ring of {root}"),
-                    ));
-                }
-                let succ_after_y = ring_succ[y.index()];
-                let len_before = ring_len[root.index()];
-                // Link in the rings of all children of this group, each
-                // starting at its bridge node x, chained one after the
-                // other between y and y's old successor.
-                let mut prev_end: NodeId = y;
-                // Bridge node of the previously spliced child: `prev_end`
-                // is the last node of that child's rotated ring, so its
-                // bridge is adjacent to both `prev_end` (ring edge, not
-                // yet cut) and `y` (initial bridge edge) — the witness for
-                // every chained helper edge.
-                let mut prev_x: NodeId = y;
-                let mut segment_len = 0usize;
-                for &(_, child, x, _) in group {
-                    let child_ring = forest.members(child);
-                    let x_pos = position_of(child_ring, x).ok_or_else(|| {
-                        invariant_error(
-                            config.name,
-                            format!("bridge node {x} is not on the ring of committee {child}"),
-                        )
-                    })?;
-                    let m = child_ring.len();
-                    // New ring edge (prev_end, x).
-                    if prev_end == y {
-                        // Bridge edge (y, x): already active (initial edge).
-                    } else {
-                        // Edge between consecutive children: 2-hop pattern
-                        // via the shared attach node y. The helper is
-                        // witnessed by the previous child's bridge, the
-                        // final edge by the attach node itself.
-                        helpers.push((prev_end, y, prev_x));
-                        round_b.push((prev_end, x, y));
-                    }
-                    // Cut the child's closing ring edge (x, ccw(x)) for
-                    // rings of size >= 3.
-                    if m >= 3 {
-                        deactivate.push((x, ccw(child_ring, x_pos)));
-                    }
-                    stale_tree_edges.extend(tree_edges[child.index()].iter().copied());
-                    // Link the child's rotated ring into the segment.
-                    let mut cursor = prev_end;
-                    for k in 0..m {
-                        let node = child_ring[(x_pos + k) % m];
-                        ring_succ[cursor.index()] = node;
-                        ring_mark[node.index()] = (epoch, root);
-                        cursor = node;
-                    }
-                    prev_end = cursor;
-                    prev_x = x;
-                    segment_len += m;
-                }
-                // Closing edge back into the root ring.
-                if len_before >= 2 {
-                    let next_after_y = succ_after_y;
-                    helpers.push((prev_end, y, prev_x));
-                    round_b.push((prev_end, next_after_y, y));
-                    // The insertion edge (y, next_after_y) is replaced.
-                    deactivate.push((y, next_after_y));
-                } else {
-                    // Singleton root: close the cycle straight back to y.
-                    round_a.push((prev_end, y, prev_x));
-                }
-                // Close the spliced segment back into the ring.
-                ring_succ[prev_end.index()] = succ_after_y;
-                ring_len[root.index()] = len_before + segment_len;
-            }
-
-            // Execute the level's edge operations as two batched waves:
-            // round A (helpers and distance-2 edges), round B (final edges
-            // + clean-up). The pre-filters mirror the old per-edge loops
-            // exactly, so a round commits if and only if it did before.
-            let mut wave_acts: Vec<adn_sim::WaveActivation> = Vec::new();
-            let mut wave_drops: Vec<Edge> = Vec::new();
-            for &(a, b, w) in round_a.iter().chain(helpers.iter()) {
-                if a != b && !network.graph().has_edge(a, b) {
-                    wave_acts.push(adn_sim::WaveActivation {
-                        initiator: a,
-                        target: b,
-                        witness: w,
-                    });
-                }
-            }
-            if !wave_acts.is_empty() {
-                network.stage_jump_wave(&wave_acts, &[])?;
+        while let Some(level) = state.plan_level()? {
+            let acts = level.round_a(network.graph());
+            if !acts.is_empty() {
+                network.stage_jump_wave(&acts, &[])?;
                 network.commit_round();
             } else {
                 network.advance_idle_rounds(1);
             }
-            wave_acts.clear();
-            for &(a, b, w) in &round_b {
-                if a != b && !network.graph().has_edge(a, b) {
-                    wave_acts.push(adn_sim::WaveActivation {
-                        initiator: a,
-                        target: b,
-                        witness: w,
-                    });
-                }
-            }
-            for &(a, b, _) in &helpers {
-                // Helper edges that are not initial edges are dropped again
-                // (those that coincided with an existing bridge stay).
-                if !initial.has_edge(a, b) && network.graph().has_edge(a, b) {
-                    wave_drops.push(Edge::new(a, b));
-                }
-            }
-            for &(a, b) in &deactivate {
-                if !initial.has_edge(a, b) {
-                    wave_drops.push(Edge::new(a, b));
-                }
-            }
-            if !wave_acts.is_empty() || !wave_drops.is_empty() {
-                network.stage_jump_wave(&wave_acts, &wave_drops)?;
+            let acts = level.round_b(network.graph());
+            let drops: Vec<Edge> = level
+                .round_b_drops(network.graph(), &initial)
+                .into_iter()
+                .map(|(a, b)| Edge::new(a, b))
+                .collect();
+            if !acts.is_empty() || !drops.is_empty() {
+                network.stage_jump_wave(&acts, &drops)?;
                 network.commit_round();
             } else {
                 network.advance_idle_rounds(1);
             }
-
-            // Next BFS level.
-            frontier = level.iter().map(|(_, c, _, _)| *c).collect();
         }
-
-        if !merged_any {
+        if state.merged_roots().next().is_none() {
             network.advance_idle_rounds(1);
             continue;
         }
+        state.materialize_rings()?;
 
-        // Materialize every merged ring in one amortized pass: walk the
-        // successor map from the root's leader (the rotation the tree
-        // rebuild starts from; ring edge *sets* are rotation-invariant).
-        for &root in sel.roots() {
-            if !sel.has_children(root) {
-                continue;
-            }
-            let leader = forest.leader(root);
-            if ring_mark[leader.index()] != (epoch, root) {
-                return Err(invariant_error(
-                    config.name,
-                    format!("leader {leader} is not on the merged ring of {root}"),
-                ));
-            }
-            let m = ring_len[root.index()];
-            let line = &mut merged_line[root.index()];
-            line.clear();
-            let mut cur = leader;
-            for _ in 0..m {
-                line.push(cur);
-                cur = ring_succ[cur.index()];
-            }
-            if cur != leader {
-                return Err(invariant_error(
-                    config.name,
-                    format!("merged ring of {root} did not close at its leader"),
-                ));
-            }
+        let (drops, ring_edges) = state.cleanup(network.graph(), &initial);
+        for e in &drops {
+            network.stage_deactivation(e.a, e.b)?;
         }
-
-        // Drop the stale tree edges of the committees that merged (their
-        // trees are rebuilt over the merged rings); the roots' old trees are
-        // dropped as well. Tree edges that coincide with edges of a merged
-        // ring (or with initial edges) are kept.
-        for &root in sel.roots() {
-            if sel.has_children(root) {
-                stale_tree_edges.extend(tree_edges[root.index()].iter().copied());
-            }
-        }
-        let mut ring_edge_vec: Vec<Edge> = Vec::new();
-        for &root in sel.roots() {
-            let ring: &[NodeId] = if sel.has_children(root) {
-                &merged_line[root.index()]
-            } else {
-                forest.members(root)
-            };
-            for w in ring.windows(2) {
-                ring_edge_vec.push(Edge::new(w[0], w[1]));
-            }
-            if ring.len() >= 3 {
-                ring_edge_vec.push(Edge::new(ring[ring.len() - 1], ring[0]));
-            }
-        }
-        let ring_edges = SortedEdgeSet::from_vec(ring_edge_vec);
-        let mut staged = false;
-        for e in &stale_tree_edges {
-            if !initial.has_edge(e.a, e.b)
-                && !ring_edges.contains(e)
-                && network.graph().has_edge(e.a, e.b)
-            {
-                network.stage_deactivation(e.a, e.b)?;
-                staged = true;
-            }
-        }
-        if staged {
+        if !drops.is_empty() {
             network.commit_round();
         }
 
@@ -537,81 +660,48 @@ fn run_phases(
         // between two nodes of one ring is in it exactly when it is an edge
         // of that ring. Untouched committees are carried over unchanged.
         // ------------------------------------------------------------------
+        let merged_roots: Vec<CommitteeId> = state.merged_roots().collect();
         line_scratch.clear_lines();
-        for &root in sel.roots() {
-            if sel.has_children(root) {
-                let line = &merged_line[root.index()];
-                line_scratch.push_line(
-                    line,
-                    line.iter()
-                        .map(|u| 1 + forest.committee_of(*u).map_or(0, |c| tree_depth[c.index()])),
-                );
-            }
+        for &root in &merged_roots {
+            let line = state.merged_line(root);
+            line_scratch.push_line(
+                line,
+                line.iter().map(|u| {
+                    1 + state
+                        .forest
+                        .committee_of(*u)
+                        .map_or(0, |c| state.tree_depth[c.index()])
+                }),
+            );
         }
         run_lockstep(network, config.tree_arity, &ring_edges, &mut line_scratch)?;
-        let merged_roots = sel.roots().iter().filter(|&&root| sel.has_children(root));
-        for (k, &root) in merged_roots.enumerate() {
-            let line = std::mem::take(&mut merged_line[root.index()]);
-            let edges = &mut tree_edges[root.index()];
-            edges.clear();
-            edges.extend(
-                line_scratch
-                    .line_parents(k)
-                    .iter()
-                    .enumerate()
-                    .skip(1)
-                    .map(|(pos, &parent)| Edge::new(line[pos], line[parent])),
-            );
-            tree_depth[root.index()] = line_scratch.line_depth(k);
-            forest.replace_members(root, line);
+        for (k, &root) in merged_roots.iter().enumerate() {
+            let depth = line_scratch.line_depth(k);
+            state.install_tree(root, line_scratch.line_parents(k), depth);
         }
-
-        // Retire every committee that merged away (its members were
-        // re-homed by its root's `replace_members` above).
-        let dead: Vec<CommitteeId> = forest
-            .live_ids()
-            .iter()
-            .copied()
-            .filter(|c| selected[c.index()].is_some())
-            .collect();
-        forest.retire_batch(&dead);
-        for c in dead {
-            tree_edges[c.index()].clear();
-            tree_depth[c.index()] = 0;
-        }
+        state.retire_merged();
     }
 
     // ----------------------------------------------------------------------
     // Termination: keep only the spanning tree of the final committee.
     // ----------------------------------------------------------------------
-    let final_committee = forest.live_ids()[0];
-    let leader = forest.leader(final_committee);
+    let leader = state.forest.first_leader();
     if n > 1 {
-        run.check_round_budget(network)?;
+        state.log.terminate(run, network)?;
         network.note_groups_alive(1);
-        let keep = SortedEdgeSet::from_vec(tree_edges[final_committee.index()].clone());
-        let graph = network.graph().clone();
-        let mut staged = false;
-        for e in graph.edges() {
-            if !keep.contains(&e) {
-                network.stage_deactivation(e.a, e.b)?;
-                staged = true;
-            }
+        let drops = state.termination_drops(network.graph());
+        for e in &drops {
+            network.stage_deactivation(e.a, e.b)?;
         }
-        if staged {
+        if !drops.is_empty() {
             network.commit_round();
         }
         network.advance_idle_rounds(1);
-        phases += 1;
-        committees_per_phase.push(1);
     }
 
     run.check_round_budget(network)?;
     debug_assert_eq!(Some(leader), uids.max_uid_node());
-    let mut outcome = TransformationOutcome::from_network(leader, network);
-    outcome.phases = phases;
-    outcome.committees_per_phase = committees_per_phase;
-    Ok(outcome)
+    Ok(state.log.outcome(leader, network))
 }
 
 #[cfg(test)]

@@ -13,31 +13,36 @@
 //!    adjacency the synchronous engines compute centrally.
 //! 2. **Report** — members forward their gossip observations to their
 //!    leader.
-//! 3. **Decide** — leaders reproduce the synchronous selection rule
-//!    (largest-UID strictly-larger neighbouring committee, with the
-//!    lexicographically smallest bridge) from the reports alone and stage
-//!    the first wave of edge operations; merging leaders instruct their
-//!    members by message.
+//! 3. **Decide** — leaders fold the reports with the synchronous
+//!    selection rule (largest-UID strictly-larger neighbouring committee,
+//!    with the lexicographically smallest bridge) and stage the first
+//!    wave of edge operations; merging leaders instruct their members by
+//!    message.
 //! 4. **Execution mini-phases** — the remaining edge-operation waves
 //!    (the star's round-B hop and deferred deactivations, the wreath's
-//!    per-level splice rounds), each planned by a deterministic driver
-//!    between barriers and carried out by the owning actors.
+//!    per-level splice rounds), each planned between barriers and carried
+//!    out by the owning actors.
 //!
-//! The driver is plain in-process orchestration state (the committee
-//! forest, the mode column, the wreath's ring splicing): it runs *between*
-//! barriers, never inside the asynchronous execution, and mirrors the
-//! synchronous transition rules verbatim. Because every decision is made
-//! either on a complete message set (after a barrier) or by a
-//! commutative rule, the resulting committee structures — final graph,
-//! phase count, committees per phase — **equal the synchronous engines'
-//! on delay-free and adversarial schedules alike**, which the
-//! differential tests in `tests/runtime_model.rs` pin for both schedulers.
+//! The rules themselves are not written here. A driver runs *between*
+//! barriers, never inside the asynchronous execution, and calls the
+//! synchronous engines' own rule set on what the actors observed:
+//! `StarCommittees` and `climb_target` for GraphToStar, `WreathState`
+//! for the wreath family, and the shared selection fold of
+//! [`crate::committee`]. This module keeps only the runtime work — the
+//! actors and their messages, the mini-phase stages, the hand-off of
+//! planned operations at each barrier, and the nested tree rebuilds.
+//! Because every decision is made either on a complete message set
+//! (after a barrier) or by a commutative rule, the resulting committee
+//! structures — final graph, phase count, committees per phase — **equal
+//! the synchronous engines' on delay-free and adversarial schedules
+//! alike**, which the differential tests in `tests/runtime_model.rs` pin
+//! for both schedulers.
 //!
 //! Inside a wreath phase the merged rings are rebuilt into trees with the
 //! actor-based [`runtime_line_to_tree`](super::runtime_line_to_tree)
-//! subroutine, nested under the same scheduler family (seeded sub-seeds
-//! are split deterministically from the master seed, so seeded replay
-//! stays byte-identical).
+//! subroutine, one root after another, nested under the same scheduler
+//! family (seeded sub-seeds are split deterministically from the master
+//! seed, so seeded replay stays byte-identical).
 //!
 //! **Armed faults:** the seeded entry points accept a
 //! [`FaultPlan`]; crashes sever a node mid-run and the protocols then
@@ -48,32 +53,23 @@
 //! scheduler, between deliveries of the committee protocol itself.
 
 use crate::algorithm::{EngineMode, RunConfig};
-use crate::committee::{CommitteeForest, CommitteeId, SelectionForest};
-use crate::graph_to_wreath::WreathConfig;
+use crate::committee::{
+    select_largest_uid, validate_input, CommitteeForest, CommitteeId, PhaseLog,
+};
+use crate::graph_to_star::{climb_target, Mode, StarCommittees};
+use crate::graph_to_wreath::{Choice, SpliceLevel, WreathConfig, WreathState};
 use crate::subroutines::{
     run_runtime_line_to_tree_free, run_runtime_line_to_tree_seeded, LineToTreeConfig,
 };
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::edgeset::SortedEdgeSet;
-use adn_graph::properties::ceil_log2;
-use adn_graph::{Edge, Graph, NodeId, Uid, UidMap};
+use adn_graph::{Graph, NodeId, UidMap};
 use adn_runtime::{
     AsyncKnobs, AsyncProgram, Context, FaultPlan, FreeScheduler, RuntimeReport, SeededScheduler,
 };
-use adn_sim::Network;
+use adn_sim::{Network, WaveActivation};
 use std::mem;
 use std::sync::Arc;
-
-/// A committee mode as carried on the wire (the star engine's `Mode`,
-/// made `Copy` for gossip payloads). The wreath engine gossips
-/// `Selection` for everyone — its selection rule ignores modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WireMode {
-    Selection,
-    Merging(NodeId),
-    Pulling(NodeId),
-    Waiting,
-}
 
 /// One gossip observation: node `x` saw neighbour `y`, which reported
 /// belonging to the committee led by `y_leader` currently in `y_mode`.
@@ -82,14 +78,16 @@ struct BridgeInfo {
     x: NodeId,
     y: NodeId,
     y_leader: NodeId,
-    y_mode: WireMode,
+    y_mode: Mode,
 }
 
 /// Messages of the committee protocols.
 #[derive(Debug, Clone)]
 enum CommitteeMsg {
-    /// Gossip: "I belong to the committee led by `leader`, in `mode`."
-    Bridge { leader: NodeId, mode: WireMode },
+    /// Gossip: "I belong to the committee led by `leader`, in `mode`." The
+    /// wreath engine gossips `Selection` for everyone — its selection rule
+    /// ignores modes.
+    Bridge { leader: NodeId, mode: Mode },
     /// A member forwards its gossip observations to its leader.
     Report { bridges: Vec<BridgeInfo> },
     /// A merging leader instructs a member to join `into`'s star.
@@ -118,7 +116,7 @@ struct CommitteeActor {
     // Driver-fed inputs.
     mini: Mini,
     leader: NodeId,
-    mode: WireMode,
+    mode: Mode,
     neighbors: Vec<NodeId>,
     members: Vec<NodeId>,
     assigned_acts: Vec<NodeId>,
@@ -129,7 +127,7 @@ struct CommitteeActor {
     // Decision artifacts the driver reads after barriers.
     selection: Option<(NodeId, NodeId, NodeId)>,
     climb: Option<NodeId>,
-    pending_b: Option<(NodeId, Option<NodeId>)>,
+    pending_b: Option<(NodeId, NodeId)>,
     pending_deacts: Vec<NodeId>,
 }
 
@@ -140,7 +138,7 @@ impl CommitteeActor {
             initial: Arc::clone(initial),
             mini: Mini::Idle,
             leader: NodeId(id),
-            mode: WireMode::Selection,
+            mode: Mode::Selection,
             neighbors: Vec::new(),
             members: Vec::new(),
             assigned_acts: Vec::new(),
@@ -166,39 +164,19 @@ impl CommitteeActor {
         self.pending_deacts.clear();
     }
 
-    /// The synchronous selection rule, recomputed from reports: the
-    /// largest-UID committee strictly above our own among the gossiped
-    /// neighbours (filtered by the star's eligibility when `star_rules`),
-    /// bridged by the lexicographically smallest `(x, y)` pair — exactly
-    /// `CommitteeAdjacency::select_largest_uid_neighbor`. Every clause is
-    /// order-independent, so the free scheduler's nondeterministic report
-    /// arrival order cannot change the outcome.
+    /// The leader's selection over its reports: the shared selection fold
+    /// of `CommitteeAdjacency::select_largest_uid_neighbor`, restricted
+    /// to root committees when `star_rules`. Intra-committee reports name
+    /// our own leader, whose UID is not strictly larger, so the fold
+    /// skips them; the fold is order-independent, so the free scheduler's
+    /// nondeterministic report arrival order cannot change the outcome.
     fn decide_selection(&self, me: NodeId, star_rules: bool) -> Option<(NodeId, NodeId, NodeId)> {
-        let my_uid = self.uids.uid(me);
-        let mut best: Option<(Uid, NodeId)> = None;
-        for e in &self.reports {
-            if e.y_leader == self.leader {
-                continue; // intra-committee edge
-            }
-            if star_rules && matches!(e.y_mode, WireMode::Merging(_) | WireMode::Pulling(_)) {
-                continue; // committed committees are not selectable targets
-            }
-            let uid = self.uids.uid(e.y_leader);
-            if uid <= my_uid {
-                continue;
-            }
-            if best.is_none_or(|(b, _)| uid > b) {
-                best = Some((uid, e.y_leader));
-            }
-        }
-        let (_, v) = best?;
-        let (x, y) = self
+        let candidates = self
             .reports
             .iter()
-            .filter(|e| e.y_leader == v)
-            .map(|e| (e.x, e.y))
-            .min()?;
-        Some((v, x, y))
+            .filter(|e| !star_rules || e.y_mode.is_root())
+            .map(|e| (self.uids.uid(e.y_leader), e.y_leader, e.x, e.y));
+        select_largest_uid(self.uids.uid(me), candidates)
     }
 
     /// The star leader's decision step (the synchronous round A, minus
@@ -207,7 +185,7 @@ impl CommitteeActor {
     fn star_decide(&mut self, ctx: &mut Context<CommitteeMsg>) {
         let me = ctx.id();
         match self.mode {
-            WireMode::Selection => {
+            Mode::Selection => {
                 let Some((v, x, y)) = self.decide_selection(me, true) else {
                     return;
                 };
@@ -222,9 +200,9 @@ impl CommitteeActor {
                 // General case: helper edge (me, y) now, leader-leader
                 // edge via witness y in the hop-B mini-phase.
                 ctx.activate(y);
-                self.pending_b = Some((v, Some(y)));
+                self.pending_b = Some((v, y));
             }
-            WireMode::Merging(into) => {
+            Mode::Merging { into } => {
                 for i in 0..self.members.len() {
                     let m = self.members[i];
                     if m != me {
@@ -232,21 +210,13 @@ impl CommitteeActor {
                     }
                 }
             }
-            WireMode::Pulling(attach) => {
+            Mode::Pulling { attach } => {
                 // Any gossip entry for the attach node carries the same
                 // `(leader, mode)` payload, so the pick is value-unique.
                 let Some(e) = self.reports.iter().find(|e| e.y == attach).copied() else {
                     return; // degraded (faults): stay attached
                 };
-                let target = if attach != e.y_leader {
-                    e.y_leader
-                } else {
-                    match e.y_mode {
-                        WireMode::Merging(into) => into,
-                        WireMode::Pulling(up) => up,
-                        _ => attach,
-                    }
-                };
+                let target = climb_target(attach, e.y_leader, e.y_mode);
                 if target != attach {
                     ctx.activate(target);
                     if !self.initial.has_edge(me, attach) {
@@ -255,7 +225,7 @@ impl CommitteeActor {
                 }
                 self.climb = Some(target);
             }
-            WireMode::Waiting => {}
+            Mode::Waiting => {}
         }
     }
 }
@@ -293,12 +263,10 @@ impl AsyncProgram for CommitteeActor {
                 }
             }
             Mini::StarHopB => {
-                if let Some((v, helper)) = self.pending_b.take() {
+                if let Some((v, y)) = self.pending_b.take() {
                     ctx.activate(v);
-                    if let Some(y) = helper {
-                        if !self.initial.has_edge(ctx.id(), y) {
-                            self.pending_deacts.push(y);
-                        }
+                    if !self.initial.has_edge(ctx.id(), y) {
+                        self.pending_deacts.push(y);
                     }
                 }
             }
@@ -346,10 +314,6 @@ impl AsyncProgram for CommitteeActor {
     }
 }
 
-fn invariant(algorithm: &'static str, detail: String) -> CoreError {
-    CoreError::BrokenInvariant { algorithm, detail }
-}
-
 fn build_actors(n: usize, uids: &UidMap, initial: &Graph) -> Vec<CommitteeActor> {
     let uids = Arc::new(uids.clone());
     let initial = Arc::new(initial.clone());
@@ -361,7 +325,7 @@ fn build_actors(n: usize, uids: &UidMap, initial: &Graph) -> Vec<CommitteeActor>
 /// Feeds every committee member its phase inputs and arms the gossip
 /// mini-phase. All nodes belong to some live committee, so this covers
 /// the whole actor array.
-fn prep_gossip<F: Fn(CommitteeId) -> WireMode>(
+fn prep_gossip<F: Fn(CommitteeId) -> Mode>(
     forest: &CommitteeForest,
     network: &Network,
     actors: &mut [CommitteeActor],
@@ -389,6 +353,28 @@ fn prep_gossip<F: Fn(CommitteeId) -> WireMode>(
     }
 }
 
+/// Every live committee's selection as its leader decided it, indexed by
+/// slot, with the target leader resolved to its committee.
+fn harvest_selections(
+    forest: &CommitteeForest,
+    actors: &[CommitteeActor],
+    algorithm: &'static str,
+) -> Result<Vec<Option<Choice>>, CoreError> {
+    let mut selected = vec![None; forest.slot_count()];
+    for &cid in forest.live_ids() {
+        if let Some((v, x, y)) = actors[forest.leader(cid).index()].selection {
+            let target = forest
+                .committee_of(v)
+                .ok_or_else(|| CoreError::BrokenInvariant {
+                    algorithm,
+                    detail: format!("selection target {v} is untracked"),
+                })?;
+            selected[cid.index()] = Some((target, x, y));
+        }
+    }
+    Ok(selected)
+}
+
 fn set_mini(actors: &mut [CommitteeActor], mini: Mini) {
     for a in actors.iter_mut() {
         a.mini = mini;
@@ -397,23 +383,24 @@ fn set_mini(actors: &mut [CommitteeActor], mini: Mini) {
 
 /// Hands a pre-planned operation list to its owning actors and arms one
 /// execution barrier (all guards were evaluated by the driver against
-/// the snapshot the synchronous engine would have used).
+/// the snapshot the synchronous engine would have used). Each
+/// deactivation `(a, b)` is performed by `a`.
 fn assign_ops(
     actors: &mut [CommitteeActor],
-    acts: &[(NodeId, NodeId)],
-    deacts: &[(NodeId, NodeId)],
+    acts: &[WaveActivation],
+    deacts: impl IntoIterator<Item = (NodeId, NodeId)>,
 ) {
     for a in actors.iter_mut() {
         a.assigned_acts.clear();
         a.assigned_deacts.clear();
         a.mini = Mini::Exec;
     }
-    for &(a, b) in acts {
-        if a.index() < actors.len() {
-            actors[a.index()].assigned_acts.push(b);
+    for act in acts {
+        if act.initiator.index() < actors.len() {
+            actors[act.initiator.index()].assigned_acts.push(act.target);
         }
     }
-    for &(a, b) in deacts {
+    for (a, b) in deacts {
         if a.index() < actors.len() {
             actors[a.index()].assigned_deacts.push(b);
         }
@@ -435,16 +422,13 @@ enum StarStage {
     Done,
 }
 
-/// The deterministic between-barriers orchestrator of the star phases.
-/// Mirrors `graph_to_star::State::run_phase` clause for clause.
+/// The deterministic between-barriers orchestrator of the star phases:
+/// it steps the actors through the mini-phases of
+/// `graph_to_star::State::run_phase` and applies the shared
+/// [`StarCommittees`] rules to the leaders' decisions.
 struct StarDriver<'a> {
     run: &'a RunConfig,
-    n: usize,
-    forest: CommitteeForest,
-    mode: Vec<WireMode>,
-    phases: usize,
-    committees_per_phase: Vec<usize>,
-    phase_limit: usize,
+    committees: StarCommittees,
     stage: StarStage,
 }
 
@@ -452,12 +436,7 @@ impl<'a> StarDriver<'a> {
     fn new(run: &'a RunConfig, n: usize) -> Self {
         StarDriver {
             run,
-            n,
-            forest: CommitteeForest::singletons(n),
-            mode: vec![WireMode::Selection; n],
-            phases: 0,
-            committees_per_phase: Vec::new(),
-            phase_limit: 40 * ceil_log2(n.max(2)) + 80,
+            committees: StarCommittees::new(n),
             stage: StarStage::Begin,
         }
     }
@@ -472,29 +451,23 @@ impl<'a> StarDriver<'a> {
         loop {
             match self.stage {
                 StarStage::Begin => {
-                    if self.forest.live_count() <= 1 {
-                        if self.n > 1 {
-                            self.run.check_round_budget(network)?;
-                            self.prep_termination(network, actors);
-                            self.phases += 1;
-                            self.committees_per_phase.push(1);
-                            self.stage = StarStage::Done;
-                            return Ok(true);
-                        }
+                    let committees = &mut self.committees;
+                    let live = committees.forest.live_count();
+                    if live <= 1 {
                         self.stage = StarStage::Done;
-                        return Ok(false);
+                        if committees.forest.tracked_nodes() <= 1 {
+                            return Ok(false);
+                        }
+                        // The synchronous termination phase: deactivate
+                        // every non-star edge.
+                        committees.log.terminate(self.run, network)?;
+                        let drops = committees.termination_drops(network.graph());
+                        assign_ops(actors, &[], drops.iter().map(|e| (e.a, e.b)));
+                        return Ok(true);
                     }
-                    self.phases += 1;
-                    self.run.check_round_budget(network)?;
-                    if self.phases > self.phase_limit {
-                        return Err(CoreError::DidNotConverge {
-                            algorithm: "GraphToStar",
-                            phase_limit: self.phase_limit,
-                        });
-                    }
-                    self.committees_per_phase.push(self.forest.live_count());
-                    let mode = &self.mode;
-                    prep_gossip(&self.forest, network, actors, |cid| mode[cid.index()]);
+                    committees.log.begin(self.run, network, live)?;
+                    let mode = &committees.mode;
+                    prep_gossip(&committees.forest, network, actors, |cid| mode[cid.index()]);
                     self.stage = StarStage::Gossip;
                     return Ok(true);
                 }
@@ -527,118 +500,29 @@ impl<'a> StarDriver<'a> {
         }
     }
 
-    /// The synchronous termination phase: deactivate every non-star edge,
-    /// each assigned to its first endpoint.
-    fn prep_termination(&self, network: &Network, actors: &mut [CommitteeActor]) {
-        let leader = self.forest.leader(self.forest.live_ids()[0]);
-        let deacts: Vec<(NodeId, NodeId)> = network
-            .graph()
-            .edges()
-            .filter(|e| e.a != leader && e.b != leader)
-            .map(|e| (e.a, e.b))
-            .collect();
-        assign_ops(actors, &[], &deacts);
-    }
-
     /// Bookkeeping after the deactivation barrier: harvest the leaders'
-    /// decisions and replay the synchronous merge/transition rules.
+    /// selections and climbs and apply the synchronous merge and
+    /// mode-transition step.
     fn finish_phase(&mut self, actors: &[CommitteeActor]) -> Result<(), CoreError> {
-        let slots = self.forest.slot_count();
-        let mut selections: Vec<(CommitteeId, CommitteeId)> = Vec::new();
-        let mut did_select = vec![false; slots];
-        let mut selected_by = vec![false; slots];
-        for &cid in self.forest.live_ids() {
-            if self.mode[cid.index()] != WireMode::Selection {
-                continue;
-            }
-            let leader = self.forest.leader(cid);
-            if let Some((v, _x, _y)) = actors[leader.index()].selection {
-                let target = self.forest.committee_of(v).ok_or_else(|| {
-                    invariant("GraphToStar", format!("selection target {v} is untracked"))
-                })?;
-                did_select[cid.index()] = true;
-                selected_by[target.index()] = true;
-                selections.push((cid, target));
-            }
-        }
-
-        let mut merges: Vec<(CommitteeId, CommitteeId)> = Vec::new();
-        for &cid in self.forest.live_ids() {
-            if let WireMode::Merging(into) = self.mode[cid.index()] {
-                let into_cid = self.forest.committee_of(into).ok_or_else(|| {
-                    invariant("GraphToStar", format!("merge target {into} is untracked"))
-                })?;
-                merges.push((cid, into_cid));
-            }
-        }
-
-        let mut climbs: Vec<(CommitteeId, NodeId)> = Vec::new();
-        for &cid in self.forest.live_ids() {
-            if let WireMode::Pulling(attach) = self.mode[cid.index()] {
-                let leader = self.forest.leader(cid);
-                // Degraded (faulted) committees recorded no climb: stay put.
-                climbs.push((cid, actors[leader.index()].climb.unwrap_or(attach)));
-            }
-        }
-
-        self.forest.absorb_batch(&merges);
-
-        for (cid, new_attach) in climbs {
-            let attach_cid = self.forest.committee_of(new_attach).ok_or_else(|| {
-                invariant(
-                    "GraphToStar",
-                    format!("attach node {new_attach} is untracked"),
-                )
-            })?;
-            let attach_is_root_leader = new_attach == self.forest.leader(attach_cid)
-                && matches!(
-                    self.mode[attach_cid.index()],
-                    WireMode::Waiting | WireMode::Selection
-                );
-            self.mode[cid.index()] = if attach_is_root_leader {
-                WireMode::Merging(new_attach)
-            } else {
-                WireMode::Pulling(new_attach)
-            };
-        }
-
-        for &(selector, target) in &selections {
-            let target_leader = self.forest.leader(target);
-            self.mode[selector.index()] = if did_select[target.index()] {
-                WireMode::Pulling(target_leader)
-            } else {
-                WireMode::Merging(target_leader)
-            };
-        }
-
-        let mut has_children = vec![false; slots];
-        for &cid in self.forest.live_ids() {
-            let parent = match self.mode[cid.index()] {
-                WireMode::Merging(into) => Some(into),
-                WireMode::Pulling(attach) => Some(attach),
-                _ => None,
-            };
-            if let Some(p) = parent {
-                let pc = self.forest.committee_of(p).ok_or_else(|| {
-                    invariant("GraphToStar", format!("parent node {p} is untracked"))
-                })?;
-                has_children[pc.index()] = true;
-            }
-        }
-        for &cid in self.forest.live_ids() {
-            match self.mode[cid.index()] {
-                WireMode::Merging(_) | WireMode::Pulling(_) => {}
-                WireMode::Selection | WireMode::Waiting => {
-                    self.mode[cid.index()] =
-                        if selected_by[cid.index()] || has_children[cid.index()] {
-                            WireMode::Waiting
-                        } else {
-                            WireMode::Selection
-                        };
-                }
-            }
-        }
-        Ok(())
+        let committees = &mut self.committees;
+        let selections: Vec<(CommitteeId, CommitteeId)> =
+            harvest_selections(&committees.forest, actors, committees.log.algorithm)?
+                .into_iter()
+                .enumerate()
+                .filter_map(|(slot, choice)| {
+                    choice.map(|(target, _, _)| (CommitteeId(slot), target))
+                })
+                .collect();
+        let merges = committees.merge_list()?;
+        // Degraded (faulted) committees recorded no climb: stay put.
+        let climbs: Vec<(CommitteeId, NodeId)> = committees
+            .pulling()
+            .map(|(cid, attach)| {
+                let leader = committees.forest.leader(cid);
+                (cid, actors[leader.index()].climb.unwrap_or(attach))
+            })
+            .collect();
+        committees.finish_phase(&selections, &merges, &climbs)
     }
 }
 
@@ -668,85 +552,44 @@ enum WreathStage {
     Done,
 }
 
-/// The between-barriers orchestrator of the wreath phases. Mirrors
-/// `graph_to_wreath::run_phases` clause for clause: ring splicing is
-/// planned level by level, each level's round A / round B+clean-up pair
-/// becomes three barriers (activations, activations, deactivations), and
-/// the merged rings are rebuilt with the nested runtime line-to-tree.
+/// The between-barriers orchestrator of the wreath phases: it steps the
+/// actors through the shared [`WreathState`] rules. Each splice level's
+/// round A / round B+clean-up pair becomes three barriers (activations,
+/// activations, deactivations), and the merged rings are rebuilt with the
+/// nested runtime line-to-tree.
 struct WreathDriver<'a> {
     run: &'a RunConfig,
-    wreath: &'a WreathConfig,
+    tree_arity: usize,
     initial: &'a Graph,
-    n: usize,
     nested: NestedEngine,
     knobs: AsyncKnobs,
-    forest: CommitteeForest,
-    tree_edges: Vec<Vec<Edge>>,
-    tree_depth: Vec<usize>,
-    ring_succ: Vec<NodeId>,
-    ring_mark: Vec<(u64, CommitteeId)>,
-    ring_len: Vec<usize>,
-    merged_line: Vec<Vec<NodeId>>,
-    epoch: u64,
-    phases: usize,
-    committees_per_phase: Vec<usize>,
-    phase_limit: usize,
+    state: WreathState,
     stage: WreathStage,
-    // Per-phase merge state.
-    selected: Vec<Option<(CommitteeId, NodeId, NodeId)>>,
-    sel: Option<SelectionForest>,
-    frontier: Vec<CommitteeId>,
-    stale_tree_edges: Vec<Edge>,
-    merged_any: bool,
-    // Per-level operation lists (synchronous round-B semantics).
-    round_b: Vec<(NodeId, NodeId)>,
-    helpers: Vec<(NodeId, NodeId)>,
-    deactivate: Vec<(NodeId, NodeId)>,
-    deacts_c: Vec<(NodeId, NodeId)>,
+    /// The splice level under way.
+    level: SpliceLevel,
+    /// Its round-B deactivations, planned on the post-round-A snapshot.
+    level_drops: Vec<(NodeId, NodeId)>,
 }
 
 impl<'a> WreathDriver<'a> {
     fn new(
         run: &'a RunConfig,
-        wreath: &'a WreathConfig,
+        wreath: &WreathConfig,
         initial: &'a Graph,
-        n: usize,
         nested: NestedEngine,
         knobs: AsyncKnobs,
     ) -> Self {
         WreathDriver {
             run,
-            wreath,
+            tree_arity: wreath.tree_arity,
             initial,
-            n,
             nested,
             knobs,
-            forest: CommitteeForest::singletons(n),
-            tree_edges: vec![Vec::new(); n],
-            tree_depth: vec![0; n],
-            ring_succ: (0..n).map(NodeId).collect(),
-            ring_mark: vec![(0, CommitteeId(0)); n],
-            ring_len: vec![0; n],
-            merged_line: vec![Vec::new(); n],
-            epoch: 0,
-            phases: 0,
-            committees_per_phase: Vec::new(),
-            phase_limit: 20 * ceil_log2(n.max(2)) + 40,
+            state: WreathState::new(initial.node_count(), wreath.name),
             stage: WreathStage::Begin,
-            selected: Vec::new(),
-            sel: None,
-            frontier: Vec::new(),
-            stale_tree_edges: Vec::new(),
-            merged_any: false,
-            round_b: Vec::new(),
-            helpers: Vec::new(),
-            deactivate: Vec::new(),
-            deacts_c: Vec::new(),
+            level: SpliceLevel::default(),
+            level_drops: Vec::new(),
         }
-    }
-
-    fn invariant(&self, detail: String) -> CoreError {
-        invariant(self.wreath.name, detail)
     }
 
     fn step(
@@ -757,28 +600,22 @@ impl<'a> WreathDriver<'a> {
         loop {
             match self.stage {
                 WreathStage::Begin => {
-                    if self.forest.live_count() <= 1 {
-                        if self.n > 1 {
-                            self.run.check_round_budget(network)?;
-                            self.prep_termination(network, actors);
-                            self.phases += 1;
-                            self.committees_per_phase.push(1);
-                            self.stage = WreathStage::Done;
-                            return Ok(true);
-                        }
+                    let state = &mut self.state;
+                    let live = state.forest.live_count();
+                    if live <= 1 {
                         self.stage = WreathStage::Done;
-                        return Ok(false);
+                        if state.forest.tracked_nodes() <= 1 {
+                            return Ok(false);
+                        }
+                        // The synchronous termination phase: keep only the
+                        // final committee's tree edges.
+                        state.log.terminate(self.run, network)?;
+                        let drops = state.termination_drops(network.graph());
+                        assign_ops(actors, &[], drops.iter().map(|e| (e.a, e.b)));
+                        return Ok(true);
                     }
-                    self.phases += 1;
-                    self.run.check_round_budget(network)?;
-                    if self.phases > self.phase_limit {
-                        return Err(CoreError::DidNotConverge {
-                            algorithm: self.wreath.name,
-                            phase_limit: self.phase_limit,
-                        });
-                    }
-                    self.committees_per_phase.push(self.forest.live_count());
-                    prep_gossip(&self.forest, network, actors, |_| WireMode::Selection);
+                    state.log.begin(self.run, network, live)?;
+                    prep_gossip(&state.forest, network, actors, |_| Mode::Selection);
                     self.stage = WreathStage::Gossip;
                     return Ok(true);
                 }
@@ -793,69 +630,51 @@ impl<'a> WreathDriver<'a> {
                     return Ok(true);
                 }
                 WreathStage::Decide => {
-                    if !self.harvest_selection(actors)? {
-                        // No committee found a larger neighbour this phase;
-                        // retry (the phase was already counted, mirroring
-                        // the synchronous idle-and-continue).
+                    let state = &mut self.state;
+                    let selected = harvest_selections(&state.forest, actors, state.log.algorithm)?;
+                    // No committee found a larger neighbour this phase:
+                    // retry (the phase was already counted, as in the
+                    // synchronous idle-and-continue).
+                    self.stage = if state.select(selected) {
+                        WreathStage::PlanLevel
+                    } else {
+                        WreathStage::Begin
+                    };
+                }
+                WreathStage::PlanLevel => {
+                    if let Some(level) = self.state.plan_level()? {
+                        assign_ops(actors, &level.round_a(network.graph()), []);
+                        self.level = level;
+                        self.stage = WreathStage::LevelA;
+                        return Ok(true);
+                    }
+                    if self.state.merged_roots().next().is_none() {
                         self.stage = WreathStage::Begin;
                         continue;
                     }
-                    self.stage = WreathStage::PlanLevel;
-                }
-                WreathStage::PlanLevel => {
-                    let level = self.compute_level()?;
-                    if level.is_empty() {
-                        if !self.merged_any {
-                            self.sel = None;
-                            self.stage = WreathStage::Begin;
-                            continue;
-                        }
-                        self.materialize_rings()?;
-                        let cleanup = self.plan_cleanup(network)?;
-                        if cleanup.is_empty() {
-                            self.rebuild_and_retire(network)?;
-                            self.stage = WreathStage::Begin;
-                            continue;
-                        }
-                        assign_ops(actors, &[], &cleanup);
-                        self.stage = WreathStage::Cleanup;
-                        return Ok(true);
+                    self.state.materialize_rings()?;
+                    let (drops, _) = self.state.cleanup(network.graph(), self.initial);
+                    if drops.is_empty() {
+                        self.rebuild_and_retire(network)?;
+                        self.stage = WreathStage::Begin;
+                        continue;
                     }
-                    self.merged_any = true;
-                    let acts_a = self.plan_splices(network, level)?;
-                    assign_ops(actors, &acts_a, &[]);
-                    self.stage = WreathStage::LevelA;
+                    assign_ops(actors, &[], drops.iter().map(|e| (e.a, e.b)));
+                    self.stage = WreathStage::Cleanup;
                     return Ok(true);
                 }
                 WreathStage::LevelA => {
-                    // Post-round-A snapshot: plan the round-B activations
-                    // and the deferred deactivations with the synchronous
+                    // Post-round-A snapshot: the round-B activations and
+                    // the deferred deactivations, under the synchronous
                     // round-B guards.
                     let graph = network.graph();
-                    let mut acts_b: Vec<(NodeId, NodeId)> = Vec::new();
-                    for &(a, b) in &self.round_b {
-                        if a != b && !graph.has_edge(a, b) {
-                            acts_b.push((a, b));
-                        }
-                    }
-                    self.deacts_c.clear();
-                    for &(a, b) in &self.helpers {
-                        if !self.initial.has_edge(a, b) && graph.has_edge(a, b) {
-                            self.deacts_c.push((a, b));
-                        }
-                    }
-                    for &(a, b) in &self.deactivate {
-                        if !self.initial.has_edge(a, b) {
-                            self.deacts_c.push((a, b));
-                        }
-                    }
-                    assign_ops(actors, &acts_b, &[]);
+                    self.level_drops = self.level.round_b_drops(graph, self.initial);
+                    assign_ops(actors, &self.level.round_b(graph), []);
                     self.stage = WreathStage::LevelB;
                     return Ok(true);
                 }
                 WreathStage::LevelB => {
-                    let deacts = mem::take(&mut self.deacts_c);
-                    assign_ops(actors, &[], &deacts);
+                    assign_ops(actors, &[], mem::take(&mut self.level_drops));
                     self.stage = WreathStage::LevelC;
                     return Ok(true);
                 }
@@ -871,306 +690,44 @@ impl<'a> WreathDriver<'a> {
         }
     }
 
-    /// Harvests the leaders' selections; returns `false` when no
-    /// committee selected. On success the selection forest and the ring
-    /// splice state are initialised.
-    fn harvest_selection(&mut self, actors: &[CommitteeActor]) -> Result<bool, CoreError> {
-        let slots = self.forest.slot_count();
-        self.selected = vec![None; slots];
-        let mut sel_edges: Vec<(CommitteeId, CommitteeId)> = Vec::new();
-        for &cid in self.forest.live_ids() {
-            let leader = self.forest.leader(cid);
-            if let Some((v, x, y)) = actors[leader.index()].selection {
-                let target = self
-                    .forest
-                    .committee_of(v)
-                    .ok_or_else(|| self.invariant(format!("selection target {v} is untracked")))?;
-                self.selected[cid.index()] = Some((target, x, y));
-                sel_edges.push((cid, target));
-            }
-        }
-        if sel_edges.is_empty() {
-            return Ok(false);
-        }
-        let sel = SelectionForest::new(&self.forest, &sel_edges);
-        self.epoch += 1;
-        for &r in sel.roots() {
-            if !sel.has_children(r) {
-                continue;
-            }
-            let members = self.forest.members(r);
-            for w in members.windows(2) {
-                self.ring_succ[w[0].index()] = w[1];
-            }
-            self.ring_succ[members[members.len() - 1].index()] = members[0];
-            for &u in members {
-                self.ring_mark[u.index()] = (self.epoch, r);
-            }
-            self.ring_len[r.index()] = members.len();
-        }
-        self.stale_tree_edges.clear();
-        self.merged_any = false;
-        self.frontier = sel.roots().to_vec();
-        self.sel = Some(sel);
-        Ok(true)
-    }
-
-    /// The next BFS level of the selection forest under the current
-    /// frontier: `(root, child, bridge x, attach y)` tuples.
-    fn compute_level(&self) -> Result<Vec<(CommitteeId, CommitteeId, NodeId, NodeId)>, CoreError> {
-        let sel = self
-            .sel
-            .as_ref()
-            .ok_or_else(|| self.invariant("level planning without a selection forest".into()))?;
-        let mut level: Vec<(CommitteeId, CommitteeId, NodeId, NodeId)> = Vec::new();
-        for &p in &self.frontier {
-            for &c in sel.children(p) {
-                let (_, x, y) = self.selected[c.index()].ok_or_else(|| {
-                    self.invariant(format!(
-                        "committee {c} has a parent but no recorded selection"
-                    ))
-                })?;
-                level.push((sel.root_of(p), c, x, y));
-            }
-        }
-        Ok(level)
-    }
-
-    /// Plans one splice level (the synchronous group chaining, verbatim):
-    /// fills the round-B / helper / deactivate lists, advances the ring
-    /// pointers, and returns the round-A activation list with its guard
-    /// evaluated against the current (pre-level) snapshot.
-    fn plan_splices(
-        &mut self,
-        network: &Network,
-        level: Vec<(CommitteeId, CommitteeId, NodeId, NodeId)>,
-    ) -> Result<Vec<(NodeId, NodeId)>, CoreError> {
-        let mut grouped = level.clone();
-        grouped.sort_by_key(|&(root, _, _, y)| (root, y));
-
-        let mut round_a: Vec<(NodeId, NodeId)> = Vec::new();
-        self.round_b.clear();
-        self.helpers.clear();
-        self.deactivate.clear();
-
-        let mut g = 0usize;
-        while g < grouped.len() {
-            let (root, _, _, y) = grouped[g];
-            let mut g_end = g + 1;
-            while g_end < grouped.len() && grouped[g_end].0 == root && grouped[g_end].3 == y {
-                g_end += 1;
-            }
-            let group = &grouped[g..g_end];
-            g = g_end;
-            if self.ring_mark[y.index()] != (self.epoch, root) {
-                return Err(self.invariant(format!(
-                    "attach node {y} is not on the merged ring of {root}"
-                )));
-            }
-            let succ_after_y = self.ring_succ[y.index()];
-            let len_before = self.ring_len[root.index()];
-            let mut prev_end: NodeId = y;
-            let mut segment_len = 0usize;
-            for &(_, child, x, _) in group {
-                let child_ring = self.forest.members(child);
-                let x_pos = child_ring.iter().position(|&u| u == x).ok_or_else(|| {
-                    self.invariant(format!(
-                        "bridge node {x} is not on the ring of committee {child}"
-                    ))
-                })?;
-                let m = child_ring.len();
-                if prev_end == y {
-                    // Bridge edge (y, x): already active (initial edge).
-                } else {
-                    self.helpers.push((prev_end, y));
-                    self.round_b.push((prev_end, x));
-                }
-                if m >= 3 {
-                    self.deactivate.push((x, child_ring[(x_pos + m - 1) % m]));
-                }
-                self.stale_tree_edges
-                    .extend(self.tree_edges[child.index()].iter().copied());
-                let mut cursor = prev_end;
-                for k in 0..m {
-                    let node = child_ring[(x_pos + k) % m];
-                    self.ring_succ[cursor.index()] = node;
-                    self.ring_mark[node.index()] = (self.epoch, root);
-                    cursor = node;
-                }
-                prev_end = cursor;
-                segment_len += m;
-            }
-            if len_before >= 2 {
-                self.helpers.push((prev_end, y));
-                self.round_b.push((prev_end, succ_after_y));
-                self.deactivate.push((y, succ_after_y));
-            } else {
-                round_a.push((prev_end, y));
-            }
-            self.ring_succ[prev_end.index()] = succ_after_y;
-            self.ring_len[root.index()] = len_before + segment_len;
-        }
-
-        self.frontier = level.iter().map(|&(_, c, _, _)| c).collect();
-
-        let graph = network.graph();
-        let mut acts_a: Vec<(NodeId, NodeId)> = Vec::new();
-        for &(a, b) in round_a.iter().chain(self.helpers.iter()) {
-            if a != b && !graph.has_edge(a, b) {
-                acts_a.push((a, b));
-            }
-        }
-        Ok(acts_a)
-    }
-
-    /// Walks the successor maps into per-root merged rings, rotated to
-    /// start at each root's leader (the synchronous materialization).
-    fn materialize_rings(&mut self) -> Result<(), CoreError> {
-        let sel = self
-            .sel
-            .as_ref()
-            .ok_or_else(|| self.invariant("materialize without a selection forest".into()))?;
-        for &root in sel.roots() {
-            if !sel.has_children(root) {
-                continue;
-            }
-            let leader = self.forest.leader(root);
-            if self.ring_mark[leader.index()] != (self.epoch, root) {
-                return Err(invariant(
-                    self.wreath.name,
-                    format!("leader {leader} is not on the merged ring of {root}"),
-                ));
-            }
-            let m = self.ring_len[root.index()];
-            let line = &mut self.merged_line[root.index()];
-            line.clear();
-            let mut cur = leader;
-            for _ in 0..m {
-                line.push(cur);
-                cur = self.ring_succ[cur.index()];
-            }
-            if cur != leader {
-                return Err(invariant(
-                    self.wreath.name,
-                    format!("merged ring of {root} did not close at its leader"),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// The stale-tree-edge clean-up list (synchronous guards: not an
-    /// initial edge, not on a surviving ring, still present).
-    fn plan_cleanup(&mut self, network: &Network) -> Result<Vec<(NodeId, NodeId)>, CoreError> {
-        let sel = self
-            .sel
-            .as_ref()
-            .ok_or_else(|| self.invariant("cleanup without a selection forest".into()))?;
-        for &root in sel.roots() {
-            if sel.has_children(root) {
-                self.stale_tree_edges
-                    .extend(self.tree_edges[root.index()].iter().copied());
-            }
-        }
-        let mut ring_edge_vec: Vec<Edge> = Vec::new();
-        for &root in sel.roots() {
-            let ring: &[NodeId] = if sel.has_children(root) {
-                &self.merged_line[root.index()]
-            } else {
-                self.forest.members(root)
-            };
-            for w in ring.windows(2) {
-                ring_edge_vec.push(Edge::new(w[0], w[1]));
-            }
-            if ring.len() >= 3 {
-                ring_edge_vec.push(Edge::new(ring[ring.len() - 1], ring[0]));
-            }
-        }
-        let ring_edges = SortedEdgeSet::from_vec(ring_edge_vec);
-        let graph = network.graph();
-        Ok(self
-            .stale_tree_edges
-            .iter()
-            .filter(|e| {
-                !self.initial.has_edge(e.a, e.b)
-                    && !ring_edges.contains(e)
-                    && graph.has_edge(e.a, e.b)
-            })
-            .map(|e| (e.a, e.b))
-            .collect())
-    }
-
     /// Rebuilds an `arity`-ary tree over every merged ring with the
-    /// nested runtime line-to-tree (ring edges protected), re-homes the
-    /// members and retires the committees that merged away.
+    /// nested runtime line-to-tree (ring edges protected), one root after
+    /// another, installs each, and retires the committees that merged
+    /// away.
     fn rebuild_and_retire(&mut self, network: &mut Network) -> Result<(), CoreError> {
-        let sel = self
-            .sel
-            .take()
-            .ok_or_else(|| self.invariant("rebuild without a selection forest".into()))?;
-        for &root in sel.roots() {
-            if !sel.has_children(root) {
-                continue;
-            }
-            let line = mem::take(&mut self.merged_line[root.index()]);
-            let m = line.len();
+        let roots: Vec<CommitteeId> = self.state.merged_roots().collect();
+        for root in roots {
+            let line = self.state.merged_line(root);
             let config = LineToTreeConfig {
-                arity: self.wreath.tree_arity,
-                protected_edges: SortedEdgeSet::ring_edges(&line),
+                arity: self.tree_arity,
+                protected_edges: SortedEdgeSet::ring_edges(line),
             };
             let (tree, _report) = match self.nested {
                 NestedEngine::Seeded { seed } => run_runtime_line_to_tree_seeded(
                     network,
-                    &line,
+                    line,
                     &config,
-                    split_seed(seed, self.phases as u64, root.index() as u64),
+                    split_seed(seed, self.state.log.phases as u64, root.index() as u64),
                     self.knobs,
                 )?,
                 NestedEngine::Free { threads } => {
-                    run_runtime_line_to_tree_free(network, &line, &config, threads)?
+                    run_runtime_line_to_tree_free(network, line, &config, threads)?
                 }
             };
-            let mut edges: Vec<Edge> = Vec::with_capacity(m.saturating_sub(1));
-            for pos in 1..m {
-                let parent_pos = tree.parent(NodeId(pos)).ok_or_else(|| {
-                    invariant(
-                        self.wreath.name,
-                        format!("position {pos} has no parent in the rebuilt tree"),
-                    )
-                })?;
-                edges.push(Edge::new(line[pos], line[parent_pos.index()]));
+            let mut parents = vec![0; line.len()];
+            for (pos, parent) in parents.iter_mut().enumerate().skip(1) {
+                let Some(p) = tree.parent(NodeId(pos)) else {
+                    return Err(CoreError::BrokenInvariant {
+                        algorithm: self.state.log.algorithm,
+                        detail: format!("position {pos} has no parent in the rebuilt tree"),
+                    });
+                };
+                *parent = p.index();
             }
-            self.tree_edges[root.index()] = edges;
-            self.tree_depth[root.index()] = tree.depth();
-            self.forest.replace_members(root, line);
+            self.state.install_tree(root, &parents, tree.depth());
         }
-        let dead: Vec<CommitteeId> = self
-            .forest
-            .live_ids()
-            .iter()
-            .copied()
-            .filter(|c| self.selected[c.index()].is_some())
-            .collect();
-        self.forest.retire_batch(&dead);
-        for c in dead {
-            self.tree_edges[c.index()].clear();
-            self.tree_depth[c.index()] = 0;
-        }
+        self.state.retire_merged();
         Ok(())
-    }
-
-    /// The synchronous termination phase: keep only the final committee's
-    /// tree edges.
-    fn prep_termination(&self, network: &Network, actors: &mut [CommitteeActor]) {
-        let final_committee = self.forest.live_ids()[0];
-        let keep = SortedEdgeSet::from_vec(self.tree_edges[final_committee.index()].clone());
-        let deacts: Vec<(NodeId, NodeId)> = network
-            .graph()
-            .edges()
-            .filter(|e| !keep.contains(e))
-            .map(|e| (e.a, e.b))
-            .collect();
-        assign_ops(actors, &[], &deacts);
     }
 }
 
@@ -1189,38 +746,16 @@ fn split_seed(base: u64, phase: u64, root: u64) -> u64 {
 // Entry points
 // ---------------------------------------------------------------------------
 
-fn validate(network: &Network, uids: &UidMap, name: &str) -> Result<(), CoreError> {
-    let n = network.node_count();
-    if n == 0 {
-        return Err(CoreError::InvalidInput {
-            reason: "the initial network must contain at least one node".into(),
-        });
-    }
-    if uids.len() != n {
-        return Err(CoreError::InvalidInput {
-            reason: "one UID per node is required".into(),
-        });
-    }
-    if !adn_graph::traversal::is_connected(network.graph()) {
-        return Err(CoreError::InvalidInput {
-            reason: format!("{name} requires a connected initial network"),
-        });
-    }
-    Ok(())
-}
-
+/// The run's outcome, with the scheduler's report attached.
 fn finish(
     network: &mut Network,
-    leader: NodeId,
-    phases: usize,
-    committees_per_phase: Vec<usize>,
+    forest: &CommitteeForest,
+    log: PhaseLog,
     report: RuntimeReport,
-) -> Result<TransformationOutcome, CoreError> {
-    let mut outcome = TransformationOutcome::from_network(leader, network);
-    outcome.phases = phases;
-    outcome.committees_per_phase = committees_per_phase;
+) -> TransformationOutcome {
+    let mut outcome = log.outcome(forest.first_leader(), network);
     outcome.runtime = Some(report);
-    Ok(outcome)
+    outcome
 }
 
 /// Runs GraphToStar on the asynchronous runtime, dispatching on
@@ -1247,24 +782,17 @@ pub fn run_runtime_star(
             &FaultPlan::default(),
         ),
         EngineMode::Free { threads } => {
-            validate(network, uids, "GraphToStar")?;
+            validate_input(network.graph(), uids, "GraphToStar")?;
             let initial = network.graph().clone();
-            let n = initial.node_count();
-            let mut actors = build_actors(n, uids, &initial);
-            let mut driver = StarDriver::new(config, n);
+            let mut actors = build_actors(initial.node_count(), uids, &initial);
+            let mut driver = StarDriver::new(config, initial.node_count());
             let report = FreeScheduler::new(threads).run_phased(
                 network,
                 &mut actors,
                 |net, acts, _phase| driver.step(net, acts),
             )?;
-            let leader = driver.forest.leader(driver.forest.live_ids()[0]);
-            finish(
-                network,
-                leader,
-                driver.phases,
-                driver.committees_per_phase,
-                report,
-            )
+            let StarCommittees { forest, log, .. } = driver.committees;
+            Ok(finish(network, &forest, log, report))
         }
         EngineMode::Synchronous => Err(CoreError::InvalidInput {
             reason: "run_runtime_star requires an asynchronous engine mode".into(),
@@ -1288,24 +816,17 @@ pub fn run_runtime_star_faulted(
     knobs: AsyncKnobs,
     faults: &FaultPlan,
 ) -> Result<TransformationOutcome, CoreError> {
-    validate(network, uids, "GraphToStar")?;
+    validate_input(network.graph(), uids, "GraphToStar")?;
     let initial = network.graph().clone();
-    let n = initial.node_count();
-    let mut actors = build_actors(n, uids, &initial);
-    let mut driver = StarDriver::new(config, n);
+    let mut actors = build_actors(initial.node_count(), uids, &initial);
+    let mut driver = StarDriver::new(config, initial.node_count());
     let report = SeededScheduler::new(seed)
         .with_knobs(knobs)
         .run_phased_with_faults(network, &mut actors, faults, |net, acts, _phase| {
             driver.step(net, acts)
         })?;
-    let leader = driver.forest.leader(driver.forest.live_ids()[0]);
-    finish(
-        network,
-        leader,
-        driver.phases,
-        driver.committees_per_phase,
-        report,
-    )
+    let StarCommittees { forest, log, .. } = driver.committees;
+    Ok(finish(network, &forest, log, report))
 }
 
 /// Runs the wreath family (GraphToWreath / GraphToThinWreath, by
@@ -1332,15 +853,13 @@ pub fn run_runtime_wreath(
             &FaultPlan::default(),
         ),
         EngineMode::Free { threads } => {
-            validate(network, uids, wreath.name)?;
+            validate_input(network.graph(), uids, wreath.name)?;
             let initial = network.graph().clone();
-            let n = initial.node_count();
-            let mut actors = build_actors(n, uids, &initial);
+            let mut actors = build_actors(initial.node_count(), uids, &initial);
             let mut driver = WreathDriver::new(
                 config,
                 wreath,
                 &initial,
-                n,
                 NestedEngine::Free { threads },
                 AsyncKnobs::default(),
             );
@@ -1349,14 +868,8 @@ pub fn run_runtime_wreath(
                 &mut actors,
                 |net, acts, _phase| driver.step(net, acts),
             )?;
-            let leader = driver.forest.leader(driver.forest.live_ids()[0]);
-            finish(
-                network,
-                leader,
-                driver.phases,
-                driver.committees_per_phase,
-                report,
-            )
+            let WreathState { forest, log, .. } = driver.state;
+            Ok(finish(network, &forest, log, report))
         }
         EngineMode::Synchronous => Err(CoreError::InvalidInput {
             reason: "run_runtime_wreath requires an asynchronous engine mode".into(),
@@ -1381,15 +894,13 @@ pub fn run_runtime_wreath_faulted(
     knobs: AsyncKnobs,
     faults: &FaultPlan,
 ) -> Result<TransformationOutcome, CoreError> {
-    validate(network, uids, wreath.name)?;
+    validate_input(network.graph(), uids, wreath.name)?;
     let initial = network.graph().clone();
-    let n = initial.node_count();
-    let mut actors = build_actors(n, uids, &initial);
+    let mut actors = build_actors(initial.node_count(), uids, &initial);
     let mut driver = WreathDriver::new(
         config,
         wreath,
         &initial,
-        n,
         NestedEngine::Seeded { seed },
         knobs,
     );
@@ -1398,14 +909,8 @@ pub fn run_runtime_wreath_faulted(
         .run_phased_with_faults(network, &mut actors, faults, |net, acts, _phase| {
             driver.step(net, acts)
         })?;
-    let leader = driver.forest.leader(driver.forest.live_ids()[0]);
-    finish(
-        network,
-        leader,
-        driver.phases,
-        driver.committees_per_phase,
-        report,
-    )
+    let WreathState { forest, log, .. } = driver.state;
+    Ok(finish(network, &forest, log, report))
 }
 
 #[cfg(test)]

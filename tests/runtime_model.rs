@@ -149,13 +149,15 @@ fn committee_outcome(
 
 #[test]
 fn delay_free_async_committees_match_the_sync_engine() {
-    // The real tentpole gate: GraphToStar and GraphToWreath reconfigure
-    // heavily, and their committee bookkeeping (selection, merging,
-    // ring splicing) now runs message-driven. On delay-free schedules
-    // the asynchronous engines must land on exactly the synchronous
-    // committee structures — final graph, leader, phase count and the
-    // per-phase committee census.
-    for algorithm in ["graph_to_star", "graph_to_wreath"] {
+    // The main async==sync gate: GraphToStar and the wreath family
+    // reconfigure heavily, and their committee bookkeeping (selection,
+    // merging, ring splicing) runs message-driven. On delay-free
+    // schedules the asynchronous engines must land on exactly the
+    // synchronous committee structures — final graph, leader, phase
+    // count and the per-phase committee census. The thin wreath rebuilds
+    // arity-⌈log₂ n⌉ trees, so its nested rebuilds differ from the
+    // binary wreath's.
+    for algorithm in ["graph_to_star", "graph_to_wreath", "graph_to_thin_wreath"] {
         for (family, n) in COMMITTEE_CASES {
             let sync = committee_outcome(algorithm, family, n, 5, EngineMode::Synchronous);
             let seeded = committee_outcome(algorithm, family, n, 5, EngineMode::Seeded { seed: 0 });
