@@ -14,7 +14,7 @@
 use crate::harness::{Bench, Sample};
 use adn_analysis::stress::json_escape;
 use adn_core::algorithm::{self, EngineMode, RunConfig};
-use adn_core::committee::{CommitteeForest, IncrementalAdjacency};
+use adn_core::committee::CommitteeForest;
 use adn_core::subroutines::{
     run_runtime_line_to_tree_free, run_runtime_line_to_tree_seeded, LineToTreeConfig,
 };
@@ -23,7 +23,6 @@ use adn_graph::{generators, Edge, Graph, NodeId, UidAssignment, UidMap};
 use adn_runtime::flood::flood_actors;
 use adn_runtime::{AsyncKnobs, FreeScheduler, SeededScheduler};
 use adn_sim::engine::{run_programs, EngineConfig, NodeDecision, NodeProgram, NodeView};
-use adn_sim::EdgeDelta;
 use adn_sim::{Adversary, DstState, InvariantPolicy, Network, Scenario, WaveActivation};
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -385,46 +384,6 @@ fn bench_committee(bench: &mut Bench, quick: bool) {
         || {
             let adj = forest.committee_adjacency(&g);
             assert!(adj.row_count() > 0);
-        },
-    );
-
-    // Steady-state incremental adjacency: the forest is stable and a
-    // trickle of edge deltas arrives per refresh — the delta-driven path
-    // the committee algorithms run between merge phases.
-    let mut delta_graph = scratch_graph(n, 4 * n, 0xC034);
-    let delta_forest = mid_merge_forest(n, committees);
-    let mut tracker = IncrementalAdjacency::new(&delta_forest, &delta_graph);
-    let toggles: Vec<(NodeId, NodeId)> = edge_stream(n, 64, 0x70661E)
-        .into_iter()
-        .filter(|&(u, v)| !delta_graph.has_edge(u, v))
-        .collect();
-    bench.measure(
-        &format!("committee/adjacency_incremental n={n} committees={committees}"),
-        || {
-            for chunk in toggles.chunks(16) {
-                let mut deltas = Vec::with_capacity(chunk.len());
-                for &(u, v) in chunk {
-                    if delta_graph.add_edge(u, v).unwrap_or(false) {
-                        deltas.push(EdgeDelta {
-                            edge: Edge::new(u, v),
-                            added: true,
-                        });
-                    }
-                }
-                let adj = tracker.refresh(&delta_forest, &delta_graph, &deltas);
-                std::hint::black_box(adj.row_count());
-                let mut deltas = Vec::with_capacity(chunk.len());
-                for &(u, v) in chunk {
-                    if delta_graph.remove_edge(u, v).unwrap_or(false) {
-                        deltas.push(EdgeDelta {
-                            edge: Edge::new(u, v),
-                            added: false,
-                        });
-                    }
-                }
-                let adj = tracker.refresh(&delta_forest, &delta_graph, &deltas);
-                std::hint::black_box(adj.row_count());
-            }
         },
     );
 
@@ -1065,8 +1024,8 @@ const MIN_COMPARABLE_NS: u128 = 100_000;
 /// deleted bench must be re-baselined, not silently dropped from the
 /// gate — and a run with no matching case at all (e.g. quick-mode
 /// samples checked against a full-mode baseline) fails loudly rather
-/// than passing vacuously. Sub-[`MIN_COMPARABLE_NS`] baseline cases are
-/// skipped as noise.
+/// than passing vacuously. Baseline cases under `MIN_COMPARABLE_NS`
+/// (100 µs) are skipped as noise.
 pub fn check_against_baseline(
     baseline_json: &str,
     current_json: &str,
@@ -1376,9 +1335,6 @@ mod tests {
         let samples = bench.take_samples();
         let labels: Vec<&str> = samples.iter().map(|s| s.label.as_str()).collect();
         assert!(labels.iter().any(|l| l.starts_with("committee/adjacency")));
-        assert!(labels
-            .iter()
-            .any(|l| l.starts_with("committee/adjacency_incremental")));
         assert!(labels
             .iter()
             .any(|l| l.starts_with("committee/merge_cascade")));

@@ -10,9 +10,14 @@
 //! `BTreeMap<NodeId, Committee>` / nested-`BTreeMap` adjacency maps; now
 //! the partition lives in one arena — the [`CommitteeForest`] — with dense
 //! [`CommitteeId`] slots, flat membership columns, and a sort-based
-//! [`CommitteeAdjacency`] builder shared by every algorithm. The pieces
-//! of a phase that every committee engine — round-based or actor-based —
-//! shares live here too: the input checks, the largest-UID selection fold
+//! [`CommitteeAdjacency`] builder shared by every algorithm. As in the
+//! paper, where each committee learns its neighbouring committees from the
+//! current network at the start of every phase, the round engines call
+//! [`CommitteeForest::committee_adjacency`] on the phase's snapshot: one
+//! scan of the edge set per phase, with nothing carried over between
+//! phases. The pieces of a phase that every committee engine —
+//! round-based or actor-based — shares live here too: the start-of-run
+//! step (input checks and trace switch), the largest-UID selection fold
 //! and the phase record with its convergence limit.
 //!
 //! Determinism contract: every accessor iterates in ascending slot order,
@@ -26,7 +31,7 @@
 use crate::algorithm::RunConfig;
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::{Graph, NodeId, Uid, UidMap};
-use adn_sim::{EdgeDelta, Network};
+use adn_sim::Network;
 
 /// Dense index of a committee slot in a [`CommitteeForest`] arena.
 ///
@@ -357,271 +362,6 @@ impl CommitteeAdjacency {
     }
 }
 
-/// One directed cross-committee bridge: `(committee, other committee,
-/// local endpoint, remote endpoint)`. Sorted order puts the smallest
-/// bridge of every ordered committee pair first — the same invariant the
-/// from-scratch builder sorts into existence per phase.
-type BridgeRow = (usize, usize, NodeId, NodeId);
-
-/// The incrementally maintained committee adjacency.
-///
-/// The from-scratch builder ([`CommitteeForest::committee_adjacency`])
-/// rescans every edge of the graph once per phase. This tracker instead
-/// consumes the edge deltas drained from the committee tap of the
-/// network's round-event bus
-/// ([`adn_sim::Network::set_edge_delta_tracking`]) plus the forest's merge
-/// events — discovered by diffing a committee snapshot against the forest
-/// — so a phase pays for what *changed* rather than for the whole edge
-/// set.
-///
-/// The state is one flat sorted row vector holding **every**
-/// cross-committee bridge (not just the smallest per pair), so deleting a
-/// recorded bridge reveals the runner-up without a rescan; deltas are
-/// applied as a sort-plus-one-merge-pass batch, the `adn_graph::Graph`
-/// adjacency discipline. Materialized rows are identical to the
-/// from-scratch builder's; the algorithms debug-assert that differential
-/// every phase ([`IncrementalAdjacency::refresh`]) and
-/// `tests/committee_model.rs` pins it under adversarial fault sequences.
-#[derive(Debug, Clone)]
-pub struct IncrementalAdjacency {
-    /// The tracker's snapshot of every tracked node's committee; diffed
-    /// against the forest at sync time to discover re-homed nodes.
-    committee_of: Vec<CommitteeId>,
-    /// Every cross-committee bridge, both directions, sorted.
-    rows: Vec<BridgeRow>,
-    /// Batch staging and merge scratch, reused across syncs.
-    adds: Vec<BridgeRow>,
-    dels: Vec<BridgeRow>,
-    merge_scratch: Vec<BridgeRow>,
-    rehomed_mask: Vec<bool>,
-}
-
-impl IncrementalAdjacency {
-    /// Builds the tracker from scratch over the current graph (the one
-    /// full edge scan of the run; every later phase syncs deltas).
-    pub fn new(forest: &CommitteeForest, graph: &Graph) -> Self {
-        let committee_of = forest.committee_of.clone();
-        let tracked = committee_of.len();
-        let mut tracker = IncrementalAdjacency {
-            rehomed_mask: vec![false; tracked],
-            committee_of,
-            rows: Vec::new(),
-            adds: Vec::new(),
-            dels: Vec::new(),
-            merge_scratch: Vec::new(),
-        };
-        tracker.rebuild(forest, graph);
-        tracker
-    }
-
-    /// Stages both directed rows of `{u, v}` under the given committee
-    /// snapshot into `out`, unless the edge is invisible to the adjacency
-    /// (an untracked churned-in endpoint, or an intra-committee edge).
-    fn stage(committee_of: &[CommitteeId], out: &mut Vec<BridgeRow>, u: NodeId, v: NodeId) {
-        let tracked = committee_of.len();
-        if u.index() >= tracked || v.index() >= tracked {
-            return;
-        }
-        let cu = committee_of[u.index()].index();
-        let cv = committee_of[v.index()].index();
-        if cu == cv {
-            return;
-        }
-        out.push((cu, cv, u, v));
-        out.push((cv, cu, v, u));
-    }
-
-    /// Applies everything that changed since the last sync: the edge
-    /// deltas, classified under the *old* committee snapshot (the
-    /// partition the stored rows were classified under — forest updates
-    /// and edge operations may interleave arbitrarily between syncs), and
-    /// the merge events, discovered by diffing the snapshot against the
-    /// forest and re-classifying every current edge incident to a
-    /// re-homed node. The staged additions and removals are then spliced
-    /// into the sorted row vector with one counting merge that touches
-    /// only the staged keys (untouched runs are bulk-copied).
-    ///
-    /// When the pending change volume rivals the edge count — a
-    /// mass-merge phase on a sparse graph re-homes most nodes — patching
-    /// costs more than scanning, so the tracker falls back to a from-
-    /// scratch row rebuild for that sync. Both paths produce identical
-    /// rows; the cutover only picks the cheaper one.
-    pub fn sync(&mut self, forest: &CommitteeForest, graph: &Graph, deltas: &[EdgeDelta]) {
-        let tracked = self.committee_of.len();
-        let mut any_rehomed = false;
-        let mut rehomed_degree = 0usize;
-        for i in 0..tracked {
-            let moved = forest.committee_of[i] != self.committee_of[i];
-            self.rehomed_mask[i] = moved;
-            if moved {
-                any_rehomed = true;
-                rehomed_degree += graph.degree(NodeId(i));
-            }
-        }
-        if deltas.len() + rehomed_degree >= graph.edge_count() / 2 {
-            self.rebuild(forest, graph);
-            return;
-        }
-        for d in deltas {
-            let out = if d.added {
-                &mut self.adds
-            } else {
-                &mut self.dels
-            };
-            Self::stage(&self.committee_of, out, d.edge.a, d.edge.b);
-        }
-        // Re-homed nodes: remove their incident rows under the old
-        // snapshot, re-add them under the new one. An edge with both
-        // endpoints re-homed is processed only at its lower-index
-        // endpoint; the snapshot advances only after staging, so every
-        // staged row sees a consistent classification for both endpoints.
-        if any_rehomed {
-            for i in 0..tracked {
-                if !self.rehomed_mask[i] {
-                    continue;
-                }
-                let u = NodeId(i);
-                for &v in graph.neighbors_slice(u) {
-                    if v.index() < tracked && self.rehomed_mask[v.index()] && v.index() < i {
-                        continue; // staged when v was processed
-                    }
-                    Self::stage(&self.committee_of, &mut self.dels, u, v);
-                    Self::stage(&forest.committee_of, &mut self.adds, u, v);
-                }
-            }
-            for i in 0..tracked {
-                if self.rehomed_mask[i] {
-                    self.committee_of[i] = forest.committee_of[i];
-                }
-            }
-        }
-        if self.adds.is_empty() && self.dels.is_empty() {
-            return;
-        }
-        self.adds.sort_unstable();
-        self.dels.sort_unstable();
-        // Counting splice merge: per distinct *staged* row, presence is
-        // `current + additions - removals` (an edge toggled within the
-        // window stages matching rows in both columns and cancels out).
-        // Only the staged keys are resolved element-by-element; the
-        // untouched runs between them — the overwhelming majority on a
-        // steady-state sync of a handful of deltas — are located with a
-        // binary search and bulk-copied, so a sync costs
-        // O(changes · log rows) plus one memcpy of the row vector instead
-        // of an element-wise walk of every row.
-        self.merge_scratch.clear();
-        self.merge_scratch
-            .reserve(self.rows.len() + self.adds.len());
-        let (rows, adds, dels) = (&self.rows, &self.adds, &self.dels);
-        let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-        while j < adds.len() || k < dels.len() {
-            let key = match (adds.get(j), dels.get(k)) {
-                (Some(&a), Some(&d)) => a.min(d),
-                (Some(&a), None) => a,
-                (None, Some(&d)) => d,
-                (None, None) => unreachable!("loop condition"),
-            };
-            let run = rows[i..].partition_point(|r| *r < key);
-            self.merge_scratch.extend_from_slice(&rows[i..i + run]);
-            i += run;
-            let mut count = 0isize;
-            while rows.get(i) == Some(&key) {
-                count += 1;
-                i += 1;
-            }
-            while adds.get(j) == Some(&key) {
-                count += 1;
-                j += 1;
-            }
-            while dels.get(k) == Some(&key) {
-                count -= 1;
-                k += 1;
-            }
-            debug_assert!(
-                (0..=1).contains(&count),
-                "bridge row {key:?} has net multiplicity {count}"
-            );
-            if count > 0 {
-                self.merge_scratch.push(key);
-            }
-        }
-        self.merge_scratch.extend_from_slice(&rows[i..]);
-        self.adds.clear();
-        self.dels.clear();
-        std::mem::swap(&mut self.rows, &mut self.merge_scratch);
-    }
-
-    /// From-scratch row rebuild under the forest's current partition (the
-    /// cutover path of [`IncrementalAdjacency::sync`] for phases where
-    /// most of the edge set changed classification).
-    fn rebuild(&mut self, forest: &CommitteeForest, graph: &Graph) {
-        let tracked = self.committee_of.len();
-        self.committee_of.copy_from_slice(&forest.committee_of);
-        self.rows.clear();
-        for e in graph.edges() {
-            // `e.b` is the larger endpoint, so checking it covers both.
-            if e.b.index() >= tracked {
-                continue;
-            }
-            let cu = self.committee_of[e.a.index()].index();
-            let cv = self.committee_of[e.b.index()].index();
-            if cu == cv {
-                continue;
-            }
-            self.rows.push((cu, cv, e.a, e.b));
-            self.rows.push((cv, cu, e.b, e.a));
-        }
-        self.rows.sort_unstable();
-    }
-
-    /// Materializes the current committee adjacency — one pass over the
-    /// bridge rows (the first row of every ordered pair group is its
-    /// smallest bridge), with rows and offsets identical to
-    /// [`CommitteeForest::committee_adjacency`].
-    pub fn rows(&self, forest: &CommitteeForest) -> CommitteeAdjacency {
-        let slots = forest.slot_count();
-        let mut offsets = vec![0usize; slots + 1];
-        let mut out: Vec<CommitteeNeighbor> = Vec::new();
-        let mut idx = 0usize;
-        while idx < self.rows.len() {
-            let (c, other, x, y) = self.rows[idx];
-            offsets[c + 1] += 1;
-            out.push(CommitteeNeighbor {
-                other: CommitteeId(other),
-                bridge_local: x,
-                bridge_remote: y,
-            });
-            idx += 1;
-            while idx < self.rows.len() && self.rows[idx].0 == c && self.rows[idx].1 == other {
-                idx += 1;
-            }
-        }
-        for i in 0..slots {
-            offsets[i + 1] += offsets[i];
-        }
-        CommitteeAdjacency { rows: out, offsets }
-    }
-
-    /// Syncs and materializes in one step, debug-asserting the
-    /// differential against the from-scratch builder (debug builds pay
-    /// the rebuild, release builds trust the tracker).
-    pub fn refresh(
-        &mut self,
-        forest: &CommitteeForest,
-        graph: &Graph,
-        deltas: &[EdgeDelta],
-    ) -> CommitteeAdjacency {
-        self.sync(forest, graph, deltas);
-        let adjacency = self.rows(forest);
-        debug_assert_eq!(
-            adjacency,
-            forest.committee_adjacency(graph),
-            "incremental committee adjacency diverged from the from-scratch builder"
-        );
-        adjacency
-    }
-}
-
 /// The per-phase selection forest: every committee optionally selects a
 /// parent (a strictly larger-UID neighbour), the edges form a forest, and
 /// each tree merges into its root. Children lists, the root list and the
@@ -735,14 +475,19 @@ impl SelectionForest {
     }
 }
 
-/// The input checks every committee engine runs before anything else, in
-/// this order: a non-empty network, one UID per node, and a connected
-/// graph (the error names `algorithm`).
-pub(crate) fn validate_input(
-    graph: &Graph,
+/// The start-of-run step every committee entry point shares — the round
+/// engines' `execute` and the runtime's seeded and free entry points
+/// alike: the input checks, in this order — a non-empty network, one UID
+/// per node, and a connected graph (the error names `algorithm`) — then
+/// the per-round trace switched on or off as `run` asks, before the first
+/// round of either engine.
+pub(crate) fn start_run(
+    network: &mut Network,
     uids: &UidMap,
     algorithm: &str,
+    run: &RunConfig,
 ) -> Result<(), CoreError> {
+    let graph = network.graph();
     let n = graph.node_count();
     if n == 0 {
         return Err(CoreError::InvalidInput {
@@ -759,6 +504,7 @@ pub(crate) fn validate_input(
             reason: format!("{algorithm} requires a connected initial network"),
         });
     }
+    network.set_trace_enabled(run.trace.is_per_round());
     Ok(())
 }
 
@@ -817,11 +563,12 @@ impl PhaseLog {
 
     /// Opens a phase that starts with `live` committees: counts it, checks
     /// the round budget, and fails with [`CoreError::DidNotConverge`] past
-    /// the phase limit.
+    /// the phase limit. The phase's traced rounds then carry `live` as
+    /// their `groups_alive`.
     pub(crate) fn begin(
         &mut self,
         run: &RunConfig,
-        network: &Network,
+        network: &mut Network,
         live: usize,
     ) -> Result<(), CoreError> {
         self.phases += 1;
@@ -833,19 +580,21 @@ impl PhaseLog {
             });
         }
         self.committees_per_phase.push(live);
+        network.note_groups_alive(live);
         Ok(())
     }
 
     /// Opens the termination phase (one committee left), after checking
-    /// the round budget.
+    /// the round budget; its traced rounds carry one live group.
     pub(crate) fn terminate(
         &mut self,
         run: &RunConfig,
-        network: &Network,
+        network: &mut Network,
     ) -> Result<(), CoreError> {
         run.check_round_budget(network)?;
         self.phases += 1;
         self.committees_per_phase.push(1);
+        network.note_groups_alive(1);
         Ok(())
     }
 

@@ -14,8 +14,11 @@
 //! The phase rules — `Mode`, the climb target, the merge list and the
 //! absorb + mode-transition step of `StarCommittees` — are written once
 //! here. This module's round engine feeds them what it reads off the
-//! graph; the asynchronous runtime's committee actors
-//! (`subroutines::runtime_committee`) feed them their leaders' decisions.
+//! graph: every phase starts from the committee adjacency of the current
+//! snapshot, built afresh by
+//! [`CommitteeForest::committee_adjacency`]. The asynchronous runtime's
+//! committee actors (`subroutines::runtime_committee`) feed them their
+//! leaders' decisions instead.
 //!
 //! Complexity (Theorem 3.8), all verified by the tests and the benchmark
 //! harness: `O(log n)` rounds, at most `2n` active edges per round, an
@@ -23,9 +26,7 @@
 //! maximum degree at the star centre.
 
 use crate::algorithm::RunConfig;
-use crate::committee::{
-    validate_input, CommitteeForest, CommitteeId, IncrementalAdjacency, PhaseLog,
-};
+use crate::committee::{start_run, CommitteeForest, CommitteeId, PhaseLog};
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::properties::ceil_log2;
 use adn_graph::{Edge, Graph, NodeId, UidMap};
@@ -258,28 +259,8 @@ pub(crate) fn execute(
     if !config.engine.is_synchronous() {
         return crate::subroutines::runtime_committee::run_runtime_star(network, uids, config);
     }
-    validate_input(network.graph(), uids, "GraphToStar")?;
+    start_run(network, uids, "GraphToStar", config)?;
 
-    network.set_trace_enabled(config.trace.is_per_round());
-    // The incremental adjacency consumes the committee tap of the
-    // network's round-event bus (and the forest's merges) instead of
-    // rebuilding from the edge set every phase. The tap is armed before
-    // the first operation so no delta is missed, and disarmed on *every*
-    // exit path — error returns included — so a caller's network is
-    // never left accumulating deltas.
-    network.set_edge_delta_tracking(true);
-    let result = run_phases(network, uids, config);
-    network.set_edge_delta_tracking(false);
-    result
-}
-
-/// The phase loop of [`execute`], split out so the edge-delta hook is
-/// disarmed on every exit path (the engine's `run_rounds` discipline).
-fn run_phases(
-    network: &mut Network,
-    uids: &UidMap,
-    config: &RunConfig,
-) -> Result<TransformationOutcome, CoreError> {
     let initial = network.graph().clone();
     let n = initial.node_count();
     let mut state = State::new(initial);
@@ -287,7 +268,6 @@ fn run_phases(
     while state.committees.forest.live_count() > 1 {
         let live = state.committees.forest.live_count();
         state.committees.log.begin(config, network, live)?;
-        network.note_groups_alive(live);
         state.run_phase(network, uids)?;
     }
 
@@ -295,7 +275,6 @@ fn run_phases(
     let leader = state.committees.forest.first_leader();
     if n > 1 {
         state.committees.log.terminate(config, network)?;
-        network.note_groups_alive(1);
         for e in state.committees.termination_drops(network.graph()) {
             network.stage_deactivation(e.a, e.b)?;
         }
@@ -312,32 +291,26 @@ fn run_phases(
 
 struct State {
     committees: StarCommittees,
-    /// Delta-driven committee adjacency, synced at every phase start from
-    /// the network's edge deltas and the forest's merges.
-    adjacency: IncrementalAdjacency,
     /// Edges of the initial network (never deactivated before termination).
     initial_edges: Graph,
 }
 
 impl State {
     fn new(initial: Graph) -> Self {
-        let committees = StarCommittees::new(initial.node_count());
-        let adjacency = IncrementalAdjacency::new(&committees.forest, &initial);
         State {
-            committees,
-            adjacency,
+            committees: StarCommittees::new(initial.node_count()),
             initial_edges: initial,
         }
     }
 
-    /// One phase: the selections, round A (selection helpers, merges and
-    /// climbs), round B (the second selection hops), then the shared
-    /// merge and mode-transition step.
+    /// One phase: the selections over the committee adjacency of the
+    /// phase's snapshot, round A (selection helpers, merges and climbs),
+    /// round B (the second selection hops), then the shared merge and
+    /// mode-transition step.
     fn run_phase(&mut self, network: &mut Network, uids: &UidMap) -> Result<(), CoreError> {
-        let deltas = network.take_edge_deltas();
         let committees = &self.committees;
         let (forest, mode) = (&committees.forest, &committees.mode);
-        let adjacency = self.adjacency.refresh(forest, network.graph(), &deltas);
+        let adjacency = forest.committee_adjacency(network.graph());
 
         // Selection: a committee in selection mode picks its target among
         // the root committees (those not already committed to a merge or

@@ -4,8 +4,10 @@
 //! Committees are *wreaths*: the union of a ring (used for merging) and a
 //! complete binary tree spanning the ring (used for intra-committee
 //! communication), Definition 4.1. Each phase, every committee selects the
-//! largest-UID neighbouring committee; the selection edges form a forest
-//! of committee trees, and each tree merges into its root in a single
+//! largest-UID neighbouring committee over the committee adjacency of the
+//! current snapshot, built afresh each phase by
+//! [`CommitteeForest::committee_adjacency`]; the selection edges form a
+//! forest of committee trees, and each tree merges into its root in a single
 //! phase by (i) splicing all rings into one spanning ring with the chained
 //! construction of Appendix B ("Merging the Spanning Ring Subgraph"),
 //! (ii) discarding the old tree edges and (iii) rebuilding a complete
@@ -40,9 +42,7 @@
 //! [`crate::graph_to_thin_wreath`] (Section 5).
 
 use crate::algorithm::RunConfig;
-use crate::committee::{
-    validate_input, CommitteeForest, CommitteeId, IncrementalAdjacency, PhaseLog, SelectionForest,
-};
+use crate::committee::{start_run, CommitteeForest, CommitteeId, PhaseLog, SelectionForest};
 use crate::subroutines::async_line_to_tree::run_lockstep;
 use crate::subroutines::LineScratch;
 use crate::{CoreError, TransformationOutcome};
@@ -539,32 +539,11 @@ pub(crate) fn execute(
             network, uids, config, run,
         );
     }
-    validate_input(network.graph(), uids, config.name)?;
+    start_run(network, uids, config.name, run)?;
 
-    network.set_trace_enabled(run.trace.is_per_round());
-    // The delta-driven committee adjacency consumes the committee tap
-    // of the network's round-event bus. The tap is armed before the
-    // first operation so no delta is missed, and disarmed on *every*
-    // exit path — error returns included — so a caller's network is
-    // never left accumulating deltas.
-    network.set_edge_delta_tracking(true);
-    let result = run_phases(network, uids, config, run);
-    network.set_edge_delta_tracking(false);
-    result
-}
-
-/// The phase loop of [`execute`], split out so the edge-delta hook is
-/// disarmed on every exit path (the engine's `run_rounds` discipline).
-fn run_phases(
-    network: &mut Network,
-    uids: &UidMap,
-    config: &WreathConfig,
-    run: &RunConfig,
-) -> Result<TransformationOutcome, CoreError> {
     let initial = network.graph().clone();
     let n = initial.node_count();
     let mut state = WreathState::new(n, config.name);
-    let mut adjacency_tracker = IncrementalAdjacency::new(&state.forest, &initial);
     // Memoises jump schedules and recycles the lockstep batch's columns
     // across phases.
     let mut line_scratch = LineScratch::new();
@@ -572,16 +551,14 @@ fn run_phases(
     while state.forest.live_count() > 1 {
         let live = state.forest.live_count();
         state.log.begin(run, network, live)?;
-        network.note_groups_alive(live);
 
         // ------------------------------------------------------------------
         // Selection: every committee picks its largest-UID strictly-larger
-        // neighbour over the shared committee-adjacency. The selection
-        // edges form a forest whose roots are the locally-maximal
-        // committees.
+        // neighbour over the committee adjacency of the phase's snapshot.
+        // The selection edges form a forest whose roots are the
+        // locally-maximal committees.
         // ------------------------------------------------------------------
-        let deltas = network.take_edge_deltas();
-        let adjacency = adjacency_tracker.refresh(&state.forest, network.graph(), &deltas);
+        let adjacency = state.forest.committee_adjacency(network.graph());
         let mut selected: Vec<Option<Choice>> = vec![None; state.forest.slot_count()];
         for &cid in state.forest.live_ids() {
             selected[cid.index()] =
@@ -688,7 +665,6 @@ fn run_phases(
     let leader = state.forest.first_leader();
     if n > 1 {
         state.log.terminate(run, network)?;
-        network.note_groups_alive(1);
         let drops = state.termination_drops(network.graph());
         for e in &drops {
             network.stage_deactivation(e.a, e.b)?;

@@ -53,9 +53,7 @@
 //! scheduler, between deliveries of the committee protocol itself.
 
 use crate::algorithm::{EngineMode, RunConfig};
-use crate::committee::{
-    select_largest_uid, validate_input, CommitteeForest, CommitteeId, PhaseLog,
-};
+use crate::committee::{select_largest_uid, start_run, CommitteeForest, CommitteeId, PhaseLog};
 use crate::graph_to_star::{climb_target, Mode, StarCommittees};
 use crate::graph_to_wreath::{Choice, SpliceLevel, WreathConfig, WreathState};
 use crate::subroutines::{
@@ -782,7 +780,7 @@ pub fn run_runtime_star(
             &FaultPlan::default(),
         ),
         EngineMode::Free { threads } => {
-            validate_input(network.graph(), uids, "GraphToStar")?;
+            start_run(network, uids, "GraphToStar", config)?;
             let initial = network.graph().clone();
             let mut actors = build_actors(initial.node_count(), uids, &initial);
             let mut driver = StarDriver::new(config, initial.node_count());
@@ -816,7 +814,7 @@ pub fn run_runtime_star_faulted(
     knobs: AsyncKnobs,
     faults: &FaultPlan,
 ) -> Result<TransformationOutcome, CoreError> {
-    validate_input(network.graph(), uids, "GraphToStar")?;
+    start_run(network, uids, "GraphToStar", config)?;
     let initial = network.graph().clone();
     let mut actors = build_actors(initial.node_count(), uids, &initial);
     let mut driver = StarDriver::new(config, initial.node_count());
@@ -853,7 +851,7 @@ pub fn run_runtime_wreath(
             &FaultPlan::default(),
         ),
         EngineMode::Free { threads } => {
-            validate_input(network.graph(), uids, wreath.name)?;
+            start_run(network, uids, wreath.name, config)?;
             let initial = network.graph().clone();
             let mut actors = build_actors(initial.node_count(), uids, &initial);
             let mut driver = WreathDriver::new(
@@ -894,7 +892,7 @@ pub fn run_runtime_wreath_faulted(
     knobs: AsyncKnobs,
     faults: &FaultPlan,
 ) -> Result<TransformationOutcome, CoreError> {
-    validate_input(network.graph(), uids, wreath.name)?;
+    start_run(network, uids, wreath.name, config)?;
     let initial = network.graph().clone();
     let mut actors = build_actors(initial.node_count(), uids, &initial);
     let mut driver = WreathDriver::new(

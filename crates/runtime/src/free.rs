@@ -70,11 +70,10 @@ impl FreeScheduler {
     }
 
     /// Runs `programs` in driver-delimited phases (the free-running
-    /// counterpart of [`SeededScheduler::run_phased`]
-    /// (crate::SeededScheduler::run_phased)): before each phase the driver
-    /// may rewrite actor state and decides whether another phase runs;
-    /// each phase spins up the worker pool and runs to Dijkstra–Scholten
-    /// quiescence. Counters accumulate across phases.
+    /// counterpart of [`crate::SeededScheduler::run_phased`]): before each
+    /// phase the driver may rewrite actor state and decides whether
+    /// another phase runs; each phase spins up the worker pool and runs to
+    /// Dijkstra–Scholten quiescence. Counters accumulate across phases.
     ///
     /// # Errors
     ///

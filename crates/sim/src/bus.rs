@@ -2,22 +2,22 @@
 //! round-boundary events, emitted from exactly one place per mutation in
 //! [`crate::Network`], with cheap fan-out to every observer.
 //!
-//! Before this module, the network carried four independently armed
-//! observer channels — changed nodes for the engine's view cache, edge
-//! deltas for the committee layer's incremental adjacency, a dedicated
-//! topology channel for the DST invariant engine, and the per-round
-//! metrics/trace bookkeeping — each with its own push site duplicated
-//! across `commit_round` and every `fault_*` entry point. The bus replaces them with a single recorded
-//! [`RoundEvent`] stream plus per-consumer cursors ([`BusTap`]): each
-//! consumer arms its tap, mutations are recorded once, and each drain
-//! maps the pending slice into the consumer's legacy representation
-//! (sorted node set, [`crate::EdgeDelta`] vector, DST replay feed, raw
-//! events). The buffer is compacted as soon as every armed tap has
-//! drained, so steady-state memory is one round of events.
+//! The network has three buffered observers — changed nodes for the
+//! engine's view cache, the topology replay feed of the DST invariant
+//! engine, and the raw event recorder — and one always-on subscriber, the
+//! per-round metrics/trace bookkeeping. Rather than a channel per
+//! observer, each with its own push site duplicated across `commit_round`
+//! and every `fault_*` entry point, the bus records a single
+//! [`RoundEvent`] stream with one cursor, or tap, per buffered consumer:
+//! each consumer arms its tap, mutations are recorded once, and each
+//! drain maps the pending slice into the consumer's representation
+//! (sorted node set, DST replay feed, raw events). The buffer is
+//! compacted as soon as every armed tap has drained, so steady-state
+//! memory is one round of events.
 //!
 //! The always-on consumers — [`crate::EdgeMetrics`], the per-round
-//! [`crate::RoundStats`] trace and the [`DegreeTracker`] degree
-//! histogram — do not buffer: they live in the [`RoundLedger`] inline
+//! [`crate::RoundStats`] trace and the degree histogram behind the traced
+//! `max_degree` — do not buffer: they live in a crate-private inline
 //! subscriber and are updated synchronously at the same emission points,
 //! so untraced executions with no taps armed pay two branch tests per
 //! mutation and nothing else.
@@ -75,15 +75,13 @@ pub enum RoundEvent {
 pub(crate) enum BusTap {
     /// The node-program engine's view cache (changed-node drain).
     Engine = 0,
-    /// The committee layer's incremental adjacency (edge-delta drain).
-    Committee = 1,
     /// The installed DST invariant state (topology replay drain).
-    Dst = 2,
+    Dst = 1,
     /// The public raw-event recorder ([`crate::Network::take_events`]).
-    Recorder = 3,
+    Recorder = 2,
 }
 
-const TAPS: usize = 4;
+const TAPS: usize = 3;
 
 /// The shared event buffer plus one (cursor, armed) pair per [`BusTap`].
 ///
@@ -409,11 +407,11 @@ mod tests {
 
         // A late arm sees only post-arm events.
         bus.record(RoundEvent::IdleRound);
-        bus.arm(BusTap::Committee, true);
+        bus.arm(BusTap::Recorder, true);
         bus.record(RoundEvent::NodeCrashed(NodeId(1)));
-        let mut committee = Vec::new();
-        bus.drain_into(BusTap::Committee, &mut committee);
-        assert_eq!(committee, vec![RoundEvent::NodeCrashed(NodeId(1))]);
+        let mut recorded = Vec::new();
+        bus.drain_into(BusTap::Recorder, &mut recorded);
+        assert_eq!(recorded, vec![RoundEvent::NodeCrashed(NodeId(1))]);
 
         // Disarming releases the buffer even with events pending.
         bus.arm(BusTap::Engine, false);

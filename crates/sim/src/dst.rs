@@ -818,8 +818,7 @@ impl Adversary {
 
 /// The per-network DST state: adversary, invariant policy, fault log and
 /// violation log. Installed with [`crate::Network::install_dst`]; the
-/// network calls [`DstState::on_round`] after every committed or
-/// idle-charged round.
+/// network ticks it after every committed or idle-charged round.
 #[derive(Debug, Clone)]
 pub struct DstState {
     adversary: Adversary,
@@ -913,8 +912,9 @@ impl DstState {
 
     /// Forces every invariant back onto the from-scratch O(n) paths —
     /// full BFS for connectivity, full scan for the degree bound — by
-    /// skipping the incremental structures at [`DstState::attach`] time.
-    /// Benchmark comparison knob; call before the state is installed.
+    /// skipping the incremental structures when the state is attached to
+    /// its network. Benchmark comparison knob; call before the state is
+    /// installed.
     pub fn set_from_scratch_checks(&mut self, enabled: bool) {
         self.from_scratch = enabled;
     }

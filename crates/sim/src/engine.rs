@@ -84,7 +84,7 @@ pub struct EngineConfig {
     /// Abort with [`SimError::RoundLimitExceeded`] if the programs have not
     /// all terminated after this many rounds.
     pub max_rounds: usize,
-    /// Record a per-round [`RoundStats`] trace in the report.
+    /// Record a per-round [`crate::RoundStats`] trace in the report.
     pub record_trace: bool,
 }
 

@@ -61,5 +61,5 @@ pub use bus::RoundEvent;
 pub use dst::{Adversary, DstReport, DstState, FaultEvent, FaultRecord, InvariantPolicy, Scenario};
 pub use error::SimError;
 pub use metrics::EdgeMetrics;
-pub use network::{EdgeDelta, Network, RoundSummary, WaveActivation};
+pub use network::{Network, RoundSummary, WaveActivation};
 pub use trace::{ExecutionReport, RoundStats};

@@ -1,11 +1,11 @@
 //! The validated, metered temporal graph.
 //!
-//! Every observable of the network — engine changed-nodes, committee
-//! edge-deltas, DST topology replay, raw event recording, metrics and
-//! the per-round trace — hangs off one [`RoundEvent`] bus (see
-//! [`crate::bus`]): each applied mutation is emitted from exactly one
-//! place ([`EdgeSink::edge`] for edges, the join/crash/boundary points
-//! below for the rest) and fanned out to whichever consumers are armed.
+//! Every observable of the network — engine changed-nodes, DST topology
+//! replay, raw event recording, metrics and the per-round trace — hangs
+//! off one [`RoundEvent`] bus (see [`crate::bus`]): each applied mutation
+//! is emitted from exactly one place (the bus's edge sink for edges, the
+//! join/crash/boundary points below for the rest) and fanned out to
+//! whichever consumers are armed.
 
 use crate::bus::{BusTap, EdgeSink, EventBus, RoundLedger};
 use crate::dst::{DstReport, DstState};
@@ -38,19 +38,6 @@ impl std::hash::Hasher for EdgeKeyHasher {
 }
 
 type StagedEdgeSet = std::collections::HashSet<Edge, std::hash::BuildHasherDefault<EdgeKeyHasher>>;
-
-/// One applied edge mutation, recorded by the opt-in edge-delta hook
-/// ([`Network::set_edge_delta_tracking`]). Deltas are recorded in
-/// application order — committed stages and adversarial faults alike — so
-/// replaying them over a snapshot of the graph at the last drain
-/// reproduces the current edge set exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EdgeDelta {
-    /// The mutated edge (canonical endpoint order).
-    pub edge: Edge,
-    /// True for an insertion, false for a removal.
-    pub added: bool,
-}
 
 /// One activation of a batched jump wave, staged through
 /// [`Network::stage_jump_wave`]: the `initiator` activates an edge to
@@ -135,8 +122,8 @@ pub struct Network {
     commit_touched: Vec<NodeId>,
     commit_grew: Vec<NodeId>,
     /// The round-event bus: the one recorded stream every buffered
-    /// observer (engine changed-nodes, committee edge-deltas, DST replay,
-    /// raw recorder) drains from its own tap. See [`crate::bus`].
+    /// observer (engine changed-nodes, DST replay, raw recorder) drains
+    /// from its own tap. See [`crate::bus`].
     bus: EventBus,
     /// The always-on inline subscriber: accumulated [`EdgeMetrics`],
     /// per-round [`RoundStats`] trace, and the degree histogram behind
@@ -177,39 +164,17 @@ impl Network {
         }
     }
 
-    /// Enables or disables the edge-delta hook (either transition clears
-    /// the tap's pending view). While enabled, [`Network::take_edge_deltas`]
-    /// reports every applied edge mutation — through committed rounds or
-    /// adversarial faults — since the last drain, in application order.
-    ///
-    /// The hook is **single-consumer**, like the node-change hook: it is
-    /// one tap of the round-event bus with one cursor and one drain. The
-    /// committee algorithms arm it for the duration of a run and disarm it
-    /// on every exit path, so any tracking an outer caller had enabled on
-    /// the same network is reset (re-arm and rebuild from the graph
-    /// afterwards if needed).
-    pub fn set_edge_delta_tracking(&mut self, enabled: bool) {
-        self.bus.arm(BusTap::Committee, enabled);
-    }
-
-    /// Drains the recorded edge deltas, in application order. Empty
-    /// unless [`Network::set_edge_delta_tracking`] is on.
-    pub fn take_edge_deltas(&mut self) -> Vec<EdgeDelta> {
-        let mut deltas = Vec::new();
-        self.bus.drain(BusTap::Committee, |event| {
-            if let RoundEvent::Edge { edge, added, .. } = *event {
-                deltas.push(EdgeDelta { edge, added });
-            }
-        });
-        deltas
-    }
-
     /// Enables or disables the change-tracking hook (either transition
-    /// clears the tap's pending view; the hook is single-consumer — see
-    /// [`Network::set_edge_delta_tracking`]). While enabled,
-    /// [`Network::take_changed_nodes`]
-    /// reports every node whose incident edge set changed — through
-    /// committed rounds or adversarial faults — since the last drain.
+    /// clears the tap's pending view). While enabled,
+    /// [`Network::take_changed_nodes`] reports every node whose incident
+    /// edge set changed — through committed rounds or adversarial faults
+    /// — since the last drain.
+    ///
+    /// The hook is **single-consumer**: it is one tap of the round-event
+    /// bus with one cursor and one drain. [`crate::engine::run_programs`]
+    /// arms it for the duration of a run and disarms it on every exit
+    /// path, so any tracking an outer caller had enabled on the same
+    /// network is reset.
     pub fn set_change_tracking(&mut self, enabled: bool) {
         self.bus.arm(BusTap::Engine, enabled);
     }
@@ -1118,6 +1083,9 @@ mod tests {
         net.stage_activation(nid(2), nid(4)).unwrap();
         net.stage_deactivation(nid(1), nid(2)).unwrap();
         net.commit_round();
+        // Faults after a commit land behind its boundary, in order.
+        assert!(net.fault_insert_edge(nid(1), nid(2)));
+        assert!(net.fault_remove_edge(nid(1), nid(2)));
         net.advance_idle_rounds(1);
         let joined = net.inject_join();
         net.fault_remove_edge(nid(0), nid(1));
@@ -1141,6 +1109,16 @@ mod tests {
                     activations: 1,
                     deactivations: 1,
                 },
+                RoundEvent::Edge {
+                    edge: Edge::new(nid(1), nid(2)),
+                    added: true,
+                    initial: true,
+                },
+                RoundEvent::Edge {
+                    edge: Edge::new(nid(1), nid(2)),
+                    added: false,
+                    initial: true,
+                },
                 RoundEvent::IdleRound,
                 RoundEvent::NodeJoined(joined),
                 RoundEvent::Edge {
@@ -1160,7 +1138,8 @@ mod tests {
                 },
                 RoundEvent::NodeCrashed(nid(4)),
             ],
-            "application order, crash removals before the crash marker"
+            "application order: committed adds, committed removes, the boundary, \
+             faults; crash removals before the crash marker"
         );
         assert!(net.take_events().is_empty(), "drain empties the tap");
         net.set_event_recording(false);
@@ -1249,59 +1228,6 @@ mod tests {
         assert_eq!(net.activated_edge_count(), 1);
         assert_eq!(net.activated_degree(nid(2)), 0);
         assert_eq!(net.activated_degree(nid(3)), 1);
-    }
-
-    #[test]
-    fn edge_delta_hook_records_commits_and_faults_in_order() {
-        let mut net = Network::new(generators::line(5));
-        assert!(
-            net.take_edge_deltas().is_empty(),
-            "hook off by default: nothing recorded"
-        );
-        net.stage_activation(nid(0), nid(2)).unwrap();
-        net.commit_round();
-        assert!(net.take_edge_deltas().is_empty(), "still off");
-
-        net.set_edge_delta_tracking(true);
-        net.stage_activation(nid(2), nid(4)).unwrap();
-        net.stage_deactivation(nid(0), nid(1)).unwrap();
-        net.commit_round();
-        net.fault_insert_edge(nid(0), nid(1));
-        net.fault_remove_edge(nid(0), nid(1));
-        let deltas = net.take_edge_deltas();
-        let expect = |u: usize, v: usize, added: bool| EdgeDelta {
-            edge: Edge::new(nid(u), nid(v)),
-            added,
-        };
-        assert_eq!(
-            deltas,
-            vec![
-                expect(2, 4, true),
-                expect(0, 1, false),
-                expect(0, 1, true),
-                expect(0, 1, false),
-            ],
-            "application order: committed adds, committed removes, faults"
-        );
-        assert!(
-            net.take_edge_deltas().is_empty(),
-            "drain empties the buffer"
-        );
-
-        // A crash records one removal per severed edge.
-        net.fault_crash_node(nid(2)).unwrap();
-        let deltas = net.take_edge_deltas();
-        assert!(deltas.iter().all(|d| !d.added && d.edge.touches(nid(2))));
-        assert_eq!(
-            deltas.len(),
-            4,
-            "line edges 1-2, 2-3 and activated 0-2, 2-4"
-        );
-
-        // Disabling clears any pending deltas.
-        net.fault_insert_edge(nid(0), nid(1));
-        net.set_edge_delta_tracking(false);
-        assert!(net.take_edge_deltas().is_empty());
     }
 
     #[test]

@@ -125,7 +125,13 @@ fn supports_matrix_is_exactly_cut_in_half_on_non_lines() {
 fn every_algorithm_declares_and_honors_its_engine_modes() {
     // Every registered algorithm declares which engines it supports; it
     // must complete under every declared mode and fail with the clean
-    // `InvalidInput` rejection — never a panic — under the others.
+    // `InvalidInput` rejection — never a panic — under the others. Runs
+    // ask for the per-round trace, which every engine must honour: a run
+    // that activated an edge committed a round, so it traced one, and a
+    // committee algorithm stamps its first traced round with the
+    // committee count its first phase started with.
+    const COMMITTEE_ALGORITHMS: [&str; 3] =
+        ["graph_to_star", "graph_to_wreath", "graph_to_thin_wreath"];
     let all_modes = [
         EngineMode::Synchronous,
         EngineMode::Seeded { seed: 3 },
@@ -158,7 +164,10 @@ fn every_algorithm_declares_and_honors_its_engine_modes() {
                 EngineMode::Synchronous => true,
                 _ => algorithm.supports_async_engines(),
             };
-            let result = algorithm.run(&graph, &uids, &RunConfig::default().with_engine(mode));
+            let config = RunConfig::default()
+                .with_engine(mode)
+                .with_trace(TraceLevel::PerRound);
+            let result = algorithm.run(&graph, &uids, &config);
             if supported {
                 let outcome = result
                     .unwrap_or_else(|e| panic!("{} must complete under {mode:?}: {e}", spec.id));
@@ -168,6 +177,21 @@ fn every_algorithm_declares_and_honors_its_engine_modes() {
                     "{} under {mode:?}",
                     spec.id
                 );
+                if outcome.metrics.total_activations > 0 {
+                    assert!(
+                        !outcome.trace.is_empty(),
+                        "{} under {mode:?}: activated edges but traced no round",
+                        spec.id
+                    );
+                }
+                if COMMITTEE_ALGORITHMS.contains(&spec.id) {
+                    assert_eq!(
+                        outcome.trace.first().map(|row| row.groups_alive),
+                        outcome.committees_per_phase.first().copied(),
+                        "{} under {mode:?}: first traced round's committee count",
+                        spec.id
+                    );
+                }
                 if !mode.is_synchronous() {
                     assert!(
                         outcome.runtime.is_some(),

@@ -1,16 +1,16 @@
 //! Differential suite for the network's round-event bus.
 //!
-//! Every observable of [`Network`] — engine changed-nodes, committee
-//! edge-deltas, DST replay, metrics, the per-round trace — is now a
-//! projection of one recorded [`RoundEvent`] stream. These tests drive
-//! DST-armed networks through mixed / partition / churn / crash fault
-//! schedules with *every* consumer armed at once and pin the stream
-//! against from-scratch reference computations:
+//! Every observable of [`Network`] — engine changed-nodes, DST replay,
+//! metrics, the per-round trace — is now a projection of one recorded
+//! [`RoundEvent`] stream. These tests drive DST-armed networks through
+//! mixed / partition / churn / crash fault schedules with *every*
+//! consumer armed at once and pin the stream against from-scratch
+//! reference computations:
 //!
 //! * replaying the recorded events over a snapshot of the initial graph
 //!   reproduces the live snapshot edge for edge;
-//! * the drained changed-node and edge-delta projections equal what the
-//!   raw stream implies;
+//! * the drained changed-node projection equals what the raw stream
+//!   implies;
 //! * each traced round's `max_degree` (served by the incremental degree
 //!   histogram) equals a from-scratch scan of the replayed mirror at
 //!   that round boundary — in release builds too, where the histogram's
@@ -90,11 +90,10 @@ fn recorded_stream_replays_to_snapshot_under_faults() {
                 InvariantPolicy::default(),
                 (1..=n as u64).collect(),
             ));
-            // Every consumer at once: raw recorder, engine tap, committee
-            // tap, DST tap (armed by install_dst) and the traced ledger.
+            // Every consumer at once: raw recorder, engine tap, DST tap
+            // (armed by install_dst) and the traced ledger.
             net.set_event_recording(true);
             net.set_change_tracking(true);
-            net.set_edge_delta_tracking(true);
             net.set_trace_enabled(true);
 
             let mut mirror = initial;
@@ -122,24 +121,9 @@ fn recorded_stream_replays_to_snapshot_under_faults() {
                 }
 
                 let events = net.take_events();
-                let deltas = net.take_edge_deltas();
                 let changed = net.take_changed_nodes();
 
-                // The per-consumer drains are projections of the stream.
-                let edge_events: Vec<(Edge, bool)> = events
-                    .iter()
-                    .filter_map(|e| match e {
-                        RoundEvent::Edge { edge, added, .. } => Some((*edge, *added)),
-                        _ => None,
-                    })
-                    .collect();
-                let delta_pairs: Vec<(Edge, bool)> =
-                    deltas.iter().map(|d| (d.edge, d.added)).collect();
-                assert_eq!(
-                    delta_pairs, edge_events,
-                    "scenario {} seed {seed} round {round}: edge-delta projection diverged",
-                    scenario.name
-                );
+                // The engine tap's drain is a projection of the stream.
                 assert_eq!(
                     changed,
                     changed_nodes_of(&events),
