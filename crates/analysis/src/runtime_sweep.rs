@@ -22,12 +22,11 @@
 use adn_core::algorithm::{self, DstConfig, EngineMode, RunConfig};
 use adn_core::graph_to_wreath::WreathConfig;
 use adn_core::subroutines::{
-    run_runtime_line_to_tree_seeded, run_runtime_star_faulted, run_runtime_wreath_faulted,
-    LineToTreeConfig,
+    run_runtime_line_to_tree, run_runtime_star, run_runtime_wreath, LineToTreeConfig,
 };
 use adn_graph::rng::DetRng;
 use adn_graph::{GraphFamily, NodeId, UidAssignment, UidMap};
-use adn_runtime::{AsyncKnobs, FaultKind, FaultPlan};
+use adn_runtime::{AsyncKnobs, FaultKind, FaultPlan, Scheduler, SeededScheduler};
 use adn_sim::dst::{self, Scenario};
 use adn_sim::Network;
 
@@ -244,6 +243,16 @@ impl RuntimeCaseReport {
     }
 }
 
+/// The case's seeded scheduler: its scheduler seed, its scenario's
+/// delivery knobs and its fault plan.
+fn scheduler(case: &RuntimeCase) -> Scheduler {
+    Scheduler::Seeded(
+        SeededScheduler::new(case.sched_seed)
+            .with_knobs(AsyncKnobs::from_scenario(&case.scenario))
+            .with_faults(case.faults.clone()),
+    )
+}
+
 /// Runs one case on the seeded scheduler.
 pub fn run_case(case: &RuntimeCase) -> RuntimeCaseReport {
     let graph = case.family.generate(case.n, case.uid_seed);
@@ -263,7 +272,7 @@ pub fn run_case(case: &RuntimeCase) -> RuntimeCaseReport {
             });
             // The scenario is knob transport only: the network is *not*
             // armed, so no synchronous adversary competes with the
-            // scheduler — `async_knobs` lifts the delivery knobs.
+            // scheduler — `RunConfig::scheduler` lifts the delivery knobs.
             config.dst = Some(DstConfig {
                 scenario: case.scenario.clone(),
                 seed: case.sched_seed,
@@ -290,14 +299,7 @@ pub fn run_case(case: &RuntimeCase) -> RuntimeCaseReport {
                 arity: case.arity,
                 protected_edges: Default::default(),
             };
-            let knobs = AsyncKnobs::from_scenario(&case.scenario);
-            match run_runtime_line_to_tree_seeded(
-                &mut network,
-                &line,
-                &config,
-                case.sched_seed,
-                knobs,
-            ) {
+            match run_runtime_line_to_tree(&mut network, &line, &config, &scheduler(case)) {
                 Ok((tree, report)) => (
                     format!(
                         "completed (tree depth {}, root {})",
@@ -311,33 +313,16 @@ pub fn run_case(case: &RuntimeCase) -> RuntimeCaseReport {
             }
         }
         RuntimeProgram::Star | RuntimeProgram::Wreath => {
-            let config = RunConfig::default().with_engine(EngineMode::Seeded {
-                seed: case.sched_seed,
-            });
-            let knobs = AsyncKnobs::from_scenario(&case.scenario);
+            let config = RunConfig::default();
+            let scheduler = scheduler(case);
             let result = match case.program {
-                RuntimeProgram::Star => run_runtime_star_faulted(
-                    &mut network,
-                    &uids,
-                    &config,
-                    case.sched_seed,
-                    knobs,
-                    &case.faults,
-                ),
+                RuntimeProgram::Star => run_runtime_star(&mut network, &uids, &config, &scheduler),
                 _ => {
                     let wreath = WreathConfig {
                         tree_arity: case.arity,
                         ..WreathConfig::binary()
                     };
-                    run_runtime_wreath_faulted(
-                        &mut network,
-                        &uids,
-                        &wreath,
-                        &config,
-                        case.sched_seed,
-                        knobs,
-                        &case.faults,
-                    )
+                    run_runtime_wreath(&mut network, &uids, &wreath, &config, &scheduler)
                 }
             };
             match result {
@@ -431,60 +416,15 @@ pub fn sweep(master_seed: u64, cases: usize) -> RuntimeSweepSummary {
     sweep_with_threads(master_seed, cases, 1)
 }
 
-/// Runs a runtime seed sweep on `threads` worker threads. Case seeds are
-/// derived up-front, workers steal contiguous blocks of case indices from
-/// a shared atomic counter (same discipline as
-/// [`crate::stress::sweep_with_threads`]: workers capped at available
-/// parallelism, one counter bump per block), and reports are reassembled
-/// in case order — so the summary and every per-case render are
-/// byte-identical for every thread count.
+/// Runs a runtime seed sweep on `threads` worker threads, on the stress
+/// sweep's pool ([`crate::stress::sweep_with_threads`]): the summary and
+/// every per-case render are byte-identical for every thread count.
 pub fn sweep_with_threads(master_seed: u64, cases: usize, threads: usize) -> RuntimeSweepSummary {
-    let mut rng = DetRng::seed_from_u64(master_seed);
-    let seeds: Vec<u64> = (0..cases).map(|_| rng.next_u64()).collect();
-    let (threads, block) = crate::stress::sweep_partition(cases, threads);
-    if threads <= 1 {
-        let reports = seeds
-            .iter()
-            .map(|&s| run_case(&RuntimeCase::from_seed(s)))
-            .collect();
-        return RuntimeSweepSummary {
-            master_seed,
-            reports,
-        };
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let next = AtomicUsize::new(0);
-    let seeds = &seeds;
-    let next = &next;
-    let mut indexed: Vec<(usize, RuntimeCaseReport)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let start = next.fetch_add(block, Ordering::Relaxed);
-                        if start >= seeds.len() {
-                            break;
-                        }
-                        let end = (start + block).min(seeds.len());
-                        for (i, &seed) in seeds.iter().enumerate().take(end).skip(start) {
-                            out.push((i, run_case(&RuntimeCase::from_seed(seed))));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("runtime sweep worker panicked"))
-            .collect()
-    });
-    indexed.sort_by_key(|(i, _)| *i);
-    debug_assert_eq!(indexed.len(), cases);
     RuntimeSweepSummary {
         master_seed,
-        reports: indexed.into_iter().map(|(_, r)| r).collect(),
+        reports: crate::stress::run_seeds(master_seed, cases, threads, |s| {
+            run_case(&RuntimeCase::from_seed(s))
+        }),
     }
 }
 

@@ -25,6 +25,7 @@ use adn_graph::{GraphFamily, UidAssignment, UidMap};
 use adn_sim::dst::{self, DstReport, Scenario};
 use adn_sim::Network;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One fully specified adversarial execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -570,78 +571,46 @@ pub fn sweep(master_seed: u64, cases: usize) -> SweepSummary {
 /// what the slice adds is coverage of the traced `max_degree` path (and
 /// its debug-build oracle) under real adversarial schedules.
 pub fn sweep_traced(master_seed: u64, cases: usize) -> SweepSummary {
-    let reports = case_seeds(master_seed, cases)
-        .iter()
-        .map(|&s| run_case_traced(&StressCase::from_seed(s)))
-        .collect();
     SweepSummary {
         master_seed,
-        reports,
+        reports: run_seeds(master_seed, cases, 1, |s| {
+            run_case_traced(&StressCase::from_seed(s))
+        }),
     }
-}
-
-/// Derives the per-case seeds of a sweep (the only part that consumes the
-/// master RNG; cases are then fully independent, which is what makes the
-/// sweep embarrassingly parallel).
-fn case_seeds(master_seed: u64, cases: usize) -> Vec<u64> {
-    let mut rng = DetRng::seed_from_u64(master_seed);
-    (0..cases).map(|_| rng.next_u64()).collect()
 }
 
 /// The number of blocks each sweep worker should expect to claim: small
 /// enough that the atomic counter is touched a handful of times per
 /// worker instead of once per case, large enough that a straggler block
 /// cannot serialize the tail of the sweep.
-pub(crate) const SWEEP_BLOCKS_PER_WORKER: usize = 8;
+const SWEEP_BLOCKS_PER_WORKER: usize = 8;
 
-/// Picks the effective worker count and stealing block size for a sweep
-/// of `cases` cases on `threads` requested workers. Workers are capped at
-/// the machine's available parallelism — oversubscribing a CPU-bound
-/// sweep only adds scheduling overhead (the old `threads=2` regression on
-/// small machines) — and cases are claimed in contiguous blocks rather
-/// than one at a time.
-pub(crate) fn sweep_partition(cases: usize, threads: usize) -> (usize, usize) {
+/// The sweep pool: runs `run` on each of `cases` case seeds drawn from
+/// `master_seed`'s [`DetRng`] stream (the only part that consumes the
+/// master RNG; cases are then fully independent) and returns the results
+/// in case order. Workers steal contiguous blocks of case indices from a
+/// shared atomic counter, one counter bump per block, so the result is
+/// the same for every thread count.
+pub(crate) fn run_seeds<R: Send>(
+    master_seed: u64,
+    cases: usize,
+    threads: usize,
+    run: impl Fn(u64) -> R + Sync,
+) -> Vec<R> {
+    let mut rng = DetRng::seed_from_u64(master_seed);
+    let seeds: Vec<u64> = (0..cases).map(|_| rng.next_u64()).collect();
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let workers = threads.clamp(1, cases.max(1)).min(hw);
-    let block = cases
-        .div_ceil(workers.max(1) * SWEEP_BLOCKS_PER_WORKER)
-        .max(1);
-    (workers, block)
-}
-
-/// Runs a seed sweep on a pool of `threads` worker threads
-/// (`std::thread`, no external dependencies). Case seeds are derived
-/// up-front from the master RNG, workers steal contiguous *blocks* of
-/// case indices from a shared atomic counter (one counter bump per block,
-/// not per case), and reports are reassembled in case order — so the
-/// returned [`SweepSummary`] (and therefore `summary_text`/`to_json` and
-/// every per-case [`StressReport::render`]) is byte-identical for every
-/// thread count, including 1.
-///
-/// `threads` is clamped to `[1, cases]` and to the machine's available
-/// parallelism (oversubscription only slows a CPU-bound sweep down);
-/// `0` means one thread.
-pub fn sweep_with_threads(master_seed: u64, cases: usize, threads: usize) -> SweepSummary {
-    let seeds = case_seeds(master_seed, cases);
-    let (threads, block) = sweep_partition(cases, threads);
-    if threads <= 1 {
-        let reports = seeds
-            .iter()
-            .map(|&s| run_case(&StressCase::from_seed(s)))
-            .collect();
-        return SweepSummary {
-            master_seed,
-            reports,
-        };
+    if workers <= 1 {
+        return seeds.into_iter().map(run).collect();
     }
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    let block = cases.div_ceil(workers * SWEEP_BLOCKS_PER_WORKER).max(1);
     let next = AtomicUsize::new(0);
-    let seeds = &seeds;
-    let next = &next;
-    let mut indexed: Vec<(usize, StressReport)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
+    let (seeds, next, run) = (&seeds, &next, &run);
+    let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(move || {
                     let mut out = Vec::new();
@@ -651,9 +620,7 @@ pub fn sweep_with_threads(master_seed: u64, cases: usize, threads: usize) -> Swe
                             break;
                         }
                         let end = (start + block).min(seeds.len());
-                        for (i, &seed) in seeds.iter().enumerate().take(end).skip(start) {
-                            out.push((i, run_case(&StressCase::from_seed(seed))));
-                        }
+                        out.extend((start..end).map(|i| (i, run(seeds[i]))));
                     }
                     out
                 })
@@ -666,9 +633,26 @@ pub fn sweep_with_threads(master_seed: u64, cases: usize, threads: usize) -> Swe
     });
     indexed.sort_by_key(|(i, _)| *i);
     debug_assert_eq!(indexed.len(), cases);
+    indexed.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Runs a seed sweep on a pool of `threads` worker threads
+/// (`std::thread`, no external dependencies). Case seeds are derived
+/// up-front from the master RNG, workers steal contiguous *blocks* of
+/// case indices from a shared atomic counter, and reports are reassembled
+/// in case order — so the returned [`SweepSummary`] (and therefore
+/// `summary_text`/`to_json` and every per-case [`StressReport::render`])
+/// is byte-identical for every thread count, including 1.
+///
+/// `threads` is clamped to `[1, cases]` and to the machine's available
+/// parallelism (oversubscription only slows a CPU-bound sweep down);
+/// `0` means one thread.
+pub fn sweep_with_threads(master_seed: u64, cases: usize, threads: usize) -> SweepSummary {
     SweepSummary {
         master_seed,
-        reports: indexed.into_iter().map(|(_, r)| r).collect(),
+        reports: run_seeds(master_seed, cases, threads, |s| {
+            run_case(&StressCase::from_seed(s))
+        }),
     }
 }
 

@@ -15,13 +15,11 @@ use crate::harness::{Bench, Sample};
 use adn_analysis::stress::json_escape;
 use adn_core::algorithm::{self, EngineMode, RunConfig};
 use adn_core::committee::CommitteeForest;
-use adn_core::subroutines::{
-    run_runtime_line_to_tree_free, run_runtime_line_to_tree_seeded, LineToTreeConfig,
-};
+use adn_core::subroutines::{run_runtime_line_to_tree, LineToTreeConfig};
 use adn_graph::rng::DetRng;
 use adn_graph::{generators, Edge, Graph, NodeId, UidAssignment, UidMap};
 use adn_runtime::flood::flood_actors;
-use adn_runtime::{AsyncKnobs, FreeScheduler, SeededScheduler};
+use adn_runtime::{AsyncKnobs, FreeScheduler, Scheduler, SeededScheduler};
 use adn_sim::engine::{run_programs, EngineConfig, NodeDecision, NodeProgram, NodeView};
 use adn_sim::{Adversary, DstState, InvariantPolicy, Network, Scenario, WaveActivation};
 use std::collections::BTreeSet;
@@ -544,13 +542,14 @@ fn bench_runtime(bench: &mut Bench, quick: bool) {
         asymmetric_delay: true,
     };
     let free_threads = 2;
+    let seeded = Scheduler::Seeded(SeededScheduler::new(42).with_knobs(knobs));
+    let free = Scheduler::Free(FreeScheduler::new(free_threads));
 
     let ring = generators::ring(n);
     bench.measure(&format!("runtime/flood_seeded n={n}"), || {
         let mut net = Network::new(ring.clone());
         let mut actors = flood_actors(&ring);
-        let report = SeededScheduler::new(42)
-            .with_knobs(knobs)
+        let report = seeded
             .run(&mut net, &mut actors)
             .expect("seeded flood quiesces");
         assert_eq!(report.in_flight_at_detection, 0);
@@ -560,8 +559,7 @@ fn bench_runtime(bench: &mut Bench, quick: bool) {
         || {
             let mut net = Network::new(ring.clone());
             let mut actors = flood_actors(&ring);
-            FreeScheduler::new(free_threads)
-                .run(&mut net, &mut actors)
+            free.run(&mut net, &mut actors)
                 .expect("free flood quiesces");
             assert!(actors.iter().all(|a| a.known().len() == n));
         },
@@ -573,7 +571,7 @@ fn bench_runtime(bench: &mut Bench, quick: bool) {
     let config = LineToTreeConfig::binary();
     bench.measure(&format!("runtime/line_to_tree_seeded n={n}"), || {
         let mut net = Network::new(line_graph.clone());
-        let (tree, report) = run_runtime_line_to_tree_seeded(&mut net, &line, &config, 42, knobs)
+        let (tree, report) = run_runtime_line_to_tree(&mut net, &line, &config, &seeded)
             .expect("seeded tree build quiesces");
         assert_eq!(report.in_flight_at_detection, 0);
         std::hint::black_box(tree.depth());
@@ -582,7 +580,7 @@ fn bench_runtime(bench: &mut Bench, quick: bool) {
         &format!("runtime/line_to_tree_free n={n} threads={free_threads}"),
         || {
             let mut net = Network::new(line_graph.clone());
-            let (tree, _) = run_runtime_line_to_tree_free(&mut net, &line, &config, free_threads)
+            let (tree, _) = run_runtime_line_to_tree(&mut net, &line, &config, &free)
                 .expect("free tree build quiesces");
             std::hint::black_box(tree.depth());
         },

@@ -25,8 +25,9 @@
 //!   verification (the CI `runtime-smoke` gate).
 //! * `cargo run -p adn-bench --release --bin report -- --dump-runtime-renders
 //!   [cases] [--threads N]` — every runtime case's render in one dump; CI
-//!   pins the md5 of the 48-case dump
-//!   (`tests/expectations/runtime_renders.md5`).
+//!   pins the md5 of the 256-case dump
+//!   (`tests/expectations/runtime_renders.md5`) and diffs the dumps made
+//!   at one and at two threads.
 //! * `cargo run -p adn-bench --release --bin report -- --bench [--quick]
 //!   [--threads N] [--check <baseline.json>]` — the CPU-performance
 //!   baseline of the hot data path; writes `BENCH_core.json` and, with

@@ -29,6 +29,7 @@ use crate::{baselines, centralized, graph_to_star, graph_to_wreath};
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::properties::ceil_log2;
 use adn_graph::{Graph, UidMap};
+use adn_runtime::{AsyncKnobs, FreeScheduler, Scheduler, SeededScheduler};
 use adn_sim::dst::{Adversary, DstState, InvariantPolicy, Scenario};
 use adn_sim::{Network, SimError};
 
@@ -124,8 +125,8 @@ pub struct RunConfig {
     /// when composing on an already-used network); executions exceeding it
     /// fail with [`SimError::RoundLimitExceeded`] instead of completing.
     pub round_budget: Option<usize>,
-    /// Override for the wreath-family engine (tree arity, communication
-    /// charging). `None` uses each algorithm's paper configuration.
+    /// Override for the wreath-family engine's tree arity. `None` uses
+    /// each algorithm's paper configuration.
     pub wreath: Option<WreathConfig>,
     /// Target shape for the general centralized strategy.
     pub centralized: CentralizedConfig,
@@ -208,12 +209,21 @@ impl RunConfig {
         }
     }
 
-    /// The asynchronous delivery knobs implied by this configuration: the
-    /// armed DST scenario's knobs when present, defaults otherwise.
-    pub fn async_knobs(&self) -> adn_runtime::AsyncKnobs {
-        match &self.dst {
-            Some(dst) => adn_runtime::AsyncKnobs::from_scenario(&dst.scenario),
-            None => adn_runtime::AsyncKnobs::default(),
+    /// The asynchronous scheduler this configuration selects, or `None`
+    /// for the synchronous engine. A seeded scheduler takes its delivery
+    /// knobs from the armed DST scenario when one is present.
+    pub fn scheduler(&self) -> Option<Scheduler> {
+        match self.engine {
+            EngineMode::Synchronous => None,
+            EngineMode::Seeded { seed } => {
+                let knobs = self.dst.as_ref().map_or_else(AsyncKnobs::default, |dst| {
+                    AsyncKnobs::from_scenario(&dst.scenario)
+                });
+                Some(Scheduler::Seeded(
+                    SeededScheduler::new(seed).with_knobs(knobs),
+                ))
+            }
+            EngineMode::Free { threads } => Some(Scheduler::Free(FreeScheduler::new(threads))),
         }
     }
 
@@ -832,7 +842,6 @@ mod tests {
         let config = RunConfig::default().with_wreath(WreathConfig {
             name: "GraphToWreath(arity 4)",
             tree_arity: 4,
-            charge_communication: false,
         });
         let outcome = GraphToWreath.run(&graph, &uids, &config).unwrap();
         let tree = adn_graph::RootedTree::from_tree_graph(&outcome.final_graph, outcome.leader)

@@ -16,11 +16,11 @@
 //! or a node joins, a new neighbour still receives every token, which is
 //! what lets flooding heal under the stress suite's faults.
 
-use crate::algorithm::{EngineMode, RunConfig};
+use crate::algorithm::RunConfig;
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::{Graph, NodeId, UidMap};
 use adn_runtime::flood::{flood_actors, TokenSet};
-use adn_runtime::{FreeScheduler, SeededScheduler};
+use adn_runtime::Scheduler;
 use adn_sim::engine::{run_programs, EngineConfig, NodeDecision, NodeProgram, NodeView};
 use adn_sim::Network;
 use std::rc::Rc;
@@ -94,8 +94,8 @@ pub(crate) fn execute(
             reason: "one UID per node is required".into(),
         });
     }
-    if !config.engine.is_synchronous() {
-        return execute_async(network, uids, config);
+    if let Some(scheduler) = config.scheduler() {
+        return execute_async(network, uids, &scheduler);
     }
     network.set_trace_enabled(config.trace.is_per_round());
     let mut programs: Vec<FloodNode> = (0..n)
@@ -120,7 +120,7 @@ pub(crate) fn execute(
 
 /// Flooding on the asynchronous actor runtime: delta-forwarding actors
 /// (each token hop carries only newly learned tokens) driven by the
-/// scheduler selected in [`RunConfig::engine`]. The outcome's token sets
+/// scheduler [`RunConfig::scheduler`] selected. The outcome's token sets
 /// equal the synchronous ones — token merging is confluent, so the final
 /// state is delivery-order independent — while `rounds` stays 0 (no edge
 /// operations, no round counter) and the runtime report lands in
@@ -128,17 +128,10 @@ pub(crate) fn execute(
 fn execute_async(
     network: &mut Network,
     uids: &UidMap,
-    config: &RunConfig,
+    scheduler: &Scheduler,
 ) -> Result<TransformationOutcome, CoreError> {
     let mut actors = flood_actors(network.graph());
-    let report = match config.engine {
-        EngineMode::Seeded { seed } => SeededScheduler::new(seed)
-            .with_knobs(config.async_knobs())
-            .run(network, &mut actors),
-        EngineMode::Free { threads } => FreeScheduler::new(threads).run(network, &mut actors),
-        EngineMode::Synchronous => unreachable!("dispatched from execute"),
-    }
-    .map_err(|e| match e {
+    let report = scheduler.run(network, &mut actors).map_err(|e| match e {
         adn_runtime::RuntimeError::Sim(sim) => CoreError::Sim(sim),
         other => CoreError::InvalidInput {
             reason: format!("asynchronous flooding failed: {other}"),

@@ -256,8 +256,10 @@ pub(crate) fn execute(
     uids: &UidMap,
     config: &RunConfig,
 ) -> Result<TransformationOutcome, CoreError> {
-    if !config.engine.is_synchronous() {
-        return crate::subroutines::runtime_committee::run_runtime_star(network, uids, config);
+    if let Some(scheduler) = config.scheduler() {
+        return crate::subroutines::runtime_committee::run_runtime_star(
+            network, uids, config, &scheduler,
+        );
     }
     start_run(network, uids, "GraphToStar", config)?;
 

@@ -60,11 +60,6 @@ pub struct WreathConfig {
     /// GraphToWreath (complete binary tree), `⌈log n⌉` for
     /// GraphToThinWreath (complete polylogarithmic tree).
     pub tree_arity: usize,
-    /// Whether to charge explicit idle rounds for intra-committee
-    /// communication (selection, coordination), proportional to the
-    /// diameter of the committees involved, as the paper's accounting
-    /// prescribes. Disabling it is useful for ablation experiments.
-    pub charge_communication: bool,
 }
 
 impl WreathConfig {
@@ -73,7 +68,6 @@ impl WreathConfig {
         WreathConfig {
             name: "GraphToWreath",
             tree_arity: 2,
-            charge_communication: true,
         }
     }
 
@@ -83,7 +77,6 @@ impl WreathConfig {
         WreathConfig {
             name: "GraphToThinWreath",
             tree_arity: ceil_log2(n.max(4)).max(2),
-            charge_communication: true,
         }
     }
 }
@@ -534,9 +527,9 @@ pub(crate) fn execute(
     config: &WreathConfig,
     run: &RunConfig,
 ) -> Result<TransformationOutcome, CoreError> {
-    if !run.engine.is_synchronous() {
+    if let Some(scheduler) = run.scheduler() {
         return crate::subroutines::runtime_committee::run_runtime_wreath(
-            network, uids, config, run,
+            network, uids, config, run, &scheduler,
         );
     }
     start_run(network, uids, config.name, run)?;
@@ -570,9 +563,7 @@ pub(crate) fn execute(
         // constant number of sweeps of its own tree (Appendix B bounds it
         // by 4·log n). We charge 2·(max tree depth involved) + 2 idle
         // rounds for the whole phase.
-        if config.charge_communication {
-            network.advance_idle_rounds(2 * state.max_tree_depth() + 2);
-        }
+        network.advance_idle_rounds(2 * state.max_tree_depth() + 2);
 
         if !state.select(selected) {
             // No committee found a larger neighbour other than through

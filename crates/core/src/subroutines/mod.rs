@@ -27,12 +27,8 @@ pub mod tree_to_star;
 
 pub use async_line_to_tree::run_async_line_to_tree;
 pub use line_to_tree::{run_line_to_tree, LineToTreeConfig};
-pub use runtime_committee::{
-    run_runtime_star, run_runtime_star_faulted, run_runtime_wreath, run_runtime_wreath_faulted,
-};
-pub use runtime_line_to_tree::{
-    run_runtime_line_to_tree_free, run_runtime_line_to_tree_seeded, TreeActor, TreeMsg,
-};
+pub use runtime_committee::{run_runtime_star, run_runtime_wreath};
+pub use runtime_line_to_tree::{run_runtime_line_to_tree, TreeActor, TreeMsg};
 pub use tree_to_star::run_tree_to_star;
 
 use adn_graph::NodeId;

@@ -40,31 +40,29 @@
 //!
 //! Inside a wreath phase the merged rings are rebuilt into trees with the
 //! actor-based [`runtime_line_to_tree`](super::runtime_line_to_tree)
-//! subroutine, one root after another, nested under the same scheduler
-//! family (seeded sub-seeds are split deterministically from the master
-//! seed, so seeded replay stays byte-identical).
+//! subroutine, one root after another, each on the run's scheduler
+//! [split](Scheduler::split) by phase and root (seeded sub-seeds derive
+//! deterministically from the master seed, so seeded replay stays
+//! byte-identical).
 //!
-//! **Armed faults:** the seeded entry points accept a
-//! [`FaultPlan`]; crashes sever a node mid-run and the protocols then
-//! either complete or fail with a clean [`CoreError`] (no panic, no
-//! hang — the phase limit and the scheduler's step budget bound every
-//! execution). A crash plan makes the run diverge from the synchronous
-//! baseline by design; the fault plan is consulted only by the *outer*
-//! scheduler, between deliveries of the committee protocol itself.
+//! **Armed faults:** a seeded scheduler may carry a
+//! [`FaultPlan`](adn_runtime::FaultPlan); crashes sever a node mid-run
+//! and the protocols then either complete or fail with a clean
+//! [`CoreError`] (no panic, no hang — the phase limit and the scheduler's
+//! step budget bound every execution). A crash plan makes the run
+//! diverge from the synchronous baseline by design; the plan is consulted
+//! only by the *outer* scheduler, between deliveries of the committee
+//! protocol itself — nested rebuilds run without faults.
 
-use crate::algorithm::{EngineMode, RunConfig};
+use crate::algorithm::RunConfig;
 use crate::committee::{select_largest_uid, start_run, CommitteeForest, CommitteeId, PhaseLog};
 use crate::graph_to_star::{climb_target, Mode, StarCommittees};
 use crate::graph_to_wreath::{Choice, SpliceLevel, WreathConfig, WreathState};
-use crate::subroutines::{
-    run_runtime_line_to_tree_free, run_runtime_line_to_tree_seeded, LineToTreeConfig,
-};
+use crate::subroutines::{run_runtime_line_to_tree, LineToTreeConfig};
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::edgeset::SortedEdgeSet;
 use adn_graph::{Graph, NodeId, UidMap};
-use adn_runtime::{
-    AsyncKnobs, AsyncProgram, Context, FaultPlan, FreeScheduler, RuntimeReport, SeededScheduler,
-};
+use adn_runtime::{AsyncProgram, Context, RuntimeReport, Scheduler};
 use adn_sim::{Network, WaveActivation};
 use std::mem;
 use std::sync::Arc;
@@ -528,14 +526,6 @@ impl<'a> StarDriver<'a> {
 // Wreath driver
 // ---------------------------------------------------------------------------
 
-/// Which scheduler family drives the run (and its nested line-to-tree
-/// rebuilds).
-#[derive(Debug, Clone, Copy)]
-enum NestedEngine {
-    Seeded { seed: u64 },
-    Free { threads: usize },
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WreathStage {
     Begin,
@@ -559,8 +549,7 @@ struct WreathDriver<'a> {
     run: &'a RunConfig,
     tree_arity: usize,
     initial: &'a Graph,
-    nested: NestedEngine,
-    knobs: AsyncKnobs,
+    scheduler: &'a Scheduler,
     state: WreathState,
     stage: WreathStage,
     /// The splice level under way.
@@ -574,15 +563,13 @@ impl<'a> WreathDriver<'a> {
         run: &'a RunConfig,
         wreath: &WreathConfig,
         initial: &'a Graph,
-        nested: NestedEngine,
-        knobs: AsyncKnobs,
+        scheduler: &'a Scheduler,
     ) -> Self {
         WreathDriver {
             run,
             tree_arity: wreath.tree_arity,
             initial,
-            nested,
-            knobs,
+            scheduler,
             state: WreathState::new(initial.node_count(), wreath.name),
             stage: WreathStage::Begin,
             level: SpliceLevel::default(),
@@ -690,8 +677,8 @@ impl<'a> WreathDriver<'a> {
 
     /// Rebuilds an `arity`-ary tree over every merged ring with the
     /// nested runtime line-to-tree (ring edges protected), one root after
-    /// another, installs each, and retires the committees that merged
-    /// away.
+    /// another on the scheduler split by phase and root, installs each,
+    /// and retires the committees that merged away.
     fn rebuild_and_retire(&mut self, network: &mut Network) -> Result<(), CoreError> {
         let roots: Vec<CommitteeId> = self.state.merged_roots().collect();
         for root in roots {
@@ -700,18 +687,10 @@ impl<'a> WreathDriver<'a> {
                 arity: self.tree_arity,
                 protected_edges: SortedEdgeSet::ring_edges(line),
             };
-            let (tree, _report) = match self.nested {
-                NestedEngine::Seeded { seed } => run_runtime_line_to_tree_seeded(
-                    network,
-                    line,
-                    &config,
-                    split_seed(seed, self.state.log.phases as u64, root.index() as u64),
-                    self.knobs,
-                )?,
-                NestedEngine::Free { threads } => {
-                    run_runtime_line_to_tree_free(network, line, &config, threads)?
-                }
-            };
+            let nested = self
+                .scheduler
+                .split(self.state.log.phases as u64, root.index() as u64);
+            let (tree, _report) = run_runtime_line_to_tree(network, line, &config, &nested)?;
             let mut parents = vec![0; line.len()];
             for (pos, parent) in parents.iter_mut().enumerate().skip(1) {
                 let Some(p) = tree.parent(NodeId(pos)) else {
@@ -727,17 +706,6 @@ impl<'a> WreathDriver<'a> {
         self.state.retire_merged();
         Ok(())
     }
-}
-
-/// Deterministic sub-seed derivation (SplitMix64 over the master seed,
-/// the phase counter and the root slot), so every nested line-to-tree
-/// rebuild replays byte-identically under the same master seed.
-fn split_seed(base: u64, phase: u64, root: u64) -> u64 {
-    let mut z =
-        base ^ phase.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ root.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 // ---------------------------------------------------------------------------
@@ -756,9 +724,8 @@ fn finish(
     outcome
 }
 
-/// Runs GraphToStar on the asynchronous runtime, dispatching on
-/// [`RunConfig::engine`] (`Seeded` or `Free`; `Synchronous` is an error —
-/// the synchronous engine lives in `graph_to_star`).
+/// Runs GraphToStar on the asynchronous runtime under `scheduler`;
+/// `config` supplies the trace level and the round budget.
 ///
 /// # Errors
 ///
@@ -769,67 +736,22 @@ pub fn run_runtime_star(
     network: &mut Network,
     uids: &UidMap,
     config: &RunConfig,
-) -> Result<TransformationOutcome, CoreError> {
-    match config.engine {
-        EngineMode::Seeded { seed } => run_runtime_star_faulted(
-            network,
-            uids,
-            config,
-            seed,
-            config.async_knobs(),
-            &FaultPlan::default(),
-        ),
-        EngineMode::Free { threads } => {
-            start_run(network, uids, "GraphToStar", config)?;
-            let initial = network.graph().clone();
-            let mut actors = build_actors(initial.node_count(), uids, &initial);
-            let mut driver = StarDriver::new(config, initial.node_count());
-            let report = FreeScheduler::new(threads).run_phased(
-                network,
-                &mut actors,
-                |net, acts, _phase| driver.step(net, acts),
-            )?;
-            let StarCommittees { forest, log, .. } = driver.committees;
-            Ok(finish(network, &forest, log, report))
-        }
-        EngineMode::Synchronous => Err(CoreError::InvalidInput {
-            reason: "run_runtime_star requires an asynchronous engine mode".into(),
-        }),
-    }
-}
-
-/// Runs GraphToStar under the seeded scheduler with an explicit knob set
-/// and an armed [`FaultPlan`]. The `(seed, knobs, plan)` triple replays
-/// byte-identically.
-///
-/// # Errors
-///
-/// As [`run_runtime_star`]; with a non-empty plan, faults may surface as
-/// clean [`CoreError`]s.
-pub fn run_runtime_star_faulted(
-    network: &mut Network,
-    uids: &UidMap,
-    config: &RunConfig,
-    seed: u64,
-    knobs: AsyncKnobs,
-    faults: &FaultPlan,
+    scheduler: &Scheduler,
 ) -> Result<TransformationOutcome, CoreError> {
     start_run(network, uids, "GraphToStar", config)?;
     let initial = network.graph().clone();
     let mut actors = build_actors(initial.node_count(), uids, &initial);
     let mut driver = StarDriver::new(config, initial.node_count());
-    let report = SeededScheduler::new(seed)
-        .with_knobs(knobs)
-        .run_phased_with_faults(network, &mut actors, faults, |net, acts, _phase| {
-            driver.step(net, acts)
-        })?;
+    let report = scheduler.run_phased(network, &mut actors, |net, acts, _phase| {
+        driver.step(net, acts)
+    })?;
     let StarCommittees { forest, log, .. } = driver.committees;
     Ok(finish(network, &forest, log, report))
 }
 
 /// Runs the wreath family (GraphToWreath / GraphToThinWreath, by
-/// `wreath.tree_arity`) on the asynchronous runtime, dispatching on
-/// [`RunConfig::engine`].
+/// `wreath.tree_arity`) on the asynchronous runtime under `scheduler`;
+/// `config` supplies the trace level and the round budget.
 ///
 /// # Errors
 ///
@@ -839,74 +761,15 @@ pub fn run_runtime_wreath(
     uids: &UidMap,
     wreath: &WreathConfig,
     config: &RunConfig,
-) -> Result<TransformationOutcome, CoreError> {
-    match config.engine {
-        EngineMode::Seeded { seed } => run_runtime_wreath_faulted(
-            network,
-            uids,
-            wreath,
-            config,
-            seed,
-            config.async_knobs(),
-            &FaultPlan::default(),
-        ),
-        EngineMode::Free { threads } => {
-            start_run(network, uids, wreath.name, config)?;
-            let initial = network.graph().clone();
-            let mut actors = build_actors(initial.node_count(), uids, &initial);
-            let mut driver = WreathDriver::new(
-                config,
-                wreath,
-                &initial,
-                NestedEngine::Free { threads },
-                AsyncKnobs::default(),
-            );
-            let report = FreeScheduler::new(threads).run_phased(
-                network,
-                &mut actors,
-                |net, acts, _phase| driver.step(net, acts),
-            )?;
-            let WreathState { forest, log, .. } = driver.state;
-            Ok(finish(network, &forest, log, report))
-        }
-        EngineMode::Synchronous => Err(CoreError::InvalidInput {
-            reason: "run_runtime_wreath requires an asynchronous engine mode".into(),
-        }),
-    }
-}
-
-/// Runs the wreath family under the seeded scheduler with an explicit
-/// knob set and an armed [`FaultPlan`]. The `(seed, knobs, plan)` triple
-/// replays byte-identically (nested rebuild sub-seeds are split
-/// deterministically from `seed`).
-///
-/// # Errors
-///
-/// As [`run_runtime_star_faulted`].
-pub fn run_runtime_wreath_faulted(
-    network: &mut Network,
-    uids: &UidMap,
-    wreath: &WreathConfig,
-    config: &RunConfig,
-    seed: u64,
-    knobs: AsyncKnobs,
-    faults: &FaultPlan,
+    scheduler: &Scheduler,
 ) -> Result<TransformationOutcome, CoreError> {
     start_run(network, uids, wreath.name, config)?;
     let initial = network.graph().clone();
     let mut actors = build_actors(initial.node_count(), uids, &initial);
-    let mut driver = WreathDriver::new(
-        config,
-        wreath,
-        &initial,
-        NestedEngine::Seeded { seed },
-        knobs,
-    );
-    let report = SeededScheduler::new(seed)
-        .with_knobs(knobs)
-        .run_phased_with_faults(network, &mut actors, faults, |net, acts, _phase| {
-            driver.step(net, acts)
-        })?;
+    let mut driver = WreathDriver::new(config, wreath, &initial, scheduler);
+    let report = scheduler.run_phased(network, &mut actors, |net, acts, _phase| {
+        driver.step(net, acts)
+    })?;
     let WreathState { forest, log, .. } = driver.state;
     Ok(finish(network, &forest, log, report))
 }
@@ -917,6 +780,11 @@ mod tests {
     use crate::algorithm::RunConfig;
     use adn_graph::properties::{is_star, is_tree, star_center};
     use adn_graph::{generators, UidAssignment};
+    use adn_runtime::{AsyncKnobs, FaultPlan, FreeScheduler, SeededScheduler};
+
+    fn seeded(seed: u64) -> Scheduler {
+        Scheduler::Seeded(SeededScheduler::new(seed))
+    }
 
     fn sync_star(g: &Graph, uids: &UidMap) -> TransformationOutcome {
         let mut network = Network::new(g.clone());
@@ -946,12 +814,9 @@ mod tests {
             let uids = UidMap::new(g.node_count(), UidAssignment::RandomPermutation { seed });
             let sync = sync_star(&g, &uids);
             let mut network = Network::new(g.clone());
-            let outcome = run_runtime_star(
-                &mut network,
-                &uids,
-                &RunConfig::default().with_engine(EngineMode::Seeded { seed }),
-            )
-            .expect("runtime star must succeed");
+            let outcome =
+                run_runtime_star(&mut network, &uids, &RunConfig::default(), &seeded(seed))
+                    .expect("runtime star must succeed");
             assert!(is_star(&outcome.final_graph));
             assert_eq!(star_center(&outcome.final_graph), Some(outcome.leader));
             assert_eq!(outcome.leader, sync.leader);
@@ -971,7 +836,8 @@ mod tests {
         let outcome = run_runtime_star(
             &mut network,
             &uids,
-            &RunConfig::default().with_engine(EngineMode::Free { threads: 4 }),
+            &RunConfig::default(),
+            &Scheduler::Free(FreeScheduler::new(4)),
         )
         .expect("free star must succeed");
         assert_eq!(outcome.final_graph, sync.final_graph);
@@ -992,7 +858,8 @@ mod tests {
                 &mut network,
                 &uids,
                 &WreathConfig::binary(),
-                &RunConfig::default().with_engine(EngineMode::Seeded { seed }),
+                &RunConfig::default(),
+                &seeded(seed),
             )
             .expect("runtime wreath must succeed");
             assert!(is_tree(&outcome.final_graph));
@@ -1013,7 +880,8 @@ mod tests {
             &mut network,
             &uids,
             &WreathConfig::binary(),
-            &RunConfig::default().with_engine(EngineMode::Free { threads: 3 }),
+            &RunConfig::default(),
+            &Scheduler::Free(FreeScheduler::new(3)),
         )
         .expect("free wreath must succeed");
         assert_eq!(outcome.final_graph, sync.final_graph);
@@ -1032,13 +900,11 @@ mod tests {
         };
         for seed in [1u64, 2, 3] {
             let mut network = Network::new(g.clone());
-            let outcome = run_runtime_star_faulted(
+            let outcome = run_runtime_star(
                 &mut network,
                 &uids,
-                &RunConfig::default().with_engine(EngineMode::Seeded { seed }),
-                seed,
-                knobs,
-                &FaultPlan::default(),
+                &RunConfig::default(),
+                &Scheduler::Seeded(SeededScheduler::new(seed).with_knobs(knobs)),
             )
             .expect("adversarial star must succeed");
             assert_eq!(outcome.final_graph, sync.final_graph);
@@ -1052,15 +918,11 @@ mod tests {
         let uids = UidMap::new(20, UidAssignment::RandomPermutation { seed: 2 });
         let run = |seed: u64| {
             let mut network = Network::new(g.clone());
-            run_runtime_star(
-                &mut network,
-                &uids,
-                &RunConfig::default().with_engine(EngineMode::Seeded { seed }),
-            )
-            .expect("must succeed")
-            .runtime
-            .expect("runtime report present")
-            .render()
+            run_runtime_star(&mut network, &uids, &RunConfig::default(), &seeded(seed))
+                .expect("must succeed")
+                .runtime
+                .expect("runtime report present")
+                .render()
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
@@ -1074,13 +936,11 @@ mod tests {
             let crash = NodeId((seed as usize * 5) % 14);
             let plan = FaultPlan::new().crash_at(20 + seed as usize * 7, crash);
             let mut network = Network::new(g.clone());
-            let result = run_runtime_star_faulted(
+            let result = run_runtime_star(
                 &mut network,
                 &uids,
-                &RunConfig::default().with_engine(EngineMode::Seeded { seed }),
-                seed,
-                AsyncKnobs::default(),
-                &plan,
+                &RunConfig::default(),
+                &Scheduler::Seeded(SeededScheduler::new(seed).with_faults(plan)),
             );
             // Either the run completes (crash landed after the protocol
             // stopped needing the node) or it fails with a clean error —
@@ -1092,36 +952,11 @@ mod tests {
     }
 
     #[test]
-    fn synchronous_mode_is_rejected() {
-        let g = generators::line(4);
-        let uids = UidMap::new(4, UidAssignment::Sequential);
-        let mut network = Network::new(g.clone());
-        assert!(matches!(
-            run_runtime_star(&mut network, &uids, &RunConfig::default()),
-            Err(CoreError::InvalidInput { .. })
-        ));
-        let mut network = Network::new(g);
-        assert!(matches!(
-            run_runtime_wreath(
-                &mut network,
-                &uids,
-                &WreathConfig::binary(),
-                &RunConfig::default()
-            ),
-            Err(CoreError::InvalidInput { .. })
-        ));
-    }
-
-    #[test]
     fn single_node_is_trivial() {
         let uids = UidMap::new(1, UidAssignment::Sequential);
         let mut network = Network::new(Graph::new(1));
-        let outcome = run_runtime_star(
-            &mut network,
-            &uids,
-            &RunConfig::default().with_engine(EngineMode::Seeded { seed: 1 }),
-        )
-        .expect("single node must succeed");
+        let outcome = run_runtime_star(&mut network, &uids, &RunConfig::default(), &seeded(1))
+            .expect("single node must succeed");
         assert_eq!(outcome.leader, NodeId(0));
         assert_eq!(outcome.final_graph.edge_count(), 0);
         assert_eq!(outcome.phases, 0);

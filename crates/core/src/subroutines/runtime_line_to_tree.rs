@@ -43,9 +43,7 @@ use crate::subroutines::async_line_to_tree::{plan_sync_schedule, validate_line};
 use crate::subroutines::LineToTreeConfig;
 use crate::CoreError;
 use adn_graph::{Edge, NodeId, RootedTree};
-use adn_runtime::{
-    AsyncKnobs, AsyncProgram, Context, FreeScheduler, RuntimeReport, SeededScheduler,
-};
+use adn_runtime::{AsyncProgram, Context, RuntimeReport, Scheduler};
 use adn_sim::Network;
 use std::sync::Arc;
 
@@ -354,9 +352,9 @@ fn map_runtime_err(e: adn_runtime::RuntimeError) -> CoreError {
     }
 }
 
-/// Runs line-to-tree as actors under the deterministic seeded scheduler.
-/// Returns the final tree in position space plus the runtime report; the
-/// tree equals the synchronous subroutine's for every `(seed, knobs)`.
+/// Runs line-to-tree as actors under `scheduler`. Returns the final tree
+/// in position space plus the runtime report; the tree equals the
+/// synchronous subroutine's under every scheduler, seed and knob set.
 ///
 /// # Errors
 ///
@@ -364,37 +362,17 @@ fn map_runtime_err(e: adn_runtime::RuntimeError) -> CoreError {
 /// * [`CoreError::Sim`] if an edge operation is rejected (a protocol bug).
 /// * [`CoreError::DidNotConverge`] if the run quiesced with unfinished
 ///   schedules (a protocol bug).
-pub fn run_runtime_line_to_tree_seeded(
+/// * [`CoreError::BrokenInvariant`] if the scheduler gave up (step
+///   budget or wall-clock timeout).
+pub fn run_runtime_line_to_tree(
     network: &mut Network,
     line: &[NodeId],
     config: &LineToTreeConfig,
-    seed: u64,
-    knobs: AsyncKnobs,
+    scheduler: &Scheduler,
 ) -> Result<(RootedTree, RuntimeReport), CoreError> {
     validate_line(network, line, config.arity, &mut Vec::new())?;
     let mut actors = build_actors(network, line, config);
-    let report = SeededScheduler::new(seed)
-        .with_knobs(knobs)
-        .run(network, &mut actors)
-        .map_err(map_runtime_err)?;
-    Ok((harvest(&actors, line.len())?, report))
-}
-
-/// Runs line-to-tree as actors under the free-running scheduler.
-///
-/// # Errors
-///
-/// As [`run_runtime_line_to_tree_seeded`], plus
-/// [`CoreError::BrokenInvariant`] on a wall-clock timeout.
-pub fn run_runtime_line_to_tree_free(
-    network: &mut Network,
-    line: &[NodeId],
-    config: &LineToTreeConfig,
-    threads: usize,
-) -> Result<(RootedTree, RuntimeReport), CoreError> {
-    validate_line(network, line, config.arity, &mut Vec::new())?;
-    let mut actors = build_actors(network, line, config);
-    let report = FreeScheduler::new(threads)
+    let report = scheduler
         .run(network, &mut actors)
         .map_err(map_runtime_err)?;
     Ok((harvest(&actors, line.len())?, report))
@@ -406,9 +384,18 @@ mod tests {
     use crate::subroutines::async_line_to_tree::planned_tree;
     use adn_graph::edgeset::SortedEdgeSet;
     use adn_graph::generators;
+    use adn_runtime::{AsyncKnobs, FreeScheduler, SeededScheduler};
 
     fn identity_line(n: usize) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()
+    }
+
+    fn seeded(seed: u64, knobs: AsyncKnobs) -> Scheduler {
+        Scheduler::Seeded(SeededScheduler::new(seed).with_knobs(knobs))
+    }
+
+    fn free(threads: usize) -> Scheduler {
+        Scheduler::Free(FreeScheduler::new(threads))
     }
 
     #[test]
@@ -421,12 +408,11 @@ mod tests {
             let expected = planned_tree(n, 2);
             for seed in [0u64, 7, 1234] {
                 let mut net = Network::new(generators::line(n));
-                let (tree, report) = run_runtime_line_to_tree_seeded(
+                let (tree, report) = run_runtime_line_to_tree(
                     &mut net,
                     &identity_line(n),
                     &config,
-                    seed,
-                    AsyncKnobs::default(),
+                    &seeded(seed, AsyncKnobs::default()),
                 )
                 .unwrap();
                 assert_eq!(tree, expected, "n={n} seed={seed}");
@@ -463,12 +449,11 @@ mod tests {
             for (k, knobs) in knob_sets.iter().enumerate() {
                 for seed in [1u64, 99, 4096] {
                     let mut net = Network::new(generators::line(n));
-                    let (tree, _) = run_runtime_line_to_tree_seeded(
+                    let (tree, _) = run_runtime_line_to_tree(
                         &mut net,
                         &identity_line(n),
                         &config,
-                        seed,
-                        *knobs,
+                        &seeded(seed, *knobs),
                     )
                     .unwrap();
                     assert_eq!(tree, expected, "n={n} knobs#{k} seed={seed}");
@@ -488,7 +473,7 @@ mod tests {
         for threads in [1usize, 4] {
             let mut net = Network::new(generators::line(n));
             let (tree, report) =
-                run_runtime_line_to_tree_free(&mut net, &identity_line(n), &config, threads)
+                run_runtime_line_to_tree(&mut net, &identity_line(n), &config, &free(threads))
                     .unwrap();
             assert_eq!(tree, expected, "threads={threads}");
             assert_eq!(report.in_flight_at_detection, 0);
@@ -510,16 +495,18 @@ mod tests {
         };
         for seed in [0u64, 9, 77] {
             let mut net = Network::new(generators::line(n));
-            let (tree, _) = run_runtime_line_to_tree_seeded(
+            let (tree, _) = run_runtime_line_to_tree(
                 &mut net,
                 &identity_line(n),
                 &config,
-                seed,
-                AsyncKnobs {
-                    reorder_window: 6,
-                    max_link_delay: 3,
-                    asymmetric_delay: true,
-                },
+                &seeded(
+                    seed,
+                    AsyncKnobs {
+                        reorder_window: 6,
+                        max_link_delay: 3,
+                        asymmetric_delay: true,
+                    },
+                ),
             )
             .unwrap();
             assert_eq!(tree, expected, "seed={seed}");
@@ -527,7 +514,7 @@ mod tests {
         for threads in [2usize, 8] {
             let mut net = Network::new(generators::line(n));
             let (tree, _) =
-                run_runtime_line_to_tree_free(&mut net, &identity_line(n), &config, threads)
+                run_runtime_line_to_tree(&mut net, &identity_line(n), &config, &free(threads))
                     .unwrap();
             assert_eq!(tree, expected, "threads={threads}");
         }
@@ -543,16 +530,18 @@ mod tests {
         };
         let expected = planned_tree(n, arity);
         let mut net = Network::new(generators::line(n));
-        let (tree, _) = run_runtime_line_to_tree_seeded(
+        let (tree, _) = run_runtime_line_to_tree(
             &mut net,
             &identity_line(n),
             &config,
-            5,
-            AsyncKnobs {
-                reorder_window: 3,
-                max_link_delay: 1,
-                asymmetric_delay: false,
-            },
+            &seeded(
+                5,
+                AsyncKnobs {
+                    reorder_window: 3,
+                    max_link_delay: 1,
+                    asymmetric_delay: false,
+                },
+            ),
         )
         .unwrap();
         assert_eq!(tree, expected);
@@ -570,12 +559,11 @@ mod tests {
             protected_edges: g.edges().collect(),
         };
         let mut net = Network::new(g.clone());
-        let _ = run_runtime_line_to_tree_seeded(
+        let _ = run_runtime_line_to_tree(
             &mut net,
             &identity_line(n),
             &config,
-            3,
-            AsyncKnobs::default(),
+            &seeded(3, AsyncKnobs::default()),
         )
         .unwrap();
         for e in g.edges() {
@@ -591,7 +579,7 @@ mod tests {
             protected_edges: SortedEdgeSet::new(),
         };
         assert!(matches!(
-            run_runtime_line_to_tree_seeded(&mut net, &[], &config, 0, AsyncKnobs::default()),
+            run_runtime_line_to_tree(&mut net, &[], &config, &seeded(0, AsyncKnobs::default())),
             Err(CoreError::InvalidInput { .. })
         ));
         let zero_arity = LineToTreeConfig {
@@ -599,33 +587,30 @@ mod tests {
             protected_edges: SortedEdgeSet::new(),
         };
         assert!(matches!(
-            run_runtime_line_to_tree_seeded(
+            run_runtime_line_to_tree(
                 &mut net,
                 &identity_line(4),
                 &zero_arity,
-                0,
-                AsyncKnobs::default()
+                &seeded(0, AsyncKnobs::default())
             ),
             Err(CoreError::InvalidInput { .. })
         ));
         let duplicated = vec![NodeId(0), NodeId(1), NodeId(1)];
         assert!(matches!(
-            run_runtime_line_to_tree_seeded(
+            run_runtime_line_to_tree(
                 &mut net,
                 &duplicated,
                 &config,
-                0,
-                AsyncKnobs::default()
+                &seeded(0, AsyncKnobs::default())
             ),
             Err(CoreError::InvalidInput { .. })
         ));
         assert!(matches!(
-            run_runtime_line_to_tree_seeded(
+            run_runtime_line_to_tree(
                 &mut net,
                 &[NodeId(99)],
                 &config,
-                0,
-                AsyncKnobs::default()
+                &seeded(0, AsyncKnobs::default())
             ),
             Err(CoreError::InvalidInput { .. })
         ));

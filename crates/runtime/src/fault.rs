@@ -3,11 +3,13 @@
 //! The synchronous DST adversary perturbs executions between rounds; the
 //! asynchronous runtime has no rounds, so faults are scheduled against the
 //! only clock a run has — the **delivery-step counter**. A [`FaultPlan`]
-//! is a step-sorted list of crash/join events; the seeded scheduler fires
-//! every event whose step has been reached *before* the next delivery, so
-//! a plan is part of the deterministic replay state: the same
-//! `(seed, knobs, plan)` triple reproduces the same execution byte for
-//! byte.
+//! is a step-sorted list of crash/join events, armed on a seeded
+//! scheduler with
+//! [`SeededScheduler::with_faults`](crate::SeededScheduler::with_faults);
+//! the scheduler fires every event whose step has been reached *before*
+//! the next delivery, so a plan is part of the deterministic replay
+//! state: the same `(seed, knobs, plan)` triple reproduces the same
+//! execution byte for byte.
 //!
 //! Crash semantics follow the synchronous harness: the network severs all
 //! incident edges and drops the node's staged operations, and the

@@ -4,17 +4,19 @@
 //! chunk, and every worker drains an unbounded `std::sync::mpsc` inbox.
 //! Delivery order is whatever the OS scheduler produces — this is the
 //! hardware-throughput mode, not a reproducible one — but termination is
-//! still exact: the same Dijkstra–Scholten bookkeeping as the seeded
-//! scheduler runs inside the workers, root sign-offs flow to the main
-//! thread over a channel, and the run ends when all `n` start-engagement
-//! obligations have been signed off, at which point no application
-//! message or ack is in flight.
+//! still exact: every worker runs the shared [`deliver`](crate::termination)
+//! step, root sign-offs flow to the main thread over a channel, and the
+//! run ends when all `n` start-engagement obligations have been signed
+//! off, at which point no application message or ack is in flight. Each
+//! worker counts its deliveries into its own copy of the report; the
+//! copies are summed when the workers are joined.
 
 use crate::actor::{AsyncProgram, Context, Envelope};
-use crate::termination::{DsParent, DsState};
+use crate::termination::{commit_ops, deliver, DsState, Transport};
 use crate::{RuntimeError, RuntimeReport};
 use adn_graph::NodeId;
 use adn_sim::network::Network;
+use adn_sim::SimError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
@@ -26,18 +28,6 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(60);
 enum WorkerMsg<M> {
     Deliver { to: NodeId, env: Envelope<M> },
     Shutdown,
-}
-
-/// Shared atomic counters behind [`RuntimeReport`] in free mode.
-#[derive(Default)]
-struct Counters {
-    steps: AtomicUsize,
-    app_messages: AtomicUsize,
-    acks: AtomicUsize,
-    commits: AtomicUsize,
-    activations: AtomicUsize,
-    deactivations: AtomicUsize,
-    in_flight: AtomicUsize,
 }
 
 /// Free-running scheduler: real threads, OS-determined delivery order,
@@ -91,31 +81,11 @@ impl FreeScheduler {
         F: FnMut(&mut Network, &mut [P], usize) -> Result<bool, E>,
     {
         let n = programs.len();
-        let mut report = RuntimeReport {
-            scheduler: "free",
-            seed: None,
-            threads: Some(self.threads.min(n.max(1))),
-            n,
-            steps: 0,
-            app_messages: 0,
-            acks: 0,
-            commits: 0,
-            activations: 0,
-            deactivations: 0,
-            in_flight_at_detection: 0,
-        };
+        let mut report = RuntimeReport::empty("free", None, Some(self.threads.min(n.max(1))), n);
         let mut phase = 0usize;
-        loop {
-            if !driver(network, programs, phase)? {
-                break;
-            }
+        while driver(network, programs, phase)? {
             let r = self.run(network, programs).map_err(E::from)?;
-            report.steps += r.steps;
-            report.app_messages += r.app_messages;
-            report.acks += r.acks;
-            report.commits += r.commits;
-            report.activations += r.activations;
-            report.deactivations += r.deactivations;
+            report.add_counts(&r);
             report.in_flight_at_detection = r.in_flight_at_detection;
             phase += 1;
         }
@@ -142,6 +112,7 @@ impl FreeScheduler {
         }
         let workers = self.threads.min(n);
         let chunk = n.div_ceil(workers);
+        debug_assert_eq!(n.div_ceil(chunk), workers, "one chunk of actors per worker");
 
         let mut senders: Vec<Sender<WorkerMsg<P::Message>>> = Vec::with_capacity(workers);
         let mut receivers: Vec<Receiver<WorkerMsg<P::Message>>> = Vec::with_capacity(workers);
@@ -152,38 +123,33 @@ impl FreeScheduler {
         }
         let (root_tx, root_rx) = channel::<()>();
 
-        let counters = Counters::default();
-        let network_lock = Mutex::new(network);
-        let first_error: Mutex<Option<RuntimeError>> = Mutex::new(None);
+        let in_flight = AtomicUsize::new(0);
+        let network = Mutex::new(network);
+        let first_error: Mutex<Option<SimError>> = Mutex::new(None);
+        let mut report = RuntimeReport::empty("free", None, Some(workers), n);
 
-        let outcome = std::thread::scope(|scope| {
-            let chunks: Vec<&mut [P]> = programs.chunks_mut(chunk).collect();
-            debug_assert_eq!(chunks.len(), workers);
-            for ((w, body), rx) in chunks.into_iter().enumerate().zip(receivers) {
-                let base = w * chunk;
-                let senders = senders.clone();
-                let root_tx = root_tx.clone();
-                let counters = &counters;
-                let network_lock = &network_lock;
-                let first_error = &first_error;
-                scope.spawn(move || {
-                    worker_loop(
-                        base,
-                        body,
-                        rx,
-                        &senders,
-                        &root_tx,
-                        counters,
-                        network_lock,
-                        first_error,
+        let quiesced = std::thread::scope(|scope| {
+            let handles: Vec<_> = programs
+                .chunks_mut(chunk)
+                .zip(receivers)
+                .enumerate()
+                .map(|(w, (body, rx))| {
+                    let wire = Wire {
+                        senders: senders.clone(),
                         chunk,
-                    );
-                });
-            }
+                        in_flight: &in_flight,
+                        root_tx: root_tx.clone(),
+                        network: &network,
+                    };
+                    let tally = report.clone();
+                    let first_error = &first_error;
+                    scope.spawn(move || worker_loop(w * chunk, body, rx, wire, tally, first_error))
+                })
+                .collect();
 
             // Kick off the diffusing computation: one start per actor.
             for i in 0..n {
-                counters.in_flight.fetch_add(1, Ordering::SeqCst);
+                in_flight.fetch_add(1, Ordering::SeqCst);
                 let _ = senders[i / chunk].send(WorkerMsg::Deliver {
                     to: NodeId(i),
                     env: Envelope::Start,
@@ -200,150 +166,84 @@ impl FreeScheduler {
                     Err(_) => break,
                 }
             }
-            let in_flight = counters.in_flight.load(Ordering::SeqCst);
+            report.in_flight_at_detection = in_flight.load(Ordering::SeqCst);
             for tx in &senders {
                 let _ = tx.send(WorkerMsg::Shutdown);
             }
-            (signed_off == n, in_flight)
+            for handle in handles {
+                report.add_counts(&handle.join().expect("free scheduler worker panicked"));
+            }
+            signed_off == n
         });
-        let (quiesced, in_flight) = outcome;
 
         if let Some(err) = first_error.into_inner().expect("error mutex") {
-            return Err(err);
+            return Err(RuntimeError::Sim(err));
         }
         if !quiesced {
             return Err(RuntimeError::TimedOut);
         }
-        Ok(RuntimeReport {
-            scheduler: "free",
-            seed: None,
-            threads: Some(workers),
-            n,
-            steps: counters.steps.load(Ordering::SeqCst),
-            app_messages: counters.app_messages.load(Ordering::SeqCst),
-            acks: counters.acks.load(Ordering::SeqCst),
-            commits: counters.commits.load(Ordering::SeqCst),
-            activations: counters.activations.load(Ordering::SeqCst),
-            deactivations: counters.deactivations.load(Ordering::SeqCst),
-            in_flight_at_detection: in_flight,
-        })
+        Ok(report)
     }
 }
 
-/// One worker: owns the actors in `body` (global ids `base..base + len`)
-/// and processes deliveries until shutdown.
-#[allow(clippy::too_many_arguments)]
+/// A worker's transport: every worker's inbox, the global in-flight
+/// count, the root's sign-off channel and the shared network, locked for
+/// each handler's commit so its edge operations land as one round.
+struct Wire<'a, M> {
+    senders: Vec<Sender<WorkerMsg<M>>>,
+    chunk: usize,
+    in_flight: &'a AtomicUsize,
+    root_tx: Sender<()>,
+    network: &'a Mutex<&'a mut Network>,
+}
+
+impl<M> Transport<M> for Wire<'_, M> {
+    fn send(&mut self, _from: NodeId, to: NodeId, env: Envelope<M>) {
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        let _ = self.senders[to.index() / self.chunk].send(WorkerMsg::Deliver { to, env });
+    }
+
+    fn sign_off_root(&mut self) {
+        let _ = self.root_tx.send(());
+    }
+
+    fn commit(&mut self, ctx: &mut Context<M>, report: &mut RuntimeReport) -> Result<(), SimError> {
+        let mut network = self.network.lock().expect("network lock");
+        commit_ops(&mut network, ctx, report)
+    }
+}
+
+/// One worker: owns the actors in `body` (global ids `base..base + len`),
+/// delivers to them until shutdown and returns its tally. The first edge
+/// operation any worker's network rejects is kept in `first_error`.
 fn worker_loop<P: AsyncProgram>(
     base: usize,
     body: &mut [P],
     rx: Receiver<WorkerMsg<P::Message>>,
-    senders: &[Sender<WorkerMsg<P::Message>>],
-    root_tx: &Sender<()>,
-    counters: &Counters,
-    network_lock: &Mutex<&mut Network>,
-    first_error: &Mutex<Option<RuntimeError>>,
-    chunk: usize,
-) {
-    let mut ds: Vec<DsState> = body.iter().map(|_| DsState::default()).collect();
+    mut wire: Wire<'_, P::Message>,
+    mut tally: RuntimeReport,
+    first_error: &Mutex<Option<SimError>>,
+) -> RuntimeReport {
+    let mut ds: Vec<DsState> = vec![DsState::default(); body.len()];
     let mut ctx: Context<P::Message> = Context::new(NodeId(base));
-    let send_to = |to: NodeId, env: Envelope<P::Message>| {
-        counters.in_flight.fetch_add(1, Ordering::SeqCst);
-        let _ = senders[to.index() / chunk].send(WorkerMsg::Deliver { to, env });
-    };
-    while let Ok(msg) = rx.recv() {
-        let (to, env) = match msg {
-            WorkerMsg::Deliver { to, env } => (to, env),
-            WorkerMsg::Shutdown => break,
-        };
-        counters.in_flight.fetch_sub(1, Ordering::SeqCst);
-        counters.steps.fetch_add(1, Ordering::SeqCst);
+    while let Ok(WorkerMsg::Deliver { to, env }) = rx.recv() {
+        wire.in_flight.fetch_sub(1, Ordering::SeqCst);
+        tally.steps += 1;
         let local = to.index() - base;
-        ctx.reset(to);
-        let mut immediate_root_ack = false;
-        let mut ack_sender: Option<NodeId> = None;
-        match env {
-            Envelope::Start => {
-                if !ds[local].on_receive(DsParent::Root) {
-                    immediate_root_ack = true;
-                }
-                body[local].on_start(&mut ctx);
-            }
-            Envelope::App { from, msg } => {
-                counters.app_messages.fetch_add(1, Ordering::SeqCst);
-                if !ds[local].on_receive(DsParent::Node(from)) {
-                    ack_sender = Some(from);
-                }
-                body[local].on_message(from, msg, &mut ctx);
-            }
-            Envelope::Ack => {
-                counters.acks.fetch_add(1, Ordering::SeqCst);
-                ds[local].on_ack();
-            }
-        }
-        if !ctx.activations.is_empty() || !ctx.deactivations.is_empty() {
-            // Stage + commit under one lock so each handler's edge ops
-            // land as one atomic reconfiguration round.
-            let mut net = network_lock.lock().expect("network lock");
-            let mut failed = false;
-            for peer in ctx.activations.drain(..) {
-                match net.stage_activation(to, peer) {
-                    Ok(_) => {
-                        counters.activations.fetch_add(1, Ordering::SeqCst);
-                    }
-                    Err(e) => {
-                        record_error(first_error, e.into());
-                        failed = true;
-                    }
-                }
-            }
-            for peer in ctx.deactivations.drain(..) {
-                match net.stage_deactivation(to, peer) {
-                    Ok(_) => {
-                        counters.deactivations.fetch_add(1, Ordering::SeqCst);
-                    }
-                    Err(e) => {
-                        record_error(first_error, e.into());
-                        failed = true;
-                    }
-                }
-            }
-            if !failed {
-                net.commit_round();
-                counters.commits.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        if !ctx.outbox.is_empty() {
-            ds[local].on_sent(ctx.outbox.len());
-            let outbox: Vec<(NodeId, P::Message)> = ctx.outbox.drain(..).collect();
-            for (dest, payload) in outbox {
-                send_to(
-                    dest,
-                    Envelope::App {
-                        from: to,
-                        msg: payload,
-                    },
-                );
-            }
-        }
-        if let Some(sender) = ack_sender {
-            send_to(sender, Envelope::Ack);
-        }
-        if immediate_root_ack {
-            let _ = root_tx.send(());
-        }
-        match ds[local].try_disengage() {
-            Some(DsParent::Root) => {
-                let _ = root_tx.send(());
-            }
-            Some(DsParent::Node(parent)) => send_to(parent, Envelope::Ack),
-            None => {}
+        let delivered = deliver(
+            &mut body[local],
+            &mut ds[local],
+            &mut ctx,
+            to,
+            env,
+            &mut wire,
+            &mut tally,
+        );
+        if let Err(e) = delivered {
+            first_error.lock().expect("error slot").get_or_insert(e);
         }
     }
-}
-
-fn record_error(slot: &Mutex<Option<RuntimeError>>, err: RuntimeError) {
-    let mut guard = slot.lock().expect("error slot");
-    guard.get_or_insert(err);
+    tally
 }
 
 #[cfg(test)]

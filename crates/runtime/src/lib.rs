@@ -6,13 +6,14 @@
 //! `adn-sim` engine runs them in lock step. This crate drops the round
 //! barrier: every node is an actor with an inbox, local state and a
 //! message handler ([`AsyncProgram`]), and message delivery is driven by
-//! a pluggable scheduler:
+//! a [`Scheduler`], a value chosen once per run:
 //!
 //! * [`SeededScheduler`] — single-threaded discrete-event delivery whose
 //!   entire order (including reordering, per-link delays and asymmetric
 //!   link latency) derives from **one `u64`** via the workspace's
 //!   deterministic RNG. Runs replay byte-identically, preserving the
-//!   DST replay/shrink discipline of the synchronous sweep.
+//!   DST replay/shrink discipline of the synchronous sweep. It may carry
+//!   an armed [`FaultPlan`].
 //! * [`FreeScheduler`] — real threads over `std::sync::mpsc` channels,
 //!   free-running delivery, for hardware-throughput numbers.
 //!
@@ -21,7 +22,9 @@
 //! root of a diffusing computation, every application message carries an
 //! ack obligation, and the run ends exactly when the root's deficit
 //! reaches zero — at which point no message is in flight (property-tested
-//! in `tests/runtime_model.rs`).
+//! in `tests/runtime_model.rs`). Both schedulers run the same delivery
+//! step (engage, handle, commit, send, ack, sign off); each adds only its
+//! transport, its crash handling and its counters.
 //!
 //! Edge operations requested by a handler ([`Context::activate`] /
 //! [`Context::deactivate`]) are staged and committed through the
@@ -33,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod actor;
-pub mod adapter;
 pub mod fault;
 pub mod flood;
 pub mod free;
@@ -41,13 +43,13 @@ pub mod seeded;
 pub mod termination;
 
 pub use actor::{AsyncProgram, Context, Envelope};
-pub use adapter::SyncAdapter;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use flood::FloodActor;
 pub use free::FreeScheduler;
 pub use seeded::SeededScheduler;
 
 use adn_sim::dst::Scenario;
+use adn_sim::network::Network;
 use adn_sim::SimError;
 use std::error::Error;
 use std::fmt;
@@ -80,6 +82,71 @@ impl AsyncKnobs {
             reorder_window: scenario.reorder_window,
             max_link_delay: scenario.max_link_delay,
             asymmetric_delay: scenario.asymmetric_delay,
+        }
+    }
+}
+
+/// The scheduler of one asynchronous run.
+#[derive(Debug, Clone)]
+pub enum Scheduler {
+    /// Deterministic single-threaded delivery (see [`SeededScheduler`]).
+    Seeded(SeededScheduler),
+    /// Free-running worker threads (see [`FreeScheduler`]).
+    Free(FreeScheduler),
+}
+
+impl Scheduler {
+    /// Runs `programs` (actor `i` is node `i`) to Dijkstra–Scholten
+    /// quiescence on `network`.
+    ///
+    /// # Errors
+    ///
+    /// As the chosen scheduler's `run`.
+    pub fn run<P: AsyncProgram>(
+        &self,
+        network: &mut Network,
+        programs: &mut [P],
+    ) -> Result<RuntimeReport, RuntimeError> {
+        match self {
+            Scheduler::Seeded(s) => s.run(network, programs),
+            Scheduler::Free(f) => f.run(network, programs),
+        }
+    }
+
+    /// Runs `programs` in driver-delimited phases; see
+    /// [`SeededScheduler::run_phased`].
+    ///
+    /// # Errors
+    ///
+    /// Whatever the driver raises, plus every [`RuntimeError`] the chosen
+    /// scheduler can raise.
+    pub fn run_phased<P, E, F>(
+        &self,
+        network: &mut Network,
+        programs: &mut [P],
+        driver: F,
+    ) -> Result<RuntimeReport, E>
+    where
+        P: AsyncProgram,
+        E: From<RuntimeError>,
+        F: FnMut(&mut Network, &mut [P], usize) -> Result<bool, E>,
+    {
+        match self {
+            Scheduler::Seeded(s) => s.run_phased(network, programs, driver),
+            Scheduler::Free(f) => f.run_phased(network, programs, driver),
+        }
+    }
+
+    /// The scheduler of a run nested in this one, keyed by the outer
+    /// run's `phase` and a `key` naming the nested run within it. A seeded
+    /// scheduler gets a sub-seed (a SplitMix64 mix of its seed, `phase`
+    /// and `key`), the same knobs and step budget, and no faults, so
+    /// nested runs replay byte-identically under the outer seed; a free
+    /// scheduler is cloned.
+    pub fn split(&self, phase: u64, key: u64) -> Scheduler {
+        match self {
+            Scheduler::Seeded(s) => Scheduler::Seeded(s.split(phase, key)),
+            Scheduler::Free(f) => Scheduler::Free(f.clone()),
         }
     }
 }
@@ -164,6 +231,38 @@ pub struct RuntimeReport {
 }
 
 impl RuntimeReport {
+    /// A report with every counter at zero.
+    pub(crate) fn empty(
+        scheduler: &'static str,
+        seed: Option<u64>,
+        threads: Option<usize>,
+        n: usize,
+    ) -> Self {
+        RuntimeReport {
+            scheduler,
+            seed,
+            threads,
+            n,
+            steps: 0,
+            app_messages: 0,
+            acks: 0,
+            commits: 0,
+            activations: 0,
+            deactivations: 0,
+            in_flight_at_detection: 0,
+        }
+    }
+
+    /// Adds `other`'s delivery counters to this report's.
+    pub(crate) fn add_counts(&mut self, other: &RuntimeReport) {
+        self.steps += other.steps;
+        self.app_messages += other.app_messages;
+        self.acks += other.acks;
+        self.commits += other.commits;
+        self.activations += other.activations;
+        self.deactivations += other.deactivations;
+    }
+
     /// Renders the report as stable text. For seeded runs this is the
     /// byte-identity replay artifact (same seed ⇒ same bytes); free runs
     /// render too but their counters are timing-dependent.
@@ -196,6 +295,7 @@ impl RuntimeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adn_graph::NodeId;
 
     #[test]
     fn knobs_lift_from_scenario() {
@@ -205,6 +305,61 @@ mod tests {
         assert_eq!(k.max_link_delay, s.max_link_delay);
         let clean = AsyncKnobs::from_scenario(&Scenario::failure_free());
         assert_eq!(clean, AsyncKnobs::default());
+    }
+
+    /// On start, ring node `i` activates the edge to `i + 2` and sends
+    /// one message to each ring neighbour.
+    struct Chord {
+        n: usize,
+    }
+
+    impl AsyncProgram for Chord {
+        type Message = ();
+
+        fn on_start(&mut self, ctx: &mut Context<()>) {
+            let i = ctx.id().index();
+            ctx.activate(NodeId((i + 2) % self.n));
+            ctx.send(NodeId((i + 1) % self.n), ());
+            ctx.send(NodeId((i + self.n - 1) % self.n), ());
+        }
+
+        fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut Context<()>) {}
+    }
+
+    #[test]
+    fn both_schedulers_report_the_same_counters() {
+        let n = 12;
+        let adversarial = AsyncKnobs {
+            reorder_window: 6,
+            max_link_delay: 3,
+            asymmetric_delay: true,
+        };
+        for scheduler in [
+            Scheduler::Seeded(SeededScheduler::new(5)),
+            Scheduler::Seeded(SeededScheduler::new(5).with_knobs(adversarial)),
+            Scheduler::Free(FreeScheduler::new(1)),
+            Scheduler::Free(FreeScheduler::new(3)),
+        ] {
+            let mut network = Network::new(adn_graph::generators::ring(n));
+            let mut programs: Vec<Chord> = (0..n).map(|_| Chord { n }).collect();
+            let r = scheduler.run(&mut network, &mut programs).expect("run");
+            // n starts, 2n messages and their 2n acks; one commit of one
+            // activation per start.
+            assert_eq!(
+                (
+                    r.steps,
+                    r.app_messages,
+                    r.acks,
+                    r.commits,
+                    r.activations,
+                    r.deactivations,
+                    r.in_flight_at_detection
+                ),
+                (5 * n, 2 * n, 2 * n, n, n, 0, 0),
+                "{scheduler:?}"
+            );
+            assert_eq!(network.graph().edge_count(), 2 * n, "{scheduler:?}");
+        }
     }
 
     #[test]

@@ -7,15 +7,19 @@
 //! source of nondeterminism — reordering within the window, per-message
 //! delay jitter, per-link base latency — is drawn from one [`DetRng`]
 //! seeded with a single `u64`, so a run is a pure function of
-//! `(network, programs, seed, knobs)` and replays byte-identically.
+//! `(network, programs, seed, knobs, fault plan)` and replays
+//! byte-identically. Each step is the shared
+//! [`deliver`](crate::termination) step; this module adds the timeline,
+//! the armed [`FaultPlan`] and the answers a crashed node's mail gets.
 
 use crate::actor::{AsyncProgram, Context, Envelope};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::termination::{DsParent, DsState};
+use crate::termination::{commit_ops, deliver, sign_off, DsState, Transport};
 use crate::{AsyncKnobs, RuntimeError, RuntimeReport};
 use adn_graph::rng::DetRng;
 use adn_graph::NodeId;
 use adn_sim::network::Network;
+use adn_sim::SimError;
 use std::collections::VecDeque;
 
 /// Delivery-step budget before a seeded run is declared non-quiescent.
@@ -98,16 +102,18 @@ pub struct SeededScheduler {
     seed: u64,
     knobs: AsyncKnobs,
     max_steps: usize,
+    faults: FaultPlan,
 }
 
 impl SeededScheduler {
-    /// Scheduler with default knobs (no reordering, no delays) and the
-    /// default step budget.
+    /// Scheduler with default knobs (no reordering, no delays), the
+    /// default step budget and no faults.
     pub fn new(seed: u64) -> Self {
         SeededScheduler {
             seed,
             knobs: AsyncKnobs::default(),
             max_steps: DEFAULT_MAX_STEPS,
+            faults: FaultPlan::default(),
         }
     }
 
@@ -123,9 +129,42 @@ impl SeededScheduler {
         self
     }
 
+    /// Arms a [`FaultPlan`]: events fire deterministically when the
+    /// cumulative delivery-step counter reaches their step, *between*
+    /// deliveries. A crash severs the node in the network, forgives its
+    /// Dijkstra–Scholten deficit and signs off its engagement on its
+    /// behalf; later application messages to it are acknowledged by the
+    /// scheduler (senders' deficits still drain) and acks to it are
+    /// dropped. Termination detection stays exact for the live part of
+    /// the system — [`RuntimeReport::in_flight_at_detection`] counts only
+    /// messages destined to live nodes.
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.faults = faults;
+        self
+    }
+
     /// The seed this scheduler replays from.
     pub fn seed(&self) -> u64 {
         self.seed
+    }
+
+    /// The scheduler of a run nested in this one, keyed by the outer
+    /// run's `phase` and a `key` naming the nested run within it: seeded
+    /// with a SplitMix64 mix of this seed, `phase` and `key`, with the
+    /// same knobs and step budget and no faults, so nested runs replay
+    /// byte-identically under this seed.
+    pub(crate) fn split(&self, phase: u64, key: u64) -> Self {
+        let mut z = self.seed
+            ^ phase.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ key.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        SeededScheduler {
+            seed: z ^ (z >> 31),
+            knobs: self.knobs,
+            max_steps: self.max_steps,
+            faults: FaultPlan::default(),
+        }
     }
 
     /// Fixed per-direction base latency for the link `from -> to`
@@ -162,8 +201,9 @@ impl SeededScheduler {
     /// phase index; it may rewrite actor state (common-knowledge
     /// orchestration between barriers) and returns whether another phase
     /// should run. Each phase re-sends `Start` to every live actor and
-    /// runs to Dijkstra–Scholten quiescence; one RNG stream spans all
-    /// phases, so a phased run replays byte-identically from the seed.
+    /// runs to Dijkstra–Scholten quiescence; one RNG stream and the armed
+    /// fault plan span all phases, so a phased run replays
+    /// byte-identically from the seed.
     ///
     /// # Errors
     ///
@@ -173,32 +213,6 @@ impl SeededScheduler {
         &self,
         network: &mut Network,
         programs: &mut [P],
-        driver: F,
-    ) -> Result<RuntimeReport, E>
-    where
-        P: AsyncProgram,
-        E: From<RuntimeError>,
-        F: FnMut(&mut Network, &mut [P], usize) -> Result<bool, E>,
-    {
-        self.run_phased_with_faults(network, programs, &FaultPlan::default(), driver)
-    }
-
-    /// [`run_phased`](Self::run_phased) with an armed [`FaultPlan`]:
-    /// events fire deterministically when the cumulative delivery-step
-    /// counter reaches their step, *between* deliveries. A crash severs
-    /// the node in the network, forgives its Dijkstra–Scholten deficit and
-    /// signs off its engagement on its behalf; subsequent application
-    /// messages to it are acknowledged by the scheduler (senders' deficits
-    /// still drain) and acks to it are dropped. Termination detection
-    /// stays exact for the live part of the system —
-    /// [`RuntimeReport::in_flight_at_detection`] counts only messages
-    /// destined to live nodes.
-    #[allow(clippy::too_many_lines)]
-    pub fn run_phased_with_faults<P, E, F>(
-        &self,
-        network: &mut Network,
-        programs: &mut [P],
-        faults: &FaultPlan,
         mut driver: F,
     ) -> Result<RuntimeReport, E>
     where
@@ -212,70 +226,37 @@ impl SeededScheduler {
                 reason: format!("{n} programs for {} nodes", network.node_count()),
             }));
         }
-        let mut rng = DetRng::seed_from_u64(self.seed);
         let window = self.knobs.reorder_window.max(1);
-        let mut timeline: Timeline<(NodeId, Envelope<P::Message>)> = Timeline::new();
-        let mut now = 0usize;
+        let mut wire = Wire {
+            scheduler: self,
+            network,
+            timeline: Timeline::new(),
+            rng: DetRng::seed_from_u64(self.seed),
+            now: 0,
+            root_deficit: 0,
+        };
         let mut ds: Vec<DsState> = vec![DsState::default(); n];
         let mut crashed = vec![false; n];
         let mut started = vec![false; n];
         let mut fault_idx = 0usize;
-        let mut report = RuntimeReport {
-            scheduler: "seeded",
-            seed: Some(self.seed),
-            threads: None,
-            n,
-            steps: 0,
-            app_messages: 0,
-            acks: 0,
-            commits: 0,
-            activations: 0,
-            deactivations: 0,
-            in_flight_at_detection: 0,
-        };
+        let mut report = RuntimeReport::empty("seeded", Some(self.seed), None, n);
         let mut ctx: Context<P::Message> = Context::new(NodeId(0));
 
-        let enqueue = |timeline: &mut Timeline<(NodeId, Envelope<P::Message>)>,
-                       rng: &mut DetRng,
-                       now: usize,
-                       from: Option<NodeId>,
-                       to: NodeId,
-                       env: Envelope<P::Message>| {
-            let jitter = if self.knobs.max_link_delay > 0 {
-                rng.gen_range(0, self.knobs.max_link_delay + 1)
-            } else {
-                0
-            };
-            let base = from.map_or(0, |f| self.link_base(f, to));
-            timeline.push(now + 1 + base + jitter, (to, env));
-        };
-
         let mut phase = 0usize;
-        loop {
-            if !driver(network, programs, phase)? {
-                break;
-            }
+        while driver(wire.network, programs, phase)? {
             started.fill(false);
-            let mut root_deficit = 0usize;
-            for (i, _) in crashed.iter().enumerate().take(n).filter(|(_, c)| !**c) {
-                enqueue(
-                    &mut timeline,
-                    &mut rng,
-                    now,
-                    None,
-                    NodeId(i),
-                    Envelope::Start,
-                );
-                root_deficit += 1;
+            for i in (0..n).filter(|&i| !crashed[i]) {
+                wire.enqueue(None, NodeId(i), Envelope::Start);
+                wire.root_deficit += 1;
             }
-            while root_deficit > 0 {
+            while wire.root_deficit > 0 {
                 if report.steps >= self.max_steps {
                     return Err(E::from(RuntimeError::DidNotQuiesce {
                         steps: report.steps,
                     }));
                 }
                 // Fire every armed fault whose step has been reached.
-                while let Some(event) = faults.events().get(fault_idx) {
+                while let Some(event) = self.faults.events().get(fault_idx) {
                     if event.at_step > report.steps {
                         break;
                     }
@@ -285,33 +266,29 @@ impl SeededScheduler {
                             if c.index() >= n || crashed[c.index()] {
                                 continue;
                             }
-                            network
+                            wire.network
                                 .inject_crash(c)
                                 .map_err(|e| E::from(RuntimeError::Sim(e)))?;
                             crashed[c.index()] = true;
-                            match ds[c.index()].crash() {
-                                Some(DsParent::Root) => root_deficit -= 1,
-                                Some(DsParent::Node(p)) => {
-                                    enqueue(&mut timeline, &mut rng, now, Some(c), p, Envelope::Ack)
-                                }
-                                None => {}
+                            if let Some(parent) = ds[c.index()].crash() {
+                                sign_off(&mut wire, c, parent);
                             }
                         }
                         FaultKind::Join => {
-                            network.inject_join();
+                            wire.network.inject_join();
                         }
                     }
                 }
                 // Deliver one of the first `window` entries in readiness
                 // order, picked uniformly; with window 1 no RNG is consumed,
                 // so the default knobs add zero draws to the stream.
-                let candidates = window.min(timeline.len());
+                let candidates = window.min(wire.timeline.len());
                 let pick = if candidates > 1 {
-                    rng.gen_range(0, candidates)
+                    wire.rng.gen_range(0, candidates)
                 } else {
                     0
                 };
-                let Some((ready_at, (node, env))) = timeline.remove_nth(pick) else {
+                let Some((ready_at, (node, env))) = wire.timeline.remove_nth(pick) else {
                     // Unreachable by the Dijkstra–Scholten invariant (an
                     // engaged node with zero deficit disengages at its last
                     // delivery), kept as a loud failure rather than a hang.
@@ -319,7 +296,7 @@ impl SeededScheduler {
                         steps: report.steps,
                     }));
                 };
-                now = now.max(ready_at);
+                wire.now = wire.now.max(ready_at);
                 report.steps += 1;
 
                 if crashed[node.index()] {
@@ -328,115 +305,77 @@ impl SeededScheduler {
                     // are acked so the sender's deficit drains, acks are
                     // dropped (the deficit they would pay was forgiven).
                     match env {
-                        Envelope::Start => root_deficit -= 1,
-                        Envelope::App { from, .. } => enqueue(
-                            &mut timeline,
-                            &mut rng,
-                            now,
-                            Some(node),
-                            from,
-                            Envelope::Ack,
-                        ),
+                        Envelope::Start => wire.root_deficit -= 1,
+                        Envelope::App { from, .. } => wire.enqueue(Some(node), from, Envelope::Ack),
                         Envelope::Ack => {}
                     }
                     continue;
                 }
-
-                ctx.reset(node);
-                let mut immediate_root_ack = false;
-                let mut ack_sender: Option<NodeId> = None;
-                match env {
-                    Envelope::Start => {
-                        let engaged_now = ds[node.index()].on_receive(DsParent::Root);
-                        if !engaged_now {
-                            // An application message overtook the start signal
-                            // and engaged this node first; the root's copy is
-                            // acknowledged on the spot.
-                            immediate_root_ack = true;
-                        }
-                        debug_assert!(!started[node.index()], "duplicate start");
-                        started[node.index()] = true;
-                        programs[node.index()].on_start(&mut ctx);
-                    }
-                    Envelope::App { from, msg } => {
-                        report.app_messages += 1;
-                        let engaged_now = ds[node.index()].on_receive(DsParent::Node(from));
-                        if !engaged_now {
-                            ack_sender = Some(from);
-                        }
-                        programs[node.index()].on_message(from, msg, &mut ctx);
-                    }
-                    Envelope::Ack => {
-                        report.acks += 1;
-                        ds[node.index()].on_ack();
-                    }
+                if matches!(env, Envelope::Start) {
+                    debug_assert!(!started[node.index()], "duplicate start");
+                    started[node.index()] = true;
                 }
-
-                // Edge operations first (one atomic commit), then the outbox.
-                if !ctx.activations.is_empty() || !ctx.deactivations.is_empty() {
-                    for peer in ctx.activations.drain(..) {
-                        network
-                            .stage_activation(node, peer)
-                            .map_err(|e| E::from(RuntimeError::Sim(e)))?;
-                        report.activations += 1;
-                    }
-                    for peer in ctx.deactivations.drain(..) {
-                        network
-                            .stage_deactivation(node, peer)
-                            .map_err(|e| E::from(RuntimeError::Sim(e)))?;
-                        report.deactivations += 1;
-                    }
-                    network.commit_round();
-                    report.commits += 1;
-                }
-                if !ctx.outbox.is_empty() {
-                    ds[node.index()].on_sent(ctx.outbox.len());
-                    for (to, msg) in ctx.outbox.drain(..) {
-                        enqueue(
-                            &mut timeline,
-                            &mut rng,
-                            now,
-                            Some(node),
-                            to,
-                            Envelope::App { from: node, msg },
-                        );
-                    }
-                }
-                if let Some(sender) = ack_sender {
-                    enqueue(
-                        &mut timeline,
-                        &mut rng,
-                        now,
-                        Some(node),
-                        sender,
-                        Envelope::Ack,
-                    );
-                }
-                if immediate_root_ack {
-                    root_deficit -= 1;
-                }
-                match ds[node.index()].try_disengage() {
-                    Some(DsParent::Root) => root_deficit -= 1,
-                    Some(DsParent::Node(parent)) => enqueue(
-                        &mut timeline,
-                        &mut rng,
-                        now,
-                        Some(node),
-                        parent,
-                        Envelope::Ack,
-                    ),
-                    None => {}
-                }
+                deliver(
+                    &mut programs[node.index()],
+                    &mut ds[node.index()],
+                    &mut ctx,
+                    node,
+                    env,
+                    &mut wire,
+                    &mut report,
+                )
+                .map_err(|e| E::from(RuntimeError::Sim(e)))?;
             }
             phase += 1;
         }
         // Leftovers can only be acks destined to crashed nodes; everything
         // aimed at a live node holds up a deficit somewhere.
-        report.in_flight_at_detection = timeline
+        report.in_flight_at_detection = wire
+            .timeline
             .iter()
             .filter(|(to, _)| !crashed.get(to.index()).copied().unwrap_or(true))
             .count();
         Ok(report)
+    }
+}
+
+/// The seeded scheduler's transport: the timeline, the RNG stream that
+/// perturbs it, the clock and the root's deficit.
+struct Wire<'a, M> {
+    scheduler: &'a SeededScheduler,
+    network: &'a mut Network,
+    timeline: Timeline<(NodeId, Envelope<M>)>,
+    rng: DetRng,
+    now: usize,
+    root_deficit: usize,
+}
+
+impl<M> Wire<'_, M> {
+    /// Schedules `env` for `to` after the link's base latency (none for
+    /// the root's starts) plus a jitter draw when delays are on.
+    fn enqueue(&mut self, from: Option<NodeId>, to: NodeId, env: Envelope<M>) {
+        let knobs = &self.scheduler.knobs;
+        let jitter = if knobs.max_link_delay > 0 {
+            self.rng.gen_range(0, knobs.max_link_delay + 1)
+        } else {
+            0
+        };
+        let base = from.map_or(0, |f| self.scheduler.link_base(f, to));
+        self.timeline.push(self.now + 1 + base + jitter, (to, env));
+    }
+}
+
+impl<M> Transport<M> for Wire<'_, M> {
+    fn send(&mut self, from: NodeId, to: NodeId, env: Envelope<M>) {
+        self.enqueue(Some(from), to, env);
+    }
+
+    fn sign_off_root(&mut self) {
+        self.root_deficit -= 1;
+    }
+
+    fn commit(&mut self, ctx: &mut Context<M>, report: &mut RuntimeReport) -> Result<(), SimError> {
+        commit_ops(self.network, ctx, report)
     }
 }
 

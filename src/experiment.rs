@@ -91,8 +91,8 @@ impl Experiment {
         self
     }
 
-    /// Overrides the wreath-engine configuration (tree arity,
-    /// communication charging) for the wreath-family algorithms.
+    /// Overrides the wreath-engine configuration (tree arity) for the
+    /// wreath-family algorithms.
     pub fn wreath_config(mut self, config: WreathConfig) -> Self {
         self.config.wreath = Some(config);
         self

@@ -15,9 +15,10 @@
 //!   GraphToThinWreath, the baselines and the centralized strategies,
 //!   plus subroutines, lower-bound machinery and the task layer.
 //! * [`runtime`] (adn-runtime) — the asynchronous actor runtime with the
-//!   pluggable deterministic (`SeededScheduler`) and multi-threaded
-//!   (`FreeScheduler`) schedulers and Dijkstra–Scholten termination
-//!   detection; selected per run via [`prelude::EngineMode`].
+//!   deterministic (`SeededScheduler`) and multi-threaded
+//!   (`FreeScheduler`) schedulers behind one [`prelude::Scheduler`]
+//!   value and Dijkstra–Scholten termination detection; selected per run
+//!   via [`prelude::EngineMode`].
 //! * [`analysis`] (adn-analysis) — the experiment harness.
 //!
 //! and adds the [`Experiment`] builder, the recommended entry point.
@@ -84,7 +85,7 @@ pub mod prelude {
         generators, properties, traversal, Graph, GraphFamily, NodeId, RootedTree, SortedEdgeSet,
         Uid, UidAssignment, UidMap,
     };
-    pub use adn_runtime::{AsyncKnobs, FreeScheduler, RuntimeReport, SeededScheduler};
+    pub use adn_runtime::{AsyncKnobs, FreeScheduler, RuntimeReport, Scheduler, SeededScheduler};
     pub use adn_sim::dst::{
         find_scenario, scenarios, DstReport, FaultEvent, FaultRecord, Scenario, TargetPolicy,
     };

@@ -17,12 +17,12 @@
 //!    engines, on delay-free and adversarial schedules, across sizes.
 
 use actively_dynamic_networks::core::subroutines::{
-    run_line_to_tree, run_runtime_line_to_tree_seeded, run_runtime_star_faulted,
-    run_runtime_wreath_faulted, LineToTreeConfig,
+    run_line_to_tree, run_runtime_line_to_tree, run_runtime_star, run_runtime_wreath,
+    LineToTreeConfig,
 };
 use actively_dynamic_networks::prelude::*;
 use actively_dynamic_networks::runtime::flood::flood_actors;
-use actively_dynamic_networks::runtime::{FaultPlan, RuntimeError};
+use actively_dynamic_networks::runtime::FaultPlan;
 
 /// The nastiest delivery schedule the seeded scheduler offers: wide
 /// reorder window, per-message delays and persistently asymmetric links.
@@ -31,6 +31,11 @@ const ADVERSARIAL: AsyncKnobs = AsyncKnobs {
     max_link_delay: 3,
     asymmetric_delay: true,
 };
+
+/// A seeded scheduler under the [`ADVERSARIAL`] knobs.
+fn adversarial(sched_seed: u64) -> SeededScheduler {
+    SeededScheduler::new(sched_seed).with_knobs(ADVERSARIAL)
+}
 
 fn flood_outcome(
     family: GraphFamily,
@@ -113,9 +118,9 @@ fn tree_actors_match_the_synchronous_subroutine_under_any_knobs() {
         let (sync_tree, _) = run_line_to_tree(&mut sync_net, &line, &config).unwrap();
         for sched_seed in [2u64, 41, 9999] {
             let mut net = Network::new(generators::line(n));
+            let scheduler = Scheduler::Seeded(adversarial(sched_seed));
             let (tree, report) =
-                run_runtime_line_to_tree_seeded(&mut net, &line, &config, sched_seed, ADVERSARIAL)
-                    .unwrap();
+                run_runtime_line_to_tree(&mut net, &line, &config, &scheduler).unwrap();
             assert_eq!(
                 tree, sync_tree,
                 "n={n} arity={arity} sched_seed={sched_seed}"
@@ -211,30 +216,22 @@ fn adversarial_schedules_do_not_change_committee_outcomes() {
             .expect("sync wreath");
         for sched_seed in [1u64, 58] {
             let label = format!("{family:?} n={n} sched_seed={sched_seed}");
+            let scheduler = Scheduler::Seeded(adversarial(sched_seed));
             let mut network = Network::new(graph.clone());
-            let star = run_runtime_star_faulted(
-                &mut network,
-                &uids,
-                &RunConfig::default().with_engine(EngineMode::Seeded { seed: sched_seed }),
-                sched_seed,
-                ADVERSARIAL,
-                &FaultPlan::default(),
-            )
-            .unwrap_or_else(|e| panic!("star {label}: {e}"));
+            let star = run_runtime_star(&mut network, &uids, &RunConfig::default(), &scheduler)
+                .unwrap_or_else(|e| panic!("star {label}: {e}"));
             assert_eq!(star.final_graph, star_sync.final_graph, "star {label}");
             assert_eq!(
                 star.committees_per_phase, star_sync.committees_per_phase,
                 "star {label}"
             );
             let mut network = Network::new(graph.clone());
-            let wreath = run_runtime_wreath_faulted(
+            let wreath = run_runtime_wreath(
                 &mut network,
                 &uids,
                 &WreathConfig::binary(),
-                &RunConfig::default().with_engine(EngineMode::Seeded { seed: sched_seed }),
-                sched_seed,
-                ADVERSARIAL,
-                &FaultPlan::default(),
+                &RunConfig::default(),
+                &scheduler,
             )
             .unwrap_or_else(|e| panic!("wreath {label}: {e}"));
             assert_eq!(
@@ -285,12 +282,10 @@ fn ds_accounting_stays_sound_when_actors_crash_mid_phase() {
         let plan = FaultPlan::new().crash_at(crash_step, crash_node);
         let mut network = Network::new(graph.clone());
         let mut actors = flood_actors(&graph);
-        let report = SeededScheduler::new(sched_seed)
-            .with_knobs(ADVERSARIAL)
+        let report = adversarial(sched_seed)
             .with_max_steps(500_000)
-            .run_phased_with_faults(&mut network, &mut actors, &plan, |_, _, phase| {
-                Ok::<bool, RuntimeError>(phase == 0)
-            })
+            .with_faults(plan)
+            .run(&mut network, &mut actors)
             .unwrap_or_else(|e| {
                 panic!("crashed run must still quiesce (sched_seed={sched_seed}): {e}")
             });
@@ -323,24 +318,18 @@ fn armed_crash_during_committee_run_is_deterministic_and_clean() {
         let crash_step = 700 + (sched_seed as usize * 97) % 700;
         let plan = FaultPlan::new().crash_at(crash_step, NodeId(3));
         let mut network = Network::new(graph.clone());
-        let crashed = run_runtime_star_faulted(
-            &mut network,
-            &uids,
-            &RunConfig::default().with_engine(EngineMode::Seeded { seed: sched_seed }),
-            sched_seed,
-            ADVERSARIAL,
-            &plan,
-        )
-        .map(|o| {
-            (
-                o.leader,
-                o.phases,
-                o.runtime
-                    .expect("faulted seeded runs carry a report")
-                    .render(),
-            )
-        })
-        .map_err(|e| e.to_string());
+        let scheduler = Scheduler::Seeded(adversarial(sched_seed).with_faults(plan));
+        let crashed = run_runtime_star(&mut network, &uids, &RunConfig::default(), &scheduler)
+            .map(|o| {
+                (
+                    o.leader,
+                    o.phases,
+                    o.runtime
+                        .expect("faulted seeded runs carry a report")
+                        .render(),
+                )
+            })
+            .map_err(|e| e.to_string());
         (crashed, network.is_crashed(NodeId(3)))
     };
     let (mut survived_crash, mut failed_clean) = (0, 0);
@@ -376,8 +365,7 @@ fn termination_detection_never_fires_with_messages_in_flight() {
     for sched_seed in 0..64u64 {
         let mut network = Network::new(graph.clone());
         let mut actors = flood_actors(&graph);
-        let report = SeededScheduler::new(sched_seed)
-            .with_knobs(ADVERSARIAL)
+        let report = adversarial(sched_seed)
             .run(&mut network, &mut actors)
             .expect("seeded flood run");
         assert_eq!(
