@@ -636,12 +636,10 @@ fn bench_sweep(bench: &mut Bench, quick: bool, threads: usize) {
 
 /// The DST invariant engine under a sparse steady-state workload and
 /// under churn, at the ROADMAP's n=65536 scale. Every round stages at
-/// most 64 edge events on an armed 65536-node star, so the incremental
-/// row (`dst/invariants_steady`) pays O(changes) per round while the
-/// forced-from-scratch comparison row (`dst/invariants_steady_scratch`)
-/// re-runs the full live-subgraph BFS and degree scan the old checker
-/// used. The churn row drives one join per round through the
-/// event-fed path (UID bookkeeping, forest growth).
+/// most 64 edge events on an armed 65536-node star, so the steady row
+/// (`dst/invariants_steady`) pays O(changes) per round. The churn row
+/// drives one join per round through the event-fed path (UID
+/// bookkeeping, forest growth).
 fn bench_dst_invariants(bench: &mut Bench) {
     let n = 65536usize;
     let rounds = 64usize;
@@ -684,18 +682,6 @@ fn bench_dst_invariants(bench: &mut Bench) {
         toggle_rounds(&mut net);
     });
 
-    let mut net = Network::new(generators::star(n));
-    let mut state = DstState::new(
-        Adversary::new(Scenario::failure_free(), 0xD57),
-        policy.clone(),
-        uids.clone(),
-    );
-    state.set_from_scratch_checks(true);
-    net.install_dst(state);
-    bench.measure(&format!("dst/invariants_steady_scratch n={n}"), || {
-        toggle_rounds(&mut net);
-    });
-
     // Churn: one guaranteed join per round boundary (probability 1, ample
     // budget), so every round exercises the event-fed join path — forest
     // growth, attach-edge union and incremental UID bookkeeping.
@@ -716,14 +702,11 @@ fn bench_dst_invariants(bench: &mut Bench) {
 
 /// The traced-round path at the ROADMAP's n=65536 scale: 64 rounds of at
 /// most 64 edge events each on a star, with per-round
-/// `adn_sim::RoundStats` tracing on. The delta-driven row (`network/commit_round_traced`)
-/// serves the traced `max_degree` from the incremental degree histogram
-/// in O(changes) per round; the forced comparison row
-/// (`..._traced_scratch`, `Network::set_trace_from_scratch`) re-runs the
-/// O(n) whole-graph scan every traced round, which is what every traced
-/// round paid before the round-event bus. `dst/trace_steady` stacks
-/// tracing on top of an armed DST state, so the row gates the combined
-/// per-round observer cost (invariants + trace) staying O(changes).
+/// `adn_sim::RoundStats` tracing on. `network/commit_round_traced` serves
+/// the traced `max_degree` from the incremental degree histogram in
+/// O(changes) per round; `dst/trace_steady` stacks tracing on top of an
+/// armed DST state, so the row gates the combined per-round observer cost
+/// (invariants + trace) staying O(changes).
 fn bench_traced_rounds(bench: &mut Bench) {
     let n = 65536usize;
     let rounds = 64usize;
@@ -754,18 +737,6 @@ fn bench_traced_rounds(bench: &mut Bench) {
         toggle_rounds(&mut net);
         assert_eq!(net.trace().last().map(|s| s.max_degree), Some(n - 1));
     });
-
-    let mut net = Network::new(generators::star(n));
-    net.set_trace_enabled(true);
-    net.set_trace_from_scratch(true);
-    net.set_round_history_limit(Some(1024));
-    bench.measure(
-        &format!("network/commit_round_traced_scratch n={n}"),
-        || {
-            toggle_rounds(&mut net);
-            assert_eq!(net.trace().last().map(|s| s.max_degree), Some(n - 1));
-        },
-    );
 
     let policy = InvariantPolicy {
         check_connectivity: true,

@@ -472,9 +472,16 @@ impl WreathState {
 
     /// Installs the tree rebuilt over `root`'s merged ring — `parents[pos]`
     /// is the ring position of position `pos`'s parent (entry 0, the
-    /// root's, is ignored) and `depth` its depth — and makes the ring the
-    /// committee's member list.
-    pub(crate) fn install_tree(&mut self, root: CommitteeId, parents: &[usize], depth: usize) {
+    /// root's, is ignored) — and makes the ring the committee's member
+    /// list. Parents sit at lower positions than their children, so one
+    /// ascending pass over `parents` gives the tree's depth.
+    pub(crate) fn install_tree(&mut self, root: CommitteeId, parents: &[usize]) {
+        let mut depths = vec![0usize; parents.len()];
+        for pos in 1..parents.len() {
+            debug_assert!(parents[pos] < pos, "a parent follows its child");
+            depths[pos] = depths[parents[pos]] + 1;
+        }
+        let depth = depths.into_iter().max().unwrap_or(0);
         let line = std::mem::take(&mut self.merged_line[root.index()]);
         let edges = &mut self.tree_edges[root.index()];
         edges.clear();
@@ -644,8 +651,7 @@ pub(crate) fn execute(
         }
         run_lockstep(network, config.tree_arity, &ring_edges, &mut line_scratch)?;
         for (k, &root) in merged_roots.iter().enumerate() {
-            let depth = line_scratch.line_depth(k);
-            state.install_tree(root, line_scratch.line_parents(k), depth);
+            state.install_tree(root, line_scratch.line_parents(k));
         }
         state.retire_merged();
     }

@@ -14,7 +14,8 @@
 //!   batch with every node awake from round 1.
 //! * [`runtime_line_to_tree`] — the same plan carried out by
 //!   message-driven actors on the `adn-runtime` schedulers (no round loop
-//!   at all).
+//!   at all), on their own or as the rebuild mini-phase of a wreath
+//!   committee run.
 //! * [`runtime_committee`] — the committee algorithms (`GraphToStar`, the
 //!   wreath family) as message-driven actors on the same schedulers, with
 //!   armed fault plans.
@@ -75,9 +76,6 @@ pub(crate) struct LineScratch {
     /// Per position: a child stays behind this round and still needs the
     /// edge to this position (asynchronous marking pass).
     pub(crate) blocked: Vec<bool>,
-    /// Per position: depth in the finished tree (see
-    /// [`LineScratch::line_depth`]).
-    pub(crate) depth: Vec<usize>,
     /// Per-round movers of every line, as (line, position), in ascending
     /// line then position order.
     pub(crate) movers: Vec<(usize, usize)>,
@@ -118,27 +116,9 @@ impl LineScratch {
         self.line_start.len().saturating_sub(1)
     }
 
-    fn line_range(&self, k: usize) -> std::ops::Range<usize> {
-        self.line_start[k]..self.line_start[k + 1]
-    }
-
     /// Parent position of every position of line `k` after a run (the
     /// root, position 0, is its own entry 0).
     pub(crate) fn line_parents(&self, k: usize) -> &[usize] {
-        &self.parent_pos[self.line_range(k)]
-    }
-
-    /// Depth of line `k`'s tree after a run. Parents always sit at lower
-    /// positions than their children, so one ascending pass suffices.
-    pub(crate) fn line_depth(&mut self, k: usize) -> usize {
-        let range = self.line_range(k);
-        let parents = &self.parent_pos[range];
-        self.depth.clear();
-        self.depth.push(0);
-        for &parent in parents.iter().skip(1) {
-            let d = self.depth[parent] + 1;
-            self.depth.push(d);
-        }
-        self.depth.iter().copied().max().unwrap_or(0)
+        &self.parent_pos[self.line_start[k]..self.line_start[k + 1]]
     }
 }

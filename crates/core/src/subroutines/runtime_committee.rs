@@ -20,8 +20,13 @@
 //!    message.
 //! 4. **Execution mini-phases** — the remaining edge-operation waves
 //!    (the star's round-B hop and deferred deactivations, the wreath's
-//!    per-level splice rounds), each planned between barriers and carried
-//!    out by the owning actors.
+//!    per-level splice rounds and clean-up), each planned between barriers
+//!    and carried out by the owning actors.
+//! 5. **Rebuild** (wreath family) — every merged ring is rebuilt into a
+//!    tree in one barrier: each ring node runs its position's
+//!    [`TreeActor`] of the actor line-to-tree
+//!    ([`runtime_line_to_tree`](super::runtime_line_to_tree)), ring edges
+//!    protected, and the tree messages travel as `CommitteeMsg::Tree`.
 //!
 //! The rules themselves are not written here. A driver runs *between*
 //! barriers, never inside the asynchronous execution, and calls the
@@ -30,7 +35,8 @@
 //! for the wreath family, and the shared selection fold of
 //! [`crate::committee`]. This module keeps only the runtime work — the
 //! actors and their messages, the mini-phase stages, the hand-off of
-//! planned operations at each barrier, and the nested tree rebuilds.
+//! planned operations at each barrier, and the hand-off of ring
+//! positions to the rebuild.
 //! Because every decision is made either on a complete message set
 //! (after a barrier) or by a commutative rule, the resulting committee
 //! structures — final graph, phase count, committees per phase — **equal
@@ -38,27 +44,26 @@
 //! alike**, which the differential tests in `tests/runtime_model.rs` pin
 //! for both schedulers.
 //!
-//! Inside a wreath phase the merged rings are rebuilt into trees with the
-//! actor-based [`runtime_line_to_tree`](super::runtime_line_to_tree)
-//! subroutine, one root after another, each on the run's scheduler
-//! [split](Scheduler::split) by phase and root (seeded sub-seeds derive
-//! deterministically from the master seed, so seeded replay stays
-//! byte-identical).
+//! A run is one diffusing computation under one scheduler: every
+//! mini-phase, the rebuilds included, is a barrier of the same
+//! `run_phased` call, so the run has one report (its `commits` count
+//! every round the run commits) and, when seeded, one replayable delivery
+//! order.
 //!
 //! **Armed faults:** a seeded scheduler may carry a
 //! [`FaultPlan`](adn_runtime::FaultPlan); crashes sever a node mid-run
 //! and the protocols then either complete or fail with a clean
 //! [`CoreError`] (no panic, no hang — the phase limit and the scheduler's
 //! step budget bound every execution). A crash plan makes the run
-//! diverge from the synchronous baseline by design; the plan is consulted
-//! only by the *outer* scheduler, between deliveries of the committee
-//! protocol itself — nested rebuilds run without faults.
+//! diverge from the synchronous baseline by design; its events fire
+//! between any two deliveries of the run, rebuilds included.
 
 use crate::algorithm::RunConfig;
 use crate::committee::{select_largest_uid, start_run, CommitteeForest, CommitteeId, PhaseLog};
 use crate::graph_to_star::{climb_target, Mode, StarCommittees};
 use crate::graph_to_wreath::{Choice, SpliceLevel, WreathConfig, WreathState};
-use crate::subroutines::{run_runtime_line_to_tree, LineToTreeConfig};
+use crate::subroutines::async_line_to_tree::validate_line;
+use crate::subroutines::{LineToTreeConfig, TreeActor, TreeMsg};
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::edgeset::SortedEdgeSet;
 use adn_graph::{Graph, NodeId, UidMap};
@@ -88,6 +93,14 @@ enum CommitteeMsg {
     Report { bridges: Vec<BridgeInfo> },
     /// A merging leader instructs a member to join `into`'s star.
     MergeOp { into: NodeId },
+    /// A line-to-tree message between two positions of a merged ring.
+    Tree(TreeMsg),
+}
+
+impl From<TreeMsg> for CommitteeMsg {
+    fn from(msg: TreeMsg) -> Self {
+        CommitteeMsg::Tree(msg)
+    }
 }
 
 /// Which mini-phase the actor runs when the scheduler starts it.
@@ -101,6 +114,7 @@ enum Mini {
     Deact,
     WreathDecide,
     Exec,
+    Rebuild,
 }
 
 /// One node of a committee protocol. The driver feeds the per-phase
@@ -125,6 +139,9 @@ struct CommitteeActor {
     climb: Option<NodeId>,
     pending_b: Option<(NodeId, NodeId)>,
     pending_deacts: Vec<NodeId>,
+    /// This node's ring position while its merged ring is rebuilt (inert
+    /// otherwise).
+    tree: TreeActor,
 }
 
 impl CommitteeActor {
@@ -145,6 +162,7 @@ impl CommitteeActor {
             climb: None,
             pending_b: None,
             pending_deacts: Vec::new(),
+            tree: TreeActor::default(),
         }
     }
 
@@ -284,6 +302,7 @@ impl AsyncProgram for CommitteeActor {
                     ctx.deactivate(p);
                 }
             }
+            Mini::Rebuild => self.tree.start(ctx),
         }
     }
 
@@ -306,6 +325,7 @@ impl AsyncProgram for CommitteeActor {
                     self.pending_deacts.push(self.leader);
                 }
             }
+            CommitteeMsg::Tree(msg) => self.tree.receive(msg, ctx),
         }
     }
 }
@@ -537,19 +557,19 @@ enum WreathStage {
     LevelB,
     LevelC,
     Cleanup,
+    Rebuild,
     Done,
 }
 
 /// The between-barriers orchestrator of the wreath phases: it steps the
 /// actors through the shared [`WreathState`] rules. Each splice level's
 /// round A / round B+clean-up pair becomes three barriers (activations,
-/// activations, deactivations), and the merged rings are rebuilt with the
-/// nested runtime line-to-tree.
+/// activations, deactivations), and every merged ring is rebuilt in one
+/// more barrier by the ring nodes' line-to-tree positions.
 struct WreathDriver<'a> {
     run: &'a RunConfig,
     tree_arity: usize,
     initial: &'a Graph,
-    scheduler: &'a Scheduler,
     state: WreathState,
     stage: WreathStage,
     /// The splice level under way.
@@ -559,17 +579,11 @@ struct WreathDriver<'a> {
 }
 
 impl<'a> WreathDriver<'a> {
-    fn new(
-        run: &'a RunConfig,
-        wreath: &WreathConfig,
-        initial: &'a Graph,
-        scheduler: &'a Scheduler,
-    ) -> Self {
+    fn new(run: &'a RunConfig, wreath: &WreathConfig, initial: &'a Graph) -> Self {
         WreathDriver {
             run,
             tree_arity: wreath.tree_arity,
             initial,
-            scheduler,
             state: WreathState::new(initial.node_count(), wreath.name),
             stage: WreathStage::Begin,
             level: SpliceLevel::default(),
@@ -639,13 +653,11 @@ impl<'a> WreathDriver<'a> {
                     }
                     self.state.materialize_rings()?;
                     let (drops, _) = self.state.cleanup(network.graph(), self.initial);
+                    self.stage = WreathStage::Cleanup;
                     if drops.is_empty() {
-                        self.rebuild_and_retire(network)?;
-                        self.stage = WreathStage::Begin;
                         continue;
                     }
                     assign_ops(actors, &[], drops.iter().map(|e| (e.a, e.b)));
-                    self.stage = WreathStage::Cleanup;
                     return Ok(true);
                 }
                 WreathStage::LevelA => {
@@ -667,7 +679,12 @@ impl<'a> WreathDriver<'a> {
                     self.stage = WreathStage::PlanLevel;
                 }
                 WreathStage::Cleanup => {
-                    self.rebuild_and_retire(network)?;
+                    self.arm_rebuild(network, actors)?;
+                    self.stage = WreathStage::Rebuild;
+                    return Ok(true);
+                }
+                WreathStage::Rebuild => {
+                    self.install_trees(actors)?;
                     self.stage = WreathStage::Begin;
                 }
                 WreathStage::Done => return Ok(false),
@@ -675,33 +692,42 @@ impl<'a> WreathDriver<'a> {
         }
     }
 
-    /// Rebuilds an `arity`-ary tree over every merged ring with the
-    /// nested runtime line-to-tree (ring edges protected), one root after
-    /// another on the scheduler split by phase and root, installs each,
-    /// and retires the committees that merged away.
-    fn rebuild_and_retire(&mut self, network: &mut Network) -> Result<(), CoreError> {
-        let roots: Vec<CommitteeId> = self.state.merged_roots().collect();
-        for root in roots {
+    /// Arms the rebuild barrier: checks every merged ring as the
+    /// synchronous lockstep batch does, then hands each ring node its
+    /// position's line-to-tree actor for an `arity`-ary tree, the ring's
+    /// edges protected.
+    fn arm_rebuild(
+        &self,
+        network: &Network,
+        actors: &mut [CommitteeActor],
+    ) -> Result<(), CoreError> {
+        set_mini(actors, Mini::Rebuild);
+        let mut seen = Vec::new();
+        for root in self.state.merged_roots() {
             let line = self.state.merged_line(root);
+            validate_line(network, line, self.tree_arity, &mut seen)?;
             let config = LineToTreeConfig {
                 arity: self.tree_arity,
                 protected_edges: SortedEdgeSet::ring_edges(line),
             };
-            let nested = self
-                .scheduler
-                .split(self.state.log.phases as u64, root.index() as u64);
-            let (tree, _report) = run_runtime_line_to_tree(network, line, &config, &nested)?;
-            let mut parents = vec![0; line.len()];
-            for (pos, parent) in parents.iter_mut().enumerate().skip(1) {
-                let Some(p) = tree.parent(NodeId(pos)) else {
-                    return Err(CoreError::BrokenInvariant {
-                        algorithm: self.state.log.algorithm,
-                        detail: format!("position {pos} has no parent in the rebuilt tree"),
-                    });
-                };
-                *parent = p.index();
+            for (&node, tree) in line.iter().zip(TreeActor::for_line(line, &config)) {
+                actors[node.index()].tree = tree;
             }
-            self.state.install_tree(root, &parents, tree.depth());
+        }
+        Ok(())
+    }
+
+    /// Installs the tree each merged ring's positions built and retires
+    /// the committees that merged away.
+    fn install_trees(&mut self, actors: &mut [CommitteeActor]) -> Result<(), CoreError> {
+        let roots: Vec<CommitteeId> = self.state.merged_roots().collect();
+        let mut parents = Vec::new();
+        for root in roots {
+            parents.clear();
+            for &node in self.state.merged_line(root) {
+                parents.push(mem::take(&mut actors[node.index()].tree).final_parent()?);
+            }
+            self.state.install_tree(root, &parents);
         }
         self.state.retire_merged();
         Ok(())
@@ -766,7 +792,7 @@ pub fn run_runtime_wreath(
     start_run(network, uids, wreath.name, config)?;
     let initial = network.graph().clone();
     let mut actors = build_actors(initial.node_count(), uids, &initial);
-    let mut driver = WreathDriver::new(config, wreath, &initial, scheduler);
+    let mut driver = WreathDriver::new(config, wreath, &initial);
     let report = scheduler.run_phased(network, &mut actors, |net, acts, _phase| {
         driver.step(net, acts)
     })?;
@@ -949,6 +975,42 @@ mod tests {
                 assert!(outcome.runtime.is_some());
             }
         }
+    }
+
+    #[test]
+    fn armed_crash_anywhere_in_a_wreath_run_fails_cleanly() {
+        // The rebuilds are barriers of the run, so a crash can land in
+        // one: sweeping the crash step across a whole clean run reaches
+        // every mini-phase, and each run must complete or fail with a
+        // clean error — never a panic, never a hang.
+        let g = generators::ring(12);
+        let uids = UidMap::new(12, UidAssignment::RandomPermutation { seed: 6 });
+        let run = |plan: FaultPlan| {
+            let mut network = Network::new(g.clone());
+            run_runtime_wreath(
+                &mut network,
+                &uids,
+                &WreathConfig::binary(),
+                &RunConfig::default(),
+                &Scheduler::Seeded(SeededScheduler::new(6).with_faults(plan)),
+            )
+        };
+        let steps = run(FaultPlan::new())
+            .expect("clean run")
+            .runtime
+            .expect("report")
+            .steps;
+        let (mut completed, mut failed) = (0, 0);
+        for at in (1..steps).step_by(5) {
+            match run(FaultPlan::new().crash_at(at, NodeId(at % 12))) {
+                Ok(_) => completed += 1,
+                Err(_) => failed += 1,
+            }
+        }
+        assert!(
+            completed > 0 && failed > 0,
+            "{completed} completed, {failed} failed"
+        );
     }
 
     #[test]

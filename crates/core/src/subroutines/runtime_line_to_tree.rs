@@ -38,6 +38,12 @@
 //! across seeds, reorder windows and asymmetric delays, and the
 //! differential suite (`tests/runtime_model.rs`) rechecks it against the
 //! synchronous subroutine on the round engine.
+//!
+//! A [`TreeActor`]'s handlers run inside any host actor whose message
+//! type wraps [`TreeMsg`]: [`run_runtime_line_to_tree`] runs the
+//! positions as programs of their own, and the wreath committee actors
+//! of [`super::runtime_committee`] hold them for one rebuild mini-phase,
+//! every merged ring at once.
 
 use crate::subroutines::async_line_to_tree::{plan_sync_schedule, validate_line};
 use crate::subroutines::LineToTreeConfig;
@@ -79,7 +85,7 @@ pub enum TreeMsg {
     },
 }
 
-/// Immutable data shared by all actors of one run.
+/// Immutable data shared by the position actors of one line.
 struct SharedPlan {
     schedule: Vec<Vec<usize>>,
     /// `report_tag[p][j]`: the jump-count tag the `ParentIs` report
@@ -140,7 +146,8 @@ impl SharedPlan {
 }
 
 /// Mutable per-position protocol state.
-struct PositionState {
+struct Position {
+    plan: Arc<SharedPlan>,
     pos: usize,
     parent_pos: usize,
     jumps_done: usize,
@@ -159,94 +166,53 @@ struct PositionState {
     belief_jd: Option<usize>,
 }
 
-/// One line-to-tree actor. Network nodes that are not on the line get an
-/// inert actor (no state, no messages).
+/// One line position's actor; the default actor sits on no line and is
+/// inert (no state, no messages).
+#[derive(Default)]
 pub struct TreeActor {
-    shared: Arc<SharedPlan>,
-    state: Option<PositionState>,
+    position: Option<Position>,
 }
 
 impl TreeActor {
-    fn try_jump(&mut self, ctx: &mut Context<TreeMsg>) {
-        let Some(st) = &mut self.state else {
-            return;
-        };
-        let schedule = &self.shared.schedule;
-        let targets = &schedule[st.pos];
-        if st.jumps_done >= targets.len() {
-            return;
-        }
-        let target = targets[st.jumps_done];
-        // The enabling report must carry the exact planned tag: the
-        // parent is at the planned point of its own history (it cannot
-        // be past it — our detach is in its dependency set).
-        let tag = self.shared.report_tag[st.pos][st.jumps_done];
-        if st.belief_jd != Some(tag) {
-            return;
-        }
-        debug_assert_eq!(
-            st.belief,
-            Some(target),
-            "tagged report disagrees with the plan"
-        );
-        // Hold until every child whose hop uses our parent edge as its
-        // distance-2 witness has confirmed with a tagged detach.
-        let deps = &self.shared.detach_deps[st.pos][st.jumps_done];
-        if !deps.iter().all(|d| st.detaches.contains(d)) {
-            return;
-        }
-        let line = &self.shared.line;
-        let cp = st.parent_pos;
-        ctx.activate(line[target]);
-        if !self
-            .shared
-            .protected
-            .contains(&Edge::new(line[st.pos], line[cp]))
-        {
-            ctx.deactivate(line[cp]);
-        }
-        st.parent_pos = target;
-        st.jumps_done += 1;
-        st.belief = None;
-        st.belief_jd = None;
-        ctx.send(
-            line[cp],
-            TreeMsg::Detach {
-                pos: st.pos,
-                jd: st.jumps_done,
-            },
-        );
-        ctx.send(
-            line[target],
-            TreeMsg::Attach {
-                pos: st.pos,
-                jd: st.jumps_done,
-            },
-        );
-        for &(c, _) in &st.children {
-            ctx.send(
-                line[c],
-                TreeMsg::ParentIs {
-                    pos: st.pos,
-                    parent: st.parent_pos,
-                    jd: st.jumps_done,
+    /// One actor per position of `line`, in position order, all following
+    /// one shared plan.
+    pub(crate) fn for_line(
+        line: &[NodeId],
+        config: &LineToTreeConfig,
+    ) -> impl Iterator<Item = TreeActor> {
+        let n = line.len();
+        let plan = Arc::new(SharedPlan::new(n, config, line));
+        (0..n).map(move |pos| TreeActor {
+            position: Some(Position {
+                plan: Arc::clone(&plan),
+                pos,
+                parent_pos: pos.saturating_sub(1),
+                jumps_done: 0,
+                children: if pos + 1 < n {
+                    vec![(pos + 1, 0)]
+                } else {
+                    Vec::new()
                 },
-            );
-        }
+                tombstones: Vec::new(),
+                detaches: Vec::new(),
+                // Static initial knowledge: the grandparent is `pos - 2`,
+                // as reported by a parent that has not jumped yet.
+                belief: if pos >= 2 { Some(pos - 2) } else { None },
+                belief_jd: if pos >= 2 { Some(0) } else { None },
+            }),
+        })
     }
-}
 
-impl AsyncProgram for TreeActor {
-    type Message = TreeMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<TreeMsg>) {
-        // Initial knowledge is static (parent `pos-1`, grandparent
-        // `pos-2`, child `pos+1`), so a first jump may already be enabled.
+    /// The start signal. Initial knowledge is static (parent `pos-1`,
+    /// grandparent `pos-2`, child `pos+1`), so a first jump may already be
+    /// enabled.
+    pub(crate) fn start<M: From<TreeMsg>>(&mut self, ctx: &mut Context<M>) {
         self.try_jump(ctx);
     }
 
-    fn on_message(&mut self, _from: NodeId, msg: TreeMsg, ctx: &mut Context<TreeMsg>) {
-        let Some(st) = &mut self.state else {
+    /// Handles one protocol message, then jumps if that enabled a jump.
+    pub(crate) fn receive<M: From<TreeMsg>>(&mut self, msg: TreeMsg, ctx: &mut Context<M>) {
+        let Some(st) = &mut self.position else {
             return;
         };
         match msg {
@@ -267,7 +233,7 @@ impl AsyncProgram for TreeActor {
                     parent: st.parent_pos,
                     jd: st.jumps_done,
                 };
-                ctx.send(self.shared.line[pos], reply);
+                ctx.send(st.plan.line[pos], reply.into());
             }
             TreeMsg::Detach { pos, jd } => {
                 // Record the confirmation even when the matching attach
@@ -288,58 +254,94 @@ impl AsyncProgram for TreeActor {
         }
         self.try_jump(ctx);
     }
-}
 
-/// Builds one actor per network node; nodes off the line are inert.
-fn build_actors(network: &Network, line: &[NodeId], config: &LineToTreeConfig) -> Vec<TreeActor> {
-    let n = line.len();
-    let shared = Arc::new(SharedPlan::new(n, config, line));
-    let mut pos_of: Vec<Option<usize>> = vec![None; network.node_count()];
-    for (pos, &node) in line.iter().enumerate() {
-        pos_of[node.index()] = Some(pos);
-    }
-    (0..network.node_count())
-        .map(|i| TreeActor {
-            shared: Arc::clone(&shared),
-            state: pos_of[i].map(|pos| PositionState {
+    fn try_jump<M: From<TreeMsg>>(&mut self, ctx: &mut Context<M>) {
+        let Some(st) = &mut self.position else {
+            return;
+        };
+        let plan = &*st.plan;
+        let targets = &plan.schedule[st.pos];
+        if st.jumps_done >= targets.len() {
+            return;
+        }
+        let target = targets[st.jumps_done];
+        // The enabling report must carry the exact planned tag: the
+        // parent is at the planned point of its own history (it cannot
+        // be past it — our detach is in its dependency set).
+        let tag = plan.report_tag[st.pos][st.jumps_done];
+        if st.belief_jd != Some(tag) {
+            return;
+        }
+        debug_assert_eq!(
+            st.belief,
+            Some(target),
+            "tagged report disagrees with the plan"
+        );
+        // Hold until every child whose hop uses our parent edge as its
+        // distance-2 witness has confirmed with a tagged detach.
+        let deps = &plan.detach_deps[st.pos][st.jumps_done];
+        if !deps.iter().all(|d| st.detaches.contains(d)) {
+            return;
+        }
+        let line = &plan.line;
+        let cp = st.parent_pos;
+        ctx.activate(line[target]);
+        if !plan.protected.contains(&Edge::new(line[st.pos], line[cp])) {
+            ctx.deactivate(line[cp]);
+        }
+        st.parent_pos = target;
+        st.jumps_done += 1;
+        st.belief = None;
+        st.belief_jd = None;
+        let (pos, jd) = (st.pos, st.jumps_done);
+        ctx.send(line[cp], TreeMsg::Detach { pos, jd }.into());
+        ctx.send(line[target], TreeMsg::Attach { pos, jd }.into());
+        for &(c, _) in &st.children {
+            let report = TreeMsg::ParentIs {
                 pos,
-                parent_pos: pos.saturating_sub(1),
-                jumps_done: 0,
-                children: if pos + 1 < n {
-                    vec![(pos + 1, 0)]
-                } else {
-                    Vec::new()
-                },
-                tombstones: Vec::new(),
-                detaches: Vec::new(),
-                // Static initial knowledge: the grandparent is `pos - 2`,
-                // as reported by a parent that has not jumped yet.
-                belief: if pos >= 2 { Some(pos - 2) } else { None },
-                belief_jd: if pos >= 2 { Some(0) } else { None },
-            }),
-        })
-        .collect()
-}
+                parent: target,
+                jd,
+            };
+            ctx.send(line[c], report.into());
+        }
+    }
 
-/// Harvests the final tree (in position space, vertex `i` = `line[i]`).
-fn harvest(actors: &[TreeActor], n: usize) -> Result<RootedTree, CoreError> {
-    let mut parents: Vec<Option<NodeId>> = vec![None; n];
-    for actor in actors {
-        let Some(st) = &actor.state else { continue };
-        if st.jumps_done < actor.shared.schedule[st.pos].len() {
+    /// The parent position this actor's position ended at, once its whole
+    /// plan ran.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::DidNotConverge`] when the position still has jumps to
+    /// make (a protocol bug, or a fault stopped the run's messages), and
+    /// [`CoreError::BrokenInvariant`] for an inert actor.
+    pub(crate) fn final_parent(&self) -> Result<usize, CoreError> {
+        let Some(st) = &self.position else {
+            return Err(CoreError::BrokenInvariant {
+                algorithm: "RuntimeLineToTree",
+                detail: "no line position was handed to this actor".into(),
+            });
+        };
+        let jumps = st.plan.schedule[st.pos].len();
+        if st.jumps_done < jumps {
             return Err(CoreError::DidNotConverge {
                 algorithm: "RuntimeLineToTree",
-                phase_limit: actor.shared.schedule[st.pos].len(),
+                phase_limit: jumps,
             });
         }
-        if st.pos > 0 {
-            parents[st.pos] = Some(NodeId(st.parent_pos));
-        }
+        Ok(st.parent_pos)
     }
-    RootedTree::from_parents(NodeId(0), parents).map_err(|e| CoreError::BrokenInvariant {
-        algorithm: "RuntimeLineToTree",
-        detail: format!("final parent pointers do not form a tree: {e}"),
-    })
+}
+
+impl AsyncProgram for TreeActor {
+    type Message = TreeMsg;
+
+    fn on_start(&mut self, ctx: &mut Context<TreeMsg>) {
+        self.start(ctx);
+    }
+
+    fn on_message(&mut self, _from: NodeId, msg: TreeMsg, ctx: &mut Context<TreeMsg>) {
+        self.receive(msg, ctx);
+    }
 }
 
 fn map_runtime_err(e: adn_runtime::RuntimeError) -> CoreError {
@@ -352,9 +354,10 @@ fn map_runtime_err(e: adn_runtime::RuntimeError) -> CoreError {
     }
 }
 
-/// Runs line-to-tree as actors under `scheduler`. Returns the final tree
-/// in position space plus the runtime report; the tree equals the
-/// synchronous subroutine's under every scheduler, seed and knob set.
+/// Runs line-to-tree as actors under `scheduler`, one per network node
+/// (nodes off the line are inert). Returns the final tree in position
+/// space plus the runtime report; the tree equals the synchronous
+/// subroutine's under every scheduler, seed and knob set.
 ///
 /// # Errors
 ///
@@ -371,11 +374,26 @@ pub fn run_runtime_line_to_tree(
     scheduler: &Scheduler,
 ) -> Result<(RootedTree, RuntimeReport), CoreError> {
     validate_line(network, line, config.arity, &mut Vec::new())?;
-    let mut actors = build_actors(network, line, config);
+    let mut actors: Vec<TreeActor> = (0..network.node_count())
+        .map(|_| TreeActor::default())
+        .collect();
+    for (&node, actor) in line.iter().zip(TreeActor::for_line(line, config)) {
+        actors[node.index()] = actor;
+    }
     let report = scheduler
         .run(network, &mut actors)
         .map_err(map_runtime_err)?;
-    Ok((harvest(&actors, line.len())?, report))
+    let mut parents = Vec::with_capacity(line.len());
+    for (pos, node) in line.iter().enumerate() {
+        let parent = actors[node.index()].final_parent()?;
+        parents.push((pos > 0).then_some(NodeId(parent)));
+    }
+    let tree =
+        RootedTree::from_parents(NodeId(0), parents).map_err(|e| CoreError::BrokenInvariant {
+            algorithm: "RuntimeLineToTree",
+            detail: format!("final parent pointers do not form a tree: {e}"),
+        })?;
+    Ok((tree, report))
 }
 
 #[cfg(test)]

@@ -39,8 +39,9 @@ pub struct FreeScheduler {
 }
 
 impl FreeScheduler {
-    /// Scheduler with `threads` workers (clamped to `[1, n]` at run time)
-    /// and the default timeout.
+    /// Scheduler with up to `threads` workers and the default timeout. A
+    /// run of `n` actors gives each worker a chunk of
+    /// `⌈n / min(threads, n)⌉` of them, so fewer workers may run.
     pub fn new(threads: usize) -> Self {
         FreeScheduler {
             threads: threads.max(1),
@@ -57,6 +58,15 @@ impl FreeScheduler {
     /// Worker count this scheduler was built with.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// How a run splits `n` actors: each worker owns a contiguous chunk of
+    /// `⌈n / min(threads, n)⌉` actors, and as many workers run as it takes
+    /// chunks to cover `n` (9 actors on 4 threads make 3 chunks of 3).
+    /// Returns `(chunk, workers)`.
+    fn partition(&self, n: usize) -> (usize, usize) {
+        let chunk = n.div_ceil(self.threads.min(n).max(1));
+        (chunk, n.div_ceil(chunk.max(1)))
     }
 
     /// Runs `programs` in driver-delimited phases (the free-running
@@ -81,7 +91,8 @@ impl FreeScheduler {
         F: FnMut(&mut Network, &mut [P], usize) -> Result<bool, E>,
     {
         let n = programs.len();
-        let mut report = RuntimeReport::empty("free", None, Some(self.threads.min(n.max(1))), n);
+        let (_, workers) = self.partition(n);
+        let mut report = RuntimeReport::empty("free", None, Some(workers), n);
         let mut phase = 0usize;
         while driver(network, programs, phase)? {
             let r = self.run(network, programs).map_err(E::from)?;
@@ -110,9 +121,7 @@ impl FreeScheduler {
                 reason: "empty network".to_string(),
             });
         }
-        let workers = self.threads.min(n);
-        let chunk = n.div_ceil(workers);
-        debug_assert_eq!(n.div_ceil(chunk), workers, "one chunk of actors per worker");
+        let (chunk, workers) = self.partition(n);
 
         let mut senders: Vec<Sender<WorkerMsg<P::Message>>> = Vec::with_capacity(workers);
         let mut receivers: Vec<Receiver<WorkerMsg<P::Message>>> = Vec::with_capacity(workers);
@@ -292,6 +301,25 @@ mod tests {
         assert_eq!(report.app_messages, 6);
         assert_eq!(report.in_flight_at_detection, 0);
         assert_eq!(report.threads, Some(4));
+    }
+
+    #[test]
+    fn reports_the_workers_that_ran() {
+        // Nine actors on four threads make chunks of three, so three
+        // workers run, and both entry points say so.
+        let graph = generators::ring(9);
+        let mut network = Network::new(graph.clone());
+        let mut actors = crate::flood::flood_actors(&graph);
+        let scheduler = FreeScheduler::new(4);
+        let report = scheduler.run(&mut network, &mut actors).expect("run");
+        assert_eq!(report.threads, Some(3));
+        assert!(actors.iter().all(|a| a.known().len() == 9));
+        let phased = scheduler
+            .run_phased(&mut network, &mut actors, |_, _, phase| {
+                Ok::<bool, RuntimeError>(phase == 0)
+            })
+            .expect("phased run");
+        assert_eq!(phased.threads, Some(3));
     }
 
     #[test]

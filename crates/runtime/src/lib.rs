@@ -15,7 +15,8 @@
 //!   DST replay/shrink discipline of the synchronous sweep. It may carry
 //!   an armed [`FaultPlan`].
 //! * [`FreeScheduler`] — real threads over `std::sync::mpsc` channels,
-//!   free-running delivery, for hardware-throughput numbers.
+//!   free-running delivery, for hardware-throughput numbers; the report
+//!   names the workers that ran.
 //!
 //! Runs quiesce without a round counter via **Dijkstra–Scholten
 //! termination detection** ([`termination`]): the scheduler acts as the
@@ -24,7 +25,11 @@
 //! reaches zero — at which point no message is in flight (property-tested
 //! in `tests/runtime_model.rs`). Both schedulers run the same delivery
 //! step (engage, handle, commit, send, ack, sign off); each adds only its
-//! transport, its crash handling and its counters.
+//! transport, its crash handling and its counters. A phased run
+//! (`run_phased`) is a sequence of such diffusing computations separated
+//! by driver barriers, all under one report: the committee algorithms of
+//! `adn-core` run every mini-phase, their ring rebuilds included, as
+//! barriers of one run, so nothing runs nested in it.
 //!
 //! Edge operations requested by a handler ([`Context::activate`] /
 //! [`Context::deactivate`]) are staged and committed through the
@@ -134,19 +139,6 @@ impl Scheduler {
         match self {
             Scheduler::Seeded(s) => s.run_phased(network, programs, driver),
             Scheduler::Free(f) => f.run_phased(network, programs, driver),
-        }
-    }
-
-    /// The scheduler of a run nested in this one, keyed by the outer
-    /// run's `phase` and a `key` naming the nested run within it. A seeded
-    /// scheduler gets a sub-seed (a SplitMix64 mix of its seed, `phase`
-    /// and `key`), the same knobs and step budget, and no faults, so
-    /// nested runs replay byte-identically under the outer seed; a free
-    /// scheduler is cloned.
-    pub fn split(&self, phase: u64, key: u64) -> Scheduler {
-        match self {
-            Scheduler::Seeded(s) => Scheduler::Seeded(s.split(phase, key)),
-            Scheduler::Free(f) => Scheduler::Free(f.clone()),
         }
     }
 }

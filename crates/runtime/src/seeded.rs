@@ -8,9 +8,11 @@
 //! delay jitter, per-link base latency — is drawn from one [`DetRng`]
 //! seeded with a single `u64`, so a run is a pure function of
 //! `(network, programs, seed, knobs, fault plan)` and replays
-//! byte-identically. Each step is the shared
-//! [`deliver`](crate::termination) step; this module adds the timeline,
-//! the armed [`FaultPlan`] and the answers a crashed node's mail gets.
+//! byte-identically. A phased run keeps one RNG stream, one step counter
+//! and one fault plan across all of its barriers, so a fault may fire in
+//! any of them. Each step is the shared [`deliver`](crate::termination)
+//! step; this module adds the timeline, the armed [`FaultPlan`] and the
+//! answers a crashed node's mail gets.
 
 use crate::actor::{AsyncProgram, Context, Envelope};
 use crate::fault::{FaultKind, FaultPlan};
@@ -146,25 +148,6 @@ impl SeededScheduler {
     /// The seed this scheduler replays from.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The scheduler of a run nested in this one, keyed by the outer
-    /// run's `phase` and a `key` naming the nested run within it: seeded
-    /// with a SplitMix64 mix of this seed, `phase` and `key`, with the
-    /// same knobs and step budget and no faults, so nested runs replay
-    /// byte-identically under this seed.
-    pub(crate) fn split(&self, phase: u64, key: u64) -> Self {
-        let mut z = self.seed
-            ^ phase.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ key.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        SeededScheduler {
-            seed: z ^ (z >> 31),
-            knobs: self.knobs,
-            max_steps: self.max_steps,
-            faults: FaultPlan::default(),
-        }
     }
 
     /// Fixed per-direction base latency for the link `from -> to`

@@ -270,10 +270,6 @@ pub(crate) struct RoundLedger {
     pub trace: Vec<RoundStats>,
     /// Whether committed rounds append a [`RoundStats`] entry.
     pub trace_enabled: bool,
-    /// Forces traced rounds back onto the O(n) from-scratch
-    /// `max_degree` scan instead of the histogram — benchmark
-    /// comparison knob, mirroring `DstState::set_from_scratch_checks`.
-    pub trace_from_scratch: bool,
     /// Algorithm-declared live-group count stamped into traced rounds.
     pub groups_alive: usize,
     /// The degree histogram behind the traced `max_degree` value.

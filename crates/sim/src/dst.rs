@@ -760,7 +760,7 @@ impl Adversary {
         let crashed = network.crashed_mask();
         let side_target = live.len().div_ceil(2);
         let mut in_side = vec![false; network.node_count()];
-        let mut queue = std::collections::VecDeque::from([pivot]);
+        let mut queue = VecDeque::from([pivot]);
         in_side[pivot.index()] = true;
         let mut side_size = 1usize;
         while let Some(u) = queue.pop_front() {
@@ -841,27 +841,17 @@ pub struct DstState {
     violations: Vec<Violation>,
     rounds_checked: usize,
     /// Incremental connectivity over the live subgraph, fed the round's
-    /// topology events; `None` until [`DstState::attach`] (or when
-    /// connectivity checking is off / from-scratch mode is forced).
+    /// topology events; `None` until [`DstState::attach`], and when
+    /// connectivity checking is off.
     conn: Option<DynConn>,
     /// Nodes currently over the activated-degree bound, updated from the
-    /// endpoints of the round's edge events. `first()` is the lowest
-    /// offending id — the same node the old ascending full scan reported.
+    /// endpoints of the round's edge events (empty when no bound is set).
+    /// `first()` is the lowest offending id — the node an ascending full
+    /// scan reports.
     over_degree: BTreeSet<NodeId>,
-    /// Whether `over_degree` is being maintained (a degree bound is set
-    /// and from-scratch mode is not forced).
-    degree_tracked: bool,
     /// Drain scratch for the network's DST bus tap (reused, never
     /// reallocated in steady state).
     events: Vec<RoundEvent>,
-    /// Reusable scratch for the BFS fallback and the debug-assert oracle
-    /// (`live_subgraph_connected_with`): visited mask + queue, hoisted so
-    /// neither allocates per round.
-    bfs_seen: Vec<bool>,
-    bfs_queue: VecDeque<NodeId>,
-    /// Forces every invariant back onto the from-scratch O(n) paths
-    /// (full BFS, full degree scan). Benchmark comparison knob.
-    from_scratch: bool,
 }
 
 /// Number of duplicated UID values in `uids` — the from-scratch
@@ -902,21 +892,8 @@ impl DstState {
             rounds_checked: 0,
             conn: None,
             over_degree: BTreeSet::new(),
-            degree_tracked: false,
             events: Vec::new(),
-            bfs_seen: Vec::new(),
-            bfs_queue: VecDeque::new(),
-            from_scratch: false,
         }
-    }
-
-    /// Forces every invariant back onto the from-scratch O(n) paths —
-    /// full BFS for connectivity, full scan for the degree bound — by
-    /// skipping the incremental structures when the state is attached to
-    /// its network. Benchmark comparison knob; call before the state is
-    /// installed.
-    pub fn set_from_scratch_checks(&mut self, enabled: bool) {
-        self.from_scratch = enabled;
     }
 
     /// Builds the incremental invariant state against the network the
@@ -926,10 +903,6 @@ impl DstState {
     pub(crate) fn attach(&mut self, network: &Network) {
         self.conn = None;
         self.over_degree.clear();
-        self.degree_tracked = false;
-        if self.from_scratch {
-            return;
-        }
         let graph = network.graph();
         if self.policy.check_connectivity {
             self.conn = Some(DynConn::from_graph_with_crashed(
@@ -938,7 +911,6 @@ impl DstState {
             ));
         }
         if let Some(bound) = self.policy.max_activated_degree {
-            self.degree_tracked = true;
             for u in graph.nodes() {
                 if network.activated_degree(u) > bound {
                     self.over_degree.insert(u);
@@ -1011,11 +983,7 @@ impl DstState {
         }
         let events = std::mem::take(&mut self.events);
         let graph = network.graph();
-        let degree_bound = if self.degree_tracked {
-            self.policy.max_activated_degree
-        } else {
-            None
-        };
+        let degree_bound = self.policy.max_activated_degree;
         for &event in &events {
             match event {
                 RoundEvent::Edge { edge, added, .. } => {
@@ -1066,25 +1034,15 @@ impl DstState {
     fn check_invariants(&mut self, network: &Network, round: usize) {
         self.rounds_checked += 1;
         let graph = network.graph();
-        if self.policy.check_connectivity {
-            // O(1) verdict off the incremental forest; the BFS stays on
-            // as a differential oracle in debug builds (and as the
-            // from-scratch fallback when no forest is attached).
-            let connected = match &self.conn {
-                Some(conn) => conn.is_connected(),
-                None => {
-                    live_subgraph_connected_with(network, &mut self.bfs_seen, &mut self.bfs_queue)
-                }
-            };
-            #[cfg(debug_assertions)]
-            if self.conn.is_some() {
-                let oracle =
-                    live_subgraph_connected_with(network, &mut self.bfs_seen, &mut self.bfs_queue);
-                assert_eq!(
-                    connected, oracle,
-                    "dynamic connectivity diverged from the BFS oracle at round {round}"
-                );
-            }
+        if let Some(conn) = &self.conn {
+            // O(1) verdict off the incremental forest; a full BFS stays on
+            // as a differential oracle in debug builds.
+            let connected = conn.is_connected();
+            debug_assert_eq!(
+                connected,
+                live_subgraph_connected(network),
+                "dynamic connectivity diverged from the BFS oracle at round {round}"
+            );
             if !connected {
                 self.violations.push(Violation {
                     round,
@@ -1098,21 +1056,14 @@ impl DstState {
         }
         if let Some(bound) = self.policy.max_activated_degree {
             // The over-bound set is maintained from the round's edge
-            // events; its minimum is the node the old ascending full
-            // scan reported first.
-            let over = if self.degree_tracked {
-                self.over_degree.iter().next().copied()
-            } else {
-                graph.nodes().find(|&u| network.activated_degree(u) > bound)
-            };
-            #[cfg(debug_assertions)]
-            if self.degree_tracked {
-                let oracle = graph.nodes().find(|&u| network.activated_degree(u) > bound);
-                assert_eq!(
-                    over, oracle,
-                    "over-degree set diverged from the full scan at round {round}"
-                );
-            }
+            // events; its minimum is the node an ascending full scan
+            // reports, which debug builds check.
+            let over = self.over_degree.first().copied();
+            debug_assert_eq!(
+                over,
+                graph.nodes().find(|&u| network.activated_degree(u) > bound),
+                "over-degree set diverged from the full scan at round {round}"
+            );
             if let Some(u) = over {
                 let d = network.activated_degree(u);
                 self.violations.push(Violation {
@@ -1165,24 +1116,13 @@ impl DstState {
 /// BFS over the live (non-crashed) induced subgraph: true iff every live
 /// node is reachable from the first live node. Crashed nodes are isolated
 /// by construction, so plain connectivity would always be false after the
-/// first crash; this is the meaningful residual property.
+/// first crash; this is the meaningful residual property, and the
+/// debug-build oracle of the incremental verdict.
 ///
 /// Crash membership comes from the network's flat crash mask (one index
 /// per probe) and neighbourhoods are scanned as sorted slices — the same
 /// columnar representation `commit_round` uses.
-#[cfg_attr(not(test), allow(dead_code))]
 fn live_subgraph_connected(network: &Network) -> bool {
-    live_subgraph_connected_with(network, &mut Vec::new(), &mut VecDeque::new())
-}
-
-/// [`live_subgraph_connected`] against caller-provided scratch (visited
-/// mask + BFS queue), so the per-round oracle/fallback path reuses one
-/// allocation for the whole run instead of allocating per call.
-fn live_subgraph_connected_with(
-    network: &Network,
-    seen: &mut Vec<bool>,
-    queue: &mut VecDeque<NodeId>,
-) -> bool {
     let graph = network.graph();
     let crashed = network.crashed_mask();
     let n = graph.node_count();
@@ -1194,11 +1134,9 @@ fn live_subgraph_connected_with(
         Some(u) => u,
         None => return true,
     };
-    seen.clear();
-    seen.resize(n, false);
-    queue.clear();
+    let mut seen = vec![false; n];
     seen[start.index()] = true;
-    queue.push_back(start);
+    let mut queue = VecDeque::from([start]);
     let mut reached = 1usize;
     while let Some(u) = queue.pop_front() {
         for &v in graph.neighbors_slice(u) {

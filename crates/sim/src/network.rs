@@ -264,34 +264,16 @@ impl Network {
     /// disabling drops it.
     pub fn set_trace_enabled(&mut self, enabled: bool) {
         self.ledger.trace_enabled = enabled;
-        self.sync_degree_tracker();
+        if enabled && !self.ledger.degrees.enabled() {
+            self.ledger.degrees.rebuild(&self.current);
+        } else if !enabled && self.ledger.degrees.enabled() {
+            self.ledger.degrees.disable();
+        }
     }
 
     /// Returns true if per-round tracing is enabled.
     pub fn trace_enabled(&self) -> bool {
         self.ledger.trace_enabled
-    }
-
-    /// Forces traced rounds back onto the O(n) from-scratch
-    /// `Graph::max_degree` scan instead of the incremental degree
-    /// histogram. Benchmark comparison knob (the histogram is dropped so
-    /// the from-scratch path pays no mirror maintenance), mirroring
-    /// `DstState::set_from_scratch_checks`; the values are identical
-    /// either way, which debug builds assert on every traced commit.
-    pub fn set_trace_from_scratch(&mut self, enabled: bool) {
-        self.ledger.trace_from_scratch = enabled;
-        self.sync_degree_tracker();
-    }
-
-    /// Keeps the degree histogram alive exactly while the traced
-    /// `max_degree` is served incrementally.
-    fn sync_degree_tracker(&mut self) {
-        let want = self.ledger.trace_enabled && !self.ledger.trace_from_scratch;
-        if want && !self.ledger.degrees.enabled() {
-            self.ledger.degrees.rebuild(&self.current);
-        } else if !want && self.ledger.degrees.enabled() {
-            self.ledger.degrees.disable();
-        }
     }
 
     /// Records the number of algorithm-specific groups (e.g. committees)
@@ -671,22 +653,17 @@ impl Network {
         self.commit_grew = grew;
         // The traced max_degree is sampled here — after the staged batches
         // applied, before the DST tick injects next-round faults. The
-        // degree histogram serves it in O(1) amortized; the old O(n)
-        // from-scratch scan stays on as a debug-build differential oracle
-        // (and as the `set_trace_from_scratch` benchmark comparison path).
+        // degree histogram serves it in O(1) amortized; the O(n)
+        // from-scratch scan stays on as a debug-build differential oracle.
         let max_degree = if self.ledger.trace_enabled {
-            if self.ledger.degrees.enabled() {
-                let incremental = self.ledger.degrees.max_degree();
-                debug_assert_eq!(
-                    incremental,
-                    self.current.max_degree(),
-                    "degree histogram departed from the from-scratch scan at round {}",
-                    self.round
-                );
-                incremental
-            } else {
-                self.current.max_degree()
-            }
+            let incremental = self.ledger.degrees.max_degree();
+            debug_assert_eq!(
+                incremental,
+                self.current.max_degree(),
+                "degree histogram departed from the from-scratch scan at round {}",
+                self.round
+            );
+            incremental
         } else {
             0
         };
@@ -1148,27 +1125,25 @@ mod tests {
 
     #[test]
     fn traced_max_degree_matches_from_scratch_scan() {
-        let mut incremental = Network::new(generators::star(8));
-        let mut scratch = Network::new(generators::star(8));
-        incremental.set_trace_enabled(true);
-        scratch.set_trace_enabled(true);
-        scratch.set_trace_from_scratch(true);
+        // No DST state is installed, so nothing moves after a commit's
+        // sample: the scan after each commit is the reference.
+        let mut net = Network::new(generators::star(8));
+        net.set_trace_enabled(true);
+        let mut scanned = Vec::new();
         for i in 1..7 {
-            incremental.stage_activation(nid(i), nid(i + 1)).unwrap();
-            scratch.stage_activation(nid(i), nid(i + 1)).unwrap();
+            net.stage_activation(nid(i), nid(i + 1)).unwrap();
         }
-        incremental.commit_round();
-        scratch.commit_round();
-        incremental.stage_deactivation(nid(0), nid(4)).unwrap();
-        scratch.stage_deactivation(nid(0), nid(4)).unwrap();
-        incremental.commit_round();
-        scratch.commit_round();
-        incremental.fault_crash_node(nid(0)).unwrap();
-        scratch.fault_crash_node(nid(0)).unwrap();
-        incremental.commit_round();
-        scratch.commit_round();
-        assert_eq!(incremental.trace(), scratch.trace());
-        assert_eq!(incremental.trace()[0].max_degree, 7, "hub at 7 post-wave");
+        net.commit_round();
+        scanned.push(net.graph().max_degree());
+        net.stage_deactivation(nid(0), nid(4)).unwrap();
+        net.commit_round();
+        scanned.push(net.graph().max_degree());
+        net.fault_crash_node(nid(0)).unwrap();
+        net.commit_round();
+        scanned.push(net.graph().max_degree());
+        let traced: Vec<usize> = net.trace().iter().map(|s| s.max_degree).collect();
+        assert_eq!(traced, scanned);
+        assert_eq!(traced[0], 7, "hub at 7 post-wave");
     }
 
     #[test]

@@ -222,39 +222,45 @@ fn recorded_stream_replays_to_snapshot_under_faults() {
 }
 
 #[test]
-fn trace_from_scratch_knob_matches_incremental_histogram() {
-    // The benchmark comparison knob must be observationally inert: the
-    // from-scratch scan and the histogram serve identical traces under a
-    // faulty schedule (this is the release-build cross-check; debug
-    // builds also assert it inside every traced commit).
+fn trace_histogram_matches_from_scratch_scan_under_faults() {
+    // The traced max_degree comes from the incremental degree histogram;
+    // the reference is a from-scratch scan of a mirror replayed from the
+    // recorded events up to each commit's boundary (after it, the DST
+    // tick's faults move the snapshot). Release builds compile out the
+    // histogram's own oracle, so this is their cross-check.
     let scenario = Scenario::mixed().with_fault_budget(8);
     for seed in 0u64..4 {
-        let run = |from_scratch: bool| {
-            let mut rng = DetRng::seed_from_u64(0x7AC3 ^ seed);
-            let n = 24;
-            let mut net = Network::new(generators::random_line_with_chords(n, n / 2, seed));
-            net.install_dst(DstState::new(
-                Adversary::new(scenario.clone(), seed + 2),
-                InvariantPolicy::default(),
-                (1..=n as u64).collect(),
-            ));
-            net.set_trace_from_scratch(from_scratch);
-            net.set_trace_enabled(true);
-            for _ in 0..40 {
-                for _ in 0..rng.gen_range(0, 5) {
-                    let n_now = net.node_count();
-                    let u = NodeId(rng.gen_range(0, n_now));
-                    let v = NodeId(rng.gen_range(0, n_now));
-                    if u != v {
-                        let _ = net.stage_activation(u, v);
-                    }
+        let mut rng = DetRng::seed_from_u64(0x7AC3 ^ seed);
+        let n = 24;
+        let initial = generators::random_line_with_chords(n, n / 2, seed);
+        let mut net = Network::new(initial.clone());
+        net.install_dst(DstState::new(
+            Adversary::new(scenario.clone(), seed + 2),
+            InvariantPolicy::default(),
+            (1..=n as u64).collect(),
+        ));
+        net.set_event_recording(true);
+        net.set_trace_enabled(true);
+        let mut mirror = initial;
+        let mut scanned = Vec::new();
+        for _ in 0..40 {
+            for _ in 0..rng.gen_range(0, 5) {
+                let n_now = net.node_count();
+                let u = NodeId(rng.gen_range(0, n_now));
+                let v = NodeId(rng.gen_range(0, n_now));
+                if u != v {
+                    let _ = net.stage_activation(u, v);
                 }
-                net.commit_round();
             }
-            (net.take_trace(), net.metrics().clone())
-        };
-        let incremental = run(false);
-        let scratch = run(true);
-        assert_eq!(incremental, scratch, "seed {seed}: knob changed the trace");
+            net.commit_round();
+            for event in &net.take_events() {
+                apply_to_mirror(&mut mirror, event);
+                if matches!(event, RoundEvent::RoundCommitted { .. }) {
+                    scanned.push(mirror.max_degree());
+                }
+            }
+        }
+        let traced: Vec<usize> = net.trace().iter().map(|s| s.max_degree).collect();
+        assert_eq!(traced, scanned, "seed {seed}");
     }
 }

@@ -13,8 +13,10 @@
 //!    including schedules where actors **crash mid-phase** with unacked
 //!    sends outstanding;
 //! 4. the committee algorithms (`GraphToStar`, `GraphToWreath`) reach the
-//!    synchronous engine's committee structures under both asynchronous
-//!    engines, on delay-free and adversarial schedules, across sizes.
+//!    synchronous engine's committee structures and edge work under both
+//!    asynchronous engines, on delay-free and adversarial schedules,
+//!    across sizes, each run with one report counting every round it
+//!    committed.
 
 use actively_dynamic_networks::core::subroutines::{
     run_line_to_tree, run_runtime_line_to_tree, run_runtime_star, run_runtime_wreath,
@@ -130,6 +132,22 @@ fn tree_actors_match_the_synchronous_subroutine_under_any_knobs() {
     }
 }
 
+/// Asserts that an asynchronous committee run did the synchronous
+/// run's edge work — the same activations and deactivations in total —
+/// and that its one runtime report counts every round it committed.
+fn assert_same_edge_work(run: &TransformationOutcome, sync: &TransformationOutcome, label: &str) {
+    assert_eq!(
+        run.metrics.total_activations, sync.metrics.total_activations,
+        "{label}: activations"
+    );
+    assert_eq!(
+        run.metrics.total_deactivations, sync.metrics.total_deactivations,
+        "{label}: deactivations"
+    );
+    let report = run.runtime.as_ref().expect("async runs carry a report");
+    assert_eq!(report.commits, run.rounds, "{label}: commits vs rounds");
+}
+
 /// The committee sizes the differential gate runs at, with a cheap
 /// family per size so the adversarial sweeps stay fast.
 const COMMITTEE_CASES: [(GraphFamily, usize); 3] = [
@@ -159,8 +177,9 @@ fn delay_free_async_committees_match_the_sync_engine() {
     // merging, ring splicing) runs message-driven. On delay-free
     // schedules the asynchronous engines must land on exactly the
     // synchronous committee structures — final graph, leader, phase
-    // count and the per-phase committee census. The thin wreath rebuilds
-    // arity-⌈log₂ n⌉ trees, so its nested rebuilds differ from the
+    // count and the per-phase committee census — with the same edge work
+    // and one report covering every committed round. The thin wreath
+    // rebuilds arity-⌈log₂ n⌉ trees, so its rebuilds differ from the
     // binary wreath's.
     for algorithm in ["graph_to_star", "graph_to_wreath", "graph_to_thin_wreath"] {
         for (family, n) in COMMITTEE_CASES {
@@ -183,6 +202,7 @@ fn delay_free_async_committees_match_the_sync_engine() {
                 0,
                 "{label}"
             );
+            assert_same_edge_work(&seeded, &sync, &label);
             // The free engine is timing-nondeterministic but must still
             // produce the same committee structures (the decision rules
             // are order-independent). One size per algorithm keeps the
@@ -195,6 +215,7 @@ fn delay_free_async_committees_match_the_sync_engine() {
                     free.committees_per_phase, sync.committees_per_phase,
                     "{label} (free)"
                 );
+                assert_same_edge_work(&free, &sync, &format!("{label} (free)"));
             }
         }
     }
@@ -225,6 +246,7 @@ fn adversarial_schedules_do_not_change_committee_outcomes() {
                 star.committees_per_phase, star_sync.committees_per_phase,
                 "star {label}"
             );
+            assert_same_edge_work(&star, &star_sync, &format!("star {label}"));
             let mut network = Network::new(graph.clone());
             let wreath = run_runtime_wreath(
                 &mut network,
@@ -242,6 +264,7 @@ fn adversarial_schedules_do_not_change_committee_outcomes() {
                 wreath.committees_per_phase, wreath_sync.committees_per_phase,
                 "wreath {label}"
             );
+            assert_same_edge_work(&wreath, &wreath_sync, &format!("wreath {label}"));
         }
     }
 }
@@ -249,8 +272,8 @@ fn adversarial_schedules_do_not_change_committee_outcomes() {
 #[test]
 fn committee_runs_replay_byte_identically() {
     // The committee algorithms' seeded runs — including the wreath's
-    // nested line-to-tree rebuilds, whose sub-seeds are split from the
-    // master seed — must render byte-identical reports on replay.
+    // line-to-tree rebuilds, which are barriers of the same run under the
+    // same seed — must render byte-identical reports on replay.
     for algorithm in ["graph_to_star", "graph_to_wreath"] {
         for sched_seed in [0u64, 7, 0xDEAD_BEEF] {
             let engine = EngineMode::Seeded { seed: sched_seed };
