@@ -20,7 +20,6 @@ use adn_graph::rng::DetRng;
 use adn_graph::{generators, Edge, Graph, NodeId, UidAssignment, UidMap};
 use adn_runtime::flood::flood_actors;
 use adn_runtime::{AsyncKnobs, FreeScheduler, Scheduler, SeededScheduler};
-use adn_sim::engine::{run_programs, EngineConfig, NodeDecision, NodeProgram, NodeView};
 use adn_sim::{Adversary, DstState, InvariantPolicy, Network, Scenario, WaveActivation};
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -280,40 +279,14 @@ fn bench_scale(bench: &mut Bench, n: usize, cold: bool) {
 }
 
 /// The full-mode-only n = 10^6 group: the scaling rows plus one complete
-/// `graph_to_wreath` execution and one node-program engine run at
-/// million-node scale — the ROADMAP's "as fast as the hardware allows"
-/// checkpoints. Everything is measured cold and once; at this size a
-/// warm-up pass would only double a multi-second row.
+/// `graph_to_wreath` execution at million-node scale — the ROADMAP's "as
+/// fast as the hardware allows" checkpoints. Everything is measured cold
+/// and once; at this size a warm-up pass would only double a multi-second
+/// row.
 fn bench_million(bench: &mut Bench) {
     let n = 1_000_000usize;
     bench_scale(bench, n, true);
-
     bench_wreath_cold(bench, n);
-
-    let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 11 });
-    let rounds = 8usize;
-    let g = {
-        let mut g = Graph::new(n);
-        for chunk in scale_edges(n, 2 * n, 0xE191).chunks(8192) {
-            g.add_edges_batch(chunk, |_| {});
-        }
-        g
-    };
-    bench.measure_cold(
-        &format!("engine/run_programs_gossip n={n} rounds={rounds}"),
-        || {
-            let mut net = Network::new(g.clone());
-            let mut programs: Vec<GossipNode> = (0..n)
-                .map(|i| GossipNode {
-                    best: uids.uid(NodeId(i)).value(),
-                    rounds_left: rounds,
-                })
-                .collect();
-            let report =
-                run_programs(&mut net, &mut programs, &uids, &EngineConfig::default()).unwrap();
-            assert_eq!(report.rounds, rounds);
-        },
-    );
 }
 
 /// One cold `graph_to_wreath` execution on an `n`-node line, annotated
@@ -415,115 +388,6 @@ fn bench_committee(bench: &mut Bench, quick: bool) {
         }
         assert_eq!(forest.live_count(), 1);
     });
-}
-
-/// Max-UID gossip without edge operations: the steady-state program-driven
-/// workload (static topology, so the incremental view cache never rebuilds
-/// a view after round one).
-struct GossipNode {
-    best: u64,
-    rounds_left: usize,
-}
-
-impl NodeProgram for GossipNode {
-    type Message = u64;
-
-    fn send(&mut self, view: &NodeView) -> Vec<(NodeId, u64)> {
-        view.neighbors.iter().map(|&v| (v, self.best)).collect()
-    }
-
-    fn step(&mut self, _view: &NodeView, inbox: &[(NodeId, u64)]) -> NodeDecision {
-        for (_, m) in inbox {
-            self.best = self.best.max(*m);
-        }
-        self.rounds_left = self.rounds_left.saturating_sub(1);
-        NodeDecision::none()
-    }
-
-    fn has_terminated(&self) -> bool {
-        self.rounds_left == 0
-    }
-}
-
-/// One node toggles an edge on and off while everyone else idles: the
-/// sparse-edit engine workload (a handful of views refresh per round).
-struct ToggleNode {
-    pending: Option<NodeId>,
-    rounds_left: usize,
-}
-
-impl NodeProgram for ToggleNode {
-    type Message = ();
-
-    fn send(&mut self, _view: &NodeView) -> Vec<(NodeId, ())> {
-        Vec::new()
-    }
-
-    fn step(&mut self, view: &NodeView, _inbox: &[(NodeId, ())]) -> NodeDecision {
-        if self.rounds_left == 0 {
-            return NodeDecision::none();
-        }
-        self.rounds_left -= 1;
-        if let Some(v) = self.pending.take() {
-            return NodeDecision {
-                activate: Vec::new(),
-                deactivate: vec![v],
-            };
-        }
-        if view.id == NodeId(0) {
-            if let Some(&v) = view.potential_neighbors.first() {
-                self.pending = Some(v);
-                return NodeDecision {
-                    activate: vec![v],
-                    deactivate: Vec::new(),
-                };
-            }
-        }
-        NodeDecision::none()
-    }
-
-    fn has_terminated(&self) -> bool {
-        self.rounds_left == 0
-    }
-}
-
-fn bench_engine(bench: &mut Bench, quick: bool) {
-    let n = if quick { 256 } else { 1024 };
-    let rounds = if quick { 64 } else { 128 };
-    let g = scratch_graph(n, n, 0xE191);
-    let uids = UidMap::new(n, UidAssignment::Sequential);
-
-    bench.measure(
-        &format!("engine/run_programs_gossip n={n} rounds={rounds}"),
-        || {
-            let mut net = Network::new(g.clone());
-            let mut programs: Vec<GossipNode> = (0..n)
-                .map(|i| GossipNode {
-                    best: uids.uid(NodeId(i)).value(),
-                    rounds_left: rounds,
-                })
-                .collect();
-            let report =
-                run_programs(&mut net, &mut programs, &uids, &EngineConfig::default()).unwrap();
-            assert_eq!(report.rounds, rounds);
-        },
-    );
-
-    bench.measure(
-        &format!("engine/run_programs_sparse_edits n={n} rounds={rounds}"),
-        || {
-            let mut net = Network::new(g.clone());
-            let mut programs: Vec<ToggleNode> = (0..n)
-                .map(|_| ToggleNode {
-                    pending: None,
-                    rounds_left: rounds,
-                })
-                .collect();
-            let report =
-                run_programs(&mut net, &mut programs, &uids, &EngineConfig::default()).unwrap();
-            assert_eq!(report.rounds, rounds);
-        },
-    );
 }
 
 /// The asynchronous actor runtime: flooding, line-to-tree and the
@@ -730,9 +594,6 @@ fn bench_traced_rounds(bench: &mut Bench) {
 
     let mut net = Network::new(generators::star(n));
     net.set_trace_enabled(true);
-    // Long-lived traced network: cap the per-round history so the
-    // steady-state measurement is the traced commit, not Vec growth.
-    net.set_round_history_limit(Some(1024));
     bench.measure(&format!("network/commit_round_traced n={n}"), || {
         toggle_rounds(&mut net);
         assert_eq!(net.trace().last().map(|s| s.max_degree), Some(n - 1));
@@ -747,7 +608,6 @@ fn bench_traced_rounds(bench: &mut Bench) {
     let uids: Vec<u64> = (1..=n as u64).collect();
     let mut net = Network::new(generators::star(n));
     net.set_trace_enabled(true);
-    net.set_round_history_limit(Some(1024));
     let state = DstState::new(
         Adversary::new(Scenario::failure_free(), 0xD59),
         policy,
@@ -1118,7 +978,6 @@ pub fn run(cfg: &CoreBenchConfig) -> (String, String) {
         bench_scale(&mut bench, 65536, false);
     }
     bench_committee(&mut bench, cfg.quick);
-    bench_engine(&mut bench, cfg.quick);
     bench_algorithms(&mut bench, cfg.quick);
     bench_runtime(&mut bench, cfg.quick);
     bench_sweep(&mut bench, cfg.quick, threads);
@@ -1297,22 +1156,15 @@ mod tests {
     }
 
     #[test]
-    fn committee_and_engine_benches_run() {
+    fn committee_benches_run() {
         let mut bench = Bench::new(1);
         bench_committee(&mut bench, true);
-        bench_engine(&mut bench, true);
         let samples = bench.take_samples();
         let labels: Vec<&str> = samples.iter().map(|s| s.label.as_str()).collect();
         assert!(labels.iter().any(|l| l.starts_with("committee/adjacency")));
         assert!(labels
             .iter()
             .any(|l| l.starts_with("committee/merge_cascade")));
-        assert!(labels
-            .iter()
-            .any(|l| l.starts_with("engine/run_programs_gossip")));
-        assert!(labels
-            .iter()
-            .any(|l| l.starts_with("engine/run_programs_sparse_edits")));
     }
 
     #[test]

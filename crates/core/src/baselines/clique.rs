@@ -12,41 +12,17 @@
 use crate::algorithm::RunConfig;
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::{Graph, NodeId, UidMap};
-use adn_sim::engine::{run_programs, EngineConfig, NodeDecision, NodeProgram, NodeView};
-use adn_sim::Network;
-
-/// Node program: activate edges to all potential neighbours each round;
-/// terminate when no potential neighbours remain (the clique is complete
-/// from this node's perspective).
-struct CliqueNode {
-    done: bool,
-}
-
-impl NodeProgram for CliqueNode {
-    type Message = ();
-
-    fn send(&mut self, _view: &NodeView) -> Vec<(NodeId, ())> {
-        Vec::new()
-    }
-
-    fn step(&mut self, view: &NodeView, _inbox: &[(NodeId, ())]) -> NodeDecision {
-        if view.potential_neighbors.is_empty() {
-            self.done = true;
-            return NodeDecision::none();
-        }
-        NodeDecision {
-            activate: view.potential_neighbors.clone(),
-            deactivate: Vec::new(),
-        }
-    }
-
-    fn has_terminated(&self) -> bool {
-        self.done
-    }
-}
+use adn_sim::{Network, SimError};
 
 /// Executes clique formation on `network` (trait entry point; see
 /// [`crate::algorithm::CliqueFormation`]).
+///
+/// The initial nodes `0..n` run the rule; a node a churn fault adds later
+/// stays passive. Each round reads the snapshot at its start: in
+/// ascending node order, every node stages an activation to each of its
+/// potential neighbours, ascending. A node is done once it has no
+/// potential neighbour left, and stays done; the run ends when every node
+/// is done.
 pub(crate) fn execute(
     network: &mut Network,
     uids: &UidMap,
@@ -65,13 +41,25 @@ pub(crate) fn execute(
         });
     }
     network.set_trace_enabled(config.trace.is_per_round());
-    let mut programs: Vec<CliqueNode> = (0..n).map(|_| CliqueNode { done: false }).collect();
-    let engine = EngineConfig {
-        max_rounds: config
-            .engine_round_cap(network, 4 * adn_graph::properties::ceil_log2(n.max(2)) + 16),
-        record_trace: config.trace.is_per_round(),
-    };
-    run_programs(network, &mut programs, uids, &engine)?;
+    let limit =
+        config.engine_round_cap(network, 4 * adn_graph::properties::ceil_log2(n.max(2)) + 16);
+    let mut done = vec![false; n];
+    let mut rounds = 0;
+    while !done.iter().all(|&d| d) {
+        if rounds >= limit {
+            return Err(SimError::RoundLimitExceeded { limit }.into());
+        }
+        rounds += 1;
+        for (i, done) in done.iter_mut().enumerate() {
+            let u = NodeId(i);
+            let potential = network.graph().potential_neighbors(u);
+            *done |= potential.is_empty();
+            for v in potential {
+                network.stage_activation(u, v)?;
+            }
+        }
+        network.commit_round();
+    }
     config.check_round_budget(network)?;
     let leader = uids.max_uid_node().ok_or_else(|| CoreError::InvalidInput {
         reason: "empty network".into(),
@@ -172,6 +160,25 @@ mod tests {
     }
 
     #[test]
+    fn busiest_node_activation_count_follows_the_staging_order() {
+        // An edge both endpoints stage counts for whichever stages it
+        // first, so the per-node maximum depends on staging in ascending
+        // node order, then ascending `N_2` order. UIDs play no part.
+        for (n, expected) in [(16usize, 7usize), (33, 16)] {
+            for uids in [
+                UidAssignment::Sequential,
+                UidAssignment::RandomPermutation { seed: 3 },
+            ] {
+                let outcome = run_clique(&generators::line(n), &UidMap::new(n, uids)).unwrap();
+                assert_eq!(
+                    outcome.metrics.max_node_activations_in_round, expected,
+                    "line({n}), {uids:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn works_from_various_families() {
         for family in [
             generators::ring(20),
@@ -212,6 +219,23 @@ mod tests {
             run_clique_then_prune(&ok, &uids, &generators::star(5)),
             Err(CoreError::InvalidInput { .. })
         ));
+    }
+
+    #[test]
+    fn the_round_budget_caps_the_loop() {
+        // line(16) needs 5 rounds; a budget of 2 stops it after two.
+        let mut network = Network::new(generators::line(16));
+        let uids = UidMap::new(16, UidAssignment::Sequential);
+        let config = RunConfig::traced().with_round_budget(2);
+        let err = execute(&mut network, &uids, &config).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::Sim(SimError::RoundLimitExceeded { limit: 2 })
+            ),
+            "{err:?}"
+        );
+        assert_eq!(network.metrics().rounds, 2);
     }
 
     #[test]

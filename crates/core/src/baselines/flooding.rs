@@ -9,58 +9,19 @@
 //! of Section 1.2, used by experiment T8.
 //!
 //! A node's known tokens are an [`adn_runtime::flood::TokenSet`]: one bit
-//! per origin node index, with a running count. Each round a node sends
-//! one shared snapshot of its set's words to all of its neighbours, and
-//! absorbs each received snapshot by word OR. The whole set is resent
-//! every round, not only last round's news: after a fault rewires an edge
-//! or a node joins, a new neighbour still receives every token, which is
-//! what lets flooding heal under the stress suite's faults.
+//! per origin node index, with a running count. Each round copies every
+//! node's set words into one snapshot buffer, and every node ORs in its
+//! neighbours' snapshot words. The whole set is resent every round, not
+//! only last round's news: after a fault rewires an edge or a node joins,
+//! a new neighbour still receives every token, which is what lets
+//! flooding heal under the stress suite's faults.
 
 use crate::algorithm::RunConfig;
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::{Graph, NodeId, UidMap};
 use adn_runtime::flood::{flood_actors, TokenSet};
 use adn_runtime::Scheduler;
-use adn_sim::engine::{run_programs, EngineConfig, NodeDecision, NodeProgram, NodeView};
-use adn_sim::Network;
-use std::rc::Rc;
-
-struct FloodNode {
-    /// Known tokens: one bit per origin node index, with a running count.
-    known: TokenSet,
-    /// A node terminates when it has seen `n` tokens (it knows `n` here,
-    /// as in the paper's ThinWreath assumption) — `n` is read from the
-    /// view.
-    done: bool,
-}
-
-impl NodeProgram for FloodNode {
-    type Message = Rc<[u64]>;
-
-    const READS_POTENTIAL_NEIGHBORS: bool = false;
-
-    fn send(&mut self, view: &NodeView) -> Vec<(NodeId, Self::Message)> {
-        let snapshot: Rc<[u64]> = Rc::from(self.known.words());
-        view.neighbors
-            .iter()
-            .map(|&v| (v, Rc::clone(&snapshot)))
-            .collect()
-    }
-
-    fn step(&mut self, view: &NodeView, inbox: &[(NodeId, Self::Message)]) -> NodeDecision {
-        for (_, words) in inbox {
-            self.known.union_words(words);
-        }
-        if self.known.len() >= view.n {
-            self.done = true;
-        }
-        NodeDecision::none()
-    }
-
-    fn has_terminated(&self) -> bool {
-        self.done
-    }
-}
+use adn_sim::{Network, SimError};
 
 /// Floods all tokens over the static graph until every node holds every
 /// token. The returned outcome's `tokens_per_node` field records how many
@@ -78,6 +39,13 @@ pub(crate) fn flood(graph: &Graph, uids: &UidMap) -> Result<TransformationOutcom
 
 /// Executes flooding on `network` (trait entry point; see
 /// [`crate::algorithm::Flooding`]).
+///
+/// The initial nodes `0..n` hold the tokens; a node a churn fault adds
+/// later holds none and sends nothing. Each round reads the snapshot at
+/// its start, both the edges and every node's token set. A node is done
+/// once it holds as many tokens as the network has nodes at the start of
+/// the round (it knows `n`, as in the paper's ThinWreath assumption), and
+/// stays done; the run ends when every node is done.
 pub(crate) fn execute(
     network: &mut Network,
     uids: &UidMap,
@@ -98,23 +66,41 @@ pub(crate) fn execute(
         return execute_async(network, uids, &scheduler);
     }
     network.set_trace_enabled(config.trace.is_per_round());
-    let mut programs: Vec<FloodNode> = (0..n)
-        .map(|i| FloodNode {
-            known: TokenSet::singleton(n, NodeId(i)),
-            done: n == 1,
-        })
-        .collect();
-    let engine = EngineConfig {
-        max_rounds: config.engine_round_cap(network, 2 * n + 4),
-        record_trace: config.trace.is_per_round(),
-    };
-    run_programs(network, &mut programs, uids, &engine)?;
+    let limit = config.engine_round_cap(network, 2 * n + 4);
+    let mut known: Vec<TokenSet> = (0..n).map(|i| TokenSet::singleton(n, NodeId(i))).collect();
+    let mut done = vec![n == 1; n];
+    let width = n.div_ceil(64);
+    let mut sent: Vec<u64> = Vec::with_capacity(n * width);
+    let mut rounds = 0;
+    while !done.iter().all(|&d| d) {
+        if rounds >= limit {
+            return Err(SimError::RoundLimitExceeded { limit }.into());
+        }
+        rounds += 1;
+        // Copy every set out before any of them grows: each node absorbs
+        // what its neighbours held at the round's start.
+        sent.clear();
+        for set in &known {
+            sent.extend_from_slice(set.words());
+        }
+        let node_count = network.node_count();
+        let graph = network.graph();
+        for (i, (set, done)) in known.iter_mut().zip(&mut done).enumerate() {
+            for v in graph.neighbors_slice(NodeId(i)) {
+                if v.index() < n {
+                    set.union_words(&sent[v.index() * width..][..width]);
+                }
+            }
+            *done |= set.len() >= node_count;
+        }
+        network.commit_round();
+    }
     config.check_round_budget(network)?;
     let leader = uids.max_uid_node().ok_or_else(|| CoreError::InvalidInput {
         reason: "empty network".into(),
     })?;
     let mut outcome = TransformationOutcome::from_network(leader, network);
-    outcome.tokens_per_node = programs.iter().map(|p| p.known.len()).collect();
+    outcome.tokens_per_node = known.iter().map(TokenSet::len).collect();
     Ok(outcome)
 }
 
@@ -149,7 +135,9 @@ fn execute_async(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::{arm_network_for_dst, DstConfig, Flooding, ReconfigurationAlgorithm};
     use adn_graph::{generators, UidAssignment};
+    use adn_sim::Scenario;
 
     #[test]
     fn flooding_on_a_line_takes_diameter_rounds() {
@@ -176,6 +164,32 @@ mod tests {
         let outcome = flood(&g, &uids).unwrap();
         assert!(outcome.rounds <= 3);
         assert!(outcome.tokens_per_node.iter().all(|&t| t == n));
+    }
+
+    #[test]
+    fn a_churn_join_stalls_flooding_at_the_round_cap() {
+        // The joined node holds no token but counts toward n, so no node
+        // ever holds n tokens and the run stops at the 2n + 4 round cap.
+        let n = 12;
+        let uids = UidMap::new(n, UidAssignment::Sequential);
+        let mut network = Network::new(generators::line(n));
+        let dst = DstConfig {
+            scenario: Scenario {
+                per_round_probability: 1.0,
+                ..Scenario::churn().with_fault_budget(1)
+            },
+            seed: 3,
+        };
+        arm_network_for_dst(&mut network, &Flooding.spec(), &uids, &dst);
+        let err = execute(&mut network, &uids, &RunConfig::default()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::Sim(SimError::RoundLimitExceeded { limit: 28 })
+            ),
+            "{err:?}"
+        );
+        assert_eq!(network.node_count(), n + 1, "exactly one node joined");
     }
 
     #[test]

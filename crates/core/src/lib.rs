@@ -16,8 +16,9 @@
 //!   asynchronous wake-up variants) and the complete-`k`-ary-tree
 //!   generalisation used by `GraphToThinWreath`.
 //! * [`baselines`] — the clique-formation strategy of Section 1.2 and
-//!   plain flooding, both implemented as strictly local
-//!   [`adn_sim::engine::NodeProgram`]s.
+//!   plain flooding, both plain synchronous round loops over the
+//!   [`adn_sim::Network`] in which every node acts on its own
+//!   neighbourhood only.
 //! * [`graph_to_star`] — **GraphToStar** (Section 3): `O(log n)` time,
 //!   `O(n log n)` total activations, `O(n)` active edges per round,
 //!   spanning-star target (Depth-1 tree).

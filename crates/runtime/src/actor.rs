@@ -6,9 +6,9 @@ use adn_graph::NodeId;
 /// An asynchronous node program: one actor per node, driven entirely by
 /// message delivery.
 ///
-/// Unlike the synchronous [`adn_sim::engine::NodeProgram`] there is no
-/// round structure and no `has_terminated` hook — an actor is quiescent
-/// exactly when it has no unprocessed message, and the run ends when the
+/// Unlike the synchronous algorithms' round loops there is no round
+/// structure and no termination flag — an actor is quiescent exactly when
+/// it has no unprocessed message, and the run ends when the
 /// Dijkstra–Scholten detector observes global quiescence. Handlers must
 /// be safe to call in any delivery order; in particular
 /// [`on_message`](AsyncProgram::on_message) may run before

@@ -2,18 +2,16 @@
 //! round-boundary events, emitted from exactly one place per mutation in
 //! [`crate::Network`], with cheap fan-out to every observer.
 //!
-//! The network has three buffered observers — changed nodes for the
-//! engine's view cache, the topology replay feed of the DST invariant
-//! engine, and the raw event recorder — and one always-on subscriber, the
-//! per-round metrics/trace bookkeeping. Rather than a channel per
-//! observer, each with its own push site duplicated across `commit_round`
-//! and every `fault_*` entry point, the bus records a single
-//! [`RoundEvent`] stream with one cursor, or tap, per buffered consumer:
-//! each consumer arms its tap, mutations are recorded once, and each
-//! drain maps the pending slice into the consumer's representation
-//! (sorted node set, DST replay feed, raw events). The buffer is
-//! compacted as soon as every armed tap has drained, so steady-state
-//! memory is one round of events.
+//! The network has two buffered observers — the topology replay feed of
+//! the DST invariant engine and the raw event recorder — and one
+//! always-on subscriber, the per-round metrics/trace bookkeeping. Rather
+//! than a channel per observer, each with its own push site duplicated
+//! across `commit_round` and every `fault_*` entry point, the bus records
+//! a single [`RoundEvent`] stream with one cursor, or tap, per buffered
+//! consumer: each consumer arms its tap, mutations are recorded once, and
+//! each drain copies the pending slice out. The buffer is compacted as
+//! soon as every armed tap has drained, so steady-state memory is one
+//! round of events.
 //!
 //! The always-on consumers — [`crate::EdgeMetrics`], the per-round
 //! [`crate::RoundStats`] trace and the degree histogram behind the traced
@@ -73,15 +71,13 @@ pub enum RoundEvent {
 /// The buffered consumers of the bus, one cursor each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BusTap {
-    /// The node-program engine's view cache (changed-node drain).
-    Engine = 0,
     /// The installed DST invariant state (topology replay drain).
-    Dst = 1,
+    Dst = 0,
     /// The public raw-event recorder ([`crate::Network::take_events`]).
-    Recorder = 2,
+    Recorder = 1,
 }
 
-const TAPS: usize = 3;
+const TAPS: usize = 2;
 
 /// The shared event buffer plus one (cursor, armed) pair per [`BusTap`].
 ///
@@ -122,20 +118,9 @@ impl EventBus {
         }
     }
 
-    /// Streams the tap's pending events through `f` and marks them
-    /// consumed.
-    pub fn drain(&mut self, tap: BusTap, mut f: impl FnMut(&RoundEvent)) {
-        let i = tap as usize;
-        for event in &self.events[self.cursors[i]..] {
-            f(event);
-        }
-        self.cursors[i] = self.events.len();
-        self.compact();
-    }
-
     /// Copies the tap's pending events into `out` (not cleared first) and
-    /// marks them consumed — the allocation-reusing drain for per-round
-    /// consumers.
+    /// marks them consumed, so a per-round consumer reuses one
+    /// allocation.
     pub fn drain_into(&mut self, tap: BusTap, out: &mut Vec<RoundEvent>) {
         let i = tap as usize;
         out.extend_from_slice(&self.events[self.cursors[i]..]);
@@ -295,9 +280,8 @@ impl RoundLedger {
     /// rounds or adversarial skew).
     pub fn on_idle_rounds(&mut self, k: usize) {
         self.metrics.rounds += k;
-        for _ in 0..k {
-            self.metrics.push_round_activations(0);
-        }
+        let per_round = &mut self.metrics.activations_per_round;
+        per_round.resize(per_round.len() + k, 0);
     }
 
     /// Appends the traced entry for a committed round, if tracing is on.
@@ -385,33 +369,29 @@ mod tests {
         bus.record(RoundEvent::IdleRound);
         assert!(bus.events.is_empty(), "no tap armed: nothing recorded");
 
-        bus.arm(BusTap::Engine, true);
         bus.arm(BusTap::Dst, true);
         bus.record(RoundEvent::NodeJoined(NodeId(3)));
         bus.record(RoundEvent::IdleRound);
         assert_eq!(bus.events.len(), 2);
 
-        let mut seen = 0;
-        bus.drain(BusTap::Engine, |_| seen += 1);
-        assert_eq!(seen, 2);
-        assert_eq!(bus.events.len(), 2, "DST tap still pending: kept");
-
-        let mut dst = Vec::new();
-        bus.drain_into(BusTap::Dst, &mut dst);
-        assert_eq!(dst.len(), 2);
-        assert!(bus.events.is_empty(), "all armed taps drained: compacted");
-
         // A late arm sees only post-arm events.
-        bus.record(RoundEvent::IdleRound);
         bus.arm(BusTap::Recorder, true);
         bus.record(RoundEvent::NodeCrashed(NodeId(1)));
         let mut recorded = Vec::new();
         bus.drain_into(BusTap::Recorder, &mut recorded);
         assert_eq!(recorded, vec![RoundEvent::NodeCrashed(NodeId(1))]);
+        assert_eq!(bus.events.len(), 3, "DST tap still pending: kept");
+
+        let mut dst = Vec::new();
+        bus.drain_into(BusTap::Dst, &mut dst);
+        assert_eq!(dst.len(), 3);
+        assert!(bus.events.is_empty(), "all armed taps drained: compacted");
 
         // Disarming releases the buffer even with events pending.
-        bus.arm(BusTap::Engine, false);
+        bus.record(RoundEvent::IdleRound);
         bus.arm(BusTap::Dst, false);
+        assert_eq!(bus.events.len(), 1, "recorder still pending: kept");
+        bus.arm(BusTap::Recorder, false);
         assert!(bus.events.is_empty());
     }
 

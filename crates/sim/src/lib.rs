@@ -10,23 +10,18 @@
 //!   distance exactly 2 at the beginning of the round (the *potential
 //!   neighbour* rule), and edge **deactivations** of currently active
 //!   edges, with the paper's conflict semantics;
-//! * synchronous message passing between current neighbours
-//!   (send → receive → activate → deactivate → update, in lock step);
 //! * metering of the paper's three **edge-complexity measures**:
 //!   total edge activations, maximum activated edges per round, and
 //!   maximum activated degree — plus the running time in rounds.
 //!
-//! Two layers are provided:
+//! The main layer is [`Network`], the validated, metered temporal graph.
+//! Every algorithm in `adn-core` performs its edge operations through this
+//! type, so the simulator doubles as a checker: an algorithm that tried to
+//! activate a non-potential neighbour would fail loudly. What nodes say to
+//! each other within a round is the algorithms' business; the network
+//! meters only the edges.
 //!
-//! * [`Network`] — the validated, metered temporal graph. Every algorithm
-//!   in `adn-core` performs its edge operations through this type, so the
-//!   simulator doubles as a checker: an algorithm that tried to activate a
-//!   non-potential neighbour would fail loudly.
-//! * [`engine`] — a driver for fully local [`engine::NodeProgram`] state
-//!   machines (used by the clique-formation baseline, flooding/token
-//!   dissemination and other strictly message-passing protocols).
-//!
-//! A third, orthogonal layer is the deterministic simulation-testing
+//! A second, orthogonal layer is the deterministic simulation-testing
 //! subsystem [`dst`]: a seeded adversary that injects crash-stop
 //! failures, adversarial edge rewiring, round skew and churn between
 //! rounds, plus a round-level invariant checker — all reproducible
@@ -51,7 +46,6 @@
 
 pub mod bus;
 pub mod dst;
-pub mod engine;
 pub mod error;
 pub mod metrics;
 pub mod network;
@@ -62,4 +56,4 @@ pub use dst::{Adversary, DstReport, DstState, FaultEvent, FaultRecord, Invariant
 pub use error::SimError;
 pub use metrics::EdgeMetrics;
 pub use network::{Network, RoundSummary, WaveActivation};
-pub use trace::{ExecutionReport, RoundStats};
+pub use trace::RoundStats;

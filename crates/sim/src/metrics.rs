@@ -25,28 +25,8 @@ pub struct EdgeMetrics {
     /// order. Idle/communication-only rounds and adversarially skewed
     /// rounds contribute an explicit 0 (pinned by
     /// `idle_rounds_contribute_zero_activations`), so the vector length
-    /// is the elapsed-round count — unless capped by
-    /// [`EdgeMetrics::round_history_limit`], in which case the overflow
-    /// is tallied in [`EdgeMetrics::round_records_dropped`].
+    /// is the elapsed-round count.
     pub activations_per_round: Vec<usize>,
-    /// Optional cap on the recorded per-round history (`None` =
-    /// unbounded, the default). Million-node service/bench workloads run
-    /// far more rounds than anyone will plot: with a cap set, the first
-    /// `cap` rounds keep their per-round record and every later round is
-    /// counted in [`EdgeMetrics::round_records_dropped`] instead, while
-    /// totals, means and maxima stay exact
-    /// ([`EdgeMetrics::max_activations_in_round`] is maintained as a
-    /// running peak). Set through
-    /// [`crate::Network::set_round_history_limit`].
-    pub round_history_limit: Option<usize>,
-    /// Number of per-round records dropped by
-    /// [`EdgeMetrics::round_history_limit`] — the loud marker that
-    /// `activations_per_round` is a truncated prefix, not the full run.
-    pub round_records_dropped: usize,
-    /// Running peak of the per-round activation counts, updated on every
-    /// recorded round so [`EdgeMetrics::max_activations_in_round`] stays
-    /// exact when the per-round history is capped.
-    pub peak_round_activations: usize,
     /// Maximum over rounds of the number of active non-initial edges.
     pub max_activated_edges: usize,
     /// Maximum over rounds of the number of active edges (including the
@@ -70,50 +50,26 @@ impl EdgeMetrics {
         Self::default()
     }
 
-    /// Sets the cap on the recorded per-round history (see
-    /// [`EdgeMetrics::round_history_limit`]). `None` removes the cap;
-    /// already-recorded entries are kept either way.
-    pub fn set_round_history_limit(&mut self, limit: Option<usize>) {
-        self.round_history_limit = limit;
-    }
-
-    /// Records one elapsed round's activation count, honoring the
-    /// history cap while keeping the running peak exact.
-    pub(crate) fn push_round_activations(&mut self, activations: usize) {
-        self.peak_round_activations = self.peak_round_activations.max(activations);
-        match self.round_history_limit {
-            Some(cap) if self.activations_per_round.len() >= cap => {
-                self.round_records_dropped += 1;
-            }
-            _ => self.activations_per_round.push(activations),
-        }
-    }
-
-    /// Number of rounds with a per-round activation record, including
-    /// the ones dropped by [`EdgeMetrics::round_history_limit`].
+    /// Number of rounds with a per-round activation record.
     pub fn recorded_rounds(&self) -> usize {
-        self.activations_per_round.len() + self.round_records_dropped
+        self.activations_per_round.len()
     }
 
-    /// Maximum number of activations in any single round. Exact even
-    /// when the per-round history is capped: the scan over the retained
-    /// prefix is combined with the running peak.
+    /// Maximum number of activations in any single round.
     pub fn max_activations_in_round(&self) -> usize {
         self.activations_per_round
             .iter()
             .copied()
             .max()
             .unwrap_or(0)
-            .max(self.peak_round_activations)
     }
 
     /// Average number of activations per *elapsed* round (0 if no
     /// rounds). The denominator counts every round that recorded a
     /// per-round entry — committed rounds, idle communication rounds
     /// and adversarially skewed rounds (the latter two contribute 0
-    /// activations) — including entries dropped by the history cap, so
-    /// this is activations per round of wall-clock model time, not per
-    /// committed round.
+    /// activations) — so this is activations per round of wall-clock
+    /// model time, not per committed round.
     pub fn mean_activations_per_round(&self) -> f64 {
         let rounds = self.recorded_rounds();
         if rounds == 0 {
@@ -131,13 +87,8 @@ impl EdgeMetrics {
         self.rounds += later.rounds;
         self.total_activations += later.total_activations;
         self.total_deactivations += later.total_deactivations;
-        for &a in &later.activations_per_round {
-            self.push_round_activations(a);
-        }
-        self.round_records_dropped += later.round_records_dropped;
-        self.peak_round_activations = self
-            .peak_round_activations
-            .max(later.peak_round_activations);
+        self.activations_per_round
+            .extend_from_slice(&later.activations_per_round);
         self.max_activated_edges = self.max_activated_edges.max(later.max_activated_edges);
         self.max_active_edges_total = self
             .max_active_edges_total
@@ -176,34 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn round_history_cap_preserves_totals_and_maxima() {
-        let mut m = EdgeMetrics::new();
-        m.set_round_history_limit(Some(3));
-        for (i, &a) in [5usize, 1, 2, 9, 0, 4].iter().enumerate() {
-            m.rounds += 1;
-            m.total_activations += a;
-            m.push_round_activations(a);
-            assert_eq!(m.recorded_rounds(), i + 1);
-        }
-        // Only the first 3 per-round records are retained...
-        assert_eq!(m.activations_per_round, vec![5, 1, 2]);
-        // ...and the truncation is loudly marked...
-        assert_eq!(m.round_records_dropped, 3);
-        // ...while totals, means and maxima stay exact.
-        assert_eq!(m.total_activations, 21);
-        assert_eq!(m.max_activations_in_round(), 9, "peak survives the cap");
-        assert!((m.mean_activations_per_round() - 21.0 / 6.0).abs() < 1e-9);
-
-        // Uncapped accumulators absorbing a capped one inherit the drop
-        // marker and the exact peak.
-        let mut sum = EdgeMetrics::new();
-        sum.absorb_sequential(&m);
-        assert_eq!(sum.activations_per_round, vec![5, 1, 2]);
-        assert_eq!(sum.round_records_dropped, 3);
-        assert_eq!(sum.max_activations_in_round(), 9);
-    }
-
-    #[test]
     fn sequential_absorption_adds_and_maxes() {
         let mut a = EdgeMetrics {
             rounds: 2,
@@ -215,7 +138,6 @@ mod tests {
             max_activated_degree: 3,
             max_total_degree: 5,
             max_node_activations_in_round: 1,
-            ..Default::default()
         };
         let b = EdgeMetrics {
             rounds: 4,
@@ -227,13 +149,12 @@ mod tests {
             max_activated_degree: 6,
             max_total_degree: 4,
             max_node_activations_in_round: 3,
-            ..Default::default()
         };
         a.absorb_sequential(&b);
         assert_eq!(a.rounds, 6);
         assert_eq!(a.total_activations, 7);
         assert_eq!(a.total_deactivations, 8);
-        assert_eq!(a.activations_per_round.len(), 6);
+        assert_eq!(a.activations_per_round, vec![2, 3, 1, 1, 0, 0]);
         assert_eq!(a.max_activated_edges, 4);
         assert_eq!(a.max_active_edges_total, 12);
         assert_eq!(a.max_activated_degree, 6);

@@ -1,8 +1,8 @@
 //! The validated, metered temporal graph.
 //!
-//! Every observable of the network — engine changed-nodes, DST topology
-//! replay, raw event recording, metrics and the per-round trace — hangs
-//! off one [`RoundEvent`] bus (see [`crate::bus`]): each applied mutation
+//! Every observable of the network — DST topology replay, raw event
+//! recording, metrics and the per-round trace — hangs off one
+//! [`RoundEvent`] bus (see [`crate::bus`]): each applied mutation
 //! is emitted from exactly one place (the bus's edge sink for edges, the
 //! join/crash/boundary points below for the rest) and fanned out to
 //! whichever consumers are armed.
@@ -122,8 +122,8 @@ pub struct Network {
     commit_touched: Vec<NodeId>,
     commit_grew: Vec<NodeId>,
     /// The round-event bus: the one recorded stream every buffered
-    /// observer (engine changed-nodes, DST replay, raw recorder) drains
-    /// from its own tap. See [`crate::bus`].
+    /// observer (DST replay, raw recorder) drains from its own tap. See
+    /// [`crate::bus`].
     bus: EventBus,
     /// The always-on inline subscriber: accumulated [`EdgeMetrics`],
     /// per-round [`RoundStats`] trace, and the degree histogram behind
@@ -164,43 +164,11 @@ impl Network {
         }
     }
 
-    /// Enables or disables the change-tracking hook (either transition
-    /// clears the tap's pending view). While enabled,
-    /// [`Network::take_changed_nodes`] reports every node whose incident
-    /// edge set changed — through committed rounds or adversarial faults
-    /// — since the last drain.
-    ///
-    /// The hook is **single-consumer**: it is one tap of the round-event
-    /// bus with one cursor and one drain. [`crate::engine::run_programs`]
-    /// arms it for the duration of a run and disarms it on every exit
-    /// path, so any tracking an outer caller had enabled on the same
-    /// network is reset.
-    pub fn set_change_tracking(&mut self, enabled: bool) {
-        self.bus.arm(BusTap::Engine, enabled);
-    }
-
-    /// Drains the recorded change set: the nodes whose incident edges
-    /// changed since the last drain, sorted ascending and duplicate-free.
-    /// Empty unless [`Network::set_change_tracking`] is on.
-    pub fn take_changed_nodes(&mut self) -> Vec<NodeId> {
-        let mut changed = Vec::new();
-        self.bus.drain(BusTap::Engine, |event| {
-            if let RoundEvent::Edge { edge, .. } = *event {
-                changed.push(edge.a);
-                changed.push(edge.b);
-            }
-        });
-        changed.sort_unstable();
-        changed.dedup();
-        changed
-    }
-
     /// Enables or disables the raw event recorder (either transition
     /// clears the tap's pending view). While enabled,
     /// [`Network::take_events`] drains the application-ordered
     /// [`RoundEvent`] stream itself — mutations, crashes, joins, round
-    /// boundaries and idle charges — the ground truth the per-consumer
-    /// drains above are projections of. Off by default.
+    /// boundaries and idle charges. Off by default.
     pub fn set_event_recording(&mut self, enabled: bool) {
         self.bus.arm(BusTap::Recorder, enabled);
     }
@@ -271,11 +239,6 @@ impl Network {
         }
     }
 
-    /// Returns true if per-round tracing is enabled.
-    pub fn trace_enabled(&self) -> bool {
-        self.ledger.trace_enabled
-    }
-
     /// Records the number of algorithm-specific groups (e.g. committees)
     /// currently alive; the value is stamped into every subsequently traced
     /// round until updated. Algorithms without a group structure leave it
@@ -293,15 +256,6 @@ impl Network {
     /// Takes ownership of the captured trace, leaving an empty one behind.
     pub fn take_trace(&mut self) -> Vec<RoundStats> {
         std::mem::take(&mut self.ledger.trace)
-    }
-
-    /// Caps the recorded per-round activation history (see
-    /// [`EdgeMetrics::round_history_limit`]): long service/bench runs
-    /// keep totals, means and maxima exact while the per-round vector
-    /// stops growing past `limit` entries, with the overflow counted in
-    /// [`EdgeMetrics::round_records_dropped`]. `None` removes the cap.
-    pub fn set_round_history_limit(&mut self, limit: Option<usize>) {
-        self.ledger.metrics.set_round_history_limit(limit);
     }
 
     /// Number of nodes.
@@ -618,7 +572,7 @@ impl Network {
         self.ledger.metrics.rounds += 1;
         self.ledger.metrics.total_activations += activations;
         self.ledger.metrics.total_deactivations += deactivations;
-        self.ledger.metrics.push_round_activations(activations);
+        self.ledger.metrics.activations_per_round.push(activations);
         let mut max_per_node = 0usize;
         for u in self.staged_initiators.drain(..) {
             let stages = std::mem::take(&mut self.initiator_stages[u.index()]);
@@ -854,21 +808,6 @@ impl Network {
         }
     }
 
-    /// Convenience: stages and commits a single activation in its own
-    /// round. Mostly used by tests and the centralized strategies.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Network::stage_activation`].
-    pub fn activate_in_own_round(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-    ) -> Result<RoundSummary, SimError> {
-        self.stage_activation(u, v)?;
-        Ok(self.commit_round())
-    }
-
     /// Returns true if the current snapshot is connected.
     pub fn is_connected(&self) -> bool {
         adn_graph::traversal::is_connected(&self.current)
@@ -899,6 +838,9 @@ mod tests {
         let summary = net.commit_round();
         assert_eq!(summary.activations, 1);
         assert!(net.graph().has_edge(nid(0), nid(2)));
+        assert!(net.is_initial_edge(nid(0), nid(1)));
+        assert!(!net.is_initial_edge(nid(0), nid(2)));
+        assert!(net.is_connected());
         // Next round 0-3 are now at distance 2 (via 2).
         assert!(net.stage_activation(nid(0), nid(3)).unwrap());
         net.commit_round();
@@ -1027,23 +969,6 @@ mod tests {
         assert_eq!(m.recorded_rounds(), 5);
         assert_eq!(m.total_activations, 2);
         assert!((m.mean_activations_per_round() - 2.0 / 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn history_cap_keeps_network_metrics_exact() {
-        let mut net = Network::new(generators::star(6));
-        net.set_round_history_limit(Some(2));
-        for leaf in [1usize, 2, 3] {
-            net.stage_activation(nid(leaf), nid(leaf + 1)).unwrap();
-            net.commit_round();
-        }
-        net.advance_idle_rounds(2);
-        let m = net.metrics();
-        assert_eq!(m.activations_per_round, vec![1, 1], "capped prefix");
-        assert_eq!(m.round_records_dropped, 3);
-        assert_eq!(m.recorded_rounds(), 5);
-        assert_eq!(m.total_activations, 3);
-        assert_eq!(m.max_activations_in_round(), 1);
     }
 
     #[test]
@@ -1278,15 +1203,5 @@ mod tests {
             )
             .unwrap();
         assert_eq!(staged, 0);
-    }
-
-    #[test]
-    fn activate_in_own_round_helper() {
-        let mut net = Network::new(generators::line(3));
-        let s = net.activate_in_own_round(nid(0), nid(2)).unwrap();
-        assert_eq!(s.activations, 1);
-        assert!(net.is_connected());
-        assert!(net.is_initial_edge(nid(0), nid(1)));
-        assert!(!net.is_initial_edge(nid(0), nid(2)));
     }
 }

@@ -1,7 +1,4 @@
-//! Execution reports and per-round traces.
-
-use crate::EdgeMetrics;
-use adn_graph::Graph;
+//! Per-round traces.
 
 /// Per-round statistics captured while an execution runs. These power the
 /// "figure"-style experiments (committee decay, activation time-series).
@@ -21,68 +18,4 @@ pub struct RoundStats {
     /// after the round; 0 when the running algorithm does not track
     /// committees.
     pub groups_alive: usize,
-}
-
-/// The outcome of running an algorithm on a [`crate::Network`].
-#[derive(Debug, Clone)]
-pub struct ExecutionReport {
-    /// Total rounds consumed (mirrors `metrics.rounds`).
-    pub rounds: usize,
-    /// Number of algorithm phases, for phase-structured algorithms
-    /// (0 for purely round-based protocols).
-    pub phases: usize,
-    /// The accumulated edge-complexity metrics.
-    pub metrics: EdgeMetrics,
-    /// The final snapshot of the network.
-    pub final_graph: Graph,
-    /// Per-round trace (may be empty if tracing was disabled).
-    pub trace: Vec<RoundStats>,
-}
-
-impl ExecutionReport {
-    /// Convenience constructor for algorithms that do not keep a trace.
-    pub fn new(metrics: EdgeMetrics, final_graph: Graph, phases: usize) -> Self {
-        ExecutionReport {
-            rounds: metrics.rounds,
-            phases,
-            metrics,
-            final_graph,
-            trace: Vec::new(),
-        }
-    }
-
-    /// Attaches a per-round trace.
-    pub fn with_trace(mut self, trace: Vec<RoundStats>) -> Self {
-        self.trace = trace;
-        self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use adn_graph::generators;
-
-    #[test]
-    fn report_mirrors_metrics() {
-        let metrics = EdgeMetrics {
-            rounds: 7,
-            total_activations: 3,
-            ..Default::default()
-        };
-        let report = ExecutionReport::new(metrics.clone(), generators::line(4), 2);
-        assert_eq!(report.rounds, 7);
-        assert_eq!(report.phases, 2);
-        assert_eq!(report.metrics, metrics);
-        assert!(report.trace.is_empty());
-        let traced = report.with_trace(vec![RoundStats {
-            round: 1,
-            activations: 3,
-            deactivations: 0,
-            activated_edges: 3,
-            max_degree: 2,
-            groups_alive: 4,
-        }]);
-        assert_eq!(traced.trace.len(), 1);
-    }
 }

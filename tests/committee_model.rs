@@ -1,23 +1,18 @@
-//! Differential property suite for the committee-forest layer and the
-//! incremental engine views.
+//! Differential property suite for the committee-forest layer.
 //!
 //! The committee algorithms used to build their scaffolding out of
-//! `BTreeMap<NodeId, Committee>` membership maps, nested-`BTreeMap`
-//! committee adjacency and per-round full `NodeView` rebuilds. These tests
-//! keep the old representations alive as executable specifications and pin
-//! the arena-backed [`CommitteeForest`] / flat [`CommitteeAdjacency`] /
-//! incremental [`ViewCache`] against them under seeded random operation
-//! sequences — membership, iteration order, bridge selection, selection
-//! roots and view contents all included — so any divergence is caught with
-//! the seed that reproduces it (the `tests/flat_structures_model.rs`
-//! pattern, one layer up).
+//! `BTreeMap<NodeId, Committee>` membership maps and nested-`BTreeMap`
+//! committee adjacency. These tests keep the old representations alive as
+//! executable specifications and pin the arena-backed [`CommitteeForest`]
+//! / flat [`CommitteeAdjacency`] against them under seeded random
+//! operation sequences — membership, iteration order, bridge selection and
+//! selection roots all included — so any divergence is caught with the
+//! seed that reproduces it (the `tests/flat_structures_model.rs` pattern,
+//! one layer up).
 
 use actively_dynamic_networks::core::committee::{CommitteeForest, CommitteeId, SelectionForest};
 use actively_dynamic_networks::graph::rng::DetRng;
-use actively_dynamic_networks::graph::{generators, Graph, NodeId, UidAssignment, UidMap};
-use actively_dynamic_networks::sim::dst::{Adversary, InvariantPolicy, Scenario};
-use actively_dynamic_networks::sim::engine::ViewCache;
-use actively_dynamic_networks::sim::{DstState, Network};
+use actively_dynamic_networks::graph::{generators, Graph, NodeId};
 use std::collections::BTreeMap;
 
 /// The old committee bookkeeping: committees keyed by leader, membership
@@ -338,71 +333,6 @@ fn selection_forest_matches_pointer_chasing_reference() {
                 selected.get(&leader).copied(),
                 "seed {seed}: parent of {leader}"
             );
-        }
-    }
-}
-
-/// Drives a DST-armed network with random staged operations and
-/// adversarial faults, maintaining one incremental [`ViewCache`] across
-/// rounds and comparing it, field for field, against a from-scratch
-/// rebuild every round — the engine's old behaviour. Both cache kinds
-/// run on every input: with `N_2`, and without it (the cache of programs
-/// that never read `N_2`).
-#[test]
-fn incremental_views_match_full_rebuild_under_faults() {
-    let scenarios = [
-        Scenario::failure_free(),
-        Scenario::mixed().with_fault_budget(10),
-        Scenario {
-            per_round_probability: 0.6,
-            ..Scenario::partition_heal().with_fault_budget(3)
-        },
-        Scenario {
-            per_round_probability: 0.8,
-            ..Scenario::churn().with_fault_budget(6)
-        },
-    ];
-    for (which, scenario) in scenarios.into_iter().enumerate() {
-        for (seed, with_n2) in (0u64..6).flat_map(|seed| [(seed, true), (seed, false)]) {
-            let mut rng = DetRng::seed_from_u64(0x71E3 ^ seed.wrapping_mul(97) ^ (which as u64));
-            let n = 8 + rng.gen_range(0, 17);
-            let initial = generators::random_line_with_chords(n, n / 2, seed);
-            let uids = UidMap::new(n, UidAssignment::Sequential);
-            let mut net = Network::new(initial);
-            net.install_dst(DstState::new(
-                Adversary::new(scenario.clone(), seed.wrapping_mul(7) + 1),
-                InvariantPolicy::default(),
-                (1..=n as u64).collect(),
-            ));
-            net.set_change_tracking(true);
-            let mut cache = ViewCache::new(&net, &uids, n, with_n2);
-            for round in 0..50 {
-                for _ in 0..rng.gen_range(0, 6) {
-                    let n_now = net.node_count();
-                    let u = NodeId(rng.gen_range(0, n_now));
-                    let v = NodeId(rng.gen_range(0, n_now));
-                    if u == v {
-                        continue;
-                    }
-                    if rng.gen_bool(0.7) {
-                        let _ = net.stage_activation(u, v);
-                    } else {
-                        let _ = net.stage_deactivation(u, v);
-                    }
-                }
-                net.commit_round();
-                let changed = net.take_changed_nodes();
-                cache.refresh_changed(&net, &uids, &changed);
-                cache.begin_round(&net);
-                let mut fresh = ViewCache::new(&net, &uids, n, with_n2);
-                fresh.begin_round(&net);
-                assert_eq!(
-                    cache.views(),
-                    fresh.views(),
-                    "scenario {} seed {seed} N_2 {with_n2} round {round}: incremental views diverged",
-                    scenario.name
-                );
-            }
         }
     }
 }

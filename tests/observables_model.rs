@@ -1,16 +1,13 @@
 //! Differential suite for the network's round-event bus.
 //!
-//! Every observable of [`Network`] — engine changed-nodes, DST replay,
-//! metrics, the per-round trace — is now a projection of one recorded
-//! [`RoundEvent`] stream. These tests drive DST-armed networks through
-//! mixed / partition / churn / crash fault schedules with *every*
-//! consumer armed at once and pin the stream against from-scratch
-//! reference computations:
+//! Every observable of [`Network`] — DST replay, metrics, the per-round
+//! trace — is now a projection of one recorded [`RoundEvent`] stream.
+//! These tests drive DST-armed networks through mixed / partition / churn
+//! / crash fault schedules with *every* consumer armed at once and pin the
+//! stream against from-scratch reference computations:
 //!
 //! * replaying the recorded events over a snapshot of the initial graph
 //!   reproduces the live snapshot edge for edge;
-//! * the drained changed-node projection equals what the raw stream
-//!   implies;
 //! * each traced round's `max_degree` (served by the incremental degree
 //!   histogram) equals a from-scratch scan of the replayed mirror at
 //!   that round boundary — in release builds too, where the histogram's
@@ -45,23 +42,6 @@ fn apply_to_mirror(mirror: &mut Graph, event: &RoundEvent) {
     }
 }
 
-/// The changed-node projection of an event window: endpoints of every
-/// edge mutation, sorted and deduplicated — the reference
-/// `take_changed_nodes` must match.
-fn changed_nodes_of(events: &[RoundEvent]) -> Vec<NodeId> {
-    let mut changed: Vec<NodeId> = events
-        .iter()
-        .filter_map(|e| match e {
-            RoundEvent::Edge { edge, .. } => Some([edge.a, edge.b]),
-            _ => None,
-        })
-        .flatten()
-        .collect();
-    changed.sort_unstable();
-    changed.dedup();
-    changed
-}
-
 #[test]
 fn recorded_stream_replays_to_snapshot_under_faults() {
     let scenarios = [
@@ -90,10 +70,9 @@ fn recorded_stream_replays_to_snapshot_under_faults() {
                 InvariantPolicy::default(),
                 (1..=n as u64).collect(),
             ));
-            // Every consumer at once: raw recorder, engine tap, DST tap
-            // (armed by install_dst) and the traced ledger.
+            // Every consumer at once: raw recorder, DST tap (armed by
+            // install_dst) and the traced ledger.
             net.set_event_recording(true);
-            net.set_change_tracking(true);
             net.set_trace_enabled(true);
 
             let mut mirror = initial;
@@ -121,15 +100,6 @@ fn recorded_stream_replays_to_snapshot_under_faults() {
                 }
 
                 let events = net.take_events();
-                let changed = net.take_changed_nodes();
-
-                // The engine tap's drain is a projection of the stream.
-                assert_eq!(
-                    changed,
-                    changed_nodes_of(&events),
-                    "scenario {} seed {seed} round {round}: changed-node projection diverged",
-                    scenario.name
-                );
 
                 // Replay into the mirror; sample it at every boundary for
                 // the traced max_degree cross-check.
