@@ -157,9 +157,13 @@ impl RuntimeCase {
             if weight_total > 0 {
                 let events = 1 + rng.gen_range(0, scenario.fault_budget);
                 for _ in 0..events {
-                    // Committee phases take O(n) delivery steps each, so a
-                    // window of 40·n steps lands faults across the whole
-                    // run, from the first gossip through late merge phases.
+                    // Each fault lands at a delivery step drawn from
+                    // 1..=40·n. That window covers only the start of a
+                    // committee run: across the 256-case runtime dump it
+                    // is a median 36.5% (26–86%) of a GraphToStar run's
+                    // delivery steps and 40% (24–105%) of a wreath run's,
+                    // so late merge phases and most ring rebuilds see no
+                    // fault.
                     let at_step = 1 + rng.gen_range(0, n * 40);
                     if rng.gen_range(0, weight_total) < scenario.crash_weight as usize {
                         faults = faults.crash_at(at_step, NodeId(rng.gen_range(0, n)));

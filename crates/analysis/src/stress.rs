@@ -19,7 +19,7 @@
 //! under budget `b` is a prefix of the schedule under `B > b`, making the
 //! failing-fault prefix well-defined.
 
-use adn_core::algorithm::{self, arm_network_for_dst, DstConfig, RunConfig, TraceLevel};
+use adn_core::algorithm::{self, arm_network_for_dst, DstConfig, RunConfig};
 use adn_graph::rng::DetRng;
 use adn_graph::{GraphFamily, UidAssignment, UidMap};
 use adn_sim::dst::{self, DstReport, Scenario};
@@ -211,22 +211,20 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// Panics if the case names an unregistered algorithm.
 pub fn run_case(case: &StressCase) -> StressReport {
-    run_case_with_trace(case, false)
+    run_case_with_recorder(case, false)
 }
 
-/// Runs one case like [`run_case`], but with per-round tracing enabled
-/// (`TraceLevel::PerRound`), so the traced `max_degree` path — the
-/// incremental degree histogram plus its debug-build from-scratch oracle
-/// — is exercised under the full adversarial schedule. Tracing is an
-/// observer: the rendered report carries no trace data, so the render is
-/// byte-identical to the untraced run of the same case (CI diffs a
-/// traced slice against the untraced expectation on exactly this
-/// property).
-pub fn run_case_traced(case: &StressCase) -> StressReport {
-    run_case_with_trace(case, true)
+/// Runs one case like [`run_case`], but with the network's raw event
+/// recorder armed beside the DST tap and never drained, so both bus taps
+/// are live under the full adversarial schedule and the shared event
+/// buffer is never compacted. The recorder is an observer: the render is
+/// byte-identical to [`run_case`]'s (CI diffs a recorder-armed slice
+/// against the committed expectation on exactly this property).
+pub fn run_case_recorded(case: &StressCase) -> StressReport {
+    run_case_with_recorder(case, true)
 }
 
-fn run_case_with_trace(case: &StressCase, traced: bool) -> StressReport {
+fn run_case_with_recorder(case: &StressCase, recorded: bool) -> StressReport {
     let a = algorithm::find(&case.algorithm)
         .unwrap_or_else(|| panic!("unregistered algorithm `{}`", case.algorithm));
     let graph = case.family.generate(case.n, case.uid_seed);
@@ -243,10 +241,10 @@ fn run_case_with_trace(case: &StressCase, traced: bool) -> StressReport {
         seed: case.adversary_seed,
     };
     arm_network_for_dst(&mut network, &a.spec(), &uids, &dcfg);
-    let mut config = RunConfig::default().with_round_budget(case.round_budget);
-    if traced {
-        config = config.with_trace(TraceLevel::PerRound);
+    if recorded {
+        network.set_event_recording(true);
     }
+    let config = RunConfig::default().with_round_budget(case.round_budget);
 
     let result = catch_unwind(AssertUnwindSafe(|| a.execute(&mut network, &uids, &config)));
     let (outcome, dst) = match result {
@@ -564,17 +562,17 @@ pub fn sweep(master_seed: u64, cases: usize) -> SweepSummary {
     sweep_with_threads(master_seed, cases, 1)
 }
 
-/// Runs the first `cases` cases of a sweep with per-round tracing
-/// enabled (see [`run_case_traced`]) — the CI traced stress-sweep slice.
-/// Tracing never reaches the rendered reports, so the summary renders
-/// byte-identically to the untraced sweep's prefix of the same length;
-/// what the slice adds is coverage of the traced `max_degree` path (and
-/// its debug-build oracle) under real adversarial schedules.
-pub fn sweep_traced(master_seed: u64, cases: usize) -> SweepSummary {
+/// Runs the first `cases` cases of a sweep with the event recorder armed
+/// (see [`run_case_recorded`]) — the CI recorder-armed stress-sweep
+/// slice. The recorder never reaches the rendered reports, so the
+/// summary renders byte-identically to the plain sweep's prefix of the
+/// same length; what the slice adds is coverage of both bus taps armed
+/// together under real adversarial schedules.
+pub fn sweep_recorded(master_seed: u64, cases: usize) -> SweepSummary {
     SweepSummary {
         master_seed,
         reports: run_seeds(master_seed, cases, 1, |s| {
-            run_case_traced(&StressCase::from_seed(s))
+            run_case_recorded(&StressCase::from_seed(s))
         }),
     }
 }
@@ -701,6 +699,18 @@ mod tests {
         for seed in [1u64, 2, 3, 40, 41] {
             let (report, identical) = verify_replay(seed);
             assert!(identical, "seed {seed} diverged:\n{}", report.render());
+        }
+    }
+
+    #[test]
+    fn recorder_armed_cases_render_like_plain_cases() {
+        // The CI slice's master seed (`adn_bench::DST_MASTER_SEED`).
+        let master_seed = 0xD57_5EED;
+        let plain = sweep(master_seed, 24);
+        let recorded = sweep_recorded(master_seed, 24);
+        assert_eq!(plain.reports.len(), 24);
+        for (plain, recorded) in plain.reports.iter().zip(&recorded.reports) {
+            assert_eq!(plain.render(), recorded.render());
         }
     }
 

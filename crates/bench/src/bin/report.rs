@@ -25,9 +25,9 @@
 //! * `... report -- --dump-runtime-renders [cases] [--threads N]` — render
 //!   every case of the runtime sweep (default 96) into one dump, whose md5
 //!   pins seeded-runtime behaviour across commits;
-//! * `... report -- --dump-renders-traced [cases]` — render a slice of
-//!   the stress sweep with per-round tracing enabled (byte-identical to
-//!   the untraced dump; exercises the traced `max_degree` path);
+//! * `... report -- --dump-renders-recorded [cases]` — render a slice of
+//!   the stress sweep with the event recorder armed beside the DST tap
+//!   (byte-identical to the plain dump; exercises both bus taps armed);
 //! * `... report -- --bench [--quick] [--threads N]` — run the CPU-perf
 //!   baseline of the hot data path and write `BENCH_core.json`
 //!   (`--quick` is the reduced CI smoke pass).
@@ -188,16 +188,16 @@ fn main() {
             let threads = adn_bench::corebench::resolve_threads(threads.unwrap_or(0));
             print!("{}", adn_bench::dump_runtime_renders(cases, threads));
         }
-        Some("--dump-renders-traced") => {
-            reject_unused("--dump-renders-traced", threads, quick, false);
-            reject_check("--dump-renders-traced", &check);
+        Some("--dump-renders-recorded") => {
+            reject_unused("--dump-renders-recorded", threads, quick, false);
+            reject_check("--dump-renders-recorded", &check);
             let cases: usize = match args.get(1) {
                 Some(raw) => raw.parse().unwrap_or_else(|_| {
-                    panic!("usage: report --dump-renders-traced [case count], got `{raw}`")
+                    panic!("usage: report --dump-renders-recorded [case count], got `{raw}`")
                 }),
                 None => 96,
             };
-            print!("{}", adn_bench::dump_renders_traced(cases));
+            print!("{}", adn_bench::dump_renders_recorded(cases));
         }
         Some("--bench") => {
             // Read the baseline *before* running: the run overwrites

@@ -515,10 +515,8 @@ fn bench_dst_invariants(bench: &mut Bench) {
         .map(|k| (NodeId(1 + 2 * k), NodeId(2 + 2 * k)))
         .collect();
     let policy = InvariantPolicy {
-        check_connectivity: true,
         max_activated_degree: Some(8),
         max_active_edges: Some(2 * n),
-        check_uid_uniqueness: true,
     };
     let uids: Vec<u64> = (1..=n as u64).collect();
     let toggle_rounds = |net: &mut Network| {
@@ -561,61 +559,6 @@ fn bench_dst_invariants(bench: &mut Bench) {
         for _ in 0..rounds {
             net.advance_idle_rounds(1);
         }
-    });
-}
-
-/// The traced-round path at the ROADMAP's n=65536 scale: 64 rounds of at
-/// most 64 edge events each on a star, with per-round
-/// `adn_sim::RoundStats` tracing on. `network/commit_round_traced` serves
-/// the traced `max_degree` from the incremental degree histogram in
-/// O(changes) per round; `dst/trace_steady` stacks tracing on top of an
-/// armed DST state, so the row gates the combined per-round observer cost
-/// (invariants + trace) staying O(changes).
-fn bench_traced_rounds(bench: &mut Bench) {
-    let n = 65536usize;
-    let rounds = 64usize;
-    let chunk = 64usize;
-    let chords: Vec<(NodeId, NodeId)> = (0..chunk)
-        .map(|k| (NodeId(1 + 2 * k), NodeId(2 + 2 * k)))
-        .collect();
-    let toggle_rounds = |net: &mut Network| {
-        for r in 0..rounds {
-            for &(u, v) in &chords {
-                if r % 2 == 0 {
-                    let _ = net.stage_activation(u, v);
-                } else {
-                    let _ = net.stage_deactivation(u, v);
-                }
-            }
-            net.commit_round();
-        }
-        assert_eq!(net.activated_edge_count(), 0);
-    };
-
-    let mut net = Network::new(generators::star(n));
-    net.set_trace_enabled(true);
-    bench.measure(&format!("network/commit_round_traced n={n}"), || {
-        toggle_rounds(&mut net);
-        assert_eq!(net.trace().last().map(|s| s.max_degree), Some(n - 1));
-    });
-
-    let policy = InvariantPolicy {
-        check_connectivity: true,
-        max_activated_degree: Some(8),
-        max_active_edges: Some(2 * n),
-        check_uid_uniqueness: true,
-    };
-    let uids: Vec<u64> = (1..=n as u64).collect();
-    let mut net = Network::new(generators::star(n));
-    net.set_trace_enabled(true);
-    let state = DstState::new(
-        Adversary::new(Scenario::failure_free(), 0xD59),
-        policy,
-        uids,
-    );
-    net.install_dst(state);
-    bench.measure(&format!("dst/trace_steady n={n}"), || {
-        toggle_rounds(&mut net);
     });
 }
 
@@ -982,7 +925,6 @@ pub fn run(cfg: &CoreBenchConfig) -> (String, String) {
     bench_runtime(&mut bench, cfg.quick);
     bench_sweep(&mut bench, cfg.quick, threads);
     bench_dst_invariants(&mut bench);
-    bench_traced_rounds(&mut bench);
     let mut samples = bench.take_samples();
     if !cfg.quick {
         let mut cold = Bench::new(1);

@@ -66,14 +66,14 @@ pub fn dump_renders(cases: usize, threads: usize) -> String {
     join_renders(summary.reports.iter().map(|r| r.render()))
 }
 
-/// Like [`dump_renders`], but every case runs with per-round tracing
-/// enabled (`report -- --dump-renders-traced [cases]`) — the CI traced
-/// stress-sweep slice. Tracing is an observer, so the output is
-/// byte-identical to the untraced dump of the same prefix; the point is
-/// that the traced `max_degree` path (degree histogram + debug-build
-/// from-scratch oracle) runs under real adversarial schedules.
-pub fn dump_renders_traced(cases: usize) -> String {
-    let summary = adn_analysis::stress::sweep_traced(DST_MASTER_SEED, cases);
+/// Like [`dump_renders`], but every case runs with the event recorder
+/// armed beside the DST tap (`report -- --dump-renders-recorded
+/// [cases]`) — the CI recorder-armed stress-sweep slice. The recorder is
+/// an observer, so the output is byte-identical to the plain dump of the
+/// same prefix; the point is that both bus taps run armed together under
+/// real adversarial schedules.
+pub fn dump_renders_recorded(cases: usize) -> String {
+    let summary = adn_analysis::stress::sweep_recorded(DST_MASTER_SEED, cases);
     join_renders(summary.reports.iter().map(|r| r.render()))
 }
 

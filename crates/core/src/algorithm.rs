@@ -33,24 +33,6 @@ use adn_runtime::{AsyncKnobs, FreeScheduler, Scheduler, SeededScheduler};
 use adn_sim::dst::{Adversary, DstState, InvariantPolicy, Scenario};
 use adn_sim::{Network, SimError};
 
-/// How much per-round detail an execution records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceLevel {
-    /// No per-round trace (fastest; the default).
-    #[default]
-    Off,
-    /// Record one [`adn_sim::RoundStats`] per committed round in
-    /// [`TransformationOutcome::trace`].
-    PerRound,
-}
-
-impl TraceLevel {
-    /// Returns true when per-round statistics should be recorded.
-    pub fn is_per_round(&self) -> bool {
-        matches!(self, TraceLevel::PerRound)
-    }
-}
-
 /// What the general centralized strategy (Theorem 6.3) leaves behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CentralizedConfig {
@@ -115,12 +97,10 @@ pub struct DstConfig {
 /// The shared run configuration honored by every registered algorithm.
 ///
 /// This replaces the scattered per-function booleans and config structs of
-/// the old `run_*` API: trace recording, an optional hard round budget and
-/// the per-family overrides all travel together.
+/// the old `run_*` API: an optional hard round budget, the per-family
+/// overrides, the DST request and the engine all travel together.
 #[derive(Debug, Clone, Default)]
 pub struct RunConfig {
-    /// Per-round trace recording.
-    pub trace: TraceLevel,
     /// Optional hard cap on the rounds metered on the network (cumulative
     /// when composing on an already-used network); executions exceeding it
     /// fail with [`SimError::RoundLimitExceeded`] instead of completing.
@@ -143,20 +123,6 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// A configuration with per-round tracing enabled.
-    pub fn traced() -> Self {
-        RunConfig {
-            trace: TraceLevel::PerRound,
-            ..RunConfig::default()
-        }
-    }
-
-    /// Sets the trace level (builder style).
-    pub fn with_trace(mut self, level: TraceLevel) -> Self {
-        self.trace = level;
-        self
-    }
-
     /// Sets the round budget (builder style).
     pub fn with_round_budget(mut self, rounds: usize) -> Self {
         self.round_budget = Some(rounds);
@@ -255,6 +221,38 @@ impl RunConfig {
             None => default,
         }
     }
+}
+
+/// The input checks every registered algorithm runs before its first
+/// round, on either engine, in this order: a non-empty network, one UID
+/// per node, and a connected graph (the error names `algorithm`).
+///
+/// # Errors
+///
+/// [`CoreError::InvalidInput`] for the first check that fails.
+pub(crate) fn validate_input(
+    network: &Network,
+    uids: &UidMap,
+    algorithm: &str,
+) -> Result<(), CoreError> {
+    let graph = network.graph();
+    let n = graph.node_count();
+    if n == 0 {
+        return Err(CoreError::InvalidInput {
+            reason: "the initial network must contain at least one node".into(),
+        });
+    }
+    if uids.len() != n {
+        return Err(CoreError::InvalidInput {
+            reason: "one UID per node is required".into(),
+        });
+    }
+    if !adn_graph::traversal::is_connected(graph) {
+        return Err(CoreError::InvalidInput {
+            reason: format!("{algorithm} requires a connected initial network"),
+        });
+    }
+    Ok(())
 }
 
 /// Static description of an algorithm: identity, paper reference, the
@@ -390,13 +388,11 @@ pub fn arm_network_for_dst(
 ) {
     let n = network.node_count();
     let policy = InvariantPolicy {
-        check_connectivity: true,
         max_activated_degree: Some(4 * (spec.max_degree_bound)(n) + 8),
         // Any algorithm may temporarily hold its activated edges on top of
         // the surviving initial ones; the subroutines' stated budget is
         // O(n) activated edges, the clique straw-man needs the full n².
         max_active_edges: Some(network.graph().edge_count() + n * n),
-        check_uid_uniqueness: true,
     };
     let uid_values = uids.as_slice().iter().map(|u| u.value()).collect();
     network.install_dst(DstState::new(
@@ -718,23 +714,6 @@ mod tests {
                 assert_eq!(Some(outcome.leader), uids.max_uid_node(), "{}", a.name());
             }
         }
-    }
-
-    #[test]
-    fn trace_level_controls_trace_recording() {
-        let graph = generators::ring(16);
-        let uids = UidMap::new(16, UidAssignment::Sequential);
-        let silent = GraphToStar
-            .run(&graph, &uids, &RunConfig::default())
-            .unwrap();
-        assert!(silent.trace.is_empty());
-        let traced = GraphToStar
-            .run(&graph, &uids, &RunConfig::traced())
-            .unwrap();
-        assert!(!traced.trace.is_empty());
-        // The trace covers every committed round and carries committees.
-        assert!(traced.trace.iter().all(|r| r.round <= traced.rounds));
-        assert!(traced.trace.iter().any(|r| r.groups_alive > 0));
     }
 
     #[test]

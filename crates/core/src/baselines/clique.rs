@@ -9,7 +9,7 @@
 //! active edges and degree `Θ(n)` — which is exactly what the experiments
 //! driven by this module demonstrate.
 
-use crate::algorithm::RunConfig;
+use crate::algorithm::{validate_input, RunConfig};
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::{Graph, NodeId, UidMap};
 use adn_sim::{Network, SimError};
@@ -29,18 +29,8 @@ pub(crate) fn execute(
     config: &RunConfig,
 ) -> Result<TransformationOutcome, CoreError> {
     config.require_sync_engine("CliqueFormation")?;
-    if !adn_graph::traversal::is_connected(network.graph()) {
-        return Err(CoreError::InvalidInput {
-            reason: "clique formation requires a connected initial network".into(),
-        });
-    }
+    validate_input(network, uids, "clique formation")?;
     let n = network.node_count();
-    if uids.len() != n {
-        return Err(CoreError::InvalidInput {
-            reason: "one UID per node is required".into(),
-        });
-    }
-    network.set_trace_enabled(config.trace.is_per_round());
     let limit =
         config.engine_round_cap(network, 4 * adn_graph::properties::ceil_log2(n.max(2)) + 16);
     let mut done = vec![false; n];
@@ -61,9 +51,7 @@ pub(crate) fn execute(
         network.commit_round();
     }
     config.check_round_budget(network)?;
-    let leader = uids.max_uid_node().ok_or_else(|| CoreError::InvalidInput {
-        reason: "empty network".into(),
-    })?;
+    let leader = uids.max_uid_node().expect("validated input is non-empty");
     Ok(TransformationOutcome::from_network(leader, network))
 }
 
@@ -88,7 +76,7 @@ pub fn run_clique_then_prune(
         });
     }
     let mut network = Network::new(initial.clone());
-    let mut outcome = execute(&mut network, uids, &RunConfig::traced())?;
+    let mut outcome = execute(&mut network, uids, &RunConfig::default())?;
     // One more round: drop every edge not in the target.
     let mut network = Network::new(outcome.final_graph.clone());
     for e in outcome.final_graph.edges() {
@@ -114,7 +102,7 @@ mod tests {
 
     fn run_clique(initial: &Graph, uids: &UidMap) -> Result<TransformationOutcome, CoreError> {
         let mut network = Network::new(initial.clone());
-        execute(&mut network, uids, &RunConfig::traced())
+        execute(&mut network, uids, &RunConfig::default())
     }
 
     #[test]
@@ -226,7 +214,7 @@ mod tests {
         // line(16) needs 5 rounds; a budget of 2 stops it after two.
         let mut network = Network::new(generators::line(16));
         let uids = UidMap::new(16, UidAssignment::Sequential);
-        let config = RunConfig::traced().with_round_budget(2);
+        let config = RunConfig::default().with_round_budget(2);
         let err = execute(&mut network, &uids, &config).unwrap_err();
         assert!(
             matches!(

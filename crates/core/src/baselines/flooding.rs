@@ -16,7 +16,7 @@
 //! a new neighbour still receives every token, which is what lets
 //! flooding heal under the stress suite's faults.
 
-use crate::algorithm::RunConfig;
+use crate::algorithm::{validate_input, RunConfig};
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::{Graph, NodeId, UidMap};
 use adn_runtime::flood::{flood_actors, TokenSet};
@@ -51,21 +51,11 @@ pub(crate) fn execute(
     uids: &UidMap,
     config: &RunConfig,
 ) -> Result<TransformationOutcome, CoreError> {
-    if !adn_graph::traversal::is_connected(network.graph()) {
-        return Err(CoreError::InvalidInput {
-            reason: "flooding requires a connected network".into(),
-        });
-    }
-    let n = network.node_count();
-    if uids.len() != n {
-        return Err(CoreError::InvalidInput {
-            reason: "one UID per node is required".into(),
-        });
-    }
+    validate_input(network, uids, "flooding")?;
     if let Some(scheduler) = config.scheduler() {
         return execute_async(network, uids, &scheduler);
     }
-    network.set_trace_enabled(config.trace.is_per_round());
+    let n = network.node_count();
     let limit = config.engine_round_cap(network, 2 * n + 4);
     let mut known: Vec<TokenSet> = (0..n).map(|i| TokenSet::singleton(n, NodeId(i))).collect();
     let mut done = vec![n == 1; n];
@@ -96,9 +86,7 @@ pub(crate) fn execute(
         network.commit_round();
     }
     config.check_round_budget(network)?;
-    let leader = uids.max_uid_node().ok_or_else(|| CoreError::InvalidInput {
-        reason: "empty network".into(),
-    })?;
+    let leader = uids.max_uid_node().expect("validated input is non-empty");
     let mut outcome = TransformationOutcome::from_network(leader, network);
     outcome.tokens_per_node = known.iter().map(TokenSet::len).collect();
     Ok(outcome)
@@ -123,9 +111,7 @@ fn execute_async(
             reason: format!("asynchronous flooding failed: {other}"),
         },
     })?;
-    let leader = uids.max_uid_node().ok_or_else(|| CoreError::InvalidInput {
-        reason: "empty network".into(),
-    })?;
+    let leader = uids.max_uid_node().expect("validated input is non-empty");
     let mut outcome = TransformationOutcome::from_network(leader, network);
     outcome.tokens_per_node = actors.iter().map(|a| a.known().len()).collect();
     outcome.runtime = Some(report);

@@ -17,7 +17,7 @@
 //!    algorithms are compared against in experiment F6/F7 (they must pay
 //!    an extra `Θ(log n)` factor — Theorem 6.4).
 
-use crate::algorithm::{CentralizedConfig, RunConfig};
+use crate::algorithm::{validate_input, CentralizedConfig, RunConfig};
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::traversal::{bfs_spanning_tree, euler_tour};
 use adn_graph::{Graph, NodeId, UidMap};
@@ -33,25 +33,14 @@ pub(crate) fn execute_cut_in_half(
     config: &RunConfig,
 ) -> Result<TransformationOutcome, CoreError> {
     config.require_sync_engine("Centralized CutInHalf")?;
+    validate_input(network, uids, "CutInHalf")?;
     let graph = network.graph().clone();
-    let n = graph.node_count();
-    if n == 0 {
-        return Err(CoreError::InvalidInput {
-            reason: "the initial network must contain at least one node".into(),
-        });
-    }
-    if uids.len() != n {
-        return Err(CoreError::InvalidInput {
-            reason: "one UID per node is required".into(),
-        });
-    }
     if !adn_graph::properties::is_line(&graph) {
         return Err(CoreError::InvalidInput {
             reason: "CutInHalf requires a spanning line as the initial network".into(),
         });
     }
     let order = line_order(&graph);
-    network.set_trace_enabled(config.trace.is_per_round());
     cut_in_half(network, &order, config)?;
     config.check_round_budget(network)?;
     Ok(TransformationOutcome::from_network(order[0], network))
@@ -135,30 +124,13 @@ pub(crate) fn execute_general(
     config: &RunConfig,
 ) -> Result<TransformationOutcome, CoreError> {
     config.require_sync_engine("Centralized (Euler + CutInHalf)")?;
+    validate_input(network, uids, "the centralized strategy")?;
     let initial = network.graph().clone();
     let n = initial.node_count();
-    if n == 0 {
-        return Err(CoreError::InvalidInput {
-            reason: "the initial network must contain at least one node".into(),
-        });
-    }
-    if uids.len() != n {
-        return Err(CoreError::InvalidInput {
-            reason: "one UID per node is required".into(),
-        });
-    }
-    if !adn_graph::traversal::is_connected(&initial) {
-        return Err(CoreError::InvalidInput {
-            reason: "the centralized strategy requires a connected network".into(),
-        });
-    }
-    let root = uids.max_uid_node().ok_or_else(|| CoreError::InvalidInput {
-        reason: "one UID per node is required".into(),
-    })?;
+    let root = uids.max_uid_node().expect("validated input is non-empty");
     let tree = bfs_spanning_tree(&initial, root).expect("connected graph has a spanning tree");
     let tour = euler_tour(&tree);
 
-    network.set_trace_enabled(config.trace.is_per_round());
     cut_in_half(network, &tour, config)?;
 
     if target == CentralizedConfig::PruneToTree && n > 1 {

@@ -16,9 +16,8 @@
 //! [`CommitteeForest::committee_adjacency`] on the phase's snapshot: one
 //! scan of the edge set per phase, with nothing carried over between
 //! phases. The pieces of a phase that every committee engine —
-//! round-based or actor-based — shares live here too: the start-of-run
-//! step (input checks and trace switch), the largest-UID selection fold
-//! and the phase record with its convergence limit.
+//! round-based or actor-based — shares live here too: the largest-UID
+//! selection fold and the phase record with its convergence limit.
 //!
 //! Determinism contract: every accessor iterates in ascending slot order,
 //! and committee leaders never migrate between slots (an absorbing
@@ -475,39 +474,6 @@ impl SelectionForest {
     }
 }
 
-/// The start-of-run step every committee entry point shares — the round
-/// engines' `execute` and the runtime's seeded and free entry points
-/// alike: the input checks, in this order — a non-empty network, one UID
-/// per node, and a connected graph (the error names `algorithm`) — then
-/// the per-round trace switched on or off as `run` asks, before the first
-/// round of either engine.
-pub(crate) fn start_run(
-    network: &mut Network,
-    uids: &UidMap,
-    algorithm: &str,
-    run: &RunConfig,
-) -> Result<(), CoreError> {
-    let graph = network.graph();
-    let n = graph.node_count();
-    if n == 0 {
-        return Err(CoreError::InvalidInput {
-            reason: "the initial network must contain at least one node".into(),
-        });
-    }
-    if uids.len() != n {
-        return Err(CoreError::InvalidInput {
-            reason: "one UID per node is required".into(),
-        });
-    }
-    if !adn_graph::traversal::is_connected(graph) {
-        return Err(CoreError::InvalidInput {
-            reason: format!("{algorithm} requires a connected initial network"),
-        });
-    }
-    network.set_trace_enabled(run.trace.is_per_round());
-    Ok(())
-}
-
 /// The selection fold every committee algorithm shares: among candidate
 /// neighbouring committees `(leader UID, committee, x, y)` — `x` a bridge
 /// endpoint in the selecting committee, `y` its neighbour in the
@@ -563,12 +529,11 @@ impl PhaseLog {
 
     /// Opens a phase that starts with `live` committees: counts it, checks
     /// the round budget, and fails with [`CoreError::DidNotConverge`] past
-    /// the phase limit. The phase's traced rounds then carry `live` as
-    /// their `groups_alive`.
+    /// the phase limit.
     pub(crate) fn begin(
         &mut self,
         run: &RunConfig,
-        network: &mut Network,
+        network: &Network,
         live: usize,
     ) -> Result<(), CoreError> {
         self.phases += 1;
@@ -580,21 +545,19 @@ impl PhaseLog {
             });
         }
         self.committees_per_phase.push(live);
-        network.note_groups_alive(live);
         Ok(())
     }
 
     /// Opens the termination phase (one committee left), after checking
-    /// the round budget; its traced rounds carry one live group.
+    /// the round budget.
     pub(crate) fn terminate(
         &mut self,
         run: &RunConfig,
-        network: &mut Network,
+        network: &Network,
     ) -> Result<(), CoreError> {
         run.check_round_budget(network)?;
         self.phases += 1;
         self.committees_per_phase.push(1);
-        network.note_groups_alive(1);
         Ok(())
     }
 

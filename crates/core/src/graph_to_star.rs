@@ -25,8 +25,8 @@
 //! optimal `O(n log n)` total edge activations, and (necessarily) a linear
 //! maximum degree at the star centre.
 
-use crate::algorithm::RunConfig;
-use crate::committee::{start_run, CommitteeForest, CommitteeId, PhaseLog};
+use crate::algorithm::{validate_input, RunConfig};
+use crate::committee::{CommitteeForest, CommitteeId, PhaseLog};
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::properties::ceil_log2;
 use adn_graph::{Edge, Graph, NodeId, UidMap};
@@ -261,7 +261,7 @@ pub(crate) fn execute(
             network, uids, config, &scheduler,
         );
     }
-    start_run(network, uids, "GraphToStar", config)?;
+    validate_input(network, uids, "GraphToStar")?;
 
     let initial = network.graph().clone();
     let n = initial.node_count();
@@ -463,7 +463,7 @@ mod tests {
 
     fn run_on(initial: &Graph, uids: &UidMap) -> Result<TransformationOutcome, CoreError> {
         let mut network = Network::new(initial.clone());
-        execute(&mut network, uids, &RunConfig::traced())
+        execute(&mut network, uids, &RunConfig::default())
     }
 
     fn run(initial: &Graph, assignment: UidAssignment) -> (UidMap, TransformationOutcome) {

@@ -41,8 +41,8 @@
 //! The same engine, instantiated with a polylogarithmic tree arity, yields
 //! [`crate::graph_to_thin_wreath`] (Section 5).
 
-use crate::algorithm::RunConfig;
-use crate::committee::{start_run, CommitteeForest, CommitteeId, PhaseLog, SelectionForest};
+use crate::algorithm::{validate_input, RunConfig};
+use crate::committee::{CommitteeForest, CommitteeId, PhaseLog, SelectionForest};
 use crate::subroutines::async_line_to_tree::run_lockstep;
 use crate::subroutines::LineScratch;
 use crate::{CoreError, TransformationOutcome};
@@ -539,7 +539,7 @@ pub(crate) fn execute(
             network, uids, config, run, &scheduler,
         );
     }
-    start_run(network, uids, config.name, run)?;
+    validate_input(network, uids, config.name)?;
 
     let initial = network.graph().clone();
     let n = initial.node_count();

@@ -60,7 +60,7 @@ pub mod subroutines;
 pub mod tasks;
 
 pub use algorithm::{
-    registry, AlgorithmSpec, CentralizedConfig, ReconfigurationAlgorithm, RunConfig, TraceLevel,
+    registry, AlgorithmSpec, CentralizedConfig, ReconfigurationAlgorithm, RunConfig,
 };
 pub use error::CoreError;
 pub use outcome::TransformationOutcome;

@@ -2,7 +2,7 @@
 
 use adn_graph::{Graph, NodeId};
 use adn_runtime::RuntimeReport;
-use adn_sim::{DstReport, EdgeMetrics, Network, RoundStats};
+use adn_sim::{DstReport, EdgeMetrics, Network};
 
 /// Outcome of any registered algorithm (`GraphToStar`, `GraphToWreath`,
 /// `GraphToThinWreath`, clique formation, flooding or a centralized
@@ -29,9 +29,6 @@ pub struct TransformationOutcome {
     /// Per-phase number of committees alive (empty when not applicable);
     /// drives the committee-decay figure (F4).
     pub committees_per_phase: Vec<usize>,
-    /// Optional per-round trace (populated when the run was configured
-    /// with `TraceLevel::PerRound`).
-    pub trace: Vec<RoundStats>,
     /// Tokens known by each node at the end of a dissemination run
     /// (flooding); empty for algorithms that do not disseminate tokens.
     pub tokens_per_node: Vec<usize>,
@@ -49,13 +46,10 @@ pub struct TransformationOutcome {
 
 impl TransformationOutcome {
     /// Builds an outcome from a finished execution on `network`: final
-    /// snapshot, metrics, rounds and the captured trace are taken from the
-    /// network; phase-structure fields start empty and are filled in by
-    /// the algorithm when applicable. Taking the outcome ends the capture:
-    /// tracing is switched off so later work on the same network does not
-    /// silently keep accumulating rounds.
+    /// snapshot, metrics and rounds are copied from the network and its
+    /// DST report, if one is installed, is taken; phase-structure fields
+    /// start empty and are filled in by the algorithm when applicable.
     pub fn from_network(leader: NodeId, network: &mut Network) -> Self {
-        network.set_trace_enabled(false);
         TransformationOutcome {
             leader,
             final_graph: network.graph().clone(),
@@ -63,7 +57,6 @@ impl TransformationOutcome {
             rounds: network.metrics().rounds,
             metrics: network.metrics().clone(),
             committees_per_phase: Vec::new(),
-            trace: network.take_trace(),
             tokens_per_node: Vec::new(),
             dst: network.take_dst_report(),
             runtime: None,
@@ -96,7 +89,6 @@ mod tests {
             rounds: 6,
             metrics: EdgeMetrics::default(),
             committees_per_phase: vec![8, 4, 1],
-            trace: Vec::new(),
             tokens_per_node: Vec::new(),
             dst: None,
             runtime: None,

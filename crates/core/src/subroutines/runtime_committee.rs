@@ -58,8 +58,8 @@
 //! diverge from the synchronous baseline by design; its events fire
 //! between any two deliveries of the run, rebuilds included.
 
-use crate::algorithm::RunConfig;
-use crate::committee::{select_largest_uid, start_run, CommitteeForest, CommitteeId, PhaseLog};
+use crate::algorithm::{validate_input, RunConfig};
+use crate::committee::{select_largest_uid, CommitteeForest, CommitteeId, PhaseLog};
 use crate::graph_to_star::{climb_target, Mode, StarCommittees};
 use crate::graph_to_wreath::{Choice, SpliceLevel, WreathConfig, WreathState};
 use crate::subroutines::async_line_to_tree::validate_line;
@@ -751,7 +751,7 @@ fn finish(
 }
 
 /// Runs GraphToStar on the asynchronous runtime under `scheduler`;
-/// `config` supplies the trace level and the round budget.
+/// `config` supplies the round budget.
 ///
 /// # Errors
 ///
@@ -764,7 +764,7 @@ pub fn run_runtime_star(
     config: &RunConfig,
     scheduler: &Scheduler,
 ) -> Result<TransformationOutcome, CoreError> {
-    start_run(network, uids, "GraphToStar", config)?;
+    validate_input(network, uids, "GraphToStar")?;
     let initial = network.graph().clone();
     let mut actors = build_actors(initial.node_count(), uids, &initial);
     let mut driver = StarDriver::new(config, initial.node_count());
@@ -777,7 +777,7 @@ pub fn run_runtime_star(
 
 /// Runs the wreath family (GraphToWreath / GraphToThinWreath, by
 /// `wreath.tree_arity`) on the asynchronous runtime under `scheduler`;
-/// `config` supplies the trace level and the round budget.
+/// `config` supplies the round budget.
 ///
 /// # Errors
 ///
@@ -789,7 +789,7 @@ pub fn run_runtime_wreath(
     config: &RunConfig,
     scheduler: &Scheduler,
 ) -> Result<TransformationOutcome, CoreError> {
-    start_run(network, uids, wreath.name, config)?;
+    validate_input(network, uids, wreath.name)?;
     let initial = network.graph().clone();
     let mut actors = build_actors(initial.node_count(), uids, &initial);
     let mut driver = WreathDriver::new(config, wreath, &initial);

@@ -2,26 +2,21 @@
 //! round-boundary events, emitted from exactly one place per mutation in
 //! [`crate::Network`], with cheap fan-out to every observer.
 //!
-//! The network has two buffered observers — the topology replay feed of
-//! the DST invariant engine and the raw event recorder — and one
-//! always-on subscriber, the per-round metrics/trace bookkeeping. Rather
-//! than a channel per observer, each with its own push site duplicated
-//! across `commit_round` and every `fault_*` entry point, the bus records
-//! a single [`RoundEvent`] stream with one cursor, or tap, per buffered
-//! consumer: each consumer arms its tap, mutations are recorded once, and
-//! each drain copies the pending slice out. The buffer is compacted as
-//! soon as every armed tap has drained, so steady-state memory is one
-//! round of events.
+//! The network has two observers — the topology replay feed of the DST
+//! invariant engine and the raw event recorder — and nothing else watches
+//! a run. Rather than a channel per observer, each with its own push site
+//! duplicated across `commit_round` and every `fault_*` entry point, the
+//! bus records a single [`RoundEvent`] stream with one cursor, or tap,
+//! per observer: each observer arms its tap, mutations are recorded once,
+//! and each drain copies the pending slice out. The buffer is compacted
+//! as soon as every armed tap has drained, so steady-state memory is one
+//! round of events. With no tap armed, recording costs one branch per
+//! event.
 //!
-//! The always-on consumers — [`crate::EdgeMetrics`], the per-round
-//! [`crate::RoundStats`] trace and the degree histogram behind the traced
-//! `max_degree` — do not buffer: they live in a crate-private inline
-//! subscriber and are updated synchronously at the same emission points,
-//! so untraced executions with no taps armed pay two branch tests per
-//! mutation and nothing else.
+//! The network's always-on bookkeeping, [`crate::EdgeMetrics`], is not an
+//! observer: the network updates it directly at commit and idle-round
+//! time.
 
-use crate::metrics::EdgeMetrics;
-use crate::trace::RoundStats;
 use adn_graph::{Edge, Graph, NodeId};
 
 /// One event on the network's round-event bus, in application order.
@@ -143,177 +138,13 @@ impl EventBus {
     }
 }
 
-/// Incremental degree histogram: the traced-round `max_degree` in O(1)
-/// amortized instead of the old per-round O(n) whole-graph scan.
-///
-/// While enabled, the tracker mirrors every node's total degree and the
-/// bucket counts `hist[d]` = number of nodes with degree exactly `d`,
-/// fed one edge event at a time from the bus emission points. The
-/// maximum moves up on insertion for free and walks down bucket by
-/// bucket on removal; each downward step crosses a bucket some earlier
-/// insertion raised, so the walk is amortized O(1) per event. The old
-/// from-scratch scan stays on as a debug-build differential oracle at
-/// every traced commit (the `dst::DynConn` recipe).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DegreeTracker {
-    enabled: bool,
-    /// Mirror of each node's current total degree.
-    degree: Vec<usize>,
-    /// `hist[d]` = number of nodes with degree exactly `d`.
-    hist: Vec<usize>,
-    /// Largest degree with a non-empty bucket (0 for the empty graph).
-    max: usize,
-}
-
-impl DegreeTracker {
-    /// Whether the tracker is live.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Drops the mirror state (untraced executions pay nothing).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-        self.degree = Vec::new();
-        self.hist = Vec::new();
-        self.max = 0;
-    }
-
-    /// (Re)builds the histogram from the current snapshot — one O(n)
-    /// pass when tracing is switched on, never per round.
-    pub fn rebuild(&mut self, graph: &Graph) {
-        self.enabled = true;
-        self.degree.clear();
-        self.hist.clear();
-        self.hist.push(0);
-        self.max = 0;
-        for u in graph.nodes() {
-            let d = graph.degree(u);
-            self.degree.push(d);
-            if d >= self.hist.len() {
-                self.hist.resize(d + 1, 0);
-            }
-            self.hist[d] += 1;
-            self.max = self.max.max(d);
-        }
-    }
-
-    /// Applies one edge mutation to both endpoints' buckets.
-    #[inline]
-    pub fn on_edge(&mut self, e: Edge, added: bool) {
-        if !self.enabled {
-            return;
-        }
-        self.bump(e.a, added);
-        self.bump(e.b, added);
-    }
-
-    fn bump(&mut self, u: NodeId, up: bool) {
-        let d = self.degree[u.index()];
-        self.hist[d] -= 1;
-        let nd = if up { d + 1 } else { d - 1 };
-        self.degree[u.index()] = nd;
-        if nd >= self.hist.len() {
-            self.hist.push(0);
-        }
-        self.hist[nd] += 1;
-        if nd > self.max {
-            self.max = nd;
-        } else {
-            while self.max > 0 && self.hist[self.max] == 0 {
-                self.max -= 1;
-            }
-        }
-    }
-
-    /// A fresh isolated node joined (degree 0).
-    pub fn on_join(&mut self) {
-        if !self.enabled {
-            return;
-        }
-        self.degree.push(0);
-        self.hist[0] += 1;
-    }
-
-    /// The current maximum total degree, O(1).
-    pub fn max_degree(&self) -> usize {
-        self.max
-    }
-}
-
-/// The always-on inline subscriber of the bus: owns the accumulated
-/// [`EdgeMetrics`], the per-round [`RoundStats`] trace and the
-/// [`DegreeTracker`], and is updated synchronously at the same emission
-/// points the buffered taps record at — the `RoundSummary`/`EdgeMetrics`
-/// bookkeeping as a bus subscriber rather than loose fields on the
-/// network.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RoundLedger {
-    /// The paper's edge-complexity measures.
-    pub metrics: EdgeMetrics,
-    /// Captured per-round statistics (empty unless tracing is on).
-    pub trace: Vec<RoundStats>,
-    /// Whether committed rounds append a [`RoundStats`] entry.
-    pub trace_enabled: bool,
-    /// Algorithm-declared live-group count stamped into traced rounds.
-    pub groups_alive: usize,
-    /// The degree histogram behind the traced `max_degree` value.
-    pub degrees: DegreeTracker,
-}
-
-impl RoundLedger {
-    /// Per-edge hook: keeps the degree histogram current. The
-    /// activation counters live on the network (they are model state,
-    /// consulted by staging validation), so they are updated alongside
-    /// this call at the single emission point.
-    #[inline]
-    pub fn on_edge(&mut self, e: Edge, added: bool) {
-        self.degrees.on_edge(e, added);
-    }
-
-    /// Per-join hook: the histogram gains a degree-0 node.
-    pub fn on_join(&mut self) {
-        self.degrees.on_join();
-    }
-
-    /// Charges `k` rounds with zero activations (idle communication
-    /// rounds or adversarial skew).
-    pub fn on_idle_rounds(&mut self, k: usize) {
-        self.metrics.rounds += k;
-        let per_round = &mut self.metrics.activations_per_round;
-        per_round.resize(per_round.len() + k, 0);
-    }
-
-    /// Appends the traced entry for a committed round, if tracing is on.
-    pub fn on_round_committed(
-        &mut self,
-        round: usize,
-        activations: usize,
-        deactivations: usize,
-        activated_edges: usize,
-        max_degree: usize,
-    ) {
-        if self.trace_enabled {
-            self.trace.push(RoundStats {
-                round,
-                activations,
-                deactivations,
-                activated_edges,
-                max_degree,
-                groups_alive: self.groups_alive,
-            });
-        }
-    }
-}
-
 /// The single emission point for applied edge mutations. Every apply
 /// path of the network — the `commit_round` batch callbacks and each
 /// adversarial fault entry point — funnels through [`EdgeSink::edge`],
 /// which classifies the edge against the initial network, keeps the
-/// activated-edge counters and the inline ledger (degree histogram)
-/// current, and records the event on the bus. There is no other place
-/// that touches these observables, so commits and faults report them
-/// identically by construction.
+/// activated-edge counters current, and records the event on the bus.
+/// There is no other place that touches these observables, so commits
+/// and faults report them identically by construction.
 pub(crate) struct EdgeSink<'a> {
     /// The initial network `D(1)` (for the initial-edge classification).
     pub initial: &'a Graph,
@@ -324,8 +155,6 @@ pub(crate) struct EdgeSink<'a> {
     pub activated_now: &'a mut usize,
     /// The buffered event bus.
     pub bus: &'a mut EventBus,
-    /// The always-on inline subscriber.
-    pub ledger: &'a mut RoundLedger,
 }
 
 impl EdgeSink<'_> {
@@ -334,7 +163,6 @@ impl EdgeSink<'_> {
     #[inline]
     pub fn edge(&mut self, e: Edge, added: bool) -> bool {
         let initial = self.initial.has_edge(e.a, e.b);
-        self.ledger.on_edge(e, added);
         self.bus.record(RoundEvent::Edge {
             edge: e,
             added,
@@ -358,10 +186,6 @@ impl EdgeSink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn edge(a: usize, b: usize) -> Edge {
-        Edge::new(NodeId(a), NodeId(b))
-    }
 
     #[test]
     fn bus_records_only_while_armed_and_compacts_when_drained() {
@@ -393,57 +217,5 @@ mod tests {
         assert_eq!(bus.events.len(), 1, "recorder still pending: kept");
         bus.arm(BusTap::Recorder, false);
         assert!(bus.events.is_empty());
-    }
-
-    #[test]
-    fn degree_tracker_follows_mutations_and_joins() {
-        let g = adn_graph::generators::star(5); // centre 0, degree 4
-        let mut t = DegreeTracker::default();
-        t.rebuild(&g);
-        assert_eq!(t.max_degree(), 4);
-
-        // Leaf-leaf insertions raise leaves to degree 2; max stays 4.
-        t.on_edge(edge(1, 2), true);
-        assert_eq!(t.max_degree(), 4);
-        // Pile edges onto node 1 until it passes the hub.
-        t.on_edge(edge(1, 3), true);
-        t.on_edge(edge(1, 4), true);
-        assert_eq!(t.max_degree(), 4, "node 1 ties the hub at 4");
-        let g2 = adn_graph::generators::star(6);
-        let mut t2 = DegreeTracker::default();
-        t2.rebuild(&g2);
-        assert_eq!(t2.max_degree(), 5);
-
-        // Removing the max-holder's edges walks the max down.
-        t.on_edge(edge(1, 2), false);
-        t.on_edge(edge(1, 3), false);
-        assert_eq!(t.max_degree(), 4, "hub still at 4");
-        t.on_edge(edge(0, 1), false);
-        t.on_edge(edge(0, 2), false);
-        t.on_edge(edge(0, 3), false);
-        t.on_edge(edge(0, 4), false);
-        // Degrees now: node 0: 0, node 1: 1 (1-4), node 4: 2 (1-4? no).
-        // Remaining edges: {1,4}. Max is 1.
-        assert_eq!(t.max_degree(), 1);
-
-        t.on_join();
-        assert_eq!(t.max_degree(), 1, "a joined node starts at degree 0");
-        t.on_edge(edge(4, 5), true);
-        t.on_edge(edge(1, 5), true);
-        assert_eq!(t.max_degree(), 2);
-    }
-
-    #[test]
-    fn disabled_tracker_ignores_events() {
-        let mut t = DegreeTracker::default();
-        assert!(!t.enabled());
-        t.on_edge(edge(0, 1), true);
-        t.on_join();
-        assert_eq!(t.max_degree(), 0);
-        t.rebuild(&adn_graph::generators::line(3));
-        assert!(t.enabled());
-        assert_eq!(t.max_degree(), 2);
-        t.disable();
-        assert_eq!(t.max_degree(), 0);
     }
 }

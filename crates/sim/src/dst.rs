@@ -167,7 +167,7 @@ impl Scenario {
 
     /// The clean world: no faults at all. Running under this scenario is
     /// equivalent to a plain run, but with the invariant checker armed —
-    /// it turns every traced execution into a property check.
+    /// it turns every execution into a property check.
     pub fn failure_free() -> Self {
         Scenario {
             per_round_probability: 0.0,
@@ -481,33 +481,22 @@ pub struct Violation {
     pub detail: String,
 }
 
-/// Which invariants to evaluate at every round boundary. Bounds are
-/// normally derived from the running algorithm's `AlgorithmSpec` (with
-/// generous slack, since the spec bounds the *final* network while these
-/// are checked on every intermediate snapshot).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The bounds to check at every round boundary, normally derived from
+/// the running algorithm's `AlgorithmSpec` (with generous slack, since
+/// the spec bounds the *final* network while these are checked on every
+/// intermediate snapshot).
+///
+/// Two invariants are checked whatever the policy: the subgraph induced
+/// by live (non-crashed) nodes must stay connected, and UIDs (including
+/// churned-in ones) must stay pairwise distinct, unless
+/// [`DstState::new`] was given no UIDs. Faults may legitimately break
+/// either; the violation is recorded, not fatal.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InvariantPolicy {
-    /// The subgraph induced by live (non-crashed) nodes must stay
-    /// connected. Faults may legitimately break this — the violation is
-    /// recorded, not fatal.
-    pub check_connectivity: bool,
     /// Upper bound on any node's activated (non-initial) degree.
     pub max_activated_degree: Option<usize>,
     /// Upper bound on the number of concurrently active edges.
     pub max_active_edges: Option<usize>,
-    /// UIDs (including churned-in ones) must stay pairwise distinct.
-    pub check_uid_uniqueness: bool,
-}
-
-impl Default for InvariantPolicy {
-    fn default() -> Self {
-        InvariantPolicy {
-            check_connectivity: true,
-            max_activated_degree: None,
-            max_active_edges: None,
-            check_uid_uniqueness: true,
-        }
-    }
 }
 
 /// The seeded fault injector. All decisions are drawn from a [`DetRng`],
@@ -841,9 +830,8 @@ pub struct DstState {
     violations: Vec<Violation>,
     rounds_checked: usize,
     /// Incremental connectivity over the live subgraph, fed the round's
-    /// topology events; `None` until [`DstState::attach`], and when
-    /// connectivity checking is off.
-    conn: Option<DynConn>,
+    /// topology events; empty until [`DstState::attach`].
+    conn: DynConn,
     /// Nodes currently over the activated-degree bound, updated from the
     /// endpoints of the round's edge events (empty when no bound is set).
     /// `first()` is the lowest offending id — the node an ascending full
@@ -890,7 +878,7 @@ impl DstState {
             log: Vec::new(),
             violations: Vec::new(),
             rounds_checked: 0,
-            conn: None,
+            conn: DynConn::default(),
             over_degree: BTreeSet::new(),
             events: Vec::new(),
         }
@@ -901,15 +889,9 @@ impl DstState {
     /// [`crate::Network::install_dst`], which also arms the DST tap of
     /// the network's round-event bus that keeps these structures fed.
     pub(crate) fn attach(&mut self, network: &Network) {
-        self.conn = None;
         self.over_degree.clear();
         let graph = network.graph();
-        if self.policy.check_connectivity {
-            self.conn = Some(DynConn::from_graph_with_crashed(
-                graph,
-                network.crashed_mask(),
-            ));
-        }
+        self.conn = DynConn::from_graph_with_crashed(graph, network.crashed_mask());
         if let Some(bound) = self.policy.max_activated_degree {
             for u in graph.nodes() {
                 if network.activated_degree(u) > bound {
@@ -987,12 +969,10 @@ impl DstState {
         for &event in &events {
             match event {
                 RoundEvent::Edge { edge, added, .. } => {
-                    if let Some(conn) = self.conn.as_mut() {
-                        if added {
-                            conn.insert_edge(edge.a, edge.b);
-                        } else {
-                            conn.remove_edge(edge.a, edge.b, graph);
-                        }
+                    if added {
+                        self.conn.insert_edge(edge.a, edge.b);
+                    } else {
+                        self.conn.remove_edge(edge.a, edge.b, graph);
                     }
                     if let Some(bound) = degree_bound {
                         // Membership is recomputed from the *final*
@@ -1008,14 +988,10 @@ impl DstState {
                     }
                 }
                 RoundEvent::NodeJoined(_) => {
-                    if let Some(conn) = self.conn.as_mut() {
-                        conn.add_node();
-                    }
+                    self.conn.add_node();
                 }
                 RoundEvent::NodeCrashed(node) => {
-                    if let Some(conn) = self.conn.as_mut() {
-                        conn.crash(node, graph);
-                    }
+                    self.conn.crash(node, graph);
                     if degree_bound.is_some() {
                         self.over_degree.remove(&node);
                     }
@@ -1025,34 +1001,29 @@ impl DstState {
             }
         }
         self.events = events;
-        debug_assert!(self
-            .conn
-            .as_ref()
-            .is_none_or(|c| c.node_count() == graph.node_count()));
+        debug_assert_eq!(self.conn.node_count(), graph.node_count());
     }
 
     fn check_invariants(&mut self, network: &Network, round: usize) {
         self.rounds_checked += 1;
         let graph = network.graph();
-        if let Some(conn) = &self.conn {
-            // O(1) verdict off the incremental forest; a full BFS stays on
-            // as a differential oracle in debug builds.
-            let connected = conn.is_connected();
-            debug_assert_eq!(
-                connected,
-                live_subgraph_connected(network),
-                "dynamic connectivity diverged from the BFS oracle at round {round}"
-            );
-            if !connected {
-                self.violations.push(Violation {
-                    round,
-                    invariant: "connectivity",
-                    detail: format!(
-                        "live subgraph disconnected ({} live nodes)",
-                        graph.node_count() - self.crashed.len()
-                    ),
-                });
-            }
+        // O(1) verdict off the incremental forest; a full BFS stays on as
+        // a differential oracle in debug builds.
+        let connected = self.conn.is_connected();
+        debug_assert_eq!(
+            connected,
+            live_subgraph_connected(network),
+            "dynamic connectivity diverged from the BFS oracle at round {round}"
+        );
+        if !connected {
+            self.violations.push(Violation {
+                round,
+                invariant: "connectivity",
+                detail: format!(
+                    "live subgraph disconnected ({} live nodes)",
+                    graph.node_count() - self.crashed.len()
+                ),
+            });
         }
         if let Some(bound) = self.policy.max_activated_degree {
             // The over-bound set is maintained from the round's edge
@@ -1083,7 +1054,7 @@ impl DstState {
                 });
             }
         }
-        if self.policy.check_uid_uniqueness && !self.uids.is_empty() {
+        if !self.uids.is_empty() {
             #[cfg(debug_assertions)]
             assert_eq!(
                 self.uid_dups,

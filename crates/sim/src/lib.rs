@@ -21,6 +21,12 @@
 //! each other within a round is the algorithms' business; the network
 //! meters only the edges.
 //!
+//! A run has two observers, the two taps of the network's round-event
+//! [`bus`]: the DST invariant state ([`Network::install_dst`]) and the
+//! raw event recorder ([`Network::set_event_recording`]), whose
+//! [`RoundEvent`] stream carries every per-round detail. The paper's
+//! measures, [`EdgeMetrics`], are kept whether or not a tap is armed.
+//!
 //! A second, orthogonal layer is the deterministic simulation-testing
 //! subsystem [`dst`]: a seeded adversary that injects crash-stop
 //! failures, adversarial edge rewiring, round skew and churn between
@@ -49,11 +55,9 @@ pub mod dst;
 pub mod error;
 pub mod metrics;
 pub mod network;
-pub mod trace;
 
 pub use bus::RoundEvent;
 pub use dst::{Adversary, DstReport, DstState, FaultEvent, FaultRecord, InvariantPolicy, Scenario};
 pub use error::SimError;
 pub use metrics::EdgeMetrics;
 pub use network::{Network, RoundSummary, WaveActivation};
-pub use trace::RoundStats;

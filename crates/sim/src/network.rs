@@ -1,15 +1,15 @@
 //! The validated, metered temporal graph.
 //!
-//! Every observable of the network — DST topology replay, raw event
-//! recording, metrics and the per-round trace — hangs off one
-//! [`RoundEvent`] bus (see [`crate::bus`]): each applied mutation
-//! is emitted from exactly one place (the bus's edge sink for edges, the
-//! join/crash/boundary points below for the rest) and fanned out to
-//! whichever consumers are armed.
+//! The network's two observers — DST topology replay and raw event
+//! recording — are taps on one [`RoundEvent`] bus (see [`crate::bus`]):
+//! each applied mutation is emitted from exactly one place (the bus's
+//! edge sink for edges, the join/crash/boundary points below for the
+//! rest) and fanned out to whichever taps are armed. The
+//! [`EdgeMetrics`] are always on and kept by the network itself.
 
-use crate::bus::{BusTap, EdgeSink, EventBus, RoundLedger};
+use crate::bus::{BusTap, EdgeSink, EventBus};
 use crate::dst::{DstReport, DstState};
-use crate::{EdgeMetrics, RoundEvent, RoundStats, SimError};
+use crate::{EdgeMetrics, RoundEvent, SimError};
 use adn_graph::{Edge, Graph, NodeId};
 
 /// Deterministic multiply-rotate hasher for the staged-set guards: an
@@ -121,14 +121,12 @@ pub struct Network {
     /// commit path allocates nothing.
     commit_touched: Vec<NodeId>,
     commit_grew: Vec<NodeId>,
-    /// The round-event bus: the one recorded stream every buffered
-    /// observer (DST replay, raw recorder) drains from its own tap. See
+    /// The round-event bus: the one recorded stream both observers (DST
+    /// replay, raw recorder) drain from their own taps. See
     /// [`crate::bus`].
     bus: EventBus,
-    /// The always-on inline subscriber: accumulated [`EdgeMetrics`],
-    /// per-round [`RoundStats`] trace, and the degree histogram behind
-    /// the traced `max_degree`.
-    ledger: RoundLedger,
+    /// The paper's edge-complexity measures, accumulated since round 1.
+    metrics: EdgeMetrics,
     /// Optional deterministic-simulation-testing state (adversary +
     /// invariant checker), ticked at every round boundary.
     dst: Option<Box<DstState>>,
@@ -138,9 +136,11 @@ impl Network {
     /// Creates a network whose initial snapshot `D(1)` is `initial`.
     pub fn new(initial: Graph) -> Self {
         let current = initial.clone();
-        let mut ledger = RoundLedger::default();
-        ledger.metrics.max_total_degree = current.max_degree();
-        ledger.metrics.max_active_edges_total = current.edge_count();
+        let metrics = EdgeMetrics {
+            max_total_degree: current.max_degree(),
+            max_active_edges_total: current.edge_count(),
+            ..EdgeMetrics::default()
+        };
         let n = current.node_count();
         Network {
             initial,
@@ -159,7 +159,7 @@ impl Network {
             commit_touched: Vec::new(),
             commit_grew: Vec::new(),
             bus: EventBus::default(),
-            ledger,
+            metrics,
             dst: None,
         }
     }
@@ -224,40 +224,6 @@ impl Network {
         }
     }
 
-    /// Enables or disables the per-round [`RoundStats`] trace. While
-    /// enabled, every committed round appends one entry (idle rounds are
-    /// not traced — they perform no edge operations by definition).
-    /// Enabling also builds the degree histogram (one O(n) pass) that
-    /// serves the traced `max_degree` in O(1) amortized per mutation;
-    /// disabling drops it.
-    pub fn set_trace_enabled(&mut self, enabled: bool) {
-        self.ledger.trace_enabled = enabled;
-        if enabled && !self.ledger.degrees.enabled() {
-            self.ledger.degrees.rebuild(&self.current);
-        } else if !enabled && self.ledger.degrees.enabled() {
-            self.ledger.degrees.disable();
-        }
-    }
-
-    /// Records the number of algorithm-specific groups (e.g. committees)
-    /// currently alive; the value is stamped into every subsequently traced
-    /// round until updated. Algorithms without a group structure leave it
-    /// at the default 0.
-    pub fn note_groups_alive(&mut self, groups: usize) {
-        self.ledger.groups_alive = groups;
-    }
-
-    /// The per-round trace captured so far (empty unless tracing was
-    /// enabled via [`Network::set_trace_enabled`]).
-    pub fn trace(&self) -> &[RoundStats] {
-        &self.ledger.trace
-    }
-
-    /// Takes ownership of the captured trace, leaving an empty one behind.
-    pub fn take_trace(&mut self) -> Vec<RoundStats> {
-        std::mem::take(&mut self.ledger.trace)
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.current.node_count()
@@ -286,7 +252,7 @@ impl Network {
 
     /// The accumulated edge-complexity metrics.
     pub fn metrics(&self) -> &EdgeMetrics {
-        &self.ledger.metrics
+        &self.metrics
     }
 
     /// Number of currently active edges that are not initial edges.
@@ -532,13 +498,12 @@ impl Network {
         {
             // The single emission point: every applied mutation goes
             // through `sink.edge`, which records the bus event and keeps
-            // the activation counters and degree histogram current.
+            // the activation counters current.
             let mut sink = EdgeSink {
                 initial: &self.initial,
                 activated_degree: &mut self.activated_degree,
                 activated_now: &mut self.activated_now,
                 bus: &mut self.bus,
-                ledger: &mut self.ledger,
             };
             self.current.add_edges_batch(&self.staged_activations, |e| {
                 grew.push(e.a);
@@ -556,8 +521,7 @@ impl Network {
         self.staged_activations.clear();
         self.staged_deactivations.clear();
         for &u in &touched {
-            self.ledger.metrics.max_activated_degree = self
-                .ledger
+            self.metrics.max_activated_degree = self
                 .metrics
                 .max_activated_degree
                 .max(self.activated_degree[u.index()]);
@@ -569,10 +533,10 @@ impl Network {
         // Initiators that crash-stopped this round are excluded — a
         // crashed node performs no edge operations, consistent with its
         // staged edges being dropped.
-        self.ledger.metrics.rounds += 1;
-        self.ledger.metrics.total_activations += activations;
-        self.ledger.metrics.total_deactivations += deactivations;
-        self.ledger.metrics.activations_per_round.push(activations);
+        self.metrics.rounds += 1;
+        self.metrics.total_activations += activations;
+        self.metrics.total_deactivations += deactivations;
+        self.metrics.activations_per_round.push(activations);
         let mut max_per_node = 0usize;
         for u in self.staged_initiators.drain(..) {
             let stages = std::mem::take(&mut self.initiator_stages[u.index()]);
@@ -580,48 +544,23 @@ impl Network {
                 max_per_node = max_per_node.max(stages);
             }
         }
-        self.ledger.metrics.max_node_activations_in_round = self
-            .ledger
-            .metrics
-            .max_node_activations_in_round
-            .max(max_per_node);
+        self.metrics.max_node_activations_in_round =
+            self.metrics.max_node_activations_in_round.max(max_per_node);
 
         let activated_now = self.activated_now;
-        self.ledger.metrics.max_activated_edges =
-            self.ledger.metrics.max_activated_edges.max(activated_now);
-        self.ledger.metrics.max_active_edges_total = self
-            .ledger
+        self.metrics.max_activated_edges = self.metrics.max_activated_edges.max(activated_now);
+        self.metrics.max_active_edges_total = self
             .metrics
             .max_active_edges_total
             .max(self.current.edge_count());
         // The total-degree maximum is sampled at commit instants. Only
         // endpoints that gained an edge this round can raise it.
         for &u in &grew {
-            self.ledger.metrics.max_total_degree = self
-                .ledger
-                .metrics
-                .max_total_degree
-                .max(self.current.degree(u));
+            self.metrics.max_total_degree =
+                self.metrics.max_total_degree.max(self.current.degree(u));
         }
         self.commit_touched = touched;
         self.commit_grew = grew;
-        // The traced max_degree is sampled here — after the staged batches
-        // applied, before the DST tick injects next-round faults. The
-        // degree histogram serves it in O(1) amortized; the O(n)
-        // from-scratch scan stays on as a debug-build differential oracle.
-        let max_degree = if self.ledger.trace_enabled {
-            let incremental = self.ledger.degrees.max_degree();
-            debug_assert_eq!(
-                incremental,
-                self.current.max_degree(),
-                "degree histogram departed from the from-scratch scan at round {}",
-                self.round
-            );
-            incremental
-        } else {
-            0
-        };
-
         let summary = RoundSummary {
             round: self.round,
             activations,
@@ -635,13 +574,6 @@ impl Network {
             activations,
             deactivations,
         });
-        self.ledger.on_round_committed(
-            summary.round,
-            activations,
-            deactivations,
-            activated_now,
-            max_degree,
-        );
         self.round += 1;
         self.tick_dst();
         summary
@@ -663,10 +595,21 @@ impl Network {
             "cannot charge idle rounds while edge operations are staged"
         );
         for _ in 0..k {
-            self.round += 1;
-            self.ledger.on_idle_rounds(1);
-            self.bus.record(RoundEvent::IdleRound);
+            self.charge_idle_rounds(1);
             self.tick_dst();
+        }
+    }
+
+    /// Charges `k` rounds with zero activations: time passes, each round
+    /// adds an explicit 0 to `activations_per_round` and one
+    /// [`RoundEvent::IdleRound`] to the bus.
+    fn charge_idle_rounds(&mut self, k: usize) {
+        self.round += k;
+        self.metrics.rounds += k;
+        let per_round = &mut self.metrics.activations_per_round;
+        per_round.resize(per_round.len() + k, 0);
+        for _ in 0..k {
+            self.bus.record(RoundEvent::IdleRound);
         }
     }
 
@@ -691,7 +634,6 @@ impl Network {
             activated_degree: &mut self.activated_degree,
             activated_now: &mut self.activated_now,
             bus: &mut self.bus,
-            ledger: &mut self.ledger,
         };
         let severed = self.current.remove_incident_edges(node, |e| {
             sink.edge(e, false);
@@ -753,7 +695,6 @@ impl Network {
                 activated_degree: &mut self.activated_degree,
                 activated_now: &mut self.activated_now,
                 bus: &mut self.bus,
-                ledger: &mut self.ledger,
             };
             sink.edge(Edge::new(u, v), false);
         }
@@ -769,13 +710,11 @@ impl Network {
                 activated_degree: &mut self.activated_degree,
                 activated_now: &mut self.activated_now,
                 bus: &mut self.bus,
-                ledger: &mut self.ledger,
             };
             sink.edge(Edge::new(u, v), true);
             // The commit-time degree sampling only looks at endpoints of
             // staged activations; adversarial growth is accounted here.
-            self.ledger.metrics.max_total_degree = self
-                .ledger
+            self.metrics.max_total_degree = self
                 .metrics
                 .max_total_degree
                 .max(self.current.degree(u))
@@ -792,7 +731,6 @@ impl Network {
         self.activated_degree.push(0);
         self.initiator_stages.push(0);
         self.crashed.push(false);
-        self.ledger.on_join();
         // Ordering contract: the join precedes any attach edge insertion.
         self.bus.record(RoundEvent::NodeJoined(node));
         node
@@ -801,11 +739,7 @@ impl Network {
     /// Skews time forward by `k` rounds (message-delay perturbation):
     /// rounds pass, nothing happens, the metered round count grows.
     pub(crate) fn fault_skew(&mut self, k: usize) {
-        self.round += k;
-        self.ledger.on_idle_rounds(k);
-        for _ in 0..k {
-            self.bus.record(RoundEvent::IdleRound);
-        }
+        self.charge_idle_rounds(k);
     }
 
     /// Returns true if the current snapshot is connected.
@@ -1046,29 +980,6 @@ mod tests {
         assert!(net.take_events().is_empty(), "drain empties the tap");
         net.set_event_recording(false);
         assert!(!net.event_recording());
-    }
-
-    #[test]
-    fn traced_max_degree_matches_from_scratch_scan() {
-        // No DST state is installed, so nothing moves after a commit's
-        // sample: the scan after each commit is the reference.
-        let mut net = Network::new(generators::star(8));
-        net.set_trace_enabled(true);
-        let mut scanned = Vec::new();
-        for i in 1..7 {
-            net.stage_activation(nid(i), nid(i + 1)).unwrap();
-        }
-        net.commit_round();
-        scanned.push(net.graph().max_degree());
-        net.stage_deactivation(nid(0), nid(4)).unwrap();
-        net.commit_round();
-        scanned.push(net.graph().max_degree());
-        net.fault_crash_node(nid(0)).unwrap();
-        net.commit_round();
-        scanned.push(net.graph().max_degree());
-        let traced: Vec<usize> = net.trace().iter().map(|s| s.max_degree).collect();
-        assert_eq!(traced, scanned);
-        assert_eq!(traced[0], 7, "hub at 7 post-wave");
     }
 
     #[test]

@@ -21,7 +21,6 @@ fn main() -> Result<(), CoreError> {
     let outcome = Experiment::on(graph.clone())
         .uids(UidAssignment::RandomPermutation { seed: 42 })
         .algorithm("graph_to_star")
-        .trace(TraceLevel::PerRound)
         .run()?;
 
     println!(
@@ -48,7 +47,6 @@ fn main() -> Result<(), CoreError> {
         "committees per phase        : {:?}",
         outcome.committees_per_phase
     );
-    println!("traced rounds               : {}", outcome.trace.len());
 
     // Composition (Section 1.3): disseminate every token over the new
     // low-diameter network and compare with flooding the original line.

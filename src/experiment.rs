@@ -7,13 +7,12 @@
 //! let outcome = Experiment::on(generators::line(64))
 //!     .uids(UidAssignment::RandomPermutation { seed: 7 })
 //!     .algorithm("graph_to_star")
-//!     .trace(TraceLevel::PerRound)
 //!     .run()
 //!     .unwrap();
 //! assert_eq!(outcome.final_diameter(), Some(2));
 //! ```
 
-use adn_core::algorithm::{self, CentralizedConfig, DstConfig, EngineMode, RunConfig, TraceLevel};
+use adn_core::algorithm::{self, CentralizedConfig, DstConfig, EngineMode, RunConfig};
 use adn_core::graph_to_wreath::WreathConfig;
 use adn_core::{CoreError, TransformationOutcome};
 use adn_graph::{Graph, GraphFamily, UidAssignment, UidMap};
@@ -76,12 +75,6 @@ impl Experiment {
     /// [`CoreError::InvalidInput`] from [`Experiment::run`].
     pub fn algorithm(mut self, id: &str) -> Self {
         self.algorithm = id.to_string();
-        self
-    }
-
-    /// Sets the trace level.
-    pub fn trace(mut self, level: TraceLevel) -> Self {
-        self.config.trace = level;
         self
     }
 
@@ -218,13 +211,11 @@ mod tests {
         let outcome = Experiment::on(generators::line(64))
             .uids(UidAssignment::RandomPermutation { seed: 7 })
             .algorithm("graph_to_star")
-            .trace(TraceLevel::PerRound)
             .run()
             .unwrap();
         let uids = UidMap::new(64, UidAssignment::RandomPermutation { seed: 7 });
         assert!(verify_leader_election(&outcome, &uids));
         assert_eq!(outcome.final_diameter(), Some(2));
-        assert!(!outcome.trace.is_empty());
     }
 
     #[test]
@@ -232,7 +223,6 @@ mod tests {
         // Default algorithm (GraphToStar) and default UIDs (sequential).
         let outcome = Experiment::family(GraphFamily::Ring, 32, 3).run().unwrap();
         assert_eq!(outcome.leader, adn_graph::NodeId(31));
-        assert!(outcome.trace.is_empty(), "tracing defaults to off");
     }
 
     #[test]

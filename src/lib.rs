@@ -34,12 +34,10 @@
 //! let outcome = Experiment::on(generators::line(64))
 //!     .uids(UidAssignment::RandomPermutation { seed: 7 })
 //!     .algorithm("graph_to_star")
-//!     .trace(TraceLevel::PerRound)
 //!     .run()
 //!     .unwrap();
 //!
 //! assert_eq!(outcome.final_diameter(), Some(2));
-//! assert!(!outcome.trace.is_empty());
 //!
 //! // Or sweep every registered algorithm generically:
 //! let graph = generators::ring(32);
@@ -72,7 +70,6 @@ pub mod prelude {
         arm_network_for_dst, find as find_algorithm, registry, AlgorithmSpec, CentralizedConfig,
         CentralizedCutInHalf, CentralizedGeneral, CliqueFormation, DstConfig, EngineMode, Flooding,
         GraphToStar, GraphToThinWreath, GraphToWreath, ReconfigurationAlgorithm, RunConfig,
-        TraceLevel,
     };
     pub use adn_core::baselines::clique::run_clique_then_prune;
     pub use adn_core::committee::{CommitteeAdjacency, CommitteeForest, CommitteeId};

@@ -208,15 +208,12 @@ fn dead_tree_edge_without_replacement_splits_and_recovers() {
     assert_agrees(&conn, &g, &alive, "bridge heal");
 }
 
-/// The invariant policy the harness-level differential runs use:
-/// everything armed, bounds tight enough that adversarial perturbation
-/// can actually trip them.
+/// The invariant policy the harness-level differential runs use: bounds
+/// tight enough that adversarial perturbation can actually trip them.
 fn differential_policy() -> InvariantPolicy {
     InvariantPolicy {
-        check_connectivity: true,
         max_activated_degree: Some(3),
         max_active_edges: Some(64),
-        check_uid_uniqueness: true,
     }
 }
 

@@ -1,17 +1,13 @@
 //! Differential suite for the network's round-event bus.
 //!
-//! Every observable of [`Network`] — DST replay, metrics, the per-round
-//! trace — is now a projection of one recorded [`RoundEvent`] stream.
-//! These tests drive DST-armed networks through mixed / partition / churn
-//! / crash fault schedules with *every* consumer armed at once and pin the
-//! stream against from-scratch reference computations:
+//! Both observers of [`Network`] — DST replay and the raw recorder — are
+//! taps on one recorded [`RoundEvent`] stream. These tests drive
+//! DST-armed networks through mixed / partition / churn / crash fault
+//! schedules with both taps armed at once and pin the stream against
+//! from-scratch reference computations:
 //!
 //! * replaying the recorded events over a snapshot of the initial graph
 //!   reproduces the live snapshot edge for edge;
-//! * each traced round's `max_degree` (served by the incremental degree
-//!   histogram) equals a from-scratch scan of the replayed mirror at
-//!   that round boundary — in release builds too, where the histogram's
-//!   `debug_assert` oracle is compiled out;
 //! * the elapsed-round accounting (`EdgeMetrics::rounds`,
 //!   `activations_per_round`) matches the boundary events.
 
@@ -70,15 +66,13 @@ fn recorded_stream_replays_to_snapshot_under_faults() {
                 InvariantPolicy::default(),
                 (1..=n as u64).collect(),
             ));
-            // Every consumer at once: raw recorder, DST tap (armed by
-            // install_dst) and the traced ledger.
+            // Both taps at once: raw recorder and DST tap (armed by
+            // install_dst).
             net.set_event_recording(true);
-            net.set_trace_enabled(true);
 
             let mut mirror = initial;
             let mut boundaries = 0usize;
             let mut idles = 0usize;
-            let mut traced_max_degrees = Vec::new();
             let mut per_round_activations = Vec::new();
             for round in 0..50 {
                 for _ in 0..rng.gen_range(0, 6) {
@@ -101,8 +95,7 @@ fn recorded_stream_replays_to_snapshot_under_faults() {
 
                 let events = net.take_events();
 
-                // Replay into the mirror; sample it at every boundary for
-                // the traced max_degree cross-check.
+                // Replay into the mirror.
                 let mut window_activations = Vec::new();
                 for (i, event) in events.iter().enumerate() {
                     apply_to_mirror(&mut mirror, event);
@@ -140,7 +133,6 @@ fn recorded_stream_replays_to_snapshot_under_faults() {
                             }
                             boundaries += 1;
                             window_activations.push(activations);
-                            traced_max_degrees.push(mirror.max_degree());
                             let adds = events
                                 .iter()
                                 .filter(|e| matches!(e, RoundEvent::Edge { added: true, .. }))
@@ -167,18 +159,6 @@ fn recorded_stream_replays_to_snapshot_under_faults() {
                 );
             }
 
-            // Trace: one entry per committed round, max_degree equal to
-            // the from-scratch scan of the mirror at that boundary.
-            let trace = net.trace();
-            assert_eq!(trace.len(), boundaries);
-            for (stats, &expected) in trace.iter().zip(&traced_max_degrees) {
-                assert_eq!(
-                    stats.max_degree, expected,
-                    "scenario {} seed {seed} round {}: traced max_degree diverged",
-                    scenario.name, stats.round
-                );
-            }
-
             // Elapsed-round accounting: every boundary and every idle
             // charge (including adversarial skew) is one metered round
             // contributing its activation count (0 for idles).
@@ -188,49 +168,5 @@ fn recorded_stream_replays_to_snapshot_under_faults() {
             let committed_total: usize = per_round_activations.iter().sum();
             assert_eq!(metrics.total_activations, committed_total);
         }
-    }
-}
-
-#[test]
-fn trace_histogram_matches_from_scratch_scan_under_faults() {
-    // The traced max_degree comes from the incremental degree histogram;
-    // the reference is a from-scratch scan of a mirror replayed from the
-    // recorded events up to each commit's boundary (after it, the DST
-    // tick's faults move the snapshot). Release builds compile out the
-    // histogram's own oracle, so this is their cross-check.
-    let scenario = Scenario::mixed().with_fault_budget(8);
-    for seed in 0u64..4 {
-        let mut rng = DetRng::seed_from_u64(0x7AC3 ^ seed);
-        let n = 24;
-        let initial = generators::random_line_with_chords(n, n / 2, seed);
-        let mut net = Network::new(initial.clone());
-        net.install_dst(DstState::new(
-            Adversary::new(scenario.clone(), seed + 2),
-            InvariantPolicy::default(),
-            (1..=n as u64).collect(),
-        ));
-        net.set_event_recording(true);
-        net.set_trace_enabled(true);
-        let mut mirror = initial;
-        let mut scanned = Vec::new();
-        for _ in 0..40 {
-            for _ in 0..rng.gen_range(0, 5) {
-                let n_now = net.node_count();
-                let u = NodeId(rng.gen_range(0, n_now));
-                let v = NodeId(rng.gen_range(0, n_now));
-                if u != v {
-                    let _ = net.stage_activation(u, v);
-                }
-            }
-            net.commit_round();
-            for event in &net.take_events() {
-                apply_to_mirror(&mut mirror, event);
-                if matches!(event, RoundEvent::RoundCommitted { .. }) {
-                    scanned.push(mirror.max_degree());
-                }
-            }
-        }
-        let traced: Vec<usize> = net.trace().iter().map(|s| s.max_degree).collect();
-        assert_eq!(traced, scanned, "seed {seed}");
     }
 }
