@@ -5,30 +5,43 @@
 //! recipe to the `adn-runtime` schedulers. A [`RuntimeCase`] names a
 //! program (flooding actors, the line-to-tree actors, or one of the
 //! committee algorithms — GraphToStar / GraphToWreath), a workload, an
-//! *asynchronous* scenario (delivery reorder window, per-link delay,
-//! asymmetric latency), a scheduler seed, and — for committee programs
-//! under a fault-budgeted scenario — an armed [`FaultPlan`] of
-//! crash/churn events, all drawn from a single case seed, so any
-//! divergence found by a sweep is one replayable number.
+//! *asynchronous* scenario, a scheduler seed and an adversary seed, all
+//! drawn from a single case seed, so any divergence found by a sweep is
+//! one replayable number.
+//!
+//! The scenario's delivery knobs (reorder window, per-link delay,
+//! asymmetric latency) perturb every case's scheduler. Committee cases
+//! also run on a network armed with the DST adversary
+//! ([`arm_network_for_dst`]) under the case's scenario and adversary
+//! seed, so the stress suite's faults land at the run's commits, and
+//! their report renders the harvested [`DstReport`]. Flooding and
+//! line-to-tree cases run unarmed: flooding actors never commit, so the
+//! adversary would never act, and the line-to-tree actors run armed
+//! inside every wreath case's rebuilds.
 //!
 //! Every case runs on the [`SeededScheduler`]: its delivery order is a
-//! pure function of the scheduler seed, so [`RuntimeCaseReport::render`]
-//! is byte-identical across reruns and thread counts — exactly the
-//! replay contract the synchronous suite gives, extended to executions
-//! with no round structure at all.
+//! pure function of the scheduler seed, and the adversary's schedule a
+//! pure function of its own seed, so [`RuntimeCaseReport::render`] is
+//! byte-identical across reruns and thread counts — exactly the replay
+//! contract the synchronous suite gives, extended to executions with no
+//! round structure at all. A panic is caught and reported as the case's
+//! outcome, and the sweep applies the stress suite's suite-failure rule
+//! ([`RuntimeCaseReport::is_suite_failure`]).
 //!
 //! [`SeededScheduler`]: adn_runtime::SeededScheduler
 
-use adn_core::algorithm::{self, DstConfig, EngineMode, RunConfig};
+use crate::stress::panic_message;
+use adn_core::algorithm::{self, arm_network_for_dst, DstConfig, EngineMode, RunConfig};
 use adn_core::graph_to_wreath::WreathConfig;
 use adn_core::subroutines::{
     run_runtime_line_to_tree, run_runtime_star, run_runtime_wreath, LineToTreeConfig,
 };
 use adn_graph::rng::DetRng;
 use adn_graph::{GraphFamily, NodeId, UidAssignment, UidMap};
-use adn_runtime::{AsyncKnobs, FaultKind, FaultPlan, Scheduler, SeededScheduler};
-use adn_sim::dst::{self, Scenario};
+use adn_runtime::{AsyncKnobs, Scheduler, SeededScheduler};
+use adn_sim::dst::{self, DstReport, Scenario};
 use adn_sim::Network;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The actor program a runtime case exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +72,7 @@ impl RuntimeProgram {
     }
 
     /// Whether this program runs the committee actors (and therefore
-    /// accepts an armed fault plan).
+    /// runs on a network armed with the DST adversary).
     pub fn is_committee(&self) -> bool {
         matches!(self, RuntimeProgram::Star | RuntimeProgram::Wreath)
     }
@@ -80,8 +93,7 @@ const FLOOD_FAMILIES: [GraphFamily; 8] = [
 ];
 
 /// Workload families for committee cases — the subset that honours the
-/// requested node count exactly, so a crash target drawn from `0..n` is
-/// always a valid node (Grid and Hypercube round `n`).
+/// requested node count exactly (Grid and Hypercube round `n`).
 const COMMITTEE_FAMILIES: [GraphFamily; 4] = [
     GraphFamily::Line,
     GraphFamily::Ring,
@@ -110,10 +122,9 @@ pub struct RuntimeCase {
     /// Tree arity for line-to-tree and wreath cases (ignored by
     /// flooding and GraphToStar).
     pub arity: usize,
-    /// Armed fault events delivered by the scheduler mid-execution.
-    /// Derived from the scenario's fault budget for committee programs;
-    /// always empty for flooding and line-to-tree cases.
-    pub faults: FaultPlan,
+    /// Seed of the DST adversary armed on committee cases' networks
+    /// (ignored by flooding and line-to-tree cases, which run unarmed).
+    pub adversary_seed: u64,
 }
 
 impl RuntimeCase {
@@ -148,31 +159,9 @@ impl RuntimeCase {
         let scenario = pool[rng.gen_range(0, pool.len())].clone();
         let sched_seed = rng.next_u64();
         let arity = 2 + rng.gen_range(0, 3);
-        // Committee programs arm the scenario's fault budget as scheduler
-        // step events; the other programs have no fault handling yet, so
-        // their plans stay empty.
-        let mut faults = FaultPlan::new();
-        if program.is_committee() && scenario.fault_budget > 0 {
-            let weight_total = (scenario.crash_weight + scenario.churn_weight) as usize;
-            if weight_total > 0 {
-                let events = 1 + rng.gen_range(0, scenario.fault_budget);
-                for _ in 0..events {
-                    // Each fault lands at a delivery step drawn from
-                    // 1..=40·n. That window covers only the start of a
-                    // committee run: across the 256-case runtime dump it
-                    // is a median 36.5% (26–86%) of a GraphToStar run's
-                    // delivery steps and 40% (24–105%) of a wreath run's,
-                    // so late merge phases and most ring rebuilds see no
-                    // fault.
-                    let at_step = 1 + rng.gen_range(0, n * 40);
-                    if rng.gen_range(0, weight_total) < scenario.crash_weight as usize {
-                        faults = faults.crash_at(at_step, NodeId(rng.gen_range(0, n)));
-                    } else {
-                        faults = faults.join_at(at_step);
-                    }
-                }
-            }
-        }
+        // Drawn last: drawing it earlier would move every later field of
+        // every case.
+        let adversary_seed = rng.next_u64();
         RuntimeCase {
             seed,
             program,
@@ -182,7 +171,7 @@ impl RuntimeCase {
             scenario,
             sched_seed,
             arity,
-            faults,
+            adversary_seed,
         }
     }
 }
@@ -194,17 +183,37 @@ pub struct RuntimeCaseReport {
     pub case: RuntimeCase,
     /// Actual node count of the generated instance.
     pub n_actual: usize,
-    /// A stable one-line digest of the program outcome (`completed …` or
-    /// `failed: …`).
+    /// A stable one-line digest of the program outcome (`completed …`,
+    /// `failed: …` or `panicked: …`).
     pub outcome: String,
     /// Render of the scheduler's [`adn_runtime::RuntimeReport`] (empty
     /// when the run failed before the scheduler finished).
     pub runtime: String,
     /// Whether the run completed.
     pub completed: bool,
+    /// Whether the program panicked (the panic was caught; the run did
+    /// not complete).
+    pub panicked: bool,
+    /// The DST report harvested from an armed (committee) case's network:
+    /// the adversary's fault schedule and every invariant violation.
+    pub dst: Option<DstReport>,
 }
 
 impl RuntimeCaseReport {
+    /// Whether the invariant checker recorded at least one violation.
+    fn has_violations(&self) -> bool {
+        self.dst.as_ref().is_some_and(|d| !d.violations.is_empty())
+    }
+
+    /// True when this run should fail the sweep, by the stress suite's
+    /// rule ([`crate::stress::StressReport::is_suite_failure`]): the
+    /// program panicked, or it failed or violated an invariant without a
+    /// single injected fault to blame.
+    pub fn is_suite_failure(&self) -> bool {
+        let faulted = self.dst.as_ref().is_some_and(|d| !d.faults.is_empty());
+        self.panicked || (!faulted && (!self.completed || self.has_violations()))
+    }
+
     /// Renders the full report to a stable string; replay equality is
     /// checked byte-for-byte on exactly this.
     pub fn render(&self) -> String {
@@ -227,19 +236,8 @@ impl RuntimeCaseReport {
             "knobs: reorder_window={} max_link_delay={} asymmetric={}\n",
             knobs.reorder_window, knobs.max_link_delay, knobs.asymmetric_delay,
         ));
-        if self.case.faults.is_empty() {
-            s.push_str("faults: none\n");
-        } else {
-            s.push_str("faults:");
-            for event in self.case.faults.events() {
-                match event.kind {
-                    FaultKind::Crash(node) => {
-                        s.push_str(&format!(" crash({node})@{}", event.at_step))
-                    }
-                    FaultKind::Join => s.push_str(&format!(" join@{}", event.at_step)),
-                }
-            }
-            s.push('\n');
+        if let Some(dst) = &self.dst {
+            s.push_str(&dst.render());
         }
         s.push_str(&format!("outcome: {}\n", self.outcome));
         s.push_str(&self.runtime);
@@ -247,17 +245,22 @@ impl RuntimeCaseReport {
     }
 }
 
-/// The case's seeded scheduler: its scheduler seed, its scenario's
-/// delivery knobs and its fault plan.
+/// The case's seeded scheduler: its scheduler seed and its scenario's
+/// delivery knobs.
 fn scheduler(case: &RuntimeCase) -> Scheduler {
     Scheduler::Seeded(
-        SeededScheduler::new(case.sched_seed)
-            .with_knobs(AsyncKnobs::from_scenario(&case.scenario))
-            .with_faults(case.faults.clone()),
+        SeededScheduler::new(case.sched_seed).with_knobs(AsyncKnobs::from_scenario(&case.scenario)),
     )
 }
 
-/// Runs one case on the seeded scheduler.
+/// What a completed program leaves behind: its outcome digest, the
+/// render of its runtime report and, for an armed case, its DST report.
+type Completed = (String, String, Option<DstReport>);
+
+/// Runs one case on the seeded scheduler. Committee cases run on a
+/// network armed with the DST adversary under the case's scenario and
+/// adversary seed; a panic is caught and becomes the `panicked: …`
+/// outcome.
 pub fn run_case(case: &RuntimeCase) -> RuntimeCaseReport {
     let graph = case.family.generate(case.n, case.uid_seed);
     let n_actual = graph.node_count();
@@ -268,84 +271,24 @@ pub fn run_case(case: &RuntimeCase) -> RuntimeCaseReport {
         },
     );
     let mut network = Network::new(graph);
-    let (outcome, runtime, completed) = match case.program {
-        RuntimeProgram::Flooding => {
-            let a = algorithm::find("flooding").expect("flooding is registered");
-            let mut config = RunConfig::default().with_engine(EngineMode::Seeded {
-                seed: case.sched_seed,
-            });
-            // The scenario is knob transport only: the network is *not*
-            // armed, so no synchronous adversary competes with the
-            // scheduler — `RunConfig::scheduler` lifts the delivery knobs.
-            config.dst = Some(DstConfig {
-                scenario: case.scenario.clone(),
-                seed: case.sched_seed,
-            });
-            match a.execute(&mut network, &uids, &config) {
-                Ok(o) => {
-                    let full = o.tokens_per_node.iter().filter(|&&t| t == n_actual).count();
-                    let report = o.runtime.expect("async flooding reports its runtime");
-                    (
-                        format!(
-                            "completed (leader {}, {}/{} nodes hold all tokens)",
-                            o.leader, full, n_actual
-                        ),
-                        report.render(),
-                        true,
-                    )
-                }
-                Err(e) => (format!("failed: {e}"), String::new(), false),
-            }
-        }
-        RuntimeProgram::LineToTree => {
-            let line: Vec<NodeId> = (0..n_actual).map(NodeId).collect();
-            let config = LineToTreeConfig {
-                arity: case.arity,
-                protected_edges: Default::default(),
-            };
-            match run_runtime_line_to_tree(&mut network, &line, &config, &scheduler(case)) {
-                Ok((tree, report)) => (
-                    format!(
-                        "completed (tree depth {}, root {})",
-                        tree.depth(),
-                        tree.root()
-                    ),
-                    report.render(),
-                    true,
-                ),
-                Err(e) => (format!("failed: {e}"), String::new(), false),
-            }
-        }
-        RuntimeProgram::Star | RuntimeProgram::Wreath => {
-            let config = RunConfig::default();
-            let scheduler = scheduler(case);
-            let result = match case.program {
-                RuntimeProgram::Star => run_runtime_star(&mut network, &uids, &config, &scheduler),
-                _ => {
-                    let wreath = WreathConfig {
-                        tree_arity: case.arity,
-                        ..WreathConfig::binary()
-                    };
-                    run_runtime_wreath(&mut network, &uids, &wreath, &config, &scheduler)
-                }
-            };
-            match result {
-                Ok(o) => {
-                    let report = o
-                        .runtime
-                        .expect("async committee runs report their runtime");
-                    (
-                        format!(
-                            "completed (leader {}, {} phases, committees per phase {:?})",
-                            o.leader, o.phases, o.committees_per_phase
-                        ),
-                        report.render(),
-                        true,
-                    )
-                }
-                Err(e) => (format!("failed: {e}"), String::new(), false),
-            }
-        }
+    if case.program.is_committee() {
+        let a = algorithm::find(case.program.name()).expect("committee programs are registered");
+        let dst = DstConfig {
+            scenario: case.scenario.clone(),
+            seed: case.adversary_seed,
+        };
+        arm_network_for_dst(&mut network, &a.spec(), &uids, &dst);
+    }
+    let result = catch_unwind(AssertUnwindSafe(|| run_program(case, &mut network, &uids)));
+    let (completed, panicked) = (matches!(result, Ok(Ok(_))), result.is_err());
+    let (outcome, runtime, dst) = match result {
+        Ok(Ok(done)) => done,
+        Ok(Err(e)) => (format!("failed: {e}"), String::new(), None),
+        Err(payload) => (
+            format!("panicked: {}", panic_message(payload)),
+            String::new(),
+            None,
+        ),
     };
     RuntimeCaseReport {
         case: case.clone(),
@@ -353,6 +296,91 @@ pub fn run_case(case: &RuntimeCase) -> RuntimeCaseReport {
         outcome,
         runtime,
         completed,
+        panicked,
+        // A run that did not complete left its report on the network.
+        dst: dst.or_else(|| network.take_dst_report()),
+    }
+}
+
+/// Runs the case's program on `network`; errors come back rendered.
+fn run_program(
+    case: &RuntimeCase,
+    network: &mut Network,
+    uids: &UidMap,
+) -> Result<Completed, String> {
+    let n_actual = network.node_count();
+    match case.program {
+        RuntimeProgram::Flooding => {
+            let a = algorithm::find("flooding").expect("flooding is registered");
+            let mut config = RunConfig::default().with_engine(EngineMode::Seeded {
+                seed: case.sched_seed,
+            });
+            // The scenario is knob transport only: the network is *not*
+            // armed (flooding actors never commit, so an adversary would
+            // never act) — `RunConfig::scheduler` lifts the delivery knobs.
+            config.dst = Some(DstConfig {
+                scenario: case.scenario.clone(),
+                seed: case.sched_seed,
+            });
+            let o = a
+                .execute(network, uids, &config)
+                .map_err(|e| e.to_string())?;
+            let full = o.tokens_per_node.iter().filter(|&&t| t == n_actual).count();
+            let report = o.runtime.expect("async flooding reports its runtime");
+            Ok((
+                format!(
+                    "completed (leader {}, {}/{} nodes hold all tokens)",
+                    o.leader, full, n_actual
+                ),
+                report.render(),
+                o.dst,
+            ))
+        }
+        RuntimeProgram::LineToTree => {
+            let line: Vec<NodeId> = (0..n_actual).map(NodeId).collect();
+            let config = LineToTreeConfig {
+                arity: case.arity,
+                protected_edges: Default::default(),
+            };
+            let (tree, report) =
+                run_runtime_line_to_tree(network, &line, &config, &scheduler(case))
+                    .map_err(|e| e.to_string())?;
+            Ok((
+                format!(
+                    "completed (tree depth {}, root {})",
+                    tree.depth(),
+                    tree.root()
+                ),
+                report.render(),
+                None,
+            ))
+        }
+        RuntimeProgram::Star | RuntimeProgram::Wreath => {
+            let config = RunConfig::default();
+            let scheduler = scheduler(case);
+            let o = match case.program {
+                RuntimeProgram::Star => run_runtime_star(network, uids, &config, &scheduler),
+                _ => {
+                    let wreath = WreathConfig {
+                        tree_arity: case.arity,
+                        ..WreathConfig::binary()
+                    };
+                    run_runtime_wreath(network, uids, &wreath, &config, &scheduler)
+                }
+            }
+            .map_err(|e| e.to_string())?;
+            let report = o
+                .runtime
+                .expect("async committee runs report their runtime");
+            Ok((
+                format!(
+                    "completed (leader {}, {} phases, committees per phase {:?})",
+                    o.leader, o.phases, o.committees_per_phase
+                ),
+                report.render(),
+                o.dst,
+            ))
+        }
     }
 }
 
@@ -385,21 +413,42 @@ impl RuntimeSweepSummary {
         self.reports.iter().filter(|r| r.completed).count()
     }
 
-    /// The failed reports.
+    /// The reports of runs that did not complete.
     pub fn failures(&self) -> Vec<&RuntimeCaseReport> {
         self.reports.iter().filter(|r| !r.completed).collect()
     }
 
-    /// A short human-readable summary.
+    /// Number of runs with at least one invariant violation.
+    pub fn with_violations(&self) -> usize {
+        self.reports.iter().filter(|r| r.has_violations()).count()
+    }
+
+    /// The suite failures (see [`RuntimeCaseReport::is_suite_failure`]).
+    pub fn suite_failures(&self) -> Vec<&RuntimeCaseReport> {
+        self.reports
+            .iter()
+            .filter(|r| r.is_suite_failure())
+            .collect()
+    }
+
+    /// A short human-readable summary, listing every run that did not
+    /// complete or is a suite failure.
     pub fn summary_text(&self) -> String {
         let mut s = format!(
-            "runtime sweep: master_seed={} cases={} completed={} failed={}\n",
+            "runtime sweep: master_seed={} cases={} completed={} failed={} \
+             with_violations={} suite_failures={}\n",
             self.master_seed,
             self.reports.len(),
             self.completed(),
             self.failures().len(),
+            self.with_violations(),
+            self.suite_failures().len(),
         );
-        for r in self.failures() {
+        for r in self
+            .reports
+            .iter()
+            .filter(|r| !r.completed || r.is_suite_failure())
+        {
             s.push_str(&format!(
                 "  FAILURE seed={} ({} on {} under {} sched_seed={}): {}\n",
                 r.case.seed,
@@ -448,24 +497,81 @@ mod tests {
                     COMMITTEE_FAMILIES.contains(&a.family),
                     "seed {seed} drew a family that rounds n for a committee program"
                 );
-                for event in a.faults.events() {
-                    if let FaultKind::Crash(node) = event.kind {
-                        assert!(node.0 < a.n, "seed {seed} drew an out-of-range crash");
-                    }
-                }
-            } else {
-                assert!(
-                    a.faults.is_empty(),
-                    "seed {seed} armed faults on a non-committee program"
-                );
             }
         }
     }
 
     #[test]
+    fn only_committee_cases_render_a_dst_report() {
+        for seed in [26u64, 27, 28, 30] {
+            let report = replay(seed);
+            assert_eq!(
+                report.dst.is_some(),
+                report.case.program.is_committee(),
+                "{}",
+                report.render()
+            );
+        }
+    }
+
+    #[test]
+    fn suite_failures_follow_the_stress_rule() {
+        let base = replay(26);
+        let dst = DstReport {
+            scenario: "async_churn".to_string(),
+            seed: 1,
+            rounds_checked: 2,
+            crashed: Vec::new(),
+            faults: Vec::new(),
+            violations: Vec::new(),
+        };
+        let fault = dst::FaultRecord {
+            round: 2,
+            event: dst::FaultEvent::Skew { rounds: 1 },
+        };
+        let violation = dst::Violation {
+            round: 2,
+            invariant: "connectivity",
+            detail: String::new(),
+        };
+        let report = |completed: bool, panicked: bool, faults: bool, violations: bool| {
+            let mut dst = dst.clone();
+            if faults {
+                dst.faults.push(fault.clone());
+            }
+            if violations {
+                dst.violations.push(violation.clone());
+            }
+            RuntimeCaseReport {
+                completed,
+                panicked,
+                dst: Some(dst),
+                ..base.clone()
+            }
+        };
+        // (completed, panicked, faults, violations) -> suite failure
+        for (case, expected) in [
+            ((true, false, false, false), false),
+            ((true, false, false, true), true),
+            ((true, false, true, true), false),
+            ((false, false, false, false), true),
+            ((false, false, true, false), false),
+            ((false, true, true, false), true),
+        ] {
+            let (completed, panicked, faults, violations) = case;
+            assert_eq!(
+                report(completed, panicked, faults, violations).is_suite_failure(),
+                expected,
+                "{case:?}"
+            );
+        }
+    }
+
+    #[test]
     fn replay_is_byte_identical() {
-        // Seeds chosen to cover every program, including fault-armed
-        // committee cases (30 = star + joins, 49 = wreath + joins).
+        // Seeds chosen to cover every program, including committee cases
+        // under the churn adversary (30 = star + joins, 49 = wreath +
+        // joins).
         for seed in [26u64, 27, 28, 30, 34, 49] {
             let (report, identical) = verify_replay(seed);
             assert!(identical, "seed {seed} diverged:\n{}", report.render());
@@ -506,39 +612,63 @@ mod tests {
 
     #[test]
     fn crash_armed_committee_case_replays_and_degrades_cleanly() {
-        // Seed-derived plans only ever join (the async pool's sole
-        // fault-budgeted scenario is churn-weighted), so the crash half
-        // of the armed fault path is pinned with an explicit case. The
-        // crash lands mid-run; whichever way the schedule falls —
-        // surviving to a star or degrading — the outcome must replay
-        // byte-identically and any failure must be the clean error, not
-        // a panic or a hang.
-        let scenario = dst::find_scenario("async_churn").expect("async_churn is registered");
-        let case = RuntimeCase {
-            seed: 0,
-            program: RuntimeProgram::Star,
-            family: GraphFamily::Ring,
-            n: 16,
-            uid_seed: 21,
-            scenario,
-            sched_seed: 5,
-            arity: 2,
-            faults: FaultPlan::new().crash_at(900, NodeId(3)),
-        };
-        let first = run_case(&case);
-        let second = run_case(&case);
-        assert_eq!(first.render(), second.render(), "crash case diverged");
-        assert!(
-            first.render().contains("faults: crash(v3)@900"),
-            "render must pin the fault plan:\n{}",
-            first.render()
-        );
-        if !first.completed {
+        // The async pool's only fault-budgeted scenario joins nodes and
+        // never crashes one, so the crash half of the armed path is pinned
+        // with explicit cases: one crash of the highest-degree node, at
+        // one commit round each, swept across all 40 commit rounds of a
+        // star run under async_churn's delivery knobs. Whichever way each
+        // run falls — surviving to a star or degrading — the outcome must
+        // replay byte-identically, the render must pin the crash, and any
+        // failure must be the clean error, not a panic or a hang.
+        let knobs = dst::find_scenario("async_churn").expect("async_churn is registered");
+        let (mut completed, mut failed) = (0, 0);
+        for round in 2..=41 {
+            let scenario = Scenario {
+                name: "crash_stop".to_string(),
+                fault_budget: 1,
+                per_round_probability: 1.0,
+                crash_weight: 1,
+                churn_weight: 0,
+                ..knobs.clone()
+            }
+            .with_window(round, Some(round))
+            .with_target(dst::TargetPolicy::MaxDegree);
+            let case = RuntimeCase {
+                seed: 0,
+                program: RuntimeProgram::Star,
+                family: GraphFamily::Ring,
+                n: 16,
+                uid_seed: 21,
+                scenario,
+                sched_seed: 5,
+                arity: 2,
+                adversary_seed: round as u64,
+            };
+            let first = run_case(&case);
+            let second = run_case(&case);
+            assert_eq!(first.render(), second.render(), "crash case diverged");
             assert!(
-                first.outcome.starts_with("failed: "),
-                "degraded run must fail cleanly: {}",
-                first.outcome
+                first
+                    .render()
+                    .contains(&format!("fault @r{round}: crash node")),
+                "render must pin the crash:\n{}",
+                first.render()
             );
+            assert!(!first.is_suite_failure(), "{}", first.render());
+            if first.completed {
+                completed += 1;
+            } else {
+                assert!(
+                    first.outcome.starts_with("failed: "),
+                    "degraded run must fail cleanly: {}",
+                    first.outcome
+                );
+                failed += 1;
+            }
         }
+        assert!(
+            completed > 0 && failed > 0,
+            "{completed} completed, {failed} failed"
+        );
     }
 }

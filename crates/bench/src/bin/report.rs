@@ -15,13 +15,15 @@
 //!   `u64` seed and verify byte-identical reproduction;
 //! * `... report -- --replay-runtime <seed>` — same, for one
 //!   asynchronous-runtime case (program, workload, scenario, scheduler
-//!   seed and fault plan all derived from the one seed);
+//!   seed and adversary seed all derived from the one seed);
 //! * `... report -- --minimize <seed>` — shrink a stress case to the
 //!   smallest fault budget that still fails and print the minimized
 //!   seed, budget and fault-kind histogram;
 //! * `... report -- --runtime [cases] [--threads N]` — run the
-//!   asynchronous-runtime seed sweep (seeded scheduler, async scenarios)
-//!   and verify byte-identical replay on a subset;
+//!   asynchronous-runtime seed sweep (seeded scheduler, async scenarios,
+//!   the DST adversary armed on committee cases) and verify
+//!   byte-identical replay on a subset; exits non-zero on any incomplete
+//!   case, suite failure or replay divergence;
 //! * `... report -- --dump-runtime-renders [cases] [--threads N]` — render
 //!   every case of the runtime sweep (default 96) into one dump, whose md5
 //!   pins seeded-runtime behaviour across commits;
@@ -137,7 +139,8 @@ fn main() {
             let threads = adn_bench::corebench::resolve_threads(threads.unwrap_or(0));
             let (summary, failures) = adn_bench::runtime_suite(cases, threads);
             print!("{summary}");
-            // A non-zero exit makes the CI runtime-smoke job a gate.
+            // A non-zero exit (an incomplete case, a suite failure or a
+            // replay divergence) makes the CI runtime-smoke job a gate.
             if failures > 0 {
                 std::process::exit(1);
             }

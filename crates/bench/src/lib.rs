@@ -22,7 +22,8 @@
 //!   budget (minimized seed + fault-kind histogram).
 //! * `cargo run -p adn-bench --release --bin report -- --runtime [cases]
 //!   [--threads N]` — the asynchronous-runtime seed sweep with replay
-//!   verification (the CI `runtime-smoke` gate).
+//!   verification and the stress suite's suite-failure rule (the CI
+//!   `runtime-smoke` gate).
 //! * `cargo run -p adn-bench --release --bin report -- --dump-runtime-renders
 //!   [cases] [--threads N]` — every runtime case's render in one dump; CI
 //!   pins the md5 of the 256-case dump
@@ -104,12 +105,17 @@ pub fn dump_runtime_renders(cases: usize, threads: usize) -> String {
 /// Runs the asynchronous-runtime seed sweep on `threads` worker threads
 /// and verifies byte-identical replay on a subset of its cases. Returns
 /// `(summary_text, failure_count)`: failures are runs that did not
-/// complete plus replays that diverged — a non-zero count should fail
-/// the caller (the CI `runtime-smoke` gate).
+/// complete or are suite failures (a panic, or a failure or violation
+/// with no injected fault), plus replays that diverged — a non-zero
+/// count should fail the caller (the CI `runtime-smoke` gate).
 pub fn runtime_suite(cases: usize, threads: usize) -> (String, usize) {
     use adn_analysis::runtime_sweep;
     let summary = runtime_sweep::sweep_with_threads(RUNTIME_MASTER_SEED, cases, threads);
-    let mut failures = summary.failures().len();
+    let mut failures = summary
+        .reports
+        .iter()
+        .filter(|r| !r.completed || r.is_suite_failure())
+        .count();
     let mut text = summary.summary_text();
     let verified = summary.reports.len().min(8);
     let mut diverged = 0usize;

@@ -62,7 +62,10 @@ pub enum EngineMode {
     /// The deterministic single-threaded asynchronous scheduler: delivery
     /// order derives from one seed, runs replay byte-identically. Delay
     /// and reorder knobs are lifted from [`RunConfig::dst`]'s scenario
-    /// when one is armed.
+    /// when one is set. Under [`ReconfigurationAlgorithm::run`] that
+    /// scenario also arms the DST adversary, which then injects its
+    /// faults at the run's commits, as it does at the synchronous
+    /// engine's rounds.
     Seeded {
         /// Scheduler seed.
         seed: u64,
@@ -115,7 +118,10 @@ pub struct RunConfig {
     /// by the entry points that build the network
     /// ([`ReconfigurationAlgorithm::run`] and the `Experiment` builder);
     /// callers invoking [`ReconfigurationAlgorithm::execute`] on their own
-    /// network arm it themselves via [`arm_network_for_dst`].
+    /// network arm it themselves via [`arm_network_for_dst`]. On an
+    /// asynchronous engine an armed scenario injects its faults at the
+    /// run's commits, and its delivery knobs (see [`RunConfig::scheduler`])
+    /// perturb the seeded scheduler whether the network is armed or not.
     pub dst: Option<DstConfig>,
     /// Which execution engine drives the run (synchronous rounds by
     /// default; see [`EngineMode`]).

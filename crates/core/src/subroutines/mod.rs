@@ -17,8 +17,8 @@
 //!   at all), on their own or as the rebuild mini-phase of a wreath
 //!   committee run.
 //! * [`runtime_committee`] — the committee algorithms (`GraphToStar`, the
-//!   wreath family) as message-driven actors on the same schedulers, with
-//!   armed fault plans.
+//!   wreath family) as message-driven actors on the same schedulers,
+//!   under the DST adversary when the network is armed.
 
 pub mod async_line_to_tree;
 pub mod line_to_tree;

@@ -50,13 +50,15 @@
 //! every round the run commits) and, when seeded, one replayable delivery
 //! order.
 //!
-//! **Armed faults:** a seeded scheduler may carry a
-//! [`FaultPlan`](adn_runtime::FaultPlan); crashes sever a node mid-run
-//! and the protocols then either complete or fail with a clean
-//! [`CoreError`] (no panic, no hang — the phase limit and the scheduler's
-//! step budget bound every execution). A crash plan makes the run
-//! diverge from the synchronous baseline by design; its events fire
-//! between any two deliveries of the run, rebuilds included.
+//! **Armed faults:** on a network armed with the DST adversary
+//! ([`arm_network_for_dst`](crate::algorithm::arm_network_for_dst)) the
+//! adversary acts at the run's commits, rebuilds included, as it does at
+//! the synchronous engine's rounds. A node it joins gets no actor and
+//! stays outside the committees; an actor whose node it crashes is
+//! retired by the seeded scheduler. The protocols then either complete or
+//! fail with a clean [`CoreError`] (no panic, no hang — the phase limit
+//! and the scheduler's step budget bound every execution). A faulted run
+//! diverges from the synchronous baseline by design.
 
 use crate::algorithm::{validate_input, RunConfig};
 use crate::committee::{select_largest_uid, CommitteeForest, CommitteeId, PhaseLog};
@@ -803,13 +805,43 @@ pub fn run_runtime_wreath(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::RunConfig;
+    use crate::algorithm::{
+        arm_network_for_dst, DstConfig, GraphToStar, GraphToWreath, ReconfigurationAlgorithm,
+        RunConfig,
+    };
     use adn_graph::properties::{is_star, is_tree, star_center};
     use adn_graph::{generators, UidAssignment};
-    use adn_runtime::{AsyncKnobs, FaultPlan, FreeScheduler, SeededScheduler};
+    use adn_runtime::{AsyncKnobs, FreeScheduler, SeededScheduler};
+    use adn_sim::dst::Scenario;
 
     fn seeded(seed: u64) -> Scheduler {
         Scheduler::Seeded(SeededScheduler::new(seed))
+    }
+
+    /// A network over `g` armed with `algorithm`'s DST policy and an
+    /// adversary that crashes one node at the boundary before round
+    /// `round` (the first commit closes round 1, so 2 is the earliest).
+    fn crash_armed(
+        g: &Graph,
+        uids: &UidMap,
+        algorithm: &dyn ReconfigurationAlgorithm,
+        round: usize,
+        seed: u64,
+    ) -> Network {
+        let scenario = Scenario {
+            per_round_probability: 1.0,
+            ..Scenario::crash_stop()
+        }
+        .with_fault_budget(1)
+        .with_window(round, Some(round));
+        let mut network = Network::new(g.clone());
+        arm_network_for_dst(
+            &mut network,
+            &algorithm.spec(),
+            uids,
+            &DstConfig { scenario, seed },
+        );
+        network
     }
 
     fn sync_star(g: &Graph, uids: &UidMap) -> TransformationOutcome {
@@ -958,21 +990,19 @@ mod tests {
     fn armed_crash_is_survived_or_fails_cleanly() {
         let g = generators::random_connected(14, 0.25, 4);
         let uids = UidMap::new(14, UidAssignment::RandomPermutation { seed: 4 });
+        let run = |mut network: Network, seed: u64| {
+            run_runtime_star(&mut network, &uids, &RunConfig::default(), &seeded(seed))
+        };
+        let commits = run(Network::new(g.clone()), 0).expect("clean run").rounds;
         for seed in 0..8u64 {
-            let crash = NodeId((seed as usize * 5) % 14);
-            let plan = FaultPlan::new().crash_at(20 + seed as usize * 7, crash);
-            let mut network = Network::new(g.clone());
-            let result = run_runtime_star(
-                &mut network,
-                &uids,
-                &RunConfig::default(),
-                &Scheduler::Seeded(SeededScheduler::new(seed).with_faults(plan)),
-            );
+            let round = 2 + (seed as usize * 7) % commits;
+            let result = run(crash_armed(&g, &uids, &GraphToStar, round, seed), seed);
             // Either the run completes (crash landed after the protocol
             // stopped needing the node) or it fails with a clean error —
             // never a panic, never a hang.
             if let Ok(outcome) = &result {
                 assert!(outcome.runtime.is_some());
+                assert_eq!(outcome.dst.as_ref().map(|d| d.crashed.len()), Some(1));
             }
         }
     }
@@ -980,29 +1010,28 @@ mod tests {
     #[test]
     fn armed_crash_anywhere_in_a_wreath_run_fails_cleanly() {
         // The rebuilds are barriers of the run, so a crash can land in
-        // one: sweeping the crash step across a whole clean run reaches
-        // every mini-phase, and each run must complete or fail with a
-        // clean error — never a panic, never a hang.
+        // one: sweeping the crash across every commit round of a clean run
+        // reaches every mini-phase, and each run must complete or fail
+        // with a clean error — never a panic, never a hang.
         let g = generators::ring(12);
         let uids = UidMap::new(12, UidAssignment::RandomPermutation { seed: 6 });
-        let run = |plan: FaultPlan| {
-            let mut network = Network::new(g.clone());
+        let run = |mut network: Network| {
             run_runtime_wreath(
                 &mut network,
                 &uids,
                 &WreathConfig::binary(),
                 &RunConfig::default(),
-                &Scheduler::Seeded(SeededScheduler::new(6).with_faults(plan)),
+                &seeded(6),
             )
         };
-        let steps = run(FaultPlan::new())
+        let commits = run(Network::new(g.clone()))
             .expect("clean run")
             .runtime
             .expect("report")
-            .steps;
+            .commits;
         let (mut completed, mut failed) = (0, 0);
-        for at in (1..steps).step_by(5) {
-            match run(FaultPlan::new().crash_at(at, NodeId(at % 12))) {
+        for round in 2..=commits + 1 {
+            match run(crash_armed(&g, &uids, &GraphToWreath, round, round as u64)) {
                 Ok(_) => completed += 1,
                 Err(_) => failed += 1,
             }

@@ -10,6 +10,13 @@
 //! off, at which point no application message or ack is in flight. Each
 //! worker counts its deliveries into its own copy of the report; the
 //! copies are summed when the workers are joined.
+//!
+//! A node the network's DST adversary joins after the run started has no
+//! actor: its mail is answered by the seeded scheduler's rule (an
+//! application message is acknowledged), here by the sender's transport
+//! as soon as it is sent. Actors of crashed nodes are not retired; they
+//! keep acknowledging their mail, and the network drops the edge
+//! operations they stage.
 
 use crate::actor::{AsyncProgram, Context, Envelope};
 use crate::termination::{commit_ops, deliver, DsState, Transport};
@@ -74,6 +81,9 @@ impl FreeScheduler {
     /// phase the driver may rewrite actor state and decides whether
     /// another phase runs; each phase spins up the worker pool and runs to
     /// Dijkstra–Scholten quiescence. Counters accumulate across phases.
+    /// The actor count is checked against the network once, before the
+    /// first phase: later phases run the same actors even if the network
+    /// has grown by churn joins.
     ///
     /// # Errors
     ///
@@ -91,11 +101,16 @@ impl FreeScheduler {
         F: FnMut(&mut Network, &mut [P], usize) -> Result<bool, E>,
     {
         let n = programs.len();
+        if n == 0 || network.node_count() != n {
+            return Err(E::from(RuntimeError::InvalidInput {
+                reason: format!("{n} programs for {} nodes", network.node_count()),
+            }));
+        }
         let (_, workers) = self.partition(n);
         let mut report = RuntimeReport::empty("free", None, Some(workers), n);
         let mut phase = 0usize;
         while driver(network, programs, phase)? {
-            let r = self.run(network, programs).map_err(E::from)?;
+            let r = self.run_phase(network, programs).map_err(E::from)?;
             report.add_counts(&r);
             report.in_flight_at_detection = r.in_flight_at_detection;
             phase += 1;
@@ -110,17 +125,19 @@ impl FreeScheduler {
         network: &mut Network,
         programs: &mut [P],
     ) -> Result<RuntimeReport, RuntimeError> {
-        let n = network.node_count();
-        if programs.len() != n {
-            return Err(RuntimeError::InvalidInput {
-                reason: format!("{} programs for {n} nodes", programs.len()),
-            });
-        }
-        if n == 0 {
-            return Err(RuntimeError::InvalidInput {
-                reason: "empty network".to_string(),
-            });
-        }
+        self.run_phased(network, programs, |_, _, phase| {
+            Ok::<bool, RuntimeError>(phase == 0)
+        })
+    }
+
+    /// One diffusing computation over `programs` (actor `i` is node `i`);
+    /// the caller has checked the actor count.
+    fn run_phase<P: AsyncProgram>(
+        &self,
+        network: &mut Network,
+        programs: &mut [P],
+    ) -> Result<RuntimeReport, RuntimeError> {
+        let n = programs.len();
         let (chunk, workers) = self.partition(n);
 
         let mut senders: Vec<Sender<WorkerMsg<P::Message>>> = Vec::with_capacity(workers);
@@ -145,6 +162,7 @@ impl FreeScheduler {
                 .map(|(w, (body, rx))| {
                     let wire = Wire {
                         senders: senders.clone(),
+                        actors: n,
                         chunk,
                         in_flight: &in_flight,
                         root_tx: root_tx.clone(),
@@ -195,11 +213,13 @@ impl FreeScheduler {
     }
 }
 
-/// A worker's transport: every worker's inbox, the global in-flight
-/// count, the root's sign-off channel and the shared network, locked for
-/// each handler's commit so its edge operations land as one round.
+/// A worker's transport: every worker's inbox, the actor count, the
+/// global in-flight count, the root's sign-off channel and the shared
+/// network, locked for each handler's commit so its edge operations land
+/// as one round.
 struct Wire<'a, M> {
     senders: Vec<Sender<WorkerMsg<M>>>,
+    actors: usize,
     chunk: usize,
     in_flight: &'a AtomicUsize,
     root_tx: Sender<()>,
@@ -207,7 +227,15 @@ struct Wire<'a, M> {
 }
 
 impl<M> Transport<M> for Wire<'_, M> {
-    fn send(&mut self, _from: NodeId, to: NodeId, env: Envelope<M>) {
+    fn send(&mut self, from: NodeId, to: NodeId, env: Envelope<M>) {
+        if to.index() >= self.actors {
+            // A node joined after the run started has no actor: its
+            // application mail is acknowledged on its behalf.
+            if let Envelope::App { .. } = env {
+                self.send(to, from, Envelope::Ack);
+            }
+            return;
+        }
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         let _ = self.senders[to.index() / self.chunk].send(WorkerMsg::Deliver { to, env });
     }

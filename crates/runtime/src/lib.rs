@@ -12,8 +12,7 @@
 //!   entire order (including reordering, per-link delays and asymmetric
 //!   link latency) derives from **one `u64`** via the workspace's
 //!   deterministic RNG. Runs replay byte-identically, preserving the
-//!   DST replay/shrink discipline of the synchronous sweep. It may carry
-//!   an armed [`FaultPlan`].
+//!   DST replay/shrink discipline of the synchronous sweep.
 //! * [`FreeScheduler`] — real threads over `std::sync::mpsc` channels,
 //!   free-running delivery, for hardware-throughput numbers; the report
 //!   names the workers that ran.
@@ -25,30 +24,41 @@
 //! reaches zero — at which point no message is in flight (property-tested
 //! in `tests/runtime_model.rs`). Both schedulers run the same delivery
 //! step (engage, handle, commit, send, ack, sign off); each adds only its
-//! transport, its crash handling and its counters. A phased run
-//! (`run_phased`) is a sequence of such diffusing computations separated
-//! by driver barriers, all under one report: the committee algorithms of
-//! `adn-core` run every mini-phase, their ring rebuilds included, as
-//! barriers of one run, so nothing runs nested in it.
+//! transport, its answer to mail for nodes without a live actor and its
+//! counters. A phased run (`run_phased`) is a sequence of such diffusing
+//! computations separated by driver barriers, all under one report: the
+//! committee algorithms of `adn-core` run every mini-phase, their ring
+//! rebuilds included, as barriers of one run, so nothing runs nested in
+//! it.
 //!
 //! Edge operations requested by a handler ([`Context::activate`] /
 //! [`Context::deactivate`]) are staged and committed through the
 //! validated [`adn_sim::Network`] API atomically with respect to other
 //! handlers, so the distance-2 activation rule is enforced exactly as in
 //! the synchronous engine.
+//!
+//! **Faults.** Each commit is a round of the network, so a network armed
+//! with the DST adversary ([`adn_sim::dst`]) gives it a turn at every
+//! commit, as the synchronous engine does: both engines share one fault
+//! vocabulary. After each delivery that committed, the seeded scheduler
+//! retires every actor whose node the adversary crashed (its
+//! Dijkstra–Scholten deficit forgiven, its engagement signed off on its
+//! behalf). Both schedulers answer mail to a node without a live actor —
+//! one the adversary joined after the run started, or, under the seeded
+//! scheduler, a crashed one — in its stead: application messages are
+//! acknowledged and acks dropped, so termination detection neither hangs
+//! nor fires early.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod actor;
-pub mod fault;
 pub mod flood;
 pub mod free;
 pub mod seeded;
 pub mod termination;
 
 pub use actor::{AsyncProgram, Context, Envelope};
-pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use flood::FloodActor;
 pub use free::FreeScheduler;
 pub use seeded::SeededScheduler;
@@ -80,8 +90,8 @@ pub struct AsyncKnobs {
 
 impl AsyncKnobs {
     /// Lifts the asynchronous delivery knobs out of a scenario (the fault
-    /// weights and budgets are the synchronous adversary's business and
-    /// are ignored here).
+    /// weights and budgets drive the DST adversary armed on the network,
+    /// and are ignored here).
     pub fn from_scenario(scenario: &Scenario) -> Self {
         AsyncKnobs {
             reorder_window: scenario.reorder_window,

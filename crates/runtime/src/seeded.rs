@@ -7,15 +7,15 @@
 //! source of nondeterminism — reordering within the window, per-message
 //! delay jitter, per-link base latency — is drawn from one [`DetRng`]
 //! seeded with a single `u64`, so a run is a pure function of
-//! `(network, programs, seed, knobs, fault plan)` and replays
-//! byte-identically. A phased run keeps one RNG stream, one step counter
-//! and one fault plan across all of its barriers, so a fault may fire in
-//! any of them. Each step is the shared [`deliver`](crate::termination)
-//! step; this module adds the timeline, the armed [`FaultPlan`] and the
-//! answers a crashed node's mail gets.
+//! `(network, programs, seed, knobs)` and replays byte-identically — the
+//! network's DST adversary, when one is armed, included: it draws from
+//! its own seeded stream at each commit. A phased run keeps one RNG
+//! stream and one step counter across all of its barriers. Each step is
+//! the shared [`deliver`](crate::termination) step; this module adds the
+//! timeline, the retirement of actors the adversary crashes and the
+//! answers mail to a node without a live actor gets.
 
 use crate::actor::{AsyncProgram, Context, Envelope};
-use crate::fault::{FaultKind, FaultPlan};
 use crate::termination::{commit_ops, deliver, sign_off, DsState, Transport};
 use crate::{AsyncKnobs, RuntimeError, RuntimeReport};
 use adn_graph::rng::DetRng;
@@ -104,18 +104,16 @@ pub struct SeededScheduler {
     seed: u64,
     knobs: AsyncKnobs,
     max_steps: usize,
-    faults: FaultPlan,
 }
 
 impl SeededScheduler {
-    /// Scheduler with default knobs (no reordering, no delays), the
-    /// default step budget and no faults.
+    /// Scheduler with default knobs (no reordering, no delays) and the
+    /// default step budget.
     pub fn new(seed: u64) -> Self {
         SeededScheduler {
             seed,
             knobs: AsyncKnobs::default(),
             max_steps: DEFAULT_MAX_STEPS,
-            faults: FaultPlan::default(),
         }
     }
 
@@ -128,20 +126,6 @@ impl SeededScheduler {
     /// Sets the delivery-step budget.
     pub fn with_max_steps(mut self, max_steps: usize) -> Self {
         self.max_steps = max_steps;
-        self
-    }
-
-    /// Arms a [`FaultPlan`]: events fire deterministically when the
-    /// cumulative delivery-step counter reaches their step, *between*
-    /// deliveries. A crash severs the node in the network, forgives its
-    /// Dijkstra–Scholten deficit and signs off its engagement on its
-    /// behalf; later application messages to it are acknowledged by the
-    /// scheduler (senders' deficits still drain) and acks to it are
-    /// dropped. Termination detection stays exact for the live part of
-    /// the system — [`RuntimeReport::in_flight_at_detection`] counts only
-    /// messages destined to live nodes.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
         self
     }
 
@@ -184,9 +168,20 @@ impl SeededScheduler {
     /// phase index; it may rewrite actor state (common-knowledge
     /// orchestration between barriers) and returns whether another phase
     /// should run. Each phase re-sends `Start` to every live actor and
-    /// runs to Dijkstra–Scholten quiescence; one RNG stream and the armed
-    /// fault plan span all phases, so a phased run replays
-    /// byte-identically from the seed.
+    /// runs to Dijkstra–Scholten quiescence; one RNG stream spans all
+    /// phases, so a phased run replays byte-identically from the seed.
+    ///
+    /// On a network armed with the DST adversary, faults land at the
+    /// commits' round boundaries. After each delivery that committed, every
+    /// actor whose node the adversary crashed is retired: its deficit is
+    /// forgiven and its engagement signed off on its behalf. Mail to a node
+    /// without a live actor (crashed, or joined after the run started) is
+    /// answered by the scheduler: a start releases its root obligation, an
+    /// application message is acknowledged (the sender's deficit still
+    /// drains) and an ack is dropped. Termination detection stays exact
+    /// for the live part of the system —
+    /// [`RuntimeReport::in_flight_at_detection`] counts only messages
+    /// destined to live actors.
     ///
     /// # Errors
     ///
@@ -221,7 +216,6 @@ impl SeededScheduler {
         let mut ds: Vec<DsState> = vec![DsState::default(); n];
         let mut crashed = vec![false; n];
         let mut started = vec![false; n];
-        let mut fault_idx = 0usize;
         let mut report = RuntimeReport::empty("seeded", Some(self.seed), None, n);
         let mut ctx: Context<P::Message> = Context::new(NodeId(0));
 
@@ -237,30 +231,6 @@ impl SeededScheduler {
                     return Err(E::from(RuntimeError::DidNotQuiesce {
                         steps: report.steps,
                     }));
-                }
-                // Fire every armed fault whose step has been reached.
-                while let Some(event) = self.faults.events().get(fault_idx) {
-                    if event.at_step > report.steps {
-                        break;
-                    }
-                    fault_idx += 1;
-                    match event.kind {
-                        FaultKind::Crash(c) => {
-                            if c.index() >= n || crashed[c.index()] {
-                                continue;
-                            }
-                            wire.network
-                                .inject_crash(c)
-                                .map_err(|e| E::from(RuntimeError::Sim(e)))?;
-                            crashed[c.index()] = true;
-                            if let Some(parent) = ds[c.index()].crash() {
-                                sign_off(&mut wire, c, parent);
-                            }
-                        }
-                        FaultKind::Join => {
-                            wire.network.inject_join();
-                        }
-                    }
                 }
                 // Deliver one of the first `window` entries in readiness
                 // order, picked uniformly; with window 1 no RNG is consumed,
@@ -282,11 +252,12 @@ impl SeededScheduler {
                 wire.now = wire.now.max(ready_at);
                 report.steps += 1;
 
-                if crashed[node.index()] {
-                    // The scheduler answers a crashed node's mail: starts
-                    // release their root obligation, application messages
-                    // are acked so the sender's deficit drains, acks are
-                    // dropped (the deficit they would pay was forgiven).
+                if crashed.get(node.index()) != Some(&false) {
+                    // The scheduler answers mail to a node without a live
+                    // actor: starts release their root obligation,
+                    // application messages are acked so the sender's
+                    // deficit drains, acks are dropped (the deficit they
+                    // would pay was forgiven).
                     match env {
                         Envelope::Start => wire.root_deficit -= 1,
                         Envelope::App { from, .. } => wire.enqueue(Some(node), from, Envelope::Ack),
@@ -298,6 +269,7 @@ impl SeededScheduler {
                     debug_assert!(!started[node.index()], "duplicate start");
                     started[node.index()] = true;
                 }
+                let commits = report.commits;
                 deliver(
                     &mut programs[node.index()],
                     &mut ds[node.index()],
@@ -308,15 +280,18 @@ impl SeededScheduler {
                     &mut report,
                 )
                 .map_err(|e| E::from(RuntimeError::Sim(e)))?;
+                if report.commits != commits {
+                    wire.retire_crashed(&mut ds, &mut crashed);
+                }
             }
             phase += 1;
         }
         // Leftovers can only be acks destined to crashed nodes; everything
-        // aimed at a live node holds up a deficit somewhere.
+        // aimed at a live actor holds up a deficit somewhere.
         report.in_flight_at_detection = wire
             .timeline
             .iter()
-            .filter(|(to, _)| !crashed.get(to.index()).copied().unwrap_or(true))
+            .filter(|(to, _)| crashed.get(to.index()) == Some(&false))
             .count();
         Ok(report)
     }
@@ -334,6 +309,29 @@ struct Wire<'a, M> {
 }
 
 impl<M> Wire<'_, M> {
+    /// Retires every actor whose node the network's DST adversary has
+    /// crashed and that is not yet marked `crashed`: marks it, forgives its
+    /// deficit and signs off its engagement on its behalf. An unarmed
+    /// network costs one branch.
+    fn retire_crashed(&mut self, ds: &mut [DsState], crashed: &mut [bool]) {
+        let Some(dst) = self.network.dst_state() else {
+            return;
+        };
+        // Joined nodes have no actor to retire.
+        let fresh: Vec<NodeId> = dst
+            .crashed()
+            .iter()
+            .copied()
+            .filter(|c| crashed.get(c.index()) == Some(&false))
+            .collect();
+        for c in fresh {
+            crashed[c.index()] = true;
+            if let Some(parent) = ds[c.index()].crash() {
+                sign_off(self, c, parent);
+            }
+        }
+    }
+
     /// Schedules `env` for `to` after the link's base latency (none for
     /// the root's starts) plus a jitter draw when delays are on.
     fn enqueue(&mut self, from: Option<NodeId>, to: NodeId, env: Envelope<M>) {

@@ -31,7 +31,10 @@
 //! the algorithm registry of `adn_core`. A [`DstState`] couples an
 //! [`Adversary`] with the invariant checks and is installed on a
 //! [`crate::Network`] via [`crate::Network::install_dst`]; the network
-//! calls it after every committed (or idle-charged) round. The harvested
+//! calls it after every committed (or idle-charged) round. An
+//! asynchronous run (`adn-runtime`) commits one round per handler that
+//! stages edge operations, so the adversary acts at those commits too:
+//! both engines share this one fault vocabulary. The harvested
 //! [`DstReport`] records the exact fault schedule and every invariant
 //! violation, and renders to a stable string so replay equality can be
 //! checked byte-for-byte.
@@ -285,9 +288,11 @@ impl Scenario {
         }
     }
 
-    /// Churn under asynchrony: the synchronous sweep exercises the churn
-    /// faults (nodes joining mid-run); the asynchronous runtime sweep
-    /// exercises the delivery knobs (reordering plus per-link delay).
+    /// Churn under asynchrony: nodes join mid-run while delivery is
+    /// reordered and delayed. The synchronous engine applies only the
+    /// joins; on an asynchronous engine the joins land at the run's
+    /// commits, as they do at the synchronous engine's rounds, and the
+    /// scheduler applies the delivery knobs.
     pub fn async_churn() -> Self {
         Scenario {
             fault_budget: 3,

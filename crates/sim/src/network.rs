@@ -653,33 +653,6 @@ impl Network {
         &self.crashed
     }
 
-    // ---- armed fault entry points (public, used by `adn-runtime`) ----
-    //
-    // The asynchronous schedulers deliver crash and churn events *during*
-    // an execution (between message deliveries), so the runtime needs the
-    // same adversarial operations the synchronous DST harness uses. These
-    // wrappers expose exactly the crash/join pair; edge-level perturbation
-    // stays the synchronous adversary's private business.
-
-    /// Crash-stops `node` mid-execution: severs all incident edges and
-    /// marks the node crashed so later staged operations touching it are
-    /// dropped at commit. Returns the number of severed edges. Out-of-range
-    /// nodes are ignored (returns `Ok(0)`);
-    /// [`SimError::BrokenInvariant`] reports a corrupted adjacency arena
-    /// (nothing is mutated in that case).
-    pub fn inject_crash(&mut self, node: NodeId) -> Result<usize, SimError> {
-        if node.index() >= self.crashed.len() {
-            return Ok(0);
-        }
-        self.fault_crash_node(node)
-    }
-
-    /// Appends a fresh, isolated node mid-execution (churn join). The new
-    /// node has no edges and no say until an algorithm learns about it.
-    pub fn inject_join(&mut self) -> NodeId {
-        self.fault_add_node()
-    }
-
     /// Whether `node` has been crash-stopped (out-of-range nodes report
     /// `false`).
     pub fn is_crashed(&self, node: NodeId) -> bool {
@@ -923,9 +896,9 @@ mod tests {
         assert!(net.fault_insert_edge(nid(1), nid(2)));
         assert!(net.fault_remove_edge(nid(1), nid(2)));
         net.advance_idle_rounds(1);
-        let joined = net.inject_join();
+        let joined = net.fault_add_node();
         net.fault_remove_edge(nid(0), nid(1));
-        net.inject_crash(nid(4)).unwrap();
+        net.fault_crash_node(nid(4)).unwrap();
         let events = net.take_events();
         assert_eq!(
             events,

@@ -109,9 +109,9 @@ impl Experiment {
 
     /// Runs the experiment under an adversarial [`Scenario`] with the
     /// given adversary seed: the deterministic-simulation-testing layer
-    /// injects faults between rounds and checks round-level invariants;
-    /// the harvested report lands in
-    /// [`TransformationOutcome::dst`].
+    /// injects faults between rounds (on an asynchronous engine, at the
+    /// run's commits) and checks round-level invariants; the harvested
+    /// report lands in [`TransformationOutcome::dst`].
     pub fn scenario(mut self, scenario: Scenario, seed: u64) -> Self {
         self.config.dst = Some(DstConfig { scenario, seed });
         self

@@ -10,6 +10,9 @@
 
 use actively_dynamic_networks::graph::rng::DetRng;
 use actively_dynamic_networks::graph::{generators, Edge, Graph, NodeId};
+use actively_dynamic_networks::sim::dst::{
+    Adversary, DstState, InvariantPolicy, Scenario, TargetPolicy,
+};
 use actively_dynamic_networks::sim::{Network, WaveActivation};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -494,10 +497,25 @@ fn arena_relocation_and_compaction_match_model_under_churn() {
 /// and keep its layout invariants.
 #[test]
 fn crash_landing_at_compaction_boundary_stays_sound() {
+    // The DST adversary crashes the highest-degree node — the hub — at
+    // the boundary after the third commit (before round 4), and nowhere
+    // else.
+    let hub_crash = Scenario {
+        per_round_probability: 1.0,
+        ..Scenario::crash_stop()
+    }
+    .with_fault_budget(1)
+    .with_window(4, Some(4))
+    .with_target(TargetPolicy::MaxDegree);
     for seed in 0u64..4 {
         let mut rng = DetRng::seed_from_u64(0xDEAD ^ seed.wrapping_mul(7919));
         let n = 1024usize;
         let mut net = Network::new(generators::star(n));
+        net.install_dst(DstState::new(
+            Adversary::new(hub_crash.clone(), seed),
+            InvariantPolicy::default(),
+            Vec::new(),
+        ));
         for round in 0..6 {
             let wave: Vec<WaveActivation> = (0..700)
                 .map(|_| {
@@ -520,14 +538,17 @@ fn crash_landing_at_compaction_boundary_stays_sound() {
             if round < 3 {
                 staged.expect("pre-crash staging is hub-witnessed");
             }
-            if round == 2 {
-                // Crash the hub: its (huge) block empties in place, which
-                // puts the arena deep into dead-slot territory; the next
-                // committed wave's relocations must compact safely while
-                // the schedule is mid-flight.
-                net.inject_crash(NodeId(0)).expect("hub is in range");
-            }
+            // After the third commit the adversary crashes the hub: its
+            // (huge) block empties in place, which puts the arena deep
+            // into dead-slot territory; the next committed wave's
+            // relocations must compact safely while the schedule is
+            // mid-flight.
             net.commit_round();
+            assert_eq!(
+                net.is_crashed(NodeId(0)),
+                round >= 2,
+                "seed {seed} round {round}"
+            );
             assert!(net.graph().check_invariants(), "seed {seed} round {round}");
         }
     }

@@ -10,21 +10,25 @@
 //!    tree as the synchronous subroutine under *any* knobs);
 //! 3. Dijkstra–Scholten never declares termination with a message still
 //!    in flight, across a seed sweep of adversarial delivery schedules —
-//!    including schedules where actors **crash mid-phase** with unacked
-//!    sends outstanding;
+//!    including schedules where the DST adversary **crashes an actor
+//!    mid-phase** with unacked sends outstanding;
 //! 4. the committee algorithms (`GraphToStar`, `GraphToWreath`) reach the
 //!    synchronous engine's committee structures and edge work under both
 //!    asynchronous engines, on delay-free and adversarial schedules,
 //!    across sizes, each run with one report counting every round it
-//!    committed.
+//!    committed;
+//! 5. under the DST adversary's churn and crash scenarios every
+//!    asynchronous algorithm completes or fails with a clean error, and
+//!    seeded runs replay their runtime and DST reports byte-identically.
 
 use actively_dynamic_networks::core::subroutines::{
     run_line_to_tree, run_runtime_line_to_tree, run_runtime_star, run_runtime_wreath,
     LineToTreeConfig,
 };
 use actively_dynamic_networks::prelude::*;
-use actively_dynamic_networks::runtime::flood::flood_actors;
-use actively_dynamic_networks::runtime::FaultPlan;
+use actively_dynamic_networks::runtime::flood::{flood_actors, FloodActor, TokenSet};
+use actively_dynamic_networks::runtime::{AsyncProgram, Context};
+use actively_dynamic_networks::sim::dst::{Adversary, DstState, InvariantPolicy};
 
 /// The nastiest delivery schedule the seeded scheduler offers: wide
 /// reorder window, per-message delays and persistently asymmetric links.
@@ -37,6 +41,17 @@ const ADVERSARIAL: AsyncKnobs = AsyncKnobs {
 /// A seeded scheduler under the [`ADVERSARIAL`] knobs.
 fn adversarial(sched_seed: u64) -> SeededScheduler {
     SeededScheduler::new(sched_seed).with_knobs(ADVERSARIAL)
+}
+
+/// A DST scenario that crashes one node, at the boundary before round
+/// `round` (the first commit closes round 1, so 2 is the earliest).
+fn one_crash_at(round: usize) -> Scenario {
+    Scenario {
+        per_round_probability: 1.0,
+        ..Scenario::crash_stop()
+    }
+    .with_fault_budget(1)
+    .with_window(round, Some(round))
 }
 
 fn flood_outcome(
@@ -289,9 +304,32 @@ fn committee_runs_replay_byte_identically() {
     }
 }
 
+/// Flooding that commits a round at every handler: each handler also
+/// stages the removal of the edge to its ring successor (a no-op once the
+/// edge is gone), so an adversary armed on the network gets a turn after
+/// every start and every application message.
+struct CommittingFlood {
+    flood: FloodActor,
+    successor: NodeId,
+}
+
+impl AsyncProgram for CommittingFlood {
+    type Message = TokenSet;
+
+    fn on_start(&mut self, ctx: &mut Context<TokenSet>) {
+        self.flood.on_start(ctx);
+        ctx.deactivate(self.successor);
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: TokenSet, ctx: &mut Context<TokenSet>) {
+        self.flood.on_message(from, msg, ctx);
+        ctx.deactivate(self.successor);
+    }
+}
+
 #[test]
 fn ds_accounting_stays_sound_when_actors_crash_mid_phase() {
-    // 64-seed sweep with a crash armed mid-run: the crashed actor holds
+    // 64-seed sweep with one crash armed mid-run: the crashed actor holds
     // unacked sends (its deficit is forgiven and its mail acked by the
     // scheduler on its behalf), so the detector must neither hang waiting
     // for a dead node's acks nor fire while live-destined messages are in
@@ -300,14 +338,23 @@ fn ds_accounting_stays_sound_when_actors_crash_mid_phase() {
     let n = 20;
     let graph = generators::ring(n);
     for sched_seed in 0..64u64 {
-        let crash_node = NodeId((sched_seed as usize * 7) % n);
-        let crash_step = 5 + (sched_seed as usize * 11) % 60;
-        let plan = FaultPlan::new().crash_at(crash_step, crash_node);
+        let crash_round = 2 + (sched_seed as usize * 11) % 60;
         let mut network = Network::new(graph.clone());
-        let mut actors = flood_actors(&graph);
+        network.install_dst(DstState::new(
+            Adversary::new(one_crash_at(crash_round), sched_seed),
+            InvariantPolicy::default(),
+            Vec::new(),
+        ));
+        let mut actors: Vec<CommittingFlood> = flood_actors(&graph)
+            .into_iter()
+            .enumerate()
+            .map(|(i, flood)| CommittingFlood {
+                flood,
+                successor: NodeId((i + 1) % n),
+            })
+            .collect();
         let report = adversarial(sched_seed)
             .with_max_steps(500_000)
-            .with_faults(plan)
             .run(&mut network, &mut actors)
             .unwrap_or_else(|e| {
                 panic!("crashed run must still quiesce (sched_seed={sched_seed}): {e}")
@@ -316,8 +363,10 @@ fn ds_accounting_stays_sound_when_actors_crash_mid_phase() {
             report.in_flight_at_detection, 0,
             "detector fired with live messages in flight (sched_seed={sched_seed})"
         );
-        assert!(
-            network.is_crashed(crash_node),
+        let dst = network.take_dst_report().expect("armed network");
+        assert_eq!(
+            (dst.crashed.len(), dst.faults.first().map(|f| f.round)),
+            (1, Some(crash_round)),
             "crash did not land (sched_seed={sched_seed})"
         );
     }
@@ -325,35 +374,54 @@ fn ds_accounting_stays_sound_when_actors_crash_mid_phase() {
 
 #[test]
 fn armed_crash_during_committee_run_is_deterministic_and_clean() {
-    // Seeded regression for the fault-armed committee path: a crash
-    // delivered through the scheduler mid-execution either lets the
-    // protocol complete (the node was no longer needed) or surfaces as a
-    // clean CoreError — never a panic, never a hang — and the whole
-    // faulted execution replays deterministically.
+    // Seeded regression for the fault-armed committee path: a crash the
+    // DST adversary injects mid-execution either lets the protocol
+    // complete (the node was no longer needed) or surfaces as a clean
+    // CoreError — never a panic, never a hang — and the whole faulted
+    // execution, fault schedule included, replays deterministically.
     let n = 16;
     let graph = GraphFamily::SparseRandom.generate(n, 21);
     let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 21 });
-    // A clean run of this instance takes 1378 delivery steps regardless of
-    // the schedule (delivery count is order-invariant); spreading the
-    // crash over the back half of the run makes some schedules survive it
-    // and others degrade, so both result paths stay exercised.
-    let run = |sched_seed: u64| {
-        let crash_step = 700 + (sched_seed as usize * 97) % 700;
-        let plan = FaultPlan::new().crash_at(crash_step, NodeId(3));
+    // The crash hits the highest-degree node: a hub, often a committee
+    // leader.
+    let armed = |crash_round: usize, seed: u64| {
         let mut network = Network::new(graph.clone());
-        let scheduler = Scheduler::Seeded(adversarial(sched_seed).with_faults(plan));
-        let crashed = run_runtime_star(&mut network, &uids, &RunConfig::default(), &scheduler)
+        let dst = DstConfig {
+            scenario: one_crash_at(crash_round).with_target(TargetPolicy::MaxDegree),
+            seed,
+        };
+        arm_network_for_dst(&mut network, &GraphToStar.spec(), &uids, &dst);
+        network
+    };
+    // A clean run commits the same rounds whatever the schedule;
+    // spreading the crash over all of them makes some runs survive it and
+    // others degrade, so both result paths stay exercised.
+    let commits = run_runtime_star(
+        &mut Network::new(graph.clone()),
+        &uids,
+        &RunConfig::default(),
+        &Scheduler::Seeded(adversarial(0)),
+    )
+    .expect("clean run")
+    .rounds;
+    let run = |sched_seed: u64| {
+        let crash_round = 2 + (sched_seed as usize * 7) % commits;
+        let mut network = armed(crash_round, sched_seed);
+        let scheduler = Scheduler::Seeded(adversarial(sched_seed));
+        run_runtime_star(&mut network, &uids, &RunConfig::default(), &scheduler)
             .map(|o| {
+                let dst = o.dst.expect("armed runs carry a DST report");
                 (
                     o.leader,
                     o.phases,
                     o.runtime
                         .expect("faulted seeded runs carry a report")
                         .render(),
+                    dst.render(),
+                    dst.crashed.len(),
                 )
             })
-            .map_err(|e| e.to_string());
-        (crashed, network.is_crashed(NodeId(3)))
+            .map_err(|e| e.to_string())
     };
     let (mut survived_crash, mut failed_clean) = (0, 0);
     for sched_seed in 0..16u64 {
@@ -364,9 +432,9 @@ fn armed_crash_during_committee_run_is_deterministic_and_clean() {
             "faulted committee run diverged on replay (sched_seed={sched_seed})"
         );
         match first {
-            (Ok(_), true) => survived_crash += 1,
-            (Ok(_), false) => {} // crash step fell past the run's end
-            (Err(_), _) => failed_clean += 1,
+            Ok((.., 1)) => survived_crash += 1,
+            Ok(_) => {} // crash round fell past the run's end
+            Err(_) => failed_clean += 1,
         }
     }
     // The sweep must actually exercise both halves of the armed-crash
@@ -374,6 +442,89 @@ fn armed_crash_during_committee_run_is_deterministic_and_clean() {
     // schedules where the crash degrades the protocol into a clean error.
     assert!(survived_crash > 0, "no schedule survived a landed crash");
     assert!(failed_clean > 0, "no schedule degraded into a clean error");
+}
+
+#[test]
+fn seeded_runs_under_churn_and_crashes_complete_or_fail_cleanly() {
+    // Every asynchronous algorithm, run through `run` on the seeded
+    // engine under the DST adversary's churn and crash scenarios: the
+    // adversary injects at the run's commits, joined nodes get no actor
+    // and crashed actors are retired. Each run must complete or return a
+    // CoreError (a panic fails the test), and a second run must render
+    // the same runtime report and DST report.
+    let inputs = [
+        generators::line(24),
+        generators::ring(24),
+        generators::random_tree(24, 5),
+    ];
+    let mut faulted = 0;
+    for algorithm in registry() {
+        if !algorithm.supports_async_engines() {
+            continue;
+        }
+        for scenario in [
+            Scenario::churn(),
+            Scenario::async_churn(),
+            Scenario::crash_stop(),
+        ] {
+            for (i, graph) in inputs.iter().enumerate() {
+                let seed = i as u64 + 1;
+                let uids = UidMap::new(24, UidAssignment::RandomPermutation { seed });
+                let config = RunConfig::default()
+                    .with_engine(EngineMode::Seeded { seed })
+                    .with_dst(scenario.clone(), seed);
+                let run = || {
+                    algorithm
+                        .run(graph, &uids, &config)
+                        .map(|o| {
+                            let dst = o.dst.expect("armed runs carry a DST report");
+                            let runtime = o.runtime.expect("async runs carry a report");
+                            (runtime.render(), dst.render(), dst.faults.len())
+                        })
+                        .map_err(|e| e.to_string())
+                };
+                let first = run();
+                assert_eq!(
+                    first,
+                    run(),
+                    "{} under {} on input {i} diverged on replay",
+                    algorithm.name(),
+                    scenario.name
+                );
+                if first.is_ok_and(|(.., faults)| faults > 0) {
+                    faulted += 1;
+                }
+            }
+        }
+    }
+    assert!(faulted > 0, "the adversary never injected a fault");
+}
+
+#[test]
+fn free_committee_runs_complete_under_churn() {
+    // Joined nodes have no actor: the free scheduler answers their mail,
+    // and checks its actor count once per run, not at every barrier.
+    let graph = generators::ring(24);
+    let uids = UidMap::new(24, UidAssignment::RandomPermutation { seed: 3 });
+    for algorithm in ["graph_to_star", "graph_to_wreath"] {
+        let algorithm = find_algorithm(algorithm).expect("registered");
+        for scenario in [Scenario::churn(), Scenario::async_churn()] {
+            let config = RunConfig::default()
+                .with_engine(EngineMode::Free { threads: 2 })
+                .with_dst(scenario.clone(), 3);
+            let outcome = algorithm
+                .run(&graph, &uids, &config)
+                .unwrap_or_else(|e| panic!("{} under {}: {e}", algorithm.name(), scenario.name));
+            let dst = outcome.dst.expect("armed runs carry a DST report");
+            assert!(
+                !dst.faults.is_empty(),
+                "{} under {}: no node joined",
+                algorithm.name(),
+                scenario.name
+            );
+            assert_eq!(outcome.leader, uids.max_uid_node().expect("non-empty"));
+        }
+    }
 }
 
 #[test]
