@@ -17,7 +17,7 @@ use adn_core::algorithm::{self, EngineMode, RunConfig};
 use adn_core::committee::CommitteeForest;
 use adn_core::subroutines::{run_runtime_line_to_tree, LineToTreeConfig};
 use adn_graph::rng::DetRng;
-use adn_graph::{generators, Edge, Graph, NodeId, UidAssignment, UidMap};
+use adn_graph::{generators, BitRow, BitRows, Edge, Graph, NodeId, UidAssignment, UidMap};
 use adn_runtime::flood::flood_actors;
 use adn_runtime::{AsyncKnobs, FreeScheduler, Scheduler, SeededScheduler};
 use adn_sim::{Adversary, DstState, InvariantPolicy, Network, Scenario, WaveActivation};
@@ -83,20 +83,22 @@ fn bench_graph_ops(bench: &mut Bench, quick: bool) {
         assert!(g.is_empty());
     });
 
-    // Quick mode doubles n here: at n = 256 the row ran under the
-    // `--check` noise floor, so the gate skipped it.
-    let n_potential = if quick { 512 } else { n };
+    // Every node's `N_2` off a fresh bit-row copy, as one round of clique
+    // formation computes them. n = 1024 in both modes: at a smaller n the
+    // quick row would run under the `--check` noise floor.
+    let n_potential = 1024;
     let g = scratch_graph(n_potential, 4 * n_potential, 0x5EED);
-    bench.measure(
-        &format!("graph/potential_neighbors_all n={n_potential}"),
-        || {
-            let mut total = 0usize;
-            for u in g.nodes() {
-                total += g.potential_neighbors(u).len();
-            }
-            assert!(total > 0);
-        },
-    );
+    let mut rows = BitRows::new();
+    let mut reach = BitRow::new();
+    bench.measure(&format!("graph/bitrows_n2_all n={n_potential}"), || {
+        rows.fill(&g);
+        let mut total = 0usize;
+        for u in g.nodes() {
+            rows.distance_two(u, &mut reach);
+            total += reach.nodes_from(NodeId(0)).count();
+        }
+        assert!(total > 0);
+    });
 
     let g = scratch_graph(n, 4 * n, 0x5EED);
     bench.measure(&format!("graph/neighbor_scan n={n}"), || {
@@ -309,12 +311,14 @@ fn bench_wreath_cold(bench: &mut Bench, n: usize) {
 fn bench_algorithms(bench: &mut Bench, quick: bool) {
     let n = if quick { 128 } else { 512 };
     // Clique formation stays at n = 128 in both modes: its Θ(n²) edge
-    // growth makes one n = 512 run take seconds.
+    // growth makes one n = 512 run take seconds. Centralized general
+    // stays at n = 512: at n = 128 it runs under the `--check` noise
+    // floor.
     let cases: &[(&str, Graph)] = &[
         ("graph_to_star", generators::line(n)),
         ("graph_to_wreath", generators::line(n)),
         ("flooding", generators::ring(n)),
-        ("centralized_general", generators::line(n)),
+        ("centralized_general", generators::line(512)),
         ("clique_formation", generators::ring(128)),
     ];
     for (id, graph) in cases {

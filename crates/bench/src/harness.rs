@@ -3,13 +3,23 @@
 //! A caller builds its workloads, calls [`Bench::measure`] per case and
 //! harvests the measured cases with [`Bench::take_samples`] (as
 //! `corebench` does for `BENCH_core.json`). The harness runs a warm-up
-//! iteration, then a fixed number of timed iterations, and records min /
-//! median / mean wall-clock times — enough to compare the algorithms'
-//! scaling, which is what the paper's experiments are about (statistical
-//! rigor at the nanosecond level is not; use an external profiler for
-//! that).
+//! iteration, then at least the requested number of timed iterations, and
+//! records min / median / mean wall-clock times — enough to compare the
+//! algorithms' scaling, which is what the paper's experiments are about
+//! (statistical rigor at the nanosecond level is not; use an external
+//! profiler for that).
 
 use std::time::{Duration, Instant};
+
+/// [`Bench::measure`] keeps timing a case past its iteration count until
+/// the timed runs add up to this much: a row of a few milliseconds then
+/// takes its minimum from about ten runs instead of three, so one
+/// scheduling stall on a busy machine cannot decide it.
+const MIN_TIMED_TOTAL: Duration = Duration::from_millis(30);
+
+/// The most timed runs [`Bench::measure`] takes of one case while it
+/// works towards [`MIN_TIMED_TOTAL`].
+const MAX_TIMED_RUNS: usize = 1000;
 
 /// Collects one [`Sample`] per measured case.
 pub struct Bench {
@@ -36,8 +46,8 @@ pub struct Sample {
 }
 
 impl Bench {
-    /// Creates a harness that runs every case `iterations` times (after
-    /// one untimed warm-up iteration).
+    /// Creates a harness that times every case at least `iterations`
+    /// times (after one untimed warm-up iteration).
     pub fn new(iterations: usize) -> Self {
         assert!(iterations >= 1, "at least one timed iteration is required");
         Bench {
@@ -46,16 +56,22 @@ impl Bench {
         }
     }
 
-    /// Times `f` and records a sample under `label`.
+    /// Times `f` and records a sample under `label`: the requested
+    /// iterations, then more until the timed runs add up to 30 ms or
+    /// number 1000.
     pub fn measure<F: FnMut()>(&mut self, label: &str, mut f: F) {
         f(); // warm-up
-        let mut times: Vec<Duration> = (0..self.iterations)
-            .map(|_| {
-                let start = Instant::now();
-                f();
-                start.elapsed()
-            })
-            .collect();
+        let mut times: Vec<Duration> = Vec::with_capacity(self.iterations);
+        let mut total = Duration::ZERO;
+        while times.len() < self.iterations
+            || (total < MIN_TIMED_TOTAL && times.len() < MAX_TIMED_RUNS)
+        {
+            let start = Instant::now();
+            f();
+            let elapsed = start.elapsed();
+            total += elapsed;
+            times.push(elapsed);
+        }
         times.sort_unstable();
         self.samples.push(Sample {
             label: label.to_string(),
@@ -106,8 +122,10 @@ mod tests {
     fn measures_warm_up_plus_timed_iterations() {
         let mut bench = Bench::new(3);
         let mut counter = 0u64;
-        bench.measure("noop", || {
+        // A case longer than the minimum total keeps the requested count.
+        bench.measure("long", || {
             counter += 1;
+            std::thread::sleep(MIN_TIMED_TOTAL);
         });
         // warm-up + 3 timed iterations
         assert_eq!(counter, 4);
@@ -115,6 +133,27 @@ mod tests {
         assert_eq!(samples.len(), 1);
         assert!(samples[0].min <= samples[0].median);
         assert!(bench.take_samples().is_empty());
+    }
+
+    #[test]
+    fn short_cases_are_timed_until_the_minimum_total() {
+        let mut bench = Bench::new(3);
+        // A no-op runs past the requested count, up to the run cap (a
+        // stall of the test thread can end it sooner).
+        let mut noop = 0usize;
+        bench.measure("noop", || noop += 1);
+        assert!(
+            (1 + 3 + 1..=1 + MAX_TIMED_RUNS).contains(&noop),
+            "{noop} runs"
+        );
+        // A case of at least 4 ms stops by the eighth run (about eight
+        // where three were asked for, fewer if the sleeps overshoot).
+        let mut slow = 0usize;
+        bench.measure("sleep", || {
+            slow += 1;
+            std::thread::sleep(Duration::from_millis(4));
+        });
+        assert!((1 + 3..=1 + 8).contains(&slow), "{slow} runs");
     }
 
     #[test]

@@ -8,11 +8,24 @@
 //! *edge-inefficient*: `Θ(n²)` total activations, `Θ(n²)` concurrently
 //! active edges and degree `Θ(n)` — which is exactly what the experiments
 //! driven by this module demonstrate.
+//!
+//! Each round copies its start-of-round snapshot into [`BitRows`] once and
+//! reads every `N_2(u)` off the copy by word OR. A new edge `{u, v}`,
+//! `u < v`, is staged once, by `u` in its own turn. Both endpoints read
+//! the same snapshot, so `v` would find `u` in its `N_2` and stage the
+//! edge again: a no-op the model does not meter, so leaving it out
+//! changes no count. A node that joined by churn takes no turn and sits
+//! above every initial node, so its edges are staged by their initial
+//! endpoints. Each activation's witness is the smallest common neighbour
+//! of its endpoints, the lowest set bit of the AND of their rows. The
+//! network checks it with two adjacency probes
+//! ([`Network::stage_jump_wave`]) instead of searching for a common
+//! neighbour, and the distance-2 rule stays enforced there alone.
 
 use crate::algorithm::{validate_input, RunConfig};
 use crate::{CoreError, TransformationOutcome};
-use adn_graph::{Graph, NodeId, UidMap};
-use adn_sim::{Network, SimError};
+use adn_graph::{BitRow, BitRows, Graph, NodeId, UidMap};
+use adn_sim::{Network, SimError, WaveActivation};
 
 /// Executes clique formation on `network` (trait entry point; see
 /// [`crate::algorithm::CliqueFormation`]).
@@ -34,19 +47,32 @@ pub(crate) fn execute(
     let limit =
         config.engine_round_cap(network, 4 * adn_graph::properties::ceil_log2(n.max(2)) + 16);
     let mut done = vec![false; n];
+    let mut rows = BitRows::new();
+    let mut reach = BitRow::new();
+    let mut wave = Vec::new();
     let mut rounds = 0;
     while !done.iter().all(|&d| d) {
         if rounds >= limit {
             return Err(SimError::RoundLimitExceeded { limit }.into());
         }
         rounds += 1;
+        rows.fill(network.graph());
         for (i, done) in done.iter_mut().enumerate() {
             let u = NodeId(i);
-            let potential = network.graph().potential_neighbors(u);
-            *done |= potential.is_empty();
-            for v in potential {
-                network.stage_activation(u, v)?;
-            }
+            rows.distance_two(u, &mut reach);
+            *done |= reach.is_empty();
+            // A lower initial node staged its edge to `u` in its own turn.
+            wave.clear();
+            wave.extend(reach.nodes_from(NodeId(i + 1)).map(|v| {
+                WaveActivation {
+                    initiator: u,
+                    target: v,
+                    witness: rows
+                        .common_neighbor(u, v)
+                        .expect("a potential neighbour shares a neighbour"),
+                }
+            }));
+            network.stage_jump_wave(&wave, &[])?;
         }
         network.commit_round();
     }
@@ -97,12 +123,144 @@ pub fn run_clique_then_prune(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::{arm_network_for_dst, CliqueFormation, DstConfig};
+    use crate::ReconfigurationAlgorithm;
     use adn_graph::properties::ceil_log2;
     use adn_graph::{generators, traversal, GraphFamily, UidAssignment};
+    use adn_sim::{EdgeMetrics, RoundEvent, Scenario};
 
     fn run_clique(initial: &Graph, uids: &UidMap) -> Result<TransformationOutcome, CoreError> {
         let mut network = Network::new(initial.clone());
         execute(&mut network, uids, &RunConfig::default())
+    }
+
+    /// The round loop as the straw-man states it, kept as the oracle of
+    /// [`execute`]: every initial node, in ascending order, stages an
+    /// activation to every node at distance two from it in the
+    /// start-of-round snapshot, ascending, each proved by the network's
+    /// own common-neighbour search.
+    fn reference_execute(
+        network: &mut Network,
+        uids: &UidMap,
+        config: &RunConfig,
+    ) -> Result<TransformationOutcome, CoreError> {
+        config.require_sync_engine("CliqueFormation")?;
+        validate_input(network, uids, "clique formation")?;
+        let n = network.node_count();
+        let limit = config.engine_round_cap(network, 4 * ceil_log2(n.max(2)) + 16);
+        let mut done = vec![false; n];
+        let mut rounds = 0;
+        while !done.iter().all(|&d| d) {
+            if rounds >= limit {
+                return Err(SimError::RoundLimitExceeded { limit }.into());
+            }
+            rounds += 1;
+            for (i, done) in done.iter_mut().enumerate() {
+                let u = NodeId(i);
+                let graph = network.graph();
+                let potential: Vec<NodeId> = graph
+                    .nodes()
+                    .filter(|&w| graph.at_distance_two(u, w))
+                    .collect();
+                *done |= potential.is_empty();
+                for v in potential {
+                    network.stage_activation(u, v)?;
+                }
+            }
+            network.commit_round();
+        }
+        config.check_round_budget(network)?;
+        let leader = uids.max_uid_node().expect("validated input is non-empty");
+        Ok(TransformationOutcome::from_network(leader, network))
+    }
+
+    /// Everything a run leaves behind that the two loops must agree on.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        result: Result<(NodeId, usize, usize), CoreError>,
+        metrics: EdgeMetrics,
+        graph: Graph,
+        events: Vec<RoundEvent>,
+        dst: Option<String>,
+        faults: usize,
+    }
+
+    type Executor =
+        fn(&mut Network, &UidMap, &RunConfig) -> Result<TransformationOutcome, CoreError>;
+
+    fn observe(
+        executor: Executor,
+        initial: &Graph,
+        uids: &UidMap,
+        dst: Option<&DstConfig>,
+    ) -> Observed {
+        let mut network = Network::new(initial.clone());
+        network.set_event_recording(true);
+        if let Some(dst) = dst {
+            arm_network_for_dst(&mut network, &CliqueFormation.spec(), uids, dst);
+        }
+        let result = executor(&mut network, uids, &RunConfig::default());
+        let report = match &result {
+            Ok(outcome) => outcome.dst.clone(),
+            Err(_) => network.take_dst_report(),
+        };
+        if let Ok(outcome) = &result {
+            assert_eq!(&outcome.metrics, network.metrics());
+            assert_eq!(&outcome.final_graph, network.graph());
+        }
+        Observed {
+            result: result.map(|o| (o.leader, o.rounds, o.phases)),
+            metrics: network.metrics().clone(),
+            graph: network.graph().clone(),
+            events: network.take_events(),
+            dst: report.as_ref().map(|r| r.render()),
+            faults: report.map_or(0, |r| r.faults.len()),
+        }
+    }
+
+    #[test]
+    fn matches_the_reference_loop_with_and_without_faults() {
+        let scenarios = [
+            Scenario::churn(),
+            Scenario::crash_stop(),
+            Scenario::adversarial_edges(),
+            Scenario::partition_heal(),
+            Scenario::mixed(),
+        ];
+        let (mut runs, mut faulted, mut errors) = (0, 0, 0);
+        for family in GraphFamily::ALL {
+            for n in [8usize, 63, 64, 65, 130] {
+                let g = family.generate(n, 4);
+                let uids =
+                    UidMap::new(g.node_count(), UidAssignment::RandomPermutation { seed: 4 });
+                let mut arms = vec![None];
+                for scenario in &scenarios {
+                    for seed in [1u64, 2, 3] {
+                        arms.push(Some(DstConfig {
+                            scenario: scenario.clone(),
+                            seed: seed ^ ((n as u64) << 8),
+                        }));
+                    }
+                }
+                for dst in &arms {
+                    let label = format!(
+                        "{} n={n} {:?}",
+                        family.name(),
+                        dst.as_ref().map(|d| (&d.scenario.name, d.seed))
+                    );
+                    let expect = observe(reference_execute, &g, &uids, dst.as_ref());
+                    let got = observe(execute, &g, &uids, dst.as_ref());
+                    assert_eq!(got, expect, "{label}");
+                    runs += 1;
+                    faulted += usize::from(got.faults > 0);
+                    errors += usize::from(got.result.is_err());
+                }
+            }
+        }
+        // The comparison covers runs whose faults landed.
+        assert_eq!(runs, GraphFamily::ALL.len() * 5 * 16);
+        assert!(faulted > runs / 2, "{faulted} of {runs} runs saw a fault");
+        assert!(errors < runs, "{errors} of {runs} runs failed");
     }
 
     #[test]

@@ -772,87 +772,6 @@ impl Graph {
         self.block(u.index())
     }
 
-    /// The set of nodes at distance exactly two from `u` (the paper's
-    /// `N_2(u)`, the *potential neighbours*): nodes `w` such that some `v`
-    /// is adjacent to both `u` and `w`, and `w` is not adjacent to `u` and
-    /// `w != u`. Returned sorted ascending, the same order the old
-    /// `BTreeSet` form iterated in.
-    ///
-    /// Linear in the candidate count `D = Σ_{v ∈ N_1(u)} deg(v)`. A node
-    /// adjacent to every other node has none. When the `n / 64` words of a
-    /// vertex bitmap cost no more than the candidates (`64·D ≥ n`) and
-    /// there are at least two lists to union, the lists are OR-ed into the
-    /// bitmap, `{u} ∪ N_1(u)` is cleared, and the set bits are read off in
-    /// ascending order. Otherwise (sparse neighbourhoods, or one list that
-    /// has no duplicates) the lists are gathered, sorted and deduplicated
-    /// if there is more than one, and `{u} ∪ N_1(u)` is subtracted in one
-    /// forward pass.
-    pub fn potential_neighbors(&self, u: NodeId) -> Vec<NodeId> {
-        let n1 = self.block(u.index());
-        if n1.len() + 1 == self.n {
-            return Vec::new();
-        }
-        let candidates: usize = n1.iter().map(|v| self.len[v.index()]).sum();
-        let out = if n1.len() >= 2 && 64 * candidates >= self.n {
-            let mut bits = vec![0u64; self.n.div_ceil(64)];
-            for &v in n1 {
-                for &w in self.block(v.index()) {
-                    bits[w.index() / 64] |= 1 << (w.index() % 64);
-                }
-            }
-            for &w in n1.iter().chain([&u]) {
-                bits[w.index() / 64] &= !(1 << (w.index() % 64));
-            }
-            let count = bits.iter().map(|b| b.count_ones() as usize).sum();
-            let mut out = Vec::with_capacity(count);
-            for (i, &word) in bits.iter().enumerate() {
-                let mut word = word;
-                while word != 0 {
-                    out.push(NodeId(i * 64 + word.trailing_zeros() as usize));
-                    word &= word - 1;
-                }
-            }
-            out
-        } else {
-            let mut out = Vec::with_capacity(candidates);
-            for &v in n1 {
-                out.extend_from_slice(self.block(v.index()));
-            }
-            if n1.len() > 1 {
-                out.sort_unstable();
-                out.dedup();
-            }
-            // Subtract `{u} ∪ N_1(u)` in one forward pass (both sides sorted).
-            let mut j = 0usize;
-            out.retain(|&w| {
-                while j < n1.len() && n1[j] < w {
-                    j += 1;
-                }
-                w != u && !(j < n1.len() && n1[j] == w)
-            });
-            out
-        };
-
-        // Differential check against the old BTreeSet-based semantics.
-        #[cfg(debug_assertions)]
-        {
-            let mut reference = std::collections::BTreeSet::new();
-            for v in self.neighbors(u) {
-                for w in self.neighbors(v) {
-                    if w != u && !self.has_edge(u, w) {
-                        reference.insert(w);
-                    }
-                }
-            }
-            debug_assert!(
-                out.iter().copied().eq(reference.iter().copied()),
-                "potential_neighbors diverged from reference for {u}: \
-                 {out:?} vs {reference:?}"
-            );
-        }
-        out
-    }
-
     /// Returns true if `u` and `w` are at distance exactly two (share a
     /// common neighbour and are not adjacent).
     pub fn at_distance_two(&self, u: NodeId, w: NodeId) -> bool {
@@ -1057,70 +976,6 @@ mod tests {
             g.add_edge(nid(1), nid(1)),
             Err(GraphError::SelfLoop { .. })
         ));
-    }
-
-    #[test]
-    fn potential_neighbors_are_distance_two() {
-        // Path 0 - 1 - 2 - 3
-        let g = Graph::from_edges(
-            4,
-            vec![(nid(0), nid(1)), (nid(1), nid(2)), (nid(2), nid(3))],
-        )
-        .unwrap();
-        let p0 = g.potential_neighbors(nid(0));
-        assert_eq!(p0, vec![nid(2)]);
-        assert!(g.at_distance_two(nid(0), nid(2)));
-        assert!(!g.at_distance_two(nid(0), nid(3)));
-        assert!(!g.at_distance_two(nid(0), nid(1)));
-        assert_eq!(g.common_neighbor(nid(0), nid(2)), Some(nid(1)));
-        assert_eq!(g.common_neighbor(nid(0), nid(3)), None);
-    }
-
-    #[test]
-    fn potential_neighbors_match_the_distance_two_definition_on_every_branch() {
-        // Checked against `at_distance_two` directly, so release builds
-        // (where the debug oracle inside `potential_neighbors` is compiled
-        // out) test the same thing.
-        let mut cases: Vec<(String, Graph)> = vec![
-            // Overlapping lists: many duplicates, a block subtracted.
-            ("lollipop".into(), generators::lollipop(4, 4)),
-            // Empty centre (degree n - 1) and single-list leaves.
-            ("star 200".into(), generators::star(200)),
-            // Sparse gather branch.
-            ("line 4096".into(), generators::line(4096)),
-            ("grid 4096".into(), generators::grid(64, 64)),
-            // Bitmap branch.
-            (
-                "dense_random 128".into(),
-                crate::GraphFamily::DenseRandom.generate(128, 7),
-            ),
-            ("hypercube 128".into(), generators::hypercube(7)),
-            ("isolated 1".into(), Graph::new(1)),
-            ("isolated 2".into(), Graph::new(2)),
-            ("edge 2".into(), generators::line(2)),
-        ];
-        // Empty short-circuit, and bitmaps that end exactly on, one past
-        // and one short of a word boundary.
-        for n in [63usize, 64, 65, 129] {
-            let complete = generators::complete(n);
-            let mut unmatched = complete.clone();
-            for i in (0..n - 1).step_by(2) {
-                unmatched.remove_edge(nid(i), nid(i + 1)).unwrap();
-            }
-            cases.push((format!("K_{n}"), complete));
-            cases.push((format!("K_{n} minus a matching"), unmatched));
-        }
-        for (label, g) in &cases {
-            for u in g.nodes() {
-                let got = g.potential_neighbors(u);
-                let expect: Vec<NodeId> = g.nodes().filter(|&w| g.at_distance_two(u, w)).collect();
-                assert_eq!(got, expect, "{label}: node {u}");
-                assert!(
-                    got.windows(2).all(|w| w[0] < w[1]),
-                    "{label}: sorted, no dups"
-                );
-            }
-        }
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! * [`Graph`] — a simple undirected graph over a fixed vertex set
 //!   `0..n`, with O(1) adjacency queries (the snapshot `D(i) = (V, E(i))`
 //!   of the paper's temporal graph).
+//! * [`BitRows`] — a bit-row copy of a snapshot, giving every node's
+//!   potential neighbours (`N_2`) and activation witnesses by word
+//!   operations.
 //! * [`RootedTree`] — an explicitly rooted, oriented tree (parents /
 //!   children / depths), the object manipulated by the `TreeToStar` and
 //!   `LineToCompleteBinaryTree` subroutines.
@@ -39,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bitrows;
 pub mod dynconn;
 pub mod edgeset;
 pub mod error;
@@ -53,6 +57,7 @@ pub mod uid;
 
 mod ids;
 
+pub use bitrows::{BitRow, BitRows};
 pub use dynconn::DynConn;
 pub use edgeset::SortedEdgeSet;
 pub use error::GraphError;

@@ -9,7 +9,7 @@
 //! round summaries is caught with the seed that reproduces it.
 
 use actively_dynamic_networks::graph::rng::DetRng;
-use actively_dynamic_networks::graph::{generators, Edge, Graph, NodeId};
+use actively_dynamic_networks::graph::{generators, BitRow, BitRows, Edge, Graph, NodeId};
 use actively_dynamic_networks::sim::dst::{
     Adversary, DstState, InvariantPolicy, Scenario, TargetPolicy,
 };
@@ -107,6 +107,8 @@ fn graph_matches_btreeset_model_under_random_ops() {
         let mut n = 2 + rng.gen_range(0, 14);
         let mut graph = Graph::new(n);
         let mut model = ModelGraph::new(n);
+        let mut rows = BitRows::new();
+        let mut reach = BitRow::new();
         for step in 0..400 {
             match rng.gen_range(0, 100) {
                 // Mostly edge insertions so the graphs stay interesting.
@@ -140,14 +142,22 @@ fn graph_matches_btreeset_model_under_random_ops() {
                     n += 1;
                 }
                 _ => {
-                    // Read-path probes: membership, N2, witnesses.
+                    // Read-path probes: membership, N2 off a bit-row
+                    // copy, witnesses.
                     let u = NodeId(rng.gen_range(0, n));
                     let v = NodeId(rng.gen_range(0, n));
                     assert_eq!(graph.has_edge(u, v), model.has_edge(u, v));
+                    rows.fill(&graph);
+                    rows.distance_two(u, &mut reach);
                     assert_eq!(
-                        graph.potential_neighbors(u),
+                        reach.nodes_from(NodeId(0)).collect::<Vec<_>>(),
                         model.potential_neighbors(u),
                         "seed {seed} step {step}: N2({u})"
+                    );
+                    assert_eq!(
+                        rows.common_neighbor(u, v),
+                        graph.common_neighbor(u, v),
+                        "seed {seed} step {step}: witness of {u}, {v}"
                     );
                     if u != v {
                         assert_eq!(
