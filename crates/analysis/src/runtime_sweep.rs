@@ -340,7 +340,7 @@ fn run_program(
             let line: Vec<NodeId> = (0..n_actual).map(NodeId).collect();
             let config = LineToTreeConfig {
                 arity: case.arity,
-                protected_edges: Default::default(),
+                keep_line_edges: false,
             };
             let (tree, report) =
                 run_runtime_line_to_tree(network, &line, &config, &scheduler(case))

@@ -309,14 +309,16 @@ fn bench_wreath_cold(bench: &mut Bench, n: usize) {
 }
 
 fn bench_algorithms(bench: &mut Bench, quick: bool) {
-    let n = if quick { 128 } else { 512 };
-    // Clique formation stays at n = 128 in both modes: its Θ(n²) edge
-    // growth makes one n = 512 run take seconds. Centralized general
-    // stays at n = 512: at n = 128 it runs under the `--check` noise
-    // floor.
+    // Quick mode uses n = 256: at n = 128 GraphToStar runs at the
+    // `--check` noise floor. Clique formation stays at n = 128 in both
+    // modes: its Θ(n²) edge growth makes one n = 512 run take seconds.
+    // Centralized general stays at n = 512: at n = 128 it runs under the
+    // noise floor.
+    let n = if quick { 256 } else { 512 };
     let cases: &[(&str, Graph)] = &[
         ("graph_to_star", generators::line(n)),
         ("graph_to_wreath", generators::line(n)),
+        ("graph_to_thin_wreath", generators::line(n)),
         ("flooding", generators::ring(n)),
         ("centralized_general", generators::line(512)),
         ("clique_formation", generators::ring(128)),
@@ -350,7 +352,9 @@ fn mid_merge_forest(n: usize, committees: usize) -> CommitteeForest {
 }
 
 fn bench_committee(bench: &mut Bench, quick: bool) {
-    let n = if quick { 256 } else { 1024 };
+    // Quick mode uses n = 512: at n = 256 the adjacency row reads about
+    // 95–110 µs, at the `--check` noise floor.
+    let n = if quick { 512 } else { 1024 };
     let g = scratch_graph(n, 4 * n, 0xC033);
     let committees = (n / 8).max(2);
     let forest = mid_merge_forest(n, committees);

@@ -20,8 +20,8 @@
 use crate::algorithm::{validate_input, CentralizedConfig, RunConfig};
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::traversal::{bfs_spanning_tree, euler_tour};
-use adn_graph::{Graph, NodeId, UidMap};
-use adn_sim::Network;
+use adn_graph::{Edge, Graph, NodeId, UidMap};
+use adn_sim::{Network, WaveActivation};
 
 /// Executes `CutInHalf` on `network`, whose current snapshot must be a
 /// spanning line; the line order is recovered by walking from an endpoint
@@ -34,13 +34,12 @@ pub(crate) fn execute_cut_in_half(
 ) -> Result<TransformationOutcome, CoreError> {
     config.require_sync_engine("Centralized CutInHalf")?;
     validate_input(network, uids, "CutInHalf")?;
-    let graph = network.graph().clone();
-    if !adn_graph::properties::is_line(&graph) {
+    if !adn_graph::properties::is_line(network.graph()) {
         return Err(CoreError::InvalidInput {
             reason: "CutInHalf requires a spanning line as the initial network".into(),
         });
     }
-    let order = line_order(&graph);
+    let order = line_order(network.graph());
     cut_in_half(network, &order, config)?;
     config.check_round_budget(network)?;
     Ok(TransformationOutcome::from_network(order[0], network))
@@ -79,33 +78,45 @@ fn line_order(graph: &Graph) -> Vec<NodeId> {
 /// repeat nodes, as in an Euler tour) are connected at doubling distances.
 /// Activations between positions that map to the same node or to already
 /// adjacent nodes are skipped (they cost nothing).
+///
+/// The doubling edge `order[j]`–`order[j + hop]` closes a path through
+/// `order[j + step]`, whose two halves are edges of the previous round
+/// (of the line itself when `step` is 1), so each round is one wave whose
+/// witnesses are known. The network checks each with two adjacency
+/// probes and falls back to its common-neighbour search only where a
+/// repeated tour node or a fault made the witness stale.
 fn cut_in_half(
     network: &mut Network,
     order: &[NodeId],
     config: &RunConfig,
 ) -> Result<(), CoreError> {
     let len = order.len();
+    let mut wave = Vec::new();
     let mut step = 1usize;
     while step < len.saturating_sub(1) {
         config.check_round_budget(network)?;
         let hop = step * 2;
-        let mut staged_any = false;
-        let mut j = 0usize;
-        while j + hop < len {
-            let a = order[j];
-            let b = order[j + hop];
-            if a != b && !network.graph().has_edge(a, b) {
-                network.stage_activation(a, b)?;
-                staged_any = true;
-            }
-            j += hop;
-        }
-        if staged_any {
-            network.commit_round();
-        } else {
+        let graph = network.graph();
+        wave.clear();
+        wave.extend(
+            (0..len.saturating_sub(hop))
+                .step_by(hop)
+                .filter(|&j| {
+                    order[j] != order[j + hop] && !graph.has_edge(order[j], order[j + hop])
+                })
+                .map(|j| WaveActivation {
+                    initiator: order[j],
+                    target: order[j + hop],
+                    witness: order[j + step],
+                }),
+        );
+        if wave.is_empty() {
             // The round still elapses even if every doubling edge happened
             // to exist already (e.g. repeated Euler-tour nodes).
             network.advance_idle_rounds(1);
+        } else {
+            network.stage_jump_wave(&wave, &[])?;
+            network.commit_round();
         }
         step = hop;
     }
@@ -125,10 +136,10 @@ pub(crate) fn execute_general(
 ) -> Result<TransformationOutcome, CoreError> {
     config.require_sync_engine("Centralized (Euler + CutInHalf)")?;
     validate_input(network, uids, "the centralized strategy")?;
-    let initial = network.graph().clone();
-    let n = initial.node_count();
+    let n = network.node_count();
     let root = uids.max_uid_node().expect("validated input is non-empty");
-    let tree = bfs_spanning_tree(&initial, root).expect("connected graph has a spanning tree");
+    let tree =
+        bfs_spanning_tree(network.graph(), root).expect("connected graph has a spanning tree");
     let tour = euler_tour(&tree);
 
     cut_in_half(network, &tour, config)?;
@@ -144,13 +155,14 @@ pub(crate) fn execute_general(
                 reason: "network disconnected before the prune round (environment fault)"
                     .to_string(),
             })?;
-        let keep = bfs.to_graph();
-        let current = network.graph().clone();
-        for e in current.edges() {
-            if !keep.has_edge(e.a, e.b) {
-                network.stage_deactivation(e.a, e.b)?;
-            }
-        }
+        // The tree's edges are the {u, parent(u)} pairs: every other edge
+        // of the snapshot is dropped, in one column.
+        let drops: Vec<Edge> = network
+            .graph()
+            .edges()
+            .filter(|e| bfs.parent(e.a) != Some(e.b) && bfs.parent(e.b) != Some(e.a))
+            .collect();
+        network.stage_jump_wave(&[], &drops)?;
         network.commit_round();
     }
 
@@ -161,9 +173,241 @@ pub(crate) fn execute_general(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::{
+        arm_network_for_dst, CentralizedCutInHalf, CentralizedGeneral, DstConfig,
+    };
+    use crate::ReconfigurationAlgorithm;
     use adn_graph::properties::ceil_log2;
     use adn_graph::traversal::diameter;
     use adn_graph::{generators, GraphFamily, UidAssignment};
+    use adn_sim::{EdgeMetrics, RoundEvent, Scenario};
+
+    /// The `CutInHalf` core as first written, kept as the oracle of
+    /// [`cut_in_half`]: each doubling edge is staged on its own, proved
+    /// by the network's common-neighbour search.
+    fn reference_cut_in_half(
+        network: &mut Network,
+        order: &[NodeId],
+        config: &RunConfig,
+    ) -> Result<(), CoreError> {
+        let len = order.len();
+        let mut step = 1usize;
+        while step < len.saturating_sub(1) {
+            config.check_round_budget(network)?;
+            let hop = step * 2;
+            let mut staged_any = false;
+            let mut j = 0usize;
+            while j + hop < len {
+                let a = order[j];
+                let b = order[j + hop];
+                if a != b && !network.graph().has_edge(a, b) {
+                    network.stage_activation(a, b)?;
+                    staged_any = true;
+                }
+                j += hop;
+            }
+            if staged_any {
+                network.commit_round();
+            } else {
+                network.advance_idle_rounds(1);
+            }
+            step = hop;
+        }
+        Ok(())
+    }
+
+    /// [`execute_cut_in_half`] over the oracle core.
+    fn reference_execute_cut_in_half(
+        network: &mut Network,
+        uids: &UidMap,
+        config: &RunConfig,
+    ) -> Result<TransformationOutcome, CoreError> {
+        config.require_sync_engine("Centralized CutInHalf")?;
+        validate_input(network, uids, "CutInHalf")?;
+        let graph = network.graph().clone();
+        if !adn_graph::properties::is_line(&graph) {
+            return Err(CoreError::InvalidInput {
+                reason: "CutInHalf requires a spanning line as the initial network".into(),
+            });
+        }
+        let order = line_order(&graph);
+        reference_cut_in_half(network, &order, config)?;
+        config.check_round_budget(network)?;
+        Ok(TransformationOutcome::from_network(order[0], network))
+    }
+
+    /// [`execute_general`] as first written: the oracle core, and a prune
+    /// round that reads its keep set off the BFS tree's graph against a
+    /// clone of the snapshot.
+    fn reference_execute_general(
+        network: &mut Network,
+        uids: &UidMap,
+        target: CentralizedConfig,
+        config: &RunConfig,
+    ) -> Result<TransformationOutcome, CoreError> {
+        config.require_sync_engine("Centralized (Euler + CutInHalf)")?;
+        validate_input(network, uids, "the centralized strategy")?;
+        let initial = network.graph().clone();
+        let n = initial.node_count();
+        let root = uids.max_uid_node().expect("validated input is non-empty");
+        let tree = bfs_spanning_tree(&initial, root).expect("connected graph has a spanning tree");
+        let tour = euler_tour(&tree);
+        reference_cut_in_half(network, &tour, config)?;
+        if target == CentralizedConfig::PruneToTree && n > 1 {
+            config.check_round_budget(network)?;
+            let bfs = bfs_spanning_tree(network.graph(), root).ok_or_else(|| {
+                CoreError::InvalidInput {
+                    reason: "network disconnected before the prune round (environment fault)"
+                        .to_string(),
+                }
+            })?;
+            let keep = bfs.to_graph();
+            let current = network.graph().clone();
+            for e in current.edges() {
+                if !keep.has_edge(e.a, e.b) {
+                    network.stage_deactivation(e.a, e.b)?;
+                }
+            }
+            network.commit_round();
+        }
+        config.check_round_budget(network)?;
+        Ok(TransformationOutcome::from_network(root, network))
+    }
+
+    /// Everything a run leaves behind that the new code and its oracle
+    /// must agree on.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        result: Result<(NodeId, usize, usize), CoreError>,
+        metrics: EdgeMetrics,
+        graph: Graph,
+        events: Vec<RoundEvent>,
+        dst: Option<String>,
+        faults: usize,
+    }
+
+    fn observe(
+        run: impl Fn(&mut Network) -> Result<TransformationOutcome, CoreError>,
+        spec: &crate::AlgorithmSpec,
+        initial: &Graph,
+        uids: &UidMap,
+        dst: Option<&DstConfig>,
+    ) -> Observed {
+        let mut network = Network::new(initial.clone());
+        network.set_event_recording(true);
+        if let Some(dst) = dst {
+            arm_network_for_dst(&mut network, spec, uids, dst);
+        }
+        let result = run(&mut network);
+        let report = match &result {
+            Ok(outcome) => outcome.dst.clone(),
+            Err(_) => network.take_dst_report(),
+        };
+        if let Ok(outcome) = &result {
+            assert_eq!(&outcome.metrics, network.metrics());
+            assert_eq!(&outcome.final_graph, network.graph());
+        }
+        Observed {
+            result: result.map(|o| (o.leader, o.rounds, o.phases)),
+            metrics: network.metrics().clone(),
+            graph: network.graph().clone(),
+            events: network.take_events(),
+            dst: report.as_ref().map(|r| r.render()),
+            faults: report.map_or(0, |r| r.faults.len()),
+        }
+    }
+
+    #[test]
+    fn matches_the_reference_strategy_with_and_without_faults() {
+        let scenarios = [
+            Scenario::churn(),
+            Scenario::crash_stop(),
+            Scenario::adversarial_edges(),
+            Scenario::partition_heal(),
+            Scenario::mixed(),
+        ];
+        let config = RunConfig::default();
+        let (general, cut) = (CentralizedGeneral.spec(), CentralizedCutInHalf.spec());
+        let (mut runs, mut faulted, mut errors) = (0, 0, 0);
+        for family in GraphFamily::ALL {
+            for n in [8usize, 63, 64, 130] {
+                let g = family.generate(n, 6);
+                let uids =
+                    UidMap::new(g.node_count(), UidAssignment::RandomPermutation { seed: 6 });
+                let mut arms = vec![None];
+                for scenario in &scenarios {
+                    for seed in [1u64, 2, 3] {
+                        arms.push(Some(DstConfig {
+                            scenario: scenario.clone(),
+                            seed: seed ^ ((n as u64) << 8),
+                        }));
+                    }
+                }
+                for dst in &arms {
+                    let label = format!(
+                        "{} n={n} {:?}",
+                        family.name(),
+                        dst.as_ref().map(|d| (&d.scenario.name, d.seed))
+                    );
+                    let mut pairs = Vec::new();
+                    for target in [
+                        CentralizedConfig::LowDiameter,
+                        CentralizedConfig::PruneToTree,
+                    ] {
+                        pairs.push((
+                            format!("{label} {target:?}"),
+                            observe(
+                                |net| reference_execute_general(net, &uids, target, &config),
+                                &general,
+                                &g,
+                                &uids,
+                                dst.as_ref(),
+                            ),
+                            observe(
+                                |net| execute_general(net, &uids, target, &config),
+                                &general,
+                                &g,
+                                &uids,
+                                dst.as_ref(),
+                            ),
+                        ));
+                    }
+                    if family == GraphFamily::Line {
+                        pairs.push((
+                            format!("{label} CutInHalf"),
+                            observe(
+                                |net| reference_execute_cut_in_half(net, &uids, &config),
+                                &cut,
+                                &g,
+                                &uids,
+                                dst.as_ref(),
+                            ),
+                            observe(
+                                |net| execute_cut_in_half(net, &uids, &config),
+                                &cut,
+                                &g,
+                                &uids,
+                                dst.as_ref(),
+                            ),
+                        ));
+                    }
+                    for (label, expect, got) in pairs {
+                        assert_eq!(got, expect, "{label}");
+                        runs += 1;
+                        faulted += usize::from(got.faults > 0);
+                        errors += usize::from(got.result.is_err());
+                    }
+                }
+            }
+        }
+        // The comparison covers runs whose faults landed, and failures.
+        assert_eq!(runs, (GraphFamily::ALL.len() * 2 + 1) * 4 * 16);
+        assert!(faulted > runs / 2, "{faulted} of {runs} runs saw a fault");
+        assert!(
+            errors > 0 && errors < runs,
+            "{errors} of {runs} runs failed"
+        );
+    }
 
     fn run_general(
         initial: &Graph,

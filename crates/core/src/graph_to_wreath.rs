@@ -12,8 +12,8 @@
 //! construction of Appendix B ("Merging the Spanning Ring Subgraph"),
 //! (ii) discarding the old tree edges and (iii) rebuilding a complete
 //! binary tree over the merged ring with the (asynchronous)
-//! `LineToCompleteBinaryTree` subroutine, keeping the ring edges protected
-//! so the result is again a wreath. As in Appendix B, the rebuilds of all
+//! `LineToCompleteBinaryTree` subroutine, keeping the ring edges so the
+//! result is again a wreath. As in Appendix B, the rebuilds of all
 //! roots of a phase run in parallel: the merged rings form one lockstep
 //! batch of the subroutine, so a phase costs the slowest rebuild's rounds,
 //! not the sum over its roots. When a single committee remains, the
@@ -432,12 +432,12 @@ impl WreathState {
         &self.merged_line[root.index()]
     }
 
-    /// The clean-up after the splices, and the phase's ring-edge set.
-    /// The old tree edges of every committee that took part in a merge —
-    /// the roots' included — are dropped, since their trees are rebuilt
-    /// over the merged rings; those that coincide with a ring edge, an
-    /// initial edge or an edge already gone stay.
-    pub(crate) fn cleanup(&mut self, graph: &Graph, initial: &Graph) -> (Vec<Edge>, SortedEdgeSet) {
+    /// The clean-up after the splices. The old tree edges of every
+    /// committee that took part in a merge — the roots' included — are
+    /// dropped, since their trees are rebuilt over the merged rings; those
+    /// that coincide with a ring edge of the phase, an initial edge or an
+    /// edge already gone stay.
+    pub(crate) fn cleanup(&mut self, graph: &Graph, initial: &Graph) -> Vec<Edge> {
         for &root in self.sel.roots() {
             if self.sel.has_children(root) {
                 self.stale_tree_edges
@@ -459,15 +459,13 @@ impl WreathState {
             }
         }
         let ring_edges = SortedEdgeSet::from_vec(ring_edge_vec);
-        let drops = self
-            .stale_tree_edges
+        self.stale_tree_edges
             .iter()
             .copied()
             .filter(|e| {
                 !initial.has_edge(e.a, e.b) && !ring_edges.contains(e) && graph.has_edge(e.a, e.b)
             })
-            .collect();
-        (drops, ring_edges)
+            .collect()
     }
 
     /// Installs the tree rebuilt over `root`'s merged ring — `parents[pos]`
@@ -613,7 +611,7 @@ pub(crate) fn execute(
         }
         state.materialize_rings()?;
 
-        let (drops, ring_edges) = state.cleanup(network.graph(), &initial);
+        let drops = state.cleanup(network.graph(), &initial);
         for e in &drops {
             network.stage_deactivation(e.a, e.b)?;
         }
@@ -624,16 +622,16 @@ pub(crate) fn execute(
         // ------------------------------------------------------------------
         // Tree merging: rebuild a complete `arity`-ary tree over every
         // merged ring with the asynchronous LineToCompleteBinaryTree,
-        // keeping the ring edges protected. Appendix B runs the rebuilds in
+        // keeping the ring edges. Appendix B runs the rebuilds in
         // parallel, and so does this engine: all merged rings (rotated to
         // start at their leaders) form one lockstep batch, so a phase pays
         // the slowest rebuild's rounds, not their sum. The wake-up schedule
         // models the activation message propagating from the ex-leaders: a
         // node wakes after the depth of its former committee's tree, read
-        // off the pre-merge forest. The phase's ring-edge set is every
-        // line's protected set: the rings are node-disjoint, so an edge
-        // between two nodes of one ring is in it exactly when it is an edge
-        // of that ring. Untouched committees are carried over unchanged.
+        // off the pre-merge forest. A rebuild drops only edges between two
+        // nodes of its own ring, never a line edge (`keep_line_edges`) and
+        // never the closing edge (no position jumps off the root), so the
+        // ring survives. Untouched committees are carried over unchanged.
         // ------------------------------------------------------------------
         let merged_roots: Vec<CommitteeId> = state.merged_roots().collect();
         line_scratch.clear_lines();
@@ -649,7 +647,7 @@ pub(crate) fn execute(
                 }),
             );
         }
-        run_lockstep(network, config.tree_arity, &ring_edges, &mut line_scratch)?;
+        run_lockstep(network, config.tree_arity, true, &mut line_scratch)?;
         for (k, &root) in merged_roots.iter().enumerate() {
             state.install_tree(root, line_scratch.line_parents(k));
         }
@@ -680,8 +678,8 @@ pub(crate) fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adn_graph::properties::{ceil_log2, is_tree};
-    use adn_graph::{generators, GraphFamily, RootedTree, UidAssignment};
+    use adn_graph::properties::{ceil_log2, is_bounded_arity_tree};
+    use adn_graph::{generators, GraphFamily, UidAssignment};
 
     fn check_outcome(
         initial: &Graph,
@@ -690,29 +688,15 @@ mod tests {
         arity: usize,
     ) {
         let n = initial.node_count();
-        // The final network is a spanning tree ...
-        assert!(
-            is_tree(&outcome.final_graph),
-            "n={n}: final graph is not a tree"
-        );
-        // ... rooted at the elected leader, which is the max-UID node ...
+        // The final network is a spanning tree rooted at the elected
+        // leader, the max-UID node, of logarithmic depth (Depth-log n
+        // Tree) and within the gadget's arity bound.
         assert_eq!(Some(outcome.leader), uids.max_uid_node());
-        let tree = RootedTree::from_tree_graph(&outcome.final_graph, outcome.leader)
-            .expect("final graph is a tree");
-        // ... of logarithmic depth (Depth-log n Tree) ...
+        let max_depth = 2 * ceil_log2(n.max(2)) + 2;
         assert!(
-            tree.depth() <= 2 * ceil_log2(n.max(2)) + 2,
-            "n={n}: depth {} too large",
-            tree.depth()
+            is_bounded_arity_tree(&outcome.final_graph, outcome.leader, arity, max_depth),
+            "n={n}: not a tree of depth ≤ {max_depth} and arity ≤ {arity}"
         );
-        // ... with the gadget's arity bound.
-        for u in initial.nodes() {
-            assert!(
-                tree.child_count(u) <= arity,
-                "n={n}: node {u} has {} children (> {arity})",
-                tree.child_count(u)
-            );
-        }
     }
 
     fn run_on(initial: &Graph, uids: &UidMap) -> Result<TransformationOutcome, CoreError> {

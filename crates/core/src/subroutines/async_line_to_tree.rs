@@ -40,70 +40,152 @@
 //! `plan_sync_schedule` is the only code that decides Proposition 2.2's
 //! jumps; the lockstep batch here and the actors of
 //! [`crate::subroutines::runtime_line_to_tree`] only carry its plan out.
+//! The plan is flat, one column of jump targets with per-position
+//! offsets, and the batch memoises it per (line length, arity). Each
+//! round's marking pass records every jump's mover, old parent and target
+//! once, and the wave is staged from that record. A position leaves its
+//! line edge only on its first jump (later jumps leave a parent at least
+//! two positions back, and no position jumps off the root), so
+//! `keep_line_edges` keeps a wreath's ring by position alone.
 
 use crate::subroutines::{LineScratch, LineToTreeConfig};
 use crate::CoreError;
-use adn_graph::edgeset::SortedEdgeSet;
 use adn_graph::properties::ceil_log2;
 use adn_graph::{Edge, NodeId, RootedTree};
 use adn_sim::Network;
 
-/// The synchronous jump schedule: for every position, the ordered list of
-/// grandparent positions it hops to. Computed by running the synchronous
-/// subroutine purely on positions (no network); this is the one
-/// implementation of Proposition 2.2's rule, which [`run_lockstep`] and
-/// the actors of [`crate::subroutines::runtime_line_to_tree`] carry out.
-pub(crate) fn plan_sync_schedule(n: usize, arity: usize) -> Vec<Vec<usize>> {
-    let mut schedule: Vec<Vec<usize>> = vec![Vec::new(); n];
-    if n <= 1 {
-        return schedule;
+/// The synchronous jump schedule of a line, flat: position `pos` hops,
+/// in order, to the grandparent positions
+/// `targets[offsets[pos]..offsets[pos + 1]]`. All jumps sit in one
+/// column, positions ascending, so a plan is two allocations whatever the
+/// line's length, and per-jump data of the actors lives in columns
+/// parallel to it (see [`JumpPlan::jump_index`]).
+#[derive(Debug)]
+pub(crate) struct JumpPlan {
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
+}
+
+impl JumpPlan {
+    /// The grandparent positions `pos` hops to, in order.
+    pub(crate) fn targets(&self, pos: usize) -> &[usize] {
+        &self.targets[self.offsets[pos]..self.offsets[pos + 1]]
     }
-    let mut parent_pos: Vec<usize> = (0..n).map(|i| i.saturating_sub(1)).collect();
-    let mut child_count: Vec<usize> = (0..n).map(|i| usize::from(i + 1 < n)).collect();
-    let mut terminated: Vec<bool> = vec![false; n];
-    terminated[0] = true;
+
+    /// Index of jump `j` of position `pos` in the flat jump column.
+    pub(crate) fn jump_index(&self, pos: usize, j: usize) -> usize {
+        self.offsets[pos] + j
+    }
+
+    /// Number of jumps of the whole line.
+    pub(crate) fn jump_count(&self) -> usize {
+        self.targets.len()
+    }
+}
+
+/// The planner's working columns, reused from one plan to the next.
+#[derive(Debug, Default)]
+pub(crate) struct PlanWork {
+    /// Per position: current parent position.
+    parent: Vec<usize>,
+    /// Per position: current child count.
+    child_count: Vec<usize>,
+    /// Per position: jumps onto it admitted in the current pass (all zero
+    /// between passes).
+    admitted: Vec<usize>,
+    /// The positions not yet terminated, ascending.
+    active: Vec<usize>,
+    /// Every planned jump as (position, target), in pass order.
+    log: Vec<(usize, usize)>,
+}
+
+/// Plans the synchronous subroutine purely on positions (no network) for
+/// a line of `n` positions: the one implementation of Proposition 2.2's
+/// rule, which [`run_lockstep`] and the actors of
+/// [`crate::subroutines::runtime_line_to_tree`] carry out. Each pass reads
+/// the start-of-pass parents and child counts: a position whose parent is
+/// the root, or whose grandparent already has `arity` children,
+/// terminates; the others hop to their grandparent, lowest positions
+/// first, while the grandparent has room.
+pub(crate) fn plan_sync_schedule(n: usize, arity: usize, work: &mut PlanWork) -> JumpPlan {
+    let PlanWork {
+        parent,
+        child_count,
+        admitted,
+        active,
+        log,
+    } = work;
+    parent.clear();
+    parent.extend((0..n).map(|i| i.saturating_sub(1)));
+    child_count.clear();
+    child_count.extend((0..n).map(|i| usize::from(i + 1 < n)));
+    admitted.clear();
+    admitted.resize(n, 0);
+    active.clear();
+    active.extend(1..n);
+    log.clear();
     loop {
-        let begin_child_count = child_count.clone();
-        let mut planned_new: Vec<usize> = vec![0; n];
-        let mut jumps: Vec<(usize, usize, usize)> = Vec::new();
-        for pos in 1..n {
-            if terminated[pos] {
+        let pass = log.len();
+        let mut kept = 0;
+        for i in 0..active.len() {
+            let pos = active[i];
+            let p = parent[pos];
+            if p == 0 || child_count[parent[p]] >= arity {
                 continue;
             }
-            let p = parent_pos[pos];
-            if p == 0 {
-                terminated[pos] = true;
-                continue;
+            active[kept] = pos;
+            kept += 1;
+            let gp = parent[p];
+            if child_count[gp] + admitted[gp] < arity {
+                admitted[gp] += 1;
+                log.push((pos, gp));
             }
-            let gp = parent_pos[p];
-            if begin_child_count[gp] >= arity {
-                terminated[pos] = true;
-                continue;
-            }
-            if begin_child_count[gp] + planned_new[gp] >= arity {
-                continue;
-            }
-            planned_new[gp] += 1;
-            jumps.push((pos, p, gp));
         }
-        if jumps.is_empty() {
+        active.truncate(kept);
+        if log.len() == pass {
             // A position skips a pass without terminating only when
             // another jump onto the same grandparent was planned in it,
             // so a pass that plans no jump has terminated everyone.
             debug_assert!(
-                terminated.iter().all(|&t| t),
+                active.is_empty(),
                 "a pass planned no jump but left positions unterminated"
             );
             break;
         }
-        for (pos, p, gp) in jumps {
-            schedule[pos].push(gp);
-            parent_pos[pos] = gp;
-            child_count[p] -= 1;
+        for &(pos, gp) in &log[pass..] {
+            admitted[gp] = 0;
+            child_count[parent[pos]] -= 1;
             child_count[gp] += 1;
+            parent[pos] = gp;
         }
     }
-    schedule
+    // Bucket the log by position; a stable scatter keeps each position's
+    // jumps in pass order. `admitted` is all zero again and serves as the
+    // write cursors.
+    let mut offsets = vec![0; n + 1];
+    for &(pos, _) in log.iter() {
+        offsets[pos + 1] += 1;
+    }
+    for pos in 0..n {
+        offsets[pos + 1] += offsets[pos];
+    }
+    let cursor = admitted;
+    cursor.copy_from_slice(&offsets[..n]);
+    let mut targets = vec![0; log.len()];
+    for &(pos, gp) in log.iter() {
+        targets[cursor[pos]] = gp;
+        cursor[pos] += 1;
+    }
+    JumpPlan { offsets, targets }
+}
+
+/// One jump of a lockstep round, as batch indices (line start +
+/// position): the mover, the parent it leaves and the target it hops to.
+#[derive(Debug)]
+pub(crate) struct Mover {
+    pos: usize,
+    parent: usize,
+    target: usize,
 }
 
 /// The tree the synchronous schedule builds, in position space: each
@@ -111,10 +193,9 @@ pub(crate) fn plan_sync_schedule(n: usize, arity: usize) -> Vec<Vec<usize>> {
 /// it never jumps. The executors' tests compare against it.
 #[cfg(test)]
 pub(crate) fn planned_tree(n: usize, arity: usize) -> RootedTree {
-    let parents = plan_sync_schedule(n, arity)
-        .iter()
-        .enumerate()
-        .map(|(pos, jumps)| (pos > 0).then(|| NodeId(jumps.last().copied().unwrap_or(pos - 1))))
+    let plan = plan_sync_schedule(n, arity, &mut PlanWork::default());
+    let parents = (0..n)
+        .map(|pos| (pos > 0).then(|| NodeId(plan.targets(pos).last().copied().unwrap_or(pos - 1))))
         .collect();
     RootedTree::from_parents(NodeId(0), parents).expect("the plan builds a tree")
 }
@@ -151,7 +232,7 @@ pub fn run_async_line_to_tree(
     }
     let mut scratch = LineScratch::new();
     scratch.push_line(line, wake_round.iter().copied());
-    let rounds = run_lockstep(network, config.arity, &config.protected_edges, &mut scratch)?;
+    let rounds = run_lockstep(network, config.arity, config.keep_line_edges, &mut scratch)?;
     let parents: Vec<Option<NodeId>> = scratch
         .line_parents(0)
         .iter()
@@ -160,6 +241,15 @@ pub fn run_async_line_to_tree(
         .collect();
     let tree = RootedTree::from_parents(NodeId(0), parents).expect("valid tree by construction");
     Ok((tree, rounds))
+}
+
+/// Whether the jump of position `pos` off parent position `parent` drops
+/// the edge it leaves: always, unless line edges are kept and the parent
+/// is the line predecessor, which it is exactly on a position's first
+/// jump. Only the difference of the two positions matters, so both may be
+/// offset by a line's start in a batch. Both executors decide drops here.
+pub(crate) fn drops_left_edge(keep_line_edges: bool, pos: usize, parent: usize) -> bool {
+    !(keep_line_edges && parent + 1 == pos)
 }
 
 /// Rejects, in this order, an empty line, zero arity, a line repeating a
@@ -214,8 +304,10 @@ pub(crate) fn validate_line(
 /// The lockstep core: turns every line of `scratch`'s batch (see
 /// [`LineScratch::push_line`]) into an `arity`-ary tree, all lines in the
 /// same rounds, and returns the number of rounds the batch took — the
-/// maximum over its lines. The lines must be node-disjoint; an edge in
-/// `protected_edges` is never deactivated. Afterwards
+/// maximum over its lines. The lines must be node-disjoint. With
+/// `keep_line_edges` no line edge is ever deactivated: a position's first
+/// jump leaves its line predecessor without dropping that edge, and no
+/// later jump leaves a line edge (see [`LineToTreeConfig`]). Afterwards
 /// [`LineScratch::line_parents`] holds each line's tree in position space.
 ///
 /// # Errors
@@ -229,7 +321,7 @@ pub(crate) fn validate_line(
 pub(crate) fn run_lockstep(
     network: &mut Network,
     arity: usize,
-    protected_edges: &SortedEdgeSet,
+    keep_line_edges: bool,
     scratch: &mut LineScratch,
 ) -> Result<usize, CoreError> {
     if arity == 0 {
@@ -239,10 +331,11 @@ pub(crate) fn run_lockstep(
     }
     let lines = scratch.line_count();
     let LineScratch {
-        schedules,
-        schedule_of,
+        plans,
+        plan_of,
+        plan_work,
         line_start,
-        line_schedule,
+        line_plan,
         line_remaining,
         line_limit,
         nodes,
@@ -254,17 +347,19 @@ pub(crate) fn run_lockstep(
         seen,
         wave_acts,
         wave_drops,
-        ..
     } = scratch;
 
     // Every position starts as the child of its predecessor on the line.
+    // During the rounds a parent is a batch index (line start + position),
+    // as the per-position columns are indexed; the run ends by turning
+    // the parents back into positions.
     let total = nodes.len();
     parent_pos.clear();
     jumps_done.clear();
     jumps_done.resize(total, 0);
     blocked.clear();
     blocked.resize(total, false);
-    line_schedule.clear();
+    line_plan.clear();
     line_remaining.clear();
     line_limit.clear();
     let mut unfinished = 0usize;
@@ -272,14 +367,14 @@ pub(crate) fn run_lockstep(
         let (base, end) = (line_start[k], line_start[k + 1]);
         validate_line(network, &nodes[base..end], arity, seen)?;
         let n = end - base;
-        parent_pos.extend((0..n).map(|i| i.saturating_sub(1)));
-        let id = *schedule_of.entry((n, arity)).or_insert_with(|| {
-            schedules.push(plan_sync_schedule(n, arity));
-            schedules.len() - 1
+        parent_pos.extend((0..n).map(|i| base + i.saturating_sub(1)));
+        let id = *plan_of.entry((n, arity)).or_insert_with(|| {
+            plans.push(plan_sync_schedule(n, arity, plan_work));
+            plans.len() - 1
         });
-        let remaining: usize = schedules[id].iter().map(Vec::len).sum();
+        let remaining = plans[id].jump_count();
         let max_wake = wake[base..end].iter().copied().max().unwrap_or(1);
-        line_schedule.push(id);
+        line_plan.push(id);
         line_remaining.push(remaining);
         line_limit.push(max_wake + 8 * ceil_log2(n.max(2)) + 32);
         unfinished += usize::from(remaining > 0);
@@ -301,7 +396,7 @@ pub(crate) fn run_lockstep(
             }
             let base = line_start[k];
             let n = line_start[k + 1] - base;
-            let schedule = &schedules[line_schedule[k]];
+            let plan = &plans[line_plan[k]];
             let first_mover = movers.len();
             // Marking of the jumps performed this round: a node may jump
             // if its children either finished, are already ahead, or jump
@@ -314,28 +409,38 @@ pub(crate) fn run_lockstep(
                 let f = base + pos;
                 let held_back = std::mem::take(&mut blocked[f]);
                 let done = jumps_done[f];
-                if done >= schedule[pos].len() {
+                let Some(&target) = plan.targets(pos).get(done) else {
                     continue;
-                }
+                };
                 let cp = parent_pos[f];
-                let gp = schedule[pos][done];
+                let gp = base + target;
                 // Distance-2 witness: the supporting edge (cp, gp) must be
                 // active at the beginning of this round.
                 let jumps = !held_back
                     && rounds >= wake[f]
-                    && rounds >= wake[base + cp]
-                    && rounds >= wake[base + gp]
-                    && network.graph().has_edge(nodes[base + cp], nodes[base + gp]);
+                    && rounds >= wake[cp]
+                    && rounds >= wake[gp]
+                    && network.graph().has_edge(nodes[cp], nodes[gp]);
                 if jumps {
-                    movers.push((k, pos));
-                } else if done <= jumps_done[base + cp] {
+                    movers.push(Mover {
+                        pos: f,
+                        parent: cp,
+                        target: gp,
+                    });
+                } else if done <= jumps_done[cp] {
                     // Still needs the (pos, cp) edge its parent would drop.
-                    blocked[base + cp] = true;
+                    blocked[cp] = true;
                 }
             }
             // Stage in ascending position order: under faults the first
             // failing operation decides the error a run reports.
             movers[first_mover..].reverse();
+            // The round's jumps are committed below or the run fails, so
+            // the line's count can be settled now.
+            line_remaining[k] -= movers.len() - first_mover;
+            if line_remaining[k] == 0 {
+                unfinished -= 1;
+            }
         }
         if movers.is_empty() {
             network.advance_idle_rounds(1);
@@ -346,31 +451,28 @@ pub(crate) fn run_lockstep(
         // witness and staging is probe-only.
         wave_acts.clear();
         wave_drops.clear();
-        for &(k, pos) in movers.iter() {
-            let base = line_start[k];
-            let f = base + pos;
-            let cp = parent_pos[f];
-            let gp = schedules[line_schedule[k]][pos][jumps_done[f]];
+        for m in movers.iter() {
+            let (u, w) = (nodes[m.pos], nodes[m.parent]);
             wave_acts.push(adn_sim::WaveActivation {
-                initiator: nodes[f],
-                target: nodes[base + gp],
-                witness: nodes[base + cp],
+                initiator: u,
+                target: nodes[m.target],
+                witness: w,
             });
-            let old_edge = Edge::new(nodes[f], nodes[base + cp]);
-            if !protected_edges.contains(&old_edge) {
-                wave_drops.push(old_edge);
+            if drops_left_edge(keep_line_edges, m.pos, m.parent) {
+                wave_drops.push(Edge::new(u, w));
             }
         }
         network.stage_jump_wave(wave_acts, wave_drops)?;
         network.commit_round();
-        for &(k, pos) in movers.iter() {
-            let f = line_start[k] + pos;
-            parent_pos[f] = schedules[line_schedule[k]][pos][jumps_done[f]];
-            jumps_done[f] += 1;
-            line_remaining[k] -= 1;
-            if line_remaining[k] == 0 {
-                unfinished -= 1;
-            }
+        for m in movers.iter() {
+            parent_pos[m.pos] = m.target;
+            jumps_done[m.pos] += 1;
+        }
+    }
+    for k in 0..lines {
+        let base = line_start[k];
+        for parent in &mut parent_pos[base..line_start[k + 1]] {
+            *parent -= base;
         }
     }
     Ok(rounds)
@@ -389,7 +491,96 @@ mod tests {
     fn config(arity: usize) -> LineToTreeConfig {
         LineToTreeConfig {
             arity,
-            protected_edges: SortedEdgeSet::new(),
+            keep_line_edges: false,
+        }
+    }
+
+    /// The planner as first written, one `Vec` of targets per position,
+    /// kept as the oracle of [`plan_sync_schedule`].
+    fn nested_plan(n: usize, arity: usize) -> Vec<Vec<usize>> {
+        let mut schedule: Vec<Vec<usize>> = vec![Vec::new(); n];
+        if n <= 1 {
+            return schedule;
+        }
+        let mut parent_pos: Vec<usize> = (0..n).map(|i| i.saturating_sub(1)).collect();
+        let mut child_count: Vec<usize> = (0..n).map(|i| usize::from(i + 1 < n)).collect();
+        let mut terminated: Vec<bool> = vec![false; n];
+        terminated[0] = true;
+        loop {
+            let begin_child_count = child_count.clone();
+            let mut planned_new: Vec<usize> = vec![0; n];
+            let mut jumps: Vec<(usize, usize, usize)> = Vec::new();
+            for pos in 1..n {
+                if terminated[pos] {
+                    continue;
+                }
+                let p = parent_pos[pos];
+                if p == 0 {
+                    terminated[pos] = true;
+                    continue;
+                }
+                let gp = parent_pos[p];
+                if begin_child_count[gp] >= arity {
+                    terminated[pos] = true;
+                    continue;
+                }
+                if begin_child_count[gp] + planned_new[gp] >= arity {
+                    continue;
+                }
+                planned_new[gp] += 1;
+                jumps.push((pos, p, gp));
+            }
+            if jumps.is_empty() {
+                break;
+            }
+            for (pos, p, gp) in jumps {
+                schedule[pos].push(gp);
+                parent_pos[pos] = gp;
+                child_count[p] -= 1;
+                child_count[gp] += 1;
+            }
+        }
+        schedule
+    }
+
+    #[test]
+    fn flat_plan_matches_the_nested_planner() {
+        // One set of working columns for every plan, as a `LineScratch`
+        // reuses it across lines of different lengths.
+        let mut work = PlanWork::default();
+        let mut cases: Vec<(usize, usize)> = Vec::new();
+        for n in 0..=300 {
+            cases.extend((1..=8).map(|arity| (n, arity)));
+        }
+        for n in [1024, 4097] {
+            cases.extend((1..=8).map(|arity| (n, arity)));
+        }
+        for (n, arity) in cases {
+            let plan = plan_sync_schedule(n, arity, &mut work);
+            let nested = nested_plan(n, arity);
+            let label = format!("n={n} arity={arity}");
+            let flat: Vec<&[usize]> = (0..n).map(|pos| plan.targets(pos)).collect();
+            assert_eq!(flat, nested, "{label}");
+            assert_eq!(
+                plan.jump_count(),
+                nested.iter().map(Vec::len).sum::<usize>(),
+                "{label}"
+            );
+            // What `keep_line_edges` rests on: only a position's first
+            // jump leaves its line edge (its parent is then `pos - 1`);
+            // every later jump leaves a parent at least two positions
+            // back, and no jump leaves the root.
+            for pos in 0..n {
+                let mut parent = pos.saturating_sub(1);
+                for (j, &target) in plan.targets(pos).iter().enumerate() {
+                    assert!(parent >= 1, "{label}: {pos} jumps off the root");
+                    if j > 0 {
+                        assert!(parent + 2 <= pos, "{label}: jump {j} of {pos}");
+                    }
+                    assert!(target < parent, "{label}: {pos} hops down the line");
+                    parent = target;
+                }
+            }
         }
     }
 
@@ -539,15 +730,9 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            // Odd trials protect the line edges, as the wreath engine
-            // protects its rings.
-            let protect = |line: &[NodeId]| -> SortedEdgeSet {
-                if trial % 2 == 1 {
-                    line.windows(2).map(|w| Edge::new(w[0], w[1])).collect()
-                } else {
-                    SortedEdgeSet::new()
-                }
-            };
+            // Odd trials keep the line edges, as the wreath engine keeps
+            // its rings.
+            let keep_line_edges = trial % 2 == 1;
             for arity in [2, ceil_log2(total.max(2)).max(2)] {
                 let mut max_rounds = 0;
                 let mut sum_activations = 0;
@@ -559,7 +744,7 @@ mod tests {
                     let mut net = Network::new(g.clone());
                     let config = LineToTreeConfig {
                         arity,
-                        protected_edges: protect(line),
+                        keep_line_edges,
                     };
                     let (tree, rounds) =
                         run_async_line_to_tree(&mut net, line, &config, wake).unwrap();
@@ -577,14 +762,12 @@ mod tests {
                 }
 
                 let mut net = Network::new(g.clone());
-                let protected: SortedEdgeSet =
-                    lines.iter().flat_map(|line| protect(line)).collect();
                 let mut scratch = LineScratch::new();
                 scratch.clear_lines();
                 for (line, wake) in lines.iter().zip(&wakes) {
                     scratch.push_line(line, wake.iter().copied());
                 }
-                let rounds = run_lockstep(&mut net, arity, &protected, &mut scratch).unwrap();
+                let rounds = run_lockstep(&mut net, arity, keep_line_edges, &mut scratch).unwrap();
                 let label = format!("trial {trial}, arity {arity}, lines {lens:?}");
                 for (k, solo) in solo_parents.iter().enumerate() {
                     let batch: Vec<Option<NodeId>> = scratch
@@ -610,11 +793,10 @@ mod tests {
     fn protected_edges_survive_async_run() {
         let n = 24;
         let g = generators::line(n);
-        let protected: SortedEdgeSet = g.edges().collect();
         let mut net = Network::new(g.clone());
         let config = LineToTreeConfig {
             arity: 2,
-            protected_edges: protected,
+            keep_line_edges: true,
         };
         let wake: Vec<usize> = (0..n).map(|i| 1 + i % 3).collect();
         let _ = run_async_line_to_tree(&mut net, &identity_line(n), &config, &wake).unwrap();

@@ -16,6 +16,13 @@
 //! candidates are admitted first and the rest simply retry in the next
 //! round. On a line with `k = 2` the rule never triggers.
 //!
+//! The wreath algorithms run the subroutine over a merged ring read as a
+//! line from its leader, and the ring must survive: with
+//! [`LineToTreeConfig::keep_line_edges`] a jump keeps the edge it leaves
+//! when that edge is a line edge, which happens exactly on a position's
+//! first jump. The closing edge of the ring joins the root to the last
+//! position, and no position ever jumps off the root, so it stays too.
+//!
 //! The rule is written once, in `async_line_to_tree`'s jump planner.
 //! Lemma B.4 says the wake-up variant of Appendix B performs exactly the
 //! synchronous run's activations and deactivations, so the synchronous
@@ -24,8 +31,7 @@
 
 use crate::subroutines::run_async_line_to_tree;
 use crate::CoreError;
-use adn_graph::edgeset::SortedEdgeSet;
-use adn_graph::{Edge, NodeId, RootedTree};
+use adn_graph::{NodeId, RootedTree};
 use adn_sim::Network;
 
 /// Configuration for [`run_line_to_tree`], its wake-up variant
@@ -36,10 +42,13 @@ pub struct LineToTreeConfig {
     /// Maximum number of children per node in the constructed tree
     /// (2 for the complete binary tree).
     pub arity: usize,
-    /// Edges that must never be deactivated (the wreath algorithms protect
-    /// the ring edges so the ring survives the tree construction). A flat
-    /// sorted set: built once per committee merge, probed per jump.
-    pub protected_edges: SortedEdgeSet,
+    /// Keep every line edge active (the wreath algorithms keep their ring,
+    /// whose edges are the line's plus the closing edge, through the tree
+    /// construction). A position leaves its line edge only on its first
+    /// jump: every later jump leaves a parent at least two positions back,
+    /// and no position jumps off the root, so the closing edge is never
+    /// dropped either. The rule is checked by position, with no edge set.
+    pub keep_line_edges: bool,
 }
 
 impl LineToTreeConfig {
@@ -47,7 +56,7 @@ impl LineToTreeConfig {
     pub fn binary() -> Self {
         LineToTreeConfig {
             arity: 2,
-            protected_edges: SortedEdgeSet::new(),
+            keep_line_edges: false,
         }
     }
 
@@ -56,14 +65,8 @@ impl LineToTreeConfig {
     pub fn polylog(n: usize) -> Self {
         LineToTreeConfig {
             arity: adn_graph::properties::ceil_log2(n.max(2)).max(2),
-            protected_edges: SortedEdgeSet::new(),
+            keep_line_edges: false,
         }
-    }
-
-    /// Adds protected edges (builder style).
-    pub fn with_protected_edges<I: IntoIterator<Item = Edge>>(mut self, edges: I) -> Self {
-        self.protected_edges = edges.into_iter().collect();
-        self
     }
 }
 
@@ -132,7 +135,7 @@ mod tests {
                 let mut net = Network::new(generators::line(n));
                 let config = LineToTreeConfig {
                     arity,
-                    protected_edges: SortedEdgeSet::new(),
+                    keep_line_edges: false,
                 };
                 let (tree, rounds) = run_line_to_tree(&mut net, &line, &config).unwrap();
                 let label = format!("n={n} arity={arity}");
@@ -164,8 +167,8 @@ mod tests {
         let mut net = Network::new(g);
         let (tree, _) =
             run_line_to_tree(&mut net, &identity_line(n), &LineToTreeConfig::binary()).unwrap();
-        // The final active edge set is exactly the tree's edge set (no
-        // protected edges here, so all former parent edges are gone).
+        // The final active edge set is exactly the tree's edge set (line
+        // edges not kept here, so all former parent edges are gone).
         let final_graph = net.graph();
         assert_eq!(final_graph.edge_count(), n - 1);
         for u in (1..n).map(NodeId) {
@@ -178,15 +181,17 @@ mod tests {
     fn protected_edges_survive() {
         let n = 32;
         let g = generators::line(n);
-        let protected: SortedEdgeSet = g.edges().collect();
         let mut net = Network::new(g.clone());
-        let config = LineToTreeConfig::binary().with_protected_edges(protected);
+        let config = LineToTreeConfig {
+            keep_line_edges: true,
+            ..LineToTreeConfig::binary()
+        };
         let (tree, _) = run_line_to_tree(&mut net, &identity_line(n), &config).unwrap();
         // All original line edges are still active.
         for e in g.edges() {
             assert!(
                 net.graph().has_edge(e.a, e.b),
-                "protected edge {e:?} was removed"
+                "kept line edge {e:?} was removed"
             );
         }
         // And the tree edges are active too.
@@ -258,7 +263,7 @@ mod tests {
                 &[NodeId(0), NodeId(1)],
                 &LineToTreeConfig {
                     arity: 0,
-                    protected_edges: SortedEdgeSet::new()
+                    keep_line_edges: false
                 }
             ),
             Err(CoreError::InvalidInput { .. })

@@ -42,26 +42,29 @@ use std::collections::BTreeMap;
 /// rounds). Every piece of per-line state lives in flat columns here —
 /// per-line columns indexed by line, per-position columns holding the
 /// lines back to back — so a batch costs no allocation per line once the
-/// columns have grown to the largest batch seen. The synchronous jump
-/// schedules are memoised: they are pure functions of `(line length,
-/// arity)`, and early phases merge many same-sized rings.
+/// columns have grown to the largest batch seen. The flat jump plans are
+/// memoised: they are pure functions of `(line length, arity)`, and early
+/// phases merge many same-sized rings; the planner's own columns are
+/// reused from one plan to the next.
 ///
 /// Purely an allocation/memoisation cache: runs with and without a shared
 /// scratch are behaviourally identical.
 #[derive(Debug, Default)]
 pub(crate) struct LineScratch {
-    /// Memoised synchronous jump schedules (see
+    /// Memoised jump plans (see
     /// [`async_line_to_tree::plan_sync_schedule`]), one per distinct
-    /// (line length, arity) in `schedule_of`.
-    pub(crate) schedules: Vec<Vec<Vec<usize>>>,
-    /// Index into `schedules` by (line length, arity).
-    pub(crate) schedule_of: BTreeMap<(usize, usize), usize>,
+    /// (line length, arity) in `plan_of`.
+    pub(crate) plans: Vec<async_line_to_tree::JumpPlan>,
+    /// Index into `plans` by (line length, arity).
+    pub(crate) plan_of: BTreeMap<(usize, usize), usize>,
+    /// The planner's working columns.
+    pub(crate) plan_work: async_line_to_tree::PlanWork,
     /// Per line: `line_start[k]..line_start[k + 1]` is line `k`'s range in
     /// the per-position columns (one more entry than there are lines).
     pub(crate) line_start: Vec<usize>,
-    /// Per line: index of its jump schedule in `schedules`.
-    pub(crate) line_schedule: Vec<usize>,
-    /// Per line: schedule jumps not yet performed (0 = finished).
+    /// Per line: index of its jump plan in `plans`.
+    pub(crate) line_plan: Vec<usize>,
+    /// Per line: planned jumps not yet performed (0 = finished).
     pub(crate) line_remaining: Vec<usize>,
     /// Per line: the round by which it must have finished.
     pub(crate) line_limit: Vec<usize>,
@@ -69,16 +72,17 @@ pub(crate) struct LineScratch {
     pub(crate) nodes: Vec<NodeId>,
     /// Per position: wake-up round (asynchronous variant).
     pub(crate) wake: Vec<usize>,
-    /// Per position: current parent, as a position within the same line.
+    /// Per position: current parent — a batch index (line start +
+    /// position) during a run, a position within the line after it.
     pub(crate) parent_pos: Vec<usize>,
-    /// Per position: number of schedule jumps performed.
+    /// Per position: number of planned jumps performed.
     pub(crate) jumps_done: Vec<usize>,
     /// Per position: a child stays behind this round and still needs the
     /// edge to this position (asynchronous marking pass).
     pub(crate) blocked: Vec<bool>,
-    /// Per-round movers of every line, as (line, position), in ascending
-    /// line then position order.
-    pub(crate) movers: Vec<(usize, usize)>,
+    /// Per-round jumps of every line, in ascending line then position
+    /// order, each recorded once by the marking pass.
+    pub(crate) movers: Vec<async_line_to_tree::Mover>,
     /// Line-validation scratch (duplicate detection by sort).
     pub(crate) seen: Vec<NodeId>,
     /// Per-round wave column: witnessed activations for `stage_jump_wave`.

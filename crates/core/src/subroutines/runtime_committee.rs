@@ -25,8 +25,8 @@
 //! 5. **Rebuild** (wreath family) — every merged ring is rebuilt into a
 //!    tree in one barrier: each ring node runs its position's
 //!    [`TreeActor`] of the actor line-to-tree
-//!    ([`runtime_line_to_tree`](super::runtime_line_to_tree)), ring edges
-//!    protected, and the tree messages travel as `CommitteeMsg::Tree`.
+//!    ([`runtime_line_to_tree`](super::runtime_line_to_tree)), keeping
+//!    the ring's edges, and the tree messages travel as `CommitteeMsg::Tree`.
 //!
 //! The rules themselves are not written here. A driver runs *between*
 //! barriers, never inside the asynchronous execution, and calls the
@@ -67,7 +67,6 @@ use crate::graph_to_wreath::{Choice, SpliceLevel, WreathConfig, WreathState};
 use crate::subroutines::async_line_to_tree::validate_line;
 use crate::subroutines::{LineToTreeConfig, TreeActor, TreeMsg};
 use crate::{CoreError, TransformationOutcome};
-use adn_graph::edgeset::SortedEdgeSet;
 use adn_graph::{Graph, NodeId, UidMap};
 use adn_runtime::{AsyncProgram, Context, RuntimeReport, Scheduler};
 use adn_sim::{Network, WaveActivation};
@@ -654,7 +653,7 @@ impl<'a> WreathDriver<'a> {
                         continue;
                     }
                     self.state.materialize_rings()?;
-                    let (drops, _) = self.state.cleanup(network.graph(), self.initial);
+                    let drops = self.state.cleanup(network.graph(), self.initial);
                     self.stage = WreathStage::Cleanup;
                     if drops.is_empty() {
                         continue;
@@ -696,8 +695,8 @@ impl<'a> WreathDriver<'a> {
 
     /// Arms the rebuild barrier: checks every merged ring as the
     /// synchronous lockstep batch does, then hands each ring node its
-    /// position's line-to-tree actor for an `arity`-ary tree, the ring's
-    /// edges protected.
+    /// position's line-to-tree actor for an `arity`-ary tree that keeps
+    /// the ring's edges.
     fn arm_rebuild(
         &self,
         network: &Network,
@@ -710,7 +709,7 @@ impl<'a> WreathDriver<'a> {
             validate_line(network, line, self.tree_arity, &mut seen)?;
             let config = LineToTreeConfig {
                 arity: self.tree_arity,
-                protected_edges: SortedEdgeSet::ring_edges(line),
+                keep_line_edges: true,
             };
             for (&node, tree) in line.iter().zip(TreeActor::for_line(line, &config)) {
                 actors[node.index()].tree = tree;

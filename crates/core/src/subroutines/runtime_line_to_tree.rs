@@ -45,10 +45,12 @@
 //! of [`super::runtime_committee`] hold them for one rebuild mini-phase,
 //! every merged ring at once.
 
-use crate::subroutines::async_line_to_tree::{plan_sync_schedule, validate_line};
+use crate::subroutines::async_line_to_tree::{
+    drops_left_edge, plan_sync_schedule, validate_line, JumpPlan, PlanWork,
+};
 use crate::subroutines::LineToTreeConfig;
 use crate::CoreError;
-use adn_graph::{Edge, NodeId, RootedTree};
+use adn_graph::{NodeId, RootedTree};
 use adn_runtime::{AsyncProgram, Context, RuntimeReport, Scheduler};
 use adn_sim::Network;
 use std::sync::Arc;
@@ -87,60 +89,55 @@ pub enum TreeMsg {
 
 /// Immutable data shared by the position actors of one line.
 struct SharedPlan {
-    schedule: Vec<Vec<usize>>,
-    /// `report_tag[p][j]`: the jump-count tag the `ParentIs` report
-    /// enabling jump `(p, j)` must carry — the index of `schedule[p][j]`
-    /// in the old parent's own parent history.
-    report_tag: Vec<Vec<usize>>,
-    /// `detach_deps[q][k]`: the child jumps `(x, jd)` whose activations
-    /// use the edge `q`–`parent(q)` as distance-2 witness and must
-    /// therefore confirm (via `Detach { x, jd }`) before `q`'s `k`-th
-    /// jump abandons that parent.
-    detach_deps: Vec<Vec<Vec<(usize, usize)>>>,
+    jumps: JumpPlan,
+    /// Per jump, in the plan's flat order (see [`JumpPlan::jump_index`]):
+    /// the jump-count tag the `ParentIs` report enabling jump `(p, j)`
+    /// must carry — the index of its target in the old parent's own
+    /// parent history.
+    report_tag: Vec<usize>,
+    /// Per jump `(q, k)`, in the plan's flat order: the child jumps
+    /// `(x, jd)` whose activations use the edge `q`–`parent(q)` as
+    /// distance-2 witness and must therefore confirm (via
+    /// `Detach { x, jd }`) before `q`'s `k`-th jump abandons that parent.
+    detach_deps: Vec<Vec<(usize, usize)>>,
     line: Vec<NodeId>,
-    protected: adn_graph::edgeset::SortedEdgeSet,
+    keep_line_edges: bool,
 }
 
 impl SharedPlan {
     fn new(n: usize, config: &LineToTreeConfig, line: &[NodeId]) -> Self {
-        let schedule = plan_sync_schedule(n, config.arity);
-        // parent_history[q] = q's parent position after 0, 1, … jumps.
-        let parent_history: Vec<Vec<usize>> = (0..n)
-            .map(|q| {
-                let mut h = Vec::with_capacity(schedule[q].len() + 1);
-                h.push(q.saturating_sub(1));
-                h.extend(schedule[q].iter().copied());
-                h
-            })
-            .collect();
-        let mut report_tag: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut detach_deps: Vec<Vec<Vec<(usize, usize)>>> = (0..n)
-            .map(|q| vec![Vec::new(); schedule[q].len()])
-            .collect();
+        let jumps = plan_sync_schedule(n, config.arity, &mut PlanWork::default());
+        // Position q's parent after its first i jumps.
+        let parent_after = |q: usize, i: usize| match i {
+            0 => q.saturating_sub(1),
+            _ => jumps.targets(q)[i - 1],
+        };
+        let mut report_tag = vec![0; jumps.jump_count()];
+        let mut detach_deps = vec![Vec::new(); jumps.jump_count()];
         for x in 1..n {
-            for (jx, &target) in schedule[x].iter().enumerate() {
-                let old_parent = parent_history[x][jx];
+            for (jx, &target) in jumps.targets(x).iter().enumerate() {
+                let old_parent = parent_after(x, jx);
+                let old_parent_jumps = jumps.targets(old_parent).len();
                 // Parent sequences never revisit a position, so the
                 // target appears exactly once in the old parent's
                 // history; its index is the enabling report's tag.
-                let k = parent_history[old_parent]
-                    .iter()
-                    .position(|&v| v == target)
+                let k = (0..=old_parent_jumps)
+                    .find(|&i| parent_after(old_parent, i) == target)
                     .expect("jump target must appear in the old parent's parent history");
-                report_tag[x].push(k);
-                if k < schedule[old_parent].len() {
+                report_tag[jumps.jump_index(x, jx)] = k;
+                if k < old_parent_jumps {
                     // The old parent's k-th jump abandons exactly this
                     // target — it must wait for x's tagged detach.
-                    detach_deps[old_parent][k].push((x, jx + 1));
+                    detach_deps[jumps.jump_index(old_parent, k)].push((x, jx + 1));
                 }
             }
         }
         SharedPlan {
-            schedule,
+            jumps,
             report_tag,
             detach_deps,
             line: line.to_vec(),
-            protected: config.protected_edges.clone(),
+            keep_line_edges: config.keep_line_edges,
         }
     }
 }
@@ -260,15 +257,14 @@ impl TreeActor {
             return;
         };
         let plan = &*st.plan;
-        let targets = &plan.schedule[st.pos];
-        if st.jumps_done >= targets.len() {
+        let Some(&target) = plan.jumps.targets(st.pos).get(st.jumps_done) else {
             return;
-        }
-        let target = targets[st.jumps_done];
+        };
+        let jump = plan.jumps.jump_index(st.pos, st.jumps_done);
         // The enabling report must carry the exact planned tag: the
         // parent is at the planned point of its own history (it cannot
         // be past it — our detach is in its dependency set).
-        let tag = plan.report_tag[st.pos][st.jumps_done];
+        let tag = plan.report_tag[jump];
         if st.belief_jd != Some(tag) {
             return;
         }
@@ -279,14 +275,14 @@ impl TreeActor {
         );
         // Hold until every child whose hop uses our parent edge as its
         // distance-2 witness has confirmed with a tagged detach.
-        let deps = &plan.detach_deps[st.pos][st.jumps_done];
+        let deps = &plan.detach_deps[jump];
         if !deps.iter().all(|d| st.detaches.contains(d)) {
             return;
         }
         let line = &plan.line;
         let cp = st.parent_pos;
         ctx.activate(line[target]);
-        if !plan.protected.contains(&Edge::new(line[st.pos], line[cp])) {
+        if drops_left_edge(plan.keep_line_edges, st.pos, cp) {
             ctx.deactivate(line[cp]);
         }
         st.parent_pos = target;
@@ -321,7 +317,7 @@ impl TreeActor {
                 detail: "no line position was handed to this actor".into(),
             });
         };
-        let jumps = st.plan.schedule[st.pos].len();
+        let jumps = st.plan.jumps.targets(st.pos).len();
         if st.jumps_done < jumps {
             return Err(CoreError::DidNotConverge {
                 algorithm: "RuntimeLineToTree",
@@ -400,7 +396,6 @@ pub fn run_runtime_line_to_tree(
 mod tests {
     use super::*;
     use crate::subroutines::async_line_to_tree::planned_tree;
-    use adn_graph::edgeset::SortedEdgeSet;
     use adn_graph::generators;
     use adn_runtime::{AsyncKnobs, FreeScheduler, SeededScheduler};
 
@@ -421,7 +416,7 @@ mod tests {
         for &n in &[2usize, 5, 8, 16, 33, 64] {
             let config = LineToTreeConfig {
                 arity: 2,
-                protected_edges: SortedEdgeSet::new(),
+                keep_line_edges: false,
             };
             let expected = planned_tree(n, 2);
             for seed in [0u64, 7, 1234] {
@@ -462,7 +457,7 @@ mod tests {
             let expected = planned_tree(n, 2);
             let config = LineToTreeConfig {
                 arity: 2,
-                protected_edges: SortedEdgeSet::new(),
+                keep_line_edges: false,
             };
             for (k, knobs) in knob_sets.iter().enumerate() {
                 for seed in [1u64, 99, 4096] {
@@ -486,7 +481,7 @@ mod tests {
         let expected = planned_tree(n, 2);
         let config = LineToTreeConfig {
             arity: 2,
-            protected_edges: SortedEdgeSet::new(),
+            keep_line_edges: false,
         };
         for threads in [1usize, 4] {
             let mut net = Network::new(generators::line(n));
@@ -509,7 +504,7 @@ mod tests {
         let expected = planned_tree(n, 2);
         let config = LineToTreeConfig {
             arity: 2,
-            protected_edges: SortedEdgeSet::new(),
+            keep_line_edges: false,
         };
         for seed in [0u64, 9, 77] {
             let mut net = Network::new(generators::line(n));
@@ -544,7 +539,7 @@ mod tests {
         let arity = adn_graph::properties::ceil_log2(n);
         let config = LineToTreeConfig {
             arity,
-            protected_edges: SortedEdgeSet::new(),
+            keep_line_edges: false,
         };
         let expected = planned_tree(n, arity);
         let mut net = Network::new(generators::line(n));
@@ -574,7 +569,7 @@ mod tests {
         let g = generators::line(n);
         let config = LineToTreeConfig {
             arity: 2,
-            protected_edges: g.edges().collect(),
+            keep_line_edges: true,
         };
         let mut net = Network::new(g.clone());
         let _ = run_runtime_line_to_tree(
@@ -594,7 +589,7 @@ mod tests {
         let mut net = Network::new(generators::line(4));
         let config = LineToTreeConfig {
             arity: 2,
-            protected_edges: SortedEdgeSet::new(),
+            keep_line_edges: false,
         };
         assert!(matches!(
             run_runtime_line_to_tree(&mut net, &[], &config, &seeded(0, AsyncKnobs::default())),
@@ -602,7 +597,7 @@ mod tests {
         ));
         let zero_arity = LineToTreeConfig {
             arity: 0,
-            protected_edges: SortedEdgeSet::new(),
+            keep_line_edges: false,
         };
         assert!(matches!(
             run_runtime_line_to_tree(

@@ -1,15 +1,14 @@
 //! A flat, sorted edge set.
 //!
-//! The reconfiguration algorithms thread small "protected edge" sets
-//! through the subroutines (ring edges a tree rebuild must not drop) and
-//! build per-phase edge sets (merged-ring edges, final tree edges). These
-//! sets are built once and then only probed, so a sorted `Vec<Edge>` with
+//! The wreath engine builds per-phase edge sets (the phase's ring edges,
+//! which its clean-up keeps, and the final tree's edges, which
+//! termination keeps). These sets are built once and then only probed, so a sorted `Vec<Edge>` with
 //! binary-search membership beats a `BTreeSet<Edge>`: construction is one
 //! sort over a contiguous buffer, probes are cache-friendly, and iteration
 //! is a slice walk — in the same ascending order the `BTreeSet` form used,
 //! so deterministic executions are preserved.
 
-use crate::{Edge, NodeId};
+use crate::Edge;
 
 /// A sorted, duplicate-free set of [`Edge`]s backed by a flat `Vec`.
 ///
@@ -32,17 +31,6 @@ impl SortedEdgeSet {
         edges.sort_unstable();
         edges.dedup();
         SortedEdgeSet { edges }
-    }
-
-    /// Builds the set of the edges between consecutive entries of `cycle`,
-    /// closing the cycle (last back to first) when it has at least three
-    /// nodes — the shape of a committee ring's edge set.
-    pub fn ring_edges(cycle: &[NodeId]) -> Self {
-        let mut edges: Vec<Edge> = cycle.windows(2).map(|w| Edge::new(w[0], w[1])).collect();
-        if cycle.len() >= 3 {
-            edges.push(Edge::new(cycle[cycle.len() - 1], cycle[0]));
-        }
-        SortedEdgeSet::from_vec(edges)
     }
 
     /// True if `e` is in the set (binary search).
@@ -109,6 +97,7 @@ impl<'a> IntoIterator for &'a SortedEdgeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NodeId;
 
     fn e(a: usize, b: usize) -> Edge {
         Edge::new(NodeId(a), NodeId(b))
@@ -142,16 +131,5 @@ mod tests {
         assert!(set.insert(e(0, 1)));
         assert!(!set.insert(e(4, 2)));
         assert_eq!(set.as_slice(), &[e(0, 1), e(2, 4)]);
-    }
-
-    #[test]
-    fn ring_edges_close_cycles_of_three_or_more() {
-        let ring: Vec<NodeId> = [4usize, 1, 7].into_iter().map(NodeId).collect();
-        let set = SortedEdgeSet::ring_edges(&ring);
-        assert_eq!(set.as_slice(), &[e(1, 4), e(1, 7), e(4, 7)]);
-        // Pairs have a single edge, singletons none.
-        assert_eq!(SortedEdgeSet::ring_edges(&ring[..2]).as_slice(), &[e(1, 4)]);
-        assert!(SortedEdgeSet::ring_edges(&ring[..1]).is_empty());
-        assert!(SortedEdgeSet::ring_edges(&[]).is_empty());
     }
 }

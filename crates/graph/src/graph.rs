@@ -1208,6 +1208,30 @@ mod tests {
     }
 
     #[test]
+    fn removing_before_adding_reuses_a_packed_block() {
+        // Nodes 0 and 2 of a packed ring each lose one neighbour and gain
+        // each other: a swap of one edge for another. Removing first frees
+        // the slot the addition fills, so no block moves.
+        let ring = |n: usize| Graph::from_edges(n, (0..n).map(|i| (nid(i), nid((i + 1) % n))));
+        let e = |a: usize, b: usize| Edge::new(nid(a), nid(b));
+        let mut g = ring(8).unwrap();
+        g.compact();
+        g.remove_edges_batch(&[e(0, 1), e(2, 3)], |_| {});
+        g.add_edges_batch(&[e(0, 2)], |_| {});
+        assert_eq!(g.dead_slots(), 0);
+        assert_eq!(g.neighbors_slice(nid(0)), &[nid(2), nid(7)]);
+        assert!(g.check_invariants());
+        // Adding first overflows both packed blocks, which move to the
+        // arena tail and leave their old slots dead.
+        let mut h = ring(8).unwrap();
+        h.compact();
+        h.add_edges_batch(&[e(0, 2)], |_| {});
+        h.remove_edges_batch(&[e(0, 1), e(2, 3)], |_| {});
+        assert!(h.dead_slots() > 0);
+        assert_eq!(g, h);
+    }
+
+    #[test]
     fn churn_node_starts_with_zero_capacity_block() {
         let mut g = Graph::new(2);
         g.add_edge(nid(0), nid(1)).unwrap();

@@ -71,24 +71,6 @@ pub fn is_ring(graph: &Graph) -> bool {
     graph.edge_count() == n && is_connected(graph) && graph.nodes().all(|u| graph.degree(u) == 2)
 }
 
-/// Returns true if `graph` is a rooted tree of depth at most `d` when
-/// rooted at `root` — the paper's *Depth-d Tree* target predicate.
-pub fn is_depth_d_tree(graph: &Graph, root: NodeId, d: usize) -> bool {
-    if !is_tree(graph) {
-        return false;
-    }
-    match RootedTree::from_tree_graph(graph, root) {
-        Ok(t) => t.depth() <= d,
-        Err(_) => false,
-    }
-}
-
-/// Returns true if the graph, rooted at `root`, is a binary tree
-/// (every node has at most 2 children) of depth at most `max_depth`.
-pub fn is_bounded_binary_tree(graph: &Graph, root: NodeId, max_depth: usize) -> bool {
-    is_bounded_arity_tree(graph, root, 2, max_depth)
-}
-
 /// Returns true if the graph, rooted at `root`, is a tree where every node
 /// has at most `arity` children and depth is at most `max_depth`.
 pub fn is_bounded_arity_tree(graph: &Graph, root: NodeId, arity: usize, max_depth: usize) -> bool {
@@ -99,35 +81,6 @@ pub fn is_bounded_arity_tree(graph: &Graph, root: NodeId, arity: usize, max_dept
         Ok(t) => t.depth() <= max_depth && graph.nodes().all(|u| t.child_count(u) <= arity),
         Err(_) => false,
     }
-}
-
-/// Returns true if the graph is a wreath in the paper's sense
-/// (Definition 4.1): its edge set is the union of a spanning ring and a
-/// spanning tree whose depth is at most `max_tree_depth` and whose arity is
-/// at most `arity` when rooted at `root`.
-///
-/// We verify this constructively: the provided `ring_edges` and
-/// `tree_edges` decompositions must each be subsets of the graph and
-/// satisfy the respective structural predicates, and their union must be
-/// the whole edge set.
-pub fn is_wreath_decomposition(
-    graph: &Graph,
-    ring_edges: &Graph,
-    tree_edges: &Graph,
-    root: NodeId,
-    arity: usize,
-    max_tree_depth: usize,
-) -> bool {
-    if graph.node_count() != ring_edges.node_count()
-        || graph.node_count() != tree_edges.node_count()
-    {
-        return false;
-    }
-    // Union must equal the graph.
-    if ring_edges.union(tree_edges) != *graph {
-        return false;
-    }
-    is_ring(ring_edges) && is_bounded_arity_tree(tree_edges, root, arity, max_tree_depth)
 }
 
 /// Maximum degree bound check (convenience wrapper used by tests and the
@@ -197,11 +150,11 @@ mod tests {
     fn recognises_trees_and_depth_bounds() {
         let cbt = generators::complete_binary_tree(31);
         assert!(is_tree(&cbt));
-        assert!(is_depth_d_tree(&cbt, NodeId(0), 4));
-        assert!(!is_depth_d_tree(&cbt, NodeId(0), 3));
-        assert!(is_bounded_binary_tree(&cbt, NodeId(0), 4));
-        assert!(!is_bounded_binary_tree(&generators::star(8), NodeId(0), 4));
-        assert!(is_depth_d_tree(&generators::star(8), NodeId(0), 1));
+        assert!(is_bounded_arity_tree(&cbt, NodeId(0), 2, 4));
+        assert!(!is_bounded_arity_tree(&cbt, NodeId(0), 2, 3));
+        let star = generators::star(8);
+        assert!(!is_bounded_arity_tree(&star, NodeId(0), 2, 4));
+        assert!(is_bounded_arity_tree(&star, NodeId(0), 7, 1));
     }
 
     #[test]
@@ -209,17 +162,6 @@ mod tests {
         let t = generators::complete_kary_tree(40, 4);
         assert!(is_bounded_arity_tree(&t, NodeId(0), 4, 4));
         assert!(!is_bounded_arity_tree(&t, NodeId(0), 3, 10));
-    }
-
-    #[test]
-    fn wreath_decomposition_check() {
-        let n = 16;
-        let ring = generators::ring(n);
-        let tree = generators::complete_binary_tree(n);
-        let w = ring.union(&tree);
-        assert!(is_wreath_decomposition(&w, &ring, &tree, NodeId(0), 2, 5));
-        // Wrong decomposition: swap ring and tree roles.
-        assert!(!is_wreath_decomposition(&w, &tree, &ring, NodeId(0), 2, 5));
     }
 
     #[test]

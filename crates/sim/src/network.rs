@@ -117,10 +117,11 @@ pub struct Network {
     /// True once any node has crashed; lets the fault-free fast path skip
     /// the per-commit crashed-endpoint scans entirely.
     any_crashed: bool,
-    /// Per-commit scratch (touched / grown endpoints), reused so the hot
-    /// commit path allocates nothing.
+    /// Per-commit scratch (touched / grown endpoints, removed edges),
+    /// reused so the hot commit path allocates nothing.
     commit_touched: Vec<NodeId>,
     commit_grew: Vec<NodeId>,
+    commit_removed: Vec<Edge>,
     /// The round-event bus: the one recorded stream both observers (DST
     /// replay, raw recorder) drain from their own taps. See
     /// [`crate::bus`].
@@ -158,6 +159,7 @@ impl Network {
             any_crashed: false,
             commit_touched: Vec::new(),
             commit_grew: Vec::new(),
+            commit_removed: Vec::new(),
             bus: EventBus::default(),
             metrics,
             dst: None,
@@ -441,12 +443,15 @@ impl Network {
     /// arise when a fault changes the snapshot between the two stages, and
     /// is resolved conservatively.
     ///
-    /// The bus receives the applied activations in ascending canonical
-    /// order, then the applied deactivations likewise, whatever order they
-    /// were staged in. The commit sorts nothing: it costs O(k) for the
-    /// round's `k` staged operations plus the two batch edits (linear in
-    /// the batch and the touched nodes' degrees, see
-    /// [`Graph::add_edges_batch`]).
+    /// The deactivations are applied before the activations, which gives
+    /// the same snapshot once the conflict rule has run, and lets a node
+    /// that swaps one edge for another reuse the freed slot of its
+    /// adjacency block. The bus still receives the applied activations in
+    /// ascending canonical order, then the applied deactivations likewise,
+    /// whatever order they were staged or applied in. The commit sorts
+    /// nothing: it costs O(k) for the round's `k` staged operations plus
+    /// the two batch edits (linear in the batch and the touched nodes'
+    /// degrees, see [`Graph::add_edges_batch`]).
     pub fn commit_round(&mut self) -> RoundSummary {
         // Conflict rule: the shorter column probes the other's staging
         // guard; only a hit pays for filtering both.
@@ -493,8 +498,10 @@ impl Network {
         // degree, exactly like the old whole-graph scan.
         let mut touched = std::mem::take(&mut self.commit_touched);
         let mut grew = std::mem::take(&mut self.commit_grew);
+        let mut removed = std::mem::take(&mut self.commit_removed);
         touched.clear();
         grew.clear();
+        removed.clear();
         {
             // The single emission point: every applied mutation goes
             // through `sink.edge`, which records the bus event and keeps
@@ -505,6 +512,14 @@ impl Network {
                 activated_now: &mut self.activated_now,
                 bus: &mut self.bus,
             };
+            // Deactivations are applied first, so a node that loses an
+            // edge and gains one (a jump) frees a slot of its block before
+            // it fills one, and a tightly packed block is not relocated.
+            // The conflict rule left the columns disjoint, so
+            // `(E \ D) ∪ A = (E ∪ A) \ D`. The removed edges wait in
+            // `removed` until the activations are on the bus.
+            self.current
+                .remove_edges_batch(&self.staged_deactivations, |e| removed.push(e));
             self.current.add_edges_batch(&self.staged_activations, |e| {
                 grew.push(e.a);
                 grew.push(e.b);
@@ -513,10 +528,9 @@ impl Network {
                     touched.push(e.b);
                 }
             });
-            self.current
-                .remove_edges_batch(&self.staged_deactivations, |e| {
-                    sink.edge(e, false);
-                });
+            for &e in &removed {
+                sink.edge(e, false);
+            }
         }
         self.staged_activations.clear();
         self.staged_deactivations.clear();
@@ -561,6 +575,7 @@ impl Network {
         }
         self.commit_touched = touched;
         self.commit_grew = grew;
+        self.commit_removed = removed;
         let summary = RoundSummary {
             round: self.round,
             activations,
@@ -953,6 +968,75 @@ mod tests {
         assert!(net.take_events().is_empty(), "drain empties the tap");
         net.set_event_recording(false);
         assert!(!net.event_recording());
+    }
+
+    #[test]
+    fn event_recorder_streams_a_jump_wave_adds_first() {
+        // A line-to-tree wave on line(6), staged in descending order: 5
+        // hops 4 → 3, 4 hops 3 → 2 and 2 hops 1 → 0, each dropping the
+        // edge to the parent it leaves, so node 2 both loses {1, 2} and
+        // gains {0, 2} and {2, 4}. The commit applies the removals first,
+        // yet the bus lists the activations ascending, then the
+        // deactivations ascending, then the boundary.
+        let mut net = Network::new(generators::line(6));
+        net.set_event_recording(true);
+        let jumps = [(5, 4, 3), (4, 3, 2), (2, 1, 0)];
+        let acts: Vec<WaveActivation> = jumps
+            .iter()
+            .map(|&(u, w, v)| WaveActivation {
+                initiator: nid(u),
+                target: nid(v),
+                witness: nid(w),
+            })
+            .collect();
+        let drops: Vec<Edge> = jumps
+            .iter()
+            .map(|&(u, w, _)| Edge::new(nid(u), nid(w)))
+            .collect();
+        assert_eq!(net.stage_jump_wave(&acts, &drops).unwrap(), 6);
+        net.commit_round();
+        let edge = |a: usize, b: usize, added: bool| RoundEvent::Edge {
+            edge: Edge::new(nid(a), nid(b)),
+            added,
+            initial: !added,
+        };
+        assert_eq!(
+            net.take_events(),
+            vec![
+                edge(0, 2, true),
+                edge(2, 4, true),
+                edge(3, 5, true),
+                edge(1, 2, false),
+                edge(3, 4, false),
+                edge(4, 5, false),
+                RoundEvent::RoundCommitted {
+                    round: 1,
+                    activations: 3,
+                    deactivations: 3,
+                },
+            ]
+        );
+        // The same metrics as when the commit applied the additions
+        // first.
+        assert_eq!(
+            net.metrics(),
+            &EdgeMetrics {
+                rounds: 1,
+                total_activations: 3,
+                total_deactivations: 3,
+                activations_per_round: vec![3],
+                max_activated_edges: 3,
+                max_active_edges_total: 5,
+                max_activated_degree: 2,
+                max_total_degree: 3,
+                max_node_activations_in_round: 1,
+            }
+        );
+        let expected = [(0, 1), (0, 2), (2, 3), (2, 4), (3, 5)];
+        assert!(net
+            .graph()
+            .edges()
+            .eq(expected.iter().map(|&(a, b)| Edge::new(nid(a), nid(b)))));
     }
 
     #[test]

@@ -129,7 +129,7 @@ fn tree_actors_match_the_synchronous_subroutine_under_any_knobs() {
         let line: Vec<NodeId> = (0..n).map(NodeId).collect();
         let config = LineToTreeConfig {
             arity,
-            protected_edges: SortedEdgeSet::new(),
+            keep_line_edges: false,
         };
         let mut sync_net = Network::new(generators::line(n));
         let (sync_tree, _) = run_line_to_tree(&mut sync_net, &line, &config).unwrap();
