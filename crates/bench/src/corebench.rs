@@ -509,9 +509,11 @@ fn bench_sweep(bench: &mut Bench, quick: bool, threads: usize) {
 /// The DST invariant engine under a sparse steady-state workload and
 /// under churn, at the ROADMAP's n=65536 scale. Every round stages at
 /// most 64 edge events on an armed 65536-node star, so the steady row
-/// (`dst/invariants_steady`) pays O(changes) per round. The churn row
-/// drives one join per round through the event-fed path (UID
-/// bookkeeping, forest growth).
+/// (`dst/invariants_steady`) pays O(changes) per round: the centre
+/// witnesses every dropped chord, so the connectivity verdict is never
+/// re-checked. The churn row drives one join per round through the
+/// event-fed path (UID bookkeeping, and an attach edge that leaves the
+/// verdict standing).
 fn bench_dst_invariants(bench: &mut Bench) {
     let n = 65536usize;
     let rounds = 64usize;
@@ -553,8 +555,9 @@ fn bench_dst_invariants(bench: &mut Bench) {
     });
 
     // Churn: one guaranteed join per round boundary (probability 1, ample
-    // budget), so every round exercises the event-fed join path — forest
-    // growth, attach-edge union and incremental UID bookkeeping.
+    // budget), so every round exercises the event-fed join path — the
+    // attach edge, which needs no connectivity re-check, and incremental
+    // UID bookkeeping.
     let churn = Scenario {
         fault_budget: 1_000_000,
         per_round_probability: 1.0,

@@ -848,27 +848,6 @@ impl Graph {
         g
     }
 
-    /// Returns the graph containing exactly the edges of `self` that are
-    /// not in `other` (same vertex set). This is the paper's
-    /// `D(i) \ D(1)` used to define the *maximum activated degree*.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two graphs have different node counts.
-    pub fn difference(&self, other: &Graph) -> Graph {
-        assert_eq!(
-            self.n, other.n,
-            "graph difference requires identical vertex sets"
-        );
-        let mut g = Graph::new(self.n);
-        for e in self.edges() {
-            if !other.has_edge(e.a, e.b) {
-                let _ = g.add_edge(e.a, e.b);
-            }
-        }
-        g
-    }
-
     /// Checks that the internal structure is consistent: every block is
     /// in-bounds with `len <= cap`, blocks do not overlap, every arena
     /// slot is owned by exactly one block or counted dead, neighbour
@@ -1138,14 +1117,12 @@ mod tests {
     }
 
     #[test]
-    fn union_and_difference() {
+    fn union_merges_edge_sets() {
         let a = Graph::from_edges(4, vec![(nid(0), nid(1)), (nid(1), nid(2))]).unwrap();
         let b = Graph::from_edges(4, vec![(nid(1), nid(2)), (nid(2), nid(3))]).unwrap();
         let u = a.union(&b);
         assert_eq!(u.edge_count(), 3);
-        let d = u.difference(&a);
-        assert_eq!(d.edge_count(), 1);
-        assert!(d.has_edge(nid(2), nid(3)));
+        assert!(u.has_edge(nid(2), nid(3)));
     }
 
     #[test]

@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod bitrows;
-pub mod dynconn;
 pub mod edgeset;
 pub mod error;
 pub mod families;
@@ -58,7 +57,6 @@ pub mod uid;
 mod ids;
 
 pub use bitrows::{BitRow, BitRows};
-pub use dynconn::DynConn;
 pub use edgeset::SortedEdgeSet;
 pub use error::GraphError;
 pub use families::GraphFamily;

@@ -176,33 +176,9 @@ impl RootedTree {
         self.children[u.index()].len()
     }
 
-    /// Depth of `u` (root has depth 0).
-    pub fn depth_of(&self, u: NodeId) -> usize {
-        self.depth[u.index()]
-    }
-
     /// Depth of the tree: maximum node depth.
     pub fn depth(&self) -> usize {
         self.depth.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Returns true if `u` is a leaf (no children).
-    pub fn is_leaf(&self, u: NodeId) -> bool {
-        self.children[u.index()].is_empty()
-    }
-
-    /// Iterator over all nodes in BFS order from the root.
-    pub fn bfs_order(&self) -> Vec<NodeId> {
-        let mut order = Vec::with_capacity(self.node_count());
-        let mut queue = VecDeque::new();
-        queue.push_back(self.root);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            for &c in self.children(u) {
-                queue.push_back(c);
-            }
-        }
-        order
     }
 
     /// Maximum number of tree edges incident to any node
@@ -223,20 +199,6 @@ impl RootedTree {
             }
         }
         g
-    }
-
-    /// The nodes of the subtree rooted at `u` (including `u`), in BFS order.
-    pub fn subtree(&self, u: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(u);
-        while let Some(x) = queue.pop_front() {
-            out.push(x);
-            for &c in self.children(x) {
-                queue.push_back(c);
-            }
-        }
-        out
     }
 }
 
@@ -273,20 +235,8 @@ mod tests {
         assert_eq!(t.grandparent(nid(1)), None);
         assert_eq!(t.children(nid(1)), &[nid(3), nid(4)]);
         assert_eq!(t.child_count(nid(0)), 2);
-        assert_eq!(t.depth_of(nid(5)), 3);
         assert_eq!(t.depth(), 3);
-        assert!(t.is_leaf(nid(5)));
-        assert!(!t.is_leaf(nid(1)));
         assert_eq!(t.max_degree(), 3);
-        assert_eq!(t.subtree(nid(1)), vec![nid(1), nid(3), nid(4), nid(5)]);
-    }
-
-    #[test]
-    fn bfs_order_starts_at_root_and_covers_all() {
-        let t = sample_tree();
-        let order = t.bfs_order();
-        assert_eq!(order.len(), 6);
-        assert_eq!(order[0], nid(0));
     }
 
     #[test]

@@ -73,35 +73,6 @@ pub fn is_connected(graph: &Graph) -> bool {
     bfs_distances(graph, NodeId(0)).iter().all(Option::is_some)
 }
 
-/// Connected components, each a sorted list of nodes; components are listed
-/// in order of their smallest node.
-pub fn connected_components(graph: &Graph) -> Vec<Vec<NodeId>> {
-    let n = graph.node_count();
-    let mut seen = vec![false; n];
-    let mut components = Vec::new();
-    for start in 0..n {
-        if seen[start] {
-            continue;
-        }
-        let mut component = Vec::new();
-        let mut queue = VecDeque::new();
-        seen[start] = true;
-        queue.push_back(NodeId(start));
-        while let Some(u) = queue.pop_front() {
-            component.push(u);
-            for &v in graph.neighbors_slice(u) {
-                if !seen[v.index()] {
-                    seen[v.index()] = true;
-                    queue.push_back(v);
-                }
-            }
-        }
-        component.sort();
-        components.push(component);
-    }
-    components
-}
-
 /// BFS spanning tree rooted at `root`.
 ///
 /// Returns `None` if the graph is disconnected (a spanning tree does not
@@ -153,25 +124,6 @@ pub fn euler_tour(tree: &RootedTree) -> Vec<NodeId> {
     out
 }
 
-/// Collapses an Euler tour into a *virtual line ordering*: the sequence of
-/// first appearances of each node along the tour.
-///
-/// Consecutive entries of the returned ordering are at distance at most 3
-/// in the original tree (standard Euler-tour shortcut property); the
-/// centralized strategy uses the tour itself, this helper is used by tests
-/// and by the analysis layer to sanity-check tour coverage.
-pub fn euler_tour_first_visits(tour: &[NodeId], n: usize) -> Vec<NodeId> {
-    let mut seen = vec![false; n];
-    let mut out = Vec::with_capacity(n);
-    for &u in tour {
-        if !seen[u.index()] {
-            seen[u.index()] = true;
-            out.push(u);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,9 +150,6 @@ mod tests {
         assert_eq!(diameter(&g), None);
         assert_eq!(eccentricity(&g, nid(0)), None);
         assert_eq!(distance(&g, nid(0), nid(3)), None);
-        let comps = connected_components(&g);
-        assert_eq!(comps.len(), 3);
-        assert_eq!(comps[0], vec![nid(0), nid(1)]);
     }
 
     #[test]
@@ -241,8 +190,6 @@ mod tests {
         assert_eq!(tour.len(), 2 * (6 - 1) + 1);
         assert_eq!(tour.first(), Some(&nid(0)));
         assert_eq!(tour.last(), Some(&nid(0)));
-        let firsts = euler_tour_first_visits(&tour, 6);
-        assert_eq!(firsts.len(), 6);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! round-boundary events, emitted from exactly one place per mutation in
 //! [`crate::Network`], with cheap fan-out to every observer.
 //!
-//! The network has two observers — the topology replay feed of the DST
-//! invariant engine and the raw event recorder — and nothing else watches
+//! The network has two observers — the invariant checks of the DST state
+//! and the raw event recorder — and nothing else watches
 //! a run. Rather than a channel per observer, each with its own push site
 //! duplicated across `commit_round` and every `fault_*` entry point, the
 //! bus records a single [`RoundEvent`] stream with one cursor, or tap,
@@ -66,7 +66,7 @@ pub enum RoundEvent {
 /// The buffered consumers of the bus, one cursor each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BusTap {
-    /// The installed DST invariant state (topology replay drain).
+    /// The installed DST state (its invariant checks' event feed).
     Dst = 0,
     /// The public raw-event recorder ([`crate::Network::take_events`]).
     Recorder = 1,

@@ -38,12 +38,24 @@
 //! [`DstReport`] records the exact fault schedule and every invariant
 //! violation, and renders to a stable string so replay equality can be
 //! checked byte-for-byte.
+//!
+//! The invariants are evaluated from the round's events, drained from the
+//! DST tap of the network's round-event bus, not by rescanning the
+//! network. Connectivity of the live subgraph is a cached verdict that one
+//! breadth-first search re-checks only after an event that can change it:
+//! a crash; while connected, a removal whose two ends share no neighbour
+//! in the post-round snapshot; while disconnected, an insertion that is
+//! not a churn join's attach edge. Every activation joins two nodes at
+//! distance 2 (Section 2.1), and the pointer jumps of TreeToStar and
+//! LineToTree drop the edge they just jumped over, so the ends of a
+//! dropped edge almost always still share a neighbour and a failure-free
+//! round seldom pays for the search.
 
 use crate::bus::RoundEvent;
 use crate::Network;
 use crate::SimError;
 use adn_graph::rng::DetRng;
-use adn_graph::{DynConn, Edge, NodeId};
+use adn_graph::{Edge, Graph, NodeId};
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
 use std::fmt;
@@ -834,9 +846,15 @@ pub struct DstState {
     log: Vec<FaultRecord>,
     violations: Vec<Violation>,
     rounds_checked: usize,
-    /// Incremental connectivity over the live subgraph, fed the round's
-    /// topology events; empty until [`DstState::attach`].
-    conn: DynConn,
+    /// Whether the live subgraph is connected at the last round boundary
+    /// (first computed by `attach`). Kept exact from the round's events:
+    /// `apply_events` re-checks it with `live_subgraph_connected` only
+    /// after an event that can change it.
+    connected: bool,
+    /// Reusable columns of `live_subgraph_connected`, the state's one
+    /// search: the re-check above and, in debug builds, the per-round
+    /// oracle.
+    bfs: BfsScratch,
     /// Nodes currently over the activated-degree bound, updated from the
     /// endpoints of the round's edge events (empty when no bound is set).
     /// `first()` is the lowest offending id — the node an ascending full
@@ -883,20 +901,21 @@ impl DstState {
             log: Vec::new(),
             violations: Vec::new(),
             rounds_checked: 0,
-            conn: DynConn::default(),
+            connected: true,
+            bfs: BfsScratch::default(),
             over_degree: BTreeSet::new(),
             events: Vec::new(),
         }
     }
 
-    /// Builds the incremental invariant state against the network the
-    /// state is being installed on. Called by
+    /// Computes the connectivity verdict and the over-degree set of the
+    /// network the state is being installed on. Called by
     /// [`crate::Network::install_dst`], which also arms the DST tap of
-    /// the network's round-event bus that keeps these structures fed.
+    /// the network's round-event bus whose events keep both up to date.
     pub(crate) fn attach(&mut self, network: &Network) {
         self.over_degree.clear();
         let graph = network.graph();
-        self.conn = DynConn::from_graph_with_crashed(graph, network.crashed_mask());
+        self.connected = live_subgraph_connected(network, &mut self.bfs);
         if let Some(bound) = self.policy.max_activated_degree {
             for u in graph.nodes() {
                 if network.activated_degree(u) > bound {
@@ -955,29 +974,39 @@ impl DstState {
         self.check_invariants(network, round);
     }
 
-    /// Drains the round's topology events from the network and replays
-    /// them into the incremental structures. Replay happens against the
-    /// post-round snapshot — safe for the final verdict, because a
-    /// repair never steals an edge the batch later removes (it is gone
-    /// from the snapshot) and never unions across components the batch
-    /// has not joined yet (the union-find root guard; the insert event
-    /// that joins them is itself in the batch).
+    /// Drains the round's topology events from the network and brings
+    /// the connectivity verdict and the over-degree set up to date with
+    /// the post-round snapshot.
+    ///
+    /// The verdict is re-checked only when an event can have changed it.
+    /// A connected live subgraph stays connected when no node crashed,
+    /// every removed edge is bridged by a 2-path of the snapshot (a kept
+    /// edge needs nothing) and every churn node arrived with its attach
+    /// edge; a disconnected one stays disconnected when no node crashed
+    /// and the only insertions were attach edges, since removals never
+    /// reconnect and a fresh leaf joins no two components. Probing the
+    /// post-round snapshot, not the graph as it was mid-round, matters: an
+    /// edge's only common neighbour may go with a later removal of the
+    /// same round.
     fn apply_events(&mut self, network: &mut Network) {
         self.events.clear();
         network.drain_dst_events(&mut self.events);
         if self.events.is_empty() {
             return;
         }
-        let events = std::mem::take(&mut self.events);
         let graph = network.graph();
         let degree_bound = self.policy.max_activated_degree;
-        for &event in &events {
+        let mut stale = false;
+        for (i, &event) in self.events.iter().enumerate() {
             match event {
                 RoundEvent::Edge { edge, added, .. } => {
-                    if added {
-                        self.conn.insert_edge(edge.a, edge.b);
-                    } else {
-                        self.conn.remove_edge(edge.a, edge.b, graph);
+                    if !stale {
+                        stale = if added {
+                            let attach_edge = i > 0 && join_attached(&self.events, i - 1);
+                            !self.connected && !attach_edge
+                        } else {
+                            self.connected && !bridged(graph, edge)
+                        };
                     }
                     if let Some(bound) = degree_bound {
                         // Membership is recomputed from the *final*
@@ -993,10 +1022,10 @@ impl DstState {
                     }
                 }
                 RoundEvent::NodeJoined(_) => {
-                    self.conn.add_node();
+                    stale = stale || (self.connected && !join_attached(&self.events, i));
                 }
                 RoundEvent::NodeCrashed(node) => {
-                    self.conn.crash(node, graph);
+                    stale = true;
                     if degree_bound.is_some() {
                         self.over_degree.remove(&node);
                     }
@@ -1005,22 +1034,22 @@ impl DstState {
                 RoundEvent::RoundCommitted { .. } | RoundEvent::IdleRound => {}
             }
         }
-        self.events = events;
-        debug_assert_eq!(self.conn.node_count(), graph.node_count());
+        if stale {
+            self.connected = live_subgraph_connected(network, &mut self.bfs);
+        }
     }
 
     fn check_invariants(&mut self, network: &Network, round: usize) {
         self.rounds_checked += 1;
         let graph = network.graph();
-        // O(1) verdict off the incremental forest; a full BFS stays on as
-        // a differential oracle in debug builds.
-        let connected = self.conn.is_connected();
+        // The cached verdict; the search that re-checks it runs on every
+        // round in debug builds as the differential oracle.
         debug_assert_eq!(
-            connected,
-            live_subgraph_connected(network),
-            "dynamic connectivity diverged from the BFS oracle at round {round}"
+            self.connected,
+            live_subgraph_connected(network, &mut self.bfs),
+            "cached connectivity verdict diverged from the BFS oracle at round {round}"
         );
-        if !connected {
+        if !self.connected {
             self.violations.push(Violation {
                 round,
                 invariant: "connectivity",
@@ -1089,41 +1118,79 @@ impl DstState {
     }
 }
 
+/// Whether the churn join recorded at `events[i]` arrived with its attach
+/// edge: the bus records a join's `NodeJoined` right before the insertion
+/// that hangs the fresh node on an existing one (the fresh node has the
+/// highest id, so it is the edge's upper end).
+fn join_attached(events: &[RoundEvent], i: usize) -> bool {
+    match (events[i], events.get(i + 1)) {
+        (RoundEvent::NodeJoined(node), Some(RoundEvent::Edge { edge, added, .. })) => {
+            *added && edge.b == node
+        }
+        _ => false,
+    }
+}
+
+/// Whether the ends of a removed edge still share a neighbour in `graph`,
+/// probed from the lower-degree end with one binary search per neighbour.
+/// Crashed nodes are isolated (a crash severs every incident edge and a
+/// commit drops staged edges with a crashed end), so any common neighbour
+/// is live.
+fn bridged(graph: &Graph, edge: Edge) -> bool {
+    let (u, v) = if graph.degree(edge.a) <= graph.degree(edge.b) {
+        (edge.a, edge.b)
+    } else {
+        (edge.b, edge.a)
+    };
+    graph
+        .neighbors_slice(u)
+        .iter()
+        .any(|&w| graph.has_edge(v, w))
+}
+
+/// Reusable columns of [`live_subgraph_connected`].
+#[derive(Debug, Clone, Default)]
+struct BfsScratch {
+    /// Visited marks, seeded with the crash mask.
+    seen: Vec<bool>,
+    /// The BFS queue as a vector read front to back.
+    queue: Vec<NodeId>,
+}
+
 /// BFS over the live (non-crashed) induced subgraph: true iff every live
 /// node is reachable from the first live node. Crashed nodes are isolated
 /// by construction, so plain connectivity would always be false after the
-/// first crash; this is the meaningful residual property, and the
-/// debug-build oracle of the incremental verdict.
+/// first crash; this is the meaningful residual property. It is the DST
+/// state's re-check of its cached verdict and, in debug builds, that
+/// verdict's per-round oracle.
 ///
-/// Crash membership comes from the network's flat crash mask (one index
-/// per probe) and neighbourhoods are scanned as sorted slices — the same
-/// columnar representation `commit_round` uses.
-fn live_subgraph_connected(network: &Network) -> bool {
+/// The visited column starts as a copy of the network's crash mask, so a
+/// crashed node is never entered, and neighbourhoods are scanned as sorted
+/// slices.
+fn live_subgraph_connected(network: &Network, scratch: &mut BfsScratch) -> bool {
     let graph = network.graph();
     let crashed = network.crashed_mask();
-    let n = graph.node_count();
-    let live_count = n - crashed.iter().filter(|&&c| c).count();
-    if live_count <= 1 {
+    let live_count = crashed.iter().filter(|&&c| !c).count();
+    let Some(start) = graph.nodes().find(|u| !crashed[u.index()]) else {
         return true;
-    }
-    let start = match graph.nodes().find(|u| !crashed[u.index()]) {
-        Some(u) => u,
-        None => return true,
     };
-    let mut seen = vec![false; n];
+    let BfsScratch { seen, queue } = scratch;
+    seen.clear();
+    seen.extend_from_slice(crashed);
+    queue.clear();
     seen[start.index()] = true;
-    let mut queue = VecDeque::from([start]);
-    let mut reached = 1usize;
-    while let Some(u) = queue.pop_front() {
+    queue.push(start);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
         for &v in graph.neighbors_slice(u) {
-            if !seen[v.index()] && !crashed[v.index()] {
+            if !seen[v.index()] {
                 seen[v.index()] = true;
-                reached += 1;
-                queue.push_back(v);
+                queue.push(v);
             }
         }
     }
-    reached == live_count
+    queue.len() == live_count
 }
 
 /// The harvested result of a DST-instrumented execution: the exact fault
@@ -1264,6 +1331,58 @@ mod tests {
         assert_eq!(&big[..small.len()], &small[..]);
     }
 
+    /// Whether the round boundary just checked recorded a connectivity
+    /// violation, asserting first that the from-scratch search agrees.
+    fn flagged_disconnected(net: &Network) -> bool {
+        let state = net.dst_state().expect("armed");
+        let flagged = state
+            .violations()
+            .last()
+            .is_some_and(|v| v.round == net.round() && v.invariant == "connectivity");
+        assert_eq!(
+            flagged,
+            !live_subgraph_connected(net, &mut BfsScratch::default())
+        );
+        flagged
+    }
+
+    #[test]
+    fn join_sequences_within_one_interval_keep_the_verdict_exact() {
+        // The crate-private fault entry points record on the bus without
+        // ticking, so the idle round after them drains them as one
+        // interval — orders one adversary injection never produces.
+        // A join whose attach edge goes again before the boundary.
+        let mut net = armed_network(4, Scenario::failure_free(), 1);
+        let fresh = net.fault_add_node();
+        net.fault_insert_edge(fresh, NodeId(1));
+        net.fault_remove_edge(fresh, NodeId(1));
+        net.advance_idle_rounds(1);
+        assert!(flagged_disconnected(&net));
+
+        // A join that never gets its attach edge.
+        let mut net = armed_network(4, Scenario::failure_free(), 1);
+        net.fault_add_node();
+        net.advance_idle_rounds(1);
+        assert!(flagged_disconnected(&net));
+
+        // While the line is cut at {1,2}, a fresh node's attach edge joins
+        // nothing, but a second edge of the next fresh node spans the cut
+        // in the same interval as its attach edge.
+        let mut net = armed_network(4, Scenario::failure_free(), 1);
+        net.fault_remove_edge(NodeId(1), NodeId(2));
+        net.advance_idle_rounds(1);
+        assert!(flagged_disconnected(&net));
+        let fresh = net.fault_add_node();
+        net.fault_insert_edge(fresh, NodeId(1));
+        net.advance_idle_rounds(1);
+        assert!(flagged_disconnected(&net));
+        let fresh = net.fault_add_node();
+        net.fault_insert_edge(fresh, NodeId(1));
+        net.fault_insert_edge(fresh, NodeId(2));
+        net.advance_idle_rounds(1);
+        assert!(!flagged_disconnected(&net));
+    }
+
     #[test]
     fn crash_isolates_node_and_connectivity_violation_is_recorded() {
         // Crashing an interior node of a line disconnects the live rest.
@@ -1353,7 +1472,7 @@ mod tests {
         let mut disconnected_rounds = 0usize;
         for _ in 0..12 {
             net.commit_round();
-            if !super::live_subgraph_connected(&net) {
+            if !super::live_subgraph_connected(&net, &mut BfsScratch::default()) {
                 disconnected_rounds += 1;
             }
         }
@@ -1362,7 +1481,7 @@ mod tests {
             "the cut must stay open for heal_delay rounds"
         );
         assert!(
-            super::live_subgraph_connected(&net),
+            super::live_subgraph_connected(&net, &mut BfsScratch::default()),
             "the heal must restore connectivity"
         );
         let report = net.take_dst_report().unwrap();

@@ -1,6 +1,6 @@
 //! The validated, metered temporal graph.
 //!
-//! The network's two observers — DST topology replay and raw event
+//! The network's two observers — the DST invariant checks and raw event
 //! recording — are taps on one [`RoundEvent`] bus (see [`crate::bus`]):
 //! each applied mutation is emitted from exactly one place (the bus's
 //! edge sink for edges, the join/crash/boundary points below for the
