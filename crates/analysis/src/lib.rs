@@ -12,10 +12,8 @@
 pub mod experiments;
 pub mod fit;
 pub mod record;
-pub mod runtime_sweep;
 pub mod stress;
 
 pub use fit::{best_fit, FitResult, Shape};
 pub use record::{Algorithm, RunRecord};
-pub use runtime_sweep::{RuntimeCase, RuntimeCaseReport, RuntimeProgram, RuntimeSweepSummary};
 pub use stress::{Minimized, StressCase, StressOutcome, StressReport, SweepSummary};

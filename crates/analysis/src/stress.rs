@@ -8,20 +8,30 @@
 //! [`replay`] — the FoundationDB recipe, applied to actively dynamic
 //! networks.
 //!
+//! A case whose scenario perturbs asynchronous delivery
+//! ([`Scenario::is_async`]) and whose algorithm has an actor
+//! implementation runs on the seeded asynchronous scheduler
+//! ([`EngineMode::Seeded`]) under the scenario's delivery knobs; every
+//! other case runs on the synchronous round engine. Both run on the same
+//! DST-armed network, so the adversary's faults land at the run's commits
+//! on either engine, and a seeded run replays from the case seed like a
+//! synchronous one.
+//!
 //! The harness tolerates every way a run can end under faults: clean
-//! completion, a clean error (model violation, exhausted round budget) or
-//! a panic inside the algorithm (caught, recorded, still deterministic).
-//! The DST report (fault schedule + invariant violations) is harvested in
-//! all three cases.
+//! completion, a clean error (model violation, exhausted round or step
+//! budget) or a panic inside the algorithm (caught, recorded, still
+//! deterministic). The DST report (fault schedule + invariant violations)
+//! is harvested in all three cases.
 //!
 //! [`minimize`] shrinks a failing case by bisecting the fault budget: the
 //! adversary's RNG is only consumed while budget remains, so the schedule
 //! under budget `b` is a prefix of the schedule under `B > b`, making the
 //! failing-fault prefix well-defined.
 
-use adn_core::algorithm::{self, arm_network_for_dst, DstConfig, RunConfig};
+use adn_core::algorithm::{self, arm_network_for_dst, DstConfig, EngineMode, RunConfig};
 use adn_graph::rng::DetRng;
 use adn_graph::{GraphFamily, UidAssignment, UidMap};
+use adn_runtime::RuntimeReport;
 use adn_sim::dst::{self, DstReport, Scenario};
 use adn_sim::Network;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -45,16 +55,23 @@ pub struct StressCase {
     pub scenario: Scenario,
     /// Adversary seed.
     pub adversary_seed: u64,
-    /// Hard round budget so every run terminates even when faults stall
-    /// the algorithm.
+    /// Hard round budget so every synchronous run terminates even when
+    /// faults stall the algorithm. A seeded run is bounded by the
+    /// scheduler's step budget instead.
     pub round_budget: usize,
+    /// Seed of the seeded asynchronous scheduler the case runs on, or
+    /// `None` for the synchronous round engine.
+    pub sched_seed: Option<u64>,
 }
 
 impl StressCase {
     /// Derives a complete case from one `u64`: algorithm, family, size,
     /// UID seed, scenario and adversary seed are all drawn from the
-    /// [`DetRng`] stream of `seed`. The same seed always produces the
-    /// same case — this is the unit of replay.
+    /// [`DetRng`] stream of `seed`, and so is a scheduler seed when the
+    /// scenario [`is_async`](Scenario::is_async) and the algorithm
+    /// [`supports_async_engines`](algorithm::ReconfigurationAlgorithm::supports_async_engines).
+    /// The same seed always produces the same case — this is the unit of
+    /// replay.
     pub fn from_seed(seed: u64) -> Self {
         let mut rng = DetRng::seed_from_u64(seed);
         let algorithms = algorithm::registry();
@@ -71,6 +88,9 @@ impl StressCase {
         let pool = dst::scenarios();
         let scenario = pool[rng.gen_range(0, pool.len())].clone();
         let adversary_seed = rng.next_u64();
+        // Drawn last, so no earlier draw depends on the engine.
+        let sched_seed =
+            (scenario.is_async() && a.supports_async_engines()).then(|| rng.next_u64());
         StressCase {
             seed,
             algorithm: a.spec().id.to_string(),
@@ -80,11 +100,13 @@ impl StressCase {
             scenario,
             adversary_seed,
             round_budget: 8 * n + 64,
+            sched_seed,
         }
     }
 
     /// Constructs an explicit case (for matrix-style sweeps where the
-    /// algorithm and scenario are pinned rather than seed-derived).
+    /// algorithm and scenario are pinned rather than seed-derived). It runs
+    /// on the synchronous engine, whatever its scenario.
     pub fn explicit(
         algorithm: &str,
         family: GraphFamily,
@@ -102,6 +124,7 @@ impl StressCase {
             scenario,
             adversary_seed,
             round_budget: 8 * n + 64,
+            sched_seed: None,
         }
     }
 }
@@ -147,6 +170,8 @@ pub struct StressReport {
     pub outcome: StressOutcome,
     /// The harvested DST report (fault schedule + violations).
     pub dst: DstReport,
+    /// The scheduler's report of a completed seeded run.
+    pub runtime: Option<RuntimeReport>,
 }
 
 impl StressReport {
@@ -174,10 +199,14 @@ impl StressReport {
     /// Renders the full report to a stable string; replay equality is
     /// checked byte-for-byte on exactly this.
     pub fn render(&self) -> String {
+        let engine = match self.case.sched_seed {
+            Some(seed) => format!("sched_seed={seed}"),
+            None => format!("budget={}", self.case.round_budget),
+        };
         let mut s = String::new();
         s.push_str(&format!(
             "case seed={} algorithm={} family={} n={} (actual {}) uid_seed={} \
-             adversary_seed={} budget={}\n",
+             adversary_seed={} {engine}\n",
             self.case.seed,
             self.case.algorithm,
             self.case.family,
@@ -185,16 +214,18 @@ impl StressReport {
             self.n_actual,
             self.case.uid_seed,
             self.case.adversary_seed,
-            self.case.round_budget,
         ));
         s.push_str(&format!("outcome: {}\n", self.outcome.label()));
         s.push_str(&self.dst.render());
+        if let Some(runtime) = &self.runtime {
+            s.push_str(&runtime.render());
+        }
         s
     }
 }
 
 /// The message a caught panic carried.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -206,7 +237,10 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Runs one case: generates the instance, arms the network with the
 /// scenario's adversary and the spec-derived invariant checker, executes
-/// the algorithm (catching panics) and harvests the DST report.
+/// the algorithm (catching panics) and harvests the DST report. A case
+/// with a scheduler seed runs on [`EngineMode::Seeded`] with the
+/// scenario's delivery knobs; every other case runs on the synchronous
+/// engine under its round budget.
 ///
 /// # Panics
 ///
@@ -245,27 +279,33 @@ fn run_case_with_recorder(case: &StressCase, recorded: bool) -> StressReport {
     if recorded {
         network.set_event_recording(true);
     }
-    let config = RunConfig::default().with_round_budget(case.round_budget);
+    let config = match case.sched_seed {
+        // The armed scenario also hands the scheduler its delivery knobs.
+        Some(seed) => RunConfig::default()
+            .with_engine(EngineMode::Seeded { seed })
+            .with_dst(dcfg.scenario, dcfg.seed),
+        None => RunConfig::default().with_round_budget(case.round_budget),
+    };
 
     let result = catch_unwind(AssertUnwindSafe(|| a.execute(&mut network, &uids, &config)));
-    let (outcome, dst) = match result {
-        Ok(Ok(o)) => {
-            let report = o.dst.clone();
-            (
-                StressOutcome::Completed {
-                    rounds: o.rounds,
-                    activations: o.metrics.total_activations,
-                },
-                report,
-            )
-        }
+    let (outcome, dst, runtime) = match result {
+        Ok(Ok(o)) => (
+            StressOutcome::Completed {
+                rounds: o.rounds,
+                activations: o.metrics.total_activations,
+            },
+            o.dst,
+            o.runtime,
+        ),
         Ok(Err(e)) => (
             StressOutcome::Failed(e.to_string()),
             network.take_dst_report(),
+            None,
         ),
         Err(payload) => (
             StressOutcome::Panicked(panic_message(payload)),
             network.take_dst_report(),
+            None,
         ),
     };
     let dst = dst.unwrap_or_else(|| DstReport {
@@ -281,6 +321,7 @@ fn run_case_with_recorder(case: &StressCase, recorded: bool) -> StressReport {
         n_actual,
         outcome,
         dst,
+        runtime,
     }
 }
 
@@ -590,7 +631,7 @@ const SWEEP_BLOCKS_PER_WORKER: usize = 8;
 /// in case order. Workers steal contiguous blocks of case indices from a
 /// shared atomic counter, one counter bump per block, so the result is
 /// the same for every thread count.
-pub(crate) fn run_seeds<R: Send>(
+fn run_seeds<R: Send>(
     master_seed: u64,
     cases: usize,
     threads: usize,
@@ -696,11 +737,126 @@ mod tests {
     }
 
     #[test]
+    fn seed_derivation_routes_async_scenarios_of_async_algorithms() {
+        for seed in 0..256u64 {
+            let case = StressCase::from_seed(seed);
+            let a = algorithm::find(&case.algorithm).expect("registered algorithm");
+            assert_eq!(
+                case.sched_seed.is_some(),
+                case.scenario.is_async() && a.supports_async_engines(),
+                "seed {seed}: {case:?}"
+            );
+        }
+        // The scheduler seed is the last draw, so every other field keeps
+        // the value the seed drew when every case ran synchronously.
+        let pinned = [
+            "1 flooding star 22 34607 async_asymmetric 17388166129998380965 seeded",
+            "7 flooding hypercube 22 44480 failure_free 8817880822462381631 sync",
+            "14 clique_formation line 11 64808 async_asymmetric 3553216667817520020 sync",
+            "19 graph_to_wreath dense_random 15 25672 async_reorder 18002629913981916097 seeded",
+            "28 graph_to_wreath barbell 21 37541 churn 8582721815330874092 sync",
+        ];
+        for pin in pinned {
+            let seed = pin.split(' ').next().unwrap().parse().unwrap();
+            let c = StressCase::from_seed(seed);
+            let engine = match c.sched_seed {
+                Some(_) => "seeded",
+                None => "sync",
+            };
+            let drawn = format!(
+                "{seed} {} {} {} {} {} {} {engine}",
+                c.algorithm, c.family, c.n, c.uid_seed, c.scenario.name, c.adversary_seed
+            );
+            assert_eq!(drawn, pin);
+            assert_eq!(c.round_budget, 8 * c.n + 64, "{pin}");
+        }
+    }
+
+    #[test]
     fn replay_is_byte_identical() {
-        for seed in [1u64, 2, 3, 40, 41] {
+        // 1 (flooding), 19 and 20 (GraphToWreath) run on the seeded
+        // scheduler.
+        let seeds = [1u64, 2, 3, 19, 20, 40, 41];
+        let mut seeded = 0;
+        for seed in seeds {
             let (report, identical) = verify_replay(seed);
             assert!(identical, "seed {seed} diverged:\n{}", report.render());
+            seeded += usize::from(report.case.sched_seed.is_some());
         }
+        assert_eq!(seeded, 3);
+    }
+
+    #[test]
+    fn seeded_cases_render_a_quiesced_runtime_report() {
+        let summary = sweep(0x51EE7, 48);
+        let seeded: Vec<_> = summary
+            .reports
+            .iter()
+            .filter(|r| r.case.sched_seed.is_some())
+            .collect();
+        assert!(seeded.len() >= 4, "{} seeded cases", seeded.len());
+        for r in seeded {
+            let render = r.render();
+            assert!(
+                matches!(r.outcome, StressOutcome::Completed { .. }),
+                "{render}"
+            );
+            assert!(render.contains("termination: detected"), "{render}");
+            assert!(render.contains("in flight 0"), "{render}");
+        }
+    }
+
+    #[test]
+    fn crash_armed_seeded_case_replays_and_degrades_cleanly() {
+        // No registered asynchronous scenario crashes a node, so the crash
+        // half of a seeded run is pinned with explicit cases: one crash of
+        // the highest-degree node, at one commit round each, swept across
+        // the 40 commit rounds of a star run under async_churn's delivery
+        // knobs. Whichever way each run falls — surviving to a star or
+        // degrading — it must replay byte-identically, pin the crash in
+        // its render, and fail, if at all, with a clean error.
+        let knobs = dst::find_scenario("async_churn").expect("async_churn is registered");
+        let (mut completed, mut failed) = (0, 0);
+        for round in 2..=41 {
+            let scenario = Scenario {
+                name: "crash_stop".to_string(),
+                fault_budget: 1,
+                per_round_probability: 1.0,
+                crash_weight: 1,
+                churn_weight: 0,
+                ..knobs.clone()
+            }
+            .with_window(round, Some(round))
+            .with_target(dst::TargetPolicy::MaxDegree);
+            let case = StressCase {
+                sched_seed: Some(5),
+                ..StressCase::explicit(
+                    "graph_to_star",
+                    GraphFamily::Ring,
+                    16,
+                    21,
+                    scenario,
+                    round as u64,
+                )
+            };
+            let first = run_case(&case);
+            let render = first.render();
+            assert_eq!(render, run_case(&case).render(), "crash case diverged");
+            assert!(
+                render.contains(&format!("fault @r{round}: crash node")),
+                "render must pin the crash:\n{render}"
+            );
+            assert!(!first.is_suite_failure(), "{render}");
+            match first.outcome {
+                StressOutcome::Completed { .. } => completed += 1,
+                StressOutcome::Failed(_) => failed += 1,
+                StressOutcome::Panicked(_) => panic!("{render}"),
+            }
+        }
+        assert!(
+            completed > 0 && failed > 0,
+            "{completed} completed, {failed} failed"
+        );
     }
 
     #[test]
@@ -710,6 +866,7 @@ mod tests {
         let plain = sweep(master_seed, 24);
         let recorded = sweep_recorded(master_seed, 24);
         assert_eq!(plain.reports.len(), 24);
+        assert!(plain.reports.iter().any(|r| r.case.sched_seed.is_some()));
         for (plain, recorded) in plain.reports.iter().zip(&recorded.reports) {
             assert_eq!(plain.render(), recorded.render());
         }
@@ -807,6 +964,7 @@ mod tests {
     #[test]
     fn sweep_output_is_identical_across_thread_counts() {
         let serial = sweep_with_threads(0xAB1E, 10, 1);
+        assert!(serial.reports.iter().any(|r| r.case.sched_seed.is_some()));
         for threads in [2usize, 4, 16] {
             let parallel = sweep_with_threads(0xAB1E, 10, threads);
             assert_eq!(parallel.master_seed, serial.master_seed);

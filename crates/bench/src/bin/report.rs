@@ -11,22 +11,15 @@
 //!   sweep (default 1344 cases) on `N` worker threads (default: available
 //!   cores; the artifact is byte-identical for every `N`) and write
 //!   `BENCH_dst.json`;
-//! * `... report -- --replay <seed>` — replay one stress case from its
-//!   `u64` seed and verify byte-identical reproduction;
-//! * `... report -- --replay-runtime <seed>` — same, for one
-//!   asynchronous-runtime case (program, workload, scenario, scheduler
-//!   seed and adversary seed all derived from the one seed);
+//! * `... report -- --replay <seed>` — replay one stress case, on the
+//!   synchronous engine or the seeded scheduler, from its `u64` seed and
+//!   verify byte-identical reproduction;
 //! * `... report -- --minimize <seed>` — shrink a stress case to the
 //!   smallest fault budget that still fails and print the minimized
 //!   seed, budget and fault-kind histogram;
-//! * `... report -- --runtime [cases] [--threads N]` — run the
-//!   asynchronous-runtime seed sweep (seeded scheduler, async scenarios,
-//!   the DST adversary armed on committee cases) and verify
-//!   byte-identical replay on a subset; exits non-zero on any incomplete
-//!   case, suite failure or replay divergence;
-//! * `... report -- --dump-runtime-renders [cases] [--threads N]` — render
-//!   every case of the runtime sweep (default 96) into one dump, whose md5
-//!   pins seeded-runtime behaviour across commits;
+//! * `... report -- --dump-renders [cases] [--threads N]` — render every
+//!   stress case into one dump (byte-identical for every `N`), whose md5
+//!   is pinned in `tests/expectations/renders.md5`;
 //! * `... report -- --dump-renders-recorded [cases]` — render a slice of
 //!   the stress sweep with the event recorder armed beside the DST tap
 //!   (byte-identical to the plain dump; exercises both bus taps armed);
@@ -104,19 +97,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        Some("--replay-runtime") => {
-            reject_unused("--replay-runtime", threads, quick, false);
-            reject_check("--replay-runtime", &check);
-            let seed: u64 = args
-                .get(1)
-                .and_then(|s| s.parse().ok())
-                .expect("usage: report --replay-runtime <u64 seed>");
-            let report = adn_bench::runtime_replay_report(seed);
-            print!("{report}");
-            if !report.contains("replay byte-identical: yes") {
-                std::process::exit(1);
-            }
-        }
         Some("--minimize") => {
             reject_unused("--minimize", threads, quick, false);
             reject_check("--minimize", &check);
@@ -126,24 +106,6 @@ fn main() {
                 .expect("usage: report --minimize <u64 seed>");
             let (report, _was_failing) = adn_bench::minimize_report(seed);
             print!("{report}");
-        }
-        Some("--runtime") => {
-            reject_unused("--runtime", None, quick, true);
-            reject_check("--runtime", &check);
-            let cases: usize = match args.get(1) {
-                Some(raw) => raw.parse().unwrap_or_else(|_| {
-                    panic!("usage: report --runtime [case count], got `{raw}`")
-                }),
-                None => 96,
-            };
-            let threads = adn_bench::corebench::resolve_threads(threads.unwrap_or(0));
-            let (summary, failures) = adn_bench::runtime_suite(cases, threads);
-            print!("{summary}");
-            // A non-zero exit (an incomplete case, a suite failure or a
-            // replay divergence) makes the CI runtime-smoke job a gate.
-            if failures > 0 {
-                std::process::exit(1);
-            }
         }
         Some("--dst") => {
             reject_unused("--dst", None, quick, true);
@@ -178,18 +140,6 @@ fn main() {
             };
             let threads = adn_bench::corebench::resolve_threads(threads.unwrap_or(0));
             print!("{}", adn_bench::dump_renders(cases, threads));
-        }
-        Some("--dump-runtime-renders") => {
-            reject_unused("--dump-runtime-renders", None, quick, true);
-            reject_check("--dump-runtime-renders", &check);
-            let cases: usize = match args.get(1) {
-                Some(raw) => raw.parse().unwrap_or_else(|_| {
-                    panic!("usage: report --dump-runtime-renders [case count], got `{raw}`")
-                }),
-                None => 96,
-            };
-            let threads = adn_bench::corebench::resolve_threads(threads.unwrap_or(0));
-            print!("{}", adn_bench::dump_runtime_renders(cases, threads));
         }
         Some("--dump-renders-recorded") => {
             reject_unused("--dump-renders-recorded", threads, quick, false);

@@ -11,24 +11,18 @@
 //! * `cargo run -p adn-bench --release --bin report -- t1` — a single
 //!   experiment (ids: t1, t4, f1, f3, f4, f5, t6, f7, t8, f9).
 //! * `cargo run -p adn-bench --release --bin report -- --dst [cases]
-//!   [--threads N]` — the deterministic stress suite (default 1344 cases
-//!   ≈ 64 seeds × 7 algorithms × 3 fault scenarios) on `N` worker
-//!   threads; writes `BENCH_dst.json` (byte-identical for every `N`).
+//!   [--threads N]` — the deterministic stress suite (default 1344
+//!   seed-derived cases, each drawing one of the 7 registry algorithms and
+//!   one of the 11 registered scenarios uniformly; cases under an
+//!   asynchronous scenario whose algorithm has an actor implementation run
+//!   on the seeded scheduler) on `N` worker threads; writes
+//!   `BENCH_dst.json` (byte-identical for every `N`).
 //! * `cargo run -p adn-bench --release --bin report -- --replay <seed>` —
-//!   replays one stress case from its `u64` seed and verifies the rerun
-//!   is byte-identical.
+//!   replays one stress case, on whichever engine it runs, from its `u64`
+//!   seed and verifies the rerun is byte-identical.
 //! * `cargo run -p adn-bench --release --bin report -- --minimize
 //!   <seed>` — shrinks a stress case to the smallest failing fault
 //!   budget (minimized seed + fault-kind histogram).
-//! * `cargo run -p adn-bench --release --bin report -- --runtime [cases]
-//!   [--threads N]` — the asynchronous-runtime seed sweep with replay
-//!   verification and the stress suite's suite-failure rule (the CI
-//!   `runtime-smoke` gate).
-//! * `cargo run -p adn-bench --release --bin report -- --dump-runtime-renders
-//!   [cases] [--threads N]` — every runtime case's render in one dump; CI
-//!   pins the md5 of the 256-case dump
-//!   (`tests/expectations/runtime_renders.md5`) and diffs the dumps made
-//!   at one and at two threads.
 //! * `cargo run -p adn-bench --release --bin report -- --bench [--quick]
 //!   [--threads N] [--check <baseline.json>]` — the CPU-performance
 //!   baseline of the hot data path; writes `BENCH_core.json` and, with
@@ -42,10 +36,11 @@ pub mod harness;
 /// artifact is comparable across commits).
 pub const DST_MASTER_SEED: u64 = 0xD57_5EED;
 
-/// Default case count for the stress sweep: 64 seeds for every
-/// (algorithm, fault scenario) pair of the 7-algorithm registry and the
-/// 3 primary fault scenarios.
-pub const DST_DEFAULT_CASES: usize = 64 * 7 * 3;
+/// Default case count for the stress sweep. Each seed-derived case draws
+/// its algorithm from the 7-algorithm registry and its scenario from the
+/// 11 registered scenarios, uniformly, so the count is no product of
+/// cells; it stays fixed so the sweep's summary compares across commits.
+pub const DST_DEFAULT_CASES: usize = 1344;
 
 /// Runs the deterministic stress sweep on `threads` worker threads
 /// (`0` or `1` = serial) and returns
@@ -87,66 +82,6 @@ fn join_renders(renders: impl Iterator<Item = String>) -> String {
     out
 }
 
-/// Master seed of the asynchronous-runtime sweep (fixed for comparable
-/// CI artifacts, like [`DST_MASTER_SEED`]).
-pub const RUNTIME_MASTER_SEED: u64 = 0xA5_15EED;
-
-/// Renders every per-case report of the asynchronous-runtime sweep into
-/// one string (`report -- --dump-runtime-renders [cases]`) — the runtime
-/// counterpart of [`dump_renders`]. Every case runs on the seeded
-/// scheduler, so the dump is byte-identical across reruns and thread
-/// counts, and its md5 pins runtime behaviour across commits.
-pub fn dump_runtime_renders(cases: usize, threads: usize) -> String {
-    let summary =
-        adn_analysis::runtime_sweep::sweep_with_threads(RUNTIME_MASTER_SEED, cases, threads);
-    join_renders(summary.reports.iter().map(|r| r.render()))
-}
-
-/// Runs the asynchronous-runtime seed sweep on `threads` worker threads
-/// and verifies byte-identical replay on a subset of its cases. Returns
-/// `(summary_text, failure_count)`: failures are runs that did not
-/// complete or are suite failures (a panic, or a failure or violation
-/// with no injected fault), plus replays that diverged — a non-zero
-/// count should fail the caller (the CI `runtime-smoke` gate).
-pub fn runtime_suite(cases: usize, threads: usize) -> (String, usize) {
-    use adn_analysis::runtime_sweep;
-    let summary = runtime_sweep::sweep_with_threads(RUNTIME_MASTER_SEED, cases, threads);
-    let mut failures = summary
-        .reports
-        .iter()
-        .filter(|r| !r.completed || r.is_suite_failure())
-        .count();
-    let mut text = summary.summary_text();
-    let verified = summary.reports.len().min(8);
-    let mut diverged = 0usize;
-    for report in summary.reports.iter().take(verified) {
-        let (again, identical) = runtime_sweep::verify_replay(report.case.seed);
-        if !identical || again.render() != report.render() {
-            diverged += 1;
-            text.push_str(&format!(
-                "  REPLAY DIVERGED seed={} ({} on {} under {} sched_seed={}) — determinism \
-                 bug, replay with `report -- --replay-runtime {}`\n",
-                report.case.seed,
-                report.case.program.name(),
-                report.case.family,
-                report.case.scenario.name,
-                report.case.sched_seed,
-                report.case.seed,
-            ));
-        }
-    }
-    failures += diverged;
-    text.push_str(&format!(
-        "replay verified on {verified} case(s): {}\n",
-        if diverged == 0 {
-            "byte-identical".to_string()
-        } else {
-            format!("{diverged} DIVERGED")
-        }
-    ));
-    (text, failures)
-}
-
 /// Minimizes a seed-derived stress case: shrinks its fault budget to the
 /// smallest count that still reproduces a non-clean run, and renders the
 /// minimized seed, budget and fault-kind histogram. Returns the verdict
@@ -166,19 +101,6 @@ pub fn minimize_report(seed: u64) -> (String, bool) {
 /// two runs rendered byte-identically.
 pub fn replay_report(seed: u64) -> String {
     let (report, identical) = adn_analysis::stress::verify_replay(seed);
-    let verdict = if identical {
-        "replay byte-identical: yes"
-    } else {
-        "replay byte-identical: NO — determinism bug, please report"
-    };
-    format!("{}{verdict}\n", report.render())
-}
-
-/// Replays one asynchronous-runtime case from its seed, twice, and
-/// reports whether the two runs rendered byte-identically — the runtime
-/// counterpart of [`replay_report`], fronted by `report -- --replay-runtime`.
-pub fn runtime_replay_report(seed: u64) -> String {
-    let (report, identical) = adn_analysis::runtime_sweep::verify_replay(seed);
     let verdict = if identical {
         "replay byte-identical: yes"
     } else {
@@ -231,19 +153,5 @@ mod tests {
     fn replay_report_confirms_determinism() {
         let s = replay_report(7);
         assert!(s.contains("replay byte-identical: yes"), "{s}");
-    }
-
-    #[test]
-    fn runtime_suite_completes_and_verifies_replay() {
-        let (summary, failures) = runtime_suite(6, 2);
-        assert_eq!(failures, 0, "{summary}");
-        assert!(summary.contains("cases=6"), "{summary}");
-        assert!(summary.contains("byte-identical"), "{summary}");
-        // The artifact is thread-count invariant.
-        let (serial, _) = runtime_suite(6, 1);
-        assert_eq!(summary, serial);
-        let dump = dump_runtime_renders(6, 2);
-        assert_eq!(dump.matches("----\n").count(), 6, "{dump}");
-        assert_eq!(dump, dump_runtime_renders(6, 1));
     }
 }

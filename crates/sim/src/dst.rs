@@ -316,8 +316,9 @@ impl Scenario {
     }
 
     /// Whether the scenario perturbs asynchronous delivery (any of the
-    /// reorder/delay/asymmetry knobs set). The runtime sweep draws its
-    /// scenarios from this subset of [`scenarios`].
+    /// reorder/delay/asymmetry knobs set). A seed-derived stress case under
+    /// such a scenario runs on the seeded asynchronous scheduler when its
+    /// algorithm has an actor implementation.
     pub fn is_async(&self) -> bool {
         self.reorder_window > 1 || self.max_link_delay > 0 || self.asymmetric_delay
     }
