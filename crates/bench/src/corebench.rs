@@ -178,6 +178,32 @@ fn bench_commit_round(bench: &mut Bench, quick: bool) {
             assert_eq!(net.activated_edge_count(), 0);
         },
     );
+
+    // The asynchronous runtime's commit shape: each handler commits its
+    // own round, almost always of one activation or one deactivation.
+    // Every round here is one operation on a distinct leaf pair.
+    let ops = if quick { 4096 } else { 16384 };
+    let (mut seen, mut one_op) = (BTreeSet::new(), Vec::with_capacity(ops));
+    while one_op.len() < ops {
+        let (u, v) = (NodeId(rng.gen_range(1, n)), NodeId(rng.gen_range(1, n)));
+        if u != v && seen.insert(Edge::new(u, v)) {
+            one_op.push((u, v));
+        }
+    }
+    bench.measure(
+        &format!("network/commit_round_one_op star n={n} rounds={ops}x2"),
+        || {
+            for &(u, v) in &one_op {
+                let _ = net.stage_activation(u, v);
+                net.commit_round();
+            }
+            for &(u, v) in &one_op {
+                let _ = net.stage_deactivation(u, v);
+                net.commit_round();
+            }
+            assert_eq!(net.activated_edge_count(), 0);
+        },
+    );
 }
 
 /// `m` distinct canonical edges on `n` nodes, sorted ascending — the

@@ -64,7 +64,7 @@ use crate::algorithm::{validate_input, RunConfig};
 use crate::committee::{select_largest_uid, CommitteeForest, CommitteeId, PhaseLog};
 use crate::graph_to_star::{climb_target, Mode, StarCommittees};
 use crate::graph_to_wreath::{Choice, SpliceLevel, WreathConfig, WreathState};
-use crate::subroutines::async_line_to_tree::validate_line;
+use crate::subroutines::async_line_to_tree::{validate_line, PlanWork};
 use crate::subroutines::{LineToTreeConfig, TreeActor, TreeMsg};
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::{Graph, NodeId, UidMap};
@@ -577,6 +577,9 @@ struct WreathDriver<'a> {
     level: SpliceLevel,
     /// Its round-B deactivations, planned on the post-round-A snapshot.
     level_drops: Vec<(NodeId, NodeId)>,
+    /// The planner's working columns, shared by every ring the run
+    /// rebuilds.
+    plan_work: PlanWork,
 }
 
 impl<'a> WreathDriver<'a> {
@@ -589,6 +592,7 @@ impl<'a> WreathDriver<'a> {
             stage: WreathStage::Begin,
             level: SpliceLevel::default(),
             level_drops: Vec::new(),
+            plan_work: PlanWork::default(),
         }
     }
 
@@ -698,7 +702,7 @@ impl<'a> WreathDriver<'a> {
     /// position's line-to-tree actor for an `arity`-ary tree that keeps
     /// the ring's edges.
     fn arm_rebuild(
-        &self,
+        &mut self,
         network: &Network,
         actors: &mut [CommitteeActor],
     ) -> Result<(), CoreError> {
@@ -711,7 +715,8 @@ impl<'a> WreathDriver<'a> {
                 arity: self.tree_arity,
                 keep_line_edges: true,
             };
-            for (&node, tree) in line.iter().zip(TreeActor::for_line(line, &config)) {
+            let trees = TreeActor::for_line(line, &config, &mut self.plan_work);
+            for (&node, tree) in line.iter().zip(trees) {
                 actors[node.index()].tree = tree;
             }
         }

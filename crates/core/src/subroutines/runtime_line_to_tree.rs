@@ -95,25 +95,30 @@ struct SharedPlan {
     /// must carry — the index of its target in the old parent's own
     /// parent history.
     report_tag: Vec<usize>,
-    /// Per jump `(q, k)`, in the plan's flat order: the child jumps
+    /// Per jump, in the plan's flat order: its range
+    /// `detach_offsets[i]..detach_offsets[i + 1]` of `detach_pairs` (one
+    /// more entry than there are jumps).
+    detach_offsets: Vec<usize>,
+    /// Per jump `(q, k)`, in one column grouped by jump: the child jumps
     /// `(x, jd)` whose activations use the edge `q`–`parent(q)` as
     /// distance-2 witness and must therefore confirm (via
     /// `Detach { x, jd }`) before `q`'s `k`-th jump abandons that parent.
-    detach_deps: Vec<Vec<(usize, usize)>>,
+    detach_pairs: Vec<(usize, usize)>,
     line: Vec<NodeId>,
     keep_line_edges: bool,
 }
 
 impl SharedPlan {
-    fn new(n: usize, config: &LineToTreeConfig, line: &[NodeId]) -> Self {
-        let jumps = plan_sync_schedule(n, config.arity, &mut PlanWork::default());
+    fn new(n: usize, config: &LineToTreeConfig, line: &[NodeId], work: &mut PlanWork) -> Self {
+        let jumps = plan_sync_schedule(n, config.arity, work);
         // Position q's parent after its first i jumps.
         let parent_after = |q: usize, i: usize| match i {
             0 => q.saturating_sub(1),
             _ => jumps.targets(q)[i - 1],
         };
         let mut report_tag = vec![0; jumps.jump_count()];
-        let mut detach_deps = vec![Vec::new(); jumps.jump_count()];
+        // (the waiting jump, the tagged detach it waits for), in flat order.
+        let mut waits = Vec::new();
         for x in 1..n {
             for (jx, &target) in jumps.targets(x).iter().enumerate() {
                 let old_parent = parent_after(x, jx);
@@ -128,17 +133,34 @@ impl SharedPlan {
                 if k < old_parent_jumps {
                     // The old parent's k-th jump abandons exactly this
                     // target — it must wait for x's tagged detach.
-                    detach_deps[jumps.jump_index(old_parent, k)].push((x, jx + 1));
+                    waits.push((jumps.jump_index(old_parent, k), (x, jx + 1)));
                 }
             }
         }
+        // A stable sort groups the pairs by waiting jump, each group in
+        // flat order.
+        waits.sort_by_key(|&(jump, _)| jump);
+        let mut detach_offsets = vec![0; jumps.jump_count() + 1];
+        for &(jump, _) in &waits {
+            detach_offsets[jump + 1] += 1;
+        }
+        for jump in 0..jumps.jump_count() {
+            detach_offsets[jump + 1] += detach_offsets[jump];
+        }
+        let detach_pairs = waits.into_iter().map(|(_, pair)| pair).collect();
         SharedPlan {
             jumps,
             report_tag,
-            detach_deps,
+            detach_offsets,
+            detach_pairs,
             line: line.to_vec(),
             keep_line_edges: config.keep_line_edges,
         }
+    }
+
+    /// The tagged detaches jump `jump` (a flat index) waits for.
+    fn detach_deps(&self, jump: usize) -> &[(usize, usize)] {
+        &self.detach_pairs[self.detach_offsets[jump]..self.detach_offsets[jump + 1]]
     }
 }
 
@@ -172,13 +194,14 @@ pub struct TreeActor {
 
 impl TreeActor {
     /// One actor per position of `line`, in position order, all following
-    /// one shared plan.
+    /// one shared plan, planned in `work`'s columns.
     pub(crate) fn for_line(
         line: &[NodeId],
         config: &LineToTreeConfig,
+        work: &mut PlanWork,
     ) -> impl Iterator<Item = TreeActor> {
         let n = line.len();
-        let plan = Arc::new(SharedPlan::new(n, config, line));
+        let plan = Arc::new(SharedPlan::new(n, config, line, work));
         (0..n).map(move |pos| TreeActor {
             position: Some(Position {
                 plan: Arc::clone(&plan),
@@ -275,7 +298,7 @@ impl TreeActor {
         );
         // Hold until every child whose hop uses our parent edge as its
         // distance-2 witness has confirmed with a tagged detach.
-        let deps = &plan.detach_deps[jump];
+        let deps = plan.detach_deps(jump);
         if !deps.iter().all(|d| st.detaches.contains(d)) {
             return;
         }
@@ -373,7 +396,8 @@ pub fn run_runtime_line_to_tree(
     let mut actors: Vec<TreeActor> = (0..network.node_count())
         .map(|_| TreeActor::default())
         .collect();
-    for (&node, actor) in line.iter().zip(TreeActor::for_line(line, config)) {
+    let work = &mut PlanWork::default();
+    for (&node, actor) in line.iter().zip(TreeActor::for_line(line, config, work)) {
         actors[node.index()] = actor;
     }
     let report = scheduler

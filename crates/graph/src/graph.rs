@@ -609,7 +609,12 @@ impl Graph {
     /// sort, plus one merge per touched node, amortized O(degree +
     /// entries), versus one O(degree) memmove per edge for repeated
     /// [`Graph::add_edge`]. The grouping scratch is allocated on the
-    /// first batch and reused after.
+    /// first batch of two or more edges and reused after. A one-edge
+    /// batch, the shape of almost every commit of the asynchronous
+    /// runtime, skips the grouping: it costs what [`Graph::add_edge`]
+    /// costs, one binary search and one in-block insertion per endpoint,
+    /// and relocates and compacts as it does; unlike a grouped merge, it
+    /// never relocates a full block for an edge that is already there.
     ///
     /// # Panics
     ///
@@ -626,7 +631,9 @@ impl Graph {
     /// pass per touched node, and calls `on_remove` for every edge that
     /// was present, in ascending canonical order whatever the order of
     /// `edges`. Returns the number of edges removed. Costs the same as
-    /// [`Graph::add_edges_batch`].
+    /// [`Graph::add_edges_batch`]; a one-edge batch skips the grouping
+    /// and costs what [`Graph::remove_edge`] costs, one binary search and
+    /// one in-block removal per endpoint.
     ///
     /// # Panics
     ///
@@ -638,20 +645,24 @@ impl Graph {
         self.apply_batch(edges, false, on_remove)
     }
 
-    /// The body of both batch edits. Groups `edges` by endpoint and
-    /// rejects repeated entries that would change the graph (absent ones
-    /// when `insert`, present ones otherwise) before the first mutation.
-    /// Then each touched node, ascending, gets one merge pass that also
-    /// drops the entries that change nothing, and reports the changed
-    /// edges it is the smaller endpoint of: ascending canonical order.
+    /// The body of both batch edits. A one-edge batch of two distinct
+    /// endpoints goes to [`Graph::apply_one`]; any other groups `edges`
+    /// by endpoint and rejects repeated entries that would change the
+    /// graph (absent ones when `insert`, present ones otherwise) before
+    /// the first mutation. Then each touched node, ascending, gets one
+    /// merge pass that also drops the entries that change nothing, and
+    /// reports the changed edges it is the smaller endpoint of: ascending
+    /// canonical order.
     fn apply_batch(
         &mut self,
         edges: &[Edge],
         insert: bool,
         mut on_edge: impl FnMut(Edge),
     ) -> usize {
-        if edges.is_empty() {
-            return 0;
+        match edges {
+            [] => return 0,
+            &[e] if e.a != e.b => return self.apply_one(e, insert, on_edge),
+            _ => {}
         }
         // Taken out for the batch, so a panic drops it and the next batch
         // starts from a zeroed one.
@@ -698,6 +709,46 @@ impl Graph {
         }
         self.batch = Some(scratch);
         changed
+    }
+
+    /// A one-edge batch without the grouping pass: one binary search per
+    /// endpoint and the in-block edit of [`Graph::add_edge`] or
+    /// [`Graph::remove_edge`], smaller endpoint first, the order the
+    /// grouped path edits nodes in. An insertion into a full block
+    /// relocates it and may compact the arena, as `add_edge` does; an edge
+    /// that changes nothing touches no block and is not reported.
+    fn apply_one(&mut self, e: Edge, insert: bool, mut on_edge: impl FnMut(Edge)) -> usize {
+        assert!(
+            e.a.index() < self.n && e.b.index() < self.n,
+            "edge {{{}, {}}} out of range (n = {})",
+            e.a,
+            e.b,
+            self.n
+        );
+        let (a, b) = (e.a.min(e.b), e.a.max(e.b));
+        let pos = match (self.block(a.index()).binary_search(&b), insert) {
+            (Err(pos), true) | (Ok(pos), false) => pos,
+            _ => return 0,
+        };
+        if insert {
+            self.insert_at(a.index(), pos, b);
+            let back = self
+                .block(b.index())
+                .binary_search(&a)
+                .expect_err("adjacency must stay symmetric");
+            self.insert_at(b.index(), back, a);
+            self.edge_count += 1;
+        } else {
+            let back = self
+                .block(b.index())
+                .binary_search(&a)
+                .expect("adjacency must stay symmetric");
+            self.remove_at(a.index(), pos);
+            self.remove_at(b.index(), back);
+            self.edge_count -= 1;
+        }
+        on_edge(Edge { a, b });
+        1
     }
 
     /// Severs every edge incident to `u` in one pass (one in-block removal

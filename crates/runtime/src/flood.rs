@@ -158,11 +158,16 @@ impl AsyncProgram for FloodActor {
         let Some(fresh) = self.known.absorb(&msg) else {
             return;
         };
-        for &nb in &self.neighbors {
-            if nb != from {
-                ctx.send(nb, fresh.clone());
-            }
+        // Every target but the last gets a copy; the last gets `fresh`.
+        let mut targets = self.neighbors.iter().copied().filter(|&nb| nb != from);
+        let Some(mut last) = targets.next() else {
+            return;
+        };
+        for nb in targets {
+            ctx.send(last, fresh.clone());
+            last = nb;
         }
+        ctx.send(last, fresh);
     }
 }
 
@@ -297,6 +302,24 @@ mod tests {
         actor.on_message(NodeId(6), incoming, &mut ctx);
         assert!(ctx.outbox.is_empty(), "nothing new, nothing sent");
         assert_eq!(members(actor.known(), n), BTreeSet::from([2, 5, 9]));
+
+        // Degree 3, taught by the middle neighbour: the other two get the
+        // same fresh set, in neighbour order.
+        let mut actor = FloodActor::new(NodeId(5), n, vec![NodeId(1), NodeId(4), NodeId(8)]);
+        let mut ctx = Context::new(NodeId(5));
+        let mut incoming = TokenSet::new(n);
+        for i in [0, 5, 7] {
+            incoming.insert(NodeId(i));
+        }
+        actor.on_message(NodeId(4), incoming, &mut ctx);
+        let mut fresh = TokenSet::new(n);
+        fresh.insert(NodeId(0));
+        fresh.insert(NodeId(7));
+        assert_eq!(
+            ctx.outbox,
+            vec![(NodeId(1), fresh.clone()), (NodeId(8), fresh)],
+            "every neighbour but the teacher, in order"
+        );
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The deterministic single-threaded scheduler.
 //!
-//! Delivery is a discrete-event loop over a timeline of FIFO buckets, one
-//! per `ready_at` time: a front-to-back walk visits in-flight envelopes in
-//! `(ready_at, send order)`, and each step removes one of the first
-//! `reorder_window` entries in place, so a step costs O(window). Every
+//! Delivery is a discrete-event loop over a timeline of FIFO lists, one
+//! per `ready_at` time, threaded through one slab of reused entry slots:
+//! a front-to-back walk visits in-flight envelopes in `(ready_at, send
+//! order)`, and each step removes one of the first `reorder_window`
+//! entries in place, so a step costs O(window) and allocates nothing once
+//! the slab has reached the run's peak in-flight count. Every
 //! source of nondeterminism — reordering within the window, per-message
 //! delay jitter, per-link base latency — is drawn from one [`DetRng`]
 //! seeded with a single `u64`, so a run is a pure function of
@@ -27,15 +29,52 @@ use std::collections::VecDeque;
 /// Delivery-step budget before a seeded run is declared non-quiescent.
 pub const DEFAULT_MAX_STEPS: usize = 50_000_000;
 
-/// In-flight entries in delivery order: one FIFO bucket per `ready_at`
+/// End of a slot list.
+const NIL: usize = usize::MAX;
+
+/// One slab slot: an in-flight entry (`None` while the slot is free) and
+/// the next slot of its list, the FIFO list of its `ready_at` time or the
+/// free list.
+struct Slot<T> {
+    item: Option<T>,
+    next: usize,
+}
+
+/// The FIFO list of one `ready_at` time, threaded through the slab.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: usize,
+    tail: usize,
+    len: usize,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
+}
+
+/// In-flight entries in delivery order: one FIFO list per `ready_at`
 /// time, the front bucket holding time `front`. A push appends to its
-/// bucket, so a front-to-back walk visits entries in `(ready_at, push
-/// order)` — the pop order of a priority queue keyed by `(ready_at,
+/// time's list, so a front-to-back walk visits entries in `(ready_at,
+/// push order)` — the pop order of a priority queue keyed by `(ready_at,
 /// sequence)`. Removing the `k`-th entry walks `k` entries plus any
 /// empty buckets between them.
+///
+/// Every entry lives in one slab of slots, and a bucket is only its
+/// list's head slot, tail slot and length, so no delivery time allocates
+/// (a calendar queue with reused entry slots, as in Brown, "Calendar
+/// queues", CACM 1988). A removal puts its slot on the free list, which a
+/// push takes from before it grows the slab: the slab holds as many slots
+/// as the peak number of entries in flight at once.
 struct Timeline<T> {
     front: usize,
-    buckets: VecDeque<VecDeque<T>>,
+    buckets: VecDeque<Bucket>,
+    slots: Vec<Slot<T>>,
+    /// Head of the free-slot list.
+    free: usize,
     len: usize,
 }
 
@@ -44,6 +83,8 @@ impl<T> Timeline<T> {
         Timeline {
             front: 0,
             buckets: VecDeque::new(),
+            slots: Vec::new(),
+            free: NIL,
             len: 0,
         }
     }
@@ -52,40 +93,81 @@ impl<T> Timeline<T> {
         self.len
     }
 
-    /// Appends `item` to the bucket of time `ready_at`, prepending empty
+    /// Appends `item` to the list of time `ready_at`, prepending empty
     /// buckets when that time lies before the front one.
     fn push(&mut self, ready_at: usize, item: T) {
         if self.buckets.is_empty() {
             self.front = ready_at;
         }
         while ready_at < self.front {
-            self.buckets.push_front(VecDeque::new());
+            self.buckets.push_front(Bucket::EMPTY);
             self.front -= 1;
         }
-        let slot = ready_at - self.front;
-        if slot >= self.buckets.len() {
-            self.buckets.resize_with(slot + 1, VecDeque::new);
+        let at = ready_at - self.front;
+        if at >= self.buckets.len() {
+            self.buckets.resize(at + 1, Bucket::EMPTY);
         }
-        self.buckets[slot].push_back(item);
+        let entry = Slot {
+            item: Some(item),
+            next: NIL,
+        };
+        let slot = if self.free == NIL {
+            self.slots.push(entry);
+            self.slots.len() - 1
+        } else {
+            let slot = self.free;
+            self.free = self.slots[slot].next;
+            self.slots[slot] = entry;
+            slot
+        };
+        let bucket = &mut self.buckets[at];
+        if bucket.len == 0 {
+            bucket.head = slot;
+        } else {
+            self.slots[bucket.tail].next = slot;
+        }
+        bucket.tail = slot;
+        bucket.len += 1;
         self.len += 1;
     }
 
     /// Removes the `k`-th entry in delivery order and returns it with its
-    /// `ready_at`, or `None` when at most `k` entries are queued. Buckets
-    /// emptied at the front are dropped, not kept for reuse.
+    /// `ready_at`, or `None` when at most `k` entries are queued. Its slot
+    /// goes on the free list, and buckets emptied at the front are popped.
     fn remove_nth(&mut self, mut k: usize) -> Option<(usize, T)> {
         if k >= self.len {
             return None;
         }
-        let mut slot = 0;
-        while k >= self.buckets[slot].len() {
-            k -= self.buckets[slot].len();
-            slot += 1;
+        let mut at = 0;
+        while k >= self.buckets[at].len {
+            k -= self.buckets[at].len;
+            at += 1;
         }
-        let item = self.buckets[slot].remove(k)?;
-        let ready_at = self.front + slot;
+        let bucket = &mut self.buckets[at];
+        let (mut prev, mut slot) = (NIL, bucket.head);
+        for _ in 0..k {
+            prev = slot;
+            slot = self.slots[slot].next;
+        }
+        let next = self.slots[slot].next;
+        if prev == NIL {
+            bucket.head = next;
+        } else {
+            self.slots[prev].next = next;
+        }
+        if slot == bucket.tail {
+            bucket.tail = prev;
+        }
+        bucket.len -= 1;
+        let item = self.slots[slot]
+            .item
+            .take()
+            .expect("a listed slot holds an entry");
+        self.slots[slot].next = self.free;
+        self.free = slot;
+        let ready_at = self.front + at;
         self.len -= 1;
-        while self.buckets.front().is_some_and(VecDeque::is_empty) {
+        while self.buckets.front().is_some_and(|b| b.len == 0) {
             self.buckets.pop_front();
             self.front += 1;
         }
@@ -93,7 +175,14 @@ impl<T> Timeline<T> {
     }
 
     fn iter(&self) -> impl Iterator<Item = &T> {
-        self.buckets.iter().flatten()
+        self.buckets.iter().flat_map(move |bucket| {
+            let mut slot = bucket.head;
+            (0..bucket.len).filter_map(move |_| {
+                let entry = &self.slots[slot];
+                slot = entry.next;
+                entry.item.as_ref()
+            })
+        })
     }
 }
 
@@ -476,6 +565,7 @@ mod tests {
         let mut reference: Vec<(usize, usize)> = Vec::new();
         let (mut now, mut seq) = (0usize, 0usize);
         let (mut before_front, mut behind_now) = (0usize, 0usize);
+        let mut peak = 0usize;
         for _ in 0..20_000 {
             if rng.gen_bool(0.5) {
                 let ready_at = now + 1 + rng.gen_range(0, 7);
@@ -501,6 +591,12 @@ mod tests {
                 behind_now += 1;
             }
             assert_eq!(timeline.len(), reference.len());
+            peak = peak.max(reference.len());
+            assert!(
+                timeline.slots.len() <= peak,
+                "{} slots for a peak of {peak} entries in flight",
+                timeline.slots.len()
+            );
         }
         assert!(timeline
             .iter()

@@ -381,13 +381,21 @@ fn network_staging_matches_btreeset_model_under_random_ops() {
 /// block overflow relocations and periodic compactions (the small random
 /// graphs above rarely cross the dead-slot threshold), interleaved with
 /// crash severs (`remove_incident_edges`), churn `add_node` and batch
-/// edits — all pinned against the `BTreeSet` reference.
+/// edits — all pinned against the `BTreeSet` reference. Half the single
+/// edits go through one-edge `add_edges_batch` / `remove_edges_batch`
+/// calls, whose callbacks must report exactly the edges that changed, and
+/// a twin graph that makes each of those edits with `add_edge` /
+/// `remove_edge` (a batch's smaller endpoint first, the order a batch
+/// edits its endpoints in) must keep the same arena layout (slots and
+/// dead slots), so a one-edge batch relocates and compacts as the
+/// per-edge edit does.
 #[test]
 fn arena_relocation_and_compaction_match_model_under_churn() {
     for seed in 0u64..8 {
         let mut rng = DetRng::seed_from_u64(0xC0FFEE ^ seed.wrapping_mul(0x5851_F42D));
         let mut n = 48 + rng.gen_range(0, 32);
         let mut graph = Graph::new(n);
+        let mut per_edge = Graph::new(n);
         let mut model = ModelGraph::new(n);
         // A handful of hub nodes receive most insertions, so their blocks
         // overflow repeatedly and strand dead capacity behind them.
@@ -407,11 +415,29 @@ fn arena_relocation_and_compaction_match_model_under_churn() {
                         continue;
                     }
                     let (u, v) = (NodeId(u), NodeId(v));
-                    assert_eq!(
-                        graph.add_edge(u, v).unwrap(),
-                        model.add_edge(u, v),
-                        "seed {seed} step {step}: add {u}-{v}"
-                    );
+                    let fresh = model.add_edge(u, v);
+                    let e = Edge::new(u, v);
+                    let batched = rng.gen_bool(0.5);
+                    if !batched {
+                        assert_eq!(
+                            graph.add_edge(u, v).unwrap(),
+                            fresh,
+                            "seed {seed} step {step}: add {u}-{v}"
+                        );
+                    } else {
+                        let mut from_batch = Vec::new();
+                        assert_eq!(
+                            graph.add_edges_batch(&[e], |x| from_batch.push(x)),
+                            usize::from(fresh),
+                            "seed {seed} step {step}: one-edge add {u}-{v}"
+                        );
+                        assert_eq!(
+                            from_batch,
+                            fresh.then_some(e).into_iter().collect::<Vec<_>>()
+                        );
+                    }
+                    let (x, y) = if batched { (e.a, e.b) } else { (u, v) };
+                    per_edge.add_edge(x, y).unwrap();
                 }
                 60..=79 => {
                     let u = NodeId(rng.gen_range(0, n));
@@ -419,11 +445,27 @@ fn arena_relocation_and_compaction_match_model_under_churn() {
                     if u == v {
                         continue;
                     }
-                    assert_eq!(
-                        graph.remove_edge(u, v).unwrap(),
-                        model.remove_edge(u, v),
-                        "seed {seed} step {step}: remove {u}-{v}"
-                    );
+                    let present = model.remove_edge(u, v);
+                    let e = Edge::new(u, v);
+                    if rng.gen_bool(0.5) {
+                        assert_eq!(
+                            graph.remove_edge(u, v).unwrap(),
+                            present,
+                            "seed {seed} step {step}: remove {u}-{v}"
+                        );
+                    } else {
+                        let mut from_batch = Vec::new();
+                        assert_eq!(
+                            graph.remove_edges_batch(&[e], |x| from_batch.push(x)),
+                            usize::from(present),
+                            "seed {seed} step {step}: one-edge remove {u}-{v}"
+                        );
+                        assert_eq!(
+                            from_batch,
+                            present.then_some(e).into_iter().collect::<Vec<_>>()
+                        );
+                    }
+                    per_edge.remove_edge(u, v).unwrap();
                 }
                 80..=87 => {
                     // Crash sever: drop every incident edge of one node.
@@ -431,6 +473,9 @@ fn arena_relocation_and_compaction_match_model_under_churn() {
                     let mut severed = Vec::new();
                     graph
                         .remove_incident_edges(u, |e| severed.push(e))
+                        .expect("sever on a healthy graph");
+                    per_edge
+                        .remove_incident_edges(u, |_| {})
                         .expect("sever on a healthy graph");
                     let neighbors: Vec<NodeId> =
                         model.adjacency[u.index()].iter().copied().collect();
@@ -445,6 +490,7 @@ fn arena_relocation_and_compaction_match_model_under_churn() {
                 }
                 88..=93 => {
                     assert_eq!(graph.add_node(), model.add_node());
+                    per_edge.add_node();
                     n += 1;
                 }
                 _ => {
@@ -460,11 +506,17 @@ fn arena_relocation_and_compaction_match_model_under_churn() {
                     let batch: Vec<Edge> = batch.into_iter().collect();
                     let mut from_batch = Vec::new();
                     graph.add_edges_batch(&batch, |e| from_batch.push(e));
+                    per_edge.add_edges_batch(&batch, |_| {});
                     for e in &batch {
                         model.add_edge(e.a, e.b);
                     }
                 }
             }
+            assert_eq!(
+                (graph.arena_slots(), graph.dead_slots()),
+                (per_edge.arena_slots(), per_edge.dead_slots()),
+                "seed {seed} step {step}: arena layout of one-edge batches vs per-edge edits"
+            );
             // Dead slots only ever decrease at a compaction (relocations
             // add them, nothing else touches the counter), so a drop
             // between steps is positive proof one ran. A batch step may
