@@ -223,9 +223,12 @@ pub struct RuntimeReport {
     pub acks: usize,
     /// Edge-operation rounds committed on the network.
     pub commits: usize,
-    /// Edge activations staged by handlers.
+    /// Edges the committed rounds activated: the sum of their
+    /// `RoundSummary::activations`, so an activation of an edge already
+    /// present counts nothing, as in the network's metrics.
     pub activations: usize,
-    /// Edge deactivations staged by handlers.
+    /// Edges the committed rounds deactivated: the sum of their
+    /// `RoundSummary::deactivations`.
     pub deactivations: usize,
     /// Messages still in flight when the termination detector fired
     /// (provably zero — exposed so the property test can assert it).

@@ -117,8 +117,10 @@ pub(crate) fn sign_off<M>(transport: &mut impl Transport<M>, node: NodeId, paren
 }
 
 /// Stages the handler's activations, then its deactivations, as
-/// `ctx.id()`'s and commits them as one round, counting each into
-/// `report`. Stops at the first operation the network rejects.
+/// `ctx.id()`'s and commits them as one round, counting the round and the
+/// edges its [`RoundSummary`](adn_sim::RoundSummary) says it activated and
+/// deactivated into `report`. Stops at the first operation the network
+/// rejects.
 pub(crate) fn commit_ops<M>(
     network: &mut Network,
     ctx: &mut Context<M>,
@@ -127,13 +129,13 @@ pub(crate) fn commit_ops<M>(
     let node = ctx.id();
     for peer in ctx.activations.drain(..) {
         network.stage_activation(node, peer)?;
-        report.activations += 1;
     }
     for peer in ctx.deactivations.drain(..) {
         network.stage_deactivation(node, peer)?;
-        report.deactivations += 1;
     }
-    network.commit_round();
+    let round = network.commit_round();
+    report.activations += round.activations;
+    report.deactivations += round.deactivations;
     report.commits += 1;
     Ok(())
 }

@@ -161,6 +161,14 @@ fn assert_same_edge_work(run: &TransformationOutcome, sync: &TransformationOutco
     );
     let report = run.runtime.as_ref().expect("async runs carry a report");
     assert_eq!(report.commits, run.rounds, "{label}: commits vs rounds");
+    assert_eq!(
+        report.activations, run.metrics.total_activations,
+        "{label}: runtime vs network activations"
+    );
+    assert_eq!(
+        report.deactivations, run.metrics.total_deactivations,
+        "{label}: runtime vs network deactivations"
+    );
 }
 
 /// The committee sizes the differential gate runs at, with a cheap
