@@ -326,21 +326,6 @@ pub trait ReconfigurationAlgorithm: Sync {
         false
     }
 
-    /// The engine modes this algorithm accepts, for support matrices and
-    /// the conformance suite (representative members: the seed/thread
-    /// payloads carried by the async modes are inputs, not capabilities).
-    fn supported_engine_modes(&self) -> Vec<EngineMode> {
-        if self.supports_async_engines() {
-            vec![
-                EngineMode::Synchronous,
-                EngineMode::Seeded { seed: 0 },
-                EngineMode::Free { threads: 1 },
-            ]
-        } else {
-            vec![EngineMode::Synchronous]
-        }
-    }
-
     /// Executes the algorithm on `network` (whose current snapshot is the
     /// initial network `G_s`) under `config`.
     ///

@@ -5,8 +5,8 @@
 //! gossip the committee neighbourhood, let every leader decide, execute
 //! the edge operations, transition modes. This module re-expresses each
 //! phase as a sequence of **asynchronous mini-phases** separated by
-//! Dijkstra–Scholten quiescence barriers (the schedulers' `run_phased`
-//! entry points):
+//! Dijkstra–Scholten quiescence barriers (each one
+//! [`Run::barrier`](adn_runtime::Run::barrier) of one run):
 //!
 //! 1. **Gossip** — every node sends its committee's `(leader, mode)` to
 //!    each graph neighbour, so leaders later see exactly the committee
@@ -28,15 +28,17 @@
 //!    ([`runtime_line_to_tree`](super::runtime_line_to_tree)), keeping
 //!    the ring's edges, and the tree messages travel as `CommitteeMsg::Tree`.
 //!
-//! The rules themselves are not written here. A driver runs *between*
-//! barriers, never inside the asynchronous execution, and calls the
+//! The rules themselves are not written here. Each entry point is a
+//! phase loop shaped like its synchronous engine's `execute`, with
+//! barriers where the engine communicates and commits rounds; *between*
+//! barriers, never inside the asynchronous execution, it calls the
 //! synchronous engines' own rule set on what the actors observed:
 //! `StarCommittees` and `climb_target` for GraphToStar, `WreathState`
 //! for the wreath family, and the shared selection fold of
 //! [`crate::committee`]. This module keeps only the runtime work — the
-//! actors and their messages, the mini-phase stages, the hand-off of
-//! planned operations at each barrier, and the hand-off of ring
-//! positions to the rebuild.
+//! actors and their messages, the mini-phases, the hand-off of planned
+//! operations at each barrier, and the hand-off of ring positions to the
+//! rebuild.
 //! Because every decision is made either on a complete message set
 //! (after a barrier) or by a commutative rule, the resulting committee
 //! structures — final graph, phase count, committees per phase — **equal
@@ -44,11 +46,10 @@
 //! alike**, which the differential tests in `tests/runtime_model.rs` pin
 //! for both schedulers.
 //!
-//! A run is one diffusing computation under one scheduler: every
-//! mini-phase, the rebuilds included, is a barrier of the same
-//! `run_phased` call, so the run has one report (its `commits` count
-//! every round the run commits) and, when seeded, one replayable delivery
-//! order.
+//! A committee run is one [`Run`](adn_runtime::Run) of one scheduler:
+//! every mini-phase, the rebuilds included, is a barrier of it, so the
+//! run has one report (its `commits` count every round the run commits)
+//! and, when seeded, one replayable delivery order.
 //!
 //! **Armed faults:** on a network armed with the DST adversary
 //! ([`arm_network_for_dst`](crate::algorithm::arm_network_for_dst)) the
@@ -61,14 +62,14 @@
 //! diverges from the synchronous baseline by design.
 
 use crate::algorithm::{validate_input, RunConfig};
-use crate::committee::{select_largest_uid, CommitteeForest, CommitteeId, PhaseLog};
+use crate::committee::{select_largest_uid, CommitteeForest, CommitteeId};
 use crate::graph_to_star::{climb_target, Mode, StarCommittees};
-use crate::graph_to_wreath::{Choice, SpliceLevel, WreathConfig, WreathState};
+use crate::graph_to_wreath::{Choice, WreathConfig, WreathState};
 use crate::subroutines::async_line_to_tree::{validate_line, PlanWork};
 use crate::subroutines::{LineToTreeConfig, TreeActor, TreeMsg};
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::{Graph, NodeId, UidMap};
-use adn_runtime::{AsyncProgram, Context, RuntimeReport, Scheduler};
+use adn_runtime::{AsyncProgram, Context, Scheduler};
 use adn_sim::{Network, WaveActivation};
 use std::mem;
 use std::sync::Arc;
@@ -118,13 +119,13 @@ enum Mini {
     Rebuild,
 }
 
-/// One node of a committee protocol. The driver feeds the per-phase
+/// One node of a committee protocol. The phase loop feeds the per-phase
 /// inputs (leader, mode, neighbour snapshot) between barriers; within a
 /// mini-phase the actor acts on messages alone.
 struct CommitteeActor {
     uids: Arc<UidMap>,
     initial: Arc<Graph>,
-    // Driver-fed inputs.
+    // Inputs fed between barriers.
     mini: Mini,
     leader: NodeId,
     mode: Mode,
@@ -135,7 +136,7 @@ struct CommitteeActor {
     // Protocol state accumulated within a phase.
     bridges: Vec<BridgeInfo>,
     reports: Vec<BridgeInfo>,
-    // Decision artifacts the driver reads after barriers.
+    // Decision artifacts the phase loop reads after barriers.
     selection: Option<(NodeId, NodeId, NodeId)>,
     climb: Option<NodeId>,
     pending_b: Option<(NodeId, NodeId)>,
@@ -399,7 +400,7 @@ fn set_mini(actors: &mut [CommitteeActor], mini: Mini) {
 }
 
 /// Hands a pre-planned operation list to its owning actors and arms one
-/// execution barrier (all guards were evaluated by the driver against
+/// execution barrier (all guards were evaluated between barriers against
 /// the snapshot the synchronous engine would have used). Each
 /// deactivation `(a, b)` is performed by `a`.
 fn assign_ops(
@@ -425,339 +426,13 @@ fn assign_ops(
 }
 
 // ---------------------------------------------------------------------------
-// GraphToStar driver
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StarStage {
-    Begin,
-    Gossip,
-    Report,
-    Decide,
-    HopB,
-    Deact,
-    Done,
-}
-
-/// The deterministic between-barriers orchestrator of the star phases:
-/// it steps the actors through the mini-phases of
-/// `graph_to_star::State::run_phase` and applies the shared
-/// [`StarCommittees`] rules to the leaders' decisions.
-struct StarDriver<'a> {
-    run: &'a RunConfig,
-    committees: StarCommittees,
-    stage: StarStage,
-}
-
-impl<'a> StarDriver<'a> {
-    fn new(run: &'a RunConfig, n: usize) -> Self {
-        StarDriver {
-            run,
-            committees: StarCommittees::new(n),
-            stage: StarStage::Begin,
-        }
-    }
-
-    /// Called by the scheduler before every mini-phase. Returns `false`
-    /// when the protocol has quiesced.
-    fn step(
-        &mut self,
-        network: &mut Network,
-        actors: &mut [CommitteeActor],
-    ) -> Result<bool, CoreError> {
-        loop {
-            match self.stage {
-                StarStage::Begin => {
-                    let committees = &mut self.committees;
-                    let live = committees.forest.live_count();
-                    if live <= 1 {
-                        self.stage = StarStage::Done;
-                        if committees.forest.tracked_nodes() <= 1 {
-                            return Ok(false);
-                        }
-                        // The synchronous termination phase: deactivate
-                        // every non-star edge.
-                        committees.log.terminate(self.run, network)?;
-                        let drops = committees.termination_drops(network.graph());
-                        assign_ops(actors, &[], drops.iter().map(|e| (e.a, e.b)));
-                        return Ok(true);
-                    }
-                    committees.log.begin(self.run, network, live)?;
-                    let mode = &committees.mode;
-                    prep_gossip(&committees.forest, network, actors, |cid| mode[cid.index()]);
-                    self.stage = StarStage::Gossip;
-                    return Ok(true);
-                }
-                StarStage::Gossip => {
-                    set_mini(actors, Mini::Report);
-                    self.stage = StarStage::Report;
-                    return Ok(true);
-                }
-                StarStage::Report => {
-                    set_mini(actors, Mini::StarDecide);
-                    self.stage = StarStage::Decide;
-                    return Ok(true);
-                }
-                StarStage::Decide => {
-                    set_mini(actors, Mini::StarHopB);
-                    self.stage = StarStage::HopB;
-                    return Ok(true);
-                }
-                StarStage::HopB => {
-                    set_mini(actors, Mini::Deact);
-                    self.stage = StarStage::Deact;
-                    return Ok(true);
-                }
-                StarStage::Deact => {
-                    self.finish_phase(actors)?;
-                    self.stage = StarStage::Begin;
-                }
-                StarStage::Done => return Ok(false),
-            }
-        }
-    }
-
-    /// Bookkeeping after the deactivation barrier: harvest the leaders'
-    /// selections and climbs and apply the synchronous merge and
-    /// mode-transition step.
-    fn finish_phase(&mut self, actors: &[CommitteeActor]) -> Result<(), CoreError> {
-        let committees = &mut self.committees;
-        let selections: Vec<(CommitteeId, CommitteeId)> =
-            harvest_selections(&committees.forest, actors, committees.log.algorithm)?
-                .into_iter()
-                .enumerate()
-                .filter_map(|(slot, choice)| {
-                    choice.map(|(target, _, _)| (CommitteeId(slot), target))
-                })
-                .collect();
-        let merges = committees.merge_list()?;
-        // Degraded (faulted) committees recorded no climb: stay put.
-        let climbs: Vec<(CommitteeId, NodeId)> = committees
-            .pulling()
-            .map(|(cid, attach)| {
-                let leader = committees.forest.leader(cid);
-                (cid, actors[leader.index()].climb.unwrap_or(attach))
-            })
-            .collect();
-        committees.finish_phase(&selections, &merges, &climbs)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Wreath driver
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WreathStage {
-    Begin,
-    Gossip,
-    Report,
-    Decide,
-    PlanLevel,
-    LevelA,
-    LevelB,
-    LevelC,
-    Cleanup,
-    Rebuild,
-    Done,
-}
-
-/// The between-barriers orchestrator of the wreath phases: it steps the
-/// actors through the shared [`WreathState`] rules. Each splice level's
-/// round A / round B+clean-up pair becomes three barriers (activations,
-/// activations, deactivations), and every merged ring is rebuilt in one
-/// more barrier by the ring nodes' line-to-tree positions.
-struct WreathDriver<'a> {
-    run: &'a RunConfig,
-    tree_arity: usize,
-    initial: &'a Graph,
-    state: WreathState,
-    stage: WreathStage,
-    /// The splice level under way.
-    level: SpliceLevel,
-    /// Its round-B deactivations, planned on the post-round-A snapshot.
-    level_drops: Vec<(NodeId, NodeId)>,
-    /// The planner's working columns, shared by every ring the run
-    /// rebuilds.
-    plan_work: PlanWork,
-}
-
-impl<'a> WreathDriver<'a> {
-    fn new(run: &'a RunConfig, wreath: &WreathConfig, initial: &'a Graph) -> Self {
-        WreathDriver {
-            run,
-            tree_arity: wreath.tree_arity,
-            initial,
-            state: WreathState::new(initial.node_count(), wreath.name),
-            stage: WreathStage::Begin,
-            level: SpliceLevel::default(),
-            level_drops: Vec::new(),
-            plan_work: PlanWork::default(),
-        }
-    }
-
-    fn step(
-        &mut self,
-        network: &mut Network,
-        actors: &mut [CommitteeActor],
-    ) -> Result<bool, CoreError> {
-        loop {
-            match self.stage {
-                WreathStage::Begin => {
-                    let state = &mut self.state;
-                    let live = state.forest.live_count();
-                    if live <= 1 {
-                        self.stage = WreathStage::Done;
-                        if state.forest.tracked_nodes() <= 1 {
-                            return Ok(false);
-                        }
-                        // The synchronous termination phase: keep only the
-                        // final committee's tree edges.
-                        state.log.terminate(self.run, network)?;
-                        let drops = state.termination_drops(network.graph());
-                        assign_ops(actors, &[], drops.iter().map(|e| (e.a, e.b)));
-                        return Ok(true);
-                    }
-                    state.log.begin(self.run, network, live)?;
-                    prep_gossip(&state.forest, network, actors, |_| Mode::Selection);
-                    self.stage = WreathStage::Gossip;
-                    return Ok(true);
-                }
-                WreathStage::Gossip => {
-                    set_mini(actors, Mini::Report);
-                    self.stage = WreathStage::Report;
-                    return Ok(true);
-                }
-                WreathStage::Report => {
-                    set_mini(actors, Mini::WreathDecide);
-                    self.stage = WreathStage::Decide;
-                    return Ok(true);
-                }
-                WreathStage::Decide => {
-                    let state = &mut self.state;
-                    let selected = harvest_selections(&state.forest, actors, state.log.algorithm)?;
-                    // No committee found a larger neighbour this phase:
-                    // retry (the phase was already counted, as in the
-                    // synchronous idle-and-continue).
-                    self.stage = if state.select(selected) {
-                        WreathStage::PlanLevel
-                    } else {
-                        WreathStage::Begin
-                    };
-                }
-                WreathStage::PlanLevel => {
-                    if let Some(level) = self.state.plan_level()? {
-                        assign_ops(actors, &level.round_a(network.graph()), []);
-                        self.level = level;
-                        self.stage = WreathStage::LevelA;
-                        return Ok(true);
-                    }
-                    if self.state.merged_roots().next().is_none() {
-                        self.stage = WreathStage::Begin;
-                        continue;
-                    }
-                    self.state.materialize_rings()?;
-                    let drops = self.state.cleanup(network.graph(), self.initial);
-                    self.stage = WreathStage::Cleanup;
-                    if drops.is_empty() {
-                        continue;
-                    }
-                    assign_ops(actors, &[], drops.iter().map(|e| (e.a, e.b)));
-                    return Ok(true);
-                }
-                WreathStage::LevelA => {
-                    // Post-round-A snapshot: the round-B activations and
-                    // the deferred deactivations, under the synchronous
-                    // round-B guards.
-                    let graph = network.graph();
-                    self.level_drops = self.level.round_b_drops(graph, self.initial);
-                    assign_ops(actors, &self.level.round_b(graph), []);
-                    self.stage = WreathStage::LevelB;
-                    return Ok(true);
-                }
-                WreathStage::LevelB => {
-                    assign_ops(actors, &[], mem::take(&mut self.level_drops));
-                    self.stage = WreathStage::LevelC;
-                    return Ok(true);
-                }
-                WreathStage::LevelC => {
-                    self.stage = WreathStage::PlanLevel;
-                }
-                WreathStage::Cleanup => {
-                    self.arm_rebuild(network, actors)?;
-                    self.stage = WreathStage::Rebuild;
-                    return Ok(true);
-                }
-                WreathStage::Rebuild => {
-                    self.install_trees(actors)?;
-                    self.stage = WreathStage::Begin;
-                }
-                WreathStage::Done => return Ok(false),
-            }
-        }
-    }
-
-    /// Arms the rebuild barrier: checks every merged ring as the
-    /// synchronous lockstep batch does, then hands each ring node its
-    /// position's line-to-tree actor for an `arity`-ary tree that keeps
-    /// the ring's edges.
-    fn arm_rebuild(
-        &mut self,
-        network: &Network,
-        actors: &mut [CommitteeActor],
-    ) -> Result<(), CoreError> {
-        set_mini(actors, Mini::Rebuild);
-        let mut seen = Vec::new();
-        for root in self.state.merged_roots() {
-            let line = self.state.merged_line(root);
-            validate_line(network, line, self.tree_arity, &mut seen)?;
-            let config = LineToTreeConfig {
-                arity: self.tree_arity,
-                keep_line_edges: true,
-            };
-            let trees = TreeActor::for_line(line, &config, &mut self.plan_work);
-            for (&node, tree) in line.iter().zip(trees) {
-                actors[node.index()].tree = tree;
-            }
-        }
-        Ok(())
-    }
-
-    /// Installs the tree each merged ring's positions built and retires
-    /// the committees that merged away.
-    fn install_trees(&mut self, actors: &mut [CommitteeActor]) -> Result<(), CoreError> {
-        let roots: Vec<CommitteeId> = self.state.merged_roots().collect();
-        let mut parents = Vec::new();
-        for root in roots {
-            parents.clear();
-            for &node in self.state.merged_line(root) {
-                parents.push(mem::take(&mut actors[node.index()].tree).final_parent()?);
-            }
-            self.state.install_tree(root, &parents);
-        }
-        self.state.retire_merged();
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// The run's outcome, with the scheduler's report attached.
-fn finish(
-    network: &mut Network,
-    forest: &CommitteeForest,
-    log: PhaseLog,
-    report: RuntimeReport,
-) -> TransformationOutcome {
-    let mut outcome = log.outcome(forest.first_leader(), network);
-    outcome.runtime = Some(report);
-    outcome
-}
-
 /// Runs GraphToStar on the asynchronous runtime under `scheduler`;
-/// `config` supplies the round budget.
+/// `config` supplies the round budget. Each phase of the synchronous
+/// engine becomes five barriers: gossip, report, decide (round A), hop B
+/// (round B) and the deferred deactivations.
 ///
 /// # Errors
 ///
@@ -772,18 +447,63 @@ pub fn run_runtime_star(
 ) -> Result<TransformationOutcome, CoreError> {
     validate_input(network, uids, "GraphToStar")?;
     let initial = network.graph().clone();
-    let mut actors = build_actors(initial.node_count(), uids, &initial);
-    let mut driver = StarDriver::new(config, initial.node_count());
-    let report = scheduler.run_phased(network, &mut actors, |net, acts, _phase| {
-        driver.step(net, acts)
-    })?;
-    let StarCommittees { forest, log, .. } = driver.committees;
-    Ok(finish(network, &forest, log, report))
+    let n = initial.node_count();
+    let actors = &mut build_actors(n, uids, &initial);
+    let mut run = scheduler.start(network, n)?;
+    let mut committees = StarCommittees::new(n);
+
+    while committees.forest.live_count() > 1 {
+        let live = committees.forest.live_count();
+        committees.log.begin(config, network, live)?;
+        let mode = &committees.mode;
+        prep_gossip(&committees.forest, network, actors, |cid| mode[cid.index()]);
+        run.barrier(network, actors)?;
+        for mini in [Mini::Report, Mini::StarDecide, Mini::StarHopB, Mini::Deact] {
+            set_mini(actors, mini);
+            run.barrier(network, actors)?;
+        }
+
+        // The leaders' selections and climbs feed the synchronous merge
+        // and mode-transition step. A degraded (faulted) committee
+        // recorded no climb and stays put.
+        let selections: Vec<(CommitteeId, CommitteeId)> =
+            harvest_selections(&committees.forest, actors, committees.log.algorithm)?
+                .into_iter()
+                .enumerate()
+                .filter_map(|(slot, choice)| choice.map(|(to, _, _)| (CommitteeId(slot), to)))
+                .collect();
+        let merges = committees.merge_list()?;
+        let climbs: Vec<(CommitteeId, NodeId)> = committees
+            .pulling()
+            .map(|(cid, attach)| {
+                let leader = committees.forest.leader(cid);
+                (cid, actors[leader.index()].climb.unwrap_or(attach))
+            })
+            .collect();
+        committees.finish_phase(&selections, &merges, &climbs)?;
+    }
+
+    // Termination phase: deactivate every non-star edge.
+    if committees.forest.tracked_nodes() > 1 {
+        committees.log.terminate(config, network)?;
+        let drops = committees.termination_drops(network.graph());
+        assign_ops(actors, &[], drops.iter().map(|e| (e.a, e.b)));
+        run.barrier(network, actors)?;
+    }
+    let mut outcome = committees
+        .log
+        .outcome(committees.forest.first_leader(), network);
+    outcome.runtime = Some(run.finish());
+    Ok(outcome)
 }
 
 /// Runs the wreath family (GraphToWreath / GraphToThinWreath, by
 /// `wreath.tree_arity`) on the asynchronous runtime under `scheduler`;
-/// `config` supplies the round budget.
+/// `config` supplies the round budget. Each phase of the synchronous
+/// engine becomes barriers: gossip, report and decide; three per splice
+/// level (round A's activations, round B's activations, round B's
+/// deactivations); the clean-up deactivations, if any; and one rebuild of
+/// every merged ring.
 ///
 /// # Errors
 ///
@@ -797,13 +517,90 @@ pub fn run_runtime_wreath(
 ) -> Result<TransformationOutcome, CoreError> {
     validate_input(network, uids, wreath.name)?;
     let initial = network.graph().clone();
-    let mut actors = build_actors(initial.node_count(), uids, &initial);
-    let mut driver = WreathDriver::new(config, wreath, &initial);
-    let report = scheduler.run_phased(network, &mut actors, |net, acts, _phase| {
-        driver.step(net, acts)
-    })?;
-    let WreathState { forest, log, .. } = driver.state;
-    Ok(finish(network, &forest, log, report))
+    let n = initial.node_count();
+    let actors = &mut build_actors(n, uids, &initial);
+    let mut run = scheduler.start(network, n)?;
+    let mut state = WreathState::new(n, wreath.name);
+    let rebuild = LineToTreeConfig {
+        arity: wreath.tree_arity,
+        keep_line_edges: true,
+    };
+    // Scratch shared by every ring the run rebuilds.
+    let (mut plan_work, mut seen, mut parents) = (PlanWork::default(), Vec::new(), Vec::new());
+
+    while state.forest.live_count() > 1 {
+        let live = state.forest.live_count();
+        state.log.begin(config, network, live)?;
+        prep_gossip(&state.forest, network, actors, |_| Mode::Selection);
+        run.barrier(network, actors)?;
+        for mini in [Mini::Report, Mini::WreathDecide] {
+            set_mini(actors, mini);
+            run.barrier(network, actors)?;
+        }
+        let selected = harvest_selections(&state.forest, actors, state.log.algorithm)?;
+        if !state.select(selected) {
+            // No committee found a larger neighbour this phase: retry (the
+            // phase was already counted, as in the synchronous
+            // idle-and-continue).
+            continue;
+        }
+
+        // Ring merging, one splice level at a time: round A's activations,
+        // then round B's activations and deactivations, both planned on
+        // the post-round-A snapshot under the synchronous guards.
+        while let Some(level) = state.plan_level()? {
+            assign_ops(actors, &level.round_a(network.graph()), []);
+            run.barrier(network, actors)?;
+            let drops = level.round_b_drops(network.graph(), &initial);
+            assign_ops(actors, &level.round_b(network.graph()), []);
+            run.barrier(network, actors)?;
+            assign_ops(actors, &[], drops);
+            run.barrier(network, actors)?;
+        }
+        if state.merged_roots().next().is_none() {
+            continue;
+        }
+        state.materialize_rings()?;
+        let drops = state.cleanup(network.graph(), &initial);
+        if !drops.is_empty() {
+            assign_ops(actors, &[], drops.iter().map(|e| (e.a, e.b)));
+            run.barrier(network, actors)?;
+        }
+
+        // Tree merging: every merged ring, checked as the synchronous
+        // lockstep batch checks it, is rebuilt in one barrier, each of its
+        // nodes running its position's line-to-tree actor.
+        let merged_roots: Vec<CommitteeId> = state.merged_roots().collect();
+        set_mini(actors, Mini::Rebuild);
+        for &root in &merged_roots {
+            let line = state.merged_line(root);
+            validate_line(network, line, wreath.tree_arity, &mut seen)?;
+            let trees = TreeActor::for_line(line, &rebuild, &mut plan_work);
+            for (&node, tree) in line.iter().zip(trees) {
+                actors[node.index()].tree = tree;
+            }
+        }
+        run.barrier(network, actors)?;
+        for &root in &merged_roots {
+            parents.clear();
+            for &node in state.merged_line(root) {
+                parents.push(mem::take(&mut actors[node.index()].tree).final_parent()?);
+            }
+            state.install_tree(root, &parents);
+        }
+        state.retire_merged();
+    }
+
+    // Termination phase: keep only the final committee's tree edges.
+    if state.forest.tracked_nodes() > 1 {
+        state.log.terminate(config, network)?;
+        let drops = state.termination_drops(network.graph());
+        assign_ops(actors, &[], drops.iter().map(|e| (e.a, e.b)));
+        run.barrier(network, actors)?;
+    }
+    let mut outcome = state.log.outcome(state.forest.first_leader(), network);
+    outcome.runtime = Some(run.finish());
+    Ok(outcome)
 }
 
 #[cfg(test)]

@@ -9,7 +9,9 @@
 //! run ends when all `n` start-engagement obligations have been signed
 //! off, at which point no application message or ack is in flight. Each
 //! worker counts its deliveries into its own copy of the report; the
-//! copies are summed when the workers are joined.
+//! copies are summed when the workers are joined. A [`FreeRun`] spins up
+//! the worker pool once per barrier and adds each barrier's counts to
+//! its report.
 //!
 //! A node the network's DST adversary joins after the run started has no
 //! actor: its mail is answered by the seeded scheduler's rule (an
@@ -20,7 +22,7 @@
 
 use crate::actor::{AsyncProgram, Context, Envelope};
 use crate::termination::{commit_ops, deliver, DsState, Transport};
-use crate::{RuntimeError, RuntimeReport};
+use crate::{check_barrier, RuntimeError, RuntimeReport};
 use adn_graph::NodeId;
 use adn_sim::network::Network;
 use adn_sim::SimError;
@@ -76,63 +78,47 @@ impl FreeScheduler {
         (chunk, n.div_ceil(chunk.max(1)))
     }
 
-    /// Runs `programs` in driver-delimited phases (the free-running
-    /// counterpart of [`crate::SeededScheduler::run_phased`]): before each
-    /// phase the driver may rewrite actor state and decides whether
-    /// another phase runs; each phase spins up the worker pool and runs to
-    /// Dijkstra–Scholten quiescence. Counters accumulate across phases.
-    /// The actor count is checked against the network once, before the
-    /// first phase: later phases run the same actors even if the network
-    /// has grown by churn joins.
+    /// Starts a run of `n` actors (actor `i` is node `i`) on `network`.
+    /// Its barriers run these actors even if the network grows by churn
+    /// joins.
     ///
     /// # Errors
     ///
-    /// Whatever the driver raises, plus every [`RuntimeError`] a
-    /// single-phase run can raise.
-    pub fn run_phased<P, E, F>(
-        &self,
-        network: &mut Network,
-        programs: &mut [P],
-        mut driver: F,
-    ) -> Result<RuntimeReport, E>
-    where
-        P: AsyncProgram,
-        E: From<RuntimeError>,
-        F: FnMut(&mut Network, &mut [P], usize) -> Result<bool, E>,
-    {
-        let n = programs.len();
+    /// [`RuntimeError::InvalidInput`] unless `n` is positive and the
+    /// network's node count.
+    pub fn start(&self, network: &Network, n: usize) -> Result<FreeRun, RuntimeError> {
         if n == 0 || network.node_count() != n {
-            return Err(E::from(RuntimeError::InvalidInput {
+            return Err(RuntimeError::InvalidInput {
                 reason: format!("{n} programs for {} nodes", network.node_count()),
-            }));
+            });
         }
         let (_, workers) = self.partition(n);
-        let mut report = RuntimeReport::empty("free", None, Some(workers), n);
-        let mut phase = 0usize;
-        while driver(network, programs, phase)? {
-            let r = self.run_phase(network, programs).map_err(E::from)?;
-            report.add_counts(&r);
-            report.in_flight_at_detection = r.in_flight_at_detection;
-            phase += 1;
-        }
-        Ok(report)
+        Ok(FreeRun {
+            scheduler: self.clone(),
+            report: RuntimeReport::empty("free", None, Some(workers), n),
+        })
     }
 
     /// Runs `programs` (actor `i` is node `i`) to Dijkstra–Scholten
-    /// quiescence on `network` using free-running worker threads.
+    /// quiescence on `network` using free-running worker threads: a run of
+    /// one barrier.
+    ///
+    /// # Errors
+    ///
+    /// As [`start`](Self::start) and [`FreeRun::barrier`].
     pub fn run<P: AsyncProgram>(
         &self,
         network: &mut Network,
         programs: &mut [P],
     ) -> Result<RuntimeReport, RuntimeError> {
-        self.run_phased(network, programs, |_, _, phase| {
-            Ok::<bool, RuntimeError>(phase == 0)
-        })
+        let mut run = self.start(network, programs.len())?;
+        run.barrier(network, programs)?;
+        Ok(run.finish())
     }
 
     /// One diffusing computation over `programs` (actor `i` is node `i`);
     /// the caller has checked the actor count.
-    fn run_phase<P: AsyncProgram>(
+    fn run_barrier<P: AsyncProgram>(
         &self,
         network: &mut Network,
         programs: &mut [P],
@@ -210,6 +196,46 @@ impl FreeScheduler {
             return Err(RuntimeError::TimedOut);
         }
         Ok(report)
+    }
+}
+
+/// A free run in progress (see [`FreeScheduler::start`]): the report its
+/// barriers add up.
+pub struct FreeRun {
+    scheduler: FreeScheduler,
+    report: RuntimeReport,
+}
+
+impl FreeRun {
+    /// Sends `Start` to every actor of `programs` and runs one diffusing
+    /// computation to Dijkstra–Scholten quiescence on a fresh worker pool,
+    /// adding its counters to the run's. Actors of crashed nodes are not
+    /// retired; a node joined after the run started has its application
+    /// mail acknowledged by the sender's transport.
+    ///
+    /// # Errors
+    ///
+    /// * [`RuntimeError::InvalidInput`] if `programs` is not one actor per
+    ///   node of the run.
+    /// * [`RuntimeError::TimedOut`] if the scheduler's timeout elapses
+    ///   first.
+    /// * [`RuntimeError::Sim`] for the first edge operation the network
+    ///   rejected.
+    pub fn barrier<P: AsyncProgram>(
+        &mut self,
+        network: &mut Network,
+        programs: &mut [P],
+    ) -> Result<(), RuntimeError> {
+        check_barrier(programs.len(), self.report.n)?;
+        let r = self.scheduler.run_barrier(network, programs)?;
+        self.report.add_counts(&r);
+        self.report.in_flight_at_detection = r.in_flight_at_detection;
+        Ok(())
+    }
+
+    /// Ends the run and returns its report.
+    pub fn finish(self) -> RuntimeReport {
+        self.report
     }
 }
 
@@ -334,7 +360,7 @@ mod tests {
     #[test]
     fn reports_the_workers_that_ran() {
         // Nine actors on four threads make chunks of three, so three
-        // workers run, and both entry points say so.
+        // workers run, and both a one-barrier run and a started run say so.
         let graph = generators::ring(9);
         let mut network = Network::new(graph.clone());
         let mut actors = crate::flood::flood_actors(&graph);
@@ -342,12 +368,9 @@ mod tests {
         let report = scheduler.run(&mut network, &mut actors).expect("run");
         assert_eq!(report.threads, Some(3));
         assert!(actors.iter().all(|a| a.known().len() == 9));
-        let phased = scheduler
-            .run_phased(&mut network, &mut actors, |_, _, phase| {
-                Ok::<bool, RuntimeError>(phase == 0)
-            })
-            .expect("phased run");
-        assert_eq!(phased.threads, Some(3));
+        let mut run = scheduler.start(&network, 9).expect("start");
+        run.barrier(&mut network, &mut actors).expect("barrier");
+        assert_eq!(run.finish().threads, Some(3));
     }
 
     #[test]

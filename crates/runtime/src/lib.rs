@@ -25,11 +25,13 @@
 //! in `tests/runtime_model.rs`). Both schedulers run the same delivery
 //! step (engage, handle, commit, send, ack, sign off); each adds only its
 //! transport, its answer to mail for nodes without a live actor and its
-//! counters. A phased run (`run_phased`) is a sequence of such diffusing
-//! computations separated by driver barriers, all under one report: the
-//! committee algorithms of `adn-core` run every mini-phase, their ring
-//! rebuilds included, as barriers of one run, so nothing runs nested in
-//! it.
+//! counters. A [`Run`] is a sequence of such diffusing computations under
+//! one report: [`Scheduler::start`] opens it, the caller issues each
+//! barrier ([`Run::barrier`]) and may rewrite actor state between two,
+//! and [`Run::finish`] returns the report. The committee algorithms of
+//! `adn-core` issue every mini-phase, their ring rebuilds included, as a
+//! barrier of one run, so nothing runs nested in it; [`Scheduler::run`]
+//! is a run of one barrier.
 //!
 //! Edge operations requested by a handler ([`Context::activate`] /
 //! [`Context::deactivate`]) are staged and committed through the
@@ -60,8 +62,8 @@ pub mod termination;
 
 pub use actor::{AsyncProgram, Context, Envelope};
 pub use flood::FloodActor;
-pub use free::FreeScheduler;
-pub use seeded::SeededScheduler;
+pub use free::{FreeRun, FreeScheduler};
+pub use seeded::{SeededRun, SeededScheduler};
 
 use adn_sim::dst::Scenario;
 use adn_sim::network::Network;
@@ -111,8 +113,21 @@ pub enum Scheduler {
 }
 
 impl Scheduler {
+    /// Starts a run of `n` actors (actor `i` is node `i`) on `network`,
+    /// checking `n` against the network's node count once.
+    ///
+    /// # Errors
+    ///
+    /// As the chosen scheduler's `start`.
+    pub fn start<M>(&self, network: &Network, n: usize) -> Result<Run<M>, RuntimeError> {
+        Ok(match self {
+            Scheduler::Seeded(s) => Run::Seeded(Box::new(s.start(network, n)?)),
+            Scheduler::Free(f) => Run::Free(f.start(network, n)?),
+        })
+    }
+
     /// Runs `programs` (actor `i` is node `i`) to Dijkstra–Scholten
-    /// quiescence on `network`.
+    /// quiescence on `network`: a run of one barrier.
     ///
     /// # Errors
     ///
@@ -127,29 +142,52 @@ impl Scheduler {
             Scheduler::Free(f) => f.run(network, programs),
         }
     }
+}
 
-    /// Runs `programs` in driver-delimited phases; see
-    /// [`SeededScheduler::run_phased`].
+/// An asynchronous run whose barriers the caller issues (see
+/// [`Scheduler::start`]); `M` is its actors' message type.
+pub enum Run<M> {
+    /// A run on the seeded scheduler (see [`SeededRun`]).
+    Seeded(Box<SeededRun<M>>),
+    /// A run on the free scheduler (see [`FreeRun`]).
+    Free(FreeRun),
+}
+
+impl<M> Run<M> {
+    /// Re-sends `Start` to every live actor of `programs` and runs one
+    /// diffusing computation to Dijkstra–Scholten quiescence.
     ///
     /// # Errors
     ///
-    /// Whatever the driver raises, plus every [`RuntimeError`] the chosen
-    /// scheduler can raise.
-    pub fn run_phased<P, E, F>(
-        &self,
+    /// As the chosen run's `barrier`.
+    pub fn barrier<P: AsyncProgram<Message = M>>(
+        &mut self,
         network: &mut Network,
         programs: &mut [P],
-        driver: F,
-    ) -> Result<RuntimeReport, E>
-    where
-        P: AsyncProgram,
-        E: From<RuntimeError>,
-        F: FnMut(&mut Network, &mut [P], usize) -> Result<bool, E>,
-    {
+    ) -> Result<(), RuntimeError> {
         match self {
-            Scheduler::Seeded(s) => s.run_phased(network, programs, driver),
-            Scheduler::Free(f) => f.run_phased(network, programs, driver),
+            Run::Seeded(s) => s.barrier(network, programs),
+            Run::Free(f) => f.barrier(network, programs),
         }
+    }
+
+    /// Ends the run and returns its one report.
+    pub fn finish(self) -> RuntimeReport {
+        match self {
+            Run::Seeded(s) => s.finish(),
+            Run::Free(f) => f.finish(),
+        }
+    }
+}
+
+/// `InvalidInput` unless a barrier's `programs` count is the run's `n`.
+pub(crate) fn check_barrier(programs: usize, n: usize) -> Result<(), RuntimeError> {
+    if programs == n {
+        Ok(())
+    } else {
+        Err(RuntimeError::InvalidInput {
+            reason: format!("{programs} programs for a run of {n} actors"),
+        })
     }
 }
 
@@ -331,6 +369,22 @@ mod tests {
         fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut Context<()>) {}
     }
 
+    fn chords(n: usize) -> Vec<Chord> {
+        (0..n).map(|_| Chord { n }).collect()
+    }
+
+    fn counters(r: &RuntimeReport) -> [usize; 7] {
+        [
+            r.steps,
+            r.app_messages,
+            r.acks,
+            r.commits,
+            r.activations,
+            r.deactivations,
+            r.in_flight_at_detection,
+        ]
+    }
+
     #[test]
     fn both_schedulers_report_the_same_counters() {
         let n = 12;
@@ -345,26 +399,67 @@ mod tests {
             Scheduler::Free(FreeScheduler::new(1)),
             Scheduler::Free(FreeScheduler::new(3)),
         ] {
+            // Two one-barrier runs on one network: n starts, 2n messages
+            // and their 2n acks each; one commit per start, which activates
+            // its edge the first time and finds it present the second.
             let mut network = Network::new(adn_graph::generators::ring(n));
-            let mut programs: Vec<Chord> = (0..n).map(|_| Chord { n }).collect();
-            let r = scheduler.run(&mut network, &mut programs).expect("run");
-            // n starts, 2n messages and their 2n acks; one commit of one
-            // activation per start.
+            let mut programs = chords(n);
+            let first = scheduler.run(&mut network, &mut programs).expect("run");
+            let second = scheduler.run(&mut network, &mut programs).expect("run");
             assert_eq!(
-                (
-                    r.steps,
-                    r.app_messages,
-                    r.acks,
-                    r.commits,
-                    r.activations,
-                    r.deactivations,
-                    r.in_flight_at_detection
-                ),
-                (5 * n, 2 * n, 2 * n, n, n, 0, 0),
+                counters(&first),
+                [5 * n, 2 * n, 2 * n, n, n, 0, 0],
+                "{scheduler:?}"
+            );
+            assert_eq!(
+                counters(&second),
+                [5 * n, 2 * n, 2 * n, n, 0, 0, 0],
                 "{scheduler:?}"
             );
             assert_eq!(network.graph().edge_count(), 2 * n, "{scheduler:?}");
+
+            // A run of the same two barriers counts their sum.
+            let mut network = Network::new(adn_graph::generators::ring(n));
+            let mut run = scheduler.start(&network, n).expect("start");
+            run.barrier(&mut network, &mut programs).expect("barrier");
+            run.barrier(&mut network, &mut programs).expect("barrier");
+            let mut sum = first.clone();
+            sum.add_counts(&second);
+            assert_eq!(counters(&run.finish()), counters(&sum), "{scheduler:?}");
+            assert_eq!(network.graph().edge_count(), 2 * n, "{scheduler:?}");
         }
+    }
+
+    #[test]
+    fn runs_check_their_actor_count() {
+        let n = 6;
+        let mut network = Network::new(adn_graph::generators::ring(n));
+        let mut programs = chords(n);
+        for scheduler in [
+            Scheduler::Seeded(SeededScheduler::new(1)),
+            Scheduler::Free(FreeScheduler::new(2)),
+        ] {
+            let short = scheduler.start::<()>(&network, n - 1);
+            assert!(
+                matches!(short, Err(RuntimeError::InvalidInput { .. })),
+                "{scheduler:?}"
+            );
+            let mut run = scheduler.start(&network, n).expect("start");
+            let err = run.barrier(&mut network, &mut programs[1..]).unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::InvalidInput { .. }),
+                "{scheduler:?}"
+            );
+            run.barrier(&mut network, &mut programs).expect("barrier");
+            assert_eq!(run.finish().app_messages, 2 * n, "{scheduler:?}");
+        }
+        // Only the free scheduler rejects a run of no actors.
+        let empty = Network::new(adn_graph::Graph::new(0));
+        assert!(SeededScheduler::new(1).start::<()>(&empty, 0).is_ok());
+        assert!(matches!(
+            FreeScheduler::new(1).start(&empty, 0),
+            Err(RuntimeError::InvalidInput { .. })
+        ));
     }
 
     #[test]

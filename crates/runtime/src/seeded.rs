@@ -11,15 +11,16 @@
 //! seeded with a single `u64`, so a run is a pure function of
 //! `(network, programs, seed, knobs)` and replays byte-identically — the
 //! network's DST adversary, when one is armed, included: it draws from
-//! its own seeded stream at each commit. A phased run keeps one RNG
-//! stream and one step counter across all of its barriers. Each step is
-//! the shared [`deliver`](crate::termination) step; this module adds the
-//! timeline, the retirement of actors the adversary crashes and the
-//! answers mail to a node without a live actor gets.
+//! its own seeded stream at each commit. A [`SeededRun`] keeps one
+//! timeline, RNG stream, clock and step counter across all of its
+//! barriers. Each step is the shared [`deliver`](crate::termination)
+//! step; this module adds the timeline, the retirement of actors the
+//! adversary crashes and the answers mail to a node without a live actor
+//! gets.
 
 use crate::actor::{AsyncProgram, Context, Envelope};
 use crate::termination::{commit_ops, deliver, sign_off, DsState, Transport};
-use crate::{AsyncKnobs, RuntimeError, RuntimeReport};
+use crate::{check_barrier, AsyncKnobs, RuntimeError, RuntimeReport};
 use adn_graph::rng::DetRng;
 use adn_graph::NodeId;
 use adn_sim::network::Network;
@@ -240,164 +241,221 @@ impl SeededScheduler {
         (z ^ (z >> 31)) as usize % span
     }
 
+    /// Starts a run of `n` actors (actor `i` is node `i`) on `network`.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::InvalidInput`] unless `n` is the network's node
+    /// count.
+    pub fn start<M>(&self, network: &Network, n: usize) -> Result<SeededRun<M>, RuntimeError> {
+        if network.node_count() != n {
+            return Err(RuntimeError::InvalidInput {
+                reason: format!("{n} programs for {} nodes", network.node_count()),
+            });
+        }
+        Ok(SeededRun {
+            wire: Wire {
+                scheduler: self.clone(),
+                timeline: Timeline::new(),
+                rng: DetRng::seed_from_u64(self.seed),
+                now: 0,
+                root_deficit: 0,
+            },
+            ds: vec![DsState::default(); n],
+            crashed: vec![false; n],
+            started: vec![false; n],
+            report: RuntimeReport::empty("seeded", Some(self.seed), None, n),
+            ctx: Context::new(NodeId(0)),
+        })
+    }
+
     /// Runs `programs` (actor `i` is node `i`) to Dijkstra–Scholten
-    /// quiescence on `network`.
+    /// quiescence on `network`: a run of one barrier.
+    ///
+    /// # Errors
+    ///
+    /// As [`start`](Self::start) and [`SeededRun::barrier`].
     pub fn run<P: AsyncProgram>(
         &self,
         network: &mut Network,
         programs: &mut [P],
     ) -> Result<RuntimeReport, RuntimeError> {
-        self.run_phased(network, programs, |_, _, phase| {
-            Ok::<bool, RuntimeError>(phase == 0)
-        })
-    }
-
-    /// Runs `programs` in driver-delimited phases: before each phase the
-    /// `driver` closure is called with the network, the actors and the
-    /// phase index; it may rewrite actor state (common-knowledge
-    /// orchestration between barriers) and returns whether another phase
-    /// should run. Each phase re-sends `Start` to every live actor and
-    /// runs to Dijkstra–Scholten quiescence; one RNG stream spans all
-    /// phases, so a phased run replays byte-identically from the seed.
-    ///
-    /// On a network armed with the DST adversary, faults land at the
-    /// commits' round boundaries. After each delivery that committed, every
-    /// actor whose node the adversary crashed is retired: its deficit is
-    /// forgiven and its engagement signed off on its behalf. Mail to a node
-    /// without a live actor (crashed, or joined after the run started) is
-    /// answered by the scheduler: a start releases its root obligation, an
-    /// application message is acknowledged (the sender's deficit still
-    /// drains) and an ack is dropped. Termination detection stays exact
-    /// for the live part of the system —
-    /// [`RuntimeReport::in_flight_at_detection`] counts only messages
-    /// destined to live actors.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the driver raises, plus every [`RuntimeError`] a
-    /// single-phase run can raise (converted via `E: From<RuntimeError>`).
-    pub fn run_phased<P, E, F>(
-        &self,
-        network: &mut Network,
-        programs: &mut [P],
-        mut driver: F,
-    ) -> Result<RuntimeReport, E>
-    where
-        P: AsyncProgram,
-        E: From<RuntimeError>,
-        F: FnMut(&mut Network, &mut [P], usize) -> Result<bool, E>,
-    {
-        let n = programs.len();
-        if network.node_count() != n {
-            return Err(E::from(RuntimeError::InvalidInput {
-                reason: format!("{n} programs for {} nodes", network.node_count()),
-            }));
-        }
-        let window = self.knobs.reorder_window.max(1);
-        let mut wire = Wire {
-            scheduler: self,
-            network,
-            timeline: Timeline::new(),
-            rng: DetRng::seed_from_u64(self.seed),
-            now: 0,
-            root_deficit: 0,
-        };
-        let mut ds: Vec<DsState> = vec![DsState::default(); n];
-        let mut crashed = vec![false; n];
-        let mut started = vec![false; n];
-        let mut report = RuntimeReport::empty("seeded", Some(self.seed), None, n);
-        let mut ctx: Context<P::Message> = Context::new(NodeId(0));
-
-        let mut phase = 0usize;
-        while driver(wire.network, programs, phase)? {
-            started.fill(false);
-            for i in (0..n).filter(|&i| !crashed[i]) {
-                wire.enqueue(None, NodeId(i), Envelope::Start);
-                wire.root_deficit += 1;
-            }
-            while wire.root_deficit > 0 {
-                if report.steps >= self.max_steps {
-                    return Err(E::from(RuntimeError::DidNotQuiesce {
-                        steps: report.steps,
-                    }));
-                }
-                // Deliver one of the first `window` entries in readiness
-                // order, picked uniformly; with window 1 no RNG is consumed,
-                // so the default knobs add zero draws to the stream.
-                let candidates = window.min(wire.timeline.len());
-                let pick = if candidates > 1 {
-                    wire.rng.gen_range(0, candidates)
-                } else {
-                    0
-                };
-                let Some((ready_at, (node, env))) = wire.timeline.remove_nth(pick) else {
-                    // Unreachable by the Dijkstra–Scholten invariant (an
-                    // engaged node with zero deficit disengages at its last
-                    // delivery), kept as a loud failure rather than a hang.
-                    return Err(E::from(RuntimeError::DidNotQuiesce {
-                        steps: report.steps,
-                    }));
-                };
-                wire.now = wire.now.max(ready_at);
-                report.steps += 1;
-
-                if crashed.get(node.index()) != Some(&false) {
-                    // The scheduler answers mail to a node without a live
-                    // actor: starts release their root obligation,
-                    // application messages are acked so the sender's
-                    // deficit drains, acks are dropped (the deficit they
-                    // would pay was forgiven).
-                    match env {
-                        Envelope::Start => wire.root_deficit -= 1,
-                        Envelope::App { from, .. } => wire.enqueue(Some(node), from, Envelope::Ack),
-                        Envelope::Ack => {}
-                    }
-                    continue;
-                }
-                if matches!(env, Envelope::Start) {
-                    debug_assert!(!started[node.index()], "duplicate start");
-                    started[node.index()] = true;
-                }
-                let commits = report.commits;
-                deliver(
-                    &mut programs[node.index()],
-                    &mut ds[node.index()],
-                    &mut ctx,
-                    node,
-                    env,
-                    &mut wire,
-                    &mut report,
-                )
-                .map_err(|e| E::from(RuntimeError::Sim(e)))?;
-                if report.commits != commits {
-                    wire.retire_crashed(&mut ds, &mut crashed);
-                }
-            }
-            phase += 1;
-        }
-        // Leftovers can only be acks destined to crashed nodes; everything
-        // aimed at a live actor holds up a deficit somewhere.
-        report.in_flight_at_detection = wire
-            .timeline
-            .iter()
-            .filter(|(to, _)| crashed.get(to.index()) == Some(&false))
-            .count();
-        Ok(report)
+        let mut run = self.start(network, programs.len())?;
+        run.barrier(network, programs)?;
+        Ok(run.finish())
     }
 }
 
-/// The seeded scheduler's transport: the timeline, the RNG stream that
-/// perturbs it, the clock and the root's deficit.
-struct Wire<'a, M> {
-    scheduler: &'a SeededScheduler,
-    network: &'a mut Network,
+/// A seeded run in progress (see [`SeededScheduler::start`]). Its
+/// timeline, RNG stream and clock, every actor's Dijkstra–Scholten state
+/// and its report carry over from one barrier to the next, so a run of
+/// many barriers replays byte-identically from the seed.
+pub struct SeededRun<M> {
+    wire: Wire<M>,
+    ds: Vec<DsState>,
+    crashed: Vec<bool>,
+    started: Vec<bool>,
+    report: RuntimeReport,
+    ctx: Context<M>,
+}
+
+impl<M> SeededRun<M> {
+    /// Re-sends `Start` to every live actor of `programs` and runs one
+    /// diffusing computation to Dijkstra–Scholten quiescence.
+    ///
+    /// On a network armed with the DST adversary, faults land at the
+    /// commits' round boundaries. After each delivery that committed, every
+    /// actor whose node the adversary crashed is retired for the rest of
+    /// the run: its deficit is forgiven and its engagement signed off on
+    /// its behalf. Mail to a node without a live actor (crashed, or joined
+    /// after the run started) is answered by the scheduler: a start
+    /// releases its root obligation, an application message is
+    /// acknowledged (the sender's deficit still drains) and an ack is
+    /// dropped. Termination detection stays exact for the live part of the
+    /// system — [`RuntimeReport::in_flight_at_detection`] counts only
+    /// messages destined to live actors.
+    ///
+    /// # Errors
+    ///
+    /// * [`RuntimeError::InvalidInput`] if `programs` is not one actor per
+    ///   node of the run, or if an earlier barrier failed before
+    ///   quiescence (its messages are still in flight).
+    /// * [`RuntimeError::DidNotQuiesce`] once the run has used up the
+    ///   scheduler's step budget.
+    /// * [`RuntimeError::Sim`] for an edge operation the network rejected.
+    pub fn barrier<P: AsyncProgram<Message = M>>(
+        &mut self,
+        network: &mut Network,
+        programs: &mut [P],
+    ) -> Result<(), RuntimeError> {
+        check_barrier(programs.len(), self.ds.len())?;
+        if self.wire.root_deficit > 0 {
+            return Err(RuntimeError::InvalidInput {
+                reason: "an earlier barrier of this run failed before quiescence".into(),
+            });
+        }
+        let max_steps = self.wire.scheduler.max_steps;
+        let window = self.wire.scheduler.knobs.reorder_window.max(1);
+        let mut link = Link {
+            wire: &mut self.wire,
+            network,
+        };
+        self.started.fill(false);
+        for i in (0..programs.len()).filter(|&i| !self.crashed[i]) {
+            link.wire.enqueue(None, NodeId(i), Envelope::Start);
+            link.wire.root_deficit += 1;
+        }
+        while link.wire.root_deficit > 0 {
+            let report = &mut self.report;
+            if report.steps >= max_steps {
+                return Err(RuntimeError::DidNotQuiesce {
+                    steps: report.steps,
+                });
+            }
+            // Deliver one of the first `window` entries in readiness
+            // order, picked uniformly; with window 1 no RNG is consumed,
+            // so the default knobs add zero draws to the stream.
+            let wire = &mut *link.wire;
+            let candidates = window.min(wire.timeline.len());
+            let pick = if candidates > 1 {
+                wire.rng.gen_range(0, candidates)
+            } else {
+                0
+            };
+            let Some((ready_at, (node, env))) = wire.timeline.remove_nth(pick) else {
+                // Unreachable by the Dijkstra–Scholten invariant (an
+                // engaged node with zero deficit disengages at its last
+                // delivery), kept as a loud failure rather than a hang.
+                return Err(RuntimeError::DidNotQuiesce {
+                    steps: report.steps,
+                });
+            };
+            wire.now = wire.now.max(ready_at);
+            report.steps += 1;
+
+            if self.crashed.get(node.index()) != Some(&false) {
+                // The scheduler answers mail to a node without a live
+                // actor: starts release their root obligation,
+                // application messages are acked so the sender's deficit
+                // drains, acks are dropped (the deficit they would pay was
+                // forgiven).
+                match env {
+                    Envelope::Start => wire.root_deficit -= 1,
+                    Envelope::App { from, .. } => wire.enqueue(Some(node), from, Envelope::Ack),
+                    Envelope::Ack => {}
+                }
+                continue;
+            }
+            if matches!(env, Envelope::Start) {
+                debug_assert!(!self.started[node.index()], "duplicate start");
+                self.started[node.index()] = true;
+            }
+            let commits = report.commits;
+            deliver(
+                &mut programs[node.index()],
+                &mut self.ds[node.index()],
+                &mut self.ctx,
+                node,
+                env,
+                &mut link,
+                report,
+            )?;
+            if report.commits != commits {
+                link.retire_crashed(&mut self.ds, &mut self.crashed);
+            }
+        }
+        Ok(())
+    }
+
+    /// Ends the run and returns its report.
+    pub fn finish(self) -> RuntimeReport {
+        let mut report = self.report;
+        // Leftovers can only be acks destined to crashed nodes; everything
+        // aimed at a live actor holds up a deficit somewhere.
+        report.in_flight_at_detection = self
+            .wire
+            .timeline
+            .iter()
+            .filter(|(to, _)| self.crashed.get(to.index()) == Some(&false))
+            .count();
+        report
+    }
+}
+
+/// The seeded scheduler's transport state, carried across a run's
+/// barriers: the timeline, the RNG stream that perturbs it, the clock and
+/// the root's deficit.
+struct Wire<M> {
+    scheduler: SeededScheduler,
     timeline: Timeline<(NodeId, Envelope<M>)>,
     rng: DetRng,
     now: usize,
     root_deficit: usize,
 }
 
-impl<M> Wire<'_, M> {
+impl<M> Wire<M> {
+    /// Schedules `env` for `to` after the link's base latency (none for
+    /// the root's starts) plus a jitter draw when delays are on.
+    fn enqueue(&mut self, from: Option<NodeId>, to: NodeId, env: Envelope<M>) {
+        let knobs = &self.scheduler.knobs;
+        let jitter = if knobs.max_link_delay > 0 {
+            self.rng.gen_range(0, knobs.max_link_delay + 1)
+        } else {
+            0
+        };
+        let base = from.map_or(0, |f| self.scheduler.link_base(f, to));
+        self.timeline.push(self.now + 1 + base + jitter, (to, env));
+    }
+}
+
+/// One barrier's transport: the run's wire and the network its handlers
+/// commit to.
+struct Link<'a, M> {
+    wire: &'a mut Wire<M>,
+    network: &'a mut Network,
+}
+
+impl<M> Link<'_, M> {
     /// Retires every actor whose node the network's DST adversary has
     /// crashed and that is not yet marked `crashed`: marks it, forgives its
     /// deficit and signs off its engagement on its behalf. An unarmed
@@ -420,28 +478,15 @@ impl<M> Wire<'_, M> {
             }
         }
     }
-
-    /// Schedules `env` for `to` after the link's base latency (none for
-    /// the root's starts) plus a jitter draw when delays are on.
-    fn enqueue(&mut self, from: Option<NodeId>, to: NodeId, env: Envelope<M>) {
-        let knobs = &self.scheduler.knobs;
-        let jitter = if knobs.max_link_delay > 0 {
-            self.rng.gen_range(0, knobs.max_link_delay + 1)
-        } else {
-            0
-        };
-        let base = from.map_or(0, |f| self.scheduler.link_base(f, to));
-        self.timeline.push(self.now + 1 + base + jitter, (to, env));
-    }
 }
 
-impl<M> Transport<M> for Wire<'_, M> {
+impl<M> Transport<M> for Link<'_, M> {
     fn send(&mut self, from: NodeId, to: NodeId, env: Envelope<M>) {
-        self.enqueue(Some(from), to, env);
+        self.wire.enqueue(Some(from), to, env);
     }
 
     fn sign_off_root(&mut self) {
-        self.root_deficit -= 1;
+        self.wire.root_deficit -= 1;
     }
 
     fn commit(&mut self, ctx: &mut Context<M>, report: &mut RuntimeReport) -> Result<(), SimError> {
@@ -506,6 +551,8 @@ mod tests {
 
     #[test]
     fn replays_byte_identically() {
+        // Runs of two barriers: the second starts from the first's
+        // timeline, clock and RNG stream.
         let graph = generators::line(9);
         for seed in [0u64, 1, 42, 0xDEAD_BEEF] {
             let knobs = AsyncKnobs {
@@ -517,11 +564,15 @@ mod tests {
                 .map(|_| {
                     let mut network = Network::new(graph.clone());
                     let mut programs = countdown_programs(&graph, 4, 6);
-                    SeededScheduler::new(seed)
-                        .with_knobs(knobs)
-                        .run(&mut network, &mut programs)
-                        .expect("run")
-                        .render()
+                    let scheduler = SeededScheduler::new(seed).with_knobs(knobs);
+                    let mut run = scheduler.start(&network, 9).expect("start");
+                    run.barrier(&mut network, &mut programs).expect("barrier");
+                    run.barrier(&mut network, &mut programs).expect("barrier");
+                    let report = run.finish();
+                    // Node 4 counts 6 down with each of its two neighbours,
+                    // once per barrier.
+                    assert_eq!(report.app_messages, 24);
+                    report.render()
                 })
                 .collect();
             assert_eq!(render[0], render[1], "seed {seed} diverged");
@@ -545,11 +596,16 @@ mod tests {
         let graph = generators::line(2);
         let mut network = Network::new(graph.clone());
         let mut programs = countdown_programs(&graph, 0, 1_000_000);
-        let err = SeededScheduler::new(0)
+        let mut run = SeededScheduler::new(0)
             .with_max_steps(50)
-            .run(&mut network, &mut programs)
-            .unwrap_err();
+            .start(&network, 2)
+            .expect("start");
+        let err = run.barrier(&mut network, &mut programs).unwrap_err();
         assert!(matches!(err, RuntimeError::DidNotQuiesce { steps: 50 }));
+        // The failed barrier left its messages in flight, so the run takes
+        // no further barrier.
+        let again = run.barrier(&mut network, &mut programs).unwrap_err();
+        assert!(matches!(again, RuntimeError::InvalidInput { .. }));
     }
 
     /// A sorted `Vec` of `(ready_at, seq)` is the reference for the

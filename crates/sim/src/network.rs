@@ -297,6 +297,20 @@ impl Network {
     ///   common neighbour in the snapshot at the beginning of this round
     ///   (the distance-2 rule of Section 2.1).
     pub fn stage_activation(&mut self, u: NodeId, v: NodeId) -> Result<bool, SimError> {
+        self.stage_witnessed(u, v, None)
+    }
+
+    /// Stages the activation of `{u, v}` by `u` with the checks and
+    /// results of [`Network::stage_activation`]. A `witness` claimed to
+    /// neighbour both endpoints settles the distance-2 rule with two
+    /// adjacency probes; only a missing or stale one pays for the
+    /// common-neighbour merge scan.
+    fn stage_witnessed(
+        &mut self,
+        u: NodeId,
+        v: NodeId,
+        witness: Option<NodeId>,
+    ) -> Result<bool, SimError> {
         self.check_node(u)?;
         self.check_node(v)?;
         if u == v {
@@ -306,30 +320,28 @@ impl Network {
             return Ok(false);
         }
         // Distance-2 rule: `u != v` and non-adjacency are already
-        // established, so the common-neighbour probe alone decides it.
-        if self.current.common_neighbor(u, v).is_none() {
+        // established, so a common neighbour alone decides it.
+        let witnessed = witness.is_some_and(|w| {
+            w != u && w != v && self.current.has_edge(u, w) && self.current.has_edge(w, v)
+        });
+        if !witnessed && self.current.common_neighbor(u, v).is_none() {
             return Err(SimError::NotPotentialNeighbors {
                 u,
                 v,
                 round: self.round,
             });
         }
-        Ok(self.push_activation(Edge::new(u, v), u))
-    }
-
-    /// Stages the validated activation `e` by `initiator` unless it is
-    /// already staged. Returns whether it was newly staged.
-    fn push_activation(&mut self, e: Edge, initiator: NodeId) -> bool {
+        let e = Edge::new(u, v);
         if !self.staged_activation_set.insert(e) {
-            return false;
+            return Ok(false);
         }
         self.staged_activations.push(e);
-        let stages = &mut self.initiator_stages[initiator.index()];
+        let stages = &mut self.initiator_stages[u.index()];
         if *stages == 0 {
-            self.staged_initiators.push(initiator);
+            self.staged_initiators.push(u);
         }
         *stages += 1;
-        true
+        Ok(true)
     }
 
     /// Stages the deactivation of edge `{u, v}` for the current round.
@@ -360,10 +372,9 @@ impl Network {
     }
 
     /// Stages a whole jump wave in one call: a column of witnessed
-    /// activations and a column of deactivations, validated and staged in
-    /// a single pass. Semantically identical to calling
-    /// [`Network::stage_activation`] for every wave entry and then
-    /// [`Network::stage_deactivation`] for every edge of
+    /// activations, then a column of deactivations. Semantically identical
+    /// to calling [`Network::stage_activation`] for every wave entry and
+    /// then [`Network::stage_deactivation`] for every edge of
     /// `deactivations`, but each activation's distance-2 check is two
     /// adjacency probes against the supplied witness instead of a
     /// common-neighbour merge scan (with the full scan as fallback for a
@@ -383,47 +394,10 @@ impl Network {
     ) -> Result<usize, SimError> {
         let mut staged = 0usize;
         for w in activations {
-            let (u, v) = (w.initiator, w.target);
-            self.check_node(u)?;
-            self.check_node(v)?;
-            if u == v {
-                return Err(SimError::SelfLoop { node: u });
-            }
-            if self.current.has_edge(u, v) {
-                continue;
-            }
-            // Distance-2 rule, witness-first: two binary probes confirm
-            // the claimed common neighbour; only a stale witness pays for
-            // the general merge scan before rejecting.
-            let witnessed = w.witness != u
-                && w.witness != v
-                && self.current.has_edge(u, w.witness)
-                && self.current.has_edge(w.witness, v);
-            if !witnessed && self.current.common_neighbor(u, v).is_none() {
-                return Err(SimError::NotPotentialNeighbors {
-                    u,
-                    v,
-                    round: self.round,
-                });
-            }
-            if self.push_activation(Edge::new(u, v), u) {
-                staged += 1;
-            }
+            staged += usize::from(self.stage_witnessed(w.initiator, w.target, Some(w.witness))?);
         }
-        for &e in deactivations {
-            self.check_node(e.a)?;
-            self.check_node(e.b)?;
-            if e.a == e.b {
-                return Err(SimError::SelfLoop { node: e.a });
-            }
-            if !self.current.has_edge(e.a, e.b) {
-                continue;
-            }
-            let canonical = Edge::new(e.a, e.b);
-            if self.staged_deactivation_set.insert(canonical) {
-                self.staged_deactivations.push(canonical);
-                staged += 1;
-            }
+        for e in deactivations {
+            staged += usize::from(self.stage_deactivation(e.a, e.b)?);
         }
         Ok(staged)
     }
