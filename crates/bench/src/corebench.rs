@@ -14,7 +14,7 @@
 use crate::harness::{Bench, Sample};
 use adn_analysis::stress::json_escape;
 use adn_core::algorithm::{self, EngineMode, RunConfig};
-use adn_core::committee::CommitteeForest;
+use adn_core::committee::{CommitteeForest, CommitteeId, SelectionForest};
 use adn_core::subroutines::{run_runtime_line_to_tree, LineToTreeConfig};
 use adn_graph::rng::DetRng;
 use adn_graph::{generators, BitRow, BitRows, Edge, Graph, NodeId, UidAssignment, UidMap};
@@ -368,7 +368,6 @@ fn bench_algorithms(bench: &mut Bench, quick: bool) {
 /// `n` nodes, members distributed round-robin (every committee keeps its
 /// smallest slot as leader — the shape a few merge phases produce).
 fn mid_merge_forest(n: usize, committees: usize) -> CommitteeForest {
-    use adn_core::committee::CommitteeId;
     let mut forest = CommitteeForest::singletons(n);
     let merges: Vec<(CommitteeId, CommitteeId)> = (committees..n)
         .map(|i| (CommitteeId(i), CommitteeId(i % committees)))
@@ -378,46 +377,40 @@ fn mid_merge_forest(n: usize, committees: usize) -> CommitteeForest {
 }
 
 fn bench_committee(bench: &mut Bench, quick: bool) {
-    // Quick mode uses n = 512: at n = 256 the adjacency row reads about
-    // 95–110 µs, at the `--check` noise floor.
-    let n = if quick { 512 } else { 1024 };
+    // Quick mode uses n = 8192: the one-pass selection reads about 10 µs
+    // at n = 512 and 130 µs at n = 4096, too near the `--check` noise
+    // floor of 100 µs.
+    let n = if quick { 8192 } else { 32768 };
     let g = scratch_graph(n, 4 * n, 0xC033);
+    let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 0xC033 });
     let committees = (n / 8).max(2);
     let forest = mid_merge_forest(n, committees);
     bench.measure(
-        &format!("committee/adjacency n={n} committees={committees}"),
+        &format!("committee/select n={n} committees={committees}"),
         || {
-            let adj = forest.committee_adjacency(&g);
-            assert!(adj.row_count() > 0);
+            let choices = forest.select_largest_uid_neighbors(&g, &uids, |_| true);
+            assert!(choices.iter().any(Option::is_some));
         },
     );
 
-    // A full merge cascade: rebuild the adjacency and halve the committee
-    // count until one remains — the structural work of a committee
-    // algorithm's phase loop, without the edge operations.
-    bench.measure(&format!("committee/merge_cascade n={n}"), || {
+    // A full merge cascade: every committee selects over the snapshot and
+    // each selection tree merges into its root, until one committee
+    // remains — the structural work of the wreath engine's phase loop,
+    // without the edge operations.
+    bench.measure(&format!("committee/selection_cascade n={n}"), || {
         let mut forest = CommitteeForest::singletons(n);
         while forest.live_count() > 1 {
-            let adj = forest.committee_adjacency(&g);
-            let mut merged = vec![false; forest.slot_count()];
-            let mut merges = Vec::new();
-            for &cid in forest.live_ids() {
-                if merged[cid.index()] {
-                    continue;
-                }
-                // Merge into the first neighbouring committee that is
-                // still unmerged this phase (deterministic row order).
-                let target = adj
-                    .neighbors(cid)
-                    .iter()
-                    .map(|r| r.other)
-                    .find(|o| !merged[o.index()] && *o != cid);
-                if let Some(t) = target {
-                    merged[cid.index()] = true;
-                    merged[t.index()] = true;
-                    merges.push((cid, t));
-                }
-            }
+            let choices = forest.select_largest_uid_neighbors(&g, &uids, |_| true);
+            let selections: Vec<(CommitteeId, CommitteeId)> = forest
+                .live_ids()
+                .iter()
+                .filter_map(|&c| choices[c.index()].map(|(target, _, _)| (c, target)))
+                .collect();
+            let sel = SelectionForest::new(&forest, &selections);
+            let merges: Vec<(CommitteeId, CommitteeId)> = selections
+                .iter()
+                .map(|&(c, _)| (c, sel.root_of(c)))
+                .collect();
             forest.absorb_batch(&merges);
         }
         assert_eq!(forest.live_count(), 1);
@@ -1140,10 +1133,10 @@ mod tests {
         bench_committee(&mut bench, true);
         let samples = bench.take_samples();
         let labels: Vec<&str> = samples.iter().map(|s| s.label.as_str()).collect();
-        assert!(labels.iter().any(|l| l.starts_with("committee/adjacency")));
+        assert!(labels.iter().any(|l| l.starts_with("committee/select ")));
         assert!(labels
             .iter()
-            .any(|l| l.starts_with("committee/merge_cascade")));
+            .any(|l| l.starts_with("committee/selection_cascade")));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::algorithm::{validate_input, CentralizedConfig, RunConfig};
 use crate::{CoreError, TransformationOutcome};
-use adn_graph::traversal::{bfs_spanning_tree, euler_tour};
+use adn_graph::traversal::{bfs_parents, bfs_spanning_tree, euler_tour};
 use adn_graph::{Edge, Graph, NodeId, UidMap};
 use adn_sim::{Network, WaveActivation};
 
@@ -150,17 +150,15 @@ pub(crate) fn execute_general(
         // low-diameter graph rooted at `root`. The network can only be
         // disconnected here if the environment (a DST fault) severed it
         // mid-run; surface that as a clean error, not a panic.
-        let bfs =
-            bfs_spanning_tree(network.graph(), root).ok_or_else(|| CoreError::InvalidInput {
-                reason: "network disconnected before the prune round (environment fault)"
-                    .to_string(),
-            })?;
+        let parent = bfs_parents(network.graph(), root).ok_or_else(|| CoreError::InvalidInput {
+            reason: "network disconnected before the prune round (environment fault)".to_string(),
+        })?;
         // The tree's edges are the {u, parent(u)} pairs: every other edge
         // of the snapshot is dropped, in one column.
         let drops: Vec<Edge> = network
             .graph()
             .edges()
-            .filter(|e| bfs.parent(e.a) != Some(e.b) && bfs.parent(e.b) != Some(e.a))
+            .filter(|e| parent[e.a.index()] != Some(e.b) && parent[e.b.index()] != Some(e.a))
             .collect();
         network.stage_jump_wave(&[], &drops)?;
         network.commit_round();

@@ -9,15 +9,17 @@
 //! each algorithm rebuilt that scaffolding per phase out of
 //! `BTreeMap<NodeId, Committee>` / nested-`BTreeMap` adjacency maps; now
 //! the partition lives in one arena — the [`CommitteeForest`] — with dense
-//! [`CommitteeId`] slots, flat membership columns, and a sort-based
-//! [`CommitteeAdjacency`] builder shared by every algorithm. As in the
-//! paper, where each committee learns its neighbouring committees from the
+//! [`CommitteeId`] slots and flat membership columns. As in the paper,
+//! where each committee learns its neighbouring committees from the
 //! current network at the start of every phase, the round engines call
-//! [`CommitteeForest::committee_adjacency`] on the phase's snapshot: one
-//! scan of the edge set per phase, with nothing carried over between
-//! phases. The pieces of a phase that every committee engine —
-//! round-based or actor-based — shares live here too: the largest-UID
-//! selection fold and the phase record with its convergence limit.
+//! [`CommitteeForest::select_largest_uid_neighbors`] on the phase's
+//! snapshot: one pass over the edge set per phase that folds every edge
+//! into its endpoints' selections, a per-committee extremum as in the
+//! phases of Borůvka's and Gallager–Humblet–Spira's MST algorithms, with
+//! nothing carried over between phases. The pieces of a phase that every
+//! committee engine — round-based or actor-based — shares live here too:
+//! the largest-UID selection rule ([`select_largest_uid`]) and the phase
+//! record with its convergence limit.
 //!
 //! Determinism contract: every accessor iterates in ascending slot order,
 //! and committee leaders never migrate between slots (an absorbing
@@ -246,118 +248,54 @@ impl CommitteeForest {
         self.drop_dead_from_live();
     }
 
-    /// Builds the committee adjacency of the current `graph`: for each
-    /// ordered pair of distinct neighbouring committees `(a, b)`, the
-    /// lexicographically smallest bridge `(x, y)` with `x ∈ a`, `y ∈ b`.
+    /// Every slot's selection over the committee adjacency of `graph`,
+    /// indexed by slot: for an alive committee `c`, the neighbouring
+    /// committee that satisfies `eligible` and whose leader UID is the
+    /// largest, and strictly larger than `c`'s, with the lexicographically
+    /// smallest bridge `(x, y)` into it (`x` in `c`, `y` in the target).
     ///
-    /// This is the builder previously copy-pasted between `graph_to_star`
-    /// and `graph_to_wreath` as a nested
-    /// `BTreeMap<NodeId, BTreeMap<NodeId, (NodeId, NodeId)>>`; here it is
-    /// one flat row collection + sort + dedup, with per-committee row
-    /// ranges resolved by a counting pass. Edges with an endpoint beyond
-    /// the tracked vertex set (churned-in nodes) are skipped, exactly as
-    /// before.
-    pub fn committee_adjacency(&self, graph: &Graph) -> CommitteeAdjacency {
-        let tracked = self.committee_of.len();
-        let mut raw: Vec<(usize, usize, NodeId, NodeId)> = Vec::new();
-        for e in graph.edges() {
-            // `e.b` is the larger endpoint, so checking it covers both.
-            if e.b.index() >= tracked {
-                continue;
-            }
-            let ca = self.committee_of[e.a.index()].index();
-            let cb = self.committee_of[e.b.index()].index();
-            if ca == cb {
-                continue;
-            }
-            raw.push((ca, cb, e.a, e.b));
-            raw.push((cb, ca, e.b, e.a));
-        }
-        // Sorting by (committee, other, x, y) puts the smallest bridge of
-        // every ordered pair first; dedup keeps exactly that row.
-        raw.sort_unstable();
-        raw.dedup_by(|next, prev| next.0 == prev.0 && next.1 == prev.1);
-        let slots = self.slot_count();
-        let mut offsets = vec![0usize; slots + 1];
-        for r in &raw {
-            offsets[r.0 + 1] += 1;
-        }
-        for i in 0..slots {
-            offsets[i + 1] += offsets[i];
-        }
-        let rows = raw
-            .into_iter()
-            .map(|(_, other, x, y)| CommitteeNeighbor {
-                other: CommitteeId(other),
-                bridge_local: x,
-                bridge_remote: y,
-            })
-            .collect();
-        CommitteeAdjacency { rows, offsets }
-    }
-}
-
-/// One neighbouring committee in a [`CommitteeAdjacency`] row range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommitteeNeighbor {
-    /// The neighbouring committee.
-    pub other: CommitteeId,
-    /// Bridge endpoint inside the committee the row belongs to.
-    pub bridge_local: NodeId,
-    /// Bridge endpoint inside `other` (adjacent to `bridge_local`).
-    pub bridge_remote: NodeId,
-}
-
-/// The committee-level adjacency of one network snapshot: a flat,
-/// row-sorted columnar structure (rows ordered by committee, then by
-/// neighbouring committee) with per-slot offsets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommitteeAdjacency {
-    rows: Vec<CommitteeNeighbor>,
-    /// `rows[offsets[c]..offsets[c + 1]]` are the neighbours of slot `c`,
-    /// ascending by `other`.
-    offsets: Vec<usize>,
-}
-
-impl CommitteeAdjacency {
-    /// The neighbours of committee `c`, ascending by neighbour slot, each
-    /// with its lexicographically smallest bridge.
-    pub fn neighbors(&self, c: CommitteeId) -> &[CommitteeNeighbor] {
-        &self.rows[self.offsets[c.index()]..self.offsets[c.index() + 1]]
-    }
-
-    /// Total number of (ordered) committee adjacency rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// The selection rule every committee algorithm shares: among the
-    /// neighbouring committees whose leader UID is **strictly larger**
-    /// than `c`'s and that satisfy `eligible`, pick the one with the
-    /// largest leader UID and return it with its bridge (the fold of
-    /// `select_largest_uid` over `c`'s rows, each holding its smallest
-    /// bridge). UIDs are unique, so the maximum is unambiguous; with no
-    /// strictly-larger eligible neighbour, `c` is a root this phase and
-    /// `None` is returned.
-    pub fn select_largest_uid_neighbor<F>(
+    /// One pass over the edges: each edge between two committees is
+    /// offered to the committee whose leader has the smaller UID (the
+    /// only side the rule lets select the other) through
+    /// [`select_largest_uid`]'s comparison, which is order-independent, so
+    /// the result is that fold over each committee's neighbours and their
+    /// bridges. Dead slots and committees with no eligible larger
+    /// neighbour get `None`. Edges with an endpoint beyond the tracked
+    /// vertex set (churned-in nodes) are skipped.
+    pub fn select_largest_uid_neighbors(
         &self,
-        c: CommitteeId,
-        forest: &CommitteeForest,
+        graph: &Graph,
         uids: &UidMap,
-        mut eligible: F,
-    ) -> Option<(CommitteeId, NodeId, NodeId)>
-    where
-        F: FnMut(CommitteeId) -> bool,
-    {
-        let candidates = self
-            .neighbors(c)
-            .iter()
-            .filter(|row| eligible(row.other))
-            .map(|row| {
-                let uid = uids.uid(forest.leader(row.other));
-                (uid, row.other, row.bridge_local, row.bridge_remote)
-            });
-        select_largest_uid(uids.uid(forest.leader(c)), candidates)
+        mut eligible: impl FnMut(CommitteeId) -> bool,
+    ) -> Vec<Option<(CommitteeId, NodeId, NodeId)>> {
+        let tracked = self.committee_of.len().min(graph.node_count());
+        let mut best: Vec<Option<Candidate<CommitteeId>>> = vec![None; self.slot_count()];
+        // Each edge {a, b} once, from its smaller endpoint `a`.
+        for (i, &ca) in self.committee_of[..tracked].iter().enumerate() {
+            let a = NodeId(i);
+            let ua = uids.uid(self.leader(ca));
+            for &b in graph.neighbors_slice(a) {
+                if b <= a || b.index() >= tracked {
+                    continue;
+                }
+                let cb = self.committee_of[b.index()];
+                if ca == cb {
+                    continue;
+                }
+                let ub = uids.uid(self.leader(cb));
+                let (me, my_uid, other, other_uid, x, y) = if ua < ub {
+                    (ca, ua, cb, ub, a, b)
+                } else {
+                    (cb, ub, ca, ua, b, a)
+                };
+                if eligible(other) {
+                    offer(&mut best[me.index()], my_uid, (other_uid, other, x, y));
+                }
+            }
+        }
+        best.into_iter()
+            .map(|b| b.map(|(_, target, x, y)| (target, x, y)))
+            .collect()
     }
 }
 
@@ -474,31 +412,44 @@ impl SelectionForest {
     }
 }
 
-/// The selection fold every committee algorithm shares: among candidate
-/// neighbouring committees `(leader UID, committee, x, y)` — `x` a bridge
-/// endpoint in the selecting committee, `y` its neighbour in the
+/// A neighbouring committee on offer to a selecting one, as
+/// [`select_largest_uid`] takes it.
+type Candidate<T> = (Uid, T, NodeId, NodeId);
+
+/// The selection rule, one candidate at a time: `candidate` replaces
+/// `best` when its leader UID is **strictly larger** than `my_uid` and it
+/// beats `best` — a larger UID, or the same committee over a
+/// lexicographically smaller bridge `(x, y)`. The one comparison behind
+/// [`select_largest_uid`] and [`CommitteeForest::select_largest_uid_neighbors`].
+fn offer<T>(best: &mut Option<Candidate<T>>, my_uid: Uid, candidate: Candidate<T>) {
+    let (uid, _, x, y) = candidate;
+    if uid > my_uid
+        && best
+            .as_ref()
+            .is_none_or(|&(b, _, bx, by)| uid > b || (uid == b && (x, y) < (bx, by)))
+    {
+        *best = Some(candidate);
+    }
+}
+
+/// The selection fold every committee algorithm shares: among the
+/// candidate neighbouring committees `(leader UID, committee, x, y)` — `x`
+/// a bridge endpoint in the selecting committee, `y` its neighbour in the
 /// candidate — whose leader UID is **strictly larger** than `my_uid`,
 /// pick the largest UID and, among that committee's bridges, the
 /// lexicographically smallest `(x, y)`. UIDs are unique, so the result is
 /// unambiguous; with no strictly larger candidate the selecting committee
 /// is a root this phase and `None` is returned. Every clause is
 /// order-independent, so a leader folding its members' reports in any
-/// arrival order decides as the round engine does over its adjacency
-/// rows.
-pub(crate) fn select_largest_uid<T>(
+/// arrival order decides as the round engine does in its pass over the
+/// snapshot's edges.
+pub fn select_largest_uid<T>(
     my_uid: Uid,
     candidates: impl IntoIterator<Item = (Uid, T, NodeId, NodeId)>,
 ) -> Option<(T, NodeId, NodeId)> {
-    let mut best: Option<(Uid, T, NodeId, NodeId)> = None;
+    let mut best = None;
     for candidate in candidates {
-        let (uid, _, x, y) = candidate;
-        if uid > my_uid
-            && best
-                .as_ref()
-                .is_none_or(|&(b, _, bx, by)| uid > b || (uid == b && (x, y) < (bx, by)))
-        {
-            best = Some(candidate);
-        }
+        offer(&mut best, my_uid, candidate);
     }
     best.map(|(_, target, x, y)| (target, x, y))
 }
@@ -574,7 +525,7 @@ impl PhaseLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adn_graph::generators;
+    use adn_graph::{generators, UidAssignment};
 
     fn cid(i: usize) -> CommitteeId {
         CommitteeId(i)
@@ -631,37 +582,39 @@ mod tests {
         }
     }
 
+    fn all(_: CommitteeId) -> bool {
+        true
+    }
+
     #[test]
-    fn adjacency_matches_the_nested_btreemap_builder_shape() {
+    fn selection_takes_the_bridge_between_two_committees() {
         // Line 0-1-2-3 with committees {0,1} and {2,3}: one committee pair,
         // bridged by (1, 2).
         let g = generators::line(4);
         let mut f = CommitteeForest::singletons(4);
         f.absorb(cid(0), cid(1));
         f.absorb(cid(3), cid(2));
-        let adj = f.committee_adjacency(&g);
-        assert_eq!(adj.row_count(), 2);
-        let rows = adj.neighbors(cid(1));
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].other, cid(2));
-        assert_eq!(
-            (rows[0].bridge_local, rows[0].bridge_remote),
-            (NodeId(1), NodeId(2))
-        );
-        let back = adj.neighbors(cid(2));
-        assert_eq!(
-            (back[0].bridge_local, back[0].bridge_remote),
-            (NodeId(2), NodeId(1))
-        );
-        // Dead slots have no rows.
-        assert!(adj.neighbors(cid(0)).is_empty());
+        // Sequential UIDs: leader 2 outranks leader 1.
+        let uids = UidMap::new(4, UidAssignment::Sequential);
+        let sel = f.select_largest_uid_neighbors(&g, &uids, all);
+        assert_eq!(sel[1], Some((cid(2), NodeId(1), NodeId(2))));
+        assert_eq!(sel[2], None, "the larger committee is a root");
+        // Reversed UIDs: the other direction, over the same bridge.
+        let uids = UidMap::new(4, UidAssignment::Reversed);
+        let sel = f.select_largest_uid_neighbors(&g, &uids, all);
+        assert_eq!(sel[1], None);
+        assert_eq!(sel[2], Some((cid(1), NodeId(2), NodeId(1))));
+        // Dead slots select nothing; an ineligible target is passed over.
+        assert_eq!((sel[0], sel[3]), (None, None));
+        let sel = f.select_largest_uid_neighbors(&g, &uids, |c| c != cid(1));
+        assert!(sel.iter().all(Option::is_none));
     }
 
     #[test]
-    fn adjacency_picks_the_lexicographically_smallest_bridge() {
+    fn selection_picks_the_lexicographically_smallest_bridge() {
         // Two parallel bridges between {0,1} and {2,3}: (1,2) and (0,3).
-        // The smallest (x, y) per direction wins: (0, 3) for c0 -> c1
-        // (0 < 1), and (2, 1) for c1 -> c0 (both bridges start at their
+        // The smallest (x, y) per direction wins: (0, 3) for c0 -> c2
+        // (0 < 1), and (2, 1) for c2 -> c0 (both bridges start at their
         // smaller local endpoint; (2, 1) < (3, 0)).
         let g = Graph::from_edges(
             4,
@@ -676,29 +629,28 @@ mod tests {
         let mut f = CommitteeForest::singletons(4);
         f.absorb(cid(1), cid(0));
         f.absorb(cid(3), cid(2));
-        let adj = f.committee_adjacency(&g);
-        let row = &adj.neighbors(cid(0))[0];
-        assert_eq!(
-            (row.bridge_local, row.bridge_remote),
-            (NodeId(0), NodeId(3))
-        );
-        let row = &adj.neighbors(cid(2))[0];
-        assert_eq!(
-            (row.bridge_local, row.bridge_remote),
-            (NodeId(2), NodeId(1))
-        );
+        let uids = UidMap::new(4, UidAssignment::Sequential);
+        let sel = f.select_largest_uid_neighbors(&g, &uids, all);
+        assert_eq!(sel[0], Some((cid(2), NodeId(0), NodeId(3))));
+        let uids = UidMap::new(4, UidAssignment::Reversed);
+        let sel = f.select_largest_uid_neighbors(&g, &uids, all);
+        assert_eq!(sel[2], Some((cid(0), NodeId(2), NodeId(1))));
     }
 
     #[test]
-    fn adjacency_skips_untracked_churned_nodes() {
+    fn selection_skips_untracked_churned_nodes() {
+        // The joined node hangs off node 0, the smallest UID: were it
+        // visible, node 0 would select it (or fail to find its UID).
         let mut g = generators::line(3);
         let joined = g.add_node();
         g.add_edge(NodeId(0), joined).unwrap();
         let f = CommitteeForest::singletons(3);
-        let adj = f.committee_adjacency(&g);
-        // Rows only among the 3 tracked singletons: (0,1) and (1,2).
-        assert_eq!(adj.row_count(), 4);
-        assert!(adj.neighbors(cid(0)).iter().all(|r| r.other.index() < 3));
+        let uids = UidMap::new(3, UidAssignment::Sequential);
+        let sel = f.select_largest_uid_neighbors(&g, &uids, all);
+        assert_eq!(sel.len(), 3, "one entry per slot");
+        assert_eq!(sel[0], Some((cid(1), NodeId(0), NodeId(1))));
+        assert_eq!(sel[1], Some((cid(2), NodeId(1), NodeId(2))));
+        assert_eq!(sel[2], None);
     }
 
     #[test]

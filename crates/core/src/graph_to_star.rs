@@ -14,11 +14,11 @@
 //! The phase rules — `Mode`, the climb target, the merge list and the
 //! absorb + mode-transition step of `StarCommittees` — are written once
 //! here. This module's round engine feeds them what it reads off the
-//! graph: every phase starts from the committee adjacency of the current
-//! snapshot, built afresh by
-//! [`CommitteeForest::committee_adjacency`]. The asynchronous runtime's
-//! committee actors (`subroutines::runtime_committee`) feed them their
-//! leaders' decisions instead.
+//! graph: every phase starts from every committee's selection over the
+//! current snapshot, computed afresh in one pass over its edges by
+//! [`CommitteeForest::select_largest_uid_neighbors`]. The asynchronous
+//! runtime's committee actors (`subroutines::runtime_committee`) feed them
+//! their leaders' decisions instead.
 //!
 //! Complexity (Theorem 3.8), all verified by the tests and the benchmark
 //! harness: `O(log n)` rounds, at most `2n` active edges per round, an
@@ -305,14 +305,14 @@ impl State {
         }
     }
 
-    /// One phase: the selections over the committee adjacency of the
-    /// phase's snapshot, round A (selection helpers, merges and climbs),
-    /// round B (the second selection hops), then the shared merge and
-    /// mode-transition step.
+    /// One phase: the selections over the phase's snapshot, round A
+    /// (selection helpers, merges and climbs), round B (the second
+    /// selection hops), then the shared merge and mode-transition step.
     fn run_phase(&mut self, network: &mut Network, uids: &UidMap) -> Result<(), CoreError> {
         let committees = &self.committees;
         let (forest, mode) = (&committees.forest, &committees.mode);
-        let adjacency = forest.committee_adjacency(network.graph());
+        let choices = forest
+            .select_largest_uid_neighbors(network.graph(), uids, |o| mode[o.index()].is_root());
 
         // Selection: a committee in selection mode picks its target among
         // the root committees (those not already committed to a merge or
@@ -328,10 +328,7 @@ impl State {
             if mode[cid.index()] != Mode::Selection {
                 continue;
             }
-            let Some((target, x, y)) =
-                adjacency
-                    .select_largest_uid_neighbor(cid, forest, uids, |o| mode[o.index()].is_root())
-            else {
+            let Some((target, x, y)) = choices[cid.index()] else {
                 continue;
             };
             selections.push((cid, target));

@@ -4,14 +4,14 @@
 //! Committees are *wreaths*: the union of a ring (used for merging) and a
 //! complete binary tree spanning the ring (used for intra-committee
 //! communication), Definition 4.1. Each phase, every committee selects the
-//! largest-UID neighbouring committee over the committee adjacency of the
-//! current snapshot, built afresh each phase by
-//! [`CommitteeForest::committee_adjacency`]; the selection edges form a
-//! forest of committee trees, and each tree merges into its root in a single
-//! phase by (i) splicing all rings into one spanning ring with the chained
-//! construction of Appendix B ("Merging the Spanning Ring Subgraph"),
-//! (ii) discarding the old tree edges and (iii) rebuilding a complete
-//! binary tree over the merged ring with the (asynchronous)
+//! largest-UID neighbouring committee over the current snapshot, in one
+//! pass over its edges by
+//! [`CommitteeForest::select_largest_uid_neighbors`]; the selection edges
+//! form a forest of committee trees, and each tree merges into its root in
+//! a single phase by (i) splicing all rings into one spanning ring with the
+//! chained construction of Appendix B ("Merging the Spanning Ring
+//! Subgraph"), (ii) discarding the old tree edges and (iii) rebuilding a
+//! complete binary tree over the merged ring with the (asynchronous)
 //! `LineToCompleteBinaryTree` subroutine, keeping the ring edges so the
 //! result is again a wreath. As in Appendix B, the rebuilds of all
 //! roots of a phase run in parallel: the merged rings form one lockstep
@@ -23,9 +23,12 @@
 //! The phase rules — selection set-up, each splice level's plan and its
 //! round-B guards, ring materialization, the clean-up list, tree install
 //! and retire, and the termination keep-set — are methods of one
-//! `WreathState`, written once here. This module's round engine runs
-//! them with its own round accounting (communication charges, the
-//! lockstep rebuild batch); the asynchronous runtime's committee actors
+//! `WreathState`, written once here. The clean-up and the keep-set are
+//! read off per-node columns the state keeps anyway (the rings' successor
+//! pointers and marks, each node's tree parent), so neither builds an
+//! edge set. This module's round engine runs them with its own round
+//! accounting (communication charges, the lockstep rebuild batch); the
+//! asynchronous runtime's committee actors
 //! (`subroutines::runtime_committee`) run them between their barriers.
 //!
 //! Complexity (Theorem 4.2): `O(log² n)` rounds, `O(n log² n)` total edge
@@ -46,7 +49,6 @@ use crate::committee::{CommitteeForest, CommitteeId, PhaseLog, SelectionForest};
 use crate::subroutines::async_line_to_tree::run_lockstep;
 use crate::subroutines::LineScratch;
 use crate::{CoreError, TransformationOutcome};
-use adn_graph::edgeset::SortedEdgeSet;
 use adn_graph::properties::ceil_log2;
 use adn_graph::{Edge, Graph, NodeId, UidMap};
 use adn_sim::{Network, WaveActivation};
@@ -105,7 +107,9 @@ type Hop = (NodeId, NodeId, NodeId);
 /// successor pointers (rings are node-disjoint, so one column serves every
 /// root at once) with per-node `(epoch, root)` marks for clean membership
 /// checks, a per-slot ring length and per-slot buffers for the
-/// materialized rings, all allocated once and reused across phases.
+/// materialized rings, all allocated once and reused across phases. Each
+/// node's parent in the tree last installed over it sits in a per-node
+/// column too, which the termination keep-set reads.
 pub(crate) struct WreathState {
     /// The committee partition.
     pub(crate) forest: CommitteeForest,
@@ -113,6 +117,9 @@ pub(crate) struct WreathState {
     pub(crate) log: PhaseLog,
     tree_edges: Vec<Vec<Edge>>,
     tree_depth: Vec<usize>,
+    /// Per node: its parent in the tree last installed over it, a tree's
+    /// root (and a node no tree was installed over) its own.
+    tree_parent: Vec<NodeId>,
     /// Per slot: the committee's selection this phase (empty between
     /// phases, like `sel`).
     selected: Vec<Option<Choice>>,
@@ -199,6 +206,7 @@ impl WreathState {
             log: PhaseLog::new(name, 20 * ceil_log2(n.max(2)) + 40),
             tree_edges: vec![Vec::new(); n],
             tree_depth: vec![0; n],
+            tree_parent: (0..n).map(NodeId).collect(),
             selected: Vec::new(),
             sel: no_selection(),
             frontier: Vec::new(),
@@ -437,6 +445,11 @@ impl WreathState {
     /// dropped, since their trees are rebuilt over the merged rings; those
     /// that coincide with a ring edge of the phase, an initial edge or an
     /// edge already gone stay.
+    ///
+    /// A stale tree edge joins two nodes of one merged ring (its committee
+    /// was spliced into that ring whole), so it is a ring edge exactly
+    /// when one endpoint succeeds the other on it; no other ring can hold
+    /// it.
     pub(crate) fn cleanup(&mut self, graph: &Graph, initial: &Graph) -> Vec<Edge> {
         for &root in self.sel.roots() {
             if self.sel.has_children(root) {
@@ -444,28 +457,33 @@ impl WreathState {
                     .extend(self.tree_edges[root.index()].iter().copied());
             }
         }
-        let mut ring_edge_vec: Vec<Edge> = Vec::new();
-        for &root in self.sel.roots() {
-            let ring: &[NodeId] = if self.sel.has_children(root) {
-                &self.merged_line[root.index()]
-            } else {
-                self.forest.members(root)
-            };
-            for w in ring.windows(2) {
-                ring_edge_vec.push(Edge::new(w[0], w[1]));
-            }
-            if ring.len() >= 3 {
-                ring_edge_vec.push(Edge::new(ring[ring.len() - 1], ring[0]));
-            }
-        }
-        let ring_edges = SortedEdgeSet::from_vec(ring_edge_vec);
-        self.stale_tree_edges
+        let drops: Vec<Edge> = self
+            .stale_tree_edges
             .iter()
             .copied()
-            .filter(|e| {
-                !initial.has_edge(e.a, e.b) && !ring_edges.contains(e) && graph.has_edge(e.a, e.b)
+            .filter(|&e| {
+                !self.on_merged_ring(e) && !initial.has_edge(e.a, e.b) && graph.has_edge(e.a, e.b)
             })
-            .collect()
+            .collect();
+        #[cfg(test)]
+        assert_eq!(
+            drops,
+            tests::cleanup_reference(self, graph, initial),
+            "clean-up diverged from its ring-edge-set reference"
+        );
+        drops
+    }
+
+    /// Whether the stale tree edge `e`, whose endpoints carry the same
+    /// ring mark of this phase, is a ring edge: one endpoint is the
+    /// other's successor.
+    fn on_merged_ring(&self, e: Edge) -> bool {
+        let (a, b) = (e.a.index(), e.b.index());
+        debug_assert!(
+            self.ring_mark[a].0 == self.epoch && self.ring_mark[a] == self.ring_mark[b],
+            "stale tree edge {e:?} is not inside one merged ring"
+        );
+        self.ring_succ[a] == e.b || self.ring_succ[b] == e.a
     }
 
     /// Installs the tree rebuilt over `root`'s merged ring — `parents[pos]`
@@ -483,13 +501,12 @@ impl WreathState {
         let line = std::mem::take(&mut self.merged_line[root.index()]);
         let edges = &mut self.tree_edges[root.index()];
         edges.clear();
-        edges.extend(
-            parents
-                .iter()
-                .enumerate()
-                .skip(1)
-                .map(|(pos, &parent)| Edge::new(line[pos], line[parent])),
-        );
+        self.tree_parent[line[0].index()] = line[0];
+        for (pos, &parent) in parents.iter().enumerate().skip(1) {
+            let (u, p) = (line[pos], line[parent]);
+            edges.push(Edge::new(u, p));
+            self.tree_parent[u.index()] = p;
+        }
         self.tree_depth[root.index()] = depth;
         self.forest.replace_members(root, line);
     }
@@ -515,11 +532,24 @@ impl WreathState {
     }
 
     /// The termination phase's deactivations: every edge outside the
-    /// final committee's spanning tree.
+    /// final committee's spanning tree. That committee holds every tracked
+    /// node and its tree was the last installed over each, so an edge is
+    /// a tree edge exactly when one endpoint is the other's parent. A node
+    /// beyond the tracked set (a churn join) has no parent entry, and its
+    /// edges are dropped.
     pub(crate) fn termination_drops(&self, graph: &Graph) -> Vec<Edge> {
-        let final_committee = self.forest.live_ids()[0];
-        let keep = SortedEdgeSet::from_vec(self.tree_edges[final_committee.index()].clone());
-        graph.edges().filter(|e| !keep.contains(e)).collect()
+        let parent = |u: NodeId| self.tree_parent.get(u.index()).copied();
+        let drops: Vec<Edge> = graph
+            .edges()
+            .filter(|e| parent(e.a) != Some(e.b) && parent(e.b) != Some(e.a))
+            .collect();
+        #[cfg(test)]
+        assert_eq!(
+            drops,
+            tests::termination_drops_reference(self, graph),
+            "termination drops diverged from their keep-set reference"
+        );
+        drops
     }
 }
 
@@ -552,16 +582,13 @@ pub(crate) fn execute(
 
         // ------------------------------------------------------------------
         // Selection: every committee picks its largest-UID strictly-larger
-        // neighbour over the committee adjacency of the phase's snapshot.
+        // neighbour over the phase's snapshot, in one pass over its edges.
         // The selection edges form a forest whose roots are the
         // locally-maximal committees.
         // ------------------------------------------------------------------
-        let adjacency = state.forest.committee_adjacency(network.graph());
-        let mut selected: Vec<Option<Choice>> = vec![None; state.forest.slot_count()];
-        for &cid in state.forest.live_ids() {
-            selected[cid.index()] =
-                adjacency.select_largest_uid_neighbor(cid, &state.forest, uids, |_| true);
-        }
+        let selected = state
+            .forest
+            .select_largest_uid_neighbors(network.graph(), uids, |_| true);
 
         // Communication charge: the selection requires each committee to
         // gather neighbour information and coordinate, which costs a
@@ -680,6 +707,51 @@ mod tests {
     use super::*;
     use adn_graph::properties::{ceil_log2, is_bounded_arity_tree};
     use adn_graph::{generators, GraphFamily, UidAssignment};
+    use std::collections::BTreeSet;
+
+    /// [`WreathState::cleanup`] as first written, kept as its oracle: the
+    /// ring edges of every root, untouched ones included, collected into a
+    /// sorted set and probed. Reads `stale_tree_edges` after `cleanup` has
+    /// added the merged roots' trees.
+    pub(super) fn cleanup_reference(
+        state: &WreathState,
+        graph: &Graph,
+        initial: &Graph,
+    ) -> Vec<Edge> {
+        let mut ring_edges = BTreeSet::new();
+        for &root in state.sel.roots() {
+            let ring: &[NodeId] = if state.sel.has_children(root) {
+                &state.merged_line[root.index()]
+            } else {
+                state.forest.members(root)
+            };
+            for w in ring.windows(2) {
+                ring_edges.insert(Edge::new(w[0], w[1]));
+            }
+            if ring.len() >= 3 {
+                ring_edges.insert(Edge::new(ring[ring.len() - 1], ring[0]));
+            }
+        }
+        state
+            .stale_tree_edges
+            .iter()
+            .copied()
+            .filter(|e| {
+                !initial.has_edge(e.a, e.b) && !ring_edges.contains(e) && graph.has_edge(e.a, e.b)
+            })
+            .collect()
+    }
+
+    /// [`WreathState::termination_drops`] as first written, kept as its
+    /// oracle: the final committee's tree edges as a sorted keep-set.
+    pub(super) fn termination_drops_reference(state: &WreathState, graph: &Graph) -> Vec<Edge> {
+        let final_committee = state.forest.live_ids()[0];
+        let keep: BTreeSet<Edge> = state.tree_edges[final_committee.index()]
+            .iter()
+            .copied()
+            .collect();
+        graph.edges().filter(|e| !keep.contains(e)).collect()
+    }
 
     fn check_outcome(
         initial: &Graph,
@@ -853,6 +925,63 @@ mod tests {
         let (uids, outcome) = run(&g, UidAssignment::RandomPermutation { seed: 8 });
         check_outcome(&g, &uids, &outcome, 2);
         assert!(outcome.metrics.max_activated_degree <= 10);
+    }
+
+    #[test]
+    fn column_checks_match_their_edge_set_references() {
+        // `cleanup` and `termination_drops` assert their drop lists, order
+        // included, against the sorted-set references in every test run;
+        // this drives them over every family and both arities, fault-free
+        // and under churn (joins whose edges termination must drop) and
+        // crash-stop faults.
+        use crate::algorithm::{
+            arm_network_for_dst, DstConfig, GraphToThinWreath, GraphToWreath,
+            ReconfigurationAlgorithm,
+        };
+        use adn_sim::Scenario;
+        let arms = [None, Some(Scenario::churn()), Some(Scenario::crash_stop())];
+        let (mut completed, mut faulted) = (0usize, 0usize);
+        for family in GraphFamily::ALL {
+            for size in [24usize, 64] {
+                let g = family.generate(size, 3);
+                let n = g.node_count();
+                let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 3 });
+                let engines = [
+                    (WreathConfig::binary(), GraphToWreath.spec()),
+                    (WreathConfig::polylog(n), GraphToThinWreath.spec()),
+                ];
+                for (config, spec) in &engines {
+                    for scenario in &arms {
+                        for seed in [1u64, 2] {
+                            let mut network = Network::new(g.clone());
+                            if let Some(scenario) = scenario {
+                                let dst = DstConfig {
+                                    scenario: scenario.clone(),
+                                    seed: seed ^ (n as u64) << 8,
+                                };
+                                arm_network_for_dst(&mut network, spec, &uids, &dst);
+                            }
+                            let result =
+                                execute(&mut network, &uids, config, &RunConfig::default());
+                            completed += usize::from(result.is_ok());
+                            faulted += usize::from(
+                                network
+                                    .dst_state()
+                                    .is_some_and(|s| !s.fault_log().is_empty()),
+                            );
+                            if scenario.is_none() {
+                                let outcome = result.expect("fault-free runs complete");
+                                check_outcome(&g, &uids, &outcome, config.tree_arity);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            completed > 0 && faulted > 0,
+            "{completed} completed, {faulted} faulted"
+        );
     }
 
     #[test]

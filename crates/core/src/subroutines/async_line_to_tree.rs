@@ -253,15 +253,20 @@ pub(crate) fn drops_left_edge(keep_line_edges: bool, pos: usize, parent: usize) 
 }
 
 /// Rejects, in this order, an empty line, zero arity, a line repeating a
-/// node, a line naming a node outside the network, and a line whose
-/// consecutive nodes are not adjacent in the current graph. `seen` is
-/// scratch for the duplicate check. Every line-to-tree entry point
-/// validates through here.
+/// node (naming the smallest repeated one), a line naming a node outside
+/// the network, and a line whose consecutive nodes are not adjacent in the
+/// current graph. Every line-to-tree entry point validates through here.
+///
+/// `seen` is a mark column, one entry per network node, all clear between
+/// calls: it grows to the node count once, and each check marks its
+/// line's nodes and clears those marks again, so a check costs O(line).
+/// A node outside the network has no mark; such nodes are compared among
+/// themselves, and only in that error case.
 pub(crate) fn validate_line(
     network: &Network,
     line: &[NodeId],
     arity: usize,
-    seen: &mut Vec<NodeId>,
+    seen: &mut Vec<bool>,
 ) -> Result<(), CoreError> {
     if line.is_empty() {
         return Err(CoreError::InvalidInput {
@@ -273,17 +278,36 @@ pub(crate) fn validate_line(
             reason: "arity must be at least 1".into(),
         });
     }
-    seen.clear();
-    seen.extend_from_slice(line);
-    seen.sort_unstable();
-    for w in seen.windows(2) {
-        if w[0] == w[1] {
-            return Err(CoreError::InvalidInput {
-                reason: format!("node {} appears twice in the line", w[0]),
-            });
+    let n = network.node_count();
+    if seen.len() < n {
+        seen.resize(n, false);
+    }
+    let mut repeated: Option<NodeId> = None;
+    let mut outside: Vec<NodeId> = Vec::new();
+    for &u in line {
+        if u.index() >= n {
+            outside.push(u);
+        } else if std::mem::replace(&mut seen[u.index()], true) {
+            repeated = Some(repeated.map_or(u, |r| r.min(u)));
         }
     }
-    if line.iter().any(|u| u.index() >= network.node_count()) {
+    for &u in line {
+        if u.index() < n {
+            seen[u.index()] = false;
+        }
+    }
+    if repeated.is_none() {
+        // Every node outside the network is larger than every node in it,
+        // so its repeats only count when the line has no other.
+        outside.sort_unstable();
+        repeated = outside.windows(2).find(|w| w[0] == w[1]).map(|w| w[0]);
+    }
+    if let Some(u) = repeated {
+        return Err(CoreError::InvalidInput {
+            reason: format!("node {u} appears twice in the line"),
+        });
+    }
+    if !outside.is_empty() {
         return Err(CoreError::InvalidInput {
             reason: "line refers to nodes outside the network".into(),
         });
@@ -691,6 +715,81 @@ mod tests {
             run_async_line_to_tree(&mut net, &[NodeId(99)], &config(2), &[1]),
             Err(CoreError::InvalidInput { .. })
         ));
+    }
+
+    /// `validate_line`'s verdict on `line` as its error text, checking
+    /// that the mark column is all clear again afterwards.
+    fn line_error(net: &Network, line: &[usize], arity: usize, seen: &mut Vec<bool>) -> String {
+        let line: Vec<NodeId> = line.iter().copied().map(NodeId).collect();
+        let result = validate_line(net, &line, arity, seen);
+        assert!(!seen.contains(&true), "{line:?} left marks behind");
+        match result {
+            Ok(()) => "ok".into(),
+            Err(CoreError::InvalidInput { reason }) => reason,
+            Err(e) => panic!("{line:?}: unexpected error {e}"),
+        }
+    }
+
+    /// The duplicate check as first written: a sorted copy of the line,
+    /// whose first equal pair names the smallest repeated node.
+    fn sorted_duplicate(line: &[usize]) -> Option<usize> {
+        let mut sorted = line.to_vec();
+        sorted.sort_unstable();
+        sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+    }
+
+    #[test]
+    fn line_check_keeps_its_error_order_and_texts() {
+        let net = Network::new(generators::line(6));
+        let mut seen = Vec::new();
+        let mut check = |line: &[usize], arity: usize| line_error(&net, line, arity, &mut seen);
+        // Each error shadows every later one: empty line, zero arity, a
+        // repeated node, a node outside the network, a missing edge.
+        assert_eq!(check(&[], 0), "line must contain at least one node");
+        assert_eq!(check(&[3, 3, 99], 0), "arity must be at least 1");
+        assert_eq!(
+            check(&[5, 2, 99, 5, 2, 0], 2),
+            "node v2 appears twice in the line",
+            "the smallest repeated node, not the first repeat"
+        );
+        assert_eq!(
+            check(&[99, 4, 99, 4], 2),
+            "node v4 appears twice in the line"
+        );
+        assert_eq!(
+            check(&[0, 99, 1, 99], 2),
+            "node v99 appears twice in the line",
+            "a repeated node outside the network is still a repeat"
+        );
+        assert_eq!(
+            check(&[0, 2, 99], 2),
+            "line refers to nodes outside the network"
+        );
+        assert_eq!(
+            check(&[0, 1, 3], 2),
+            "consecutive line nodes v1 and v3 are not adjacent"
+        );
+        assert_eq!(check(&[2, 3, 4, 5], 2), "ok");
+        assert_eq!(check(&[5, 4, 3, 2, 1, 0], 1), "ok");
+    }
+
+    #[test]
+    fn line_check_names_the_node_the_sort_found() {
+        // Random lines over ids in and beyond a 12-node network, checked
+        // with one mark column throughout: the duplicate verdict is the
+        // sort's, and every other line passes the duplicate check.
+        let net = Network::new(generators::line(12));
+        let mut seen = Vec::new();
+        let mut rng = DetRng::seed_from_u64(33);
+        for _ in 0..2000 {
+            let len = 1 + rng.gen_range(0, 10);
+            let line: Vec<usize> = (0..len).map(|_| rng.gen_range(0, 16)).collect();
+            let error = line_error(&net, &line, 2, &mut seen);
+            match sorted_duplicate(&line) {
+                Some(u) => assert_eq!(error, format!("node v{u} appears twice in the line")),
+                None => assert!(!error.contains("twice"), "{line:?}: {error}"),
+            }
+        }
     }
 
     #[test]

@@ -83,8 +83,9 @@ pub(crate) struct LineScratch {
     /// Per-round jumps of every line, in ascending line then position
     /// order, each recorded once by the marking pass.
     pub(crate) movers: Vec<async_line_to_tree::Mover>,
-    /// Line-validation scratch (duplicate detection by sort).
-    pub(crate) seen: Vec<NodeId>,
+    /// Line-validation scratch: one duplicate mark per network node, all
+    /// clear between checks.
+    pub(crate) seen: Vec<bool>,
     /// Per-round wave column: witnessed activations for `stage_jump_wave`.
     pub(crate) wave_acts: Vec<adn_sim::WaveActivation>,
     /// Per-round wave column: deactivations for `stage_jump_wave`.

@@ -180,9 +180,9 @@ impl CommitteeActor {
         self.pending_deacts.clear();
     }
 
-    /// The leader's selection over its reports: the shared selection fold
-    /// of `CommitteeAdjacency::select_largest_uid_neighbor`, restricted
-    /// to root committees when `star_rules`. Intra-committee reports name
+    /// The leader's selection over its reports: the selection rule the
+    /// round engines apply in `CommitteeForest::select_largest_uid_neighbors`,
+    /// restricted to root committees when `star_rules`. Intra-committee reports name
     /// our own leader, whose UID is not strictly larger, so the fold
     /// skips them; the fold is order-independent, so the free scheduler's
     /// nondeterministic report arrival order cannot change the outcome.

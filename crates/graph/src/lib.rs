@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod bitrows;
-pub mod edgeset;
 pub mod error;
 pub mod families;
 pub mod generators;
@@ -57,7 +56,6 @@ pub mod uid;
 mod ids;
 
 pub use bitrows::{BitRow, BitRows};
-pub use edgeset::SortedEdgeSet;
 pub use error::GraphError;
 pub use families::GraphFamily;
 pub use graph::{Edge, Graph};

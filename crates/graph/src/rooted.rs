@@ -55,14 +55,13 @@ impl RootedTree {
                 });
             }
         }
+        // The scan visits children in ascending id order, so every
+        // children list comes out sorted without a sort.
         let mut children = vec![Vec::new(); n];
         for (i, p) in parent.iter().enumerate() {
             if let Some(p) = p {
                 children[p.index()].push(NodeId(i));
             }
-        }
-        for c in &mut children {
-            c.sort();
         }
         // BFS from the root to compute depths and detect unreachable nodes
         // (which would indicate a cycle among non-root nodes).

@@ -73,11 +73,14 @@ pub fn is_connected(graph: &Graph) -> bool {
     bfs_distances(graph, NodeId(0)).iter().all(Option::is_some)
 }
 
-/// BFS spanning tree rooted at `root`.
+/// The parent map of a BFS spanning tree rooted at `root`
+/// (`parent[root] == None`): each node's parent is the node that first
+/// reached it, neighbours scanned in adjacency order.
 ///
 /// Returns `None` if the graph is disconnected (a spanning tree does not
-/// exist) or `root` is out of range.
-pub fn bfs_spanning_tree(graph: &Graph, root: NodeId) -> Option<RootedTree> {
+/// exist) or `root` is out of range. For callers that only need the
+/// parents; [`bfs_spanning_tree`] wraps it into a [`RootedTree`].
+pub fn bfs_parents(graph: &Graph, root: NodeId) -> Option<Vec<Option<NodeId>>> {
     let n = graph.node_count();
     if root.index() >= n {
         return None;
@@ -96,11 +99,16 @@ pub fn bfs_spanning_tree(graph: &Graph, root: NodeId) -> Option<RootedTree> {
             }
         }
     }
-    if visited.iter().all(|&b| b) {
-        RootedTree::from_parents(root, parent).ok()
-    } else {
-        None
-    }
+    visited.iter().all(|&b| b).then_some(parent)
+}
+
+/// BFS spanning tree rooted at `root`: [`bfs_parents`] as a
+/// [`RootedTree`].
+///
+/// Returns `None` if the graph is disconnected (a spanning tree does not
+/// exist) or `root` is out of range.
+pub fn bfs_spanning_tree(graph: &Graph, root: NodeId) -> Option<RootedTree> {
+    RootedTree::from_parents(root, bfs_parents(graph, root)?).ok()
 }
 
 /// An Euler tour (closed walk traversing every tree edge exactly twice) of
@@ -174,12 +182,20 @@ mod tests {
                 assert!(g.has_edge(u, p));
             }
         }
+        // The tree is `bfs_parents` wrapped.
+        let parents = bfs_parents(&g, nid(3)).expect("ring is connected");
+        assert!(g.nodes().all(|u| parents[u.index()] == t.parent(u)));
     }
 
     #[test]
     fn spanning_tree_of_disconnected_graph_is_none() {
         let g = Graph::from_edges(4, vec![(nid(0), nid(1))]).unwrap();
         assert!(bfs_spanning_tree(&g, nid(0)).is_none());
+        assert!(bfs_parents(&g, nid(0)).is_none());
+        assert!(
+            bfs_parents(&generators::line(4), nid(4)).is_none(),
+            "root out of range"
+        );
     }
 
     #[test]

@@ -72,15 +72,15 @@ pub mod prelude {
         GraphToStar, GraphToThinWreath, GraphToWreath, ReconfigurationAlgorithm, RunConfig,
     };
     pub use adn_core::baselines::clique::run_clique_then_prune;
-    pub use adn_core::committee::{CommitteeAdjacency, CommitteeForest, CommitteeId};
+    pub use adn_core::committee::{CommitteeForest, CommitteeId};
     pub use adn_core::graph_to_wreath::WreathConfig;
     pub use adn_core::tasks::{
         disseminate_after_transformation, disseminate_by_flooding_only, verify_leader_election,
     };
     pub use adn_core::{CoreError, TransformationOutcome};
     pub use adn_graph::{
-        generators, properties, traversal, Graph, GraphFamily, NodeId, RootedTree, SortedEdgeSet,
-        Uid, UidAssignment, UidMap,
+        generators, properties, traversal, Graph, GraphFamily, NodeId, RootedTree, Uid,
+        UidAssignment, UidMap,
     };
     pub use adn_runtime::{AsyncKnobs, FreeScheduler, RuntimeReport, Scheduler, SeededScheduler};
     pub use adn_sim::dst::{

@@ -4,15 +4,18 @@
 //! `BTreeMap<NodeId, Committee>` membership maps and nested-`BTreeMap`
 //! committee adjacency. These tests keep the old representations alive as
 //! executable specifications and pin the arena-backed [`CommitteeForest`]
-//! / flat [`CommitteeAdjacency`] against them under seeded random
-//! operation sequences — membership, iteration order, bridge selection and
-//! selection roots all included — so any divergence is caught with the
-//! seed that reproduces it (the `tests/flat_structures_model.rs` pattern,
-//! one layer up).
+//! and its one-pass selection fold
+//! ([`CommitteeForest::select_largest_uid_neighbors`]) against them under
+//! seeded random operation sequences — membership, iteration order,
+//! bridge selection and selection roots all included — so any divergence
+//! is caught with the seed that reproduces it (the
+//! `tests/flat_structures_model.rs` pattern, one layer up).
 
-use actively_dynamic_networks::core::committee::{CommitteeForest, CommitteeId, SelectionForest};
+use actively_dynamic_networks::core::committee::{
+    select_largest_uid, CommitteeForest, CommitteeId, SelectionForest,
+};
 use actively_dynamic_networks::graph::rng::DetRng;
-use actively_dynamic_networks::graph::{generators, Graph, NodeId};
+use actively_dynamic_networks::graph::{generators, Graph, NodeId, UidAssignment, UidMap};
 use std::collections::BTreeMap;
 
 /// The old committee bookkeeping: committees keyed by leader, membership
@@ -102,44 +105,56 @@ fn assert_same_partition(forest: &CommitteeForest, model: &ModelPartition, ctx: 
     }
 }
 
-fn assert_same_adjacency(
+/// Every live slot's selection from the one-pass fold equals
+/// `select_largest_uid` folded over the model's adjacency rows of its
+/// leader, under the random UID permutation `uids` and eligibility
+/// `mask` (per slot); dead slots select nothing.
+fn assert_same_selection(
     forest: &CommitteeForest,
     model: &ModelPartition,
     graph: &Graph,
+    uids: &UidMap,
+    mask: &[bool],
     ctx: &str,
 ) {
-    let flat = forest.committee_adjacency(graph);
+    let fold = forest.select_largest_uid_neighbors(graph, uids, |c| mask[c.index()]);
+    assert_eq!(fold.len(), forest.slot_count(), "{ctx}: one entry per slot");
     let reference = model.committee_adjacency(graph);
-    let mut rows_seen = 0usize;
-    for &cid in forest.live_ids() {
-        let leader = forest.leader(cid);
-        let rows = flat.neighbors(cid);
-        rows_seen += rows.len();
-        let expect = reference.get(&leader);
-        assert_eq!(
-            rows.len(),
-            expect.map_or(0, |m| m.len()),
-            "{ctx}: neighbour count of {leader}"
-        );
-        if let Some(expect) = expect {
-            // Same neighbours in the same (ascending) order, same bridges.
-            for (row, (&other_leader, &(x, y))) in rows.iter().zip(expect.iter()) {
-                assert_eq!(forest.leader(row.other), other_leader, "{ctx}: order");
-                assert_eq!(
-                    (row.bridge_local, row.bridge_remote),
-                    (x, y),
-                    "{ctx}: bridge {leader} -> {other_leader}"
-                );
-            }
+    for (slot, &choice) in fold.iter().enumerate() {
+        let cid = CommitteeId(slot);
+        if !forest.is_alive(cid) {
+            assert_eq!(choice, None, "{ctx}: dead slot {cid} selected");
+            continue;
         }
+        let leader = forest.leader(cid);
+        let rows = reference.get(&leader).into_iter().flatten();
+        let candidates = rows
+            .map(|(&other, &(x, y))| (forest.committee_of(other).expect("tracked"), x, y))
+            .filter(|&(other, _, _)| mask[other.index()])
+            .map(|(other, x, y)| (uids.uid(forest.leader(other)), other, x, y));
+        assert_eq!(
+            choice,
+            select_largest_uid(uids.uid(leader), candidates),
+            "{ctx}: selection of {leader}"
+        );
     }
-    assert_eq!(rows_seen, flat.row_count(), "{ctx}: no orphan rows");
+}
+
+/// A seeded random UID permutation of `n` nodes and a random eligibility
+/// mask over its slots, drawn from their own stream so the operation
+/// sequences stay those of the seed.
+fn random_uids_and_mask(rng: &mut DetRng, n: usize) -> (UidMap, Vec<bool>) {
+    let seed = rng.next_u64();
+    let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed });
+    let mask = (0..n).map(|_| rng.gen_bool(0.75)).collect();
+    (uids, mask)
 }
 
 #[test]
 fn forest_matches_btreemap_model_under_seeded_merge_sequences() {
     for seed in 0u64..10 {
         let mut rng = DetRng::seed_from_u64(0xC0FF ^ seed.wrapping_mul(0x9E37_79B9));
+        let mut uid_rng = DetRng::seed_from_u64(0x51DE ^ seed);
         let n = 8 + rng.gen_range(0, 25);
         let mut graph = generators::random_line_with_chords(n, n / 2, seed);
         let mut forest = CommitteeForest::singletons(n);
@@ -180,13 +195,15 @@ fn forest_matches_btreemap_model_under_seeded_merge_sequences() {
                 _ => {
                     let ctx = format!("seed {seed} step {step}");
                     assert_same_partition(&forest, &model, &ctx);
-                    assert_same_adjacency(&forest, &model, &graph, &ctx);
+                    let (uids, mask) = random_uids_and_mask(&mut uid_rng, n);
+                    assert_same_selection(&forest, &model, &graph, &uids, &mask, &ctx);
                 }
             }
         }
         let ctx = format!("seed {seed} final");
         assert_same_partition(&forest, &model, &ctx);
-        assert_same_adjacency(&forest, &model, &graph, &ctx);
+        let (uids, mask) = random_uids_and_mask(&mut uid_rng, n);
+        assert_same_selection(&forest, &model, &graph, &uids, &mask, &ctx);
     }
 }
 
@@ -194,11 +211,12 @@ fn forest_matches_btreemap_model_under_seeded_merge_sequences() {
 fn replace_members_and_retire_match_wholesale_rebuild_semantics() {
     // The wreath engine's merge: roots take over the spliced ring
     // (arbitrary order), children retire. The model rebuilds its map the
-    // way the old code built `next_committees`, and the adjacency the
-    // engine builds from the snapshot after every merge must match the
+    // way the old code built `next_committees`, and the selections the
+    // engine folds from the snapshot after every merge must match the
     // model's.
     for seed in 0u64..6 {
         let mut rng = DetRng::seed_from_u64(0x11EA7 ^ seed.wrapping_mul(131));
+        let mut uid_rng = DetRng::seed_from_u64(0x51DE ^ seed);
         let n = 6 + rng.gen_range(0, 19);
         let mut graph = generators::random_line_with_chords(n, n / 2, seed);
         // Churned-in nodes beyond the tracked set must stay invisible.
@@ -245,7 +263,8 @@ fn replace_members_and_retire_match_wholesale_rebuild_semantics() {
             }
             let ctx = format!("seed {seed}");
             assert_same_partition(&forest, &model, &ctx);
-            assert_same_adjacency(&forest, &model, &graph, &ctx);
+            let (uids, mask) = random_uids_and_mask(&mut uid_rng, n);
+            assert_same_selection(&forest, &model, &graph, &uids, &mask, &ctx);
         }
     }
 }
