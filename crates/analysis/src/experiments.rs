@@ -8,10 +8,10 @@
 //! and `tests/expectations/report.txt` pins the full report's output.
 
 use crate::fit::best_fit;
-use crate::record::{markdown_table, Algorithm, RunRecord};
+use crate::record::{markdown_table, RunRecord};
 use adn_core::algorithm::{
-    CentralizedCutInHalf, CentralizedGeneral, Flooding, GraphToStar, ReconfigurationAlgorithm,
-    RunConfig,
+    self, CentralizedCutInHalf, CentralizedGeneral, CliqueFormation, GraphToStar,
+    ReconfigurationAlgorithm, RunConfig,
 };
 use adn_core::lower_bounds;
 use adn_core::subroutines::{
@@ -28,6 +28,16 @@ fn defaults() -> RunConfig {
 
 fn uid_map(n: usize, seed: u64) -> UidMap {
     UidMap::new(n, UidAssignment::RandomPermutation { seed })
+}
+
+/// The strategies T1 and F9 set side by side, in registry order: every
+/// registered algorithm except the line-only CutInHalf (T6 measures it)
+/// and flooding, which does not reconfigure (T8 measures it).
+fn compared() -> impl Iterator<Item = &'static dyn ReconfigurationAlgorithm> {
+    algorithm::registry()
+        .iter()
+        .copied()
+        .filter(|a| !matches!(a.spec().id, "centralized_cut_in_half" | "flooding"))
 }
 
 fn fit_line(label: &str, points: &[(usize, f64)]) -> String {
@@ -47,9 +57,9 @@ fn fit_line(label: &str, points: &[(usize, f64)]) -> String {
 /// growth-shape fits for rounds and total activations.
 pub fn t1_contribution_table(sizes: &[usize], clique_cap: usize) -> String {
     let mut records = Vec::new();
-    for &alg in &Algorithm::ALL {
+    for alg in compared() {
         for &n in sizes {
-            if alg == Algorithm::CliqueFormation && n > clique_cap {
+            if alg.name() == CliqueFormation.name() && n > clique_cap {
                 continue;
             }
             records.push(RunRecord::measure(alg, GraphFamily::Line, n, 1).expect("run"));
@@ -58,7 +68,7 @@ pub fn t1_contribution_table(sizes: &[usize], clique_cap: usize) -> String {
     let mut out = String::from("### T1 — time / edge-complexity trade-off (spanning line)\n\n");
     out.push_str(&markdown_table(&records));
     out.push('\n');
-    for &alg in &Algorithm::ALL {
+    for alg in compared().map(|a| a.name()) {
         let rounds: Vec<(usize, f64)> = records
             .iter()
             .filter(|r| r.algorithm == alg)
@@ -81,24 +91,20 @@ pub fn t1_contribution_table(sizes: &[usize], clique_cap: usize) -> String {
 pub fn t4_clique_baseline(sizes: &[usize]) -> String {
     let mut records = Vec::new();
     for &n in sizes {
-        records.push(
-            RunRecord::measure(Algorithm::CliqueFormation, GraphFamily::Ring, n, 2).expect("run"),
-        );
-        records.push(
-            RunRecord::measure(Algorithm::GraphToStar, GraphFamily::Ring, n, 2).expect("run"),
-        );
+        records.push(RunRecord::measure(&CliqueFormation, GraphFamily::Ring, n, 2).expect("run"));
+        records.push(RunRecord::measure(&GraphToStar, GraphFamily::Ring, n, 2).expect("run"));
     }
     let mut out = String::from("### T4 — clique formation vs GraphToStar (ring)\n\n");
     out.push_str(&markdown_table(&records));
     out.push('\n');
     let clique: Vec<(usize, f64)> = records
         .iter()
-        .filter(|r| r.algorithm == Algorithm::CliqueFormation)
+        .filter(|r| r.algorithm == CliqueFormation.name())
         .map(|r| (r.n, r.total_activations as f64))
         .collect();
     let star: Vec<(usize, f64)> = records
         .iter()
-        .filter(|r| r.algorithm == Algorithm::GraphToStar)
+        .filter(|r| r.algorithm == GraphToStar.name())
         .map(|r| (r.n, r.total_activations as f64))
         .collect();
     out.push_str(&fit_line("CliqueFormation total activations", &clique));
@@ -237,7 +243,7 @@ pub fn t6_centralized(sizes: &[usize]) -> String {
             cut.metrics.total_activations,
             euler.metrics.total_activations,
             lower_bounds::centralized_per_round_activation_lower_bound(n),
-            cut.metrics.max_activations_in_round(),
+            cut.metrics.max_activations_in_round,
         ));
     }
     out
@@ -304,8 +310,8 @@ pub fn t8_tasks(sizes: &[usize]) -> String {
 /// (plus baselines), showing the time / degree / activation trade-off.
 pub fn f9_tradeoff(n: usize) -> String {
     let mut records = Vec::new();
-    for alg in Algorithm::ALL {
-        if alg == Algorithm::CliqueFormation && n > 256 {
+    for alg in compared() {
+        if alg.name() == CliqueFormation.name() && n > 256 {
             continue;
         }
         records.push(RunRecord::measure(alg, GraphFamily::Ring, n, 9).expect("run"));
@@ -313,14 +319,6 @@ pub fn f9_tradeoff(n: usize) -> String {
     let mut out = format!("### F9 — trade-off at fixed n = {n} (ring)\n\n");
     out.push_str(&markdown_table(&records));
     out
-}
-
-/// F5-verification helper exposed for tests: flooding round count equals
-/// the line diameter (sanity anchor for the dissemination comparisons).
-pub fn flooding_rounds_on_line(n: usize) -> usize {
-    let g = generators::line(n);
-    let uids = uid_map(n, 1);
-    Flooding.run(&g, &uids, &defaults()).expect("run").rounds
 }
 
 /// Runs every experiment with the default (fast) parameter sets and
@@ -387,10 +385,5 @@ mod tests {
     fn committee_decay_reaches_one() {
         let s = f4_committee_decay(48, 3);
         assert!(s.contains("| 1 |"));
-    }
-
-    #[test]
-    fn flooding_anchor() {
-        assert!(flooding_rounds_on_line(20) >= 19);
     }
 }

@@ -1,91 +1,15 @@
 //! Run records: one row per (algorithm, workload, n, seed) execution.
 
-use adn_core::algorithm::{self, ReconfigurationAlgorithm, RunConfig};
-use adn_core::{CoreError, TransformationOutcome};
-use adn_graph::{Graph, GraphFamily, UidAssignment, UidMap};
-use std::fmt;
-
-/// The algorithms compared by the experiment tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Algorithm {
-    /// GraphToStar (Section 3).
-    GraphToStar,
-    /// GraphToWreath (Section 4).
-    GraphToWreath,
-    /// GraphToThinWreath (Section 5).
-    GraphToThinWreath,
-    /// The clique-formation straw-man (Section 1.2).
-    CliqueFormation,
-    /// The centralized Euler-tour + CutInHalf strategy (Theorem 6.3).
-    CentralizedEuler,
-}
-
-impl Algorithm {
-    /// All algorithms in canonical comparison order.
-    pub const ALL: [Algorithm; 5] = [
-        Algorithm::GraphToStar,
-        Algorithm::GraphToWreath,
-        Algorithm::GraphToThinWreath,
-        Algorithm::CliqueFormation,
-        Algorithm::CentralizedEuler,
-    ];
-
-    /// The three distributed algorithms of the paper.
-    pub const DISTRIBUTED: [Algorithm; 3] = [
-        Algorithm::GraphToStar,
-        Algorithm::GraphToWreath,
-        Algorithm::GraphToThinWreath,
-    ];
-
-    /// Short display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algorithm::GraphToStar => "GraphToStar",
-            Algorithm::GraphToWreath => "GraphToWreath",
-            Algorithm::GraphToThinWreath => "GraphToThinWreath",
-            Algorithm::CliqueFormation => "CliqueFormation",
-            Algorithm::CentralizedEuler => "Centralized(Euler+CutInHalf)",
-        }
-    }
-
-    /// The registry id of the underlying [`ReconfigurationAlgorithm`].
-    pub fn id(&self) -> &'static str {
-        match self {
-            Algorithm::GraphToStar => "graph_to_star",
-            Algorithm::GraphToWreath => "graph_to_wreath",
-            Algorithm::GraphToThinWreath => "graph_to_thin_wreath",
-            Algorithm::CliqueFormation => "clique_formation",
-            Algorithm::CentralizedEuler => "centralized_general",
-        }
-    }
-
-    /// The registered algorithm implementing this table entry.
-    pub fn algorithm(&self) -> &'static dyn ReconfigurationAlgorithm {
-        algorithm::find(self.id()).expect("table algorithms are registered")
-    }
-
-    /// Runs the algorithm on the given instance with the default
-    /// [`RunConfig`] (for `CentralizedEuler`, that means prune-to-tree).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying algorithm errors.
-    pub fn run(&self, graph: &Graph, uids: &UidMap) -> Result<TransformationOutcome, CoreError> {
-        self.algorithm().run(graph, uids, &RunConfig::default())
-    }
-}
-
-impl fmt::Display for Algorithm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+use adn_core::algorithm::{ReconfigurationAlgorithm, RunConfig};
+use adn_core::CoreError;
+use adn_graph::{GraphFamily, UidAssignment, UidMap};
 
 /// One row of measurements.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
-    /// Algorithm executed.
-    pub algorithm: Algorithm,
+    /// Name of the algorithm executed
+    /// ([`ReconfigurationAlgorithm::name`]).
+    pub algorithm: &'static str,
     /// Workload family name.
     pub family: String,
     /// Number of nodes of the instance actually generated.
@@ -111,43 +35,26 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// Runs `algorithm` on one instance of `family` and records the result.
+    /// Runs `algorithm` under the default [`RunConfig`] on one instance
+    /// of `family`, with UIDs permuted by the instance seed, and records
+    /// the result.
     ///
     /// # Errors
     ///
     /// Propagates algorithm errors.
     pub fn measure(
-        algorithm: Algorithm,
+        algorithm: &dyn ReconfigurationAlgorithm,
         family: GraphFamily,
         n: usize,
         seed: u64,
     ) -> Result<Self, CoreError> {
         let graph = family.generate(n, seed);
-        let actual_n = graph.node_count();
-        let uids = UidMap::new(actual_n, UidAssignment::RandomPermutation { seed });
-        let outcome = algorithm.run(&graph, &uids)?;
-        Ok(RunRecord::from_outcome(
-            algorithm,
-            family.name().to_string(),
-            actual_n,
-            seed,
-            &uids,
-            &outcome,
-        ))
-    }
-
-    /// Builds a record from an already-computed outcome.
-    pub fn from_outcome(
-        algorithm: Algorithm,
-        family: String,
-        n: usize,
-        seed: u64,
-        uids: &UidMap,
-        outcome: &TransformationOutcome,
-    ) -> Self {
-        RunRecord {
-            algorithm,
-            family,
+        let n = graph.node_count();
+        let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed });
+        let outcome = algorithm.run(&graph, &uids, &RunConfig::default())?;
+        Ok(RunRecord {
+            algorithm: algorithm.name(),
+            family: family.name().to_string(),
             n,
             seed,
             rounds: outcome.rounds,
@@ -158,27 +65,7 @@ impl RunRecord {
             max_total_degree: outcome.metrics.max_total_degree,
             final_diameter: outcome.final_diameter(),
             leader_ok: uids.max_uid_node() == Some(outcome.leader),
-        }
-    }
-
-    /// Sweeps `(n, seed)` pairs for one algorithm/family combination.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first algorithm error encountered.
-    pub fn sweep(
-        algorithm: Algorithm,
-        family: GraphFamily,
-        sizes: &[usize],
-        seeds: &[u64],
-    ) -> Result<Vec<RunRecord>, CoreError> {
-        let mut out = Vec::with_capacity(sizes.len() * seeds.len());
-        for &n in sizes {
-            for &seed in seeds {
-                out.push(RunRecord::measure(algorithm, family, n, seed)?);
-            }
-        }
-        Ok(out)
+        })
     }
 }
 
@@ -211,10 +98,11 @@ pub fn markdown_table(records: &[RunRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adn_core::algorithm::{registry, GraphToStar};
 
     #[test]
     fn measure_produces_consistent_records() {
-        let r = RunRecord::measure(Algorithm::GraphToStar, GraphFamily::Line, 32, 1).unwrap();
+        let r = RunRecord::measure(&GraphToStar, GraphFamily::Line, 32, 1).unwrap();
         assert_eq!(r.n, 32);
         assert!(r.leader_ok);
         assert_eq!(r.final_diameter, Some(2));
@@ -225,31 +113,15 @@ mod tests {
     }
 
     #[test]
-    fn all_algorithms_run_on_a_small_ring() {
-        for alg in Algorithm::ALL {
-            let r = RunRecord::measure(alg, GraphFamily::Ring, 24, 3).unwrap();
-            assert!(r.leader_ok, "{alg} elected the wrong leader");
-            assert!(r.final_diameter.is_some(), "{alg} disconnected the network");
+    fn every_supporting_algorithm_runs_on_a_small_ring() {
+        let ring = GraphFamily::Ring.generate(24, 3);
+        for alg in registry().iter().filter(|a| a.supports(&ring)) {
+            let r = RunRecord::measure(*alg, GraphFamily::Ring, 24, 3).unwrap();
+            assert_eq!(r.algorithm, alg.name());
+            assert!(r.final_diameter.is_some(), "{} disconnected", r.algorithm);
+            if alg.spec().elects_max_uid_leader {
+                assert!(r.leader_ok, "{} elected the wrong leader", r.algorithm);
+            }
         }
-    }
-
-    #[test]
-    fn sweep_covers_all_combinations() {
-        let records = RunRecord::sweep(
-            Algorithm::CentralizedEuler,
-            GraphFamily::Line,
-            &[8, 16],
-            &[1, 2],
-        )
-        .unwrap();
-        assert_eq!(records.len(), 4);
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        let mut names: Vec<_> = Algorithm::ALL.iter().map(|a| a.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), Algorithm::ALL.len());
     }
 }

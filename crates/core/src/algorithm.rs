@@ -100,17 +100,16 @@ pub struct DstConfig {
 /// The shared run configuration honored by every registered algorithm.
 ///
 /// This replaces the scattered per-function booleans and config structs of
-/// the old `run_*` API: an optional hard round budget, the per-family
-/// overrides, the DST request and the engine all travel together.
+/// the old `run_*` API: an optional hard round budget, the centralized
+/// target shape, the DST request and the engine all travel together. The
+/// gadget is not configurable: each registered algorithm runs the one its
+/// [`AlgorithmSpec`] describes.
 #[derive(Debug, Clone, Default)]
 pub struct RunConfig {
     /// Optional hard cap on the rounds metered on the network (cumulative
     /// when composing on an already-used network); executions exceeding it
     /// fail with [`SimError::RoundLimitExceeded`] instead of completing.
     pub round_budget: Option<usize>,
-    /// Override for the wreath-family engine's tree arity. `None` uses
-    /// each algorithm's paper configuration.
-    pub wreath: Option<WreathConfig>,
     /// Target shape for the general centralized strategy.
     pub centralized: CentralizedConfig,
     /// Optional deterministic-simulation-testing request: run under an
@@ -132,12 +131,6 @@ impl RunConfig {
     /// Sets the round budget (builder style).
     pub fn with_round_budget(mut self, rounds: usize) -> Self {
         self.round_budget = Some(rounds);
-        self
-    }
-
-    /// Sets the wreath-engine override (builder style).
-    pub fn with_wreath(mut self, config: WreathConfig) -> Self {
-        self.wreath = Some(config);
         self
     }
 
@@ -459,8 +452,7 @@ impl ReconfigurationAlgorithm for GraphToWreath {
         uids: &UidMap,
         config: &RunConfig,
     ) -> Result<TransformationOutcome, CoreError> {
-        let wreath = config.wreath.clone().unwrap_or_else(WreathConfig::binary);
-        graph_to_wreath::execute(network, uids, &wreath, config)
+        graph_to_wreath::execute(network, uids, &WreathConfig::binary(), config)
     }
 }
 
@@ -495,10 +487,7 @@ impl ReconfigurationAlgorithm for GraphToThinWreath {
         uids: &UidMap,
         config: &RunConfig,
     ) -> Result<TransformationOutcome, CoreError> {
-        let wreath = config
-            .wreath
-            .clone()
-            .unwrap_or_else(|| WreathConfig::polylog(network.node_count()));
+        let wreath = WreathConfig::polylog(network.node_count());
         graph_to_wreath::execute(network, uids, &wreath, config)
     }
 }
@@ -579,7 +568,7 @@ impl ReconfigurationAlgorithm for CentralizedGeneral {
     fn spec(&self) -> AlgorithmSpec {
         AlgorithmSpec {
             id: "centralized_general",
-            name: "Centralized (Euler + CutInHalf)",
+            name: "Centralized(Euler+CutInHalf)",
             paper_ref: "Section 6, Theorem 6.3",
             time: "O(log n)",
             total_activations: "Θ(n)",
@@ -803,19 +792,5 @@ mod tests {
             .unwrap();
         assert!(!adn_graph::properties::is_tree(&low_diameter.final_graph));
         assert!(low_diameter.final_graph.edge_count() > pruned.final_graph.edge_count());
-    }
-
-    #[test]
-    fn wreath_override_changes_the_gadget() {
-        let graph = generators::ring(64);
-        let uids = UidMap::new(64, UidAssignment::Sequential);
-        let config = RunConfig::default().with_wreath(WreathConfig {
-            name: "GraphToWreath(arity 4)",
-            tree_arity: 4,
-        });
-        let outcome = GraphToWreath.run(&graph, &uids, &config).unwrap();
-        let tree = adn_graph::RootedTree::from_tree_graph(&outcome.final_graph, outcome.leader)
-            .expect("final graph is a tree");
-        assert!(graph.nodes().all(|u| tree.child_count(u) <= 4));
     }
 }

@@ -105,12 +105,7 @@ fn execute_async(
     scheduler: &Scheduler,
 ) -> Result<TransformationOutcome, CoreError> {
     let mut actors = flood_actors(network.graph());
-    let report = scheduler.run(network, &mut actors).map_err(|e| match e {
-        adn_runtime::RuntimeError::Sim(sim) => CoreError::Sim(sim),
-        other => CoreError::InvalidInput {
-            reason: format!("asynchronous flooding failed: {other}"),
-        },
-    })?;
+    let report = scheduler.run(network, &mut actors)?;
     let leader = uids.max_uid_node().expect("validated input is non-empty");
     let mut outcome = TransformationOutcome::from_network(leader, network);
     outcome.tokens_per_node = actors.iter().map(|a| a.known().len()).collect();
@@ -176,6 +171,18 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(network.node_count(), n + 1, "exactly one node joined");
+    }
+
+    #[test]
+    fn a_scheduler_that_gives_up_is_not_blamed_on_the_input() {
+        // An exhausted step budget is the runtime's failure, not a bad
+        // input: it surfaces through `From<RuntimeError> for CoreError`.
+        let n = 8;
+        let uids = UidMap::new(n, UidAssignment::Sequential);
+        let mut network = Network::new(generators::ring(n));
+        let scheduler = Scheduler::Seeded(adn_runtime::SeededScheduler::new(1).with_max_steps(3));
+        let err = execute_async(&mut network, &uids, &scheduler).unwrap_err();
+        assert!(matches!(err, CoreError::BrokenInvariant { .. }), "{err:?}");
     }
 
     #[test]

@@ -134,7 +134,7 @@ pub(crate) fn execute_general(
     target: CentralizedConfig,
     config: &RunConfig,
 ) -> Result<TransformationOutcome, CoreError> {
-    config.require_sync_engine("Centralized (Euler + CutInHalf)")?;
+    config.require_sync_engine("Centralized(Euler+CutInHalf)")?;
     validate_input(network, uids, "the centralized strategy")?;
     let n = network.node_count();
     let root = uids.max_uid_node().expect("validated input is non-empty");
@@ -243,7 +243,7 @@ mod tests {
         target: CentralizedConfig,
         config: &RunConfig,
     ) -> Result<TransformationOutcome, CoreError> {
-        config.require_sync_engine("Centralized (Euler + CutInHalf)")?;
+        config.require_sync_engine("Centralized(Euler+CutInHalf)")?;
         validate_input(network, uids, "the centralized strategy")?;
         let initial = network.graph().clone();
         let n = initial.node_count();

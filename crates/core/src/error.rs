@@ -17,14 +17,16 @@ pub enum CoreError {
         /// Human-readable description of the violated precondition.
         reason: String,
     },
-    /// The algorithm did not converge within its internal phase budget.
-    /// This indicates a bug (the algorithms are proven to terminate) and
-    /// is surfaced as an error rather than a panic so that property tests
-    /// can report the offending instance.
+    /// The algorithm did not converge within its internal phase budget,
+    /// or reached a phase that changes nothing and so repeats forever.
+    /// Without faults this indicates a bug (the algorithms are proven to
+    /// terminate); it is surfaced as an error rather than a panic so that
+    /// property tests can report the offending instance.
     DidNotConverge {
         /// Name of the algorithm.
         algorithm: &'static str,
-        /// The phase budget that was exhausted.
+        /// The phase budget that was exhausted, or the phase found to
+        /// repeat.
         phase_limit: usize,
     },
     /// An internal structural invariant did not hold (a committee scan or

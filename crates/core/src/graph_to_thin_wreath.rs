@@ -12,7 +12,7 @@
 //! The implementation instantiates the shared wreath engine of
 //! [`crate::graph_to_wreath`] with the polylogarithmic arity — and thereby
 //! runs on the shared committee layer of [`crate::committee`] (arena
-//! forest, per-phase committee adjacency, selection forest), the
+//! forest, one-pass selection, selection forest), the
 //! engine's batched ring splices (successor-pointer rings, one
 //! materialization pass per merge) and its lockstep tree rebuilds
 //! (every merged ring of a phase in one line-to-tree batch, so a phase

@@ -8,9 +8,9 @@
 //!   [`ReconfigurationAlgorithm`] trait, the shared [`RunConfig`] and the
 //!   [`registry`] enumerating every strategy below.
 //! * [`committee`] — the shared committee-forest layer: the arena-backed
-//!   partition ([`committee::CommitteeForest`]), the flat committee
-//!   adjacency builder and the per-phase selection forest that all three
-//!   committee algorithms run on.
+//!   partition ([`committee::CommitteeForest`]), the one-pass
+//!   largest-UID selection over the snapshot's edges and the per-phase
+//!   selection forest that all three committee algorithms run on.
 //! * [`subroutines`] — the basic building blocks of Section 2.3 and the
 //!   appendix: `TreeToStar`, `LineToCompleteBinaryTree` (synchronous and
 //!   asynchronous wake-up variants) and the complete-`k`-ary-tree

@@ -507,6 +507,20 @@ mod tests {
     use super::*;
     use adn_graph::rng::DetRng;
     use adn_graph::{generators, NodeId};
+    use adn_sim::RoundEvent;
+
+    /// Activations per elapsed round, read off the recorder tap: each
+    /// commit's count, 0 for an idle round.
+    fn per_round_activations(net: &mut Network) -> Vec<usize> {
+        net.take_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                RoundEvent::RoundCommitted { activations, .. } => Some(activations),
+                RoundEvent::IdleRound => Some(0),
+                _ => None,
+            })
+            .collect()
+    }
 
     fn identity_line(n: usize) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()
@@ -841,6 +855,7 @@ mod tests {
                 let mut solo_parents: Vec<Vec<Option<NodeId>>> = Vec::new();
                 for (line, wake) in lines.iter().zip(&wakes) {
                     let mut net = Network::new(g.clone());
+                    net.set_event_recording(true);
                     let config = LineToTreeConfig {
                         arity,
                         keep_line_edges,
@@ -850,17 +865,18 @@ mod tests {
                     assert_eq!(tree, planned_tree(line.len(), arity), "Lemma B.4");
                     max_rounds = max_rounds.max(rounds);
                     sum_activations += net.metrics().total_activations;
-                    let per_round = &net.metrics().activations_per_round;
+                    let per_round = per_round_activations(&mut net);
                     if sum_per_round.len() < per_round.len() {
                         sum_per_round.resize(per_round.len(), 0);
                     }
-                    for (sum, &a) in sum_per_round.iter_mut().zip(per_round) {
+                    for (sum, a) in sum_per_round.iter_mut().zip(per_round) {
                         *sum += a;
                     }
                     solo_parents.push((0..line.len()).map(|p| tree.parent(NodeId(p))).collect());
                 }
 
                 let mut net = Network::new(g.clone());
+                net.set_event_recording(true);
                 let mut scratch = LineScratch::new();
                 scratch.clear_lines();
                 for (line, wake) in lines.iter().zip(&wakes) {
@@ -879,11 +895,7 @@ mod tests {
                 }
                 assert_eq!(rounds, max_rounds, "{label}");
                 assert_eq!(net.metrics().total_activations, sum_activations, "{label}");
-                assert_eq!(
-                    net.metrics().activations_per_round,
-                    sum_per_round,
-                    "{label}"
-                );
+                assert_eq!(per_round_activations(&mut net), sum_per_round, "{label}");
             }
         }
     }

@@ -78,10 +78,9 @@ impl LineToTreeConfig {
 ///
 /// Returns the constructed rooted tree **in position space** (vertex `i`
 /// of the returned tree is `line[i]`, the root is position 0) together
-/// with the number of rounds consumed. Use
-/// [`positional_parents_to_node_ids`] to translate the parent pointers
-/// back into network node ids; when `line` is simply `0..n` in order the
-/// two coincide.
+/// with the number of rounds consumed: the parent of node `line[i]` is
+/// `line[p]` for the tree parent `p` of position `i`. When `line` is
+/// simply `0..n` in order the two spaces coincide.
 ///
 /// # Errors
 ///
@@ -97,17 +96,6 @@ pub fn run_line_to_tree(
     config: &LineToTreeConfig,
 ) -> Result<(RootedTree, usize), CoreError> {
     run_async_line_to_tree(network, line, config, &vec![1; line.len()])
-}
-
-/// Translates the positional tree returned by [`run_line_to_tree`] into
-/// per-node parent pointers in node-id space.
-///
-/// Entry `i` of the result is the parent (as a network node id) of node
-/// `line[i]`, or `None` for the root `line[0]`.
-pub fn positional_parents_to_node_ids(tree: &RootedTree, line: &[NodeId]) -> Vec<Option<NodeId>> {
-    (0..line.len())
-        .map(|pos| tree.parent(NodeId(pos)).map(|p| line[p.index()]))
-        .collect()
 }
 
 #[cfg(test)]
@@ -302,15 +290,13 @@ mod tests {
         let mut net = Network::new(g);
         let line: Vec<NodeId> = (0..n).rev().map(NodeId).collect();
         let (tree, _) = run_line_to_tree(&mut net, &line, &LineToTreeConfig::binary()).unwrap();
-        let parents = positional_parents_to_node_ids(&tree, &line);
         // The root position maps to node n-1.
-        assert_eq!(parents[0], None);
+        assert_eq!(tree.parent(NodeId(0)), None);
         assert!(tree.depth() <= ceil_log2(n) + 1);
         // Node-id-space parents must be adjacent in the final network.
-        for (pos, parent) in parents.iter().enumerate() {
-            if let Some(p) = parent {
-                assert!(net.graph().has_edge(line[pos], *p));
-            }
+        for (pos, &node) in line.iter().enumerate().skip(1) {
+            let parent = line[tree.parent(NodeId(pos)).expect("non-root").index()];
+            assert!(net.graph().has_edge(node, parent));
         }
     }
 }

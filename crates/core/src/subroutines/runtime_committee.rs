@@ -438,7 +438,10 @@ fn assign_ops(
 ///
 /// As the synchronous engine ([`CoreError::InvalidInput`] for bad inputs,
 /// [`CoreError::DidNotConverge`] / [`CoreError::Sim`] /
-/// [`CoreError::BrokenInvariant`] on bugs or armed faults).
+/// [`CoreError::BrokenInvariant`] on bugs or armed faults). A phase that
+/// commits no round, merges no committee and changes no mode is a fixed
+/// point (faults can leave a run there) and fails at once with
+/// [`CoreError::DidNotConverge`] naming that phase.
 pub fn run_runtime_star(
     network: &mut Network,
     uids: &UidMap,
@@ -455,6 +458,7 @@ pub fn run_runtime_star(
     while committees.forest.live_count() > 1 {
         let live = committees.forest.live_count();
         committees.log.begin(config, network, live)?;
+        let (rounds, modes) = (network.metrics().rounds, committees.mode.clone());
         let mode = &committees.mode;
         prep_gossip(&committees.forest, network, actors, |cid| mode[cid.index()]);
         run.barrier(network, actors)?;
@@ -481,6 +485,19 @@ pub fn run_runtime_star(
             })
             .collect();
         committees.finish_phase(&selections, &merges, &climbs)?;
+        // A phase that commits no round leaves the graph as it was, and
+        // the crashed set too (the adversary acts only at commits). If it
+        // also left the committees and their modes as they were, every
+        // later phase decides the same: the run can never converge.
+        if network.metrics().rounds == rounds
+            && committees.forest.live_count() == live
+            && committees.mode == modes
+        {
+            return Err(CoreError::DidNotConverge {
+                algorithm: committees.log.algorithm,
+                phase_limit: committees.log.phases,
+            });
+        }
     }
 
     // Termination phase: deactivate every non-star edge.
@@ -806,6 +823,47 @@ mod tests {
                 assert_eq!(outcome.dst.as_ref().map(|d| d.crashed.len()), Some(1));
             }
         }
+    }
+
+    #[test]
+    fn a_crash_fixed_point_fails_at_once_and_replays() {
+        // Crash-stops can leave a run in a phase that commits no round,
+        // merges nothing and changes no mode; every later phase would
+        // repeat it. The run stops at that phase (9 here), far below the
+        // 280-phase limit at n = 32.
+        let (n, seed) = (32, 5u64);
+        let g = generators::line(n);
+        let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed });
+        let scenario = Scenario {
+            per_round_probability: 0.2,
+            ..Scenario::crash_stop()
+        };
+        let config = RunConfig::default()
+            .with_dst(scenario.clone(), seed)
+            .with_engine(crate::algorithm::EngineMode::Seeded { seed });
+        let run = || {
+            let mut network = Network::new(g.clone());
+            let dst = DstConfig {
+                scenario: scenario.clone(),
+                seed,
+            };
+            arm_network_for_dst(&mut network, &GraphToStar.spec(), &uids, &dst);
+            let err = GraphToStar
+                .execute(&mut network, &uids, &config)
+                .expect_err("the crashes strand the run");
+            let report = network.take_dst_report().expect("armed network");
+            assert!(!report.crashed.is_empty());
+            (err, report.render(), network.graph().clone())
+        };
+        let first = run();
+        assert_eq!(
+            first.0,
+            CoreError::DidNotConverge {
+                algorithm: "GraphToStar",
+                phase_limit: 9
+            }
+        );
+        assert_eq!(run(), first, "a stalled run replays identically");
     }
 
     #[test]

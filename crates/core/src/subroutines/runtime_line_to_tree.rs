@@ -363,16 +363,6 @@ impl AsyncProgram for TreeActor {
     }
 }
 
-fn map_runtime_err(e: adn_runtime::RuntimeError) -> CoreError {
-    match e {
-        adn_runtime::RuntimeError::Sim(sim) => CoreError::Sim(sim),
-        other => CoreError::BrokenInvariant {
-            algorithm: "RuntimeLineToTree",
-            detail: other.to_string(),
-        },
-    }
-}
-
 /// Runs line-to-tree as actors under `scheduler`, one per network node
 /// (nodes off the line are inert). Returns the final tree in position
 /// space plus the runtime report; the tree equals the synchronous
@@ -400,9 +390,7 @@ pub fn run_runtime_line_to_tree(
     for (&node, actor) in line.iter().zip(TreeActor::for_line(line, config, work)) {
         actors[node.index()] = actor;
     }
-    let report = scheduler
-        .run(network, &mut actors)
-        .map_err(map_runtime_err)?;
+    let report = scheduler.run(network, &mut actors)?;
     let mut parents = Vec::with_capacity(line.len());
     for (pos, node) in line.iter().enumerate() {
         let parent = actors[node.index()].final_parent()?;

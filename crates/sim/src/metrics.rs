@@ -21,12 +21,10 @@ pub struct EdgeMetrics {
     pub total_activations: usize,
     /// Total number of edge deactivations performed over all rounds.
     pub total_deactivations: usize,
-    /// Number of activations performed in each elapsed round, in round
-    /// order. Idle/communication-only rounds and adversarially skewed
-    /// rounds contribute an explicit 0 (pinned by
-    /// `idle_rounds_contribute_zero_activations`), so the vector length
-    /// is the elapsed-round count.
-    pub activations_per_round: Vec<usize>,
+    /// Maximum over rounds of the number of activations performed in
+    /// that round. Per-round counts come from the recorder tap's
+    /// `RoundCommitted` events (idle rounds perform none).
+    pub max_activations_in_round: usize,
     /// Maximum over rounds of the number of active non-initial edges.
     pub max_activated_edges: usize,
     /// Maximum over rounds of the number of active edges (including the
@@ -50,35 +48,6 @@ impl EdgeMetrics {
         Self::default()
     }
 
-    /// Number of rounds with a per-round activation record.
-    pub fn recorded_rounds(&self) -> usize {
-        self.activations_per_round.len()
-    }
-
-    /// Maximum number of activations in any single round.
-    pub fn max_activations_in_round(&self) -> usize {
-        self.activations_per_round
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Average number of activations per *elapsed* round (0 if no
-    /// rounds). The denominator counts every round that recorded a
-    /// per-round entry — committed rounds, idle communication rounds
-    /// and adversarially skewed rounds (the latter two contribute 0
-    /// activations) — so this is activations per round of wall-clock
-    /// model time, not per committed round.
-    pub fn mean_activations_per_round(&self) -> f64 {
-        let rounds = self.recorded_rounds();
-        if rounds == 0 {
-            0.0
-        } else {
-            self.total_activations as f64 / rounds as f64
-        }
-    }
-
     /// Merges another metrics record into this one, as if the other
     /// execution ran *after* this one on the same network (rounds add up,
     /// maxima take the max). Used when composing algorithms, e.g. a
@@ -87,8 +56,9 @@ impl EdgeMetrics {
         self.rounds += later.rounds;
         self.total_activations += later.total_activations;
         self.total_deactivations += later.total_deactivations;
-        self.activations_per_round
-            .extend_from_slice(&later.activations_per_round);
+        self.max_activations_in_round = self
+            .max_activations_in_round
+            .max(later.max_activations_in_round);
         self.max_activated_edges = self.max_activated_edges.max(later.max_activated_edges);
         self.max_active_edges_total = self
             .max_active_edges_total
@@ -104,26 +74,50 @@ impl EdgeMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RoundEvent;
+    use adn_graph::NodeId;
 
     #[test]
     fn default_is_zeroed() {
         let m = EdgeMetrics::new();
         assert_eq!(m.rounds, 0);
         assert_eq!(m.total_activations, 0);
-        assert_eq!(m.max_activations_in_round(), 0);
-        assert_eq!(m.mean_activations_per_round(), 0.0);
+        assert_eq!(m.max_activations_in_round, 0);
     }
 
     #[test]
-    fn per_round_statistics() {
-        let m = EdgeMetrics {
-            rounds: 3,
-            total_activations: 6,
-            activations_per_round: vec![1, 2, 3],
-            ..Default::default()
-        };
-        assert_eq!(m.max_activations_in_round(), 3);
-        assert!((m.mean_activations_per_round() - 2.0).abs() < 1e-9);
+    fn per_round_maximum_matches_the_recorded_boundaries() {
+        // Rounds of 1, 3 and 2 activations around two idle charges: the
+        // running maximum is the largest `RoundCommitted` count, and the
+        // elapsed rounds are the boundaries plus the idle rounds.
+        let mut net = crate::Network::new(adn_graph::generators::line(8));
+        net.set_event_recording(true);
+        let waves: [&[(usize, usize)]; 3] =
+            [&[(0, 2)], &[(2, 4), (4, 6), (1, 3)], &[(3, 5), (5, 7)]];
+        for wave in waves {
+            for &(u, v) in wave {
+                net.stage_activation(NodeId(u), NodeId(v)).unwrap();
+            }
+            net.commit_round();
+            net.advance_idle_rounds(1);
+        }
+        let events = net.take_events();
+        let committed: Vec<usize> = events
+            .iter()
+            .filter_map(|e| match *e {
+                RoundEvent::RoundCommitted { activations, .. } => Some(activations),
+                _ => None,
+            })
+            .collect();
+        let idle = events
+            .iter()
+            .filter(|e| matches!(e, RoundEvent::IdleRound))
+            .count();
+        assert_eq!(committed, [1, 3, 2]);
+        let m = net.metrics();
+        assert_eq!(m.max_activations_in_round, 3);
+        assert_eq!(m.rounds, committed.len() + idle);
+        assert_eq!(m.total_activations, committed.iter().sum::<usize>());
     }
 
     #[test]
@@ -132,7 +126,7 @@ mod tests {
             rounds: 2,
             total_activations: 5,
             total_deactivations: 1,
-            activations_per_round: vec![2, 3],
+            max_activations_in_round: 3,
             max_activated_edges: 4,
             max_active_edges_total: 9,
             max_activated_degree: 3,
@@ -143,7 +137,7 @@ mod tests {
             rounds: 4,
             total_activations: 2,
             total_deactivations: 7,
-            activations_per_round: vec![1, 1, 0, 0],
+            max_activations_in_round: 1,
             max_activated_edges: 2,
             max_active_edges_total: 12,
             max_activated_degree: 6,
@@ -154,7 +148,7 @@ mod tests {
         assert_eq!(a.rounds, 6);
         assert_eq!(a.total_activations, 7);
         assert_eq!(a.total_deactivations, 8);
-        assert_eq!(a.activations_per_round, vec![2, 3, 1, 1, 0, 0]);
+        assert_eq!(a.max_activations_in_round, 3);
         assert_eq!(a.max_activated_edges, 4);
         assert_eq!(a.max_active_edges_total, 12);
         assert_eq!(a.max_activated_degree, 6);

@@ -13,7 +13,6 @@
 //! ```
 
 use adn_core::algorithm::{self, CentralizedConfig, DstConfig, EngineMode, RunConfig};
-use adn_core::graph_to_wreath::WreathConfig;
 use adn_core::{CoreError, TransformationOutcome};
 use adn_graph::{Graph, GraphFamily, UidAssignment, UidMap};
 use adn_sim::dst::Scenario;
@@ -81,13 +80,6 @@ impl Experiment {
     /// Caps the execution at `rounds` simulated rounds.
     pub fn round_budget(mut self, rounds: usize) -> Self {
         self.config.round_budget = Some(rounds);
-        self
-    }
-
-    /// Overrides the wreath-engine configuration (tree arity) for the
-    /// wreath-family algorithms.
-    pub fn wreath_config(mut self, config: WreathConfig) -> Self {
-        self.config.wreath = Some(config);
         self
     }
 

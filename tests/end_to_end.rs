@@ -3,7 +3,7 @@
 //! all driven through the `Experiment` builder and the algorithm registry.
 
 use actively_dynamic_networks::prelude::*;
-use adn_analysis::{Algorithm, RunRecord};
+use adn_analysis::RunRecord;
 use adn_graph::properties::ceil_log2;
 
 #[test]
@@ -50,7 +50,7 @@ fn transformation_beats_flooding_on_high_diameter_graphs() {
 
 #[test]
 fn analysis_records_agree_with_direct_runs() {
-    let record = RunRecord::measure(Algorithm::GraphToStar, GraphFamily::Ring, 40, 8).unwrap();
+    let record = RunRecord::measure(&GraphToStar, GraphFamily::Ring, 40, 8).unwrap();
     let outcome = Experiment::family(GraphFamily::Ring, 40, 8)
         .uids(UidAssignment::RandomPermutation { seed: 8 })
         .algorithm("graph_to_star")
