@@ -33,19 +33,6 @@ use adn_runtime::{AsyncKnobs, FreeScheduler, Scheduler, SeededScheduler};
 use adn_sim::dst::{Adversary, DstState, InvariantPolicy, Scenario};
 use adn_sim::{Network, SimError};
 
-/// What the general centralized strategy (Theorem 6.3) leaves behind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CentralizedConfig {
-    /// Stop after `CutInHalf` over the Euler tour: the network keeps all
-    /// doubling edges and has `O(log n)` diameter.
-    LowDiameter,
-    /// Additionally spend one clean-up round pruning down to a BFS tree
-    /// rooted at the leader, yielding a Depth-`O(log n)` tree (the
-    /// default, matching the Depth-`d` Tree problem statement).
-    #[default]
-    PruneToTree,
-}
-
 /// Which execution engine drives an algorithm.
 ///
 /// The paper's model is synchronous and every algorithm runs there; the
@@ -100,9 +87,9 @@ pub struct DstConfig {
 /// The shared run configuration honored by every registered algorithm.
 ///
 /// This replaces the scattered per-function booleans and config structs of
-/// the old `run_*` API: an optional hard round budget, the centralized
-/// target shape, the DST request and the engine all travel together. The
-/// gadget is not configurable: each registered algorithm runs the one its
+/// the old `run_*` API: an optional hard round budget, the DST request and
+/// the engine all travel together. Neither the gadget nor the target is
+/// configurable: each registered algorithm runs the one its
 /// [`AlgorithmSpec`] describes.
 #[derive(Debug, Clone, Default)]
 pub struct RunConfig {
@@ -110,12 +97,9 @@ pub struct RunConfig {
     /// when composing on an already-used network); executions exceeding it
     /// fail with [`SimError::RoundLimitExceeded`] instead of completing.
     pub round_budget: Option<usize>,
-    /// Target shape for the general centralized strategy.
-    pub centralized: CentralizedConfig,
     /// Optional deterministic-simulation-testing request: run under an
     /// adversarial scenario with round-level invariant checking. Honored
-    /// by the entry points that build the network
-    /// ([`ReconfigurationAlgorithm::run`] and the `Experiment` builder);
+    /// by [`ReconfigurationAlgorithm::run`], which builds the network;
     /// callers invoking [`ReconfigurationAlgorithm::execute`] on their own
     /// network arm it themselves via [`arm_network_for_dst`]. On an
     /// asynchronous engine an armed scenario injects its faults at the
@@ -131,12 +115,6 @@ impl RunConfig {
     /// Sets the round budget (builder style).
     pub fn with_round_budget(mut self, rounds: usize) -> Self {
         self.round_budget = Some(rounds);
-        self
-    }
-
-    /// Sets the centralized-strategy target (builder style).
-    pub fn with_centralized(mut self, config: CentralizedConfig) -> Self {
-        self.centralized = config;
         self
     }
 
@@ -336,9 +314,9 @@ pub trait ReconfigurationAlgorithm: Sync {
         config: &RunConfig,
     ) -> Result<TransformationOutcome, CoreError>;
 
-    /// Convenience wrapper: builds a fresh [`Network`] over `initial`,
-    /// arms the deterministic-simulation-testing layer when
-    /// [`RunConfig::dst`] asks for it, and calls
+    /// Runs on a fresh [`Network`] over `initial`: arms the
+    /// deterministic-simulation-testing layer when [`RunConfig::dst`] asks
+    /// for it (the one entry point that does), then calls
     /// [`ReconfigurationAlgorithm::execute`].
     ///
     /// # Errors
@@ -473,7 +451,7 @@ impl ReconfigurationAlgorithm for GraphToThinWreath {
             centralized: false,
             elects_max_uid_leader: true,
             diameter_bound: |n| 2 * ceil_log2(n.max(2)) + 4,
-            max_degree_bound: |n| ceil_log2(n.max(4)).max(2) + 1,
+            max_degree_bound: |n| WreathConfig::polylog(n).tree_arity + 1,
         }
     }
 
@@ -559,8 +537,8 @@ impl ReconfigurationAlgorithm for CentralizedCutInHalf {
 }
 
 /// The general centralized strategy (Theorem 6.3): spanning tree → Euler
-/// tour → virtual ring → `CutInHalf`, optionally pruned to a BFS tree (see
-/// [`CentralizedConfig`]).
+/// tour → virtual ring → `CutInHalf`, pruned to a BFS tree of depth
+/// `O(log n)`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CentralizedGeneral;
 
@@ -586,7 +564,7 @@ impl ReconfigurationAlgorithm for CentralizedGeneral {
         uids: &UidMap,
         config: &RunConfig,
     ) -> Result<TransformationOutcome, CoreError> {
-        centralized::execute_general(network, uids, config.centralized, config)
+        centralized::execute_general(network, uids, config)
     }
 }
 
@@ -773,24 +751,5 @@ mod tests {
             CentralizedCutInHalf.run(&generators::ring(8), &uids, &RunConfig::default()),
             Err(CoreError::InvalidInput { .. })
         ));
-    }
-
-    #[test]
-    fn centralized_config_switches_target_shape() {
-        let graph = generators::line(64);
-        let uids = UidMap::new(64, UidAssignment::Sequential);
-        let pruned = CentralizedGeneral
-            .run(&graph, &uids, &RunConfig::default())
-            .unwrap();
-        assert!(adn_graph::properties::is_tree(&pruned.final_graph));
-        let low_diameter = CentralizedGeneral
-            .run(
-                &graph,
-                &uids,
-                &RunConfig::default().with_centralized(CentralizedConfig::LowDiameter),
-            )
-            .unwrap();
-        assert!(!adn_graph::properties::is_tree(&low_diameter.final_graph));
-        assert!(low_diameter.final_graph.edge_count() > pruned.final_graph.edge_count());
     }
 }

@@ -182,7 +182,10 @@ mod tests {
         let mut network = Network::new(generators::ring(n));
         let scheduler = Scheduler::Seeded(adn_runtime::SeededScheduler::new(1).with_max_steps(3));
         let err = execute_async(&mut network, &uids, &scheduler).unwrap_err();
-        assert!(matches!(err, CoreError::BrokenInvariant { .. }), "{err:?}");
+        assert_eq!(
+            err,
+            CoreError::Runtime(adn_runtime::RuntimeError::DidNotQuiesce { steps: 3 })
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!    algorithms are compared against in experiment F6/F7 (they must pay
 //!    an extra `Θ(log n)` factor — Theorem 6.4).
 
-use crate::algorithm::{validate_input, CentralizedConfig, RunConfig};
+use crate::algorithm::{validate_input, RunConfig};
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::traversal::{bfs_parents, bfs_spanning_tree, euler_tour};
 use adn_graph::{Edge, Graph, NodeId, UidMap};
@@ -124,14 +124,13 @@ fn cut_in_half(
 }
 
 /// Executes the general centralized strategy of Theorem 6.3 on `network`:
-/// spanning tree → Euler tour → virtual ring → `CutInHalf`, followed under
-/// [`CentralizedConfig::PruneToTree`] by one clean-up round that prunes
-/// the graph down to a BFS tree rooted at the maximum-UID node (trait
-/// entry point; see [`crate::algorithm::CentralizedGeneral`]).
+/// spanning tree → Euler tour → virtual ring → `CutInHalf`, followed by
+/// one clean-up round that prunes the graph down to a BFS tree rooted at
+/// the maximum-UID node (trait entry point; see
+/// [`crate::algorithm::CentralizedGeneral`]).
 pub(crate) fn execute_general(
     network: &mut Network,
     uids: &UidMap,
-    target: CentralizedConfig,
     config: &RunConfig,
 ) -> Result<TransformationOutcome, CoreError> {
     config.require_sync_engine("Centralized(Euler+CutInHalf)")?;
@@ -144,7 +143,7 @@ pub(crate) fn execute_general(
 
     cut_in_half(network, &tour, config)?;
 
-    if target == CentralizedConfig::PruneToTree && n > 1 {
+    if n > 1 {
         config.check_round_budget(network)?;
         // One clean-up round: keep only a BFS tree of the current
         // low-diameter graph rooted at `root`. The network can only be
@@ -240,7 +239,6 @@ mod tests {
     fn reference_execute_general(
         network: &mut Network,
         uids: &UidMap,
-        target: CentralizedConfig,
         config: &RunConfig,
     ) -> Result<TransformationOutcome, CoreError> {
         config.require_sync_engine("Centralized(Euler+CutInHalf)")?;
@@ -251,7 +249,7 @@ mod tests {
         let tree = bfs_spanning_tree(&initial, root).expect("connected graph has a spanning tree");
         let tour = euler_tour(&tree);
         reference_cut_in_half(network, &tour, config)?;
-        if target == CentralizedConfig::PruneToTree && n > 1 {
+        if n > 1 {
             config.check_round_budget(network)?;
             let bfs = bfs_spanning_tree(network.graph(), root).ok_or_else(|| {
                 CoreError::InvalidInput {
@@ -347,29 +345,23 @@ mod tests {
                         family.name(),
                         dst.as_ref().map(|d| (&d.scenario.name, d.seed))
                     );
-                    let mut pairs = Vec::new();
-                    for target in [
-                        CentralizedConfig::LowDiameter,
-                        CentralizedConfig::PruneToTree,
-                    ] {
-                        pairs.push((
-                            format!("{label} {target:?}"),
-                            observe(
-                                |net| reference_execute_general(net, &uids, target, &config),
-                                &general,
-                                &g,
-                                &uids,
-                                dst.as_ref(),
-                            ),
-                            observe(
-                                |net| execute_general(net, &uids, target, &config),
-                                &general,
-                                &g,
-                                &uids,
-                                dst.as_ref(),
-                            ),
-                        ));
-                    }
+                    let mut pairs = vec![(
+                        format!("{label} general"),
+                        observe(
+                            |net| reference_execute_general(net, &uids, &config),
+                            &general,
+                            &g,
+                            &uids,
+                            dst.as_ref(),
+                        ),
+                        observe(
+                            |net| execute_general(net, &uids, &config),
+                            &general,
+                            &g,
+                            &uids,
+                            dst.as_ref(),
+                        ),
+                    )];
                     if family == GraphFamily::Line {
                         pairs.push((
                             format!("{label} CutInHalf"),
@@ -399,7 +391,7 @@ mod tests {
             }
         }
         // The comparison covers runs whose faults landed, and failures.
-        assert_eq!(runs, (GraphFamily::ALL.len() * 2 + 1) * 4 * 16);
+        assert_eq!(runs, (GraphFamily::ALL.len() + 1) * 4 * 16);
         assert!(faulted > runs / 2, "{faulted} of {runs} runs saw a fault");
         assert!(
             errors > 0 && errors < runs,
@@ -407,13 +399,9 @@ mod tests {
         );
     }
 
-    fn run_general(
-        initial: &Graph,
-        uids: &UidMap,
-        target: CentralizedConfig,
-    ) -> Result<TransformationOutcome, CoreError> {
+    fn run_general(initial: &Graph, uids: &UidMap) -> Result<TransformationOutcome, CoreError> {
         let mut network = Network::new(initial.clone());
-        execute_general(&mut network, uids, target, &RunConfig::default())
+        execute_general(&mut network, uids, &RunConfig::default())
     }
 
     fn run_cut(initial: &Graph, uids: &UidMap) -> Result<TransformationOutcome, CoreError> {
@@ -462,7 +450,7 @@ mod tests {
             let g = family.generate(60, 3);
             let n = g.node_count();
             let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 1 });
-            let outcome = run_general(&g, &uids, CentralizedConfig::LowDiameter).unwrap();
+            let outcome = run_general(&g, &uids).unwrap();
             // Θ(n) activations: the Euler tour has < 2n positions.
             assert!(
                 outcome.metrics.total_activations <= 2 * n,
@@ -478,10 +466,10 @@ mod tests {
     }
 
     #[test]
-    fn pruned_variant_yields_a_low_depth_tree() {
+    fn general_strategy_yields_a_low_depth_tree() {
         let g = generators::line(200);
         let uids = UidMap::new(200, UidAssignment::Sequential);
-        let outcome = run_general(&g, &uids, CentralizedConfig::PruneToTree).unwrap();
+        let outcome = run_general(&g, &uids).unwrap();
         assert!(adn_graph::properties::is_tree(&outcome.final_graph));
         let tree =
             adn_graph::RootedTree::from_tree_graph(&outcome.final_graph, outcome.leader).unwrap();
@@ -496,7 +484,7 @@ mod tests {
         g.remove_edge(NodeId(1), NodeId(2)).unwrap();
         let uids = UidMap::new(6, UidAssignment::Sequential);
         assert!(matches!(
-            run_general(&g, &uids, CentralizedConfig::LowDiameter),
+            run_general(&g, &uids),
             Err(CoreError::InvalidInput { .. })
         ));
     }
@@ -505,7 +493,7 @@ mod tests {
     fn single_node_is_trivial() {
         let g = Graph::new(1);
         let uids = UidMap::new(1, UidAssignment::Sequential);
-        let outcome = run_general(&g, &uids, CentralizedConfig::PruneToTree).unwrap();
+        let outcome = run_general(&g, &uids).unwrap();
         assert_eq!(outcome.metrics.total_activations, 0);
     }
 }

@@ -10,6 +10,9 @@ use std::fmt;
 pub enum CoreError {
     /// A model violation or round-limit error raised by the simulator.
     Sim(SimError),
+    /// The asynchronous scheduler gave up (step budget or wall-clock
+    /// timeout) before termination was detected.
+    Runtime(RuntimeError),
     /// The input network does not satisfy the algorithm's precondition
     /// (for example, a disconnected initial network, or a non-line input
     /// to `LineToCompleteBinaryTree`).
@@ -46,6 +49,7 @@ impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CoreError::Sim(e) => write!(f, "simulator error: {e}"),
+            CoreError::Runtime(e) => write!(f, "runtime error: {e}"),
             CoreError::InvalidInput { reason } => write!(f, "invalid input: {reason}"),
             CoreError::DidNotConverge {
                 algorithm,
@@ -65,6 +69,7 @@ impl Error for CoreError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CoreError::Sim(e) => Some(e),
+            CoreError::Runtime(e) => Some(e),
             _ => None,
         }
     }
@@ -80,10 +85,10 @@ impl From<RuntimeError> for CoreError {
     fn from(value: RuntimeError) -> Self {
         match value {
             RuntimeError::Sim(e) => CoreError::Sim(e),
-            other => CoreError::BrokenInvariant {
-                algorithm: "adn-runtime",
-                detail: other.to_string(),
-            },
+            RuntimeError::InvalidInput { reason } => CoreError::InvalidInput { reason },
+            gave_up @ (RuntimeError::DidNotQuiesce { .. } | RuntimeError::TimedOut) => {
+                CoreError::Runtime(gave_up)
+            }
         }
     }
 }
@@ -116,5 +121,8 @@ mod tests {
         assert!(e.to_string().contains("structural invariant"));
         assert!(e.to_string().contains("n3"));
         assert!(Error::source(&e).is_none());
+        let e = CoreError::from(RuntimeError::DidNotQuiesce { steps: 3 });
+        assert!(e.to_string().contains("runtime error"));
+        assert!(Error::source(&e).is_some());
     }
 }

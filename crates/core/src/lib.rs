@@ -59,8 +59,6 @@ pub mod outcome;
 pub mod subroutines;
 pub mod tasks;
 
-pub use algorithm::{
-    registry, AlgorithmSpec, CentralizedConfig, ReconfigurationAlgorithm, RunConfig,
-};
+pub use algorithm::{registry, AlgorithmSpec, ReconfigurationAlgorithm, RunConfig};
 pub use error::CoreError;
 pub use outcome::TransformationOutcome;

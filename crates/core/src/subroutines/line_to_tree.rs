@@ -59,15 +59,6 @@ impl LineToTreeConfig {
             keep_line_edges: false,
         }
     }
-
-    /// The `LineToCompletePolylogarithmicTree` configuration for a network
-    /// of `n` nodes: arity `max(2, ⌈log2 n⌉)`.
-    pub fn polylog(n: usize) -> Self {
-        LineToTreeConfig {
-            arity: adn_graph::properties::ceil_log2(n.max(2)).max(2),
-            keep_line_edges: false,
-        }
-    }
 }
 
 /// Runs the synchronous line-to-tree subroutine on `network`: the
@@ -101,6 +92,7 @@ pub fn run_line_to_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph_to_wreath::WreathConfig;
     use crate::subroutines::async_line_to_tree::planned_tree;
     use adn_graph::properties::{ceil_log2, is_bounded_arity_tree};
     use adn_graph::{generators, NodeId};
@@ -198,20 +190,19 @@ mod tests {
         let mut net_bin = Network::new(g.clone());
         let (bin, _) =
             run_line_to_tree(&mut net_bin, &identity_line(n), &LineToTreeConfig::binary()).unwrap();
+        let arity = WreathConfig::polylog(n).tree_arity;
+        let polylog = LineToTreeConfig {
+            arity,
+            keep_line_edges: false,
+        };
         let mut net_poly = Network::new(g);
-        let (poly, _) = run_line_to_tree(
-            &mut net_poly,
-            &identity_line(n),
-            &LineToTreeConfig::polylog(n),
-        )
-        .unwrap();
+        let (poly, _) = run_line_to_tree(&mut net_poly, &identity_line(n), &polylog).unwrap();
         assert!(
             poly.depth() < bin.depth(),
             "poly {} vs bin {}",
             poly.depth(),
             bin.depth()
         );
-        let arity = LineToTreeConfig::polylog(n).arity;
         for u in (0..n).map(NodeId) {
             assert!(poly.child_count(u) <= arity);
         }

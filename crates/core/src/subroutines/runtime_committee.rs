@@ -441,7 +441,9 @@ fn assign_ops(
 /// [`CoreError::BrokenInvariant`] on bugs or armed faults). A phase that
 /// commits no round, merges no committee and changes no mode is a fixed
 /// point (faults can leave a run there) and fails at once with
-/// [`CoreError::DidNotConverge`] naming that phase.
+/// [`CoreError::DidNotConverge`] naming that phase. A scheduler that gives
+/// up (step budget or wall-clock timeout) fails the run with
+/// [`CoreError::Runtime`].
 pub fn run_runtime_star(
     network: &mut Network,
     uids: &UidMap,
@@ -629,7 +631,7 @@ mod tests {
     };
     use adn_graph::properties::{is_star, is_tree, star_center};
     use adn_graph::{generators, UidAssignment};
-    use adn_runtime::{AsyncKnobs, FreeScheduler, SeededScheduler};
+    use adn_runtime::{AsyncKnobs, FreeScheduler, RuntimeError, SeededScheduler};
     use adn_sim::dst::Scenario;
 
     fn seeded(seed: u64) -> Scheduler {
@@ -898,6 +900,21 @@ mod tests {
         assert!(
             completed > 0 && failed > 0,
             "{completed} completed, {failed} failed"
+        );
+    }
+
+    #[test]
+    fn a_scheduler_that_gives_up_is_a_runtime_error() {
+        // An exhausted step budget is neither a bad input nor a broken
+        // committee invariant: it surfaces as the scheduler's own error.
+        let uids = UidMap::new(8, UidAssignment::Sequential);
+        let mut network = Network::new(generators::ring(8));
+        let scheduler = Scheduler::Seeded(SeededScheduler::new(1).with_max_steps(3));
+        let err =
+            run_runtime_star(&mut network, &uids, &RunConfig::default(), &scheduler).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::Runtime(RuntimeError::DidNotQuiesce { steps: 3 })
         );
     }
 

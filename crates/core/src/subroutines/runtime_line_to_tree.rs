@@ -374,8 +374,8 @@ impl AsyncProgram for TreeActor {
 /// * [`CoreError::Sim`] if an edge operation is rejected (a protocol bug).
 /// * [`CoreError::DidNotConverge`] if the run quiesced with unfinished
 ///   schedules (a protocol bug).
-/// * [`CoreError::BrokenInvariant`] if the scheduler gave up (step
-///   budget or wall-clock timeout).
+/// * [`CoreError::Runtime`] if the scheduler gave up (step budget or
+///   wall-clock timeout).
 pub fn run_runtime_line_to_tree(
     network: &mut Network,
     line: &[NodeId],

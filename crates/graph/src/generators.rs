@@ -6,7 +6,7 @@
 //! reproducible.
 
 use crate::rng::DetRng;
-use crate::{Graph, NodeId, RootedTree};
+use crate::{Graph, NodeId};
 
 fn nid(i: usize) -> NodeId {
     NodeId(i)
@@ -72,29 +72,6 @@ pub fn complete_kary_tree(n: usize, k: usize) -> Graph {
         g.add_edge(nid(parent), nid(i)).expect("valid tree edge");
     }
     g
-}
-
-/// Rooted view of the heap-ordered complete `k`-ary tree on `n` nodes.
-pub fn complete_kary_rooted(n: usize, k: usize) -> RootedTree {
-    let g = complete_kary_tree(n, k);
-    RootedTree::from_tree_graph(&g, nid(0)).expect("k-ary tree is a tree")
-}
-
-/// Wreath graph: the union of a ring on `n` nodes and a complete binary
-/// tree spanning the ring (Definition 4.1 of the paper).
-///
-/// The ring is `0 - 1 - … - n-1 - 0` and the tree is the heap-ordered
-/// complete binary tree rooted at node `0`.
-pub fn wreath(n: usize) -> Graph {
-    ring(n).union(&complete_binary_tree(n))
-}
-
-/// Thin wreath graph: the union of a ring on `n` nodes and a complete
-/// `k`-ary tree spanning the ring, with `k = max(2, ⌈log2 n⌉)` —
-/// the polylogarithmic-degree gadget of Section 5.
-pub fn thin_wreath(n: usize) -> Graph {
-    let k = (usize::BITS - n.max(2).leading_zeros()) as usize;
-    ring(n).union(&complete_kary_tree(n, k.max(2)))
 }
 
 /// 2-dimensional grid graph with `rows × cols` nodes (row-major indexing).
@@ -318,6 +295,7 @@ pub fn barbell(k: usize, bridge: usize) -> Graph {
 mod tests {
     use super::*;
     use crate::traversal::{diameter, is_connected};
+    use crate::RootedTree;
 
     #[test]
     fn line_and_ring_shapes() {
@@ -352,35 +330,6 @@ mod tests {
         assert!(t.max_degree() <= 3);
         let rooted = RootedTree::from_tree_graph(&t, NodeId(0)).unwrap();
         assert_eq!(rooted.depth(), 3);
-    }
-
-    #[test]
-    fn kary_tree_depth_shrinks_with_arity() {
-        let binary = complete_kary_rooted(100, 2);
-        let wide = complete_kary_rooted(100, 8);
-        assert!(wide.depth() < binary.depth());
-        assert!(wide.max_degree() <= 9);
-    }
-
-    #[test]
-    fn wreath_contains_ring_and_tree() {
-        let w = wreath(16);
-        // Ring edges present.
-        assert!(w.has_edge(NodeId(0), NodeId(15)));
-        assert!(w.has_edge(NodeId(3), NodeId(4)));
-        // Tree edges present.
-        assert!(w.has_edge(NodeId(0), NodeId(1)));
-        assert!(w.has_edge(NodeId(1), NodeId(3)));
-        assert!(is_connected(&w));
-        // Diameter is logarithmic-ish thanks to the tree.
-        assert!(diameter(&w).unwrap() <= 8);
-    }
-
-    #[test]
-    fn thin_wreath_has_small_diameter() {
-        let tw = thin_wreath(256);
-        assert!(is_connected(&tw));
-        assert!(diameter(&tw).unwrap() <= 6, "log-ary tree keeps it shallow");
     }
 
     #[test]

@@ -882,23 +882,6 @@ impl Graph {
         self.edges().collect()
     }
 
-    /// Returns the union of this graph with `other` (same vertex set).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two graphs have different node counts.
-    pub fn union(&self, other: &Graph) -> Graph {
-        assert_eq!(
-            self.n, other.n,
-            "graph union requires identical vertex sets"
-        );
-        let mut g = self.clone();
-        for e in other.edges() {
-            let _ = g.add_edge(e.a, e.b);
-        }
-        g
-    }
-
     /// Checks that the internal structure is consistent: every block is
     /// in-bounds with `len <= cap`, blocks do not overlap, every arena
     /// slot is owned by exactly one block or counted dead, neighbour
@@ -1165,15 +1148,6 @@ mod tests {
         let edges = g.edge_vec();
         assert_eq!(edges.len(), 3);
         assert!(edges.contains(&Edge::new(nid(0), nid(3))));
-    }
-
-    #[test]
-    fn union_merges_edge_sets() {
-        let a = Graph::from_edges(4, vec![(nid(0), nid(1)), (nid(1), nid(2))]).unwrap();
-        let b = Graph::from_edges(4, vec![(nid(1), nid(2)), (nid(2), nid(3))]).unwrap();
-        let u = a.union(&b);
-        assert_eq!(u.edge_count(), 3);
-        assert!(u.has_edge(nid(2), nid(3)));
     }
 
     #[test]

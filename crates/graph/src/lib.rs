@@ -17,12 +17,11 @@
 //!   `LineToCompleteBinaryTree` subroutines.
 //! * [`generators`] — the initial-network and target-network families used
 //!   throughout the paper: lines, rings, stars, complete binary / k-ary
-//!   trees, wreaths, thin wreaths, grids, random trees, connected
-//!   Erdős–Rényi graphs, and more.
+//!   trees, grids, random trees, connected Erdős–Rényi graphs, and more.
 //! * [`traversal`] — BFS, distances, diameter, eccentricity, connectivity,
 //!   spanning trees and Euler tours.
 //! * [`properties`] — structural predicates (`is_star`, `is_line`,
-//!   `is_ring`, depth/degree bounds, …) used to verify that the
+//!   `is_ring`, depth/arity bounds, …) used to verify that the
 //!   transformation algorithms reach their target family.
 //! * [`uid`] — UID namespaces and assignments (sequential, random
 //!   permutation, and the *increasing-order ring* assignment used by the

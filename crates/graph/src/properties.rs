@@ -1,7 +1,7 @@
 //! Structural predicates used to verify that transformation algorithms
 //! reach the target families claimed by the paper.
 
-use crate::traversal::{diameter, is_connected};
+use crate::traversal::is_connected;
 use crate::{Graph, NodeId, RootedTree};
 
 /// Returns true if the graph is a tree: connected with exactly `n - 1`
@@ -83,18 +83,6 @@ pub fn is_bounded_arity_tree(graph: &Graph, root: NodeId, arity: usize, max_dept
     }
 }
 
-/// Maximum degree bound check (convenience wrapper used by tests and the
-/// analysis harness).
-pub fn has_max_degree_at_most(graph: &Graph, bound: usize) -> bool {
-    graph.max_degree() <= bound
-}
-
-/// Returns true if the graph is connected and its diameter is at most
-/// `bound`.
-pub fn has_diameter_at_most(graph: &Graph, bound: usize) -> bool {
-    matches!(diameter(graph), Some(d) if d <= bound)
-}
-
 /// Integer base-2 logarithm, rounded up, of `n` (with `ceil_log2(0) = 0`
 /// and `ceil_log2(1) = 0`). Used pervasively to express the paper's
 /// `⌈log n⌉` bounds in tests and analysis.
@@ -103,15 +91,6 @@ pub fn ceil_log2(n: usize) -> usize {
         0
     } else {
         (usize::BITS - (n - 1).leading_zeros()) as usize
-    }
-}
-
-/// Integer base-2 logarithm, rounded down, of `n` (`floor_log2(0) = 0`).
-pub fn floor_log2(n: usize) -> usize {
-    if n == 0 {
-        0
-    } else {
-        (usize::BITS - 1 - n.leading_zeros()) as usize
     }
 }
 
@@ -165,15 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn degree_and_diameter_bounds() {
-        let g = generators::ring(12);
-        assert!(has_max_degree_at_most(&g, 2));
-        assert!(!has_max_degree_at_most(&g, 1));
-        assert!(has_diameter_at_most(&g, 6));
-        assert!(!has_diameter_at_most(&g, 5));
-    }
-
-    #[test]
     fn log_helpers() {
         assert_eq!(ceil_log2(0), 0);
         assert_eq!(ceil_log2(1), 0);
@@ -181,8 +151,5 @@ mod tests {
         assert_eq!(ceil_log2(3), 2);
         assert_eq!(ceil_log2(8), 3);
         assert_eq!(ceil_log2(9), 4);
-        assert_eq!(floor_log2(1), 0);
-        assert_eq!(floor_log2(8), 3);
-        assert_eq!(floor_log2(9), 3);
     }
 }

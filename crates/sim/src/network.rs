@@ -242,11 +242,6 @@ impl Network {
         &self.current
     }
 
-    /// The initial network `D(1) = G_s`.
-    pub fn initial_graph(&self) -> &Graph {
-        &self.initial
-    }
-
     /// Returns true if `{u, v}` was an edge of the initial network.
     pub fn is_initial_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.initial.has_edge(u, v)

@@ -12,7 +12,10 @@ fn main() -> Result<(), CoreError> {
     let n = 512;
     // Bounded-degree peer topology: a ring with a few random chords.
     let graph = GraphFamily::BoundedDegreeConnected.generate(n, 7);
-    let uids = UidAssignment::RandomPermutation { seed: 7 };
+    let uids = UidMap::new(
+        graph.node_count(),
+        UidAssignment::RandomPermutation { seed: 7 },
+    );
 
     println!(
         "initial overlay : n = {}, max degree = {}, diameter = {:?}",
@@ -22,11 +25,9 @@ fn main() -> Result<(), CoreError> {
     );
 
     for id in ["graph_to_wreath", "graph_to_thin_wreath"] {
-        let spec = find_algorithm(id).expect("registered").spec();
-        let outcome = Experiment::on(graph.clone())
-            .uids(uids)
-            .algorithm(id)
-            .run()?;
+        let algorithm = find_algorithm(id).expect("registered");
+        let spec = algorithm.spec();
+        let outcome = algorithm.run(&graph, &uids, &RunConfig::default())?;
         let tree = RootedTree::from_tree_graph(&outcome.final_graph, outcome.leader)
             .expect("final overlay is a spanning tree");
         println!(
@@ -43,10 +44,7 @@ fn main() -> Result<(), CoreError> {
     println!(
         "(GraphToStar would be faster but needs a linear-degree hub — unusable as a P2P overlay.)"
     );
-    let star = Experiment::on(graph)
-        .uids(uids)
-        .algorithm("graph_to_star")
-        .run()?;
+    let star = GraphToStar.run(&graph, &uids, &RunConfig::default())?;
     println!(
         "GraphToStar       : rounds = {:4}, activations = {:6}, max degree during run = {:2} (!)",
         star.rounds, star.metrics.total_activations, star.metrics.max_total_degree

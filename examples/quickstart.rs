@@ -1,6 +1,6 @@
 //! Quickstart: reconfigure a high-diameter network into a spanning star,
 //! elect a leader, and inspect the paper's edge-complexity measures —
-//! all through the `Experiment` builder.
+//! all through the algorithm's `run` entry point.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -18,10 +18,7 @@ fn main() -> Result<(), CoreError> {
     );
 
     // GraphToStar (Section 3): O(log n) rounds, O(n log n) activations.
-    let outcome = Experiment::on(graph.clone())
-        .uids(UidAssignment::RandomPermutation { seed: 42 })
-        .algorithm("graph_to_star")
-        .run()?;
+    let outcome = GraphToStar.run(&graph, &uids, &RunConfig::default())?;
 
     println!(
         "elected leader  : {} (max UID? {})",

@@ -21,16 +21,14 @@ fn main() -> Result<(), CoreError> {
     );
 
     // Compare every registered distributed strategy on the energy measures.
+    let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 3 });
     let mut outcomes = Vec::new();
     for algorithm in registry() {
         let spec = algorithm.spec();
         if spec.centralized || !algorithm.supports(&graph) {
             continue; // robots have no global controller
         }
-        let outcome = Experiment::on(graph.clone())
-            .uids(UidAssignment::RandomPermutation { seed: 3 })
-            .algorithm(spec.id)
-            .run()?;
+        let outcome = algorithm.run(&graph, &uids, &RunConfig::default())?;
         outcomes.push((spec.name, outcome));
     }
     println!(

@@ -17,17 +17,11 @@ fn main() -> Result<(), CoreError> {
         let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 11 });
 
         // The baseline is itself a registered algorithm now.
-        let flood = Experiment::on(graph.clone())
-            .uids(UidAssignment::RandomPermutation { seed: 11 })
-            .algorithm("flooding")
-            .run()?;
+        let flood = Flooding.run(&graph, &uids, &RunConfig::default())?;
         assert_eq!(flood.metrics.total_activations, 0);
         assert!(flood.tokens_per_node.iter().all(|&t| t == n));
 
-        let outcome = Experiment::on(graph)
-            .uids(UidAssignment::RandomPermutation { seed: 11 })
-            .algorithm("graph_to_star")
-            .run()?;
+        let outcome = GraphToStar.run(&graph, &uids, &RunConfig::default())?;
         let report = disseminate_after_transformation(&outcome, &uids)?;
         let combined = report.transformation_rounds + report.dissemination_rounds;
 

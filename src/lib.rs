@@ -21,7 +21,8 @@
 //!   via [`prelude::EngineMode`].
 //! * [`analysis`] (adn-analysis) — the experiment harness.
 //!
-//! and adds the [`Experiment`] builder, the recommended entry point.
+//! An algorithm runs through its registry entry: `run` on a fresh network,
+//! or `execute` to compose on a network of your own.
 //!
 //! # Quickstart
 //!
@@ -31,11 +32,9 @@
 //! // Reconfigure a spanning line (the paper's worst case: diameter n-1)
 //! // into a spanning star, electing a leader in O(log n) rounds with
 //! // O(n log n) edge activations.
-//! let outcome = Experiment::on(generators::line(64))
-//!     .uids(UidAssignment::RandomPermutation { seed: 7 })
-//!     .algorithm("graph_to_star")
-//!     .run()
-//!     .unwrap();
+//! let line = generators::line(64);
+//! let uids = UidMap::new(64, UidAssignment::RandomPermutation { seed: 7 });
+//! let outcome = GraphToStar.run(&line, &uids, &RunConfig::default()).unwrap();
 //!
 //! assert_eq!(outcome.final_diameter(), Some(2));
 //!
@@ -59,17 +58,12 @@ pub use adn_graph as graph;
 pub use adn_runtime as runtime;
 pub use adn_sim as sim;
 
-mod experiment;
-
-pub use experiment::Experiment;
-
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::Experiment;
     pub use adn_core::algorithm::{
-        arm_network_for_dst, find as find_algorithm, registry, AlgorithmSpec, CentralizedConfig,
-        CentralizedCutInHalf, CentralizedGeneral, CliqueFormation, DstConfig, EngineMode, Flooding,
-        GraphToStar, GraphToThinWreath, GraphToWreath, ReconfigurationAlgorithm, RunConfig,
+        arm_network_for_dst, find as find_algorithm, registry, AlgorithmSpec, CentralizedCutInHalf,
+        CentralizedGeneral, CliqueFormation, DstConfig, EngineMode, Flooding, GraphToStar,
+        GraphToThinWreath, GraphToWreath, ReconfigurationAlgorithm, RunConfig,
     };
     pub use adn_core::baselines::clique::run_clique_then_prune;
     pub use adn_core::committee::{CommitteeForest, CommitteeId};
@@ -95,22 +89,21 @@ mod tests {
 
     #[test]
     fn facade_reexports_work_together() {
-        let outcome = Experiment::family(GraphFamily::Ring, 16, 1)
-            .algorithm("graph_to_wreath")
-            .run()
-            .unwrap();
+        let graph = GraphFamily::Ring.generate(16, 1);
         let uids = UidMap::new(16, UidAssignment::Sequential);
+        let outcome = GraphToWreath
+            .run(&graph, &uids, &RunConfig::default())
+            .unwrap();
         assert!(verify_leader_election(&outcome, &uids));
         assert!(properties::is_tree(&outcome.final_graph));
     }
 
     #[test]
     fn async_engine_flows_through_the_builder() {
-        let outcome = Experiment::family(GraphFamily::Ring, 24, 5)
-            .algorithm("flooding")
-            .engine(EngineMode::Seeded { seed: 11 })
-            .run()
-            .unwrap();
+        let graph = GraphFamily::Ring.generate(24, 5);
+        let uids = UidMap::new(24, UidAssignment::Sequential);
+        let config = RunConfig::default().with_engine(EngineMode::Seeded { seed: 11 });
+        let outcome = Flooding.run(&graph, &uids, &config).unwrap();
         assert!(outcome.tokens_per_node.iter().all(|&t| t == 24));
         let report = outcome.runtime.expect("async runs carry a runtime report");
         assert_eq!(report.scheduler, "seeded");

@@ -21,13 +21,14 @@ const SIZE: usize = 30;
 fn every_algorithm_on_every_family_meets_its_spec() {
     for algorithm in registry() {
         let spec = algorithm.spec();
-        // A disconnected input is outside every algorithm's model: the
-        // builder rejects it cleanly.
+        // A disconnected input is outside every algorithm's model: it is
+        // rejected cleanly.
         let mut split = generators::line(6);
         split.remove_edge(NodeId(2), NodeId(3)).unwrap();
+        let split_uids = UidMap::new(6, UidAssignment::Sequential);
         assert!(
             matches!(
-                Experiment::on(split).algorithm(spec.id).run(),
+                algorithm.run(&split, &split_uids, &RunConfig::default()),
                 Err(CoreError::InvalidInput { .. })
             ),
             "{} must reject a disconnected input",
@@ -53,10 +54,8 @@ fn every_algorithm_on_every_family_meets_its_spec() {
                 }
                 let label = format!("{} on {family} (n={n}, seed={seed})", spec.id);
                 let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed });
-                let outcome = Experiment::on(graph)
-                    .uids(UidAssignment::RandomPermutation { seed })
-                    .algorithm(spec.id)
-                    .run()
+                let outcome = algorithm
+                    .run(&graph, &uids, &RunConfig::default())
                     .unwrap_or_else(|e| panic!("{label}: {e}"));
 
                 // The final network spans the whole vertex set and is

@@ -153,20 +153,18 @@ fn seed_derived_failures_replay_from_one_u64() {
 
 #[test]
 fn experiment_builder_carries_the_dst_report() {
-    let outcome = Experiment::on(generators::ring(24))
-        .algorithm("graph_to_star")
-        .scenario(Scenario::failure_free(), 9)
-        .run()
-        .unwrap();
-    let report = outcome.dst.expect("scenario() must arm the DST layer");
+    let graph = generators::ring(24);
+    let uids = UidMap::new(24, UidAssignment::Sequential);
+    let config = RunConfig::default().with_dst(Scenario::failure_free(), 9);
+    let outcome = GraphToStar.run(&graph, &uids, &config).unwrap();
+    let report = outcome.dst.expect("`run` must arm the DST layer");
     assert_eq!(report.scenario, "failure_free");
     assert!(report.is_clean());
     assert!(report.rounds_checked > 0);
 
     // A plain run carries no report.
-    let plain = Experiment::on(generators::ring(24))
-        .algorithm("graph_to_star")
-        .run()
+    let plain = GraphToStar
+        .run(&graph, &uids, &RunConfig::default())
         .unwrap();
     assert!(plain.dst.is_none());
 }

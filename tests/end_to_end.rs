@@ -1,6 +1,6 @@
 //! End-to-end integration tests spanning all workspace crates:
 //! graph generation → simulation → transformation → task layer → analysis,
-//! all driven through the `Experiment` builder and the algorithm registry.
+//! all driven through the algorithm registry's `run` entry point.
 
 use actively_dynamic_networks::prelude::*;
 use adn_analysis::RunRecord;
@@ -13,18 +13,14 @@ fn full_pipeline_on_every_family() {
         let n = graph.node_count();
         let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 5 });
 
-        let outcome = Experiment::on(graph.clone())
-            .uids(UidAssignment::RandomPermutation { seed: 5 })
-            .algorithm("graph_to_star")
-            .run()
+        let outcome = GraphToStar
+            .run(&graph, &uids, &RunConfig::default())
             .expect("GraphToStar");
         assert!(verify_leader_election(&outcome, &uids), "{family}");
         assert!(properties::is_star(&outcome.final_graph), "{family}");
 
-        let outcome = Experiment::on(graph)
-            .uids(UidAssignment::RandomPermutation { seed: 5 })
-            .algorithm("graph_to_wreath")
-            .run()
+        let outcome = GraphToWreath
+            .run(&graph, &uids, &RunConfig::default())
             .expect("GraphToWreath");
         assert!(verify_leader_election(&outcome, &uids), "{family}");
         assert!(properties::is_tree(&outcome.final_graph), "{family}");
@@ -39,10 +35,8 @@ fn transformation_beats_flooding_on_high_diameter_graphs() {
     let graph = generators::line(n);
     let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 2 });
     let (flood_rounds, _) = disseminate_by_flooding_only(&graph, &uids).unwrap();
-    let outcome = Experiment::on(graph)
-        .uids(UidAssignment::RandomPermutation { seed: 2 })
-        .algorithm("graph_to_star")
-        .run()
+    let outcome = GraphToStar
+        .run(&graph, &uids, &RunConfig::default())
         .unwrap();
     let report = disseminate_after_transformation(&outcome, &uids).unwrap();
     assert!(report.transformation_rounds + report.dissemination_rounds < flood_rounds / 3);
@@ -51,10 +45,13 @@ fn transformation_beats_flooding_on_high_diameter_graphs() {
 #[test]
 fn analysis_records_agree_with_direct_runs() {
     let record = RunRecord::measure(&GraphToStar, GraphFamily::Ring, 40, 8).unwrap();
-    let outcome = Experiment::family(GraphFamily::Ring, 40, 8)
-        .uids(UidAssignment::RandomPermutation { seed: 8 })
-        .algorithm("graph_to_star")
-        .run()
+    let graph = GraphFamily::Ring.generate(40, 8);
+    let uids = UidMap::new(
+        graph.node_count(),
+        UidAssignment::RandomPermutation { seed: 8 },
+    );
+    let outcome = GraphToStar
+        .run(&graph, &uids, &RunConfig::default())
         .unwrap();
     assert_eq!(record.rounds, outcome.rounds);
     assert_eq!(record.total_activations, outcome.metrics.total_activations);
@@ -68,16 +65,12 @@ fn centralized_vs_distributed_activation_separation() {
     // centralized strategy.
     let n = 256;
     let ring = generators::ring(n);
-    let star = Experiment::on(ring.clone())
-        .uids(UidAssignment::IncreasingRing)
-        .algorithm("graph_to_star")
-        .run()
+    let uids = UidMap::new(n, UidAssignment::IncreasingRing);
+    let star = GraphToStar
+        .run(&ring, &uids, &RunConfig::default())
         .unwrap();
-    let central = Experiment::on(ring)
-        .uids(UidAssignment::IncreasingRing)
-        .algorithm("centralized_general")
-        .centralized(CentralizedConfig::PruneToTree)
-        .run()
+    let central = CentralizedGeneral
+        .run(&ring, &uids, &RunConfig::default())
         .unwrap();
     assert!(central.metrics.total_activations <= 2 * n);
     assert!(
@@ -92,13 +85,12 @@ fn centralized_vs_distributed_activation_separation() {
 fn clique_baseline_is_edge_inefficient_but_fast() {
     let n = 64;
     let graph = generators::line(n);
-    let clique = Experiment::on(graph.clone())
-        .algorithm("clique_formation")
-        .run()
+    let uids = UidMap::new(n, UidAssignment::Sequential);
+    let clique = CliqueFormation
+        .run(&graph, &uids, &RunConfig::default())
         .unwrap();
-    let star = Experiment::on(graph)
-        .algorithm("graph_to_star")
-        .run()
+    let star = GraphToStar
+        .run(&graph, &uids, &RunConfig::default())
         .unwrap();
     assert!(clique.rounds <= ceil_log2(n) + 2);
     // Θ(n²) vs Θ(n log n): at n = 64 the ratio is already a few-fold and it

@@ -34,10 +34,8 @@ fn graph_to_star_invariants() {
     for (label, graph, seed) in instances(24) {
         let n = graph.node_count();
         let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed });
-        let outcome = Experiment::on(graph)
-            .uids(UidAssignment::RandomPermutation { seed })
-            .algorithm("graph_to_star")
-            .run()
+        let outcome = GraphToStar
+            .run(&graph, &uids, &RunConfig::default())
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         // Depth-1 tree centred at the max-UID leader.
         assert!(properties::is_star(&outcome.final_graph), "{label}");
@@ -66,10 +64,8 @@ fn graph_to_wreath_invariants() {
     for (label, graph, seed) in instances(24) {
         let n = graph.node_count();
         let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed });
-        let outcome = Experiment::on(graph.clone())
-            .uids(UidAssignment::RandomPermutation { seed })
-            .algorithm("graph_to_wreath")
-            .run()
+        let outcome = GraphToWreath
+            .run(&graph, &uids, &RunConfig::default())
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         // Depth-log n tree rooted at the max-UID leader, arity <= 2.
         assert!(properties::is_tree(&outcome.final_graph), "{label}");
@@ -88,10 +84,9 @@ fn graph_to_wreath_invariants() {
 fn simulator_never_creates_multi_edges_or_breaks_vertex_set() {
     for (label, graph, seed) in instances(24) {
         let n = graph.node_count();
-        let outcome = Experiment::on(graph)
-            .uids(UidAssignment::RandomPermutation { seed })
-            .algorithm("graph_to_star")
-            .run()
+        let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed });
+        let outcome = GraphToStar
+            .run(&graph, &uids, &RunConfig::default())
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         assert!(outcome.final_graph.check_invariants(), "{label}");
         assert_eq!(outcome.final_graph.node_count(), n, "{label}");
@@ -102,28 +97,12 @@ fn simulator_never_creates_multi_edges_or_breaks_vertex_set() {
 fn centralized_strategy_is_linear_in_activations() {
     for (label, graph, seed) in instances(24) {
         let n = graph.node_count();
-        let outcome = Experiment::on(graph.clone())
-            .uids(UidAssignment::RandomPermutation { seed })
-            .algorithm("centralized_general")
-            .run()
+        let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed });
+        let outcome = CentralizedGeneral
+            .run(&graph, &uids, &RunConfig::default())
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         assert!(outcome.metrics.total_activations <= 2 * n, "{label}");
         assert!(properties::is_tree(&outcome.final_graph), "{label}");
         assert!(outcome.rounds <= ceil_log2(2 * n) + 3, "{label}");
-        // The low-diameter target skips only the prune round, so it keeps
-        // every edge of the pruned tree.
-        let loose = Experiment::on(graph)
-            .uids(UidAssignment::RandomPermutation { seed })
-            .algorithm("centralized_general")
-            .centralized(CentralizedConfig::LowDiameter)
-            .run()
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
-        assert!(
-            outcome
-                .final_graph
-                .edges()
-                .all(|e| loose.final_graph.has_edge(e.a, e.b)),
-            "{label}"
-        );
     }
 }

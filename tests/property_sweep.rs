@@ -71,10 +71,9 @@ fn distributed_bound_is_respected_on_increasing_order_rings() {
     // Theorem 6.4 applies to comparison-based distributed algorithms on
     // the increasing-order ring; GraphToStar is the paper's witness.
     for n in [64usize, 128] {
-        let outcome = Experiment::on(generators::ring(n))
-            .uids(UidAssignment::IncreasingRing)
-            .algorithm("graph_to_star")
-            .run()
+        let uids = UidMap::new(n, UidAssignment::IncreasingRing);
+        let outcome = GraphToStar
+            .run(&generators::ring(n), &uids, &RunConfig::default())
             .unwrap();
         let bound = lower_bounds::distributed_total_activation_lower_bound(n);
         assert!(
@@ -97,10 +96,9 @@ fn flooding_token_accounting_balances_exactly() {
         let seed = rng.next_u64() % 1000;
         let graph = family.generate(size, seed);
         let n = graph.node_count();
-        let outcome = Experiment::on(graph)
-            .uids(UidAssignment::RandomPermutation { seed })
-            .algorithm("flooding")
-            .run()
+        let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed });
+        let outcome = Flooding
+            .run(&graph, &uids, &RunConfig::default())
             .unwrap_or_else(|e| panic!("flooding on {family} n={n}: {e}"));
         let label = format!("flooding on {family} (n={n}, seed={seed})");
         assert_eq!(outcome.tokens_per_node.len(), n, "{label}");
@@ -223,10 +221,10 @@ fn non_disseminating_outcomes_report_no_tokens() {
     for _ in 0..6 {
         let n = rng.gen_range(8, 40);
         let seed = rng.next_u64() % 1000;
-        let outcome = Experiment::on(generators::random_tree(n, seed))
-            .uids(UidAssignment::RandomPermutation { seed })
-            .algorithm("graph_to_star")
-            .run()
+        let graph = generators::random_tree(n, seed);
+        let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed });
+        let outcome = GraphToStar
+            .run(&graph, &uids, &RunConfig::default())
             .unwrap();
         assert!(outcome.tokens_per_node.is_empty());
         assert_eq!(outcome.rounds, outcome.metrics.rounds);

@@ -1,7 +1,7 @@
 //! Differential model tests for the asynchronous runtime.
 //!
 //! Three obligations of the `adn-runtime` subsystem, checked from the
-//! facade so the whole public path (builder → engine dispatch → scheduler
+//! facade so the whole public path (`run` → engine dispatch → scheduler
 //! → outcome) is exercised:
 //!
 //! 1. the seeded scheduler replays **byte-identically** from one `u64`;
@@ -60,11 +60,10 @@ fn flood_outcome(
     seed: u64,
     engine: EngineMode,
 ) -> TransformationOutcome {
-    Experiment::family(family, n, seed)
-        .algorithm("flooding")
-        .engine(engine)
-        .run()
-        .expect("flooding run")
+    let graph = family.generate(n, seed);
+    let uids = UidMap::new(graph.node_count(), UidAssignment::Sequential);
+    let config = RunConfig::default().with_engine(engine);
+    Flooding.run(&graph, &uids, &config).expect("flooding run")
 }
 
 #[test]
@@ -186,10 +185,12 @@ fn committee_outcome(
     seed: u64,
     engine: EngineMode,
 ) -> TransformationOutcome {
-    Experiment::family(family, n, seed)
-        .algorithm(algorithm)
-        .engine(engine)
-        .run()
+    let graph = family.generate(n, seed);
+    let uids = UidMap::new(graph.node_count(), UidAssignment::Sequential);
+    let config = RunConfig::default().with_engine(engine);
+    find_algorithm(algorithm)
+        .expect("registered")
+        .run(&graph, &uids, &config)
         .unwrap_or_else(|e| panic!("{algorithm} on {family:?} n={n} under {engine:?}: {e}"))
 }
 
