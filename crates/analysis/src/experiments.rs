@@ -260,7 +260,7 @@ pub fn f7_distributed_lower_bound(sizes: &[usize]) -> String {
     let mut star_points = Vec::new();
     for &n in sizes {
         let ring = generators::ring(n);
-        let uids = UidMap::new(n, UidAssignment::IncreasingRing);
+        let uids = UidMap::new(n, UidAssignment::Sequential);
         let star = GraphToStar.run(&ring, &uids, &defaults()).expect("run");
         let central = CentralizedGeneral
             .run(&ring, &uids, &defaults())

@@ -19,7 +19,7 @@ use adn_core::subroutines::{run_runtime_line_to_tree, LineToTreeConfig};
 use adn_graph::rng::DetRng;
 use adn_graph::{generators, BitRow, BitRows, Edge, Graph, NodeId, UidAssignment, UidMap};
 use adn_runtime::flood::flood_actors;
-use adn_runtime::{AsyncKnobs, FreeScheduler, Scheduler, SeededScheduler};
+use adn_runtime::{AsyncKnobs, SeededScheduler};
 use adn_sim::{Adversary, DstState, InvariantPolicy, Network, Scenario, WaveActivation};
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -418,13 +418,9 @@ fn bench_committee(bench: &mut Bench, quick: bool) {
 }
 
 /// The asynchronous actor runtime: flooding, line-to-tree and the
-/// committee actors (GraphToStar / GraphToWreath) on both schedulers.
-/// The seeded cases exercise the adversarial knobs (reorder window,
-/// per-link delay, asymmetric latency); the free cases pin the thread
-/// count so the label — and therefore the regression gate — is
-/// machine-independent. The pin is 2, the core count of the machine the
-/// committed baselines come from, so the rows time the scheduler rather
-/// than oversubscription.
+/// committee actors (GraphToStar / GraphToWreath) on the seeded
+/// scheduler. The flooding and line-to-tree cases exercise the
+/// adversarial knobs (reorder window, per-link delay, asymmetric latency).
 fn bench_runtime(bench: &mut Bench, quick: bool) {
     let n = if quick { 128 } else { 512 };
     let knobs = AsyncKnobs {
@@ -432,9 +428,7 @@ fn bench_runtime(bench: &mut Bench, quick: bool) {
         max_link_delay: 2,
         asymmetric_delay: true,
     };
-    let free_threads = 2;
-    let seeded = Scheduler::Seeded(SeededScheduler::new(42).with_knobs(knobs));
-    let free = Scheduler::Free(FreeScheduler::new(free_threads));
+    let seeded = SeededScheduler::new(42).with_knobs(knobs);
 
     let ring = generators::ring(n);
     bench.measure(&format!("runtime/flood_seeded n={n}"), || {
@@ -445,17 +439,6 @@ fn bench_runtime(bench: &mut Bench, quick: bool) {
             .expect("seeded flood quiesces");
         assert_eq!(report.in_flight_at_detection, 0);
     });
-    bench.measure(
-        &format!("runtime/flood_free n={n} threads={free_threads}"),
-        || {
-            let mut net = Network::new(ring.clone());
-            let mut actors = flood_actors(&ring);
-            free.run(&mut net, &mut actors)
-                .expect("free flood quiesces");
-            assert!(actors.iter().all(|a| a.known().len() == n));
-        },
-    );
-    bench.annotate("cores", resolve_threads(0) as u128);
 
     let line_graph = generators::line(n);
     let line: Vec<NodeId> = (0..n).map(NodeId).collect();
@@ -467,16 +450,6 @@ fn bench_runtime(bench: &mut Bench, quick: bool) {
         assert_eq!(report.in_flight_at_detection, 0);
         std::hint::black_box(tree.depth());
     });
-    bench.measure(
-        &format!("runtime/line_to_tree_free n={n} threads={free_threads}"),
-        || {
-            let mut net = Network::new(line_graph.clone());
-            let (tree, _) = run_runtime_line_to_tree(&mut net, &line, &config, &free)
-                .expect("free tree build quiesces");
-            std::hint::black_box(tree.depth());
-        },
-    );
-    bench.annotate("cores", resolve_threads(0) as u128);
 
     // The committee actors: GraphToStar / GraphToWreath through the full
     // `EngineMode` dispatch path. Smaller n than the subroutine cases —
@@ -494,19 +467,6 @@ fn bench_runtime(bench: &mut Bench, quick: bool) {
                 .expect("seeded committee run quiesces");
             assert!(outcome.runtime.is_some());
         });
-        let free = RunConfig::default().with_engine(EngineMode::Free {
-            threads: free_threads,
-        });
-        bench.measure(
-            &format!("runtime/{label}_free n={committee_n} threads={free_threads}"),
-            || {
-                let outcome = a
-                    .run(&committee_graph, &committee_uids, &free)
-                    .expect("free committee run quiesces");
-                assert!(outcome.runtime.is_some());
-            },
-        );
-        bench.annotate("cores", resolve_threads(0) as u128);
     }
 }
 
@@ -1051,11 +1011,8 @@ mod tests {
     #[test]
     fn pinned_threads_parses_labels() {
         assert_eq!(pinned_threads("sweep/threads=4 cases=96"), Some(4));
-        assert_eq!(pinned_threads("runtime/star_free n=256 threads=4"), Some(4));
-        assert_eq!(
-            pinned_threads("runtime/flood_free n=4096 threads=2"),
-            Some(2)
-        );
+        assert_eq!(pinned_threads("sweep/threads=16 cases=24"), Some(16));
+        assert_eq!(pinned_threads("sweep/cases=24 threads=2"), Some(2));
         assert_eq!(pinned_threads("sweep/serial cases=96"), None);
         assert_eq!(pinned_threads("graph/scale n=4096 m=8192"), None);
     }
@@ -1145,24 +1102,15 @@ mod tests {
         bench_runtime(&mut bench, true);
         let samples = bench.take_samples();
         let labels: Vec<&str> = samples.iter().map(|s| s.label.as_str()).collect();
-        assert!(labels.iter().any(|l| l.starts_with("runtime/flood_seeded")));
-        assert!(labels.iter().any(|l| l.starts_with("runtime/flood_free")));
-        assert!(labels
-            .iter()
-            .any(|l| l.starts_with("runtime/line_to_tree_seeded")));
-        assert!(labels
-            .iter()
-            .any(|l| l.starts_with("runtime/line_to_tree_free")));
-        for committee in ["star", "wreath"] {
-            for engine in ["seeded", "free"] {
-                assert!(
-                    labels
-                        .iter()
-                        .any(|l| l.starts_with(&format!("runtime/{committee}_{engine}"))),
-                    "missing runtime/{committee}_{engine} row"
-                );
-            }
-        }
+        assert_eq!(
+            labels,
+            [
+                "runtime/flood_seeded n=128",
+                "runtime/line_to_tree_seeded n=128",
+                "runtime/star_seeded n=64",
+                "runtime/wreath_seeded n=64",
+            ]
+        );
     }
 
     #[test]

@@ -29,39 +29,32 @@ use crate::{baselines, centralized, graph_to_star, graph_to_wreath};
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::properties::ceil_log2;
 use adn_graph::{Graph, UidMap};
-use adn_runtime::{AsyncKnobs, FreeScheduler, Scheduler, SeededScheduler};
+use adn_runtime::{AsyncKnobs, SeededScheduler};
 use adn_sim::dst::{Adversary, DstState, InvariantPolicy, Scenario};
 use adn_sim::{Network, SimError};
 
 /// Which execution engine drives an algorithm.
 ///
 /// The paper's model is synchronous and every algorithm runs there; the
-/// asynchronous modes execute on the `adn-runtime` actor layer instead,
+/// asynchronous mode executes on the `adn-runtime` actor layer instead,
 /// with no round barrier and Dijkstra–Scholten quiescence detection.
 /// The algorithms with an actor implementation — flooding, the
 /// line-to-tree subroutine, `GraphToStar` and the wreath family — accept
-/// the asynchronous modes; the rest fail with [`CoreError::InvalidInput`].
+/// the asynchronous mode; the rest fail with [`CoreError::InvalidInput`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
     /// The lock-step round engine of `adn-sim` (the default).
     #[default]
     Synchronous,
-    /// The deterministic single-threaded asynchronous scheduler: delivery
-    /// order derives from one seed, runs replay byte-identically. Delay
-    /// and reorder knobs are lifted from [`RunConfig::dst`]'s scenario
-    /// when one is set. Under [`ReconfigurationAlgorithm::run`] that
-    /// scenario also arms the DST adversary, which then injects its
-    /// faults at the run's commits, as it does at the synchronous
-    /// engine's rounds.
+    /// The asynchronous seeded scheduler: delivery order derives from one
+    /// seed, runs replay byte-identically. Delay and reorder knobs are
+    /// lifted from [`RunConfig::dst`]'s scenario when one is set. Under
+    /// [`ReconfigurationAlgorithm::run`] that scenario also arms the DST
+    /// adversary, which then injects its faults at the run's commits, as
+    /// it does at the synchronous engine's rounds.
     Seeded {
         /// Scheduler seed.
         seed: u64,
-    },
-    /// The free-running multi-threaded asynchronous scheduler (real
-    /// threads, OS-determined order; not reproducible).
-    Free {
-        /// Worker threads (clamped to at least 1).
-        threads: usize,
     },
 }
 
@@ -153,20 +146,17 @@ impl RunConfig {
     }
 
     /// The asynchronous scheduler this configuration selects, or `None`
-    /// for the synchronous engine. A seeded scheduler takes its delivery
-    /// knobs from the armed DST scenario when one is present.
-    pub fn scheduler(&self) -> Option<Scheduler> {
+    /// for the synchronous engine. The scheduler takes its delivery knobs
+    /// from the armed DST scenario when one is present.
+    pub fn scheduler(&self) -> Option<SeededScheduler> {
         match self.engine {
             EngineMode::Synchronous => None,
             EngineMode::Seeded { seed } => {
                 let knobs = self.dst.as_ref().map_or_else(AsyncKnobs::default, |dst| {
                     AsyncKnobs::from_scenario(&dst.scenario)
                 });
-                Some(Scheduler::Seeded(
-                    SeededScheduler::new(seed).with_knobs(knobs),
-                ))
+                Some(SeededScheduler::new(seed).with_knobs(knobs))
             }
-            EngineMode::Free { threads } => Some(Scheduler::Free(FreeScheduler::new(threads))),
         }
     }
 
@@ -287,12 +277,12 @@ pub trait ReconfigurationAlgorithm: Sync {
     }
 
     /// Whether this algorithm has an asynchronous actor implementation,
-    /// i.e. accepts [`EngineMode::Seeded`] and [`EngineMode::Free`] in
-    /// addition to the synchronous engine (which every algorithm
-    /// supports). Algorithms that return `false` here must fail cleanly
-    /// with [`CoreError::InvalidInput`] — never panic — when handed an
-    /// asynchronous mode; the conformance suite exercises every
-    /// registered algorithm once per mode to enforce exactly that.
+    /// i.e. accepts [`EngineMode::Seeded`] in addition to the synchronous
+    /// engine (which every algorithm supports). Algorithms that return
+    /// `false` here must fail cleanly with [`CoreError::InvalidInput`] —
+    /// never panic — when handed the asynchronous mode; the conformance
+    /// suite exercises every registered algorithm once per mode to
+    /// enforce exactly that.
     fn supports_async_engines(&self) -> bool {
         false
     }

@@ -20,7 +20,7 @@ use crate::algorithm::{validate_input, RunConfig};
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::{Graph, NodeId, UidMap};
 use adn_runtime::flood::{flood_actors, TokenSet};
-use adn_runtime::Scheduler;
+use adn_runtime::SeededScheduler;
 use adn_sim::{Network, SimError};
 
 /// Floods all tokens over the static graph until every node holds every
@@ -102,7 +102,7 @@ pub(crate) fn execute(
 fn execute_async(
     network: &mut Network,
     uids: &UidMap,
-    scheduler: &Scheduler,
+    scheduler: &SeededScheduler,
 ) -> Result<TransformationOutcome, CoreError> {
     let mut actors = flood_actors(network.graph());
     let report = scheduler.run(network, &mut actors)?;
@@ -180,7 +180,7 @@ mod tests {
         let n = 8;
         let uids = UidMap::new(n, UidAssignment::Sequential);
         let mut network = Network::new(generators::ring(n));
-        let scheduler = Scheduler::Seeded(adn_runtime::SeededScheduler::new(1).with_max_steps(3));
+        let scheduler = SeededScheduler::new(1).with_max_steps(3);
         let err = execute_async(&mut network, &uids, &scheduler).unwrap_err();
         assert_eq!(
             err,

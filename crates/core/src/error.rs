@@ -10,8 +10,8 @@ use std::fmt;
 pub enum CoreError {
     /// A model violation or round-limit error raised by the simulator.
     Sim(SimError),
-    /// The asynchronous scheduler gave up (step budget or wall-clock
-    /// timeout) before termination was detected.
+    /// The asynchronous scheduler used up its step budget before
+    /// termination was detected.
     Runtime(RuntimeError),
     /// The input network does not satisfy the algorithm's precondition
     /// (for example, a disconnected initial network, or a non-line input
@@ -86,9 +86,7 @@ impl From<RuntimeError> for CoreError {
         match value {
             RuntimeError::Sim(e) => CoreError::Sim(e),
             RuntimeError::InvalidInput { reason } => CoreError::InvalidInput { reason },
-            gave_up @ (RuntimeError::DidNotQuiesce { .. } | RuntimeError::TimedOut) => {
-                CoreError::Runtime(gave_up)
-            }
+            gave_up @ RuntimeError::DidNotQuiesce { .. } => CoreError::Runtime(gave_up),
         }
     }
 }

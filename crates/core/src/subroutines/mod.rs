@@ -13,11 +13,11 @@
 //!   a [`Network`](adn_sim::Network); the synchronous subroutine is that
 //!   batch with every node awake from round 1.
 //! * [`runtime_line_to_tree`] — the same plan carried out by
-//!   message-driven actors on the `adn-runtime` schedulers (no round loop
-//!   at all), on their own or as the rebuild mini-phase of a wreath
+//!   message-driven actors on the `adn-runtime` seeded scheduler (no round
+//!   loop at all), on their own or as the rebuild mini-phase of a wreath
 //!   committee run.
 //! * [`runtime_committee`] — the committee algorithms (`GraphToStar`, the
-//!   wreath family) as message-driven actors on the same schedulers,
+//!   wreath family) as message-driven actors on the same scheduler,
 //!   under the DST adversary when the network is armed.
 
 pub mod async_line_to_tree;

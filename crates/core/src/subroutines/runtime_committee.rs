@@ -1,12 +1,12 @@
 //! Committee algorithms (`GraphToStar`, the wreath family) as
-//! message-driven actors on the `adn-runtime` schedulers.
+//! message-driven actors on the `adn-runtime` seeded scheduler.
 //!
 //! The synchronous engines run a phase as a handful of lock-step rounds:
 //! gossip the committee neighbourhood, let every leader decide, execute
 //! the edge operations, transition modes. This module re-expresses each
 //! phase as a sequence of **asynchronous mini-phases** separated by
 //! Dijkstra–Scholten quiescence barriers (each one
-//! [`Run::barrier`](adn_runtime::Run::barrier) of one run):
+//! [`SeededRun::barrier`](adn_runtime::SeededRun::barrier) of one run):
 //!
 //! 1. **Gossip** — every node sends its committee's `(leader, mode)` to
 //!    each graph neighbour, so leaders later see exactly the committee
@@ -43,20 +43,19 @@
 //! (after a barrier) or by a commutative rule, the resulting committee
 //! structures — final graph, phase count, committees per phase — **equal
 //! the synchronous engines' on delay-free and adversarial schedules
-//! alike**, which the differential tests in `tests/runtime_model.rs` pin
-//! for both schedulers.
+//! alike**, which the differential tests in `tests/runtime_model.rs` pin.
 //!
-//! A committee run is one [`Run`](adn_runtime::Run) of one scheduler:
-//! every mini-phase, the rebuilds included, is a barrier of it, so the
-//! run has one report (its `commits` count every round the run commits)
-//! and, when seeded, one replayable delivery order.
+//! A committee run is one [`SeededRun`](adn_runtime::SeededRun): every
+//! mini-phase, the rebuilds included, is a barrier of it, so the run has
+//! one report (its `commits` count every round the run commits) and one
+//! replayable delivery order.
 //!
 //! **Armed faults:** on a network armed with the DST adversary
 //! ([`arm_network_for_dst`](crate::algorithm::arm_network_for_dst)) the
 //! adversary acts at the run's commits, rebuilds included, as it does at
 //! the synchronous engine's rounds. A node it joins gets no actor and
 //! stays outside the committees; an actor whose node it crashes is
-//! retired by the seeded scheduler. The protocols then either complete or
+//! retired by the scheduler. The protocols then either complete or
 //! fail with a clean [`CoreError`] (no panic, no hang — the phase limit
 //! and the scheduler's step budget bound every execution). A faulted run
 //! diverges from the synchronous baseline by design.
@@ -69,7 +68,7 @@ use crate::subroutines::async_line_to_tree::{validate_line, PlanWork};
 use crate::subroutines::{LineToTreeConfig, TreeActor, TreeMsg};
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::{Graph, NodeId, UidMap};
-use adn_runtime::{AsyncProgram, Context, Scheduler};
+use adn_runtime::{AsyncProgram, Context, SeededScheduler};
 use adn_sim::{Network, WaveActivation};
 use std::mem;
 use std::sync::Arc;
@@ -184,8 +183,8 @@ impl CommitteeActor {
     /// round engines apply in `CommitteeForest::select_largest_uid_neighbors`,
     /// restricted to root committees when `star_rules`. Intra-committee reports name
     /// our own leader, whose UID is not strictly larger, so the fold
-    /// skips them; the fold is order-independent, so the free scheduler's
-    /// nondeterministic report arrival order cannot change the outcome.
+    /// skips them; the fold is order-independent, so the order in which
+    /// the reports arrived cannot change the outcome.
     fn decide_selection(&self, me: NodeId, star_rules: bool) -> Option<(NodeId, NodeId, NodeId)> {
         let candidates = self
             .reports
@@ -441,14 +440,13 @@ fn assign_ops(
 /// [`CoreError::BrokenInvariant`] on bugs or armed faults). A phase that
 /// commits no round, merges no committee and changes no mode is a fixed
 /// point (faults can leave a run there) and fails at once with
-/// [`CoreError::DidNotConverge`] naming that phase. A scheduler that gives
-/// up (step budget or wall-clock timeout) fails the run with
-/// [`CoreError::Runtime`].
+/// [`CoreError::DidNotConverge`] naming that phase. A scheduler that uses
+/// up its step budget fails the run with [`CoreError::Runtime`].
 pub fn run_runtime_star(
     network: &mut Network,
     uids: &UidMap,
     config: &RunConfig,
-    scheduler: &Scheduler,
+    scheduler: &SeededScheduler,
 ) -> Result<TransformationOutcome, CoreError> {
     validate_input(network, uids, "GraphToStar")?;
     let initial = network.graph().clone();
@@ -532,7 +530,7 @@ pub fn run_runtime_wreath(
     uids: &UidMap,
     wreath: &WreathConfig,
     config: &RunConfig,
-    scheduler: &Scheduler,
+    scheduler: &SeededScheduler,
 ) -> Result<TransformationOutcome, CoreError> {
     validate_input(network, uids, wreath.name)?;
     let initial = network.graph().clone();
@@ -631,11 +629,11 @@ mod tests {
     };
     use adn_graph::properties::{is_star, is_tree, star_center};
     use adn_graph::{generators, UidAssignment};
-    use adn_runtime::{AsyncKnobs, FreeScheduler, RuntimeError, SeededScheduler};
+    use adn_runtime::{AsyncKnobs, RuntimeError};
     use adn_sim::dst::Scenario;
 
-    fn seeded(seed: u64) -> Scheduler {
-        Scheduler::Seeded(SeededScheduler::new(seed))
+    fn seeded(seed: u64) -> SeededScheduler {
+        SeededScheduler::new(seed)
     }
 
     /// A network over `g` armed with `algorithm`'s DST policy and an
@@ -706,23 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn free_star_matches_sync() {
-        let g = generators::random_connected(24, 0.15, 5);
-        let uids = UidMap::new(24, UidAssignment::RandomPermutation { seed: 5 });
-        let sync = sync_star(&g, &uids);
-        let mut network = Network::new(g.clone());
-        let outcome = run_runtime_star(
-            &mut network,
-            &uids,
-            &RunConfig::default(),
-            &Scheduler::Free(FreeScheduler::new(4)),
-        )
-        .expect("free star must succeed");
-        assert_eq!(outcome.final_graph, sync.final_graph);
-        assert_eq!(outcome.committees_per_phase, sync.committees_per_phase);
-    }
-
-    #[test]
     fn seeded_wreath_matches_sync_on_small_graphs() {
         for (g, seed) in [
             (generators::line(10), 19u64),
@@ -749,24 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn free_wreath_matches_sync() {
-        let g = generators::ring(18);
-        let uids = UidMap::new(18, UidAssignment::RandomPermutation { seed: 31 });
-        let sync = sync_wreath(&g, &uids);
-        let mut network = Network::new(g.clone());
-        let outcome = run_runtime_wreath(
-            &mut network,
-            &uids,
-            &WreathConfig::binary(),
-            &RunConfig::default(),
-            &Scheduler::Free(FreeScheduler::new(3)),
-        )
-        .expect("free wreath must succeed");
-        assert_eq!(outcome.final_graph, sync.final_graph);
-        assert_eq!(outcome.committees_per_phase, sync.committees_per_phase);
-    }
-
-    #[test]
     fn adversarial_knobs_do_not_change_star_outcomes() {
         let g = generators::random_connected(20, 0.2, 9);
         let uids = UidMap::new(20, UidAssignment::RandomPermutation { seed: 9 });
@@ -782,7 +745,7 @@ mod tests {
                 &mut network,
                 &uids,
                 &RunConfig::default(),
-                &Scheduler::Seeded(SeededScheduler::new(seed).with_knobs(knobs)),
+                &SeededScheduler::new(seed).with_knobs(knobs),
             )
             .expect("adversarial star must succeed");
             assert_eq!(outcome.final_graph, sync.final_graph);
@@ -909,7 +872,7 @@ mod tests {
         // committee invariant: it surfaces as the scheduler's own error.
         let uids = UidMap::new(8, UidAssignment::Sequential);
         let mut network = Network::new(generators::ring(8));
-        let scheduler = Scheduler::Seeded(SeededScheduler::new(1).with_max_steps(3));
+        let scheduler = SeededScheduler::new(1).with_max_steps(3);
         let err =
             run_runtime_star(&mut network, &uids, &RunConfig::default(), &scheduler).unwrap_err();
         assert_eq!(

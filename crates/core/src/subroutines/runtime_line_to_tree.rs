@@ -51,7 +51,7 @@ use crate::subroutines::async_line_to_tree::{
 use crate::subroutines::LineToTreeConfig;
 use crate::CoreError;
 use adn_graph::{NodeId, RootedTree};
-use adn_runtime::{AsyncProgram, Context, RuntimeReport, Scheduler};
+use adn_runtime::{AsyncProgram, Context, RuntimeReport, SeededScheduler};
 use adn_sim::Network;
 use std::sync::Arc;
 
@@ -366,7 +366,7 @@ impl AsyncProgram for TreeActor {
 /// Runs line-to-tree as actors under `scheduler`, one per network node
 /// (nodes off the line are inert). Returns the final tree in position
 /// space plus the runtime report; the tree equals the synchronous
-/// subroutine's under every scheduler, seed and knob set.
+/// subroutine's under every seed and knob set.
 ///
 /// # Errors
 ///
@@ -374,13 +374,12 @@ impl AsyncProgram for TreeActor {
 /// * [`CoreError::Sim`] if an edge operation is rejected (a protocol bug).
 /// * [`CoreError::DidNotConverge`] if the run quiesced with unfinished
 ///   schedules (a protocol bug).
-/// * [`CoreError::Runtime`] if the scheduler gave up (step budget or
-///   wall-clock timeout).
+/// * [`CoreError::Runtime`] if the scheduler used up its step budget.
 pub fn run_runtime_line_to_tree(
     network: &mut Network,
     line: &[NodeId],
     config: &LineToTreeConfig,
-    scheduler: &Scheduler,
+    scheduler: &SeededScheduler,
 ) -> Result<(RootedTree, RuntimeReport), CoreError> {
     validate_line(network, line, config.arity, &mut Vec::new())?;
     let mut actors: Vec<TreeActor> = (0..network.node_count())
@@ -409,18 +408,14 @@ mod tests {
     use super::*;
     use crate::subroutines::async_line_to_tree::planned_tree;
     use adn_graph::generators;
-    use adn_runtime::{AsyncKnobs, FreeScheduler, SeededScheduler};
+    use adn_runtime::AsyncKnobs;
 
     fn identity_line(n: usize) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()
     }
 
-    fn seeded(seed: u64, knobs: AsyncKnobs) -> Scheduler {
-        Scheduler::Seeded(SeededScheduler::new(seed).with_knobs(knobs))
-    }
-
-    fn free(threads: usize) -> Scheduler {
-        Scheduler::Free(FreeScheduler::new(threads))
+    fn seeded(seed: u64, knobs: AsyncKnobs) -> SeededScheduler {
+        SeededScheduler::new(seed).with_knobs(knobs)
     }
 
     #[test]
@@ -488,25 +483,7 @@ mod tests {
     }
 
     #[test]
-    fn free_actors_build_the_synchronous_tree() {
-        let n = 48;
-        let expected = planned_tree(n, 2);
-        let config = LineToTreeConfig {
-            arity: 2,
-            keep_line_edges: false,
-        };
-        for threads in [1usize, 4] {
-            let mut net = Network::new(generators::line(n));
-            let (tree, report) =
-                run_runtime_line_to_tree(&mut net, &identity_line(n), &config, &free(threads))
-                    .unwrap();
-            assert_eq!(tree, expected, "threads={threads}");
-            assert_eq!(report.in_flight_at_detection, 0);
-        }
-    }
-
-    #[test]
-    fn large_lines_converge_on_both_schedulers() {
+    fn large_lines_converge_under_adversarial_knobs() {
         // Regression: with the old frozen-attach-count gate, n=128 lines
         // quiesced with unfinished schedules (a parent could advance past
         // the grandparent a still-attached child was waiting to hop to).
@@ -535,13 +512,6 @@ mod tests {
             )
             .unwrap();
             assert_eq!(tree, expected, "seed={seed}");
-        }
-        for threads in [2usize, 8] {
-            let mut net = Network::new(generators::line(n));
-            let (tree, _) =
-                run_runtime_line_to_tree(&mut net, &identity_line(n), &config, &free(threads))
-                    .unwrap();
-            assert_eq!(tree, expected, "threads={threads}");
         }
     }
 

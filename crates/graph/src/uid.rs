@@ -13,6 +13,9 @@ use crate::{NodeId, Uid};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UidAssignment {
     /// Node `i` receives UID `i + 1` (so the maximum-UID node is `n - 1`).
+    /// On `ring(n)` this is the increasing-order ring of Definition D.8:
+    /// node 0 gets the smallest UID and UIDs increase around the ring, the
+    /// input the lower-bound experiments of Section 6 require.
     Sequential,
     /// Node `i` receives UID `n - i` (so the maximum-UID node is `0`).
     Reversed,
@@ -21,12 +24,6 @@ pub enum UidAssignment {
         /// RNG seed for reproducibility.
         seed: u64,
     },
-    /// The increasing-order-ring assignment of Definition D.8: node 0 gets
-    /// the smallest UID and UIDs increase clockwise (with node indices
-    /// interpreted as positions on a ring). Identical to `Sequential` on
-    /// the index space, named separately because the lower-bound
-    /// experiments require exactly this assignment on a ring topology.
-    IncreasingRing,
 }
 
 /// A concrete UID assignment for `n` nodes.
@@ -39,9 +36,7 @@ impl UidMap {
     /// Builds a UID map for `n` nodes according to `assignment`.
     pub fn new(n: usize, assignment: UidAssignment) -> Self {
         let uids = match assignment {
-            UidAssignment::Sequential | UidAssignment::IncreasingRing => {
-                (0..n).map(|i| Uid(i as u64 + 1)).collect()
-            }
+            UidAssignment::Sequential => (0..n).map(|i| Uid(i as u64 + 1)).collect(),
             UidAssignment::Reversed => (0..n).map(|i| Uid((n - i) as u64)).collect(),
             UidAssignment::RandomPermutation { seed } => {
                 let mut values: Vec<u64> = (1..=n as u64).collect();
@@ -149,13 +144,6 @@ mod tests {
         let mut values: Vec<u64> = a.as_slice().iter().map(|u| u.value()).collect();
         values.sort_unstable();
         assert_eq!(values, (1..=50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn increasing_ring_matches_sequential() {
-        let a = UidMap::new(8, UidAssignment::IncreasingRing);
-        let b = UidMap::new(8, UidAssignment::Sequential);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -6,32 +6,27 @@
 //! `adn-sim` engine runs them in lock step. This crate drops the round
 //! barrier: every node is an actor with an inbox, local state and a
 //! message handler ([`AsyncProgram`]), and message delivery is driven by
-//! a [`Scheduler`], a value chosen once per run:
-//!
-//! * [`SeededScheduler`] — single-threaded discrete-event delivery whose
-//!   entire order (including reordering, per-link delays and asymmetric
-//!   link latency) derives from **one `u64`** via the workspace's
-//!   deterministic RNG. Runs replay byte-identically, preserving the
-//!   DST replay/shrink discipline of the synchronous sweep.
-//! * [`FreeScheduler`] — real threads over `std::sync::mpsc` channels,
-//!   free-running delivery, for hardware-throughput numbers; the report
-//!   names the workers that ran.
+//! the [`SeededScheduler`]: single-threaded discrete-event delivery whose
+//! entire order (including reordering, per-link delays and asymmetric
+//! link latency, see [`AsyncKnobs`]) derives from **one `u64`** via the
+//! workspace's deterministic RNG. Runs replay byte-identically,
+//! preserving the DST replay/shrink discipline of the synchronous sweep,
+//! so a delivery order that breaks a protocol replays from its seed.
 //!
 //! Runs quiesce without a round counter via **Dijkstra–Scholten
 //! termination detection** ([`termination`]): the scheduler acts as the
 //! root of a diffusing computation, every application message carries an
 //! ack obligation, and the run ends exactly when the root's deficit
 //! reaches zero — at which point no message is in flight (property-tested
-//! in `tests/runtime_model.rs`). Both schedulers run the same delivery
-//! step (engage, handle, commit, send, ack, sign off); each adds only its
-//! transport, its answer to mail for nodes without a live actor and its
-//! counters. A [`Run`] is a sequence of such diffusing computations under
-//! one report: [`Scheduler::start`] opens it, the caller issues each
-//! barrier ([`Run::barrier`]) and may rewrite actor state between two,
-//! and [`Run::finish`] returns the report. The committee algorithms of
+//! in `tests/runtime_model.rs`). Each delivery step engages, handles,
+//! commits, sends, acks and signs off. A [`SeededRun`] is a sequence of
+//! such diffusing computations under one report:
+//! [`SeededScheduler::start`] opens it, the caller issues each barrier
+//! ([`SeededRun::barrier`]) and may rewrite actor state between two, and
+//! [`SeededRun::finish`] returns the report. The committee algorithms of
 //! `adn-core` issue every mini-phase, their ring rebuilds included, as a
-//! barrier of one run, so nothing runs nested in it; [`Scheduler::run`]
-//! is a run of one barrier.
+//! barrier of one run, so nothing runs nested in it;
+//! [`SeededScheduler::run`] is a run of one barrier.
 //!
 //! Edge operations requested by a handler ([`Context::activate`] /
 //! [`Context::deactivate`]) are staged and committed through the
@@ -42,36 +37,32 @@
 //! **Faults.** Each commit is a round of the network, so a network armed
 //! with the DST adversary ([`adn_sim::dst`]) gives it a turn at every
 //! commit, as the synchronous engine does: both engines share one fault
-//! vocabulary. After each delivery that committed, the seeded scheduler
-//! retires every actor whose node the adversary crashed (its
-//! Dijkstra–Scholten deficit forgiven, its engagement signed off on its
-//! behalf). Both schedulers answer mail to a node without a live actor —
-//! one the adversary joined after the run started, or, under the seeded
-//! scheduler, a crashed one — in its stead: application messages are
-//! acknowledged and acks dropped, so termination detection neither hangs
-//! nor fires early.
+//! vocabulary. After each delivery that committed, the scheduler retires
+//! every actor whose node the adversary crashed (its Dijkstra–Scholten
+//! deficit forgiven, its engagement signed off on its behalf). It answers
+//! mail to a node without a live actor — a crashed one, or one the
+//! adversary joined after the run started — in its stead: application
+//! messages are acknowledged and acks dropped, so termination detection
+//! neither hangs nor fires early.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod actor;
 pub mod flood;
-pub mod free;
 pub mod seeded;
 pub mod termination;
 
 pub use actor::{AsyncProgram, Context, Envelope};
 pub use flood::FloodActor;
-pub use free::{FreeRun, FreeScheduler};
 pub use seeded::{SeededRun, SeededScheduler};
 
 use adn_sim::dst::Scenario;
-use adn_sim::network::Network;
 use adn_sim::SimError;
 use std::error::Error;
 use std::fmt;
 
-/// Delivery-perturbation knobs for the asynchronous schedulers, normally
+/// Delivery-perturbation knobs for the seeded scheduler, normally
 /// lifted from a [`Scenario`]'s async fields (see
 /// [`AsyncKnobs::from_scenario`]). All zero/false means "earliest first,
 /// no reordering".
@@ -103,109 +94,18 @@ impl AsyncKnobs {
     }
 }
 
-/// The scheduler of one asynchronous run.
-#[derive(Debug, Clone)]
-pub enum Scheduler {
-    /// Deterministic single-threaded delivery (see [`SeededScheduler`]).
-    Seeded(SeededScheduler),
-    /// Free-running worker threads (see [`FreeScheduler`]).
-    Free(FreeScheduler),
-}
-
-impl Scheduler {
-    /// Starts a run of `n` actors (actor `i` is node `i`) on `network`,
-    /// checking `n` against the network's node count once.
-    ///
-    /// # Errors
-    ///
-    /// As the chosen scheduler's `start`.
-    pub fn start<M>(&self, network: &Network, n: usize) -> Result<Run<M>, RuntimeError> {
-        Ok(match self {
-            Scheduler::Seeded(s) => Run::Seeded(Box::new(s.start(network, n)?)),
-            Scheduler::Free(f) => Run::Free(f.start(network, n)?),
-        })
-    }
-
-    /// Runs `programs` (actor `i` is node `i`) to Dijkstra–Scholten
-    /// quiescence on `network`: a run of one barrier.
-    ///
-    /// # Errors
-    ///
-    /// As the chosen scheduler's `run`.
-    pub fn run<P: AsyncProgram>(
-        &self,
-        network: &mut Network,
-        programs: &mut [P],
-    ) -> Result<RuntimeReport, RuntimeError> {
-        match self {
-            Scheduler::Seeded(s) => s.run(network, programs),
-            Scheduler::Free(f) => f.run(network, programs),
-        }
-    }
-}
-
-/// An asynchronous run whose barriers the caller issues (see
-/// [`Scheduler::start`]); `M` is its actors' message type.
-pub enum Run<M> {
-    /// A run on the seeded scheduler (see [`SeededRun`]).
-    Seeded(Box<SeededRun<M>>),
-    /// A run on the free scheduler (see [`FreeRun`]).
-    Free(FreeRun),
-}
-
-impl<M> Run<M> {
-    /// Re-sends `Start` to every live actor of `programs` and runs one
-    /// diffusing computation to Dijkstra–Scholten quiescence.
-    ///
-    /// # Errors
-    ///
-    /// As the chosen run's `barrier`.
-    pub fn barrier<P: AsyncProgram<Message = M>>(
-        &mut self,
-        network: &mut Network,
-        programs: &mut [P],
-    ) -> Result<(), RuntimeError> {
-        match self {
-            Run::Seeded(s) => s.barrier(network, programs),
-            Run::Free(f) => f.barrier(network, programs),
-        }
-    }
-
-    /// Ends the run and returns its one report.
-    pub fn finish(self) -> RuntimeReport {
-        match self {
-            Run::Seeded(s) => s.finish(),
-            Run::Free(f) => f.finish(),
-        }
-    }
-}
-
-/// `InvalidInput` unless a barrier's `programs` count is the run's `n`.
-pub(crate) fn check_barrier(programs: usize, n: usize) -> Result<(), RuntimeError> {
-    if programs == n {
-        Ok(())
-    } else {
-        Err(RuntimeError::InvalidInput {
-            reason: format!("{programs} programs for a run of {n} actors"),
-        })
-    }
-}
-
 /// Errors raised by the asynchronous runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
     /// An edge operation requested by a handler was rejected by the
     /// network (distance-2 violation, unknown node, …).
     Sim(SimError),
-    /// The seeded scheduler exceeded its delivery-step budget without the
+    /// The scheduler exceeded its delivery-step budget without the
     /// termination detector firing.
     DidNotQuiesce {
         /// Deliveries performed before giving up.
         steps: usize,
     },
-    /// The free scheduler's wall-clock timeout elapsed before the
-    /// termination detector fired.
-    TimedOut,
     /// Malformed run setup (program count vs. network size, …).
     InvalidInput {
         /// Human-readable description.
@@ -220,7 +120,6 @@ impl fmt::Display for RuntimeError {
             RuntimeError::DidNotQuiesce { steps } => {
                 write!(f, "run did not quiesce within {steps} delivery steps")
             }
-            RuntimeError::TimedOut => write!(f, "free-running execution timed out"),
             RuntimeError::InvalidInput { reason } => write!(f, "invalid input: {reason}"),
         }
     }
@@ -245,12 +144,8 @@ impl From<SimError> for RuntimeError {
 /// [`render`](RuntimeReport::render) for the seeded replay gate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeReport {
-    /// `"seeded"` or `"free"`.
-    pub scheduler: &'static str,
-    /// The scheduler seed (seeded runs only).
-    pub seed: Option<u64>,
-    /// Worker threads (free runs only).
-    pub threads: Option<usize>,
+    /// The scheduler seed the run replays from.
+    pub seed: u64,
     /// Number of actors.
     pub n: usize,
     /// Envelope deliveries performed (start + application + ack).
@@ -275,16 +170,9 @@ pub struct RuntimeReport {
 
 impl RuntimeReport {
     /// A report with every counter at zero.
-    pub(crate) fn empty(
-        scheduler: &'static str,
-        seed: Option<u64>,
-        threads: Option<usize>,
-        n: usize,
-    ) -> Self {
+    pub(crate) fn empty(seed: u64, n: usize) -> Self {
         RuntimeReport {
-            scheduler,
             seed,
-            threads,
             n,
             steps: 0,
             app_messages: 0,
@@ -296,29 +184,14 @@ impl RuntimeReport {
         }
     }
 
-    /// Adds `other`'s delivery counters to this report's.
-    pub(crate) fn add_counts(&mut self, other: &RuntimeReport) {
-        self.steps += other.steps;
-        self.app_messages += other.app_messages;
-        self.acks += other.acks;
-        self.commits += other.commits;
-        self.activations += other.activations;
-        self.deactivations += other.deactivations;
-    }
-
-    /// Renders the report as stable text. For seeded runs this is the
-    /// byte-identity replay artifact (same seed ⇒ same bytes); free runs
-    /// render too but their counters are timing-dependent.
+    /// Renders the report as stable text: the byte-identity replay
+    /// artifact (same seed ⇒ same bytes).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!("runtime: scheduler {}", self.scheduler));
-        if let Some(seed) = self.seed {
-            out.push_str(&format!(" seed {seed}"));
-        }
-        if let Some(threads) = self.threads {
-            out.push_str(&format!(" threads {threads}"));
-        }
-        out.push_str(&format!(" · n {}\n", self.n));
+        out.push_str(&format!(
+            "runtime: scheduler seeded seed {} · n {}\n",
+            self.seed, self.n
+        ));
         out.push_str(&format!(
             "  steps {} · app messages {} · acks {}\n",
             self.steps, self.app_messages, self.acks
@@ -339,6 +212,7 @@ impl RuntimeReport {
 mod tests {
     use super::*;
     use adn_graph::NodeId;
+    use adn_sim::network::Network;
 
     #[test]
     fn knobs_lift_from_scenario() {
@@ -386,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn both_schedulers_report_the_same_counters() {
+    fn knobs_do_not_change_the_counters() {
         let n = 12;
         let adversarial = AsyncKnobs {
             reorder_window: 6,
@@ -394,10 +268,8 @@ mod tests {
             asymmetric_delay: true,
         };
         for scheduler in [
-            Scheduler::Seeded(SeededScheduler::new(5)),
-            Scheduler::Seeded(SeededScheduler::new(5).with_knobs(adversarial)),
-            Scheduler::Free(FreeScheduler::new(1)),
-            Scheduler::Free(FreeScheduler::new(3)),
+            SeededScheduler::new(5),
+            SeededScheduler::new(5).with_knobs(adversarial),
         ] {
             // Two one-barrier runs on one network: n starts, 2n messages
             // and their 2n acks each; one commit per start, which activates
@@ -423,9 +295,9 @@ mod tests {
             let mut run = scheduler.start(&network, n).expect("start");
             run.barrier(&mut network, &mut programs).expect("barrier");
             run.barrier(&mut network, &mut programs).expect("barrier");
-            let mut sum = first.clone();
-            sum.add_counts(&second);
-            assert_eq!(counters(&run.finish()), counters(&sum), "{scheduler:?}");
+            let (first, second) = (counters(&first), counters(&second));
+            let sum: [usize; 7] = std::array::from_fn(|i| first[i] + second[i]);
+            assert_eq!(counters(&run.finish()), sum, "{scheduler:?}");
             assert_eq!(network.graph().edge_count(), 2 * n, "{scheduler:?}");
         }
     }
@@ -435,39 +307,23 @@ mod tests {
         let n = 6;
         let mut network = Network::new(adn_graph::generators::ring(n));
         let mut programs = chords(n);
-        for scheduler in [
-            Scheduler::Seeded(SeededScheduler::new(1)),
-            Scheduler::Free(FreeScheduler::new(2)),
-        ] {
-            let short = scheduler.start::<()>(&network, n - 1);
-            assert!(
-                matches!(short, Err(RuntimeError::InvalidInput { .. })),
-                "{scheduler:?}"
-            );
-            let mut run = scheduler.start(&network, n).expect("start");
-            let err = run.barrier(&mut network, &mut programs[1..]).unwrap_err();
-            assert!(
-                matches!(err, RuntimeError::InvalidInput { .. }),
-                "{scheduler:?}"
-            );
-            run.barrier(&mut network, &mut programs).expect("barrier");
-            assert_eq!(run.finish().app_messages, 2 * n, "{scheduler:?}");
-        }
-        // Only the free scheduler rejects a run of no actors.
+        let scheduler = SeededScheduler::new(1);
+        let short = scheduler.start::<()>(&network, n - 1);
+        assert!(matches!(short, Err(RuntimeError::InvalidInput { .. })));
+        let mut run = scheduler.start(&network, n).expect("start");
+        let err = run.barrier(&mut network, &mut programs[1..]).unwrap_err();
+        assert!(matches!(err, RuntimeError::InvalidInput { .. }));
+        run.barrier(&mut network, &mut programs).expect("barrier");
+        assert_eq!(run.finish().app_messages, 2 * n);
+        // A run of no actors is accepted.
         let empty = Network::new(adn_graph::Graph::new(0));
-        assert!(SeededScheduler::new(1).start::<()>(&empty, 0).is_ok());
-        assert!(matches!(
-            FreeScheduler::new(1).start(&empty, 0),
-            Err(RuntimeError::InvalidInput { .. })
-        ));
+        assert!(scheduler.start::<()>(&empty, 0).is_ok());
     }
 
     #[test]
     fn report_render_is_stable() {
         let report = RuntimeReport {
-            scheduler: "seeded",
-            seed: Some(7),
-            threads: None,
+            seed: 7,
             n: 4,
             steps: 12,
             app_messages: 5,
@@ -478,7 +334,7 @@ mod tests {
             in_flight_at_detection: 0,
         };
         let text = report.render();
-        assert!(text.contains("scheduler seeded seed 7 · n 4"));
+        assert!(text.starts_with("runtime: scheduler seeded seed 7 · n 4\n"));
         assert!(text.contains("in flight 0"));
         assert_eq!(text, report.clone().render());
     }

@@ -13,14 +13,14 @@
 //! network's DST adversary, when one is armed, included: it draws from
 //! its own seeded stream at each commit. A [`SeededRun`] keeps one
 //! timeline, RNG stream, clock and step counter across all of its
-//! barriers. Each step is the shared [`deliver`](crate::termination)
-//! step; this module adds the timeline, the retirement of actors the
-//! adversary crashes and the answers mail to a node without a live actor
-//! gets.
+//! barriers. Each step delivers one envelope under the Dijkstra–Scholten
+//! bookkeeping of [`termination`](crate::termination); a step also
+//! retires the actors the adversary crashes and answers the mail of
+//! nodes without a live actor.
 
 use crate::actor::{AsyncProgram, Context, Envelope};
-use crate::termination::{commit_ops, deliver, sign_off, DsState, Transport};
-use crate::{check_barrier, AsyncKnobs, RuntimeError, RuntimeReport};
+use crate::termination::{DsParent, DsState};
+use crate::{AsyncKnobs, RuntimeError, RuntimeReport};
 use adn_graph::rng::DetRng;
 use adn_graph::NodeId;
 use adn_sim::network::Network;
@@ -264,7 +264,7 @@ impl SeededScheduler {
             ds: vec![DsState::default(); n],
             crashed: vec![false; n],
             started: vec![false; n],
-            report: RuntimeReport::empty("seeded", Some(self.seed), None, n),
+            report: RuntimeReport::empty(self.seed, n),
             ctx: Context::new(NodeId(0)),
         })
     }
@@ -328,7 +328,15 @@ impl<M> SeededRun<M> {
         network: &mut Network,
         programs: &mut [P],
     ) -> Result<(), RuntimeError> {
-        check_barrier(programs.len(), self.ds.len())?;
+        if programs.len() != self.ds.len() {
+            return Err(RuntimeError::InvalidInput {
+                reason: format!(
+                    "{} programs for a run of {} actors",
+                    programs.len(),
+                    self.ds.len()
+                ),
+            });
+        }
         if self.wire.root_deficit > 0 {
             return Err(RuntimeError::InvalidInput {
                 reason: "an earlier barrier of this run failed before quiescence".into(),
@@ -391,13 +399,12 @@ impl<M> SeededRun<M> {
                 self.started[node.index()] = true;
             }
             let commits = report.commits;
-            deliver(
+            link.deliver(
                 &mut programs[node.index()],
                 &mut self.ds[node.index()],
                 &mut self.ctx,
                 node,
                 env,
-                &mut link,
                 report,
             )?;
             if report.commits != commits {
@@ -474,23 +481,104 @@ impl<M> Link<'_, M> {
         for c in fresh {
             crashed[c.index()] = true;
             if let Some(parent) = ds[c.index()].crash() {
-                sign_off(self, c, parent);
+                self.sign_off(c, parent);
             }
         }
     }
-}
 
-impl<M> Transport<M> for Link<'_, M> {
-    fn send(&mut self, from: NodeId, to: NodeId, env: Envelope<M>) {
-        self.wire.enqueue(Some(from), to, env);
+    /// Acknowledges `parent` on behalf of `node`: a root sign-off releases
+    /// a start obligation, a node sign-off is an `Ack` envelope.
+    fn sign_off(&mut self, node: NodeId, parent: DsParent) {
+        match parent {
+            DsParent::Root => self.wire.root_deficit -= 1,
+            DsParent::Node(p) => self.wire.enqueue(Some(node), p, Envelope::Ack),
+        }
     }
 
-    fn sign_off_root(&mut self) {
-        self.wire.root_deficit -= 1;
-    }
-
+    /// Stages the handler's activations, then its deactivations, as
+    /// `ctx.id()`'s and commits them as one round, counting the round and
+    /// the edges its [`RoundSummary`](adn_sim::RoundSummary) says it
+    /// activated and deactivated into `report`. Stops at the first
+    /// operation the network rejects.
     fn commit(&mut self, ctx: &mut Context<M>, report: &mut RuntimeReport) -> Result<(), SimError> {
-        commit_ops(self.network, ctx, report)
+        let node = ctx.id();
+        for peer in ctx.activations.drain(..) {
+            self.network.stage_activation(node, peer)?;
+        }
+        for peer in ctx.deactivations.drain(..) {
+            self.network.stage_deactivation(node, peer)?;
+        }
+        let round = self.network.commit_round();
+        report.activations += round.activations;
+        report.deactivations += round.deactivations;
+        report.commits += 1;
+        Ok(())
+    }
+
+    /// Delivers `env` to `node`, whose program and bookkeeping are
+    /// `program` and `ds`, counting it into `report` (the caller counts
+    /// the step itself). In order:
+    ///
+    /// 1. engage the receiver, or note that the sender is owed an ack now;
+    /// 2. run the handler;
+    /// 3. commit the handler's edge operations as one round;
+    /// 4. send the outbox;
+    /// 5. send the ack the sender is owed;
+    /// 6. sign off if the receiver owes nothing more.
+    ///
+    /// The bookkeeping always completes, so the detector stays sound; an
+    /// edge operation the network rejected is returned afterwards.
+    fn deliver<P: AsyncProgram<Message = M>>(
+        &mut self,
+        program: &mut P,
+        ds: &mut DsState,
+        ctx: &mut Context<M>,
+        node: NodeId,
+        env: Envelope<M>,
+        report: &mut RuntimeReport,
+    ) -> Result<(), SimError> {
+        ctx.reset(node);
+        let owed = match env {
+            Envelope::Start => {
+                // When an application message overtook the start signal
+                // and engaged the node first, the root's copy is
+                // acknowledged on the spot.
+                let owed = (!ds.on_receive(DsParent::Root)).then_some(DsParent::Root);
+                program.on_start(ctx);
+                owed
+            }
+            Envelope::App { from, msg } => {
+                report.app_messages += 1;
+                let sender = DsParent::Node(from);
+                let owed = (!ds.on_receive(sender)).then_some(sender);
+                program.on_message(from, msg, ctx);
+                owed
+            }
+            Envelope::Ack => {
+                report.acks += 1;
+                ds.on_ack();
+                None
+            }
+        };
+        let committed = if ctx.activations.is_empty() && ctx.deactivations.is_empty() {
+            Ok(())
+        } else {
+            self.commit(ctx, report)
+        };
+        if !ctx.outbox.is_empty() {
+            ds.on_sent(ctx.outbox.len());
+            for (to, msg) in ctx.outbox.drain(..) {
+                self.wire
+                    .enqueue(Some(node), to, Envelope::App { from: node, msg });
+            }
+        }
+        if let Some(sender) = owed {
+            self.sign_off(node, sender);
+        }
+        if let Some(parent) = ds.try_disengage() {
+            self.sign_off(node, parent);
+        }
+        committed
     }
 }
 

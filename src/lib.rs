@@ -14,11 +14,9 @@
 //!   [`core::algorithm::registry`]: GraphToStar, GraphToWreath,
 //!   GraphToThinWreath, the baselines and the centralized strategies,
 //!   plus subroutines, lower-bound machinery and the task layer.
-//! * [`runtime`] (adn-runtime) — the asynchronous actor runtime with the
-//!   deterministic (`SeededScheduler`) and multi-threaded
-//!   (`FreeScheduler`) schedulers behind one [`prelude::Scheduler`]
-//!   value and Dijkstra–Scholten termination detection; selected per run
-//!   via [`prelude::EngineMode`].
+//! * [`runtime`] (adn-runtime) — the asynchronous actor runtime: the
+//!   seeded, replayable [`prelude::SeededScheduler`] and Dijkstra–Scholten
+//!   termination detection; selected per run via [`prelude::EngineMode`].
 //! * [`analysis`] (adn-analysis) — the experiment harness.
 //!
 //! An algorithm runs through its registry entry: `run` on a fresh network,
@@ -76,7 +74,7 @@ pub mod prelude {
         generators, properties, traversal, Graph, GraphFamily, NodeId, RootedTree, Uid,
         UidAssignment, UidMap,
     };
-    pub use adn_runtime::{AsyncKnobs, FreeScheduler, RuntimeReport, Scheduler, SeededScheduler};
+    pub use adn_runtime::{AsyncKnobs, RuntimeReport, SeededScheduler};
     pub use adn_sim::dst::{
         find_scenario, scenarios, DstReport, FaultEvent, FaultRecord, Scenario, TargetPolicy,
     };
@@ -99,14 +97,14 @@ mod tests {
     }
 
     #[test]
-    fn async_engine_flows_through_the_builder() {
+    fn async_engine_flows_through_run() {
         let graph = GraphFamily::Ring.generate(24, 5);
         let uids = UidMap::new(24, UidAssignment::Sequential);
         let config = RunConfig::default().with_engine(EngineMode::Seeded { seed: 11 });
         let outcome = Flooding.run(&graph, &uids, &config).unwrap();
         assert!(outcome.tokens_per_node.iter().all(|&t| t == 24));
         let report = outcome.runtime.expect("async runs carry a runtime report");
-        assert_eq!(report.scheduler, "seeded");
+        assert_eq!(report.seed, 11);
         assert_eq!(report.in_flight_at_detection, 0);
     }
 }

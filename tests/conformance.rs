@@ -117,15 +117,11 @@ fn supports_matrix_is_exactly_cut_in_half_on_non_lines() {
 #[test]
 fn every_algorithm_declares_and_honors_its_engine_modes() {
     // Every registered algorithm supports the synchronous engine and
-    // declares whether it supports the asynchronous ones
+    // declares whether it supports the asynchronous one
     // (`supports_async_engines`); it must complete under every supported
     // mode and fail with the clean `InvalidInput` rejection — never a
-    // panic — under the others.
-    let all_modes = [
-        EngineMode::Synchronous,
-        EngineMode::Seeded { seed: 3 },
-        EngineMode::Free { threads: 2 },
-    ];
+    // panic — under the other.
+    let all_modes = [EngineMode::Synchronous, EngineMode::Seeded { seed: 3 }];
     for algorithm in registry() {
         let spec = algorithm.spec();
         let graph = if spec.id == "centralized_cut_in_half" {

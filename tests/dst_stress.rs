@@ -152,7 +152,7 @@ fn seed_derived_failures_replay_from_one_u64() {
 }
 
 #[test]
-fn experiment_builder_carries_the_dst_report() {
+fn run_arms_the_dst_layer_from_its_config() {
     let graph = generators::ring(24);
     let uids = UidMap::new(24, UidAssignment::Sequential);
     let config = RunConfig::default().with_dst(Scenario::failure_free(), 9);
@@ -167,15 +167,6 @@ fn experiment_builder_carries_the_dst_report() {
         .run(&graph, &uids, &RunConfig::default())
         .unwrap();
     assert!(plain.dst.is_none());
-}
-
-#[test]
-fn run_config_dst_flows_through_the_trait_entry_point() {
-    let graph = generators::line(16);
-    let uids = UidMap::new(16, UidAssignment::Sequential);
-    let config = RunConfig::default().with_dst(Scenario::failure_free(), 4);
-    let outcome = GraphToStar.run(&graph, &uids, &config).unwrap();
-    assert!(outcome.dst.is_some());
 }
 
 #[test]

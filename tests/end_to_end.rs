@@ -65,7 +65,7 @@ fn centralized_vs_distributed_activation_separation() {
     // centralized strategy.
     let n = 256;
     let ring = generators::ring(n);
-    let uids = UidMap::new(n, UidAssignment::IncreasingRing);
+    let uids = UidMap::new(n, UidAssignment::Sequential);
     let star = GraphToStar
         .run(&ring, &uids, &RunConfig::default())
         .unwrap();

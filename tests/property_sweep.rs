@@ -71,7 +71,7 @@ fn distributed_bound_is_respected_on_increasing_order_rings() {
     // Theorem 6.4 applies to comparison-based distributed algorithms on
     // the increasing-order ring; GraphToStar is the paper's witness.
     for n in [64usize, 128] {
-        let uids = UidMap::new(n, UidAssignment::IncreasingRing);
+        let uids = UidMap::new(n, UidAssignment::Sequential);
         let outcome = GraphToStar
             .run(&generators::ring(n), &uids, &RunConfig::default())
             .unwrap();

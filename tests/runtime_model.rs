@@ -13,8 +13,8 @@
 //!    including schedules where the DST adversary **crashes an actor
 //!    mid-phase** with unacked sends outstanding;
 //! 4. the committee algorithms (`GraphToStar`, `GraphToWreath`) reach the
-//!    synchronous engine's committee structures and edge work under both
-//!    asynchronous engines, on delay-free and adversarial schedules,
+//!    synchronous engine's committee structures and edge work on the
+//!    asynchronous engine, on delay-free and adversarial schedules,
 //!    across sizes, each run with one report counting every round it
 //!    committed;
 //! 5. under the DST adversary's churn and crash scenarios every
@@ -134,7 +134,7 @@ fn tree_actors_match_the_synchronous_subroutine_under_any_knobs() {
         let (sync_tree, _) = run_line_to_tree(&mut sync_net, &line, &config).unwrap();
         for sched_seed in [2u64, 41, 9999] {
             let mut net = Network::new(generators::line(n));
-            let scheduler = Scheduler::Seeded(adversarial(sched_seed));
+            let scheduler = adversarial(sched_seed);
             let (tree, report) =
                 run_runtime_line_to_tree(&mut net, &line, &config, &scheduler).unwrap();
             assert_eq!(
@@ -199,7 +199,7 @@ fn delay_free_async_committees_match_the_sync_engine() {
     // The main async==sync gate: GraphToStar and the wreath family
     // reconfigure heavily, and their committee bookkeeping (selection,
     // merging, ring splicing) runs message-driven. On delay-free
-    // schedules the asynchronous engines must land on exactly the
+    // schedules the asynchronous engine must land on exactly the
     // synchronous committee structures — final graph, leader, phase
     // count and the per-phase committee census — with the same edge work
     // and one report covering every committed round. The thin wreath
@@ -227,20 +227,6 @@ fn delay_free_async_committees_match_the_sync_engine() {
                 "{label}"
             );
             assert_same_edge_work(&seeded, &sync, &label);
-            // The free engine is timing-nondeterministic but must still
-            // produce the same committee structures (the decision rules
-            // are order-independent). One size per algorithm keeps the
-            // thread churn modest.
-            if n == 64 {
-                let free =
-                    committee_outcome(algorithm, family, n, 5, EngineMode::Free { threads: 4 });
-                assert_eq!(free.final_graph, sync.final_graph, "{label} (free)");
-                assert_eq!(
-                    free.committees_per_phase, sync.committees_per_phase,
-                    "{label} (free)"
-                );
-                assert_same_edge_work(&free, &sync, &format!("{label} (free)"));
-            }
         }
     }
 }
@@ -261,7 +247,7 @@ fn adversarial_schedules_do_not_change_committee_outcomes() {
             .expect("sync wreath");
         for sched_seed in [1u64, 58] {
             let label = format!("{family:?} n={n} sched_seed={sched_seed}");
-            let scheduler = Scheduler::Seeded(adversarial(sched_seed));
+            let scheduler = adversarial(sched_seed);
             let mut network = Network::new(graph.clone());
             let star = run_runtime_star(&mut network, &uids, &RunConfig::default(), &scheduler)
                 .unwrap_or_else(|e| panic!("star {label}: {e}"));
@@ -409,14 +395,14 @@ fn armed_crash_during_committee_run_is_deterministic_and_clean() {
         &mut Network::new(graph.clone()),
         &uids,
         &RunConfig::default(),
-        &Scheduler::Seeded(adversarial(0)),
+        &adversarial(0),
     )
     .expect("clean run")
     .rounds;
     let run = |sched_seed: u64| {
         let crash_round = 2 + (sched_seed as usize * 7) % commits;
         let mut network = armed(crash_round, sched_seed);
-        let scheduler = Scheduler::Seeded(adversarial(sched_seed));
+        let scheduler = adversarial(sched_seed);
         run_runtime_star(&mut network, &uids, &RunConfig::default(), &scheduler)
             .map(|o| {
                 let dst = o.dst.expect("armed runs carry a DST report");
@@ -510,16 +496,19 @@ fn seeded_runs_under_churn_and_crashes_complete_or_fail_cleanly() {
 }
 
 #[test]
-fn free_committee_runs_complete_under_churn() {
-    // Joined nodes have no actor: the free scheduler answers their mail,
-    // and checks its actor count once per run, not at every barrier.
+fn seeded_committee_runs_complete_under_churn() {
+    // Joined nodes have no actor: the scheduler answers their mail, and
+    // checks its actor count once per run, not at every barrier. Unlike
+    // `seeded_runs_under_churn_and_crashes_complete_or_fail_cleanly`,
+    // which accepts a clean failure, these runs must complete, record
+    // their joins and elect the maximum-UID node.
     let graph = generators::ring(24);
     let uids = UidMap::new(24, UidAssignment::RandomPermutation { seed: 3 });
     for algorithm in ["graph_to_star", "graph_to_wreath"] {
         let algorithm = find_algorithm(algorithm).expect("registered");
         for scenario in [Scenario::churn(), Scenario::async_churn()] {
             let config = RunConfig::default()
-                .with_engine(EngineMode::Free { threads: 2 })
+                .with_engine(EngineMode::Seeded { seed: 3 })
                 .with_dst(scenario.clone(), 3);
             let outcome = algorithm
                 .run(&graph, &uids, &config)
