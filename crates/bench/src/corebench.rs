@@ -15,7 +15,7 @@ use crate::harness::{Bench, Sample};
 use adn_analysis::stress::json_escape;
 use adn_core::algorithm::{self, EngineMode, RunConfig};
 use adn_core::committee::{CommitteeForest, CommitteeId, SelectionForest};
-use adn_core::subroutines::{run_runtime_line_to_tree, LineToTreeConfig};
+use adn_core::subroutines::{run_line_to_tree, run_runtime_line_to_tree, LineToTreeConfig};
 use adn_graph::rng::DetRng;
 use adn_graph::{generators, BitRow, BitRows, Edge, Graph, NodeId, UidAssignment, UidMap};
 use adn_runtime::flood::flood_actors;
@@ -362,6 +362,22 @@ fn bench_algorithms(bench: &mut Bench, quick: bool) {
     if !quick {
         bench_wreath_cold(bench, 65536);
     }
+}
+
+/// One synchronous LineToCompleteBinaryTree rebuild of a whole line: the
+/// lockstep every wreath-family phase runs on its merged rings, whose
+/// pointer jumps commit through `Network::commit_jumps`.
+fn bench_line_to_tree(bench: &mut Bench, quick: bool) {
+    let n = if quick { 4096 } else { 65536 };
+    let graph = generators::line(n);
+    let line: Vec<NodeId> = (0..n).map(NodeId).collect();
+    let config = LineToTreeConfig::binary();
+    bench.measure(&format!("subroutine/line_to_tree line n={n}"), || {
+        let mut net = Network::new(graph.clone());
+        let (tree, rounds) = run_line_to_tree(&mut net, &line, &config).expect("a line rebuilds");
+        assert!(rounds > 0);
+        std::hint::black_box(tree.depth());
+    });
 }
 
 /// Builds a mid-merge committee forest: `committees` surviving slots over
@@ -912,6 +928,7 @@ pub fn run(cfg: &CoreBenchConfig) -> (String, String) {
     }
     bench_committee(&mut bench, cfg.quick);
     bench_algorithms(&mut bench, cfg.quick);
+    bench_line_to_tree(&mut bench, cfg.quick);
     bench_runtime(&mut bench, cfg.quick);
     bench_sweep(&mut bench, cfg.quick, threads);
     bench_dst_invariants(&mut bench);
@@ -952,6 +969,7 @@ mod tests {
         assert!(json.contains("\"mode\":\"quick\""));
         assert!(json.contains("graph/add_remove_stream"));
         assert!(json.contains("network/commit_round"));
+        assert!(json.contains("subroutine/line_to_tree line n=4096"));
         assert!(json.contains("sweep/serial"));
     }
 

@@ -27,13 +27,14 @@
 //! lockstep, because the wreath algorithms rebuild the trees of all
 //! committees merged in a phase at once (Appendix B runs these rebuilds
 //! in parallel). Each round, every unfinished line is marked against its
-//! own wake-up schedule and round limit, all lines' jumps are staged as
-//! one wave in batch order and committed together, and an idle round is
-//! charged only when no line moved. The lines share no node and a line's
-//! witness checks read only its own edges, so every line performs exactly
-//! the jump sequence of a run on its own: a batch takes the *maximum* of
-//! its lines' round counts rather than their sum. [`run_async_line_to_tree`]
-//! is a one-line batch, and the synchronous
+//! own wake-up schedule and round limit, all lines' jumps are committed
+//! together in batch order through `Network::commit_jumps`, one in-place
+//! adjacency move per jump, and an idle round is charged only when no line
+//! moved. The lines share no node and a line's witness checks read only
+//! its own edges, so every line performs exactly the jump sequence of a
+//! run on its own: a batch takes the *maximum* of its lines' round counts
+//! rather than their sum. [`run_async_line_to_tree`] is a one-line batch,
+//! and the synchronous
 //! [`run_line_to_tree`](crate::subroutines::run_line_to_tree) is that
 //! batch with every node awake from round 1 (Lemma B.4).
 //!
@@ -43,16 +44,16 @@
 //! The plan is flat, one column of jump targets with per-position
 //! offsets, and the batch memoises it per (line length, arity). Each
 //! round's marking pass records every jump's mover, old parent and target
-//! once, and the wave is staged from that record. A position leaves its
-//! line edge only on its first jump (later jumps leave a parent at least
-//! two positions back, and no position jumps off the root), so
+//! once, and the round's jumps are built from that record. A position
+//! leaves its line edge only on its first jump (later jumps leave a parent
+//! at least two positions back, and no position jumps off the root), so
 //! `keep_line_edges` keeps a wreath's ring by position alone.
 
 use crate::subroutines::{LineScratch, LineToTreeConfig};
 use crate::CoreError;
 use adn_graph::properties::ceil_log2;
-use adn_graph::{Edge, NodeId, RootedTree};
-use adn_sim::Network;
+use adn_graph::{NodeId, RootedTree};
+use adn_sim::{Jump, Network};
 
 /// The synchronous jump schedule of a line, flat: position `pos` hops,
 /// in order, to the grandparent positions
@@ -340,8 +341,8 @@ pub(crate) fn validate_line(
 ///   first in batch order; checked before the first round.
 /// * [`CoreError::DidNotConverge`] when an unfinished line runs past its
 ///   round limit (the first such line in batch order), and
-///   [`CoreError::Sim`] when staging fails — both only under faults or on
-///   implementation bugs.
+///   [`CoreError::Sim`] when a round's jumps fail the network's checks —
+///   both only under faults or on implementation bugs.
 pub(crate) fn run_lockstep(
     network: &mut Network,
     arity: usize,
@@ -369,8 +370,7 @@ pub(crate) fn run_lockstep(
         blocked,
         movers,
         seen,
-        wave_acts,
-        wave_drops,
+        wave,
     } = scratch;
 
     // Every position starts as the child of its predecessor on the line.
@@ -456,7 +456,7 @@ pub(crate) fn run_lockstep(
                     blocked[cp] = true;
                 }
             }
-            // Stage in ascending position order: under faults the first
+            // Commit in ascending position order: under faults the first
             // failing operation decides the error a run reports.
             movers[first_mover..].reverse();
             // The round's jumps are committed below or the run fails, so
@@ -470,24 +470,17 @@ pub(crate) fn run_lockstep(
             network.advance_idle_rounds(1);
             continue;
         }
-        // Batched wave commit: the supporting edge (cp, gp) was verified
-        // active above, so the current parent doubles as the distance-2
-        // witness and staging is probe-only.
-        wave_acts.clear();
-        wave_drops.clear();
-        for m in movers.iter() {
-            let (u, w) = (nodes[m.pos], nodes[m.parent]);
-            wave_acts.push(adn_sim::WaveActivation {
-                initiator: u,
-                target: nodes[m.target],
-                witness: w,
-            });
-            if drops_left_edge(keep_line_edges, m.pos, m.parent) {
-                wave_drops.push(Edge::new(u, w));
-            }
-        }
-        network.stage_jump_wave(wave_acts, wave_drops)?;
-        network.commit_round();
+        // The round's jumps commit in place, one adjacency move each: the
+        // supporting edge (cp, gp) was verified active above, so the
+        // current parent doubles as the distance-2 witness.
+        wave.clear();
+        wave.extend(movers.iter().map(|m| Jump {
+            node: nodes[m.pos],
+            from: nodes[m.parent],
+            to: nodes[m.target],
+            drop: drops_left_edge(keep_line_edges, m.pos, m.parent),
+        }));
+        network.commit_jumps(wave)?;
         for m in movers.iter() {
             parent_pos[m.pos] = m.target;
             jumps_done[m.pos] += 1;

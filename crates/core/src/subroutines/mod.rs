@@ -86,10 +86,9 @@ pub(crate) struct LineScratch {
     /// Line-validation scratch: one duplicate mark per network node, all
     /// clear between checks.
     pub(crate) seen: Vec<bool>,
-    /// Per-round wave column: witnessed activations for `stage_jump_wave`.
-    pub(crate) wave_acts: Vec<adn_sim::WaveActivation>,
-    /// Per-round wave column: deactivations for `stage_jump_wave`.
-    pub(crate) wave_drops: Vec<adn_graph::Edge>,
+    /// Per-round jumps of every line, in the order of `movers`, for
+    /// `Network::commit_jumps`.
+    pub(crate) wave: Vec<adn_sim::Jump>,
 }
 
 impl LineScratch {

@@ -71,7 +71,6 @@ use adn_graph::{Graph, NodeId, UidMap};
 use adn_runtime::{AsyncProgram, Context, SeededScheduler};
 use adn_sim::{Network, WaveActivation};
 use std::mem;
-use std::sync::Arc;
 
 /// One gossip observation: node `x` saw neighbour `y`, which reported
 /// belonging to the committee led by `y_leader` currently in `y_mode`.
@@ -121,9 +120,9 @@ enum Mini {
 /// One node of a committee protocol. The phase loop feeds the per-phase
 /// inputs (leader, mode, neighbour snapshot) between barriers; within a
 /// mini-phase the actor acts on messages alone.
-struct CommitteeActor {
-    uids: Arc<UidMap>,
-    initial: Arc<Graph>,
+struct CommitteeActor<'a> {
+    uids: &'a UidMap,
+    initial: &'a Graph,
     // Inputs fed between barriers.
     mini: Mini,
     leader: NodeId,
@@ -145,11 +144,11 @@ struct CommitteeActor {
     tree: TreeActor,
 }
 
-impl CommitteeActor {
-    fn new(id: usize, uids: &Arc<UidMap>, initial: &Arc<Graph>) -> Self {
+impl<'a> CommitteeActor<'a> {
+    fn new(id: usize, uids: &'a UidMap, initial: &'a Graph) -> Self {
         CommitteeActor {
-            uids: Arc::clone(uids),
-            initial: Arc::clone(initial),
+            uids,
+            initial,
             mini: Mini::Idle,
             leader: NodeId(id),
             mode: Mode::Selection,
@@ -245,7 +244,7 @@ impl CommitteeActor {
     }
 }
 
-impl AsyncProgram for CommitteeActor {
+impl AsyncProgram for CommitteeActor<'_> {
     type Message = CommitteeMsg;
 
     fn on_start(&mut self, ctx: &mut Context<Self::Message>) {
@@ -331,11 +330,9 @@ impl AsyncProgram for CommitteeActor {
     }
 }
 
-fn build_actors(n: usize, uids: &UidMap, initial: &Graph) -> Vec<CommitteeActor> {
-    let uids = Arc::new(uids.clone());
-    let initial = Arc::new(initial.clone());
+fn build_actors<'a>(n: usize, uids: &'a UidMap, initial: &'a Graph) -> Vec<CommitteeActor<'a>> {
     (0..n)
-        .map(|i| CommitteeActor::new(i, &uids, &initial))
+        .map(|i| CommitteeActor::new(i, uids, initial))
         .collect()
 }
 

@@ -53,7 +53,7 @@ use crate::CoreError;
 use adn_graph::{NodeId, RootedTree};
 use adn_runtime::{AsyncProgram, Context, RuntimeReport, SeededScheduler};
 use adn_sim::Network;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Protocol messages; `pos` is always the sender's line position.
 #[derive(Debug, Clone)]
@@ -166,7 +166,7 @@ impl SharedPlan {
 
 /// Mutable per-position protocol state.
 struct Position {
-    plan: Arc<SharedPlan>,
+    plan: Rc<SharedPlan>,
     pos: usize,
     parent_pos: usize,
     jumps_done: usize,
@@ -201,10 +201,10 @@ impl TreeActor {
         work: &mut PlanWork,
     ) -> impl Iterator<Item = TreeActor> {
         let n = line.len();
-        let plan = Arc::new(SharedPlan::new(n, config, line, work));
+        let plan = Rc::new(SharedPlan::new(n, config, line, work));
         (0..n).map(move |pos| TreeActor {
             position: Some(Position {
-                plan: Arc::clone(&plan),
+                plan: Rc::clone(&plan),
                 pos,
                 parent_pos: pos.saturating_sub(1),
                 jumps_done: 0,

@@ -271,6 +271,29 @@ fn grow_cap(cap: usize, need: usize) -> usize {
     c
 }
 
+/// Shifts `slots` one place right: `first` lands in `slots[0]` and the
+/// last entry falls off. The values travel in a register, one load and
+/// one store per slot, so the compiler emits no `memmove` call, which
+/// costs more than the move for the few entries of a short block; a long
+/// block moves faster through `copy_within`.
+#[inline]
+fn shift_right(slots: &mut [NodeId], first: NodeId) {
+    let mut carry = first;
+    for slot in slots {
+        carry = std::mem::replace(slot, carry);
+    }
+}
+
+/// Shifts `slots` one place left: `last` lands in the last slot and the
+/// first entry falls off, as [`shift_right`] does it.
+#[inline]
+fn shift_left(slots: &mut [NodeId], last: NodeId) {
+    let mut carry = last;
+    for slot in slots.iter_mut().rev() {
+        carry = std::mem::replace(slot, carry);
+    }
+}
+
 impl Graph {
     /// Creates an empty graph (no edges) on `n` nodes.
     pub fn new(n: usize) -> Self {
@@ -366,6 +389,19 @@ impl Graph {
         }
     }
 
+    /// [`Graph::insert_at`] for the short blocks of a pointer jump: the
+    /// tail shifts in a register carry chain (see [`shift_right`]).
+    fn insert_short(&mut self, u: usize, pos: usize, v: NodeId) {
+        let l = self.len[u];
+        if l < self.cap[u] {
+            let s = self.start[u];
+            shift_right(&mut self.arena[s + pos..=s + l], v);
+            self.len[u] = l + 1;
+        } else {
+            self.relocate_insert(u, pos, v);
+        }
+    }
+
     /// Moves `u`'s full block to the arena tail with grown capacity,
     /// folding the insertion of `v` at `pos` into the copy. The old slots
     /// become dead space.
@@ -396,11 +432,21 @@ impl Graph {
         self.len[u] = l - 1;
     }
 
+    /// [`Graph::remove_at`] for the short blocks of a pointer jump, in a
+    /// register carry chain (see [`shift_left`]).
+    fn remove_short(&mut self, u: usize, pos: usize) {
+        let s = self.start[u];
+        let l = self.len[u];
+        shift_left(&mut self.arena[s + pos..s + l], PAD);
+        self.len[u] = l - 1;
+    }
+
     /// Merges the entries of `add` (sorted ascending; any repeated entry
     /// already in the block) that `u`'s sorted block lacks, and overwrites
     /// the others in `add` with `PAD`. One backward in-place pass while the
-    /// block has room for all of `add`, otherwise a relocation that
-    /// interleaves the merge with the copy to the tail.
+    /// block has room for all of `add`, otherwise a merge into the arena
+    /// tail, which becomes the block's new home only if the entries the
+    /// block lacked overflow it.
     fn merge_block_additions(&mut self, u: usize, add: &mut [NodeId]) {
         let s = self.start[u];
         let l = self.len[u];
@@ -431,9 +477,8 @@ impl Graph {
             }
             self.len[u] = need - (w - i);
         } else {
-            let new_cap = grow_cap(self.cap[u], need);
             let new_start = self.arena.len();
-            self.arena.reserve(new_cap);
+            self.arena.reserve(grow_cap(self.cap[u], need));
             let (mut i, mut j) = (0usize, 0usize);
             while i < l && j < add.len() {
                 let x = self.arena[s + i];
@@ -452,6 +497,15 @@ impl Graph {
             self.arena.extend_from_within(s + i..s + l);
             self.arena.extend_from_slice(&add[j..]);
             let merged = self.arena.len() - new_start;
+            if merged <= self.cap[u] {
+                // The entries already present leave room after all: the
+                // merged run goes back into the block, which stays put.
+                self.arena.copy_within(new_start.., s);
+                self.arena.truncate(new_start);
+                self.len[u] = merged;
+                return;
+            }
+            let new_cap = grow_cap(self.cap[u], merged);
             self.arena.resize(new_start + new_cap, PAD);
             self.dead += self.cap[u];
             self.start[u] = new_start;
@@ -598,6 +652,55 @@ impl Graph {
                 Ok(true)
             }
         }
+    }
+
+    /// Moves `u`'s edge from `from` to `to` in one edit: the pointer jump
+    /// of Proposition 2.2. With `drop`, `{u, from}` is removed and
+    /// `{u, to}` inserted: the entry `from` of `u`'s block becomes `to` by
+    /// shifting the entries between the two positions, so `u`'s block
+    /// keeps its length and never relocates; then `from`'s block loses `u`
+    /// and `to`'s gains it, which relocates a full block (and may compact
+    /// the arena) as [`Graph::add_edge`] does. Without `drop`, `{u, to}`
+    /// is inserted on both sides and `from` is not read. Entries move in
+    /// register carry chains rather than `memmove` calls, which cost more
+    /// than the few entries a short block moves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node is out of range, if `{u, to}` is present or a
+    /// self-loop, or, with `drop`, if `{u, from}` is absent: the caller
+    /// has checked all of these.
+    pub fn jump(&mut self, u: NodeId, from: NodeId, to: NodeId, drop: bool) {
+        assert_ne!(u, to, "self-loops are not allowed in the model");
+        let ui = u.index();
+        let block = self.block(ui);
+        let to_pos = block
+            .binary_search(&to)
+            .expect_err("a jump's target is not adjacent yet");
+        if drop {
+            let from_pos = block
+                .binary_search(&from)
+                .expect("a dropping jump leaves a present edge");
+            let s = self.start[ui];
+            if from_pos < to_pos {
+                shift_left(&mut self.arena[s + from_pos..s + to_pos], to);
+            } else {
+                shift_right(&mut self.arena[s + to_pos..=s + from_pos], to);
+            }
+            let back = self
+                .block(from.index())
+                .binary_search(&u)
+                .expect("adjacency must stay symmetric");
+            self.remove_short(from.index(), back);
+        } else {
+            self.insert_short(ui, to_pos, to);
+            self.edge_count += 1;
+        }
+        let back = self
+            .block(to.index())
+            .binary_search(&u)
+            .expect_err("adjacency must stay symmetric");
+        self.insert_short(to.index(), back, u);
     }
 
     /// Inserts a batch of canonical edges, in any order, with one merge
@@ -1075,6 +1178,73 @@ mod tests {
         assert_eq!((removed, &seen[..]), (1, &[e(2, 3)][..]));
         assert_eq!(g.edge_vec(), vec![e(0, 1), e(0, 2), e(1, 2)]);
         assert!(g.check_invariants());
+    }
+
+    #[test]
+    fn a_batch_of_present_edges_relocates_nothing() {
+        // Node 0's block is full (4 slots for 1–4). Re-adding two of its
+        // edges grows no block, so no block may move to the arena tail.
+        let mut g = Graph::new(6);
+        for v in 1..5 {
+            g.add_edge(nid(0), nid(v)).unwrap();
+        }
+        let (slots, dead) = (g.arena_slots(), g.dead_slots());
+        assert_eq!((slots, dead), (20, 0));
+        let e = |u, v| Edge::new(nid(u), nid(v));
+        assert_eq!(g.add_edges_batch(&[e(0, 1), e(0, 2)], |_| {}), 0);
+        assert_eq!((g.arena_slots(), g.dead_slots()), (slots, dead));
+        // Without {0, 4}, node 0 holds three entries in four slots: a
+        // batch that repeats two of them beside the fresh {0, 5} merges
+        // in place, and only node 5's empty block is allocated.
+        g.remove_edge(nid(0), nid(4)).unwrap();
+        assert_eq!(g.add_edges_batch(&[e(0, 1), e(0, 5), e(0, 2)], |_| {}), 1);
+        assert_eq!((g.arena_slots(), g.dead_slots()), (slots + 4, 0));
+        assert_eq!(g.neighbors_slice(nid(0)), &[nid(1), nid(2), nid(3), nid(5)]);
+        assert!(g.check_invariants());
+    }
+
+    #[test]
+    fn jump_moves_one_edge_in_either_direction() {
+        let e = |u, v| Edge::new(nid(u), nid(v));
+        // Node 3 on a star-like block: neighbours 0, 1, 5, 6.
+        let mut g = Graph::from_edges(
+            8,
+            [(3, 0), (3, 1), (3, 5), (3, 6), (1, 2), (6, 7)].map(|(u, v)| (nid(u), nid(v))),
+        )
+        .unwrap();
+        // Upwards: 1 → 7 shifts 5 and 6 left.
+        g.jump(nid(3), nid(1), nid(7), true);
+        assert_eq!(g.neighbors_slice(nid(3)), &[nid(0), nid(5), nid(6), nid(7)]);
+        // Downwards: 6 → 2 shifts 5 right.
+        g.jump(nid(3), nid(6), nid(2), true);
+        assert_eq!(g.neighbors_slice(nid(3)), &[nid(0), nid(2), nid(5), nid(7)]);
+        // In place: 5 → 4 keeps its slot.
+        g.jump(nid(3), nid(5), nid(4), true);
+        assert_eq!(g.neighbors_slice(nid(3)), &[nid(0), nid(2), nid(4), nid(7)]);
+        assert_eq!(g.edge_count(), 6);
+        // Without a drop the block grows past its four slots.
+        g.jump(nid(3), nid(4), nid(6), false);
+        assert_eq!(
+            g.edge_vec(),
+            [
+                e(0, 3),
+                e(1, 2),
+                e(2, 3),
+                e(3, 4),
+                e(3, 6),
+                e(3, 7),
+                e(6, 7)
+            ]
+        );
+        assert!(g.check_invariants());
+    }
+
+    #[test]
+    #[should_panic(expected = "not adjacent yet")]
+    fn jump_onto_a_present_edge_panics() {
+        let mut g = generators::line(3);
+        g.add_edge(nid(0), nid(2)).unwrap();
+        g.jump(nid(0), nid(1), nid(2), true);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! * [`properties`] — structural predicates (`is_star`, `is_line`,
 //!   `is_ring`, depth/arity bounds, …) used to verify that the
 //!   transformation algorithms reach their target family.
-//! * [`uid`] — UID namespaces and assignments (sequential, random
-//!   permutation, and the *increasing-order ring* assignment used by the
-//!   paper's Ω(n log n) lower bound).
+//! * [`uid`] — UID namespaces and assignments: `Sequential` (on
+//!   `ring(n)` the *increasing-order ring* of the paper's Ω(n log n)
+//!   lower bound), `Reversed` and `RandomPermutation`.
 //!
 //! # Example
 //!

@@ -15,9 +15,9 @@ use adn_graph::NodeId;
 /// [`on_start`](AsyncProgram::on_start) if a neighbour's start message
 /// overtakes this node's own start signal, so all state must be fully
 /// initialised at construction.
-pub trait AsyncProgram: Send {
+pub trait AsyncProgram {
     /// Payload exchanged between actors.
-    type Message: Clone + std::fmt::Debug + Send;
+    type Message: Clone + std::fmt::Debug;
 
     /// Called once when the scheduler's start signal reaches this actor.
     fn on_start(&mut self, ctx: &mut Context<Self::Message>);

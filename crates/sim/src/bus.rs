@@ -105,6 +105,11 @@ impl EventBus {
         self.armed[tap as usize]
     }
 
+    /// Whether any tap is armed, i.e. whether events are recorded at all.
+    pub fn any_armed(&self) -> bool {
+        self.any_armed
+    }
+
     /// Records one event (no-op while no tap is armed).
     #[inline]
     pub fn record(&mut self, event: RoundEvent) {
@@ -139,12 +144,13 @@ impl EventBus {
 }
 
 /// The single emission point for applied edge mutations. Every apply
-/// path of the network — the `commit_round` batch callbacks and each
-/// adversarial fault entry point — funnels through [`EdgeSink::edge`],
-/// which classifies the edge against the initial network, keeps the
-/// activated-edge counters current, and records the event on the bus.
-/// There is no other place that touches these observables, so commits
-/// and faults report them identically by construction.
+/// path of the network — the `commit_round` batch callbacks, the applied
+/// columns of `commit_jumps` and each adversarial fault entry point —
+/// funnels through [`EdgeSink::edge`], which classifies the edge against
+/// the initial network, keeps the activated-edge counters current, and
+/// records the event on the bus. There is no other place that touches
+/// these observables, so commits and faults report them identically by
+/// construction.
 pub(crate) struct EdgeSink<'a> {
     /// The initial network `D(1)` (for the initial-edge classification).
     pub initial: &'a Graph,
@@ -192,8 +198,10 @@ mod tests {
         let mut bus = EventBus::default();
         bus.record(RoundEvent::IdleRound);
         assert!(bus.events.is_empty(), "no tap armed: nothing recorded");
+        assert!(!bus.any_armed());
 
         bus.arm(BusTap::Dst, true);
+        assert!(bus.any_armed());
         bus.record(RoundEvent::NodeJoined(NodeId(3)));
         bus.record(RoundEvent::IdleRound);
         assert_eq!(bus.events.len(), 2);
@@ -217,5 +225,6 @@ mod tests {
         assert_eq!(bus.events.len(), 1, "recorder still pending: kept");
         bus.arm(BusTap::Recorder, false);
         assert!(bus.events.is_empty());
+        assert!(!bus.any_armed());
     }
 }

@@ -60,4 +60,4 @@ pub use bus::RoundEvent;
 pub use dst::{Adversary, DstReport, DstState, FaultEvent, FaultRecord, InvariantPolicy, Scenario};
 pub use error::SimError;
 pub use metrics::EdgeMetrics;
-pub use network::{Network, RoundSummary, WaveActivation};
+pub use network::{Jump, Network, RoundSummary, WaveActivation};

@@ -43,7 +43,7 @@ type StagedEdgeSet = std::collections::HashSet<Edge, std::hash::BuildHasherDefau
 /// [`Network::stage_jump_wave`]: the `initiator` activates an edge to
 /// `target`, and `witness` is a node the caller asserts is currently
 /// adjacent to both — the engines' hot loops always know one (the old
-/// parent in a line-to-tree jump, the bridge endpoint in a star merge).
+/// parent in a TreeToStar jump, the bridge endpoint in a star merge).
 /// The claim is *verified* with two adjacency probes, which replaces the
 /// general common-neighbour merge scan of [`Network::stage_activation`]
 /// with two binary searches; a stale witness falls back to the full scan
@@ -58,7 +58,47 @@ pub struct WaveActivation {
     pub witness: NodeId,
 }
 
-/// Summary of a committed round, returned by [`Network::commit_round`].
+/// One pointer jump of a round committed by [`Network::commit_jumps`]:
+/// `node` activates an edge to `to` over its neighbour `from`, the
+/// distance-2 witness, and with `drop` deactivates its edge to `from`
+/// (Proposition 2.2's jump from a parent to the grandparent).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Jump {
+    /// The node that moves (metered as the initiator).
+    pub node: NodeId,
+    /// The neighbour it leaves: the witness, and with `drop` the other
+    /// endpoint of the dropped edge.
+    pub from: NodeId,
+    /// The node it activates an edge to.
+    pub to: NodeId,
+    /// Whether `{node, from}` is deactivated in the same round.
+    pub drop: bool,
+}
+
+/// Verdict bit of [`Network::commit_jumps`]: the jump's activation is
+/// staged (the edge is absent and the distance-2 rule holds).
+const ACTIVATES: u8 = 1;
+/// Verdict bit of [`Network::commit_jumps`]: the jump drops a present
+/// edge.
+const DROPS: u8 = 2;
+
+/// Whether no two of `jumps` name the same edge, activated or dropped:
+/// the condition under which applying them one by one gives
+/// `(E ∪ E_ac) \ E_dac` with no conflict rule to run.
+fn jumps_share_no_edge(jumps: &[Jump]) -> bool {
+    let mut edges: Vec<(NodeId, NodeId)> = jumps
+        .iter()
+        .flat_map(|j| {
+            let key = |x: NodeId| (j.node.min(x), j.node.max(x));
+            std::iter::once(key(j.to)).chain(j.drop.then(|| key(j.from)))
+        })
+        .collect();
+    edges.sort_unstable();
+    edges.windows(2).all(|w| w[0] != w[1])
+}
+
+/// Summary of a committed round, returned by [`Network::commit_round`] and
+/// [`Network::commit_jumps`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundSummary {
     /// The round that was just committed (1-based, matching the paper's
@@ -80,8 +120,10 @@ pub struct RoundSummary {
 /// (validated against the snapshot at the *beginning* of the round, as the
 /// model prescribes) and then calling [`Network::commit_round`], which
 /// applies `E(i+1) = (E(i) ∪ E_ac(i)) \ E_dac(i)` and advances the round
-/// counter. Rounds that involve only message passing (no edge operations)
-/// can be charged with [`Network::advance_idle_rounds`].
+/// counter. A round of pointer jumps is checked and committed in one call
+/// by [`Network::commit_jumps`]. Rounds that involve only message passing
+/// (no edge operations) can be charged with
+/// [`Network::advance_idle_rounds`].
 #[derive(Debug, Clone)]
 pub struct Network {
     initial: Graph,
@@ -117,11 +159,14 @@ pub struct Network {
     /// True once any node has crashed; lets the fault-free fast path skip
     /// the per-commit crashed-endpoint scans entirely.
     any_crashed: bool,
-    /// Per-commit scratch (touched / grown endpoints, removed edges),
-    /// reused so the hot commit path allocates nothing.
+    /// Per-commit scratch (touched / grown endpoints, added and removed
+    /// edges, the jump verdicts of `commit_jumps`), reused so the hot
+    /// commit paths allocate nothing.
     commit_touched: Vec<NodeId>,
     commit_grew: Vec<NodeId>,
+    commit_added: Vec<Edge>,
     commit_removed: Vec<Edge>,
+    jump_verdicts: Vec<u8>,
     /// The round-event bus: the one recorded stream both observers (DST
     /// replay, raw recorder) drain from their own taps. See
     /// [`crate::bus`].
@@ -159,7 +204,9 @@ impl Network {
             any_crashed: false,
             commit_touched: Vec::new(),
             commit_grew: Vec::new(),
+            commit_added: Vec::new(),
             commit_removed: Vec::new(),
+            jump_verdicts: Vec::new(),
             bus: EventBus::default(),
             metrics,
             dst: None,
@@ -314,18 +361,7 @@ impl Network {
         if self.current.has_edge(u, v) {
             return Ok(false);
         }
-        // Distance-2 rule: `u != v` and non-adjacency are already
-        // established, so a common neighbour alone decides it.
-        let witnessed = witness.is_some_and(|w| {
-            w != u && w != v && self.current.has_edge(u, w) && self.current.has_edge(w, v)
-        });
-        if !witnessed && self.current.common_neighbor(u, v).is_none() {
-            return Err(SimError::NotPotentialNeighbors {
-                u,
-                v,
-                round: self.round,
-            });
-        }
+        self.distance_two(u, v, witness.filter(|&w| self.current.has_edge(u, w)))?;
         let e = Edge::new(u, v);
         if !self.staged_activation_set.insert(e) {
             return Ok(false);
@@ -337,6 +373,26 @@ impl Network {
         }
         *stages += 1;
         Ok(true)
+    }
+
+    /// The distance-2 rule of Section 2.1 for `u != v` not adjacent in the
+    /// current snapshot: they must share a neighbour. `witness`, a node
+    /// the caller has seen adjacent to `u`, settles it with one probe of
+    /// `{witness, v}`; without one, or when that probe fails, the
+    /// common-neighbour merge scan decides. Every activation entry point
+    /// checks the rule here.
+    fn distance_two(&self, u: NodeId, v: NodeId, witness: Option<NodeId>) -> Result<(), SimError> {
+        if witness.is_some_and(|w| self.current.has_edge(w, v))
+            || self.current.common_neighbor(u, v).is_some()
+        {
+            Ok(())
+        } else {
+            Err(SimError::NotPotentialNeighbors {
+                u,
+                v,
+                round: self.round,
+            })
+        }
     }
 
     /// Stages the deactivation of edge `{u, v}` for the current round.
@@ -377,6 +433,12 @@ impl Network {
     /// already-active / already-inactive edges and duplicate stages are
     /// no-ops, exactly as in the per-edge entry points.
     ///
+    /// [`Network::commit_round`] applies a staged wave as two grouped
+    /// batch merges, the right tool for waves that fan many edges into one
+    /// node (star merges, TreeToStar, clique formation). A round of pure
+    /// pointer jumps, one edge move per node, commits cheaper through
+    /// [`Network::commit_jumps`].
+    ///
     /// # Errors
     ///
     /// The same errors as the per-edge entry points, discovered in column
@@ -400,6 +462,134 @@ impl Network {
     /// Number of operations currently staged (activations + deactivations).
     pub fn staged_operations(&self) -> usize {
         self.staged_activations.len() + self.staged_deactivations.len()
+    }
+
+    /// Commits one round of pointer jumps: for every [`Jump`], `node`
+    /// activates `{node, to}` with `from` as the distance-2 witness, and
+    /// with `drop` deactivates `{node, from}`. Checks, errors, summary,
+    /// metrics, bus events and DST tick are exactly those of
+    /// [`Network::stage_jump_wave`], given one [`WaveActivation`] per jump
+    /// and the dropped edges as deactivations, followed by
+    /// [`Network::commit_round`].
+    ///
+    /// Only the cost differs. Each jump probes its three distinct edges
+    /// once and is applied in place by one [`Graph::jump`], with no staging
+    /// guard, conflict probe or grouped batch merge. That fits the
+    /// LineToTree lockstep, where each node moves one edge per round and
+    /// blocks stay short; a wave that fans many edges into one node belongs
+    /// to `commit_round`, since an in-place insertion costs the length of
+    /// the block it lands in. The bus receives the applied activations in
+    /// ascending canonical order, then the applied deactivations likewise,
+    /// then the boundary; the two columns are sorted only while a tap is
+    /// armed, since nothing else observes their order.
+    ///
+    /// # Errors
+    ///
+    /// The first error `stage_jump_wave` would report, in its order: every
+    /// activation, then every drop. On error nothing is staged or applied
+    /// and the round does not advance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if operations are staged. No two jumps may name the same
+    /// edge, activated or dropped, which tree pointer jumping never does
+    /// (two nodes would have to be each other's parent or grandparent):
+    /// debug builds check it, and a violation can make [`Graph::jump`]
+    /// panic.
+    pub fn commit_jumps(&mut self, jumps: &[Jump]) -> Result<RoundSummary, SimError> {
+        assert_eq!(
+            self.staged_operations(),
+            0,
+            "cannot commit jumps while edge operations are staged"
+        );
+        debug_assert!(jumps_share_no_edge(jumps), "two jumps share an edge");
+        let mut verdicts = std::mem::take(&mut self.jump_verdicts);
+        let checked = self.check_jumps(jumps, &mut verdicts);
+        self.jump_verdicts = verdicts;
+        checked?;
+
+        self.commit_touched.clear();
+        self.commit_grew.clear();
+        self.commit_added.clear();
+        self.commit_removed.clear();
+        for (j, &verdict) in jumps.iter().zip(&self.jump_verdicts) {
+            let (mut activates, mut drops) = (verdict & ACTIVATES != 0, verdict & DROPS != 0);
+            if activates {
+                let stages = &mut self.initiator_stages[j.node.index()];
+                if *stages == 0 {
+                    self.staged_initiators.push(j.node);
+                }
+                *stages += 1;
+            }
+            // A crashed endpoint drops the operation, as in `commit_round`.
+            // `from` is range-checked only when the jump drops.
+            if self.any_crashed {
+                let crashed = &self.crashed;
+                activates &= !crashed[j.node.index()] && !crashed[j.to.index()];
+                drops = drops && !crashed[j.node.index()] && !crashed[j.from.index()];
+            }
+            if activates {
+                self.current.jump(j.node, j.from, j.to, drops);
+                self.commit_added.push(Edge::new(j.node, j.to));
+            } else if drops {
+                self.current
+                    .remove_edge(j.node, j.from)
+                    .expect("a checked drop removes a present edge");
+            }
+            if drops {
+                self.commit_removed.push(Edge::new(j.node, j.from));
+            }
+        }
+        if self.bus.any_armed() {
+            self.commit_added.sort_unstable();
+            self.commit_removed.sort_unstable();
+        }
+        let mut sink = EdgeSink {
+            initial: &self.initial,
+            activated_degree: &mut self.activated_degree,
+            activated_now: &mut self.activated_now,
+            bus: &mut self.bus,
+        };
+        for &e in &self.commit_added {
+            self.commit_grew.extend([e.a, e.b]);
+            if sink.edge(e, true) {
+                self.commit_touched.extend([e.a, e.b]);
+            }
+        }
+        for &e in &self.commit_removed {
+            sink.edge(e, false);
+        }
+        Ok(self.finish_round(self.commit_added.len(), self.commit_removed.len()))
+    }
+
+    /// The checks of [`Network::commit_jumps`], in `stage_jump_wave`'s
+    /// order, writing one verdict per jump (`ACTIVATES`, `DROPS`) into
+    /// `verdicts`. Each jump probes `{node, to}`, then `{node, from}`,
+    /// which both the witness and the drop read, then `{from, to}`.
+    fn check_jumps(&self, jumps: &[Jump], verdicts: &mut Vec<u8>) -> Result<(), SimError> {
+        verdicts.clear();
+        for j in jumps {
+            self.check_node(j.node)?;
+            self.check_node(j.to)?;
+            if j.node == j.to {
+                return Err(SimError::SelfLoop { node: j.node });
+            }
+            let present = self.current.has_edge(j.node, j.to);
+            let leaves = (j.drop || !present) && self.current.has_edge(j.node, j.from);
+            let mut verdict = if j.drop && leaves { DROPS } else { 0 };
+            if !present {
+                self.distance_two(j.node, j.to, leaves.then_some(j.from))?;
+                verdict |= ACTIVATES;
+            }
+            verdicts.push(verdict);
+        }
+        for j in jumps.iter().filter(|j| j.drop) {
+            self.check_node(j.from)?;
+            if j.from == j.node {
+                return Err(SimError::SelfLoop { node: j.node });
+            }
+        }
+        Ok(())
     }
 
     /// Commits the round in progress: applies
@@ -461,10 +651,7 @@ impl Network {
 
         // Apply the staged columns as two batch merge passes over the
         // flat adjacency, updating the incremental activated-degree
-        // counters from the per-edge callbacks. Maxima are taken only
-        // after both batches are applied, so a node activated and
-        // deactivated in the same round is credited with its end-of-round
-        // degree, exactly like the old whole-graph scan.
+        // counters from the per-edge callbacks.
         let mut touched = std::mem::take(&mut self.commit_touched);
         let mut grew = std::mem::take(&mut self.commit_grew);
         let mut removed = std::mem::take(&mut self.commit_removed);
@@ -503,7 +690,21 @@ impl Network {
         }
         self.staged_activations.clear();
         self.staged_deactivations.clear();
-        for &u in &touched {
+        self.commit_touched = touched;
+        self.commit_grew = grew;
+        self.commit_removed = removed;
+        self.finish_round(activations, deactivations)
+    }
+
+    /// The tail both commits share, once the round's edits are applied and
+    /// on the bus: the metrics, the `RoundCommitted` boundary and the DST
+    /// tick. `commit_touched` holds the endpoints of the applied non-initial
+    /// activations and `commit_grew` those of every applied activation.
+    /// Maxima are sampled only now, after every edit of the round, so a
+    /// node activated and deactivated in the same round is credited with
+    /// its end-of-round degree, exactly like the old whole-graph scan.
+    fn finish_round(&mut self, activations: usize, deactivations: usize) -> RoundSummary {
+        for &u in &self.commit_touched {
             self.metrics.max_activated_degree = self
                 .metrics
                 .max_activated_degree
@@ -539,13 +740,10 @@ impl Network {
             .max(self.current.edge_count());
         // The total-degree maximum is sampled at commit instants. Only
         // endpoints that gained an edge this round can raise it.
-        for &u in &grew {
+        for &u in &self.commit_grew {
             self.metrics.max_total_degree =
                 self.metrics.max_total_degree.max(self.current.degree(u));
         }
-        self.commit_touched = touched;
-        self.commit_grew = grew;
-        self.commit_removed = removed;
         let summary = RoundSummary {
             round: self.round,
             activations,
@@ -1013,6 +1211,156 @@ mod tests {
             .graph()
             .edges()
             .eq(expected.iter().map(|&(a, b)| Edge::new(nid(a), nid(b)))));
+
+        // The same round committed in place, in the same descending order,
+        // reaches the bus in the same order.
+        let mut jumped = Network::new(generators::line(6));
+        jumped.set_event_recording(true);
+        let round: Vec<Jump> = jumps
+            .iter()
+            .map(|&(u, w, v)| Jump {
+                node: nid(u),
+                from: nid(w),
+                to: nid(v),
+                drop: true,
+            })
+            .collect();
+        let summary = jumped.commit_jumps(&round).unwrap();
+        assert_eq!((summary.activations, summary.deactivations), (3, 3));
+        assert_eq!(jumped.graph(), net.graph());
+        assert_eq!(jumped.metrics(), net.metrics());
+        let mut replayed = Network::new(generators::line(6));
+        replayed.set_event_recording(true);
+        replayed.stage_jump_wave(&acts, &drops).unwrap();
+        replayed.commit_round();
+        assert_eq!(jumped.take_events(), replayed.take_events());
+    }
+
+    #[test]
+    fn commit_jumps_drops_crashed_endpoints_as_commit_round_does() {
+        // Node 3 of line(8) crash-stops, then the adversary reconnects it
+        // to 2 and 4, so jumps that touch it pass their checks. Its
+        // operations are dropped side by side: node 4's activation
+        // applies while its drop of {3, 4} does not, and node 3's own two
+        // activations count for no initiator. Node 0 keeps its edges and
+        // names a witness outside the network, which the scan replaces.
+        let crashed = || {
+            let mut net = Network::new(generators::line(8));
+            net.fault_crash_node(nid(3)).unwrap();
+            assert!(net.fault_insert_edge(nid(2), nid(3)));
+            assert!(net.fault_insert_edge(nid(3), nid(4)));
+            net.set_event_recording(true);
+            net
+        };
+        let jump = |node, from, to, drop| Jump {
+            node: nid(node),
+            from: nid(from),
+            to: nid(to),
+            drop,
+        };
+        let round = [
+            jump(4, 3, 2, true),
+            jump(3, 2, 1, true),
+            jump(3, 4, 5, false),
+            jump(6, 5, 4, true),
+            jump(7, 6, 5, true),
+            jump(0, 99, 2, false),
+        ];
+        let mut net = crashed();
+        let summary = net.commit_jumps(&round).unwrap();
+        assert_eq!((summary.activations, summary.deactivations), (4, 2));
+        assert_eq!(net.metrics().max_node_activations_in_round, 1);
+
+        let mut twin = crashed();
+        let acts: Vec<WaveActivation> = round
+            .iter()
+            .map(|j| WaveActivation {
+                initiator: j.node,
+                target: j.to,
+                witness: j.from,
+            })
+            .collect();
+        let drops: Vec<Edge> = round
+            .iter()
+            .filter(|j| j.drop)
+            .map(|j| Edge::new(j.node, j.from))
+            .collect();
+        twin.stage_jump_wave(&acts, &drops).unwrap();
+        assert_eq!(twin.commit_round(), summary);
+        assert_eq!(twin.graph(), net.graph());
+        assert_eq!(twin.metrics(), net.metrics());
+        assert_eq!(twin.take_events(), net.take_events());
+        for u in 0..8 {
+            assert_eq!(twin.activated_degree(nid(u)), net.activated_degree(nid(u)));
+        }
+    }
+
+    #[test]
+    fn a_failed_jump_round_applies_nothing() {
+        // The second activation has no common neighbour: the error names
+        // it, although the first jump (and every drop) would pass, and the
+        // network is left exactly as it was.
+        let mut net = Network::new(generators::line(6));
+        net.set_event_recording(true);
+        let before = net.graph().clone();
+        let round = [
+            Jump {
+                node: nid(2),
+                from: nid(1),
+                to: nid(0),
+                drop: true,
+            },
+            Jump {
+                node: nid(5),
+                from: nid(4),
+                to: nid(2),
+                drop: true,
+            },
+        ];
+        assert_eq!(
+            net.commit_jumps(&round),
+            Err(SimError::NotPotentialNeighbors {
+                u: nid(5),
+                v: nid(2),
+                round: 1,
+            })
+        );
+        assert_eq!(net.graph(), &before);
+        assert_eq!((net.round(), net.staged_operations()), (1, 0));
+        assert_eq!(
+            net.metrics(),
+            &EdgeMetrics {
+                max_total_degree: 2,
+                max_active_edges_total: 5,
+                ..EdgeMetrics::default()
+            }
+        );
+        assert!(net.take_events().is_empty());
+        // Errors come in staging order, every activation before any drop:
+        // the unwitnessed activation outranks two earlier drops whose
+        // `from` lies outside the network, and without it the first of
+        // those drops is reported.
+        let beyond = |node, from, to| Jump {
+            node: nid(node),
+            from: nid(from),
+            to: nid(to),
+            drop: true,
+        };
+        let drops_beyond = [beyond(1, 99, 0), beyond(2, 98, 1)];
+        let ordered = [drops_beyond[0], drops_beyond[1], round[1]];
+        assert!(matches!(
+            net.commit_jumps(&ordered),
+            Err(SimError::NotPotentialNeighbors { .. })
+        ));
+        assert_eq!(
+            net.commit_jumps(&drops_beyond),
+            Err(SimError::NodeOutOfRange {
+                node: nid(99),
+                n: 6
+            })
+        );
+        // A later round starts clean.
+        assert_eq!(net.commit_jumps(&round[..1]).unwrap().activations, 1);
     }
 
     #[test]

@@ -4,16 +4,18 @@
 //! the network stages rounds as edge columns in stage order. These
 //! tests pin both against straightforward `BTreeSet`-based reference
 //! models — the representation the seed used — under seeded random
-//! operation sequences (add_edge / remove_edge / add_node / stage /
+//! operation sequences (add_edge / remove_edge / jump / add_node / stage /
 //! commit), so any divergence in contents, iteration order, counters or
-//! round summaries is caught with the seed that reproduces it.
+//! round summaries is caught with the seed that reproduces it. Rounds of
+//! pointer jumps committed in place are pinned against the same rounds
+//! staged and committed in groups.
 
 use actively_dynamic_networks::graph::rng::DetRng;
 use actively_dynamic_networks::graph::{generators, BitRow, BitRows, Edge, Graph, NodeId};
 use actively_dynamic_networks::sim::dst::{
     Adversary, DstState, InvariantPolicy, Scenario, TargetPolicy,
 };
-use actively_dynamic_networks::sim::{Network, WaveActivation};
+use actively_dynamic_networks::sim::{Jump, Network, RoundSummary, SimError, WaveActivation};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The old adjacency representation, kept as an executable specification.
@@ -380,17 +382,24 @@ fn network_staging_matches_btreeset_model_under_random_ops() {
 /// Arena-stressing differential: hub-heavy seeded op sequences that force
 /// block overflow relocations and periodic compactions (the small random
 /// graphs above rarely cross the dead-slot threshold), interleaved with
-/// crash severs (`remove_incident_edges`), churn `add_node` and batch
-/// edits — all pinned against the `BTreeSet` reference. Half the single
-/// edits go through one-edge `add_edges_batch` / `remove_edges_batch`
-/// calls, whose callbacks must report exactly the edges that changed, and
-/// a twin graph that makes each of those edits with `add_edge` /
-/// `remove_edge` (a batch's smaller endpoint first, the order a batch
-/// edits its endpoints in) must keep the same arena layout (slots and
-/// dead slots), so a one-edge batch relocates and compacts as the
-/// per-edge edit does.
+/// pointer jumps (`Graph::jump`), crash severs (`remove_incident_edges`),
+/// churn `add_node` and batch edits — all pinned against the `BTreeSet`
+/// reference. Half the single edits go through one-edge `add_edges_batch`
+/// / `remove_edges_batch` calls, whose callbacks must report exactly the
+/// edges that changed, and a twin graph that makes each of those edits
+/// with `add_edge` / `remove_edge` (a batch's smaller endpoint first, the
+/// order a batch edits its endpoints in) must keep the same arena layout
+/// (slots and dead slots), so a one-edge batch relocates and compacts as
+/// the per-edge edit does. The twin makes a jump as `remove_edge` of the
+/// edge it leaves, then `add_edge` of the new one, and must keep that
+/// layout too: a jump never relocates its mover's block when it drops an
+/// edge, and grows the target's block as an insertion does.
 #[test]
 fn arena_relocation_and_compaction_match_model_under_churn() {
+    // Jump coverage over all seeds: shifts towards smaller and larger
+    // ids, jumps without a drop, and jumps that relocated or compacted.
+    let (mut shifted_down, mut shifted_up, mut kept) = (0usize, 0usize, 0usize);
+    let (mut jump_relocations, mut jump_compactions) = (0usize, 0usize);
     for seed in 0u64..8 {
         let mut rng = DetRng::seed_from_u64(0xC0FFEE ^ seed.wrapping_mul(0x5851_F42D));
         let mut n = 48 + rng.gen_range(0, 32);
@@ -404,7 +413,54 @@ fn arena_relocation_and_compaction_match_model_under_churn() {
         let mut last_dead = graph.dead_slots();
         for step in 0..1200 {
             match rng.gen_range(0, 100) {
-                0..=59 => {
+                0..=9 => {
+                    // A pointer jump of `u` to a node it is not adjacent
+                    // to, hub-heavy on both ends, leaving a random
+                    // neighbour unless `u` keeps its edges.
+                    let mut pick = || {
+                        if rng.gen_bool(0.5) {
+                            hubs[rng.gen_range(0, hubs.len())]
+                        } else {
+                            rng.gen_range(0, n)
+                        }
+                    };
+                    let (u, to) = (NodeId(pick()), NodeId(pick()));
+                    if u == to || model.has_edge(u, to) {
+                        continue;
+                    }
+                    let left: Vec<NodeId> = model.adjacency[u.index()].iter().copied().collect();
+                    let drop = !left.is_empty() && rng.gen_bool(0.75);
+                    let from = if drop {
+                        left[rng.gen_range(0, left.len())]
+                    } else {
+                        NodeId(rng.gen_range(0, n))
+                    };
+                    let (slots, dead) = (graph.arena_slots(), graph.dead_slots());
+                    graph.jump(u, from, to, drop);
+                    if drop {
+                        model.remove_edge(u, from);
+                        per_edge.remove_edge(u, from).unwrap();
+                        if to < from {
+                            shifted_down += 1;
+                        } else {
+                            shifted_up += 1;
+                        }
+                    } else {
+                        kept += 1;
+                    }
+                    model.add_edge(u, to);
+                    per_edge.add_edge(u, to).unwrap();
+                    if graph.dead_slots() < dead {
+                        jump_compactions += 1;
+                    } else if graph.arena_slots() > slots {
+                        jump_relocations += 1;
+                    }
+                    assert!(
+                        graph.check_invariants(),
+                        "seed {seed} step {step}: jump of {u} from {from} to {to}"
+                    );
+                }
+                10..=59 => {
                     let u = if rng.gen_bool(0.7) {
                         hubs[rng.gen_range(0, hubs.len())]
                     } else {
@@ -550,6 +606,17 @@ fn arena_relocation_and_compaction_match_model_under_churn() {
         assert_eq!(explicit, graph, "compaction is semantics-preserving");
         assert_eq!(explicit.dead_slots(), 0);
     }
+    let coverage = [
+        shifted_down,
+        shifted_up,
+        kept,
+        jump_relocations,
+        jump_compactions,
+    ];
+    assert!(
+        coverage.iter().all(|&c| c > 0),
+        "jumps down, up, without a drop, relocating, compacting: {coverage:?}"
+    );
 }
 
 /// Regression (seeded): a crash severing a hub right at the compaction
@@ -614,4 +681,245 @@ fn crash_landing_at_compaction_boundary_stays_sound() {
             assert!(net.graph().check_invariants(), "seed {seed} round {round}");
         }
     }
+}
+
+/// Whether no two of `jumps` name the same edge, activated or dropped:
+/// `Network::commit_jumps`'s precondition.
+fn jumps_name_distinct_edges(jumps: &[Jump]) -> bool {
+    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+    for j in jumps {
+        edges.push((j.node.min(j.to), j.node.max(j.to)));
+        if j.drop {
+            edges.push((j.node.min(j.from), j.node.max(j.from)));
+        }
+    }
+    edges.sort_unstable();
+    edges.windows(2).all(|w| w[0] != w[1])
+}
+
+/// The same round through the staging path: one witnessed activation per
+/// jump, the dropped edges as deactivations, then `commit_round`.
+fn commit_staged(twin: &mut Network, jumps: &[Jump]) -> Result<RoundSummary, SimError> {
+    let acts: Vec<WaveActivation> = jumps
+        .iter()
+        .map(|j| WaveActivation {
+            initiator: j.node,
+            target: j.to,
+            witness: j.from,
+        })
+        .collect();
+    let drops: Vec<Edge> = jumps
+        .iter()
+        .filter(|j| j.drop)
+        .map(|j| Edge::new(j.node, j.from))
+        .collect();
+    twin.stage_jump_wave(&acts, &drops)?;
+    Ok(twin.commit_round())
+}
+
+/// A jump that fails its checks, by a node that does not jump this round
+/// (`idle`), or `None` when the one drawn would share an edge with the
+/// round's jumps: an id out of range (activation or drop), a self-loop, or
+/// an activation with no common neighbour.
+fn bad_jump(net: &Network, jumps: &[Jump], idle: NodeId, rng: &mut DetRng) -> Option<Jump> {
+    let graph = net.graph();
+    let n = graph.node_count();
+    let beyond = NodeId(n + rng.gen_range(0, 3));
+    let neighbor = graph.neighbors_slice(idle).first().copied();
+    let bad = match rng.gen_range(0, 4) {
+        0 => Jump {
+            node: idle,
+            from: idle,
+            to: beyond,
+            drop: false,
+        },
+        // An activation that changes nothing, then a drop out of range:
+        // the error comes from the drop column, after every activation.
+        1 => Jump {
+            node: idle,
+            from: beyond,
+            to: neighbor?,
+            drop: true,
+        },
+        2 => Jump {
+            node: idle,
+            from: neighbor.unwrap_or(beyond),
+            to: idle,
+            drop: false,
+        },
+        _ => {
+            let far = (0..n).map(NodeId).find(|&x| {
+                x != idle && !graph.has_edge(idle, x) && graph.common_neighbor(idle, x).is_none()
+            })?;
+            Jump {
+                node: idle,
+                from: neighbor.unwrap_or(beyond),
+                to: far,
+                drop: false,
+            }
+        }
+    };
+    let mut all = jumps.to_vec();
+    all.push(bad);
+    jumps_name_distinct_edges(&all).then_some(bad)
+}
+
+/// Rounds of pointer jumping on random rooted trees, committed in place by
+/// `commit_jumps` on one network and through `stage_jump_wave` +
+/// `commit_round` on a twin, both with the recorder armed, fault-free and
+/// under the `crash_stop` and `adversarial_edges` adversaries. The test
+/// computes its own rounds: every node whose parent is not the root jumps
+/// to its grandparent, keeping the edge it leaves for a random quarter, as
+/// `keep_line_edges` does on a first jump. The graph carries extra edges
+/// (some onto grandparents, so a target is already adjacent) and misses
+/// some tree edges (an absent drop edge, a stale witness the common
+/// neighbour scan must back up or reject), and some rounds carry a jump
+/// that fails its checks. Results (errors included), summaries, metrics,
+/// graphs, recorded events and DST renders must agree, and a failed
+/// `commit_jumps` must apply nothing.
+#[test]
+fn jump_rounds_commit_like_staged_waves() {
+    let scenarios = [
+        Scenario::failure_free(),
+        Scenario::crash_stop(),
+        Scenario::adversarial_edges(),
+    ];
+    // Coverage over all trials: present targets with and without a drop,
+    // absent drop edges, scanned witnesses, and each error kind.
+    let (mut present_dropped, mut present_kept) = (0usize, 0usize);
+    let (mut absent_drops, mut scanned) = (0usize, 0usize);
+    let mut errors: BTreeSet<&str> = BTreeSet::new();
+    for seed in 0u64..90 {
+        let mut rng = DetRng::seed_from_u64(0x1F3A ^ seed.wrapping_mul(0x9E37_79B9));
+        let n = 8 + rng.gen_range(0, 33);
+        let mut parent: Vec<Option<usize>> = (0..n)
+            .map(|i| (i > 0).then(|| rng.gen_range(0, i)))
+            .collect();
+        let mut graph = Graph::new(n);
+        for (i, p) in parent.iter().enumerate() {
+            if let Some(p) = *p {
+                graph.add_edge(NodeId(i), NodeId(p)).unwrap();
+            }
+        }
+        for _ in 0..n / 3 {
+            let u = rng.gen_range(0, n);
+            let grandparent = parent[u].and_then(|p| parent[p]);
+            let v = match grandparent {
+                Some(g) if rng.gen_bool(0.5) => g,
+                _ => rng.gen_range(0, n),
+            };
+            if u != v {
+                graph.add_edge(NodeId(u), NodeId(v)).unwrap();
+            }
+        }
+        for _ in 0..n / 8 {
+            // Cut the edge of a node `u` to its parent, where `u` has a
+            // great-grandparent. A bridge to that node leaves `u`'s first
+            // jump a common neighbour with its target for the scan to
+            // find, and a bridge from each child of `u` to the parent
+            // makes that child's first target already adjacent.
+            let u = 1 + rng.gen_range(0, n - 1);
+            let p = parent[u].expect("non-root");
+            let Some(up) = parent[p].and_then(|g| parent[g]) else {
+                continue;
+            };
+            graph.remove_edge(NodeId(u), NodeId(p)).unwrap();
+            graph.add_edge(NodeId(u), NodeId(up)).unwrap();
+            for c in (0..n).filter(|&c| parent[c] == Some(u)) {
+                graph.add_edge(NodeId(c), NodeId(p)).unwrap();
+            }
+        }
+        let scenario = scenarios[seed as usize % scenarios.len()].clone();
+        let mut net = Network::new(graph);
+        net.install_dst(DstState::new(
+            Adversary::new(scenario.clone(), seed),
+            InvariantPolicy::default(),
+            Vec::new(),
+        ));
+        net.set_event_recording(true);
+        let mut twin = net.clone();
+        for round in 0..8 {
+            let label = format!("seed {seed} ({}) round {round}", scenario.name);
+            let mut jumps: Vec<Jump> = (0..n)
+                .filter_map(|u| {
+                    let p = parent[u]?;
+                    let g = parent[p]?;
+                    Some((u, p, g))
+                })
+                .map(|(u, p, g)| Jump {
+                    node: NodeId(u),
+                    from: NodeId(p),
+                    to: NodeId(g),
+                    drop: !rng.gen_bool(0.25),
+                })
+                .collect();
+            if jumps.is_empty() {
+                break;
+            }
+            let idle =
+                (0..n).find(|&u| parent[u].and_then(|p| parent[p]).is_none() && rng.gen_bool(0.5));
+            if let Some(idle) = idle.filter(|_| rng.gen_bool(0.2)) {
+                if let Some(bad) = bad_jump(&net, &jumps, NodeId(idle), &mut rng) {
+                    let at = rng.gen_range(0, jumps.len() + 1);
+                    jumps.insert(at, bad);
+                }
+            }
+            let (before, metrics, at_round) =
+                (net.graph().clone(), net.metrics().clone(), net.round());
+            let got = net.commit_jumps(&jumps);
+            let want = commit_staged(&mut twin, &jumps);
+            assert_eq!(got, want, "{label}");
+            assert_eq!(net.staged_operations(), 0, "{label}");
+            assert_eq!(net.take_events(), twin.take_events(), "{label}");
+            if let Err(e) = got {
+                errors.insert(match e {
+                    SimError::NotPotentialNeighbors { .. } => "unwitnessed",
+                    SimError::NodeOutOfRange { .. } => "out of range",
+                    SimError::SelfLoop { .. } => "self-loop",
+                    _ => "other",
+                });
+                assert_eq!(net.graph(), &before, "{label}: nothing applied");
+                assert_eq!(net.metrics(), &metrics, "{label}: nothing metered");
+                assert_eq!(net.round(), at_round, "{label}: no round passed");
+                // The twin keeps what it staged before the error.
+                break;
+            }
+            for j in &jumps {
+                let leaves = before.has_edge(j.node, j.from);
+                if before.has_edge(j.node, j.to) {
+                    if j.drop {
+                        present_dropped += 1;
+                    } else {
+                        present_kept += 1;
+                    }
+                } else if !(leaves && before.has_edge(j.from, j.to)) {
+                    scanned += 1;
+                }
+                absent_drops += usize::from(j.drop && !leaves);
+            }
+            assert_eq!(net.graph(), twin.graph(), "{label}");
+            assert_eq!(net.metrics(), twin.metrics(), "{label}");
+            assert!(net.graph().check_invariants(), "{label}");
+            let next: Vec<Option<usize>> = (0..n)
+                .map(|u| parent[u].map(|p| parent[p].unwrap_or(p)))
+                .collect();
+            parent = next;
+        }
+        let (ours, theirs) = (net.take_dst_report(), twin.take_dst_report());
+        assert_eq!(
+            ours.as_ref().map(|r| r.render()),
+            theirs.as_ref().map(|r| r.render()),
+            "seed {seed}: DST render"
+        );
+        assert_eq!(ours, theirs, "seed {seed}: DST report");
+    }
+    let coverage = [present_dropped, present_kept, absent_drops, scanned];
+    assert!(
+        coverage.iter().all(|&c| c > 0),
+        "present target with and without a drop, absent drop, scanned witness: {coverage:?}"
+    );
+    assert_eq!(
+        errors.into_iter().collect::<Vec<_>>(),
+        ["out of range", "self-loop", "unwitnessed"]
+    );
 }
